@@ -8,15 +8,15 @@ from .weyl import (AffineElement, AffineRoot, CosetTable, RootSystemData,
                    SignedPerm, build_root_system, coset_index, orbit_stabilizer,
                    reduced_word, weyl_enumerate)
 from .opcore import (DiffOp, DynOp, OperatorMatrix, WOp, make_probes,
-                     op_residual, restrict_to_matrix)
-from .verify import (CheckResult, CheckSpec, PointPolicy, VerificationReport,
-                     hamiltonian_flow, isospectral_drift, poisson_bracket)
+                     restrict_to_matrix)
+from .verify import (CheckResult, PointPolicy, VerificationReport,
+                     hamiltonian_flow, isospectral_drift, op_residual,
+                     poisson_bracket)
 
 __all__ = [
     "AffineElement", "AffineRoot", "CosetTable", "RootSystemData", "SignedPerm",
     "build_root_system", "coset_index", "orbit_stabilizer", "reduced_word",
     "weyl_enumerate", "DiffOp", "DynOp", "OperatorMatrix", "WOp", "make_probes",
-    "op_residual", "restrict_to_matrix", "CheckResult", "CheckSpec",
-    "PointPolicy", "VerificationReport", "hamiltonian_flow",
-    "isospectral_drift", "poisson_bracket",
+    "restrict_to_matrix", "CheckResult", "PointPolicy", "VerificationReport",
+    "hamiltonian_flow", "isospectral_drift", "op_residual", "poisson_bracket",
 ]

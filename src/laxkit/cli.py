@@ -19,7 +19,7 @@ import time
 from .fields import PoleError
 from .suites import (ConfigError, RunConfig, build_suite, classical_flow_setup,
                      default_params)
-from .verify import (VerificationReport, decode_number,
+from .verify import (VerificationReport, charpoly_drifts, decode_number,
                      matrix_fn_from_fields, scaled_flow, trace_power_fn)
 from .dual import value
 
@@ -60,7 +60,6 @@ def cmd_verify(args):
                                             suite=config.suite,
                                             perturb=config.perturb),
                                 seed=config.seed)
-    # LAXKIT_THREADS is honored inside the sampling loop (verify.run_point_max)
     for r in build_suite(config):
         report.add(r)
     report.runtime_ms = 1000.0 * (time.perf_counter() - t0)
@@ -92,17 +91,10 @@ def cmd_flow(args):
         print(f"flow aborted near a pole: {exc}", file=sys.stderr)
         times, traj = [0.0], [tuple(complex(v) for v in z0)]
         aborted = True
-    import numpy as np
-    ref = None
-    stride = max(1, len(traj) // 200)
-    for idx in range(0, len(traj), stride):
+    idxs = range(0, len(traj), max(1, len(traj) // 200))
+    drifts = charpoly_drifts(Lfn, [traj[idx] for idx in idxs])
+    for idx, drift in zip(idxs, drifts):
         z = traj[idx]
-        mat = np.array(Lfn(z), dtype=complex)
-        coeffs = np.poly(mat)
-        if ref is None:
-            ref = coeffs
-            scale = 1.0 + float(np.max(np.abs(ref)))
-        drift = float(np.max(np.abs(coeffs - ref)) / scale)
         row = [float(times[idx])]
         row += [float(value(v).real) for v in z[:n]]
         row += [float(value(v).real) for v in z[n:]]

@@ -129,16 +129,6 @@ def directional(f, point, directions):
     return extract(directional(f, pt, rest))
 
 
-def gradient(f, point):
-    """All first partials of ``f`` at ``point`` (n separate seeded passes)."""
-    n = len(point)
-    out = []
-    for k in range(n):
-        e = tuple(1.0 if i == k else 0.0 for i in range(n))
-        out.append(extract(f(seed(point, e))))
-    return out
-
-
 def gradient_vec(f, point):
     """All first partials in one pass, using an array-valued eps."""
     import numpy as np

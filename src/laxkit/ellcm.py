@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Const, Field, LinArg, nsum
+from .fields import Const, Field, LinArg, XLift, nsum
 from .opcore import DiffOp, OperatorMatrix
 from .special import eta1, sigma, sigma_dz, v_func, v_func_dz, wp, dual_couplings
 from .weyl import RootSystemData, SignedPerm, build_root_system, dot, orbit_stabilizer
@@ -77,7 +77,7 @@ def elliptic_dunkl(cfg: EllipticDunklConfig, i, classical=False) -> DiffOp:
                              classical=classical)
         return op
     # Inozemtsev flavor: v_{lam_i}(x_i) s_i + c sum_j (sigma terms)
-    op = op + DiffOp(n, {(_flip(n, i), (0,) * n):
+    op = op + DiffOp(n, {(SignedPerm.sign_flip(n, i), (0,) * n):
                          v_form(lam[i], _basis(i, n), cfg.g, tau)},
                      classical=classical)
     for j in range(n):
@@ -85,31 +85,13 @@ def elliptic_dunkl(cfg: EllipticDunklConfig, i, classical=False) -> DiffOp:
             continue
         dform = tuple(_basis(i, n)[k] - _basis(j, n)[k] for k in range(n))
         sform = tuple(_basis(i, n)[k] + _basis(j, n)[k] for k in range(n))
-        op = op + DiffOp(n, {(_swap(n, i, j), (0,) * n):
+        op = op + DiffOp(n, {(SignedPerm.transposition(n, i, j), (0,) * n):
                              cfg.c * sigma_form(lam[i] - lam[j], dform, tau)},
                          classical=classical)
-        op = op + DiffOp(n, {(_negswap(n, i, j), (0,) * n):
+        op = op + DiffOp(n, {(SignedPerm.neg_transposition(n, i, j), (0,) * n):
                              cfg.c * sigma_form(lam[i] + lam[j], sform, tau)},
                          classical=classical)
     return op
-
-
-def _swap(n, i, j):
-    img = list(range(1, n + 1))
-    img[i], img[j] = j + 1, i + 1
-    return SignedPerm(img)
-
-
-def _negswap(n, i, j):
-    img = list(range(1, n + 1))
-    img[i], img[j] = -(j + 1), -(i + 1)
-    return SignedPerm(img)
-
-
-def _flip(n, i):
-    img = list(range(1, n + 1))
-    img[i] = -(i + 1)
-    return SignedPerm(img)
 
 
 def quadratic_sum(cfg, classical=False) -> DiffOp:
@@ -215,8 +197,8 @@ def split_a_operator(cfg) -> DiffOp:
         for j in range(i + 1, n):
             dform = tuple(_basis(i, n)[k] - _basis(j, n)[k] for k in range(n))
             sform = tuple(_basis(i, n)[k] + _basis(j, n)[k] for k in range(n))
-            for form, mu, s in ((dform, lam[i] - lam[j], _swap(n, i, j)),
-                                (sform, lam[i] + lam[j], _negswap(n, i, j))):
+            for form, mu, s in ((dform, lam[i] - lam[j], SignedPerm.transposition(n, i, j)),
+                                (sform, lam[i] + lam[j], SignedPerm.neg_transposition(n, i, j))):
                 pref = 2 * cfg.c * t
                 if pref == 0:
                     continue
@@ -235,7 +217,7 @@ def split_a_operator(cfg) -> DiffOp:
                         for r in range(4)] + [Const(-2 * e1 * t * sum(cfg.g))])
         else:
             ker = t * v_dz_form(lam[i], _basis(i, n), cfg.g, tau)
-        op = op + DiffOp(n, {(_flip(n, i), (0,) * n): ker})
+        op = op + DiffOp(n, {(SignedPerm.sign_flip(n, i), (0,) * n): ker})
     return op
 
 
@@ -271,7 +253,7 @@ def lax_elliptic_A(n, t, c, mu, tau) -> EllipticLax:
     for j in range(1, n):
         form = tuple(_basis(0, n)[k] - _basis(j, n)[k] for k in range(n))
         Ahat = Ahat + DiffOp(n, {(SignedPerm.identity(n), (0,) * n): (cfg.c * t) * wp_form(form, tau),
-                                 (_swap(n, 0, j), (0,) * n): (cfg.c * t) * sigma_dz_form(mu, form, tau)})
+                                 (SignedPerm.transposition(n, 0, j), (0,) * n): (cfg.c * t) * sigma_dz_form(mu, form, tau)})
     Amat = Ahat.restrict(tbl)
     H = split_hamiltonian(cfg)
     return EllipticLax(cfg=cfg, tbl=tbl, L=Lmat, A=Amat, H=H)
@@ -329,11 +311,11 @@ def lax_inozemtsev(n, t, c, g, mu, tau):
         Ahat = Ahat + DiffOp(n, {
             (SignedPerm.identity(n), (0,) * n):
                 (2 * c * t) * (wp_form(dform, tau) + wp_form(sform, tau)),
-            (_swap(n, 0, j), (0,) * n): (2 * c * t) * sigma_dz_form(mu, dform, tau),
-            (_negswap(n, 0, j), (0,) * n): (2 * c * t) * sigma_dz_form(mu, sform, tau)})
+            (SignedPerm.transposition(n, 0, j), (0,) * n): (2 * c * t) * sigma_dz_form(mu, dform, tau),
+            (SignedPerm.neg_transposition(n, 0, j), (0,) * n): (2 * c * t) * sigma_dz_form(mu, sform, tau)})
     parts = [(t * g[r]) * wp_form(_basis(0, n), tau, om_shift[r]) for r in range(4)]
     Ahat = Ahat + DiffOp.from_field(n, nsum(parts))
-    Ahat = Ahat + DiffOp(n, {(_flip(n, 0), (0,) * n):
+    Ahat = Ahat + DiffOp(n, {(SignedPerm.sign_flip(n, 0), (0,) * n):
                              t * v_dz_form(mu, _basis(0, n), g, tau)})
     Amat = Ahat.restrict(tbl)
     H = split_hamiltonian(cfg)
@@ -388,27 +370,12 @@ def classical_inozemtsev_fields(n, c, g, mu, tau):
                 k[n + i % n] = 1.0 if i < n else -1.0
                 row.append(LinArg(None, tuple(k)))
             elif (i - j) % m == n:
-                row.append(_xlift(v_form(mu, fi, g, tau), n))
+                row.append(XLift(v_form(mu, fi, g, tau), n))
             else:
                 diff = tuple(a - b for a, b in zip(fi, fj))
-                row.append(_xlift(c * sigma_form(mu, diff, tau), n))
+                row.append(XLift(c * sigma_form(mu, diff, tau), n))
         rows.append(row)
     return rows
-
-
-class _XLift(Field):
-    __slots__ = ("base", "n")
-
-    def __init__(self, base, n):
-        self.base = base
-        self.n = n
-
-    def __call__(self, z):
-        return self.base(z[:self.n])
-
-
-def _xlift(f, n):
-    return _XLift(f, n)
 
 
 def classical_inozemtsev_hamiltonian(n, c, g, tau):
@@ -429,7 +396,7 @@ def classical_inozemtsev_hamiltonian(n, c, g, tau):
     for i in range(n):
         for r in range(4):
             xparts.append((-g[r] * g[r]) * wp_form(_basis(i, n), tau, om_shift[r]))
-    return nsum(parts + [_xlift(nsum(xparts), n)])
+    return nsum(parts + [XLift(nsum(xparts), n)])
 
 
 def classical_cm_phase_field(cfg: EllipticDunklConfig):
@@ -451,7 +418,7 @@ def classical_cm_phase_field(cfg: EllipticDunklConfig):
         xparts = []
         for a in rs.pos_roots:
             xparts.append((-0.5 * cfg.c ** 2 * dot(a, a)) * wp_form(a, tau))
-        return nsum(parts + [_xlift(nsum(xparts), n)])
+        return nsum(parts + [XLift(nsum(xparts), n)])
     om_shift = _half_period_shifts(tau)
     for i in range(n):
         k = [0.0] * (2 * n)
@@ -467,7 +434,7 @@ def classical_cm_phase_field(cfg: EllipticDunklConfig):
     for i in range(n):
         for r in range(4):
             xparts.append((-cfg.g[r] ** 2) * wp_form(_basis(i, n), tau, om_shift[r]))
-    return nsum(parts + [_xlift(nsum(xparts), n)])
+    return nsum(parts + [XLift(nsum(xparts), n)])
 
 
 # -- regularity probes ------------------------------------------------------

@@ -15,9 +15,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field as dfield
 
-from .fields import BiArg, Const, Field, LinArg, exp_lin, nsum
-from .opcore import DynOp, OperatorMatrix, WOp, op_residual
+from .fields import BiArg, Const, LinArg, nsum
+from .opcore import DynOp, OperatorMatrix, WOp
 from .special import dual_params, sigma, sigma_dz, v_func
+from .verify import op_residual
 from .weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
                    affine_reflection, build_root_system, dot, orbit_stabilizer,
                    reduced_word)
@@ -399,10 +400,9 @@ def r_ij_ell(p: EllGLParams, i, j, classical=False) -> WOp:
     c = 0.0 if classical else p.c
     form = _egl_eform(i, j, n)
     dyn = p.xi[i - 1] - p.xi[j - 1]
-    img = list(range(1, n + 1))
-    img[i - 1], img[j - 1] = j, i
+    s = SignedPerm.transposition(n, i - 1, j - 1)
     return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): _sig_form(p.mu, form, p.tau),
-                      (SignedPerm(img), (0,) * n): -_sig_form(dyn, form, p.tau)})
+                      (s, (0,) * n): -_sig_form(dyn, form, p.tau)})
 
 
 def y_ell_gln(p: EllGLParams, i, classical=False) -> WOp:
@@ -478,9 +478,7 @@ def nsel_closed_y1(p: EllGLParams) -> WOp:
         for l in range(2, n + 1):
             if l != i:
                 B = B * _sig_form(p.mu, _egl_eform(i, l, n), p.tau)
-        img = list(range(1, n + 1))
-        img[0], img[i - 1] = i, 1
-        op += WOp(n, p.c, {(SignedPerm(img), (0,) * n): B})
+        op += WOp(n, p.c, {(SignedPerm.transposition(n, 0, i - 1), (0,) * n): B})
     e1 = tuple(1 if k == 0 else 0 for k in range(n))
     return op * WOp.translation(n, p.c, e1)
 
@@ -500,11 +498,9 @@ def nsel_closed_y2(p: EllGLParams) -> WOp:
                 F = F * _sig_form(p.mu, _egl_eform(i, l, n), tau)
         lam = tuple(1 if k == i - 1 else 0 for k in range(n))
         out += WOp(n, p.c, {(SignedPerm.identity(n), lam): E})
-        img = list(range(1, n + 1))
-        img[0], img[i - 1] = i, 1
         # F_i contains t(e_i) to the LEFT of s_{1i}: h t(e_i) s_{1i} = h s_{1i} t(e_1)
         e1 = tuple(1 if k == 0 else 0 for k in range(n))
-        out += WOp(n, p.c, {(SignedPerm(img), e1): F})
+        out += WOp(n, p.c, {(SignedPerm.transposition(n, 0, i - 1), e1): F})
     return out
 
 
@@ -944,49 +940,14 @@ def classical_symbol_parts(op: WOp, zpoint, beta=1.0):
 
 # -- classical van Diejen -----------------------------------------------------
 
-class _XLiftE(Field):
-    __slots__ = ("base", "n")
-
-    def __init__(self, base, n):
-        self.base = base
-        self.n = n
-
-    def __call__(self, z):
-        return self.base(z[:self.n])
-
-
 def vd_classical_fields(p: VDParams, eta):
     """Phase-field entries of the classical van Diejen Lax matrix L = P Q."""
-    n = p.n
-    m = 2 * n
-    P = vd_p_matrix(p, eta, classical=True)
-    Q = vd_q_matrix(p, eta, classical=True)
-    Lc = P * Q
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            parts = []
-            for (w, lam), h in Lc.entries[i][j].terms.items():
-                k = [0.0] * (2 * n)
-                for a in range(n):
-                    k[n + a] = p.beta * lam[a]
-                parts.append(_XLiftE(h, n) * exp_lin(tuple(k)))
-            row.append(nsum(parts) if parts else Const(0j))
-        rows.append(row)
-    return rows
+    Lc = vd_p_matrix(p, eta, classical=True) * vd_q_matrix(p, eta, classical=True)
+    return [[e.phase_field(p.beta) for e in row] for row in Lc.entries]
 
 
 def vd_classical_hamiltonian(p: VDParams):
-    n = p.n
-    H = vd_hamiltonian(p, classical=True)
-    parts = []
-    for (w, lam), h in H.terms.items():
-        k = [0.0] * (2 * n)
-        for a in range(n):
-            k[n + a] = p.beta * lam[a]
-        parts.append(_XLiftE(h, n) * exp_lin(tuple(k)))
-    return nsum(parts)
+    return vd_hamiltonian(p, classical=True).phase_field(p.beta)
 
 
 # -- residue conditions ------------------------------------------------------

@@ -344,6 +344,19 @@ class FuncField(Field):
         return self.fn(x)
 
 
+class XLift(Field):
+    """An x-space field read on phase points (x_1..x_n, p_1..p_n)."""
+
+    __slots__ = ("base", "n")
+
+    def __init__(self, base, n):
+        self.base = base
+        self.n = n
+
+    def __call__(self, z):
+        return self.base(z[:self.n])
+
+
 def symmetrized(field, group_elements):
     """Average of f over x -> w^{-1} x, i.e. the W-invariant projection."""
     parts = [field.o_group(w.inverse()) for w in group_elements]

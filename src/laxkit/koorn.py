@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .fields import Const, Field, LinArg, exp_lin, nsum
+from .fields import Const, Field, LinArg, nsum
 from .opcore import OperatorMatrix, WOp
 from .special import trig_ab, u_fun, ut_fun
 from .weyl import SignedPerm, build_root_system, orbit_stabilizer
@@ -101,35 +101,6 @@ def v_ext(p, i, q_level=0) -> Field:
     return nsum([Const(p.tau0 + 0j), -u_ext(p, i, 1)])
 
 
-def _swapg(n, i, j):
-    img = list(range(1, n + 1))
-    img[i - 1], img[j - 1] = j, i
-    return SignedPerm(img)
-
-
-def _negswap(n, i, j):
-    img = list(range(1, n + 1))
-    img[i - 1], img[j - 1] = -j, -i
-    return SignedPerm(img)
-
-
-def _flip(n, i):
-    img = list(range(1, n + 1))
-    img[i - 1] = -i
-    return SignedPerm(img)
-
-
-def _group_for_coset(n, idx):
-    """r_idx: s_{1i} for idx = i <= n, s^+_{1i} for idx = n+i (s^+_11 = s_1)."""
-    if idx == 1:
-        return SignedPerm.identity(n)
-    if idx <= n:
-        return _swapg(n, 1, idx)
-    if idx == n + 1:
-        return _flip(n, 1)
-    return _negswap(n, 1, idx - n)
-
-
 # -- Noumi generators ----------------------------------------------------
 
 def noumi_rep(p: CCnParams, classical=False):
@@ -144,17 +115,17 @@ def noumi_rep(p: CCnParams, classical=False):
                    tuple(-1.0 if k == 0 else 0.0 for k in range(n)))
     e1 = tuple(1 if k == 0 else 0 for k in range(n))
     gens.append(WOp(n, c, {(SignedPerm.identity(n), (0,) * n): nsum([Const(p.tau0 + 0j), -ker0]),
-                           (_flip(n, 1), e1): ker0}))
+                           (SignedPerm.sign_flip(n, 0), e1): ker0}))
     tau = p.tau
     for i in range(1, n):
         ker = _kernel(lambda z: trig_ab(z, tau)[0], ext_sum(i, i + 1, n, 1.0, -1.0))
         gens.append(WOp(n, c, {(SignedPerm.identity(n), (0,) * n): nsum([Const(tau + 0j), -ker]),
-                               (_swapg(n, i, i + 1), (0,) * n): ker}))
+                               (SignedPerm.transposition(n, i - 1, i), (0,) * n): ker}))
     tn, tnv = p.taun, p.taunv
     kern = _kernel(lambda z: u_fun(z, tn, tnv),
                    tuple(1.0 if k == n - 1 else 0.0 for k in range(n)))
     gens.append(WOp(n, c, {(SignedPerm.identity(n), (0,) * n): nsum([Const(p.taun + 0j), -kern]),
-                           (_flip(n, n), (0,) * n): kern}))
+                           (SignedPerm.sign_flip(n, n - 1), (0,) * n): kern}))
     return gens
 
 
@@ -205,21 +176,21 @@ def r_diff(p, i, j, classical=False) -> WOp:
     n = p.n
     c = 0.0 if classical else p.c
     return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): a_ext(p, i, j),
-                      (_swapg(n, i, j), (0,) * n): b_ext(p, i, j)})
+                      (SignedPerm.transposition(n, i - 1, j - 1), (0,) * n): b_ext(p, i, j)})
 
 
 def r_sum(p, i, j, classical=False) -> WOp:
     n = p.n
     c = 0.0 if classical else p.c
     return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): a_plus(p, i, j),
-                      (_negswap(n, i, j), (0,) * n): b_plus(p, i, j)})
+                      (SignedPerm.neg_transposition(n, i - 1, j - 1), (0,) * n): b_plus(p, i, j)})
 
 
 def r_two_e1(p, classical=False) -> WOp:
     n = p.n
     c = 0.0 if classical else p.c
     return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): u_ext(p, 1, 0),
-                      (_flip(n, 1), (0,) * n): v_ext(p, 1, 0)})
+                      (SignedPerm.sign_flip(n, 0), (0,) * n): v_ext(p, 1, 0)})
 
 
 def r_odd_shift(p, classical=False) -> WOp:
@@ -228,7 +199,7 @@ def r_odd_shift(p, classical=False) -> WOp:
     c = 0.0 if classical else p.c
     e1 = tuple(1 if k == 0 else 0 for k in range(n))
     return WOp(n, c, {(SignedPerm.identity(n), e1): u_ext(p, 1, 1),
-                      (_flip(n, 1), (0,) * n): v_ext(p, 1, 1)})
+                      (SignedPerm.sign_flip(n, 0), (0,) * n): v_ext(p, 1, 1)})
 
 
 def y1_product(p: CCnParams, classical=False) -> WOp:
@@ -273,11 +244,11 @@ def abcd_operator(p: CCnParams) -> WOp:
     n = p.n
     A, B, Cs, Ds = abcd_coeffs(p)
     terms = {(SignedPerm.identity(n), (0,) * n): A,
-             (_flip(n, 1), (0,) * n): B}
+             (SignedPerm.sign_flip(n, 0), (0,) * n): B}
     op = WOp(n, p.c, terms)
     for i in range(2, n + 1):
-        op += WOp(n, p.c, {(_swapg(n, 1, i), (0,) * n): Cs[i]})
-        op += WOp(n, p.c, {(_negswap(n, 1, i), (0,) * n): Ds[i]})
+        op += WOp(n, p.c, {(SignedPerm.transposition(n, 0, i - 1), (0,) * n): Cs[i]})
+        op += WOp(n, p.c, {(SignedPerm.neg_transposition(n, 0, i - 1), (0,) * n): Ds[i]})
     return op
 
 
@@ -450,56 +421,12 @@ def integrals_ccn(lax: KoornLax, kmax=3):
 
 # -- classical limit -------------------------------------------------------
 
-class _XOnly(Field):
-    __slots__ = ("base", "n")
-
-    def __init__(self, base, n):
-        self.base = base
-        self.n = n
-
-    def __call__(self, z):
-        return self.base(z[:self.n])
-
-
-def _mom_exp_ext(p, idx):
-    """e^{beta p_idx} with p_{n+i} = -p_i."""
-    n = p.n
-    k = [0.0] * (2 * n)
-    co = ext_coeffs(idx, n)
-    for a in range(n):
-        k[n + a] = p.beta * co[a]
-    return exp_lin(tuple(k))
-
-
 def classical_pq(p: CCnParams):
     """Phase-field entries of the classical L = P Q (q = 1, t -> e^{beta p})."""
-    n = p.n
-    m = 2 * n
-    P = p_matrix(p, classical=True)
-    Q = q_matrix(p, classical=True)
-    Lc = P * Q
-    fields = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            parts = []
-            for (w, lam), h in Lc.entries[i][j].terms.items():
-                k = [0.0] * (2 * n)
-                for a in range(n):
-                    k[n + a] = p.beta * lam[a]
-                parts.append(_XOnly(h, n) * exp_lin(tuple(k)))
-            row.append(nsum(parts) if parts else Const(0j))
-        fields.append(row)
-    return fields
+    Lc = p_matrix(p, classical=True) * q_matrix(p, classical=True)
+    return [[e.phase_field(p.beta) for e in row] for row in Lc.entries]
 
 
 def classical_hamiltonian_ccn(p: CCnParams):
     Hc, _f = koornwinder_hamiltonian(p, classical=True)
-    n = p.n
-    parts = []
-    for (w, lam), h in Hc.terms.items():
-        k = [0.0] * (2 * n)
-        for a in range(n):
-            k[n + a] = p.beta * lam[a]
-        parts.append(_XOnly(h, n) * exp_lin(tuple(k)))
-    return nsum(parts)
+    return Hc.phase_field(p.beta)

@@ -22,7 +22,7 @@ import itertools
 import math
 
 from .dual import value
-from .fields import (Affine, Const, Deriv, Field, as_field, exp_lin,
+from .fields import (Affine, Const, Deriv, Field, XLift, as_field, exp_lin,
                      nsum, symmetrized)
 from .weyl import SignedPerm
 
@@ -212,15 +212,6 @@ class WOp:
             parts.append(h * f.o_affine(w.inverse(), shift))
         return nsum(parts)
 
-    def snapshot(self, x):
-        """Per-point data: list of (coeff value at x, transformed point)."""
-        out = []
-        for (w, lam), h in self.terms.items():
-            winv = w.inverse()
-            pt = tuple(a + self.c * b for a, b in zip(winv.apply_vec(x), lam))
-            out.append((h(x), pt))
-        return out
-
     def symbol_component(self, w, x, p, beta):
         """Classical symbol of the a_w component at a phase point."""
         total = 0j
@@ -231,10 +222,15 @@ class WOp:
                 total += value(h(x)) * _cexp(arg)
         return total
 
-    def symbol(self, x, p, beta):
-        """Full classical symbol sum_w a_w(x,p) (group parts dropped as values)."""
-        return sum(self.symbol_component(w, x, p, beta)
-                   for w in {w for (w, _l) in self.terms})
+    def phase_field(self, beta):
+        """Phase field sum h(x) e^{beta <lam, p>} of a classical scalar
+        operator: t(lam) read as e^{beta p_lam}, group factors dropped."""
+        n = self.n
+        parts = []
+        for (_w, lam), h in self.terms.items():
+            k = (0.0,) * n + tuple(beta * v for v in lam)
+            parts.append(XLift(h, n) * exp_lin(k))
+        return nsum(parts)
 
     def restrict(self, tbl) -> "OperatorMatrix":
         """Matrix of the action on M' = e'M in the basis e' r_j (x) f_j.
@@ -627,8 +623,7 @@ def module_residual(m1: dict, m2: dict, points) -> float:
         f1 = m1.get(g, zero)
         f2 = m2.get(g, zero)
         for x in points:
-            a, b = value(f1(x)), value(f2(x))
-            worst = max(worst, abs(a - b) / (1.0 + abs(a) + abs(b)))
+            worst = max(worst, residual_pair(value(f1(x)), value(f2(x))))
     return worst
 
 
@@ -738,29 +733,6 @@ def residual_pair(lhs_val, rhs_val):
     return abs(lhs_val - rhs_val) / (1.0 + abs(lhs_val) + abs(rhs_val))
 
 
-def op_residual(op1, op2, probes, points) -> float:
-    """Scale-free max residual of (op1 - op2) applied to probes at points."""
-    worst = 0.0
-    for f in probes:
-        g1 = op1.apply_field(f)
-        g2 = op2.apply_field(f)
-        for x in points:
-            worst = max(worst, residual_pair(value(g1(x)), value(g2(x))))
-    return worst
-
-
-def op_equal(op1, op2, probes, points, tol, name="op-equal"):
-    """Named pass/fail check of operator equality on probes."""
-    from .verify import CheckResult
-    residual = op_residual(op1, op2, probes, points)
-    return CheckResult(name, residual, tol, residual < tol)
-
-
-def commutator_residual(op1, op2, probes, points) -> float:
-    """Residual of [op1, op2] = 0, normalized by the product magnitudes."""
-    return op_residual(op1 * op2, op2 * op1, probes, points)
-
-
 def classical_op_residual(op1: WOp, op2: WOp, zpoints, beta=1.0) -> float:
     """Componentwise symbol residual of two classical (c = 0) operators."""
     ws = {w for (w, _l) in op1.terms} | {w for (w, _l) in op2.terms}
@@ -772,25 +744,6 @@ def classical_op_residual(op1: WOp, op2: WOp, zpoints, beta=1.0) -> float:
             a = op1.symbol_component(w, x, p, beta)
             b = op2.symbol_component(w, x, p, beta)
             worst = max(worst, residual_pair(a, b))
-    return worst
-
-
-def op_is_zero_residual(op, probes, points) -> float:
-    worst = 0.0
-    for f in probes:
-        g = op.apply_field(f)
-        for x in points:
-            v = value(g(x))
-            worst = max(worst, abs(v) / (1.0 + abs(v)))
-    return worst
-
-
-def matrix_residual(m1: OperatorMatrix, m2: OperatorMatrix, probes, points) -> float:
-    worst = 0.0
-    for i in range(m1.m):
-        for j in range(m1.m):
-            worst = max(worst, op_residual(m1.entries[i][j], m2.entries[i][j],
-                                           probes, points))
     return worst
 
 

@@ -8,16 +8,13 @@ before the Lax-equation check, which must then fail.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
-from .opcore import (OperatorMatrix, WOp, make_probes, symmetric_probe)
-from .verify import (CheckResult, PointPolicy, matrix_pair_evalfn, pair_evalfn,
-                     rng_for, run_check, scalar_check, zero_evalfn)
+from .opcore import OperatorMatrix, WOp, make_probes, symmetric_probe
+from .verify import (PointPolicy, residual_evalfn, rng_for, run_check,
+                     scalar_check)
 from .weyl import build_root_system, weyl_enumerate
-
-
-KNOWN_SYSTEMS = ("rational-A", "rational-C", "trig-gln", "koornwinder",
-                 "ell-cm-A", "inozemtsev", "ell-ruijsenaars", "vandiejen")
 
 
 class ConfigError(ValueError):
@@ -45,29 +42,9 @@ class RunConfig:
 
 
 def default_params(system, rank):
-    if system == "rational-A":
-        return {"t": -0.7j, "c": 1.3j}
-    if system == "rational-C":
-        return {"t": -0.7j, "c": 1.3j, "c_long": 0.9j}
-    if system == "trig-gln":
-        return {"tau": 1.4 + 0.2j, "c": 0.31 + 0.11j}
-    if system == "koornwinder":
-        return {"tau0": 1.2 + 0.1j, "tau0v": 0.8 - 0.05j, "taun": 1.5 + 0.2j,
-                "taunv": 0.7 + 0.1j, "tau": 1.3 - 0.15j, "c": 0.23 + 0.07j}
-    if system == "ell-cm-A":
-        return {"t": -0.7j, "c": 1.3j, "tau": 0.31 + 0.84j, "mu": 0.27 + 0.04j}
-    if system == "inozemtsev":
-        return {"t": -0.7j, "c": 1.3j, "tau": 0.31 + 0.84j, "mu": 0.22 + 0.03j,
-                "g": [0.8j, -0.4j, 0.6j, 0.3j]}
-    if system == "ell-ruijsenaars":
-        return {"mu": 0.29 + 0.07j, "eta": 0.41 - 0.06j, "c": 0.19 + 0.05j,
-                "tau": 0.27 + 0.82j}
-    if system == "vandiejen":
-        return {"mu": 0.23 + 0.06j, "nu": 0.31 - 0.02j, "nub": 0.27 + 0.05j,
-                "g": [0.8 + 0.1j, -0.4 + 0.2j, 0.6 - 0.1j, 0.3 + 0.15j],
-                "gb": [0.5 - 0.2j, 0.7 + 0.1j, -0.3 + 0.3j, 0.4 + 0j],
-                "c": 0.19 + 0.05j, "tau": 0.27 + 0.82j, "eta": 0.37 - 0.04j}
-    raise ConfigError(f"no defaults for {system}")
+    if system not in SYSTEMS:
+        raise ConfigError(f"no defaults for {system}")
+    return copy.deepcopy(SYSTEMS[system].defaults)
 
 
 def _perturb_matrix(mat, eps):
@@ -81,8 +58,20 @@ def _lax_check(name, L, A, H, probes, rng, policy, tol, points=6):
     Hm = OperatorMatrix.diagonal(H, m)
     lhs = L * Hm - Hm * L
     rhs = A * L - L * A
-    return run_check(name, tol, matrix_pair_evalfn(lhs, rhs, probes), rng,
+    return run_check(name, tol, residual_evalfn(lhs, rhs, probes), rng,
                      policy, points)
+
+
+def _quadratic_check(name, gens, taus, probes, rng, policy):
+    """(T - tau)(T + 1/tau) = 0 for every generator T, reported as one check."""
+    worst = 0.0
+    for i, (T, tau) in enumerate(zip(gens, taus)):
+        quad = (T - WOp.from_scalar(T.n, T.c, tau)) * \
+               (T + WOp.from_scalar(T.n, T.c, 1 / tau))
+        r = run_check(f"{name}-T{i}", 1e-9, residual_evalfn(quad, None, probes),
+                      rng, policy)
+        worst = max(worst, r.residual)
+    return scalar_check(f"{name}-quadratic", 1e-9, worst)
 
 
 def suite_rational(config: RunConfig, kind):
@@ -98,18 +87,18 @@ def suite_rational(config: RunConfig, kind):
     probes = make_probes(n, 4, rng)
     ys = rat.dunkl_basis(cfg)
     comm = ys[0] * ys[1] - ys[1] * ys[0]
-    out.append(run_check("dunkl-commutativity", 1e-9, zero_evalfn(comm, probes),
-                         rng, policy))
+    out.append(run_check("dunkl-commutativity", 1e-9,
+                         residual_evalfn(comm, None, probes), rng, policy))
     rng = rng_for(config.seed, "cmo")
     probes = make_probes(n, 3, rng)
     _qy, L_q, A_hat = rat.cm_split(cfg)
     out.append(run_check("collapse-vs-explicit", 1e-9,
-                         pair_evalfn(L_q, rat.cm_hamiltonian_explicit(cfg), probes),
+                         residual_evalfn(L_q, rat.cm_hamiltonian_explicit(cfg), probes),
                          rng, policy))
     W = weyl_enumerate(rs)
     sp = symmetric_probe(probes[0], W)
-    out.append(run_check("Ahat-annihilates-e", 1e-9, zero_evalfn(A_hat, [sp]),
-                         rng, policy))
+    out.append(run_check("Ahat-annihilates-e", 1e-9,
+                         residual_evalfn(A_hat, None, [sp]), rng, policy))
     rng = rng_for(config.seed, "lax")
     probes = make_probes(n, 3, rng)
     lax = rat.lax_pair_rational(cfg)
@@ -120,17 +109,17 @@ def suite_rational(config: RunConfig, kind):
         probes = make_probes(n, 2, rng)
         Lref, Aref = rat.qlp_reference_matrices(cfg, lax.tbl)
         out.append(run_check("L-matches-qlp", 1e-10,
-                             matrix_pair_evalfn(lax.L, Lref, probes), rng, policy))
+                             residual_evalfn(lax.L, Lref, probes), rng, policy))
         rng = rng_for(config.seed, "kks")
         lhs, rhs = rat.kks_matrices(cfg, lax.tbl)
         out.append(run_check("kks-relation", 1e-10,
-                             matrix_pair_evalfn(lhs, rhs, probes), rng, policy))
+                             residual_evalfn(lhs, rhs, probes), rng, policy))
     rng = rng_for(config.seed, "integrals")
     probes = make_probes(n, 2, rng)
     ints = rat.integrals_rational(lax, kmax=2)
     comm2 = lax.H * ints[1] - ints[1] * lax.H
-    out.append(run_check("integrals-commute", 1e-8, zero_evalfn(comm2, probes),
-                         rng, policy))
+    out.append(run_check("integrals-commute", 1e-8,
+                         residual_evalfn(comm2, None, probes), rng, policy))
     return out
 
 
@@ -145,32 +134,27 @@ def suite_trig(config: RunConfig):
     probes = make_probes(n, 3, rng)
     rs = build_root_system("A", n)
     Ts = trig.basic_rep(rs, cfg.c, cfg.tau)
-    worst = None
-    for i, T in enumerate(Ts):
-        quad = (T - WOp.from_scalar(n, cfg.c, cfg.tau)) * \
-               (T + WOp.from_scalar(n, cfg.c, 1 / cfg.tau))
-        r = run_check(f"hecke-T{i}", 1e-9, zero_evalfn(quad, probes), rng, policy)
-        worst = r if worst is None or r.residual > worst.residual else worst
-    out.append(CheckResult("hecke-quadratic", worst.residual, 1e-9, worst.passed))
+    out.append(_quadratic_check("hecke", Ts, [cfg.tau] * len(Ts), probes, rng,
+                                policy))
     rng = rng_for(config.seed, "ycomm")
     probes = make_probes(n, 2, rng)
     Y1 = trig.cherednik_gln(cfg, 1)
     Y2 = trig.cherednik_gln(cfg, 2) if n >= 2 else WOp.one(n, cfg.c)
     out.append(run_check("cherednik-commute", 1e-9,
-                         pair_evalfn(Y1 * Y2, Y2 * Y1, probes), rng, policy))
+                         residual_evalfn(Y1 * Y2, Y2 * Y1, probes), rng, policy))
     rng = rng_for(config.seed, "lax")
     probes = make_probes(n, 2, rng)
     lax = trig.lax_trig_gln(cfg)
     Ltab, Atab = trig.lax_tables(cfg)
     out.append(run_check("L-matches-table", 1e-9,
-                         matrix_pair_evalfn(lax.L, Ltab, probes), rng, policy))
+                         residual_evalfn(lax.L, Ltab, probes), rng, policy))
     Lm = _perturb_matrix(lax.L, config.perturb)
     out.append(_lax_check("lax-equation", Lm, lax.A, lax.H, probes, rng, policy, 1e-9))
     rng = rng_for(config.seed, "integrals")
     probes = make_probes(n, 2, rng)
     ints = trig.integrals_trig(lax, kmax=2)
     out.append(run_check("integrals-commute", 1e-8,
-                         pair_evalfn(ints[1] * lax.H, lax.H * ints[1], probes),
+                         residual_evalfn(ints[1] * lax.H, lax.H * ints[1], probes),
                          rng, policy))
     return out
 
@@ -185,33 +169,26 @@ def suite_koorn(config: RunConfig):
     out = []
     rng = rng_for(config.seed, "noumi")
     probes = make_probes(n, 3, rng)
-    Ts = koorn.noumi_rep(pp)
-    taus = pp.taus()
-    worst = 0.0
-    for i, T in enumerate(Ts):
-        quad = (T - WOp.from_scalar(n, pp.c, taus[i])) * \
-               (T + WOp.from_scalar(n, pp.c, 1 / taus[i]))
-        r = run_check(f"noumi-T{i}", 1e-9, zero_evalfn(quad, probes), rng, policy)
-        worst = max(worst, r.residual)
-    out.append(scalar_check("noumi-quadratic", 1e-9, worst))
+    out.append(_quadratic_check("noumi", koorn.noumi_rep(pp), pp.taus(), probes,
+                                rng, policy))
     rng = rng_for(config.seed, "y1")
     probes = make_probes(n, 2, rng)
     out.append(run_check("y1-product-forms", 1e-9,
-                         pair_evalfn(koorn.y_operator(pp, 1), koorn.y1_product(pp),
+                         residual_evalfn(koorn.y_operator(pp, 1), koorn.y1_product(pp),
                                      probes), rng, policy))
     rng = rng_for(config.seed, "lax")
     probes = make_probes(n, 2, rng)
     lax = koorn.koornwinder_lax(pp)
     Y1res = lax.Y1.restrict(lax.tbl)
     out.append(run_check("PQ-matches-restriction", 1e-8,
-                         matrix_pair_evalfn(lax.L, Y1res, probes), rng, policy))
+                         residual_evalfn(lax.L, Y1res, probes), rng, policy))
     Lm = _perturb_matrix(lax.L, config.perturb)
     out.append(_lax_check("lax-equation", Lm, lax.A, lax.H, probes, rng, policy, 1e-8))
     rng = rng_for(config.seed, "integrals")
     probes = make_probes(n, 2, rng)
     ints = koorn.integrals_ccn(lax, kmax=1)
     out.append(run_check("integrals-commute", 1e-8,
-                         pair_evalfn(ints[0] * lax.H, lax.H * ints[0], probes),
+                         residual_evalfn(ints[0] * lax.H, lax.H * ints[0], probes),
                          rng, policy, npoints=5))
     return out
 
@@ -232,7 +209,7 @@ def suite_ellcm(config: RunConfig, bc=False):
         y0 = ellcm.elliptic_dunkl(cfg, 0)
         y1 = ellcm.elliptic_dunkl(cfg, 1)
         out.append(run_check("elliptic-dunkl-commute", 1e-9,
-                             pair_evalfn(y0 * y1, y1 * y0, probes), rng, policy,
+                             residual_evalfn(y0 * y1, y1 * y0, probes), rng, policy,
                              npoints=5))
     rng = rng_for(config.seed, "split")
     probes = make_probes(n, 2, rng)
@@ -242,7 +219,7 @@ def suite_ellcm(config: RunConfig, bc=False):
     H, A, const = ellcm.elliptic_split(cfg)
     scale = 0.5 if not bc else 1.0
     lhs = qy.scale(scale) - DiffOp.from_field(n, Const(const))
-    out.append(run_check("quadratic-split", 1e-9, pair_evalfn(lhs, H + A, probes),
+    out.append(run_check("quadratic-split", 1e-9, residual_evalfn(lhs, H + A, probes),
                          rng, policy, npoints=5))
     rng = rng_for(config.seed, "lax")
     probes = make_probes(n, 2, rng)
@@ -254,7 +231,7 @@ def suite_ellcm(config: RunConfig, bc=False):
         lax = ellcm.lax_elliptic_A(n, p["t"], p["c"], p["mu"], p["tau"])
         Ltab, Atab = ellcm.ael_tables(n, p["t"], p["c"], p["mu"], p["tau"])
     out.append(run_check("L-matches-table", 1e-9,
-                         matrix_pair_evalfn(lax.L, Ltab, probes), rng, policy,
+                         residual_evalfn(lax.L, Ltab, probes), rng, policy,
                          npoints=4))
     Lm = _perturb_matrix(lax.L, config.perturb)
     out.append(_lax_check("lax-equation", Lm, lax.A, lax.H, probes, rng, policy,
@@ -273,10 +250,10 @@ def suite_ruijsenaars(config: RunConfig):
     lax = ellrel.lax_elliptic_ruijsenaars(n, p["mu"], p["eta"], p["c"], p["tau"])
     Ltab, Atab = ellrel.ruijsenaars_lax_tables(lax.params)
     out.append(run_check("L-matches-table", 1e-9,
-                         matrix_pair_evalfn(lax.L, Ltab, probes), rng, policy,
+                         residual_evalfn(lax.L, Ltab, probes), rng, policy,
                          npoints=4))
     out.append(run_check("nsel-closed-form", 1e-9,
-                         matrix_pair_evalfn(ellrel.nsel_closed_y1(lax.params).restrict(lax.tbl),
+                         residual_evalfn(ellrel.nsel_closed_y1(lax.params).restrict(lax.tbl),
                                             lax.L, probes), rng, policy, npoints=4))
     Lm = _perturb_matrix(lax.L, config.perturb)
     out.append(_lax_check("lax-equation", Lm, lax.A, lax.H, probes, rng, policy,
@@ -296,7 +273,7 @@ def suite_vandiejen(config: RunConfig):
     probes = make_probes(n, 2, rng)
     Y1 = ellrel.y1_vd(pv.with_xi(pv.xi0()))
     out.append(run_check("collapse-matches-hamiltonian", 1e-8,
-                         pair_evalfn(Y1.collapse(), ellrel.vd_hamiltonian(pv), probes),
+                         residual_evalfn(Y1.collapse(), ellrel.vd_hamiltonian(pv), probes),
                          rng, policy, npoints=5))
     rng = rng_for(config.seed, "lax")
     probes = make_probes(n, 2, rng)
@@ -304,7 +281,7 @@ def suite_vandiejen(config: RunConfig):
     laxv = ellrel.lax_vandiejen(pv, eta)
     Y1s = ellrel.y1_vd(pv.with_xi(pv.xi_spec(eta)))
     out.append(run_check("PQ-matches-restriction", 1e-7,
-                         matrix_pair_evalfn(laxv.L, Y1s.restrict(laxv.tbl), probes),
+                         residual_evalfn(laxv.L, Y1s.restrict(laxv.tbl), probes),
                          rng, policy, npoints=4))
     Lm = _perturb_matrix(laxv.L, config.perturb)
     out.append(_lax_check("lax-equation", Lm, laxv.A, laxv.H, probes, rng, policy,
@@ -317,78 +294,113 @@ def suite_vandiejen(config: RunConfig):
 
 
 def build_suite(config: RunConfig):
-    if config.system == "rational-A":
-        return suite_rational(config, "A")
-    if config.system == "rational-C":
-        return suite_rational(config, "C")
-    if config.system == "trig-gln":
-        return suite_trig(config)
-    if config.system == "koornwinder":
-        return suite_koorn(config)
-    if config.system == "ell-cm-A":
-        return suite_ellcm(config, bc=False)
-    if config.system == "inozemtsev":
-        return suite_ellcm(config, bc=True)
-    if config.system == "ell-ruijsenaars":
-        return suite_ruijsenaars(config)
-    if config.system == "vandiejen":
-        return suite_vandiejen(config)
-    raise ConfigError(f"unknown system {config.system}")
+    return SYSTEMS[config.system].suite(config)
 
 
 # -- classical flows for the CSV front end ----------------------------------
 
+def _z0(xs, p0):
+    """Initial phase point: positions xs, alternating momenta +-p0."""
+    return tuple(xs) + tuple(p0 * ((-1) ** i) for i in range(len(xs)))
+
+
+def _flow_rational(p, n):
+    from . import rational as rat
+    rs = build_root_system("A", n)
+    cfg = rat.RationalDunklConfig(rs, t=p["t"], c_short=p["c"])
+    H, _ = rat.classical_hamiltonian(cfg)
+    _tbl, Lf, _Af = rat.classical_lax(cfg)
+    return H, Lf, (1, 2, 3, 4), _z0([0.45 * i - 0.4 for i in range(n)], 0.1)
+
+
+def _flow_trig(p, n):
+    from . import trig
+    cfg = trig.TrigGLConfig(n=n, tau=abs(p["tau"]), c=0.0)
+    H = trig.classical_mr_hamiltonian(cfg)
+    Lf, _Af = trig.classical_lax_gln(cfg)
+    return H, Lf, (1, 2, 3, 4), _z0([0.5 * i - 0.4 for i in range(n)], 0.08)
+
+
+def _flow_inozemtsev(p, n):
+    from . import ellcm
+    tau = complex(0, p["tau"].imag)
+    g = tuple(complex(0, v.imag * 0.15) for v in p["g"])
+    c = complex(0, p["c"].imag * 0.12)
+    H = ellcm.classical_inozemtsev_hamiltonian(n, c, g, tau)
+    Lf = ellcm.classical_inozemtsev_fields(n, c, g, p["mu"].real or 0.24, tau)
+    return H, Lf, (2, 4), _z0([0.2 + 0.15 * i for i in range(n)], 0.012)
+
+
+def _flow_koorn(p, n):
+    from . import koorn
+    pc = koorn.CCnParams(n=n, tau0=abs(p["tau0"]), tau0v=abs(p["tau0v"]),
+                         taun=abs(p["taun"]), taunv=abs(p["taunv"]),
+                         tau=abs(p["tau"]), c=0.0)
+    H = koorn.classical_hamiltonian_ccn(pc)
+    Lf = koorn.classical_pq(pc)
+    return H, Lf, (2, 4), _z0([0.4 + 0.35 * i - 1.0 for i in range(n)], 0.1)
+
+
+def _flow_vandiejen(p, n):
+    from . import ellrel
+    tau = complex(0, p["tau"].imag)
+    pr = ellrel.VDParams(n, abs(p["mu"]), abs(p["nu"]), abs(p["nub"]),
+                         tuple(abs(v) * 0.5 for v in p["g"]),
+                         tuple(abs(v) * 0.5 for v in p["gb"]), 0.0, tau)
+    H = ellrel.vd_classical_hamiltonian(pr)
+    Lf = ellrel.vd_classical_fields(pr, abs(p["eta"]))
+    return H, Lf, (2, 4), _z0([0.19 + 0.14 * i for i in range(n)], 0.015)
+
+
 def classical_flow_setup(config: RunConfig):
-    """(H phase field, L entry fields, n, trace powers) for flow runs."""
-    p = config.params
-    n = config.rank
-    system = config.system
-    if system == "rational-A":
-        from . import rational as rat
-        rs = build_root_system("A", n)
-        cfg = rat.RationalDunklConfig(rs, t=p["t"], c_short=p["c"])
-        H, _ = rat.classical_hamiltonian(cfg)
-        _tbl, Lf, _Af = rat.classical_lax(cfg)
-        z0 = tuple(0.45 * i - 0.4 for i in range(n)) + tuple(
-            0.1 * ((-1) ** i) for i in range(n))
-        return H, Lf, n, (1, 2, 3, 4), z0
-    if system == "trig-gln":
-        from . import trig
-        cfg = trig.TrigGLConfig(n=n, tau=abs(p["tau"]), c=0.0)
-        H = trig.classical_mr_hamiltonian(cfg)
-        Lf, _Af = trig.classical_lax_gln(cfg)
-        z0 = tuple(0.5 * i - 0.4 for i in range(n)) + tuple(
-            0.08 * ((-1) ** i) for i in range(n))
-        return H, Lf, n, (1, 2, 3, 4), z0
-    if system == "inozemtsev":
-        from . import ellcm
-        tau = complex(0, p["tau"].imag)
-        g = tuple(complex(0, v.imag * 0.15) for v in p["g"])
-        c = complex(0, p["c"].imag * 0.12)
-        H = ellcm.classical_inozemtsev_hamiltonian(n, c, g, tau)
-        Lf = ellcm.classical_inozemtsev_fields(n, c, g, p["mu"].real or 0.24, tau)
-        z0 = tuple(0.2 + 0.15 * i for i in range(n)) + tuple(
-            0.012 * ((-1) ** i) for i in range(n))
-        return H, Lf, n, (2, 4), z0
-    if system == "koornwinder":
-        from . import koorn
-        pc = koorn.CCnParams(n=n, tau0=abs(p["tau0"]), tau0v=abs(p["tau0v"]),
-                             taun=abs(p["taun"]), taunv=abs(p["taunv"]),
-                             tau=abs(p["tau"]), c=0.0)
-        H = koorn.classical_hamiltonian_ccn(pc)
-        Lf = koorn.classical_pq(pc)
-        z0 = tuple(0.4 + 0.35 * i - 1.0 for i in range(n)) + tuple(
-            0.1 * ((-1) ** i) for i in range(n))
-        return H, Lf, n, (2, 4), z0
-    if system == "vandiejen":
-        from . import ellrel
-        tau = complex(0, p["tau"].imag)
-        pr = ellrel.VDParams(n, abs(p["mu"]), abs(p["nu"]), abs(p["nub"]),
-                             tuple(abs(v) * 0.5 for v in p["g"]),
-                             tuple(abs(v) * 0.5 for v in p["gb"]), 0.0, tau)
-        H = ellrel.vd_classical_hamiltonian(pr)
-        Lf = ellrel.vd_classical_fields(pr, abs(p["eta"]))
-        z0 = tuple(0.19 + 0.14 * i for i in range(n)) + tuple(
-            0.015 * ((-1) ** i) for i in range(n))
-        return H, Lf, n, (2, 4), z0
-    raise ConfigError(f"no classical flow for system {system!r}")
+    """(H phase field, L entry fields, n, trace powers, z0) for flow runs."""
+    flow = SYSTEMS[config.system].flow
+    if flow is None:
+        raise ConfigError(f"no classical flow for system {config.system!r}")
+    H, Lf, powers, z0 = flow(config.params, config.rank)
+    return H, Lf, config.rank, powers, z0
+
+
+# -- the system registry ------------------------------------------------------
+
+@dataclass(frozen=True)
+class System:
+    """Registry entry: default parameters, the verification suite (a callable
+    on RunConfig) and, for systems with a classical flow, its set-up."""
+
+    defaults: dict
+    suite: object
+    flow: object = None
+
+
+SYSTEMS = {
+    "rational-A": System({"t": -0.7j, "c": 1.3j},
+                         lambda config: suite_rational(config, "A"),
+                         _flow_rational),
+    "rational-C": System({"t": -0.7j, "c": 1.3j, "c_long": 0.9j},
+                         lambda config: suite_rational(config, "C")),
+    "trig-gln": System({"tau": 1.4 + 0.2j, "c": 0.31 + 0.11j}, suite_trig,
+                       _flow_trig),
+    "koornwinder": System({"tau0": 1.2 + 0.1j, "tau0v": 0.8 - 0.05j,
+                           "taun": 1.5 + 0.2j, "taunv": 0.7 + 0.1j,
+                           "tau": 1.3 - 0.15j, "c": 0.23 + 0.07j},
+                          suite_koorn, _flow_koorn),
+    "ell-cm-A": System({"t": -0.7j, "c": 1.3j, "tau": 0.31 + 0.84j,
+                        "mu": 0.27 + 0.04j},
+                       lambda config: suite_ellcm(config, bc=False)),
+    "inozemtsev": System({"t": -0.7j, "c": 1.3j, "tau": 0.31 + 0.84j,
+                          "mu": 0.22 + 0.03j, "g": [0.8j, -0.4j, 0.6j, 0.3j]},
+                         lambda config: suite_ellcm(config, bc=True),
+                         _flow_inozemtsev),
+    "ell-ruijsenaars": System({"mu": 0.29 + 0.07j, "eta": 0.41 - 0.06j,
+                               "c": 0.19 + 0.05j, "tau": 0.27 + 0.82j},
+                              suite_ruijsenaars),
+    "vandiejen": System({"mu": 0.23 + 0.06j, "nu": 0.31 - 0.02j,
+                         "nub": 0.27 + 0.05j,
+                         "g": [0.8 + 0.1j, -0.4 + 0.2j, 0.6 - 0.1j, 0.3 + 0.15j],
+                         "gb": [0.5 - 0.2j, 0.7 + 0.1j, -0.3 + 0.3j, 0.4 + 0j],
+                         "c": 0.19 + 0.05j, "tau": 0.27 + 0.82j,
+                         "eta": 0.37 - 0.04j},
+                        suite_vandiejen, _flow_vandiejen),
+}
+KNOWN_SYSTEMS = tuple(SYSTEMS)

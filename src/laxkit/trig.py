@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Const, Field, LinArg, nsum
+from .fields import Const, Field, LinArg, XLift, nsum
 from .opcore import WOp
 from .special import c_reduced, trig_ab
 from .weyl import (RootSystemData, SignedPerm, affine_reflection, dot,
@@ -51,7 +51,7 @@ def r_ij(cfg, i, j, classical=False) -> WOp:
     """R_{ij} = a(x_i - x_j) + b(x_i - x_j) s_{ij}."""
     n = cfg.n
     c = 0.0 if classical else cfg.c
-    s = _swap(n, i, j)
+    s = SignedPerm.transposition(n, i - 1, j - 1)
     return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): a_field(cfg, i, j),
                       (s, (0,) * n): b_field(cfg, i, j)})
 
@@ -60,16 +60,10 @@ def r_ij_inv(cfg, i, j, classical=False) -> WOp:
     """Inverse via the quadratic relation: R^-1 = s (T - tau + tau^-1)."""
     n = cfg.n
     c = 0.0 if classical else cfg.c
-    s_op = WOp.from_group(n, c, _swap(n, i, j))
+    s_op = WOp.from_group(n, c, SignedPerm.transposition(n, i - 1, j - 1))
     T = r_ij(cfg, i, j, classical=classical) * s_op
     Tinv = T - WOp.from_scalar(n, c, cfg.tau - 1.0 / cfg.tau)
     return s_op * Tinv
-
-
-def _swap(n, i, j):
-    img = list(range(1, n + 1))
-    img[i - 1], img[j - 1] = j, i
-    return SignedPerm(img)
 
 
 def translation_op(cfg, i, classical=False) -> WOp:
@@ -164,7 +158,7 @@ def lemma_ns_closed(cfg) -> WOp:
         for l in range(2, n + 1):
             if l != i:
                 B = B * a_field(cfg, i, l)
-        op += WOp(n, cfg.c, {(_swap(n, 1, i), (0,) * n): B})
+        op += WOp(n, cfg.c, {(SignedPerm.transposition(n, 0, i - 1), (0,) * n): B})
     return op * translation_op(cfg, 1)
 
 
@@ -288,7 +282,8 @@ def e_tau_symmetrizer(cfg):
     W = weyl_enumerate(rs)
     Ts = []
     for i in range(1, n):
-        Ts.append(r_ij(cfg, i, i + 1) * WOp.from_group(n, cfg.c, _swap(n, i, i + 1)))
+        s_i = WOp.from_group(n, cfg.c, SignedPerm.transposition(n, i - 1, i))
+        Ts.append(r_ij(cfg, i, i + 1) * s_i)
     total = None
     norm = 0j
     for w in W:
@@ -326,13 +321,13 @@ def classical_lax_gln(cfg):
                 diagprod = Const(1.0 + 0j)
             ep = _mom_exp(n, j - 1, beta)
             if i == j:
-                Lrow.append(_phase_prod(diagprod, ep, n))
+                Lrow.append(XLift(diagprod, n) * ep)
                 Arow.append(None)
             else:
                 base = prodfield if prodfield is not None else Const(1.0 + 0j)
-                Lrow.append(_phase_prod(base * b_field(cfg, i, j), ep, n))
+                Lrow.append(XLift(base * b_field(cfg, i, j), n) * ep)
                 db = _db_dxj(cfg, i, j)
-                Arow.append(_phase_prod((beta * 1.0) * (base * db), ep, n))
+                Arow.append(XLift((beta * 1.0) * (base * db), n) * ep)
         Lf.append(Lrow)
         Af.append(Arow)
     for i in range(n):
@@ -354,23 +349,6 @@ def _mom_exp(n, idx, beta):
     return exp_lin(tuple(k))
 
 
-class _XOnly(Field):
-    """Lift an x-space field to phase space (first n coordinates)."""
-
-    __slots__ = ("base", "n")
-
-    def __init__(self, base, n):
-        self.base = base
-        self.n = n
-
-    def __call__(self, z):
-        return self.base(z[:self.n])
-
-
-def _phase_prod(xfield, pfield, n):
-    return _XOnly(xfield, n) * pfield
-
-
 def Scale_neg_sum(parts):
     return nsum(parts) * (-1.0)
 
@@ -387,5 +365,5 @@ def classical_mr_hamiltonian(cfg):
                 coeff = g if coeff is None else coeff * g
         if coeff is None:
             coeff = Const(1.0 + 0j)
-        parts.append(_phase_prod(coeff, _mom_exp(n, i - 1, cfg.beta), n))
+        parts.append(XLift(coeff, n) * _mom_exp(n, i - 1, cfg.beta))
     return nsum(parts)

@@ -9,28 +9,19 @@ reproducible bit-for-bit from its seed.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import extract, seed as dual_seed, value
-from .fields import PoleError
-from .opcore import residual_pair
+from .dual import gradient_vec, value
+from .fields import ZERO, PoleError
+from .opcore import OperatorMatrix, residual_pair
 
-DEFAULT_PROBES = 5
 DEFAULT_POINTS = 8
 MAX_POINT_TRIES = 100
-
-
-@dataclass
-class CheckSpec:
-    name: str
-    tol: float
-    seed: int
-    probes: int = DEFAULT_PROBES
-    points: int = DEFAULT_POINTS
 
 
 @dataclass
@@ -109,108 +100,58 @@ class PointPolicy:
                      for _ in range(self.n))
 
 
-def _thread_cap():
-    import os
-    try:
-        return max(1, int(os.environ.get("LAXKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_point_max(evalfn, rng, policy: PointPolicy, npoints,
                   max_tries=MAX_POINT_TRIES):
     """Max of evalfn over sample points, redrawing pole-guarded points.
 
-    Points are drawn serially (deterministic), evaluated either serially or
-    on a thread pool capped by LAXKIT_THREADS, and reduced by max.
+    Points are drawn and evaluated serially, so the accepted points are the
+    first ``npoints`` draws off the pole guard, whatever the evaluation cost.
     """
-    cap = _thread_cap()
     worst = 0.0
     got = 0
     tries = 0
     while got < npoints:
-        batch = [policy.draw(rng) for _ in range(npoints - got)]
-        if cap > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            def attempt(x):
-                try:
-                    return evalfn(x)
-                except PoleError:
-                    return None
-            with ThreadPoolExecutor(max_workers=cap) as ex:
-                outs = list(ex.map(attempt, batch))
-        else:
-            outs = []
-            for x in batch:
-                try:
-                    outs.append(evalfn(x))
-                except PoleError:
-                    outs.append(None)
-        for r in outs:
-            if r is None:
-                tries += 1
-                if tries > max_tries:
-                    raise PoleError("all sample points rejected by the pole guard")
-            else:
-                worst = max(worst, r)
-                got += 1
+        try:
+            r = evalfn(policy.draw(rng))
+        except PoleError:
+            tries += 1
+            if tries > max_tries:
+                raise PoleError("all sample points rejected by the pole guard")
+            continue
+        worst = max(worst, r)
+        got += 1
     return worst
 
 
-def pair_evalfn(op1, op2, probes):
-    fs = [(op1.apply_field(p), op2.apply_field(p)) for p in probes]
+def residual_evalfn(lhs, rhs, probes):
+    """Per-point residual of lhs = rhs on probe functions.
+
+    ``lhs`` and ``rhs`` are scalar operators or OperatorMatrix objects of
+    one size; ``rhs=None`` means lhs = 0.  At a point x the value is the max
+    over entries and probes of residual_pair(lhs f (x), rhs f (x)).
+    """
+    lops = _entries(lhs)
+    rops = [None] * len(lops) if rhs is None else _entries(rhs)
+    fs = [(a.apply_field(p), ZERO if b is None else b.apply_field(p))
+          for a, b in zip(lops, rops) for p in probes]
 
     def evalfn(x):
-        return max(residual_pair(value(g1(x)), value(g2(x))) for g1, g2 in fs)
+        return max((residual_pair(value(g1(x)), value(g2(x))) for g1, g2 in fs),
+                   default=0.0)
     return evalfn
 
 
-def zero_evalfn(op, probes):
-    fs = [op.apply_field(p) for p in probes]
-
-    def evalfn(x):
-        worst = 0.0
-        for g in fs:
-            v = value(g(x))
-            worst = max(worst, abs(v) / (1.0 + abs(v)))
-        return worst
-    return evalfn
+def _entries(op):
+    """Row-major entries of an OperatorMatrix; [op] for a scalar operator."""
+    if isinstance(op, OperatorMatrix):
+        return [e for row in op.entries for e in row]
+    return [op]
 
 
-def matrix_pair_evalfn(m1, m2, probes):
-    fs = []
-    for i in range(m1.m):
-        for j in range(m1.m):
-            for p in probes:
-                fs.append((m1.entries[i][j].apply_field(p),
-                           m2.entries[i][j].apply_field(p)))
-
-    def evalfn(x):
-        return max(residual_pair(value(g1(x)), value(g2(x))) for g1, g2 in fs)
-    return evalfn
-
-
-def matrix_zero_evalfn(m1, probes):
-    fs = []
-    for i in range(m1.m):
-        for j in range(m1.m):
-            for p in probes:
-                fs.append(m1.entries[i][j].apply_field(p))
-
-    def evalfn(x):
-        worst = 0.0
-        for g in fs:
-            v = value(g(x))
-            worst = max(worst, abs(v) / (1.0 + abs(v)))
-        return worst
-    return evalfn
-
-
-def field_pair_evalfn(pairs):
-    def evalfn(x):
-        return max(residual_pair(value(a(x)), value(b(x))) for a, b in pairs)
-    return evalfn
+def op_residual(lhs, rhs, probes, points) -> float:
+    """Max of residual_evalfn over fixed points (no pole resampling)."""
+    evalfn = residual_evalfn(lhs, rhs, probes)
+    return max((evalfn(x) for x in points), default=0.0)
 
 
 def run_check(name, tol, evalfn, rng, policy, npoints=DEFAULT_POINTS):
@@ -226,36 +167,27 @@ def scalar_check(name, tol, residual):
 
 # -- phase-space calculus -----------------------------------------------
 
+def _bracket(f, g, z, n):
+    """({f,g}, grad f, grad g) at phase point z from one gradient pass each."""
+    gf = gradient_vec(f, z)
+    gg = gradient_vec(g, z)
+    return sum(gf[i] * gg[n + i] - gf[n + i] * gg[i] for i in range(n)), gf, gg
+
+
 def poisson_bracket(f, g, z, n):
     """{f,g} = sum_i df/dx_i dg/dp_i - df/dp_i dg/dx_i at phase point z."""
-    fx, fp, gx, gp = [], [], [], []
-    for k in range(2 * n):
-        e = tuple(1.0 if i == k else 0.0 for i in range(2 * n))
-        df = extract(f(dual_seed(z, e)))
-        dg = extract(g(dual_seed(z, e)))
-        if k < n:
-            fx.append(df)
-            gx.append(dg)
-        else:
-            fp.append(df)
-            gp.append(dg)
-    return sum(fx[i] * gp[i] - fp[i] * gx[i] for i in range(n))
+    return _bracket(f, g, z, n)[0]
 
 
 def poisson_residual(f, g, z, n):
     """Scale-free bracket residual: |{f,g}| / (1 + |grad f| |grad g|)."""
-    from .dual import gradient_vec
-    import math as _m
-    gf = gradient_vec(f, z)
-    gg = gradient_vec(g, z)
-    br = sum(gf[i] * gg[n + i] - gf[n + i] * gg[i] for i in range(n))
-    sf = _m.sqrt(sum(abs(v) ** 2 for v in gf))
-    sg = _m.sqrt(sum(abs(v) ** 2 for v in gg))
+    br, gf, gg = _bracket(f, g, z, n)
+    sf = math.sqrt(sum(abs(v) ** 2 for v in gf))
+    sg = math.sqrt(sum(abs(v) ** 2 for v in gg))
     return abs(br) / (1.0 + sf * sg)
 
 
 def hamiltonian_rhs(H, z, n):
-    from .dual import gradient_vec
     g = gradient_vec(H, z)
     return tuple(g[n:]) + tuple(-g[:n])
 
@@ -310,19 +242,22 @@ def energy_drift(H, traj):
     return max(abs(value(H(z)) - e0) / (1.0 + abs(e0)) for z in traj)
 
 
+def charpoly_drifts(L_fn, points):
+    """Per-point drift of the characteristic-polynomial coefficients of the
+    matrix L_fn(z) from those at the first point, over 1 + their max size."""
+    out = []
+    for z in points:
+        coeffs = np.poly(np.array(L_fn(z), dtype=complex))
+        if not out:
+            ref = coeffs
+            scale = 1.0 + float(np.max(np.abs(ref)))
+        out.append(float(np.max(np.abs(coeffs - ref)) / scale))
+    return out
+
+
 def isospectral_drift(L_fn, traj):
     """Max drift of characteristic-polynomial coefficients along a flow."""
-    ref = None
-    worst = 0.0
-    for z in traj:
-        mat = np.array(L_fn(z), dtype=complex)
-        coeffs = np.poly(mat)
-        if ref is None:
-            ref = coeffs
-            scale = 1.0 + np.max(np.abs(ref))
-        else:
-            worst = max(worst, float(np.max(np.abs(coeffs - ref)) / scale))
-    return worst
+    return max(charpoly_drifts(L_fn, traj), default=0.0)
 
 
 def matrix_fn_from_fields(entry_fields):
@@ -351,7 +286,6 @@ def trace_power_fn(entry_fields, k):
 
 def fit_slope(hs, vals):
     """Least-squares slope of log|val| against log h."""
-    import math
     xs = [math.log(h) for h in hs]
     ys = [math.log(max(v, 1e-300)) for v in vals]
     n = len(xs)

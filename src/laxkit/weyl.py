@@ -37,6 +37,27 @@ class SignedPerm:
     def identity(n):
         return SignedPerm(range(1, n + 1))
 
+    @staticmethod
+    def transposition(n, i, j):
+        """s_ij: e_i <-> e_j (0-based i, j)."""
+        img = list(range(1, n + 1))
+        img[i], img[j] = j + 1, i + 1
+        return SignedPerm(img)
+
+    @staticmethod
+    def neg_transposition(n, i, j):
+        """s^+_ij: e_i -> -e_j, e_j -> -e_i (0-based i, j)."""
+        img = list(range(1, n + 1))
+        img[i], img[j] = -(j + 1), -(i + 1)
+        return SignedPerm(img)
+
+    @staticmethod
+    def sign_flip(n, i):
+        """s_i: e_i -> -e_i (0-based i)."""
+        img = list(range(1, n + 1))
+        img[i] = -(i + 1)
+        return SignedPerm(img)
+
     @property
     def n(self):
         return len(self.img)
@@ -454,25 +475,6 @@ def coset_index(tbl: CosetTable, i: int, j: int) -> int:
     return tbl.k(i, j)
 
 
-def _transposition(n, i, j):
-    img = list(range(1, n + 1))
-    img[i], img[j] = j + 1, i + 1
-    return SignedPerm(img)
-
-
-def _neg_transposition(n, i, j):
-    """s^+_{ij}: e_i -> -e_j, e_j -> -e_i."""
-    img = list(range(1, n + 1))
-    img[i], img[j] = -(j + 1), -(i + 1)
-    return SignedPerm(img)
-
-
-def _sign_flip(n, i):
-    img = list(range(1, n + 1))
-    img[i] = -(i + 1)
-    return SignedPerm(img)
-
-
 def orbit_stabilizer(rs: RootSystemData, xi):
     """Orbit of xi, its stabilizer W', and the coset table.
 
@@ -489,14 +491,10 @@ def orbit_stabilizer(rs: RootSystemData, xi):
 
     e1 = tuple(1 if i == 0 else 0 for i in range(n))
     if _norm_key(xi) == _norm_key(e1):
-        if rs.kind == "A":
-            reps = [SignedPerm.identity(n) if i == 0 else _transposition(n, 0, i)
-                    for i in range(n)]
-        else:
-            reps = [SignedPerm.identity(n) if i == 0 else _transposition(n, 0, i)
-                    for i in range(n)]
-            reps += [_sign_flip(n, 0) if i == 0 else _neg_transposition(n, 0, i)
-                     for i in range(n)]
+        # s_11 is the identity and s^+_11 the sign flip of x_1
+        reps = [SignedPerm.transposition(n, 0, i) for i in range(n)]
+        if rs.kind != "A":
+            reps += [SignedPerm.neg_transposition(n, 0, i) for i in range(n)]
         orbit = [r.inverse().apply_vec(xi) for r in reps]
         return orbit, stab, CosetTable(xi=xi, reps=reps, orbit=orbit, stabilizer=stab)
 

@@ -12,12 +12,11 @@ import sys
 import time
 
 from laxkit.dual import value
-from laxkit.opcore import (OperatorMatrix, WOp, commutator_residual,
-                           make_probes, matrix_residual, op_is_zero_residual,
-                           op_residual)
+from laxkit.opcore import OperatorMatrix, WOp, make_probes
 from laxkit.verify import (PointPolicy, fit_slope, hamiltonian_flow,
                            isospectral_drift, matrix_fn_from_fields,
-                           poisson_residual, scaled_flow, trace_power_fn)
+                           op_residual, poisson_residual, scaled_flow,
+                           trace_power_fn)
 from laxkit.weyl import build_root_system, orbit_stabilizer
 
 TAU_ELL = 0.27 + 0.82j
@@ -101,8 +100,8 @@ def test_criterion_02_dunkl_commutativity_equivariance():
         ys = dunkl_basis(cfg)
         for i in range(min(2, n)):
             for j in range(i + 1, min(3, n)):
-                worst = max(worst, op_is_zero_residual(ys[i] * ys[j] - ys[j] * ys[i],
-                                                       probes, xs))
+                worst = max(worst, op_residual(ys[i] * ys[j] - ys[j] * ys[i], None,
+                                               probes, xs))
         w = rs.reflection(rs.pos_roots[0])
         xi = tuple(1 if i == 0 else 0 for i in range(n))
         lhs = DiffOp.from_group(n, w) * dunkl(cfg, xi) * DiffOp.from_group(n, w.inverse())
@@ -128,13 +127,13 @@ def test_criterion_03_rational_lax_and_qlp():
             probes = make_probes(n, 2, random.Random(300 + n))
             xs = pts(n, 4, 301 + n, im=0.2, lo=-0.9, hi=0.9)
             Hm = OperatorMatrix.diagonal(lax.H, lax.L.m)
-            worst = max(worst, matrix_residual(lax.L * Hm - Hm * lax.L,
+            worst = max(worst, op_residual(lax.L * Hm - Hm * lax.L,
                                                lax.A * lax.L - lax.L * lax.A,
                                                probes, xs))
             if kind == "A":
                 Lref, Aref = qlp_reference_matrices(cfg, lax.tbl)
-                worst = max(worst, matrix_residual(lax.L, Lref, probes, xs))
-                worst = max(worst, matrix_residual(lax.A, Aref, probes, xs))
+                worst = max(worst, op_residual(lax.L, Lref, probes, xs))
+                worst = max(worst, op_residual(lax.A, Aref, probes, xs))
                 # classical Moser matrix (lp): ig/(x_k-x_l) off, p_k diagonal
                 _tbl, Lf, _Af = classical_lax(cfg)
                 z = tuple([0.4 * i - 0.5 for i in range(n)]
@@ -163,7 +162,7 @@ def test_criterion_04_hecke_braid_relations():
         for T in Ts:
             quad = (T - WOp.from_scalar(n, cfg.c, cfg.tau)) * \
                    (T + WOp.from_scalar(n, cfg.c, 1 / cfg.tau))
-            worst = max(worst, op_is_zero_residual(quad, probes, xs))
+            worst = max(worst, op_residual(quad, None, probes, xs))
         for i in range(len(Ts)):
             for j in range(i + 1, len(Ts)):
                 m = braid_order(rs, i, j)
@@ -184,7 +183,7 @@ def test_criterion_04_hecke_braid_relations():
         for i, T in enumerate(Ts):
             quad = (T - WOp.from_scalar(n, pp.c, taus[i])) * \
                    (T + WOp.from_scalar(n, pp.c, 1 / taus[i]))
-            worst = max(worst, op_is_zero_residual(quad, probes, xs))
+            worst = max(worst, op_residual(quad, None, probes, xs))
         for i in (0, n - 1):
             lhs = Ts[i] * Ts[i + 1] * Ts[i] * Ts[i + 1]
             rhs = Ts[i + 1] * Ts[i] * Ts[i + 1] * Ts[i]
@@ -209,7 +208,7 @@ def test_criterion_05_cherednik_commutativity():
     Ys = [cherednik_gln(cfg, i) for i in (1, 2, 3, 4)]
     for i in range(4):
         for j in range(i + 1, 4):
-            worst = max(worst, commutator_residual(Ys[i], Ys[j], probes, xs))
+            worst = max(worst, op_residual(Ys[i] * Ys[j], Ys[j] * Ys[i], probes, xs))
     pg = EllGLParams(3, 0.23 + 0.06j, C_STEP, TAU_ELL,
                      (0.31 + 0.02j, -0.12 + 0.04j, 0.27 - 0.03j))
     probes3 = make_probes(3, 2, random.Random(502))
@@ -217,14 +216,14 @@ def test_criterion_05_cherednik_commutativity():
     Ye = [y_ell_gln(pg, i) for i in (1, 2, 3)]
     for i in range(3):
         for j in range(i + 1, 3):
-            worst = max(worst, commutator_residual(Ye[i], Ye[j], probes3, xs3))
+            worst = max(worst, op_residual(Ye[i] * Ye[j], Ye[j] * Ye[i], probes3, xs3))
     pv = VDParams(2, 0.23 + 0.06j, 0.31 - 0.02j, 0.27 + 0.05j, G4, GB4,
                   C_STEP, TAU_ELL, xi=(0.33 + 0.02j, -0.21 + 0.05j))
     probes2 = make_probes(2, 2, random.Random(504))
     xs2 = pts(2, 4, 505)
     Ya = y_elliptic(pv, (1, 0))
     Yb = y_elliptic(pv, (0, 1))
-    worst = max(worst, commutator_residual(Ya, Yb, probes2, xs2))
+    worst = max(worst, op_residual(Ya * Yb, Yb * Ya, probes2, xs2))
     report(5, "Cherednik commutativity (trig GL4, ell GL3, ell CvC2)",
            worst, 1e-8, t0, budget=120.0)
 
@@ -242,26 +241,26 @@ def test_criterion_06_closed_forms_vs_construction():
     lax = lax_trig_gln(cfg)
     probes = make_probes(3, 2, random.Random(600))
     xs = pts(3, 4, 601, im=0.15, lo=-0.9, hi=0.9)
-    worst = max(worst, matrix_residual(lemma_ns_closed(cfg).restrict(lax.tbl),
+    worst = max(worst, op_residual(lemma_ns_closed(cfg).restrict(lax.tbl),
                                        lax.L, probes, xs))
     laxe = lax_elliptic_ruijsenaars(3, 0.29 + 0.07j, 0.41 - 0.06j, C_STEP, TAU_ELL)
     probes3 = make_probes(3, 2, random.Random(602))
     xs3 = pts(3, 4, 603)
-    worst = max(worst, matrix_residual(nsel_closed_y1(laxe.params).restrict(laxe.tbl),
+    worst = max(worst, op_residual(nsel_closed_y1(laxe.params).restrict(laxe.tbl),
                                        laxe.L, probes3, xs3))
     Y2 = y_ell_gln(laxe.params, 2)
-    worst = max(worst, matrix_residual(nsel_closed_y2(laxe.params).restrict(laxe.tbl),
+    worst = max(worst, op_residual(nsel_closed_y2(laxe.params).restrict(laxe.tbl),
                                        Y2.restrict(laxe.tbl), probes3, xs3))
     pp = CCnParams(n=2, tau0=1.2 + 0.1j, tau0v=0.8 - 0.05j, taun=1.5 + 0.2j,
                    taunv=0.7 + 0.1j, tau=1.3 - 0.15j, c=0.23 + 0.07j)
     laxk = koornwinder_lax(pp)
     probes2 = make_probes(2, 2, random.Random(604))
     xs2 = pts(2, 4, 605, im=0.12, lo=-0.9, hi=0.9)
-    worst = max(worst, matrix_residual(laxk.P, abcd_operator(pp).restrict(laxk.tbl),
+    worst = max(worst, op_residual(laxk.P, abcd_operator(pp).restrict(laxk.tbl),
                                        probes2, xs2))
-    worst = max(worst, matrix_residual(laxk.Q, r_odd_shift(pp).restrict(laxk.tbl),
+    worst = max(worst, op_residual(laxk.Q, r_odd_shift(pp).restrict(laxk.tbl),
                                        probes2, xs2))
-    worst = max(worst, matrix_residual(laxk.L, y1_product(pp).restrict(laxk.tbl),
+    worst = max(worst, op_residual(laxk.L, y1_product(pp).restrict(laxk.tbl),
                                        probes2, xs2))
     pv = VDParams(2, 0.23 + 0.06j, 0.31 - 0.02j, 0.27 + 0.05j, G4, GB4,
                   C_STEP, TAU_ELL)
@@ -270,7 +269,7 @@ def test_criterion_06_closed_forms_vs_construction():
     Y1s = y1_vd(pv.with_xi(pv.xi_spec(eta)))
     _o, _s, tbl = orbit_stabilizer(pv.rs, (1, 0))
     xs2e = pts(2, 4, 606)
-    vd_resid = matrix_residual(PQ, Y1s.restrict(tbl), probes2, xs2e)
+    vd_resid = op_residual(PQ, Y1s.restrict(tbl), probes2, xs2e)
     print(f"    (van Diejen table residual {vd_resid:.3e}, tol 1e-7)")
     assert vd_resid < 1e-7
     report(6, "closed-form vs constructed Lax matrices", worst, 1e-8, t0,
@@ -320,7 +319,7 @@ def test_criterion_08_difference_lax_equations():
     probes = make_probes(3, 2, random.Random(800))
     xs = pts(3, 4, 801, im=0.15, lo=-0.9, hi=0.9)
     Hm = OperatorMatrix.diagonal(lax.H, 3)
-    worst = max(worst, matrix_residual(lax.L * Hm - Hm * lax.L,
+    worst = max(worst, op_residual(lax.L * Hm - Hm * lax.L,
                                        lax.A * lax.L - lax.L * lax.A, probes, xs))
     pp = CCnParams(n=2, tau0=1.2 + 0.1j, tau0v=0.8 - 0.05j, taun=1.5 + 0.2j,
                    taunv=0.7 + 0.1j, tau=1.3 - 0.15j, c=0.23 + 0.07j)
@@ -328,7 +327,7 @@ def test_criterion_08_difference_lax_equations():
     probes2 = make_probes(2, 2, random.Random(802))
     xs2 = pts(2, 4, 803, im=0.12, lo=-0.9, hi=0.9)
     Hm2 = OperatorMatrix.diagonal(laxk.H, 4)
-    worst = max(worst, matrix_residual(laxk.L * Hm2 - Hm2 * laxk.L,
+    worst = max(worst, op_residual(laxk.L * Hm2 - Hm2 * laxk.L,
                                        laxk.A * laxk.L - laxk.L * laxk.A,
                                        probes2, xs2))
     for eta in (0.41 - 0.06j, 0.23 + 0.09j, -0.31 + 0.04j):
@@ -336,7 +335,7 @@ def test_criterion_08_difference_lax_equations():
         probes3 = make_probes(3, 2, random.Random(804))
         xs3 = pts(3, 3, 805)
         Hm3 = OperatorMatrix.diagonal(laxe.H, 3)
-        worst = max(worst, matrix_residual(laxe.L * Hm3 - Hm3 * laxe.L,
+        worst = max(worst, op_residual(laxe.L * Hm3 - Hm3 * laxe.L,
                                            laxe.A * laxe.L - laxe.L * laxe.A,
                                            probes3, xs3))
     pv = VDParams(2, 0.23 + 0.06j, 0.31 - 0.02j, 0.27 + 0.05j, G4, GB4,
@@ -346,7 +345,7 @@ def test_criterion_08_difference_lax_equations():
         probes2e = make_probes(2, 2, random.Random(806))
         xs2e = pts(2, 3, 807)
         Hm4 = OperatorMatrix.diagonal(laxv.H, 4)
-        worst = max(worst, matrix_residual(laxv.L * Hm4 - Hm4 * laxv.L,
+        worst = max(worst, op_residual(laxv.L * Hm4 - Hm4 * laxv.L,
                                            laxv.A * laxv.L - laxv.L * laxv.A,
                                            probes2e, xs2e))
     report(8, "quantum Lax equations, all difference regimes (3 spectral values)",

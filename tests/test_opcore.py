@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxkit.dual import Dual, extract, gradient, gradient_vec, value
+from laxkit.dual import Dual, directional, extract, gradient_vec, value
 from laxkit.fields import Const, coord, exp_lin, inv_form, linear_form
 from laxkit.opcore import (DiffOp, FlavorError, OperatorMatrix, RestrictionError,
                            WOp, check_wprime_invariance, make_probes,
                            module_apply_diffop, module_apply_wop, module_inject,
-                           module_residual, op_residual, restrict_to_matrix,
-                           matrix_residual, op_is_zero_residual)
+                           module_residual, restrict_to_matrix)
 from laxkit.trig import TrigGLConfig, mr_operator, r_ij, cherednik_gln
 from laxkit.rational import (RationalDunklConfig, cm_hamiltonian_explicit,
                              cm_split, dunkl, lax_pair_rational,
                              qlp_reference_matrices)
-from laxkit.verify import PointPolicy
+from laxkit.verify import PointPolicy, op_residual, scalar_check
 from laxkit.weyl import SignedPerm, build_root_system, orbit_stabilizer, weyl_enumerate
 
 RNG = random.Random(123)
@@ -50,7 +49,7 @@ def test_dual_leibniz_and_exponential_derivative():
 def test_gradient_vec_matches_gradient():
     f = lambda p: p[0] ** 2 * p[1] + 2 * p[1] ** 3
     x = (0.4 + 0.1j, -0.3 + 0.2j)
-    g1 = gradient(f, x)
+    g1 = [directional(f, x, [e]) for e in ((1.0, 0.0), (0.0, 1.0))]
     g2 = gradient_vec(f, x)
     assert all(abs(a - b) < 1e-14 for a, b in zip(g1, g2))
 
@@ -152,8 +151,8 @@ def test_restrict_qlp_and_symmetrizer():
     Lref, Aref = qlp_reference_matrices(cfg, lax.tbl)
     probes = make_probes(3, 2, RNG)
     xs = pts(3, 4)
-    assert matrix_residual(lax.L, Lref, probes, xs) < 1e-12
-    assert matrix_residual(lax.A, Aref, probes, xs) < 1e-12
+    assert op_residual(lax.L, Lref, probes, xs) < 1e-12
+    assert op_residual(lax.A, Aref, probes, xs) < 1e-12
     # symmetrizer e acts on M' as (1/m) * all-ones
     W = weyl_enumerate(rs)
     e_op = WOp.zero(3, 0.23)
@@ -163,7 +162,7 @@ def test_restrict_qlp_and_symmetrizer():
     em = e_op.restrict(tbl)
     ones = OperatorMatrix([[WOp.from_scalar(3, 0.23, 1.0 / tbl.m) for _ in range(tbl.m)]
                            for _ in range(tbl.m)])
-    assert matrix_residual(em, ones, probes, xs) < 1e-14
+    assert op_residual(em, ones, probes, xs) < 1e-14
 
 
 def test_matrix_identities():
@@ -178,7 +177,7 @@ def test_matrix_identities():
     xs = pts(3, 4)
     comm = ident * X - X * ident
     zero = OperatorMatrix.diagonal(DiffOp.zero(n), m)
-    assert matrix_residual(comm, zero, probes, xs) < 1e-15
+    assert op_residual(comm, zero, probes, xs) < 1e-15
     # J L^k J = (w L^k v) J with J the all-ones matrix
     J = OperatorMatrix([[DiffOp.from_field(n, Const(1.0 + 0j)) for _ in range(m)]
                         for _ in range(m)])
@@ -189,7 +188,7 @@ def test_matrix_identities():
             acc = Lk.entries[i][j] if acc is None else acc + Lk.entries[i][j]
     lhs = J * Lk * J
     rhs = OperatorMatrix.diagonal(acc, m) * J
-    assert matrix_residual(lhs, rhs, probes, xs) < 1e-11
+    assert op_residual(lhs, rhs, probes, xs) < 1e-11
 
 
 def test_matrix_action_matches_module_action():
@@ -290,12 +289,12 @@ def test_module_vector_wrapper():
 
 
 def test_op_equal_check_object():
-    from laxkit.opcore import op_equal
     cfg = TrigGLConfig(n=2, tau=1.2 + 0.1j, c=C)
     R = r_ij(cfg, 1, 2)
-    chk = op_equal(R, R, make_probes(2, 2, RNG), pts(2, 3), tol=1e-10,
-                   name="self")
+    chk = scalar_check("self", 1e-10,
+                       op_residual(R, R, make_probes(2, 2, RNG), pts(2, 3)))
     assert chk.passed and chk.residual == 0.0
-    chk2 = op_equal(R, R.scale(1 + 1e-3), make_probes(2, 2, RNG), pts(2, 3),
-                    tol=1e-10, name="perturbed")
+    chk2 = scalar_check("perturbed", 1e-10,
+                        op_residual(R, R.scale(1 + 1e-3), make_probes(2, 2, RNG),
+                                    pts(2, 3)))
     assert not chk2.passed

@@ -4,10 +4,16 @@ import csv
 import json
 import os
 import random
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from laxkit.cli import main as cli_main
 from laxkit.fields import FuncField, PoleError, Scale
+from laxkit.suites import (KNOWN_SYSTEMS, SYSTEMS, ConfigError, RunConfig,
+                           classical_flow_setup, default_params)
 from laxkit.verify import (PointPolicy, VerificationReport, decode_number,
                            encode_params, energy_drift, hamiltonian_flow,
                            isospectral_drift, poisson_bracket, run_point_max,
@@ -158,24 +164,84 @@ def test_cli_flow_csv(tmp_path):
     assert len(single.read_text().strip().splitlines()) == 2
 
 
-def test_threads_env_gives_same_answer(tmp_path):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    r1 = run_cli("verify", "--system", "rational-A", "--rank", "2", "--seed", "5",
-                 "--out", str(out1))
-    env = dict(os.environ, LAXKIT_THREADS="4")
-    r2 = subprocess.run([sys.executable, "-m", "laxkit.cli", "verify", "--system",
-                         "rational-A", "--rank", "2", "--seed", "5", "--out",
-                         str(out2)], capture_output=True, text=True, env=env)
-    assert r1.returncode == 0 and r2.returncode == 0
-    d1 = json.loads(out1.read_text())
-    d2 = json.loads(out2.read_text())
-    d1["runtime_ms"] = d2["runtime_ms"] = 0.0
-    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
-
-
 def test_rng_for_deterministic():
     a = rng_for(7, "x").random()
     b = rng_for(7, "x").random()
     c = rng_for(7, "y").random()
     assert a == b and a != c
+
+
+FLOW_SYSTEMS = {"rational-A", "trig-gln", "inozemtsev", "koornwinder", "vandiejen"}
+
+
+def test_system_registry():
+    assert KNOWN_SYSTEMS == tuple(SYSTEMS) and len(SYSTEMS) == 8
+    for name, spec in SYSTEMS.items():
+        assert spec.defaults and callable(spec.suite)
+        params = default_params(name, 2)
+        assert params == spec.defaults and params is not spec.defaults
+    assert {name for name, spec in SYSTEMS.items() if spec.flow} == FLOW_SYSTEMS
+    with pytest.raises(ConfigError, match="^no defaults for nope$"):
+        default_params("nope", 2)
+    with pytest.raises(ConfigError, match=r"^unknown system 'nope'; known: \('rational-A', "):
+        RunConfig(system="nope")
+    config = RunConfig(system="ell-cm-A", params=default_params("ell-cm-A", 2))
+    with pytest.raises(ConfigError, match="^no classical flow for system 'ell-cm-A'$"):
+        classical_flow_setup(config)
+
+
+def test_cli_unknown_system_and_flowless_system(capsys):
+    assert cli_main(["verify", "--system", "nope"]) == 2
+    assert "configuration error: no defaults for nope" in capsys.readouterr().err
+    assert cli_main(["flow", "--system", "ell-cm-A"]) == 2
+    assert ("configuration error: no classical flow for system 'ell-cm-A'"
+            in capsys.readouterr().err)
+
+
+SYSTEM_MODULES = {"laxkit.rational", "laxkit.trig", "laxkit.koorn",
+                  "laxkit.ellcm", "laxkit.ellrel"}
+
+
+def test_verify_imports_only_its_system_module():
+    code = ("import io, sys, contextlib\n"
+            "from laxkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    rc = main(['verify', '--system', 'trig-gln', '--rank', '2'])\n"
+            "print(rc, ' '.join(m for m in sys.modules if m.startswith('laxkit.')))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=dict(os.environ))
+    assert r.returncode == 0, r.stderr
+    rc, *loaded = r.stdout.split()
+    assert rc == "0"
+    assert SYSTEM_MODULES & set(loaded) == {"laxkit.trig"}
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# span groups perfbench/run.py turns into per-layer metrics
+BENCH_GROUPS = {
+    "verify": ("verify.run_point_max", "fields.eval"),
+    "flow": ("verify.hamiltonian_rhs", "verify.rk4_step", "verify.scaled_flow",
+             "suites.classical_flow_setup", "cli.cmd_flow"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--system", "trig-gln", "--rank", "2", "--seed", "0"],
+    ["flow", "--system", "rational-A", "--rank", "2", "--time", "0.05",
+     "--dt", "1e-2"],
+], ids=["verify", "flow"])
+def test_benchmark_tracer_hooks_fire(argv):
+    spec = json.dumps({"argv": argv, "trace": "full"})
+    r = subprocess.run([sys.executable, "-I", str(ROOT / "perfbench" / "child.py"),
+                        str(ROOT), spec], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    result = json.loads(r.stdout)
+    assert result["rc"] == 0, result["stderr"]
+    groups = result["trace"]["groups"]
+    if argv[0] == "verify":
+        assert any(name.startswith("verify.") and name.endswith("_evalfn")
+                   and g["calls"] > 0 for name, g in groups.items())
+        assert result["trace"]["points"] > 0
+    for name in BENCH_GROUPS[argv[0]]:
+        assert groups.get(name, {}).get("calls", 0) > 0, name

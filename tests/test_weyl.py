@@ -236,3 +236,27 @@ def test_weyl_closed_under_composition_sample():
     for w in W:
         for v in W:
             assert w * v in Wset
+
+
+def test_signed_perm_builders_table():
+    # (built element, explicit 1-based signed images of e_1..e_n)
+    table = [
+        (SignedPerm.transposition(1, 0, 0), (1,)),
+        (SignedPerm.transposition(3, 0, 2), (3, 2, 1)),
+        (SignedPerm.transposition(3, 1, 2), (1, 3, 2)),
+        (SignedPerm.transposition(4, 3, 0), (4, 2, 3, 1)),
+        (SignedPerm.neg_transposition(1, 0, 0), (-1,)),
+        (SignedPerm.neg_transposition(3, 0, 2), (-3, 2, -1)),
+        (SignedPerm.neg_transposition(3, 2, 1), (1, -3, -2)),
+        (SignedPerm.neg_transposition(2, 0, 0), (-1, 2)),
+        (SignedPerm.sign_flip(1, 0), (-1,)),
+        (SignedPerm.sign_flip(3, 0), (-1, 2, 3)),
+        (SignedPerm.sign_flip(3, 2), (1, 2, -3)),
+    ]
+    for w, img in table:
+        assert w == SignedPerm(img)
+        assert (w * w).is_identity()
+    # 0-based indices: s_ij maps e_i to e_j, s^+_ij maps e_i to -e_j
+    assert SignedPerm.transposition(4, 1, 3).basis_image(1) == (3, 1)
+    assert SignedPerm.neg_transposition(4, 1, 3).basis_image(1) == (3, -1)
+    assert SignedPerm.sign_flip(4, 3).basis_image(3) == (3, -1)
