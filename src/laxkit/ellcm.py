@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Const, Field, LinArg, XLift, nsum
-from .opcore import DiffOp, OperatorMatrix
-from .special import eta1, sigma, sigma_dz, v_func, v_func_dz, wp, dual_couplings
-from .weyl import RootSystemData, SignedPerm, build_root_system, dot, orbit_stabilizer
+from .opcore import DiffOp, LaxPair, OperatorMatrix
+from .special import (dual_couplings, eta1, half_periods, sigma_dz_form,
+                      sigma_form, v_func, v_func_dz, wp)
+from .weyl import (RootSystemData, SignedPerm, build_root_system, dot,
+                   ext_coord, ext_form, orbit_stabilizer, same_coord)
 
 
 @dataclass
@@ -33,14 +35,6 @@ class EllipticDunklConfig:
                                    self.g, self.bc)
 
 
-def sigma_form(mu, form, tau, const=0j) -> Field:
-    return LinArg(lambda z: sigma(mu, z, tau), form, const)
-
-
-def sigma_dz_form(mu, form, tau, const=0j) -> Field:
-    return LinArg(lambda z: sigma_dz(mu, z, tau), form, const)
-
-
 def wp_form(form, tau, const=0j) -> Field:
     return LinArg(lambda z: wp(z, tau), form, const)
 
@@ -53,8 +47,11 @@ def v_dz_form(mu, form, g, tau) -> Field:
     return LinArg(lambda z: v_func_dz(mu, z, g, tau), form)
 
 
-def _basis(i, n):
-    return tuple(1 if k == i else 0 for k in range(n))
+def _momentum(n, i, sign=1.0) -> Field:
+    """sign * p_i as a phase field over (x_1..x_n, p_1..p_n)."""
+    k = [0.0] * (2 * n)
+    k[n + i] = sign
+    return LinArg(None, tuple(k))
 
 
 def elliptic_dunkl(cfg: EllipticDunklConfig, i, classical=False) -> DiffOp:
@@ -64,7 +61,7 @@ def elliptic_dunkl(cfg: EllipticDunklConfig, i, classical=False) -> DiffOp:
     tau = cfg.tau
     lam = cfg.lam
     op = DiffOp.partial(n, i, 1.0 if classical else cfg.t, classical=classical)
-    xi = _basis(i, n)
+    xi = ext_coord(n, i)
     if not cfg.bc:
         for a in rs.pos_roots:
             ax = dot(a, xi)
@@ -78,18 +75,16 @@ def elliptic_dunkl(cfg: EllipticDunklConfig, i, classical=False) -> DiffOp:
         return op
     # Inozemtsev flavor: v_{lam_i}(x_i) s_i + c sum_j (sigma terms)
     op = op + DiffOp(n, {(SignedPerm.sign_flip(n, i), (0,) * n):
-                         v_form(lam[i], _basis(i, n), cfg.g, tau)},
+                         v_form(lam[i], xi, cfg.g, tau)},
                      classical=classical)
     for j in range(n):
         if j == i:
             continue
-        dform = tuple(_basis(i, n)[k] - _basis(j, n)[k] for k in range(n))
-        sform = tuple(_basis(i, n)[k] + _basis(j, n)[k] for k in range(n))
         op = op + DiffOp(n, {(SignedPerm.transposition(n, i, j), (0,) * n):
-                             cfg.c * sigma_form(lam[i] - lam[j], dform, tau)},
+                             cfg.c * sigma_form(lam[i] - lam[j], ext_form(n, i, j), tau)},
                          classical=classical)
         op = op + DiffOp(n, {(SignedPerm.neg_transposition(n, i, j), (0,) * n):
-                             cfg.c * sigma_form(lam[i] + lam[j], sform, tau)},
+                             cfg.c * sigma_form(lam[i] + lam[j], ext_form(n, i, j, 1), tau)},
                          classical=classical)
     return op
 
@@ -117,7 +112,7 @@ def split_constant(cfg) -> complex:
         return 0.5 * total
     n = rs.dim
     gv = dual_couplings(cfg.g)
-    om = (0j, 0.5 + 0j, (1 + tau) / 2, tau / 2)
+    om = half_periods(tau)
     total = 0j
     for i in range(n):
         for j in range(i + 1, n):
@@ -148,21 +143,16 @@ def split_hamiltonian(cfg) -> DiffOp:
         m = tuple(2 if k == i else 0 for k in range(n))
         op = op + DiffOp(n, {(SignedPerm.identity(n), m): Const(t ** 2 + 0j)})
     parts = []
-    om_shift = _half_period_shifts(tau)
+    om_shift = half_periods(tau)
     for i in range(n):
         for j in range(i + 1, n):
-            dform = tuple(_basis(i, n)[k] - _basis(j, n)[k] for k in range(n))
-            sform = tuple(_basis(i, n)[k] + _basis(j, n)[k] for k in range(n))
-            parts.append((-2 * cfg.c * (cfg.c + t)) * (wp_form(dform, tau) + wp_form(sform, tau)))
+            parts.append((-2 * cfg.c * (cfg.c + t)) * (wp_form(ext_form(n, i, j), tau)
+                                                       + wp_form(ext_form(n, i, j, 1), tau)))
     for i in range(n):
         for r in range(4):
             gr = cfg.g[r]
-            parts.append((-gr * (gr + t)) * wp_form(_basis(i, n), tau, om_shift[r]))
+            parts.append((-gr * (gr + t)) * wp_form(ext_coord(n, i), tau, om_shift[r]))
     return op + DiffOp.from_field(n, nsum(parts))
-
-
-def _half_period_shifts(tau):
-    return (0j, 0.5 + 0j, (1 + tau) / 2, tau / 2)
 
 
 def split_a_operator(cfg) -> DiffOp:
@@ -192,13 +182,13 @@ def split_a_operator(cfg) -> DiffOp:
                                      (s, (0,) * n): pref * sigma_dz_form(mu, a, tau)})
         return op
     lam = cfg.lam
-    om_shift = _half_period_shifts(tau)
+    om_shift = half_periods(tau)
     for i in range(n):
         for j in range(i + 1, n):
-            dform = tuple(_basis(i, n)[k] - _basis(j, n)[k] for k in range(n))
-            sform = tuple(_basis(i, n)[k] + _basis(j, n)[k] for k in range(n))
-            for form, mu, s in ((dform, lam[i] - lam[j], SignedPerm.transposition(n, i, j)),
-                                (sform, lam[i] + lam[j], SignedPerm.neg_transposition(n, i, j))):
+            for form, mu, s in ((ext_form(n, i, j), lam[i] - lam[j],
+                                 SignedPerm.transposition(n, i, j)),
+                                (ext_form(n, i, j, 1), lam[i] + lam[j],
+                                 SignedPerm.neg_transposition(n, i, j))):
                 pref = 2 * cfg.c * t
                 if pref == 0:
                     continue
@@ -210,13 +200,14 @@ def split_a_operator(cfg) -> DiffOp:
                     op = op + DiffOp(n, {(SignedPerm.identity(n), (0,) * n): pref * wp_form(form, tau),
                                          (s, (0,) * n): pref * sigma_dz_form(mu, form, tau)})
     for i in range(n):
-        parts = [(t * cfg.g[r]) * wp_form(_basis(i, n), tau, om_shift[r]) for r in range(4)]
+        xi = ext_coord(n, i)
+        parts = [(t * cfg.g[r]) * wp_form(xi, tau, om_shift[r]) for r in range(4)]
         op = op + DiffOp.from_field(n, nsum(parts))
         if abs(lam[i]) < 1e-12:
-            ker = nsum([(-t * cfg.g[r]) * wp_form(_basis(i, n), tau, om_shift[r])
+            ker = nsum([(-t * cfg.g[r]) * wp_form(xi, tau, om_shift[r])
                         for r in range(4)] + [Const(-2 * e1 * t * sum(cfg.g))])
         else:
-            ker = t * v_dz_form(lam[i], _basis(i, n), cfg.g, tau)
+            ker = t * v_dz_form(lam[i], xi, cfg.g, tau)
         op = op + DiffOp(n, {(SignedPerm.sign_flip(n, i), (0,) * n): ker})
     return op
 
@@ -231,32 +222,21 @@ def elliptic_split(cfg):
 
 # -- type A Lax pair -------------------------------------------------------
 
-@dataclass
-class EllipticLax:
-    cfg: EllipticDunklConfig
-    tbl: object
-    L: OperatorMatrix
-    A: OperatorMatrix
-    H: DiffOp
-
-
-def lax_elliptic_A(n, t, c, mu, tau) -> EllipticLax:
+def lax_elliptic_A(n, t, c, mu, tau) -> LaxPair:
     """Spectral-parameter Lax pair from y_1 at lambda = (mu, 0, ..., 0)."""
     rs = build_root_system("A", n)
     lam = (mu,) + (0,) * (n - 1)
     cfg = EllipticDunklConfig(rs, t, c, tau, lam)
-    _o, _s, tbl = orbit_stabilizer(rs, _basis(0, n))
+    _o, _s, tbl = orbit_stabilizer(rs, ext_coord(n, 0))
     y1 = elliptic_dunkl(cfg, 0)
     Lmat = y1.restrict(tbl)
     # A-hat on M': c t sum_j (wp(x_1j) + sigma'_mu(x_1j) s_1j), constants dropped
     Ahat = DiffOp.zero(n)
     for j in range(1, n):
-        form = tuple(_basis(0, n)[k] - _basis(j, n)[k] for k in range(n))
+        form = ext_form(n, 0, j)
         Ahat = Ahat + DiffOp(n, {(SignedPerm.identity(n), (0,) * n): (cfg.c * t) * wp_form(form, tau),
                                  (SignedPerm.transposition(n, 0, j), (0,) * n): (cfg.c * t) * sigma_dz_form(mu, form, tau)})
-    Amat = Ahat.restrict(tbl)
-    H = split_hamiltonian(cfg)
-    return EllipticLax(cfg=cfg, tbl=tbl, L=Lmat, A=Amat, H=H)
+    return LaxPair(tbl, Lmat, Ahat.restrict(tbl), split_hamiltonian(cfg))
 
 
 def ael_tables(n, t, c, mu, tau):
@@ -271,11 +251,10 @@ def ael_tables(n, t, c, mu, tau):
                 parts = []
                 for j in range(n):
                     if j != k:
-                        form = tuple(_basis(j, n)[a] - _basis(k, n)[a] for a in range(n))
-                        parts.append(wp_form(form, tau))
+                        parts.append(wp_form(ext_form(n, j, k), tau))
                 Arow.append(DiffOp.from_field(n, (c * t) * nsum(parts)))
             else:
-                form = tuple(_basis(k, n)[a] - _basis(l, n)[a] for a in range(n))
+                form = ext_form(n, k, l)
                 Lrow.append(DiffOp.from_field(n, c * sigma_form(mu, form, tau)))
                 Arow.append(DiffOp.from_field(n, (c * t) * sigma_dz_form(mu, form, tau)))
         Lrows.append(Lrow)
@@ -285,63 +264,46 @@ def ael_tables(n, t, c, mu, tau):
 
 # -- Inozemtsev (BC_n) ------------------------------------------------------
 
-def _ext_basis(idx, n):
-    """Extended coordinate forms, x_{n+i} = -x_i (0-based idx in 0..2n-1)."""
-    out = [0.0] * n
-    if idx < n:
-        out[idx] = 1.0
-    else:
-        out[idx - n] = -1.0
-    return tuple(out)
-
-
 def lax_inozemtsev(n, t, c, g, mu, tau):
     """2n x 2n quantum Lax pair for the Inozemtsev system at lambda = (mu, 0..0)."""
     rs = build_root_system("C", n)
     lam = (mu,) + (0,) * (n - 1)
     cfg = EllipticDunklConfig(rs, t, c, tau, lam, g=tuple(g), bc=True)
-    _o, _s, tbl = orbit_stabilizer(rs, _basis(0, n))
+    _o, _s, tbl = orbit_stabilizer(rs, ext_coord(n, 0))
     y1 = elliptic_dunkl(cfg, 0)
     Lmat = y1.restrict(tbl)
-    om_shift = _half_period_shifts(tau)
+    om_shift = half_periods(tau)
+    x1 = ext_coord(n, 0)
     Ahat = DiffOp.zero(n)
     for j in range(1, n):
-        dform = tuple(_basis(0, n)[k] - _basis(j, n)[k] for k in range(n))
-        sform = tuple(_basis(0, n)[k] + _basis(j, n)[k] for k in range(n))
+        dform, sform = ext_form(n, 0, j), ext_form(n, 0, j, 1)
         Ahat = Ahat + DiffOp(n, {
             (SignedPerm.identity(n), (0,) * n):
                 (2 * c * t) * (wp_form(dform, tau) + wp_form(sform, tau)),
             (SignedPerm.transposition(n, 0, j), (0,) * n): (2 * c * t) * sigma_dz_form(mu, dform, tau),
             (SignedPerm.neg_transposition(n, 0, j), (0,) * n): (2 * c * t) * sigma_dz_form(mu, sform, tau)})
-    parts = [(t * g[r]) * wp_form(_basis(0, n), tau, om_shift[r]) for r in range(4)]
+    parts = [(t * g[r]) * wp_form(x1, tau, om_shift[r]) for r in range(4)]
     Ahat = Ahat + DiffOp.from_field(n, nsum(parts))
     Ahat = Ahat + DiffOp(n, {(SignedPerm.sign_flip(n, 0), (0,) * n):
-                             t * v_dz_form(mu, _basis(0, n), g, tau)})
-    Amat = Ahat.restrict(tbl)
-    H = split_hamiltonian(cfg)
-    return EllipticLax(cfg=cfg, tbl=tbl, L=Lmat, A=Amat, H=H)
+                             t * v_dz_form(mu, x1, g, tau)})
+    return LaxPair(tbl, Lmat, Ahat.restrict(tbl), split_hamiltonian(cfg))
 
 
 def inozemtsev_tables(n, t, c, g, mu, tau):
     """Explicit 2n x 2n tables of the Inozemtsev pair (extended indices)."""
     m = 2 * n
+    om_shift = half_periods(tau)
     Lrows, Arows = [], []
     for i in range(m):
         Lrow, Arow = [], []
-        fi = _ext_basis(i, n)
+        fi = ext_coord(n, i)
         for j in range(m):
-            fj = _ext_basis(j, n)
-            diff = tuple(a - b for a, b in zip(fi, fj))
             if i == j:
                 sign = 1.0 if i < n else -1.0
                 Lrow.append(DiffOp.partial(n, i % n, sign * t))
-                parts = []
-                for l in range(m):
-                    if (l - i) % m not in (0, n):
-                        fl = _ext_basis(l, n)
-                        parts.append(wp_form(tuple(a - b for a, b in zip(fi, fl)), tau))
+                parts = [wp_form(ext_form(n, i, l), tau) for l in range(m)
+                         if not same_coord(n, l, i)]
                 acc = (2 * c * t) * nsum(parts)
-                om_shift = _half_period_shifts(tau)
                 acc = nsum([acc] + [(t * g[r]) * wp_form(fi, tau, om_shift[r])
                                     for r in range(4)])
                 Arow.append(DiffOp.from_field(n, acc))
@@ -349,6 +311,7 @@ def inozemtsev_tables(n, t, c, g, mu, tau):
                 Lrow.append(DiffOp.from_field(n, v_form(mu, fi, g, tau)))
                 Arow.append(DiffOp.from_field(n, t * v_dz_form(mu, fi, g, tau)))
             else:
+                diff = ext_form(n, i, j)
                 Lrow.append(DiffOp.from_field(n, c * sigma_form(mu, diff, tau)))
                 Arow.append(DiffOp.from_field(n, (2 * c * t) * sigma_dz_form(mu, diff, tau)))
         Lrows.append(Lrow)
@@ -362,40 +325,29 @@ def classical_inozemtsev_fields(n, c, g, mu, tau):
     rows = []
     for i in range(m):
         row = []
-        fi = _ext_basis(i, n)
         for j in range(m):
-            fj = _ext_basis(j, n)
             if i == j:
-                k = [0.0] * (2 * n)
-                k[n + i % n] = 1.0 if i < n else -1.0
-                row.append(LinArg(None, tuple(k)))
+                row.append(_momentum(n, i % n, 1.0 if i < n else -1.0))
             elif (i - j) % m == n:
-                row.append(XLift(v_form(mu, fi, g, tau), n))
+                row.append(XLift(v_form(mu, ext_coord(n, i), g, tau), n))
             else:
-                diff = tuple(a - b for a, b in zip(fi, fj))
-                row.append(XLift(c * sigma_form(mu, diff, tau), n))
+                row.append(XLift(c * sigma_form(mu, ext_form(n, i, j), tau), n))
         rows.append(row)
     return rows
 
 
 def classical_inozemtsev_hamiltonian(n, c, g, tau):
     """H = sum p_i^2 - 2c^2 sum (wp(x_ij) + wp(x^+_ij)) - sum_i sum_r g_r^2 wp(x_i + om_r)."""
-    om_shift = _half_period_shifts(tau)
-    parts = []
-    for i in range(n):
-        k = [0.0] * (2 * n)
-        k[n + i] = 1.0
-        pi = LinArg(None, tuple(k))
-        parts.append(pi * pi)
+    om_shift = half_periods(tau)
+    parts = [_momentum(n, i) * _momentum(n, i) for i in range(n)]
     xparts = []
     for i in range(n):
         for j in range(i + 1, n):
-            dform = tuple(_basis(i, n)[a] - _basis(j, n)[a] for a in range(n))
-            sform = tuple(_basis(i, n)[a] + _basis(j, n)[a] for a in range(n))
-            xparts.append((-2 * c * c) * (wp_form(dform, tau) + wp_form(sform, tau)))
+            xparts.append((-2 * c * c) * (wp_form(ext_form(n, i, j), tau)
+                                          + wp_form(ext_form(n, i, j, 1), tau)))
     for i in range(n):
         for r in range(4):
-            xparts.append((-g[r] * g[r]) * wp_form(_basis(i, n), tau, om_shift[r]))
+            xparts.append((-g[r] * g[r]) * wp_form(ext_coord(n, i), tau, om_shift[r]))
     return nsum(parts + [XLift(nsum(xparts), n)])
 
 
@@ -407,33 +359,10 @@ def classical_cm_phase_field(cfg: EllipticDunklConfig):
     """
     rs = cfg.rs
     n = rs.dim
-    tau = cfg.tau
-    parts = []
-    if not cfg.bc:
-        for i in range(n):
-            k = [0.0] * (2 * n)
-            k[n + i] = 1.0
-            pi = LinArg(None, tuple(k))
-            parts.append(0.5 * (pi * pi))
-        xparts = []
-        for a in rs.pos_roots:
-            xparts.append((-0.5 * cfg.c ** 2 * dot(a, a)) * wp_form(a, tau))
-        return nsum(parts + [XLift(nsum(xparts), n)])
-    om_shift = _half_period_shifts(tau)
-    for i in range(n):
-        k = [0.0] * (2 * n)
-        k[n + i] = 1.0
-        pi = LinArg(None, tuple(k))
-        parts.append(pi * pi)
-    xparts = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            dform = tuple(_basis(i, n)[a] - _basis(j, n)[a] for a in range(n))
-            sform = tuple(_basis(i, n)[a] + _basis(j, n)[a] for a in range(n))
-            xparts.append((-2 * cfg.c ** 2) * (wp_form(dform, tau) + wp_form(sform, tau)))
-    for i in range(n):
-        for r in range(4):
-            xparts.append((-cfg.g[r] ** 2) * wp_form(_basis(i, n), tau, om_shift[r]))
+    if cfg.bc:
+        return classical_inozemtsev_hamiltonian(n, cfg.c, cfg.g, cfg.tau)
+    parts = [0.5 * (_momentum(n, i) * _momentum(n, i)) for i in range(n)]
+    xparts = [(-0.5 * cfg.c ** 2 * dot(a, a)) * wp_form(a, cfg.tau) for a in rs.pos_roots]
     return nsum(parts + [XLift(nsum(xparts), n)])
 
 
@@ -451,26 +380,3 @@ def classical_dual_substitution(cfg: EllipticDunklConfig) -> DiffOp:
     scale = 0.5 if not cfg.bc else 1.0
     return qy.scale(scale) - DiffOp.from_field(cfg.rs.dim, Const(const),
                                                classical=True)
-
-
-def dual_substitution_value(cfg, zpoint):
-    """Identity-component symbol of the dual-substituted Hamiltonian, plus
-    the worst off-identity component magnitude, at a phase point."""
-    op = classical_dual_substitution(cfg)
-    n = cfg.rs.dim
-    x, p = zpoint[:n], zpoint[n:]
-    ident = 0j
-    worst = 0.0
-    for w, lst in op.components().items():
-        total = 0j
-        for m, f in lst:
-            mono = 1.0 + 0j
-            for k, mk in enumerate(m):
-                if mk:
-                    mono *= p[k] ** mk
-            total += f(x) * mono
-        if w.is_identity():
-            ident = total
-        else:
-            worst = max(worst, abs(total))
-    return ident, worst

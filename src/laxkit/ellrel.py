@@ -15,13 +15,14 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field as dfield
 
-from .fields import BiArg, Const, LinArg, nsum
-from .opcore import DynOp, OperatorMatrix, WOp
-from .special import dual_params, sigma, sigma_dz, v_func
+from .fields import ONE, BiArg, Const, LinArg, nsum
+from .opcore import DynOp, LaxPair, OperatorMatrix, WOp, lax_pair
+from .special import (dual_params, half_periods, sigma, sigma_dz_form,
+                      sigma_form, v_func)
 from .verify import op_residual
 from .weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
-                   affine_reflection, build_root_system, dot, orbit_stabilizer,
-                   reduced_word)
+                   affine_reflection, build_root_system, dot, ext_coord,
+                   ext_form, orbit_stabilizer, reduced_word, same_coord)
 
 
 # -- parameter bundles -----------------------------------------------------
@@ -100,10 +101,6 @@ def dyn_pairing(params, alpha):
 
 # -- R-matrices at fixed xi (reduced regime) --------------------------------
 
-def _sig_form(mu, form, tau, const=0j):
-    return LinArg(lambda z: sigma(mu, z, tau), form, const)
-
-
 def r_matrix(params: EllRParams, ar: AffineRoot, unitary=False) -> WOp:
     """R(a) = sigma_m(a) - sigma_{<a^vee,xi>}(a) s_a, optionally divided by
     sigma_m(<a^vee, xi>)."""
@@ -111,8 +108,8 @@ def r_matrix(params: EllRParams, ar: AffineRoot, unitary=False) -> WOp:
     m = params.m_alpha(ar.alpha)
     mu = dyn_pairing(params, ar.alpha)
     const = ar.k * params.c
-    f1 = _sig_form(m, ar.alpha, params.tau, const)
-    f2 = _sig_form(mu, ar.alpha, params.tau, const)
+    f1 = sigma_form(m, ar.alpha, params.tau, const)
+    f2 = sigma_form(mu, ar.alpha, params.tau, const)
     s_aff = affine_reflection(ar)
     op = WOp(n, params.c, {(SignedPerm.identity(n), (0,) * n): f1,
                            (s_aff.w, s_aff.lam): -f2})
@@ -140,8 +137,8 @@ def r_matrix_vd(params: VDParams, ar: AffineRoot, unitary=False) -> WOp:
     const = ar.k * params.c
     s_aff = affine_reflection(ar)
     if cls == "diff":
-        f1 = _sig_form(params.mu, ar.alpha, tau, const)
-        f2 = _sig_form(mu_dyn, ar.alpha, tau, const)
+        f1 = sigma_form(params.mu, ar.alpha, tau, const)
+        f2 = sigma_form(mu_dyn, ar.alpha, tau, const)
         norm = sigma(params.mu, mu_dyn, tau)
     else:
         nu, g = (params.nu, params.g) if cls == "even" else (params.nub, params.gb)
@@ -216,8 +213,8 @@ def r_matrix_red_dual(params: EllRParams, ar: AffineRoot) -> WOp:
     aa = dot(ar.alpha, ar.alpha)
     covec = rs.coroot(ar.alpha)
     const = 2 * ar.k * params.c / aa
-    f1 = _sig_form(m, covec, params.tau, const)
-    f2 = _sig_form(zeta_pair, covec, params.tau, const)
+    f1 = sigma_form(m, covec, params.tau, const)
+    f2 = sigma_form(zeta_pair, covec, params.tau, const)
     s_aff = affine_reflection(ar)
     return WOp(n, params.c, {(SignedPerm.identity(n), (0,) * n): f1,
                              (s_aff.w, s_aff.lam): -f2})
@@ -326,7 +323,7 @@ def macdonald_elliptic(params: EllRParams, b, quasi=False, dual=False) -> WOp:
         for a in rs.roots:
             if dot(pi, a) > 0:
                 arg = rs.coroot(a) if dual else a
-                f = _sig_form(params.m_alpha(a), arg, tau)
+                f = sigma_form(params.m_alpha(a), arg, tau)
                 prod = f if prod is None else prod * f
         if prod is None:
             prod = Const(1.0 + 0j)
@@ -340,13 +337,13 @@ def macdonald_elliptic(params: EllRParams, b, quasi=False, dual=False) -> WOp:
             arg_form, shift = tuple(pi), 2 * params.c / dot(rs.highest, rs.highest)
         else:
             arg_form, shift = rs.coroot(pi), params.c
-        Af = _sig_form(m_phi, arg_form, tau, shift) * prod
+        Af = sigma_form(m_phi, arg_form, tau, shift) * prod
         phiv = rs.coroot(rs.highest)
         if dual:
             mB = -sum(hp * r for hp, r in zip(rs.highest, _rho_m_vee(params)))
         else:
             mB = -sum(pv * r for pv, r in zip(phiv, rho_m(params)))
-        Bf = _sig_form(mB, arg_form, tau, shift) * prod
+        Bf = sigma_form(mB, arg_form, tau, shift) * prod
         out += WOp(n, params.c, {(SignedPerm.identity(n), lam): Af})
         out += WOp.from_field(n, params.c, -Bf)
     return out
@@ -390,19 +387,38 @@ class EllGLParams:
         return tuple(out)
 
 
-def _egl_eform(i, j, n):
-    return tuple((1 if k == i - 1 else 0) - (1 if k == j - 1 else 0) for k in range(n))
+def ruijsenaars_params(n, mu, eta, c, tau) -> EllGLParams:
+    """Parameters at the Lax specialization xi_spec(eta) of the spectral eta."""
+    p = EllGLParams(n, mu, c, tau, (0j,) * n)
+    return p.with_xi(p.xi_spec(eta))
+
+
+def _gl_sig(p: EllGLParams, mu, i, j, shift=0j, dz=False):
+    """sigma_mu(x_i - x_j + shift), or its derivative sigma_mu', 1-based i, j."""
+    form = sigma_dz_form if dz else sigma_form
+    return form(mu, ext_form(p.n, i - 1, j - 1), p.tau, shift)
+
+
+def _gl_sig_product(p: EllGLParams, j, skip, start=None):
+    """start * prod_{l not in skip} sigma_mu(x_j - x_l), folded from the first
+    factor in increasing l; None if nothing is left."""
+    out = start
+    for l in range(1, p.n + 1):
+        if l not in skip:
+            f = _gl_sig(p, p.mu, j, l)
+            out = f if out is None else out * f
+    return out
 
 
 def r_ij_ell(p: EllGLParams, i, j, classical=False) -> WOp:
     """R_ij = sigma_mu(x_ij) - sigma_{xi_i - xi_j}(x_ij) s_ij."""
     n = p.n
     c = 0.0 if classical else p.c
-    form = _egl_eform(i, j, n)
+    form = ext_form(n, i - 1, j - 1)
     dyn = p.xi[i - 1] - p.xi[j - 1]
     s = SignedPerm.transposition(n, i - 1, j - 1)
-    return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): _sig_form(p.mu, form, p.tau),
-                      (s, (0,) * n): -_sig_form(dyn, form, p.tau)})
+    return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): sigma_form(p.mu, form, p.tau),
+                      (s, (0,) * n): -sigma_form(dyn, form, p.tau)})
 
 
 def y_ell_gln(p: EllGLParams, i, classical=False) -> WOp:
@@ -413,8 +429,7 @@ def y_ell_gln(p: EllGLParams, i, classical=False) -> WOp:
     for j in range(i + 1, n + 1):
         R = r_ij_ell(p, i, j, classical=classical)
         out = R if out is None else out * R
-    lam = tuple(1 if k == i - 1 else 0 for k in range(n))
-    ti = WOp.translation(n, c, lam)
+    ti = WOp.translation(n, c, ext_coord(n, i - 1))
     out = ti if out is None else out * ti
     for j in range(1, i):
         out = out * r_ij_ell(p, i, j, classical=classical)
@@ -427,152 +442,83 @@ def ruijsenaars_hamiltonian(p: EllGLParams, classical=False) -> WOp:
     c = 0.0 if classical else p.c
     out = WOp.zero(n, c)
     for i in range(1, n + 1):
-        coeff = None
-        for j in range(1, n + 1):
-            if j != i:
-                f = _sig_form(p.mu, _egl_eform(i, j, n), p.tau)
-                coeff = f if coeff is None else coeff * f
-        if coeff is None:
-            coeff = Const(1.0 + 0j)
-        lam = tuple(1 if k == i - 1 else 0 for k in range(n))
-        out += WOp(n, c, {(SignedPerm.identity(n), lam): coeff})
+        out += WOp(n, c, {(SignedPerm.identity(n), ext_coord(n, i - 1)):
+                          _gl_sig_product(p, i, {i}) or ONE})
     return out
 
 
-@dataclass
-class EllRuijLax:
-    params: EllGLParams
-    tbl: object
-    L: OperatorMatrix
-    A: OperatorMatrix
-    H: WOp
-    Y1: WOp
-    Ahat: WOp
-
-
-def lax_elliptic_ruijsenaars(n, mu, eta, c, tau) -> EllRuijLax:
-    p = EllGLParams(n, mu, c, tau, (0j,) * n)
-    p = p.with_xi(p.xi_spec(eta))
-    rs = p.rs
-    e1 = tuple(1 if i == 0 else 0 for i in range(n))
-    _o, _s, tbl = orbit_stabilizer(rs, e1)
+def lax_elliptic_ruijsenaars(n, mu, eta, c, tau) -> LaxPair:
+    """L = Y_1|M' at ruijsenaars_params; A from f(Y) = Y_1 + Y_2."""
+    p = ruijsenaars_params(n, mu, eta, c, tau)
+    _o, _s, tbl = orbit_stabilizer(p.rs, ext_coord(n, 0))
     Y1 = y_ell_gln(p, 1)
-    Y2 = y_ell_gln(p, 2)
-    H = ruijsenaars_hamiltonian(p)
-    Ahat = Y1 + Y2 - H
-    return EllRuijLax(params=p, tbl=tbl, L=Y1.restrict(tbl), A=Ahat.restrict(tbl),
-                      H=H, Y1=Y1, Ahat=Ahat)
+    return lax_pair(tbl, Y1.restrict(tbl), Y1 + y_ell_gln(p, 2),
+                    ruijsenaars_hamiltonian(p))
 
 
 def nsel_closed_y1(p: EllGLParams) -> WOp:
     """Y_1|_{M'} = (A + sum_i B_i s_{1i}) t(e_1)."""
     n = p.n
-    A = None
-    for l in range(2, n + 1):
-        f = _sig_form(p.mu, _egl_eform(1, l, n), p.tau)
-        A = f if A is None else A * f
     eta = p.xi[0] - p.xi[1]
-    op = WOp(n, p.c, {(SignedPerm.identity(n), (0,) * n): A})
+    op = WOp(n, p.c, {(SignedPerm.identity(n), (0,) * n): _gl_sig_product(p, 1, {1})})
     for i in range(2, n + 1):
-        B = -1.0 * _sig_form(eta, _egl_eform(1, i, n), p.tau)
-        for l in range(2, n + 1):
-            if l != i:
-                B = B * _sig_form(p.mu, _egl_eform(i, l, n), p.tau)
+        B = _gl_sig_product(p, i, {1, i}, start=-1.0 * _gl_sig(p, eta, 1, i))
         op += WOp(n, p.c, {(SignedPerm.transposition(n, 0, i - 1), (0,) * n): B})
-    e1 = tuple(1 if k == 0 else 0 for k in range(n))
-    return op * WOp.translation(n, p.c, e1)
+    return op * WOp.translation(n, p.c, ext_coord(n, 0))
 
 
 def nsel_closed_y2(p: EllGLParams) -> WOp:
     """Y_2|_{M'} = E + sum_i F_i s_{1i}."""
     n = p.n
-    tau = p.tau
     eta = p.xi[0] - p.xi[1]
     out = WOp.zero(n, p.c)
     for i in range(2, n + 1):
-        E = _sig_form(p.mu, _egl_eform(i, 1, n), tau, p.c)
-        F = _sig_form(eta, _egl_eform(1, i, n), tau, -p.c)
-        for l in range(2, n + 1):
-            if l != i:
-                E = E * _sig_form(p.mu, _egl_eform(i, l, n), tau)
-                F = F * _sig_form(p.mu, _egl_eform(i, l, n), tau)
-        lam = tuple(1 if k == i - 1 else 0 for k in range(n))
-        out += WOp(n, p.c, {(SignedPerm.identity(n), lam): E})
+        E = _gl_sig_product(p, i, {1, i}, start=_gl_sig(p, p.mu, i, 1, p.c))
+        F = _gl_sig_product(p, i, {1, i}, start=_gl_sig(p, eta, 1, i, -p.c))
+        out += WOp(n, p.c, {(SignedPerm.identity(n), ext_coord(n, i - 1)): E})
         # F_i contains t(e_i) to the LEFT of s_{1i}: h t(e_i) s_{1i} = h s_{1i} t(e_1)
-        e1 = tuple(1 if k == 0 else 0 for k in range(n))
-        out += WOp(n, p.c, {(SignedPerm.transposition(n, 0, i - 1), e1): F})
+        out += WOp(n, p.c, {(SignedPerm.transposition(n, 0, i - 1), ext_coord(n, 0)): F})
     return out
 
 
 def ruijsenaars_lax_tables(p: EllGLParams, classical=False):
     """Closed-form entries of L and A (and their classical versions)."""
     n = p.n
-    tau = p.tau
     c = 0.0 if classical else p.c
     eta = p.xi[0] - p.xi[1]
+    one = SignedPerm.identity(n)
     Lrows, Arows = [], []
     for i in range(1, n + 1):
         Lrow, Arow = [], []
         for j in range(1, n + 1):
-            lam = tuple(1 if k == j - 1 else 0 for k in range(n))
-            prod = None
-            for l in range(1, n + 1):
-                if l != j and l != i:
-                    f = _sig_form(p.mu, _egl_eform(j, l, n), tau)
-                    prod = f if prod is None else prod * f
-            dprod = None
-            for l in range(1, n + 1):
-                if l != j:
-                    f = _sig_form(p.mu, _egl_eform(j, l, n), tau)
-                    dprod = f if dprod is None else dprod * f
+            lam = ext_coord(n, j - 1)
             if i == j:
-                if dprod is None:
-                    dprod = Const(1.0 + 0j)
-                Lrow.append(WOp(n, c, {(SignedPerm.identity(n), lam): dprod}))
-                parts = []
+                Lrow.append(WOp(n, c, {(one, lam): _gl_sig_product(p, j, {j}) or ONE}))
+                acc = WOp.zero(n, c)
                 for k in range(1, n + 1):
                     if k != j:
-                        kprod = None
-                        for l in range(1, n + 1):
-                            if l != j and l != k:
-                                f = _sig_form(p.mu, _egl_eform(k, l, n), tau)
-                                kprod = f if kprod is None else kprod * f
                         if classical:
-                            diff = (-p.beta) * _sig_dz_form(p.mu, _egl_eform(k, j, n), tau)
+                            diff = (-p.beta) * _gl_sig(p, p.mu, k, j, dz=True)
                         else:
-                            diff = nsum([_sig_form(p.mu, _egl_eform(k, j, n), tau, p.c),
-                                         -_sig_form(p.mu, _egl_eform(k, j, n), tau)])
+                            diff = nsum([_gl_sig(p, p.mu, k, j, p.c), -_gl_sig(p, p.mu, k, j)])
+                        kprod = _gl_sig_product(p, k, {j, k})
                         term = diff if kprod is None else kprod * diff
-                        klam = tuple(1 if a == k - 1 else 0 for a in range(n))
-                        parts.append((klam, term))
-                acc = WOp.zero(n, c)
-                for klam, term in parts:
-                    acc += WOp(n, c, {(SignedPerm.identity(n), klam): term})
+                        acc += WOp(n, c, {(one, ext_coord(n, k - 1)): term})
                 Arow.append(acc)
             else:
-                base = prod if prod is not None else Const(1.0 + 0j)
-                Lrow.append(WOp(n, c, {(SignedPerm.identity(n), lam):
-                                       (-1.0) * (_sig_form(eta, _egl_eform(i, j, n), tau) * base)}))
+                base = _gl_sig_product(p, j, {i, j}) or ONE
+                Lrow.append(WOp(n, c, {(one, lam): (-1.0) * (_gl_sig(p, eta, i, j) * base)}))
                 if classical:
-                    diff = p.beta * _sig_dz_form(eta, _egl_eform(i, j, n), tau)
+                    diff = p.beta * _gl_sig(p, eta, i, j, dz=True)
                 else:
-                    diff = nsum([_sig_form(eta, _egl_eform(i, j, n), tau, -p.c),
-                                 -_sig_form(eta, _egl_eform(i, j, n), tau)])
-                Arow.append(WOp(n, c, {(SignedPerm.identity(n), lam): base * diff}))
+                    diff = nsum([_gl_sig(p, eta, i, j, -p.c), -_gl_sig(p, eta, i, j)])
+                Arow.append(WOp(n, c, {(one, lam): base * diff}))
         Lrows.append(Lrow)
         Arows.append(Arow)
     return OperatorMatrix(Lrows), OperatorMatrix(Arows)
 
 
-def _sig_dz_form(mu, form, tau, const=0j):
-    return LinArg(lambda z: sigma_dz(mu, z, tau), form, const)
-
-
 # -- van Diejen Hamiltonian and Lax matrix ----------------------------------
-
-def _eb(i, n):
-    return tuple(1.0 if k == i else 0.0 for k in range(n))
-
 
 def vd_hamiltonian(p: VDParams, classical=False) -> WOp:
     """L^{e_1} of the elliptic van Diejen system (quantum: the delta/2 shift
@@ -583,25 +529,23 @@ def vd_hamiltonian(p: VDParams, classical=False) -> WOp:
     out = WOp.zero(n, c)
     shift = 0.0 if classical else p.c / 2
     nub_B = -p.nu - (n - 1) * p.mu
-    for sgn in (1, -1):
-        for i in range(n):
-            pi = tuple(sgn * v for v in _eb(i, n))
-            prod = None
-            for a in p.rs.roots:
-                if dot(pi, a) == 1:
-                    f = _sig_form(p.mu, a, tau)
-                    prod = f if prod is None else prod * f
-            vf = LinArg(lambda z, nn=p.nu: v_func(nn, z, p.g, tau), pi)
-            vbA = LinArg(lambda z, nn=p.nub: v_func(nn, z, p.gb, tau), pi, shift)
-            vbB = LinArg(lambda z, nn=nub_B: v_func(nn, z, p.gb, tau), pi, shift)
-            A = vf * vbA
-            B = vf * vbB
-            if prod is not None:
-                A = A * prod
-                B = B * prod
-            lam = tuple(int(sgn * v) for v in _eb(i, n))
-            out += WOp(n, c, {(SignedPerm.identity(n), lam): A})
-            out += WOp.from_field(n, c, -B)
+    for k in range(2 * n):
+        pi = ext_coord(n, k)  # +e_i, then -e_i
+        prod = None
+        for a in p.rs.roots:
+            if dot(pi, a) == 1:
+                f = sigma_form(p.mu, a, tau)
+                prod = f if prod is None else prod * f
+        vf = LinArg(lambda z, nn=p.nu: v_func(nn, z, p.g, tau), pi)
+        vbA = LinArg(lambda z, nn=p.nub: v_func(nn, z, p.gb, tau), pi, shift)
+        vbB = LinArg(lambda z, nn=nub_B: v_func(nn, z, p.gb, tau), pi, shift)
+        A = vf * vbA
+        B = vf * vbB
+        if prod is not None:
+            A = A * prod
+            B = B * prod
+        out += WOp(n, c, {(SignedPerm.identity(n), pi): A})
+        out += WOp.from_field(n, c, -B)
     return out
 
 
@@ -610,19 +554,15 @@ def y1_vd(p: VDParams, classical=False) -> WOp:
     n = p.n
     out = None
     for j in range(2, n + 1):
-        ar = AffineRoot(tuple(int(a - b) for a, b in zip(_eb(0, n), _eb(j - 1, n))), 0)
-        R = r_matrix_vd(p, ar)
+        R = r_matrix_vd(p, AffineRoot(ext_form(n, 0, j - 1), 0))
         out = R if out is None else out * R
-    ar = AffineRoot(tuple(int(2 * v) for v in _eb(0, n)), 0)
-    R = r_matrix_vd(p, ar)
+    two_e1 = ext_form(n, 0, 0, 1)
+    R = r_matrix_vd(p, AffineRoot(two_e1, 0))
     out = R if out is None else out * R
     for j in range(n, 1, -1):
-        ar = AffineRoot(tuple(int(a + b) for a, b in zip(_eb(0, n), _eb(j - 1, n))), 0)
-        out = out * r_matrix_vd(p, ar)
-    ar = AffineRoot(tuple(int(2 * v) for v in _eb(0, n)), 1)
-    out = out * r_matrix_vd(p, ar)
-    e1 = tuple(1 if k == 0 else 0 for k in range(n))
-    return out * WOp.translation(n, 0.0 if classical else p.c, e1)
+        out = out * r_matrix_vd(p, AffineRoot(ext_form(n, 0, j - 1, 1), 0))
+    out = out * r_matrix_vd(p, AffineRoot(two_e1, 1))
+    return out * WOp.translation(n, 0.0 if classical else p.c, ext_coord(n, 0))
 
 
 def vd_alpha_const(p: VDParams, eta):
@@ -641,50 +581,27 @@ def vd_alpha_const(p: VDParams, eta):
     return tot * prod
 
 
+def _ext_sig(p: VDParams, mu, i, j, sign=-1):
+    """sigma_mu(x_i + sign * x_j), extended 1-based indices (x_{n+i} = -x_i)."""
+    return sigma_form(mu, ext_form(p.n, i - 1, j - 1, sign), p.tau)
+
+
 def vd_beta_field(p: VDParams, eta, rep_idx):
     """beta^{s_{1i}} (rep_idx = i <= n) or beta^{s^+_{1i}} (rep_idx = n+i)."""
     n = p.n
-    tau = p.tau
     xi12 = eta + p.nu + (n - 2) * p.mu
-
-    def ext(i):
-        out = [0.0] * n
-        if i <= n:
-            out[i - 1] = 1.0
-        else:
-            out[i - n - 1] = -1.0
-        return tuple(out)
-
-    i = rep_idx if rep_idx <= n else rep_idx - n
-    conj_plus = rep_idx > n
+    ii = rep_idx  # x_ii = x_i, or -x_i for the s^+-conjugated pair
+    i = (rep_idx - 1) % n + 1
     parts = []
     for j in range(1, n + 1):
         if j == i:
             continue
-        if not conj_plus:
-            f = (_sig_form(xi12, _diff2(ext(i), ext(j)), tau)
-                 * _sig_form(eta + p.nu, _sum2(ext(i), ext(j)), tau))
-        else:
-            f = (_sig_form(xi12, _diff2(ext(n + i), ext(j)), tau)
-                 * _sig_form(eta + p.nu, _diff2(ext(j), ext(i)), tau))
+        f = _ext_sig(p, xi12, ii, j) * _ext_sig(p, eta + p.nu, ii, j, 1)
         for l in range(1, n + 1):
             if l != i and l != j:
-                if not conj_plus:
-                    f = (f * _sig_form(p.mu, _diff2(ext(j), ext(l)), tau)
-                         * _sig_form(p.mu, _diff2(ext(l), ext(i)), tau))
-                else:
-                    f = (f * _sig_form(p.mu, _diff2(ext(j), ext(l)), tau)
-                         * _sig_form(p.mu, _sum2(ext(l), ext(i)), tau))
+                f = f * _ext_sig(p, p.mu, j, l) * _ext_sig(p, p.mu, l, ii)
         parts.append(f)
     return nsum(parts) if parts else Const(0j)
-
-
-def _diff2(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _sum2(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vd_p_matrix(p: VDParams, eta, classical=False) -> OperatorMatrix:
@@ -696,19 +613,11 @@ def vd_p_matrix(p: VDParams, eta, classical=False) -> OperatorMatrix:
     xi12 = eta + p.nu + (n - 2) * p.mu
     alpha = vd_alpha_const(p, eta)
 
-    def ext(i):
-        out = [0.0] * n
-        if i <= n:
-            out[i - 1] = 1.0
-        else:
-            out[i - n - 1] = -1.0
-        return tuple(out)
+    def vnu(i):
+        return LinArg(lambda z: v_func(p.nu, z, p.g, tau), ext_coord(n, i - 1))
 
-    def vnu(form):
-        return LinArg(lambda z: v_func(p.nu, z, p.g, tau), form)
-
-    def veta(form):
-        return LinArg(lambda z: v_func(eta, z, p.g, tau), form)
+    def veta(i):
+        return LinArg(lambda z: v_func(eta, z, p.g, tau), ext_coord(n, i - 1))
 
     rows = []
     for i in range(1, m + 1):
@@ -716,30 +625,21 @@ def vd_p_matrix(p: VDParams, eta, classical=False) -> OperatorMatrix:
         for j in range(1, m + 1):
             dmod = (i - j) % m
             if dmod == 0:
-                f = vnu(ext(i))
-                for l in range(1, m + 1):
-                    if not _excl(l, i, j, n):
-                        f = f * _sig_form(p.mu, _diff2(ext(i), ext(l)), tau)
-                row.append(WOp.from_field(n, c, f))
+                f = vnu(i)
             elif dmod == n:
                 # P_{i, n+i} = alpha v_eta(x_i) + beta^{s_{1i}} v_nu(-x_i)
                 # (and the s^+-conjugated pair for i > n)
-                f = nsum([alpha * veta(ext(i)),
-                          vd_beta_field(p, eta, i) * vnu(ext((i + n - 1) % m + 1))])
-                row.append(WOp.from_field(n, c, f))
+                f = nsum([alpha * veta(i), vd_beta_field(p, eta, i) * vnu((i + n - 1) % m + 1)])
             else:
-                f = (-1.0) * (vnu(ext(j)) * _sig_form(xi12, _diff2(ext(i), ext(j)), tau)
-                              * _sig_form(p.mu, _sum2(ext(i), ext(j)), tau))
+                f = (-1.0) * (vnu(j) * _ext_sig(p, xi12, i, j) * _ext_sig(p, p.mu, i, j, 1))
+            if dmod != n:
+                # the primed product drops l = +-i and l = +-j
                 for l in range(1, m + 1):
-                    if not _excl(l, i, j, n):
-                        f = f * _sig_form(p.mu, _diff2(ext(j), ext(l)), tau)
-                row.append(WOp.from_field(n, c, f))
+                    if not (same_coord(n, l, i) or same_coord(n, l, j)):
+                        f = f * _ext_sig(p, p.mu, j, l)
+            row.append(WOp.from_field(n, c, f))
         rows.append(row)
     return OperatorMatrix(rows)
-
-
-def _excl(l, i, j, n):
-    return (l - i) % (2 * n) in (0, n) or (l - j) % (2 * n) in (0, n)
 
 
 def vd_q_matrix(p: VDParams, eta, classical=False) -> OperatorMatrix:
@@ -749,26 +649,17 @@ def vd_q_matrix(p: VDParams, eta, classical=False) -> OperatorMatrix:
     tau = p.tau
     c = 0.0 if classical else p.c
     shift = 0.0 if classical else p.c / 2
-
-    def ext(i):
-        out = [0.0] * n
-        if i <= n:
-            out[i - 1] = 1.0
-        else:
-            out[i - n - 1] = -1.0
-        return tuple(out)
-
     rows = []
     for i in range(1, m + 1):
         row = []
-        lam = tuple(int(v) for v in ext(i))
+        form = ext_coord(n, i - 1)
         for j in range(1, m + 1):
             dmod = (i - j) % m
             if i == j:
-                f = LinArg(lambda z: v_func(p.nub, z, p.gb, tau), ext(i), shift)
-                row.append(WOp(n, c, {(SignedPerm.identity(n), lam): f}))
+                f = LinArg(lambda z: v_func(p.nub, z, p.gb, tau), form, shift)
+                row.append(WOp(n, c, {(SignedPerm.identity(n), form): f}))
             elif dmod == n:
-                f = LinArg(lambda z, ee=eta: v_func(ee, z, p.gb, tau), ext(i), shift)
+                f = LinArg(lambda z, ee=eta: v_func(ee, z, p.gb, tau), form, shift)
                 row.append(WOp.from_field(n, c, (-1.0) * f))
             else:
                 row.append(WOp.zero(n, c))
@@ -784,50 +675,30 @@ def vd_dual_substituted(p: VDParams, xi) -> WOp:
     pxi = p.with_xi(xi)
     out = None
     nubv_B = -nuv - (n - 1) * p.mu
-    for sgn in (1, -1):
-        for i in range(n):
-            pi = tuple(sgn * int(v) for v in _eb(i, n))
-            zduel = sum(a * b for a, b in zip(pi, xi))
-            Bcoef = v_func(nuv, zduel, gv, tau) * v_func(nubv_B, zduel, gbv, tau)
-            for a in p.rs.roots:
-                if dot(pi, a) == 1:
-                    za = sum(u * v for u, v in zip(a, xi))
-                    Bcoef *= sigma(p.mu, za, tau)
-            # A^vee_pi Yhat^pi = Y^pi (classical dual coefficients are the
-            # G-factors), so the substituted operator is pole-free in xi
-            Ypi = y_elliptic(pxi, pi, unitary=False)
-            term = Ypi - WOp.from_scalar(n, p.c, Bcoef)
-            out = term if out is None else out + term
+    for k in range(2 * n):
+        pi = ext_coord(n, k)  # +e_i, then -e_i
+        zduel = sum(a * b for a, b in zip(pi, xi))
+        Bcoef = v_func(nuv, zduel, gv, tau) * v_func(nubv_B, zduel, gbv, tau)
+        for a in p.rs.roots:
+            if dot(pi, a) == 1:
+                za = sum(u * v for u, v in zip(a, xi))
+                Bcoef *= sigma(p.mu, za, tau)
+        # A^vee_pi Yhat^pi = Y^pi (classical dual coefficients are the
+        # G-factors), so the substituted operator is pole-free in xi
+        Ypi = y_elliptic(pxi, pi, unitary=False)
+        term = Ypi - WOp.from_scalar(n, p.c, Bcoef)
+        out = term if out is None else out + term
     return out
 
 
-@dataclass
-class VDLax:
-    params: VDParams
-    eta: complex
-    tbl: object
-    P: OperatorMatrix
-    Q: OperatorMatrix
-    L: OperatorMatrix
-    H: WOp
-    A: OperatorMatrix
-    Y1: WOp
-
-
-def lax_vandiejen(p: VDParams, eta) -> VDLax:
+def lax_vandiejen(p: VDParams, eta) -> LaxPair:
+    """L = P Q; A is the restricted dual substitution minus H on the diagonal."""
     n = p.n
-    rs = p.rs
-    e1 = tuple(1 if i == 0 else 0 for i in range(n))
-    _o, _s, tbl = orbit_stabilizer(rs, e1)
-    xi = p.xi_spec(eta)
-    pspec = p.with_xi(xi)
-    Y1 = y1_vd(pspec)
-    P = vd_p_matrix(p, eta)
-    Q = vd_q_matrix(p, eta)
+    _o, _s, tbl = orbit_stabilizer(p.rs, ext_coord(n, 0))
     H = vd_hamiltonian(p)
-    sub = vd_dual_substituted(p, xi)
-    Amat = sub.restrict(tbl) - OperatorMatrix.diagonal(H, 2 * n)
-    return VDLax(params=p, eta=eta, tbl=tbl, P=P, Q=Q, L=P * Q, H=H, A=Amat, Y1=Y1)
+    A = (vd_dual_substituted(p, p.xi_spec(eta)).restrict(tbl)
+         - OperatorMatrix.diagonal(H, 2 * n))
+    return LaxPair(tbl, vd_p_matrix(p, eta) * vd_q_matrix(p, eta), A, H)
 
 
 # -- dual substitution for reduced systems -----------------------------------
@@ -837,8 +708,8 @@ def r_matrix_classical(params: EllRParams, ar: AffineRoot, unitary=False) -> WOp
     n = params.rs.dim
     m = params.m_alpha(ar.alpha)
     mu = dyn_pairing(params, ar.alpha)
-    f1 = _sig_form(m, ar.alpha, params.tau)
-    f2 = _sig_form(mu, ar.alpha, params.tau)
+    f1 = sigma_form(m, ar.alpha, params.tau)
+    f2 = sigma_form(mu, ar.alpha, params.tau)
     s_aff = affine_reflection(ar)
     op = WOp(n, 0.0, {(SignedPerm.identity(n), (0,) * n): f1,
                       (s_aff.w, s_aff.lam): -f2})
@@ -918,26 +789,6 @@ def dual_factor_identity_residual(params: EllRParams, xi, probes, points):
     return worst
 
 
-def classical_symbol_parts(op: WOp, zpoint, beta=1.0):
-    """(identity-component value, worst off-identity magnitude) at (x, p)."""
-    n = op.n
-    x, p = zpoint[:n], zpoint[n:]
-    from .dual import value as _val
-    ident = 0j
-    worst = 0.0
-    comps = {}
-    for (w, lam), h in op.terms.items():
-        wl = w.apply_vec(lam)
-        zval = _val(h(x)) * cmath.exp(beta * sum(pi * li for pi, li in zip(p, wl)))
-        comps[w] = comps.get(w, 0j) + zval
-    for w, v in comps.items():
-        if w.is_identity():
-            ident = v
-        else:
-            worst = max(worst, abs(v))
-    return ident, worst
-
-
 # -- classical van Diejen -----------------------------------------------------
 
 def vd_classical_fields(p: VDParams, eta):
@@ -978,13 +829,6 @@ def _theta1_val(z, tau):
     return theta(1, z, tau)
 
 
-def _eform_pair(i, j, n, sign):
-    out = [0] * n
-    out[i] = 1
-    out[j] = sign
-    return tuple(out)
-
-
 def residue_conditions(p: VDParams, classical=False, dists=(1e-2, 1e-3), rng=None,
                        max_exponent=0.1):
     """Growth-exponent report for the residue conditions on L^{e_1}.
@@ -1005,7 +849,7 @@ def residue_conditions(p: VDParams, classical=False, dists=(1e-2, 1e-3), rng=Non
     zero = Const(0j)
     lam_rs = [2j * cmath.pi * br * (p.nu + p.nub + (n - 1) * p.mu)
               for br in (0, 0, 1, 1)]
-    oms = (0j, 0.5 + 0j, (1 + tau) / 2, tau / 2)
+    oms = half_periods(tau)
 
     def a_of(lam):
         return coeffs.get(tuple(lam), zero)
@@ -1034,9 +878,9 @@ def residue_conditions(p: VDParams, classical=False, dists=(1e-2, 1e-3), rng=Non
                 vals.append(x[i] - 0.5)
             for i in range(n):
                 for j in range(i + 1, n):
-                    if tuple(alpha) != _eform_pair(i, j, n, -1):
+                    if tuple(alpha) != ext_form(n, i, j, -1):
                         vals.append(x[i] - x[j])
-                    if tuple(alpha) != _eform_pair(i, j, n, +1):
+                    if tuple(alpha) != ext_form(n, i, j, +1):
                         vals.append(x[i] + x[j])
             sc = min((abs(v) for v in vals), default=1.0)
             if sc > score:
@@ -1143,12 +987,12 @@ def residue_control_failure(p: VDParams, rng=None, dists=(1e-2, 1e-3)):
     rng = rng or _random.Random(11)
     coeffs = vd_coefficient_fields(p, classical=True)
     n = p.n
-    alpha = tuple(2 if i == 0 else 0 for i in range(n))
+    alpha = ext_form(n, 0, 0, 1)  # 2 e_1
     av = p.rs.coroot(alpha)
     plus = tuple(av)
     minus = tuple(-v for v in av)
     ap, a0, am = coeffs[plus], coeffs[(0,) * n], coeffs[minus]
-    oms = (0j, 0.5 + 0j, (1 + p.tau) / 2, p.tau / 2)
+    oms = half_periods(p.tau)
 
     def q(x):
         return ap(x) + a0(x) + am(x)

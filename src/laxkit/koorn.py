@@ -14,9 +14,11 @@ import cmath
 from dataclasses import dataclass
 
 from .fields import Const, Field, LinArg, nsum
-from .opcore import OperatorMatrix, WOp
+from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
+                     hecke_inverse, lax_pair)
 from .special import trig_ab, u_fun, ut_fun
-from .weyl import SignedPerm, build_root_system, orbit_stabilizer
+from .weyl import (SignedPerm, build_root_system, ext_coord, ext_form,
+                   orbit_stabilizer, same_coord)
 
 
 @dataclass
@@ -38,67 +40,35 @@ class CCnParams:
         return [self.tau0] + [self.tau] * (self.n - 1) + [self.taun]
 
 
-def ext_coeffs(idx, n):
-    """Coefficient vector of the extended coordinate x_idx (1-based,
-    x_{n+i} = -x_i)."""
-    out = [0.0] * n
-    if idx <= n:
-        out[idx - 1] = 1.0
-    else:
-        out[idx - n - 1] = -1.0
-    return tuple(out)
-
-
-def ext_sum(i, j, n, si=1.0, sj=1.0):
-    a = ext_coeffs(i, n)
-    b = ext_coeffs(j, n)
-    return tuple(si * u + sj * v for u, v in zip(a, b))
-
-
-def _kernel(fn, form, const=0j):
-    return LinArg(fn, form, const)
-
-
-def a_ext(p: CCnParams, i, j) -> Field:
-    """a(x_i - x_j) in extended indices."""
+def _hecke_kernel(p, k, i, j, sign):
     tau = p.tau
-    return _kernel(lambda z: trig_ab(z, tau)[0], ext_sum(i, j, p.n, 1.0, -1.0))
+    return LinArg(lambda z: trig_ab(z, tau)[k], ext_form(p.n, i - 1, j - 1, sign))
 
 
-def b_ext(p: CCnParams, i, j) -> Field:
-    tau = p.tau
-    return _kernel(lambda z: trig_ab(z, tau)[1], ext_sum(i, j, p.n, 1.0, -1.0))
+def a_ext(p: CCnParams, i, j, sign=-1) -> Field:
+    """a(x_i + sign * x_j) in extended indices (1-based, x_{n+i} = -x_i)."""
+    return _hecke_kernel(p, 0, i, j, sign)
 
 
-def a_plus(p, i, j) -> Field:
-    tau = p.tau
-    return _kernel(lambda z: trig_ab(z, tau)[0], ext_sum(i, j, p.n, 1.0, 1.0))
+def b_ext(p: CCnParams, i, j, sign=-1) -> Field:
+    """b(x_i + sign * x_j) in extended indices (1-based, x_{n+i} = -x_i)."""
+    return _hecke_kernel(p, 1, i, j, sign)
 
 
-def b_plus(p, i, j) -> Field:
-    tau = p.tau
-    return _kernel(lambda z: trig_ab(z, tau)[1], ext_sum(i, j, p.n, 1.0, 1.0))
-
-
-def a_mm(p, i, j) -> Field:
-    """a(-x_i - x_j)."""
-    tau = p.tau
-    return _kernel(lambda z: trig_ab(z, tau)[0], ext_sum(i, j, p.n, -1.0, -1.0))
-
-
-def u_ext(p, i, q_level=0) -> Field:
-    """u(x_i) (even kernel) or u~(x_i) (odd kernel) in extended indices."""
+def u_ext(p, i, q_level=0, classical=False) -> Field:
+    """u(x_i) (even kernel) or u~(x_i) (odd kernel; q = 1 when classical) in
+    extended indices."""
+    form = ext_coord(p.n, i - 1)
     if q_level == 0:
         tn, tnv = p.taun, p.taunv
-        return _kernel(lambda z: u_fun(z, tn, tnv), ext_coeffs(i, p.n))
-    t0, t0v, q = p.tau0, p.tau0v, p.q
-    return _kernel(lambda z: ut_fun(z, t0, t0v, q), ext_coeffs(i, p.n))
+        return LinArg(lambda z: u_fun(z, tn, tnv), form)
+    t0, t0v, q = p.tau0, p.tau0v, (1.0 if classical else p.q)
+    return LinArg(lambda z: ut_fun(z, t0, t0v, q), form)
 
 
-def v_ext(p, i, q_level=0) -> Field:
-    if q_level == 0:
-        return nsum([Const(p.taun + 0j), -u_ext(p, i, 0)])
-    return nsum([Const(p.tau0 + 0j), -u_ext(p, i, 1)])
+def v_ext(p, i, q_level=0, classical=False) -> Field:
+    tau_i = p.taun if q_level == 0 else p.tau0
+    return nsum([Const(tau_i + 0j), -u_ext(p, i, q_level, classical)])
 
 
 # -- Noumi generators ----------------------------------------------------
@@ -107,37 +77,22 @@ def noumi_rep(p: CCnParams, classical=False):
     """Realized T_0 .. T_n; T_i = tau_i + c_{a_i}(s_i - 1)."""
     n = p.n
     c = 0.0 if classical else p.c
-    q = 1.0 if classical else p.q
-    gens = []
     # T_0: a_0 = delta - 2 e_1, s_0 = (s_1, e_1), kernel u~(-x_1)
-    t0, t0v = p.tau0, p.tau0v
-    ker0 = _kernel(lambda z: ut_fun(z, t0, t0v, q),
-                   tuple(-1.0 if k == 0 else 0.0 for k in range(n)))
-    e1 = tuple(1 if k == 0 else 0 for k in range(n))
-    gens.append(WOp(n, c, {(SignedPerm.identity(n), (0,) * n): nsum([Const(p.tau0 + 0j), -ker0]),
-                           (SignedPerm.sign_flip(n, 0), e1): ker0}))
-    tau = p.tau
+    gens = [hecke_generator(n, c, p.tau0, u_ext(p, n + 1, 1, classical),
+                            SignedPerm.sign_flip(n, 0), ext_coord(n, 0))]
     for i in range(1, n):
-        ker = _kernel(lambda z: trig_ab(z, tau)[0], ext_sum(i, i + 1, n, 1.0, -1.0))
-        gens.append(WOp(n, c, {(SignedPerm.identity(n), (0,) * n): nsum([Const(tau + 0j), -ker]),
-                               (SignedPerm.transposition(n, i - 1, i), (0,) * n): ker}))
-    tn, tnv = p.taun, p.taunv
-    kern = _kernel(lambda z: u_fun(z, tn, tnv),
-                   tuple(1.0 if k == n - 1 else 0.0 for k in range(n)))
-    gens.append(WOp(n, c, {(SignedPerm.identity(n), (0,) * n): nsum([Const(p.taun + 0j), -kern]),
-                           (SignedPerm.sign_flip(n, n - 1), (0,) * n): kern}))
+        gens.append(hecke_generator(n, c, p.tau, a_ext(p, i, i + 1),
+                                    SignedPerm.transposition(n, i - 1, i)))
+    gens.append(hecke_generator(n, c, p.taun, u_ext(p, n, 0),
+                                SignedPerm.sign_flip(n, n - 1)))
     return gens
-
-
-def hecke_inv(T: WOp, tau_i) -> WOp:
-    return T - WOp.from_scalar(T.n, T.c, tau_i - 1.0 / tau_i)
 
 
 def y_operator(p: CCnParams, i, classical=False) -> WOp:
     """Y_i = T_i ... T_{n-1} T_n T_{n-1} ... T_1 T_0 T_1^{-1} ... T_{i-1}^{-1}."""
     n = p.n
     Ts = noumi_rep(p, classical=classical)
-    taus = [p.tau0] + [p.tau] * (n - 1) + [p.taun]
+    taus = p.taus()
     out = None
     for k in range(i, n):
         out = Ts[k] if out is None else out * Ts[k]
@@ -146,14 +101,14 @@ def y_operator(p: CCnParams, i, classical=False) -> WOp:
         out = out * Ts[k]
     out = out * Ts[0]
     for k in range(1, i):
-        out = out * hecke_inv(Ts[k], taus[k])
+        out = out * hecke_inverse(Ts[k], taus[k])
     return out
 
 
 def y_inverse(p: CCnParams, i, classical=False) -> WOp:
     n = p.n
     Ts = noumi_rep(p, classical=classical)
-    taus = [p.tau0] + [p.tau] * (n - 1) + [p.taun]
+    taus = p.taus()
     factors = []
     for k in range(i, n):
         factors.append((k, False))
@@ -165,55 +120,55 @@ def y_inverse(p: CCnParams, i, classical=False) -> WOp:
         factors.append((k, True))
     out = None
     for k, inverted in reversed(factors):
-        op = hecke_inv(Ts[k], taus[k]) if not inverted else Ts[k]
+        op = hecke_inverse(Ts[k], taus[k]) if not inverted else Ts[k]
         out = op if out is None else out * op
     return out
 
 
 # -- R-matrix product form of Y_1 ----------------------------------------
 
-def r_diff(p, i, j, classical=False) -> WOp:
+def r_diff(p, i, j) -> WOp:
     n = p.n
-    c = 0.0 if classical else p.c
-    return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): a_ext(p, i, j),
-                      (SignedPerm.transposition(n, i - 1, j - 1), (0,) * n): b_ext(p, i, j)})
+    return WOp(n, p.c, {(SignedPerm.identity(n), (0,) * n): a_ext(p, i, j),
+                        (SignedPerm.transposition(n, i - 1, j - 1), (0,) * n): b_ext(p, i, j)})
 
 
-def r_sum(p, i, j, classical=False) -> WOp:
+def r_sum(p, i, j) -> WOp:
     n = p.n
-    c = 0.0 if classical else p.c
-    return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): a_plus(p, i, j),
-                      (SignedPerm.neg_transposition(n, i - 1, j - 1), (0,) * n): b_plus(p, i, j)})
+    return WOp(n, p.c, {(SignedPerm.identity(n), (0,) * n): a_ext(p, i, j, 1),
+                        (SignedPerm.neg_transposition(n, i - 1, j - 1), (0,) * n): b_ext(p, i, j, 1)})
 
 
-def r_two_e1(p, classical=False) -> WOp:
+def r_two_e1(p) -> WOp:
     n = p.n
-    c = 0.0 if classical else p.c
-    return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): u_ext(p, 1, 0),
-                      (SignedPerm.sign_flip(n, 0), (0,) * n): v_ext(p, 1, 0)})
+    return WOp(n, p.c, {(SignedPerm.identity(n), (0,) * n): u_ext(p, 1, 0),
+                        (SignedPerm.sign_flip(n, 0), (0,) * n): v_ext(p, 1, 0)})
 
 
-def r_odd_shift(p, classical=False) -> WOp:
+def r_odd_shift(p) -> WOp:
     """R(delta + 2 e_1) t(e_1) = u~_1 t(e_1) + v~_1 s_1."""
     n = p.n
-    c = 0.0 if classical else p.c
-    e1 = tuple(1 if k == 0 else 0 for k in range(n))
-    return WOp(n, c, {(SignedPerm.identity(n), e1): u_ext(p, 1, 1),
-                      (SignedPerm.sign_flip(n, 0), (0,) * n): v_ext(p, 1, 1)})
+    return WOp(n, p.c, {(SignedPerm.identity(n), ext_coord(n, 0)): u_ext(p, 1, 1),
+                        (SignedPerm.sign_flip(n, 0), (0,) * n): v_ext(p, 1, 1)})
 
 
-def y1_product(p: CCnParams, classical=False) -> WOp:
-    """Y_1 = R_{12}...R_{1n} R(2e_1) R^+_{1n}...R^+_{12} R(delta+2e_1) t(e_1)."""
+def middle_product(p: CCnParams) -> WOp:
+    """R_{12}...R_{1n} R(2e_1) R^+_{1n}...R^+_{12} (the first three factors)."""
     n = p.n
     out = None
     for j in range(2, n + 1):
-        R = r_diff(p, 1, j, classical=classical)
+        R = r_diff(p, 1, j)
         out = R if out is None else out * R
-    R2 = r_two_e1(p, classical=classical)
+    R2 = r_two_e1(p)
     out = R2 if out is None else out * R2
     for j in range(n, 1, -1):
-        out = out * r_sum(p, 1, j, classical=classical)
-    return out * r_odd_shift(p, classical=classical)
+        out = out * r_sum(p, 1, j)
+    return out
+
+
+def y1_product(p: CCnParams) -> WOp:
+    """Y_1 = R_{12}...R_{1n} R(2e_1) R^+_{1n}...R^+_{12} R(delta+2e_1) t(e_1)."""
+    return middle_product(p) * r_odd_shift(p)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -223,15 +178,15 @@ def abcd_coeffs(p: CCnParams):
     n = p.n
     A = u_ext(p, 1, 0)
     for l in range(2, n + 1):
-        A = A * a_ext(p, 1, l) * a_plus(p, 1, l)
+        A = A * a_ext(p, 1, l) * a_ext(p, 1, l, 1)
     Cs, Ds = {}, {}
     for i in range(2, n + 1):
-        C = u_ext(p, i, 0) * b_ext(p, 1, i) * a_plus(p, 1, i)
-        D = u_ext(p, n + i, 0) * b_plus(p, 1, i) * a_ext(p, 1, i)
+        C = u_ext(p, i, 0) * b_ext(p, 1, i) * a_ext(p, 1, i, 1)
+        D = u_ext(p, n + i, 0) * b_ext(p, 1, i, 1) * a_ext(p, 1, i)
         for l in range(2, n + 1):
             if l != i:
-                C = C * a_ext(p, i, l) * a_plus(p, i, l)
-                D = D * a_mm(p, l, i) * a_ext(p, l, i)
+                C = C * a_ext(p, i, l) * a_ext(p, i, l, 1)
+                D = D * a_ext(p, n + l, i) * a_ext(p, l, i)
         Cs[i] = C
         Ds[i] = D
     const = (p.tau ** (2 * n - 2)) * p.taun
@@ -252,29 +207,6 @@ def abcd_operator(p: CCnParams) -> WOp:
     return op
 
 
-def middle_product(p: CCnParams) -> WOp:
-    """R_{12}...R_{1n} R(2e_1) R^+_{1n}...R^+_{12} (the first three factors)."""
-    n = p.n
-    out = None
-    for j in range(2, n + 1):
-        R = r_diff(p, 1, j)
-        out = R if out is None else out * R
-    R2 = r_two_e1(p)
-    out = R2 if out is None else out * R2
-    for j in range(n, 1, -1):
-        out = out * r_sum(p, 1, j)
-    return out
-
-
-def _excluded(l, i, j, n):
-    return (l - i) % (2 * n) in (0, n) or (l - j) % (2 * n) in (0, n)
-
-
-def excluded_indices(i, j, n):
-    """The l in 1..2n dropped by the primed product of the P-matrix."""
-    return [l for l in range(1, 2 * n + 1) if _excluded(l, i, j, n)]
-
-
 def p_matrix(p: CCnParams, classical=False) -> OperatorMatrix:
     """The 2n x 2n matrix P of Prop. (lmct) entry formulas."""
     n = p.n
@@ -284,15 +216,16 @@ def p_matrix(p: CCnParams, classical=False) -> OperatorMatrix:
     for i in range(1, m + 1):
         row = []
         for j in range(1, m + 1):
-            if (i - j) % m in (0, n) and i != j:
+            if same_coord(n, i, j) and i != j:
                 row.append(None)  # constraint column, filled after
                 continue
             if i == j:
                 f = u_ext(p, i, 0)
             else:
-                f = u_ext(p, j, 0) * b_ext(p, i, j) * a_plus(p, i, j)
+                f = u_ext(p, j, 0) * b_ext(p, i, j) * a_ext(p, i, j, 1)
+            # the primed product drops l = +-i and l = +-j
             for l in range(1, m + 1):
-                if not _excluded(l, i, j, n):
+                if not (same_coord(n, l, i) or same_coord(n, l, j)):
                     f = f * a_ext(p, j, l)
             row.append(WOp.from_field(n, c, f))
         rows.append(row)
@@ -313,54 +246,23 @@ def q_matrix(p: CCnParams, classical=False) -> OperatorMatrix:
     n = p.n
     m = 2 * n
     c = 0.0 if classical else p.c
-    qlev = 1
     rows = []
     for i in range(1, m + 1):
         row = []
-        lam = ext_coeffs(i, n)
-        lam = tuple(int(v) for v in lam)
         for j in range(1, m + 1):
             if i == j:
-                if classical:
-                    row.append(WOp(n, c, {(SignedPerm.identity(n), lam):
-                                          _uclassical(p, i)}))
-                else:
-                    row.append(WOp(n, c, {(SignedPerm.identity(n), lam):
-                                          u_ext(p, i, qlev)}))
+                row.append(WOp(n, c, {(SignedPerm.identity(n), ext_coord(n, i - 1)):
+                                      u_ext(p, i, 1, classical)}))
             elif (i - j) % m == n:
-                f = _vclassical(p, i) if classical else v_ext(p, i, qlev)
-                row.append(WOp.from_field(n, c, f))
+                row.append(WOp.from_field(n, c, v_ext(p, i, 1, classical)))
             else:
                 row.append(WOp.zero(n, c))
         rows.append(row)
     return OperatorMatrix(rows)
 
 
-def _uclassical(p, i):
-    t0, t0v = p.tau0, p.tau0v
-    return _kernel(lambda z: ut_fun(z, t0, t0v, 1.0), ext_coeffs(i, p.n))
-
-
-def _vclassical(p, i):
-    return nsum([Const(p.tau0 + 0j), -_uclassical(p, i)])
-
-
-@dataclass
-class KoornLax:
-    params: CCnParams
-    tbl: object
-    P: OperatorMatrix
-    Q: OperatorMatrix
-    L: OperatorMatrix
-    H: WOp
-    A: OperatorMatrix
-    Y1: WOp
-
-
 def koornwinder_table(p: CCnParams):
-    rs = build_root_system("C", p.n)
-    e1 = tuple(1 if i == 0 else 0 for i in range(p.n))
-    _o, _s, tbl = orbit_stabilizer(rs, e1)
+    _o, _s, tbl = orbit_stabilizer(build_root_system("C", p.n), ext_coord(p.n, 0))
     return tbl
 
 
@@ -373,49 +275,29 @@ def koornwinder_hamiltonian(p: CCnParams, classical=False) -> WOp:
     return total.collapse(), total
 
 
-def koornwinder_lax(p: CCnParams) -> KoornLax:
-    tbl = koornwinder_table(p)
-    Y1 = y1_product(p)
-    P = p_matrix(p)
-    Q = q_matrix(p)
+def koornwinder_lax(p: CCnParams) -> LaxPair:
+    """L = P Q, the restriction of Y_1; A from f(Y) = sum_i (Y_i + Y_i^{-1})."""
     H, fY = koornwinder_hamiltonian(p)
-    Ahat = fY - H
-    return KoornLax(params=p, tbl=tbl, P=P, Q=Q, L=P * Q, H=H,
-                    A=Ahat.restrict(tbl), Y1=Y1)
+    return lax_pair(koornwinder_table(p), p_matrix(p) * q_matrix(p), fY, H)
 
 
 def phi_vector_ccn(p: CCnParams):
-    """phi_i = u_i^- prod_{l != i} a_{li} a^-_{li}; phi_{n+i} = u_i prod a^+_{li} a_{il}."""
+    """phi_i = u_i^- prod_{l != i} a_{li} a^-_{li}; phi_{n+i} = u_i prod a^+_{li} a_{il}:
+    the row weights of the integrals H_k = u L^k v (``opcore.integrals``)."""
     n = p.n
     out = []
     for i in range(1, n + 1):
         f = u_ext(p, n + i, 0)
         for l in range(1, n + 1):
             if l != i:
-                f = f * a_ext(p, l, i) * a_mm(p, l, i)
+                f = f * a_ext(p, l, i) * a_ext(p, n + l, i)
         out.append(f)
     for i in range(1, n + 1):
         f = u_ext(p, i, 0)
         for l in range(1, n + 1):
             if l != i:
-                f = f * a_plus(p, l, i) * a_ext(p, i, l)
+                f = f * a_ext(p, l, i, 1) * a_ext(p, i, l)
         out.append(f)
-    return out
-
-
-def integrals_ccn(lax: KoornLax, kmax=3):
-    phis = phi_vector_ccn(lax.params)
-    out = []
-    Lk = lax.L
-    for _k in range(1, kmax + 1):
-        acc = None
-        for i in range(Lk.m):
-            for j in range(Lk.m):
-                term = Lk.entries[i][j].mul_field_left(phis[i])
-                acc = term if acc is None else acc + term
-        out.append(acc)
-        if _k < kmax:
-            Lk = Lk * lax.L
     return out
 
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 from .dual import value
-from .fields import (Affine, Const, Deriv, Field, XLift, as_field, exp_lin,
-                     nsum, symmetrized)
+from .fields import (Const, Deriv, Field, XLift, as_field, exp_lin, nsum,
+                     symmetrized)
 from .weyl import SignedPerm
 
 
@@ -112,10 +113,6 @@ class WOp:
     @staticmethod
     def translation(n, c, lam, coeff=1.0):
         return WOp(n, c, {(SignedPerm.identity(n), tuple(lam)): as_field(coeff)})
-
-    @staticmethod
-    def from_affine(n, c, w: SignedPerm, lam, coeff=1.0):
-        return WOp(n, c, {(w, tuple(lam)): as_field(coeff)})
 
     # -- algebra -------------------------------------------------------
     def _check(self, other):
@@ -508,46 +505,6 @@ class DynOp:
             parts.append(h * F.o_affine(pmap, shift))
         return nsum(parts)
 
-    def to_wop(self, xi):
-        """Specialize the dynamical variables; requires trivial xi-action."""
-        out = WOp.zero(self.n, self.c)
-        xi = tuple(xi)
-        for (a, w, lam), h in self.terms.items():
-            if not a.is_identity():
-                raise FlavorError("cannot specialize xi: term acts on the xi block")
-            out._add_term((w, lam), _prefix_field(h, xi))
-        return out
-
-
-class _PrefixField(Field):
-    __slots__ = ("base", "prefix")
-
-    def __init__(self, base, prefix):
-        self.base = base
-        self.prefix = tuple(prefix)
-
-    def __call__(self, x):
-        return self.base(self.prefix + tuple(x))
-
-    def o_affine(self, w, v):
-        return _PrefixField(Affine(self.base, _extend_perm(w, len(self.prefix)),
-                                   ((0,) * len(self.prefix) + tuple(v)) if v is not None else None),
-                            self.prefix)
-
-
-def _extend_perm(w, offset):
-    if w is None:
-        return None
-    img = list(range(1, offset + 1))
-    for i in range(w.n):
-        j, s = w.basis_image(i)
-        img.append(s * (offset + j + 1))
-    return SignedPerm(img)
-
-
-def _prefix_field(f, prefix):
-    return _PrefixField(f, prefix)
-
 
 # -- module elements (oracle layer) ------------------------------------
 
@@ -676,9 +633,6 @@ class OperatorMatrix:
             out.append(row)
         return OperatorMatrix(out)
 
-    def commutator(self, other):
-        return self * other - other * self
-
     def power(self, k):
         assert k >= 1
         out = self
@@ -690,11 +644,56 @@ class OperatorMatrix:
         return [nsum([self.entries[i][j].apply_field(fields[j])
                       for j in range(self.m)]) for i in range(self.m)]
 
-    def trace_op(self):
+
+
+# -- Lax pairs -----------------------------------------------------------
+
+@dataclass
+class LaxPair:
+    """Quantum Lax pair on M' = e'M: L and A are |W/W'|-square matrices over
+    the coset table ``tbl``, and [L, H 1] = [A, L]."""
+
+    tbl: object
+    L: OperatorMatrix
+    A: OperatorMatrix
+    H: object
+
+
+def lax_pair(tbl, L, fY, H) -> LaxPair:
+    """The pair whose A is the restriction of the off-identity part fY - H of
+    an invariant combination f(Y) of Dunkl or Cherednik operators."""
+    return LaxPair(tbl, L, (fY - H).restrict(tbl), H)
+
+
+def integrals(L, kmax, weights=None):
+    """H_k = u L^k v for k = 1..kmax: the sum of all entries of L^k, row i
+    multiplied on the left by the field ``weights[i]`` when weights are given."""
+    out = []
+    Lk = L
+    for k in range(1, kmax + 1):
         acc = None
-        for i in range(self.m):
-            acc = self.entries[i][i] if acc is None else acc + self.entries[i][i]
-        return acc
+        for i in range(Lk.m):
+            for j in range(Lk.m):
+                term = Lk.entries[i][j]
+                if weights is not None:
+                    term = term.mul_field_left(weights[i])
+                acc = term if acc is None else acc + term
+        out.append(acc)
+        if k < kmax:
+            Lk = Lk * L
+    return out
+
+
+def hecke_generator(n, c, tau, kernel, s, lam=None) -> WOp:
+    """T = tau + kernel (s t(lam) - 1), the basic-representation form of a
+    Hecke generator whose root has the c-function ``kernel``."""
+    return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): nsum([Const(tau + 0j), -kernel]),
+                      (s, (0,) * n if lam is None else lam): kernel})
+
+
+def hecke_inverse(T: WOp, tau) -> WOp:
+    """T^-1 = T - (tau - 1/tau) for a generator with (T - tau)(T + 1/tau) = 0."""
+    return T - WOp.from_scalar(T.n, T.c, tau - 1.0 / tau)
 
 
 def check_wprime_invariance(op, tbl, probes, points, columns=None):
@@ -745,6 +744,22 @@ def classical_op_residual(op1: WOp, op2: WOp, zpoints, beta=1.0) -> float:
             b = op2.symbol_component(w, x, p, beta)
             worst = max(worst, residual_pair(a, b))
     return worst
+
+
+def symbol_parts(op, zpoint, scale=1.0):
+    """(identity component, worst off-identity magnitude) of the classical
+    symbol of ``op`` at the phase point (x, p); ``scale`` is the
+    ``symbol_component`` argument (beta of a WOp, t of a DiffOp)."""
+    n = op.n
+    x, p = zpoint[:n], zpoint[n:]
+    ident, worst = 0j, 0.0
+    for w in dict.fromkeys(w for (w, _k) in op.terms):
+        v = op.symbol_component(w, x, p, scale)
+        if w.is_identity():
+            ident = v
+        else:
+            worst = max(worst, abs(v))
+    return ident, worst
 
 
 def make_probes(n, count, rng, scale=1.0):

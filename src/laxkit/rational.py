@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Const, inv_form, linear_form, nsum
-from .opcore import DiffOp, OperatorMatrix
-from .weyl import RootSystemData, SignedPerm, dot, orbit_stabilizer
+from .opcore import DiffOp, LaxPair, OperatorMatrix, lax_pair
+from .weyl import (RootSystemData, SignedPerm, dot, ext_coord, ext_form,
+                   orbit_stabilizer)
 
 
 @dataclass
@@ -29,12 +30,6 @@ class RationalDunklConfig:
         if dot(alpha, alpha) == 4 and self.rs.kind == "C":
             return self.c_long if self.c_long is not None else self.c_short
         return self.c_short
-
-    @staticmethod
-    def physical(rs, hbar, g, g_long=None):
-        """The substitution t = -i hbar, c = i g of the Schroedinger form."""
-        return RationalDunklConfig(rs, t=-1j * hbar, c_short=1j * g,
-                                   c_long=(1j * g_long) if g_long is not None else None)
 
 
 def dunkl(cfg: RationalDunklConfig, xi, classical=False) -> DiffOp:
@@ -58,11 +53,7 @@ def dunkl(cfg: RationalDunklConfig, xi, classical=False) -> DiffOp:
 
 def dunkl_basis(cfg, classical=False):
     n = cfg.rs.dim
-    basis = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        basis.append(dunkl(cfg, e, classical=classical))
-    return basis
+    return [dunkl(cfg, ext_coord(n, i), classical=classical) for i in range(n)]
 
 
 def power_sum(cfg, k, classical=False) -> DiffOp:
@@ -106,17 +97,7 @@ def cm_hamiltonian_explicit(cfg) -> DiffOp:
     return op + DiffOp.from_field(n, nsum(parts))
 
 
-@dataclass
-class RationalLax:
-    cfg: RationalDunklConfig
-    tbl: object
-    L: OperatorMatrix
-    A: OperatorMatrix
-    H: DiffOp
-    q_poly: tuple
-
-
-def lax_pair_rational(cfg, xi=None, poly=((0.5, 2),), probes=None, points=None):
+def lax_pair_rational(cfg, xi=None, poly=((0.5, 2),)) -> LaxPair:
     """Quantum Lax pair (L, A, H) of size |W/W'| for the stabilizer of xi.
 
     The default q = xi^2/2 gives H = L_{xi^2}/2 and the textbook-normalized
@@ -124,20 +105,11 @@ def lax_pair_rational(cfg, xi=None, poly=((0.5, 2),), probes=None, points=None):
     harness.
     """
     rs = cfg.rs
-    n = rs.dim
     if xi is None:
-        xi = tuple(1 if i == 0 else 0 for i in range(n))
+        xi = ext_coord(rs.dim, 0)
     _orbit, _stab, tbl = orbit_stabilizer(rs, xi)
-    y_xi = dunkl(cfg, xi)
-    _qy, L_q, A_hat = cm_split(cfg, poly)
-    Lmat = y_xi.restrict(tbl) if probes is None else _checked_restrict(y_xi, tbl, probes, points)
-    Amat = A_hat.restrict(tbl) if probes is None else _checked_restrict(A_hat, tbl, probes, points)
-    return RationalLax(cfg=cfg, tbl=tbl, L=Lmat, A=Amat, H=L_q, q_poly=tuple(poly))
-
-
-def _checked_restrict(op, tbl, probes, points):
-    from .opcore import restrict_to_matrix
-    return restrict_to_matrix(op, tbl, probes=probes, points=points)
+    qy, L_q, _A_hat = cm_split(cfg, poly)
+    return lax_pair(tbl, dunkl(cfg, xi).restrict(tbl), qy, L_q)
 
 
 def qlp_reference_matrices(cfg, tbl):
@@ -157,15 +129,11 @@ def qlp_reference_matrices(cfg, tbl):
                 diag_parts = []
                 for j in range(m):
                     if j != k:
-                        form = tuple((1 if i == j else 0) - (1 if i == k else 0)
-                                     for i in range(n))
-                        iv = inv_form(form, name="x_j - x_k")
+                        iv = inv_form(ext_form(n, j, k), name="x_j - x_k")
                         diag_parts.append((c * t) * (iv * iv))
                 Arow.append(DiffOp.from_field(n, nsum(diag_parts)))
             else:
-                form = tuple((1 if i == k else 0) - (1 if i == l else 0)
-                             for i in range(n))
-                iv = inv_form(form, name="x_k - x_l")
+                iv = inv_form(ext_form(n, k, l), name="x_k - x_l")
                 Lrow.append(DiffOp.from_field(n, c * iv))
                 Arow.append(DiffOp.from_field(n, (-c * t) * (iv * iv)))
         Lrows.append(Lrow)
@@ -173,31 +141,16 @@ def qlp_reference_matrices(cfg, tbl):
     return OperatorMatrix(Lrows), OperatorMatrix(Arows)
 
 
-def integrals_rational(lax: RationalLax, kmax=3):
-    """H_k = w L^k v (sum of all entries of L^k), k = 1..kmax."""
-    out = []
-    Lk = lax.L
-    for _k in range(1, kmax + 1):
-        acc = None
-        for i in range(Lk.m):
-            for j in range(Lk.m):
-                acc = Lk.entries[i][j] if acc is None else acc + Lk.entries[i][j]
-        out.append(acc)
-        if _k < kmax:
-            Lk = Lk * lax.L
-    return out
-
-
 def position_matrix(cfg, tbl):
     """Restriction of multiplication by x_1: diag(x_1, ..., x_n) in type A."""
     n = cfg.rs.dim
-    x1 = DiffOp.from_field(n, linear_form(tuple(1 if i == 0 else 0 for i in range(n))))
+    x1 = DiffOp.from_field(n, linear_form(ext_coord(n, 0)))
     return x1.restrict(tbl)
 
 
 def kks_matrices(cfg, tbl):
     """Both sides of X L - L X + (c + t) 1 = c * ones (type A, xi = e_1)."""
-    y1 = dunkl(cfg, tuple(1 if i == 0 else 0 for i in range(cfg.rs.dim)))
+    y1 = dunkl(cfg, ext_coord(cfg.rs.dim, 0))
     Lmat = y1.restrict(tbl)
     Xmat = position_matrix(cfg, tbl)
     n = cfg.rs.dim
@@ -219,7 +172,7 @@ def classical_lax(cfg, xi=None):
     rs = cfg.rs
     n = rs.dim
     if xi is None:
-        xi = tuple(1 if i == 0 else 0 for i in range(n))
+        xi = ext_coord(n, 0)
     _o, _s, tbl = orbit_stabilizer(rs, xi)
     yc = dunkl(cfg, xi, classical=True)
     Lmat = yc.restrict(tbl)

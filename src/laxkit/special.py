@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .dual import Dual, d_cos, d_exp, d_sin, directional, extract, value
-from .fields import PoleError
+from .fields import LinArg, PoleError
 
 MIN_IM_TAU = 0.05
 THETA_RTOL = 1e-16
@@ -41,9 +41,6 @@ class EllipticParams:
     @property
     def nome(self):
         return cmath.exp(1j * cmath.pi * self.tau)
-
-    def half_periods(self):
-        return (0j, 0.5 + 0j, (1 + self.tau) / 2, self.tau / 2)
 
 
 REGIMES = ("rational", "trig", "trig-CvC", "elliptic-A", "elliptic-CM",
@@ -109,10 +106,6 @@ def _tdata(tau) -> _ThetaData:
 
 _value_cache: dict = {}
 _VALUE_CACHE_CAP = 400000
-
-
-def clear_value_cache():
-    _value_cache.clear()
 
 
 def theta(r, z, tau):
@@ -209,6 +202,21 @@ def sigma(mu, z, tau):
     return num / den
 
 
+def half_periods(tau):
+    """The half periods 0, 1/2, (1 + tau)/2, tau/2 of the lattice Z + tau Z."""
+    return (0j, 0.5 + 0j, (1 + tau) / 2, tau / 2)
+
+
+def sigma_form(mu, form, tau, const=0j):
+    """The field sigma_mu(<form, x> + const)."""
+    return LinArg(lambda z: sigma(mu, z, tau), form, const)
+
+
+def sigma_dz_form(mu, form, tau, const=0j):
+    """The field sigma_mu'(<form, x> + const)."""
+    return LinArg(lambda z: sigma_dz(mu, z, tau), form, const)
+
+
 def sigma_r(r, mu, z, tau):
     """sigma^r_mu(z) with theta_{r+1} in place of theta_1 (theta_4 = theta_0)."""
     idx = r + 1
@@ -233,11 +241,6 @@ def wp(z, tau):
     f, fp, fpp = t0.val.val, t0.val.eps, t0.eps.eps
     _guard("theta1(z)", f, theta_scale(1, tau))
     return -(fpp * f - fp * fp) / (f * f) + td.wp_const
-
-
-def wp_dz(z, tau):
-    fn = lambda pt: wp(pt[0], tau)
-    return directional(fn, (z,), [(1.0,)])
 
 
 def v_func(mu, z, g, tau):
@@ -371,9 +374,3 @@ def sigma_trig(mu, z):
     """Im tau -> infinity limit shape: pi (cot(pi z) - cot(pi mu))."""
     return cmath.pi * (cmath.cos(cmath.pi * z) / cmath.sin(cmath.pi * z)
                        - cmath.cos(cmath.pi * mu) / cmath.sin(cmath.pi * mu))
-
-
-def wp_trig(z):
-    """Trigonometric degeneration shape pi^2/sin^2(pi z) (up to a constant)."""
-    s = cmath.sin(cmath.pi * z)
-    return (cmath.pi / s) ** 2

@@ -11,7 +11,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from .opcore import OperatorMatrix, WOp, make_probes, symmetric_probe
+from .opcore import (OperatorMatrix, WOp, integrals, make_probes,
+                     symmetric_probe)
 from .verify import (PointPolicy, residual_evalfn, rng_for, run_check,
                      scalar_check)
 from .weyl import build_root_system, weyl_enumerate
@@ -35,8 +36,9 @@ class RunConfig:
     def __post_init__(self):
         if self.system not in KNOWN_SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}; known: {KNOWN_SYSTEMS}")
-        if self.rank < 1:
-            raise ConfigError("rank must be >= 1")
+        min_rank = SYSTEMS[self.system].min_rank
+        if self.rank < min_rank:
+            raise ConfigError(f"rank must be >= {min_rank} for system {self.system!r}")
         if self.suite != "default":
             raise ConfigError(f"unknown suite {self.suite!r}; known: ('default',)")
 
@@ -86,9 +88,9 @@ def suite_rational(config: RunConfig, kind):
     rng = rng_for(config.seed, "dunkl-comm")
     probes = make_probes(n, 4, rng)
     ys = rat.dunkl_basis(cfg)
-    comm = ys[0] * ys[1] - ys[1] * ys[0]
     out.append(run_check("dunkl-commutativity", 1e-9,
-                         residual_evalfn(comm, None, probes), rng, policy))
+                         residual_evalfn(ys[0] * ys[1], ys[1] * ys[0], probes),
+                         rng, policy))
     rng = rng_for(config.seed, "cmo")
     probes = make_probes(n, 3, rng)
     _qy, L_q, A_hat = rat.cm_split(cfg)
@@ -116,10 +118,10 @@ def suite_rational(config: RunConfig, kind):
                              residual_evalfn(lhs, rhs, probes), rng, policy))
     rng = rng_for(config.seed, "integrals")
     probes = make_probes(n, 2, rng)
-    ints = rat.integrals_rational(lax, kmax=2)
-    comm2 = lax.H * ints[1] - ints[1] * lax.H
+    ints = integrals(lax.L, 2)
     out.append(run_check("integrals-commute", 1e-8,
-                         residual_evalfn(comm2, None, probes), rng, policy))
+                         residual_evalfn(ints[1] * lax.H, lax.H * ints[1], probes),
+                         rng, policy))
     return out
 
 
@@ -152,7 +154,7 @@ def suite_trig(config: RunConfig):
     out.append(_lax_check("lax-equation", Lm, lax.A, lax.H, probes, rng, policy, 1e-9))
     rng = rng_for(config.seed, "integrals")
     probes = make_probes(n, 2, rng)
-    ints = trig.integrals_trig(lax, kmax=2)
+    ints = integrals(lax.L, 2, trig.phi_vector(cfg))
     out.append(run_check("integrals-commute", 1e-8,
                          residual_evalfn(ints[1] * lax.H, lax.H * ints[1], probes),
                          rng, policy))
@@ -179,14 +181,14 @@ def suite_koorn(config: RunConfig):
     rng = rng_for(config.seed, "lax")
     probes = make_probes(n, 2, rng)
     lax = koorn.koornwinder_lax(pp)
-    Y1res = lax.Y1.restrict(lax.tbl)
+    Y1res = koorn.y1_product(pp).restrict(lax.tbl)
     out.append(run_check("PQ-matches-restriction", 1e-8,
                          residual_evalfn(lax.L, Y1res, probes), rng, policy))
     Lm = _perturb_matrix(lax.L, config.perturb)
     out.append(_lax_check("lax-equation", Lm, lax.A, lax.H, probes, rng, policy, 1e-8))
     rng = rng_for(config.seed, "integrals")
     probes = make_probes(n, 2, rng)
-    ints = koorn.integrals_ccn(lax, kmax=1)
+    ints = integrals(lax.L, 1, koorn.phi_vector_ccn(pp))
     out.append(run_check("integrals-commute", 1e-8,
                          residual_evalfn(ints[0] * lax.H, lax.H * ints[0], probes),
                          rng, policy, npoints=5))
@@ -248,12 +250,13 @@ def suite_ruijsenaars(config: RunConfig):
     rng = rng_for(config.seed, "lax")
     probes = make_probes(n, 2, rng)
     lax = ellrel.lax_elliptic_ruijsenaars(n, p["mu"], p["eta"], p["c"], p["tau"])
-    Ltab, Atab = ellrel.ruijsenaars_lax_tables(lax.params)
+    pg = ellrel.ruijsenaars_params(n, p["mu"], p["eta"], p["c"], p["tau"])
+    Ltab, Atab = ellrel.ruijsenaars_lax_tables(pg)
     out.append(run_check("L-matches-table", 1e-9,
                          residual_evalfn(lax.L, Ltab, probes), rng, policy,
                          npoints=4))
     out.append(run_check("nsel-closed-form", 1e-9,
-                         residual_evalfn(ellrel.nsel_closed_y1(lax.params).restrict(lax.tbl),
+                         residual_evalfn(ellrel.nsel_closed_y1(pg).restrict(lax.tbl),
                                             lax.L, probes), rng, policy, npoints=4))
     Lm = _perturb_matrix(lax.L, config.perturb)
     out.append(_lax_check("lax-equation", Lm, lax.A, lax.H, probes, rng, policy,
@@ -366,21 +369,23 @@ def classical_flow_setup(config: RunConfig):
 @dataclass(frozen=True)
 class System:
     """Registry entry: default parameters, the verification suite (a callable
-    on RunConfig) and, for systems with a classical flow, its set-up."""
+    on RunConfig), for systems with a classical flow its set-up, and the
+    smallest rank the suite and flow can run at."""
 
     defaults: dict
     suite: object
     flow: object = None
+    min_rank: int = 1
 
 
 SYSTEMS = {
     "rational-A": System({"t": -0.7j, "c": 1.3j},
                          lambda config: suite_rational(config, "A"),
-                         _flow_rational),
+                         _flow_rational, min_rank=2),
     "rational-C": System({"t": -0.7j, "c": 1.3j, "c_long": 0.9j},
-                         lambda config: suite_rational(config, "C")),
+                         lambda config: suite_rational(config, "C"), min_rank=2),
     "trig-gln": System({"tau": 1.4 + 0.2j, "c": 0.31 + 0.11j}, suite_trig,
-                       _flow_trig),
+                       _flow_trig, min_rank=2),
     "koornwinder": System({"tau0": 1.2 + 0.1j, "tau0v": 0.8 - 0.05j,
                            "taun": 1.5 + 0.2j, "taunv": 0.7 + 0.1j,
                            "tau": 1.3 - 0.15j, "c": 0.23 + 0.07j},
@@ -394,7 +399,7 @@ SYSTEMS = {
                          _flow_inozemtsev),
     "ell-ruijsenaars": System({"mu": 0.29 + 0.07j, "eta": 0.41 - 0.06j,
                                "c": 0.19 + 0.05j, "tau": 0.27 + 0.82j},
-                              suite_ruijsenaars),
+                              suite_ruijsenaars, min_rank=2),
     "vandiejen": System({"mu": 0.23 + 0.06j, "nu": 0.31 - 0.02j,
                          "nub": 0.27 + 0.05j,
                          "g": [0.8 + 0.1j, -0.4 + 0.2j, 0.6 - 0.1j, 0.3 + 0.15j],

@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Const, Field, LinArg, XLift, nsum
-from .opcore import WOp
+from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
+                     hecke_inverse, lax_pair)
 from .special import c_reduced, trig_ab
-from .weyl import (RootSystemData, SignedPerm, affine_reflection, dot,
-                   orbit_stabilizer, weyl_enumerate)
+from .weyl import (RootSystemData, SignedPerm, affine_reflection,
+                   build_root_system, dot, ext_coord, ext_form,
+                   orbit_stabilizer, reduced_word_finite, weyl_enumerate)
 
 
 @dataclass
@@ -32,19 +34,27 @@ class TrigGLConfig:
         return cmath.exp(self.c)
 
 
-def _eform(i, j, n):
-    """Coefficients of x_i - x_j (1-based indices)."""
-    return tuple((1 if k == i - 1 else 0) - (1 if k == j - 1 else 0) for k in range(n))
-
-
 def a_field(cfg, i, j, shift=0.0) -> Field:
+    """a(x_i - x_j + shift), 1-based i, j."""
     tau = cfg.tau
-    return LinArg(lambda z: trig_ab(z, tau)[0], _eform(i, j, cfg.n), shift)
+    return LinArg(lambda z: trig_ab(z, tau)[0], ext_form(cfg.n, i - 1, j - 1), shift)
 
 
 def b_field(cfg, i, j, shift=0.0) -> Field:
+    """b(x_i - x_j + shift), 1-based i, j."""
     tau = cfg.tau
-    return LinArg(lambda z: trig_ab(z, tau)[1], _eform(i, j, cfg.n), shift)
+    return LinArg(lambda z: trig_ab(z, tau)[1], ext_form(cfg.n, i - 1, j - 1), shift)
+
+
+def _a_product(cfg, j, skip, start=None, flip=False) -> Field:
+    """start * prod_{l not in skip} a(x_j - x_l), or a(x_l - x_j) if ``flip``,
+    folded from the first factor in increasing l; 1 if nothing is left."""
+    out = start
+    for l in range(1, cfg.n + 1):
+        if l not in skip:
+            f = a_field(cfg, l, j) if flip else a_field(cfg, j, l)
+            out = f if out is None else out * f
+    return Const(1.0 + 0j) if out is None else out
 
 
 def r_ij(cfg, i, j, classical=False) -> WOp:
@@ -61,15 +71,11 @@ def r_ij_inv(cfg, i, j, classical=False) -> WOp:
     n = cfg.n
     c = 0.0 if classical else cfg.c
     s_op = WOp.from_group(n, c, SignedPerm.transposition(n, i - 1, j - 1))
-    T = r_ij(cfg, i, j, classical=classical) * s_op
-    Tinv = T - WOp.from_scalar(n, c, cfg.tau - 1.0 / cfg.tau)
-    return s_op * Tinv
+    return s_op * hecke_inverse(r_ij(cfg, i, j, classical=classical) * s_op, cfg.tau)
 
 
 def translation_op(cfg, i, classical=False) -> WOp:
-    n = cfg.n
-    lam = tuple(1 if k == i - 1 else 0 for k in range(n))
-    return WOp.translation(n, 0.0 if classical else cfg.c, lam)
+    return WOp.translation(cfg.n, 0.0 if classical else cfg.c, ext_coord(cfg.n, i - 1))
 
 
 # -- general basic representation ---------------------------------------
@@ -88,14 +94,8 @@ def basic_rep(rs: RootSystemData, c, tau_short, tau_long=None):
         tau_a = hecke_tau(rs, ar.alpha, tau_short, tau_long)
         s_aff = affine_reflection(ar)
         kernel = LinArg(lambda z, ta=tau_a: c_reduced(z, ta), ar.alpha, ar.k * c)
-        op = WOp(n, c, {(SignedPerm.identity(n), (0,) * n): nsum([Const(tau_a + 0j), -kernel]),
-                        (s_aff.w, s_aff.lam): kernel})
-        gens.append(op)
+        gens.append(hecke_generator(n, c, tau_a, kernel, s_aff.w, s_aff.lam))
     return gens
-
-
-def hecke_inverse(T: WOp, tau_i) -> WOp:
-    return T - WOp.from_scalar(T.n, T.c, tau_i - 1.0 / tau_i)
 
 
 def braid_order(rs, i, j):
@@ -132,66 +132,30 @@ def mr_operator(cfg, classical=False) -> WOp:
     c = 0.0 if classical else cfg.c
     out = WOp.zero(n, c)
     for i in range(1, n + 1):
-        coeff = None
-        for l in range(1, n + 1):
-            if l != i:
-                f = a_field(cfg, i, l)
-                coeff = f if coeff is None else coeff * f
-        if coeff is None:
-            coeff = Const(1.0 + 0j)
-        lam = tuple(1 if k == i - 1 else 0 for k in range(n))
-        out += WOp(n, c, {(SignedPerm.identity(n), lam): coeff})
+        out += WOp(n, c, {(SignedPerm.identity(n), ext_coord(n, i - 1)):
+                          _a_product(cfg, i, {i})})
     return out
 
 
 def lemma_ns_closed(cfg) -> WOp:
     """Closed form of Y_1 on M': (A + sum_i B_i s_{1i}) t(e_1)."""
     n = cfg.n
-    A = None
-    for l in range(2, n + 1):
-        f = a_field(cfg, 1, l)
-        A = f if A is None else A * f
-    terms = {(SignedPerm.identity(n), (0,) * n): A}
-    op = WOp(n, cfg.c, terms)
+    op = WOp(n, cfg.c, {(SignedPerm.identity(n), (0,) * n): _a_product(cfg, 1, {1})})
     for i in range(2, n + 1):
-        B = b_field(cfg, 1, i)
-        for l in range(2, n + 1):
-            if l != i:
-                B = B * a_field(cfg, i, l)
+        B = _a_product(cfg, i, {1, i}, start=b_field(cfg, 1, i))
         op += WOp(n, cfg.c, {(SignedPerm.transposition(n, 0, i - 1), (0,) * n): B})
     return op * translation_op(cfg, 1)
 
 
-@dataclass
-class TrigLax:
-    cfg: TrigGLConfig
-    tbl: object
-    L: object
-    A: object
-    H: WOp
-    Y1: WOp
-    Ahat: WOp
-
-
-def lax_trig_gln(cfg) -> TrigLax:
+def lax_trig_gln(cfg) -> LaxPair:
     """Quantum Lax pair of size n for the trigonometric Ruijsenaars system."""
     n = cfg.n
-    rs = _gl_rs(n)
-    xi = tuple(1 if i == 0 else 0 for i in range(n))
-    _o, _s, tbl = orbit_stabilizer(rs, xi)
+    _o, _s, tbl = orbit_stabilizer(build_root_system("A", n), ext_coord(n, 0))
     Y1 = cherednik_gln(cfg, 1)
     fY = Y1
     for i in range(2, n + 1):
         fY = fY + cherednik_gln(cfg, i)
-    H = mr_operator(cfg)
-    Ahat = fY - H
-    return TrigLax(cfg=cfg, tbl=tbl, L=Y1.restrict(tbl), A=Ahat.restrict(tbl),
-                   H=H, Y1=Y1, Ahat=Ahat)
-
-
-def _gl_rs(n):
-    from .weyl import build_root_system
-    return build_root_system("A", n)
+    return lax_pair(tbl, Y1.restrict(tbl), fY, mr_operator(cfg))
 
 
 def lax_tables(cfg):
@@ -202,32 +166,18 @@ def lax_tables(cfg):
     for i in range(1, n + 1):
         Lrow, Arow = [], []
         for j in range(1, n + 1):
-            lam = tuple(1 if k == j - 1 else 0 for k in range(n))
+            key = (SignedPerm.identity(n), ext_coord(n, j - 1))
             if i == j:
-                coeff = None
-                for l in range(1, n + 1):
-                    if l != j:
-                        f = a_field(cfg, j, l)
-                        coeff = f if coeff is None else coeff * f
-                if coeff is None:
-                    coeff = Const(1.0 + 0j)
-                Lrow.append(WOp(n, c, {(SignedPerm.identity(n), lam): coeff}))
+                Lrow.append(WOp(n, c, {key: _a_product(cfg, j, {j})}))
                 Arow.append(None)  # filled below as negative row sum
             else:
-                prod = None
-                for l in range(1, n + 1):
-                    if l != j and l != i:
-                        f = a_field(cfg, j, l)
-                        prod = f if prod is None else prod * f
-                base = prod if prod is not None else Const(1.0 + 0j)
-                Lrow.append(WOp(n, c, {(SignedPerm.identity(n), lam):
-                                       base * b_field(cfg, i, j)}))
+                base = _a_product(cfg, j, {i, j})
+                Lrow.append(WOp(n, c, {key: base * b_field(cfg, i, j)}))
                 # b_{ij} t(e_j) - t(e_j) b_{ij} = (b_ij - b_ij(x + c e_j)) t(e_j)
-                diff = nsum([b_field(cfg, i, j), -_shifted_b(cfg, i, j)])
-                Arow.append(WOp(n, c, {(SignedPerm.identity(n), lam): base * diff}))
+                diff = nsum([b_field(cfg, i, j), -b_field(cfg, i, j, shift=-c)])
+                Arow.append(WOp(n, c, {key: base * diff}))
         Lrows.append(Lrow)
         Arows.append(Arow)
-    from .opcore import OperatorMatrix
     for i in range(n):
         acc = None
         for j in range(n):
@@ -237,48 +187,16 @@ def lax_tables(cfg):
     return OperatorMatrix(Lrows), OperatorMatrix(Arows)
 
 
-def _shifted_b(cfg, i, j):
-    """b(x_i - x_j - c): the coefficient after commuting through t(e_j)."""
-    return b_field(cfg, i, j, shift=-cfg.c)
-
-
 def phi_vector(cfg):
-    """phi_i = prod_{l != i} a_{li}; the row vector u of the integral formula."""
-    n = cfg.n
-    out = []
-    for i in range(1, n + 1):
-        f = None
-        for l in range(1, n + 1):
-            if l != i:
-                g = a_field(cfg, l, i)
-                f = g if f is None else f * g
-        out.append(f if f is not None else Const(1.0 + 0j))
-    return out
-
-
-def integrals_trig(lax: TrigLax, kmax=3):
-    """H_k = u L^k v as scalar difference operators, k = 1..kmax."""
-    cfg = lax.cfg
-    phis = phi_vector(cfg)
-    out = []
-    Lk = lax.L
-    for _k in range(1, kmax + 1):
-        acc = None
-        for i in range(Lk.m):
-            for j in range(Lk.m):
-                term = Lk.entries[i][j].mul_field_left(phis[i])
-                acc = term if acc is None else acc + term
-        out.append(acc)
-        if _k < kmax:
-            Lk = Lk * lax.L
-    return out
+    """phi_i = prod_{l != i} a_{li}: the row weights u of the integrals
+    H_k = u L^k v (``opcore.integrals``)."""
+    return [_a_product(cfg, i, {i}, flip=True) for i in range(1, cfg.n + 1)]
 
 
 def e_tau_symmetrizer(cfg):
     """e_tau = (sum tau_w T_w) / (sum tau_w^2) over the finite Hecke algebra."""
     n = cfg.n
-    rs = _gl_rs(n)
-    from .weyl import reduced_word_finite
+    rs = build_root_system("A", n)
     W = weyl_enumerate(rs)
     Ts = []
     for i in range(1, n):
@@ -307,24 +225,12 @@ def classical_lax_gln(cfg):
     for i in range(1, n + 1):
         Lrow, Arow = [], []
         for j in range(1, n + 1):
-            prodfield = None
-            for l in range(1, n + 1):
-                if l != j and l != i:
-                    g = a_field(cfg, j, l)
-                    prodfield = g if prodfield is None else prodfield * g
-            diagprod = None
-            for l in range(1, n + 1):
-                if l != j:
-                    g = a_field(cfg, j, l)
-                    diagprod = g if diagprod is None else diagprod * g
-            if diagprod is None:
-                diagprod = Const(1.0 + 0j)
             ep = _mom_exp(n, j - 1, beta)
             if i == j:
-                Lrow.append(XLift(diagprod, n) * ep)
+                Lrow.append(XLift(_a_product(cfg, j, {j}), n) * ep)
                 Arow.append(None)
             else:
-                base = prodfield if prodfield is not None else Const(1.0 + 0j)
+                base = _a_product(cfg, j, {i, j})
                 Lrow.append(XLift(base * b_field(cfg, i, j), n) * ep)
                 db = _db_dxj(cfg, i, j)
                 Arow.append(XLift((beta * 1.0) * (base * db), n) * ep)
@@ -332,7 +238,7 @@ def classical_lax_gln(cfg):
         Af.append(Arow)
     for i in range(n):
         parts = [Af[i][j] for j in range(n) if j != i]
-        Af[i][i] = Scale_neg_sum(parts)
+        Af[i][i] = nsum(parts) * (-1.0)
     return Lf, Af
 
 
@@ -349,21 +255,8 @@ def _mom_exp(n, idx, beta):
     return exp_lin(tuple(k))
 
 
-def Scale_neg_sum(parts):
-    return nsum(parts) * (-1.0)
-
-
 def classical_mr_hamiltonian(cfg):
     """Classical Macdonald-Ruijsenaars Hamiltonian sum_i (prod a_il) e^{beta p_i}."""
     n = cfg.n
-    parts = []
-    for i in range(1, n + 1):
-        coeff = None
-        for l in range(1, n + 1):
-            if l != i:
-                g = a_field(cfg, i, l)
-                coeff = g if coeff is None else coeff * g
-        if coeff is None:
-            coeff = Const(1.0 + 0j)
-        parts.append(XLift(coeff, n) * _mom_exp(n, i - 1, cfg.beta))
-    return nsum(parts)
+    return nsum([XLift(_a_product(cfg, i, {i}), n) * _mom_exp(n, i - 1, cfg.beta)
+                 for i in range(1, n + 1)])

@@ -107,6 +107,29 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def ext_coord(n, i):
+    """Integer coefficients of the coordinate x_i, 0-based.
+
+    Indices run over 0..2n-1 with the extended coordinates x_{n+i} = -x_i,
+    which index the BC_n, Koornwinder and van Diejen Lax matrices; for
+    i < n this is the unit vector e_i.  Every system module reads its
+    coordinate forms from here.
+    """
+    out = [0] * n
+    out[i % n] = 1 if i < n else -1
+    return tuple(out)
+
+
+def ext_form(n, i, j, sign=-1):
+    """Integer coefficients of x_i + sign * x_j (extended, 0-based indices)."""
+    return tuple(a + sign * b for a, b in zip(ext_coord(n, i), ext_coord(n, j)))
+
+
+def same_coord(n, i, j):
+    """Whether the extended indices i and j name one coordinate up to sign."""
+    return (i - j) % n == 0
+
+
 def _norm_key(pt):
     return tuple(0.0 if v == 0 else v for v in pt)
 
@@ -117,9 +140,6 @@ class AffineRoot:
 
     alpha: tuple
     k: int
-
-    def evaluate(self, x, c):
-        return dot(self.alpha, x) + self.k * c
 
     def is_negative(self):
         if self.k != 0:
@@ -489,8 +509,7 @@ def orbit_stabilizer(rs: RootSystemData, xi):
     elements = weyl_enumerate(rs)
     stab = [w for w in elements if _norm_key(w.apply_vec(xi)) == _norm_key(xi)]
 
-    e1 = tuple(1 if i == 0 else 0 for i in range(n))
-    if _norm_key(xi) == _norm_key(e1):
+    if _norm_key(xi) == _norm_key(ext_coord(n, 0)):
         # s_11 is the identity and s^+_11 the sign flip of x_1
         reps = [SignedPerm.transposition(n, 0, i) for i in range(n)]
         if rs.kind != "A":

@@ -12,7 +12,8 @@ import sys
 import time
 
 from laxkit.dual import value
-from laxkit.opcore import OperatorMatrix, WOp, make_probes
+from laxkit.opcore import (OperatorMatrix, WOp, integrals, make_probes,
+                           symbol_parts)
 from laxkit.verify import (PointPolicy, fit_slope, hamiltonian_flow,
                            isospectral_drift, matrix_fn_from_fields,
                            op_residual, poisson_residual, scaled_flow,
@@ -232,10 +233,11 @@ def test_criterion_06_closed_forms_vs_construction():
     t0 = time.time()
     from laxkit.trig import TrigGLConfig, lax_trig_gln, lemma_ns_closed
     from laxkit.ellrel import (VDParams, lax_elliptic_ruijsenaars,
-                               nsel_closed_y1, nsel_closed_y2, vd_p_matrix,
-                               vd_q_matrix, y1_vd, y_ell_gln)
+                               nsel_closed_y1, nsel_closed_y2,
+                               ruijsenaars_params, vd_p_matrix, vd_q_matrix,
+                               y1_vd, y_ell_gln)
     from laxkit.koorn import (CCnParams, abcd_operator, koornwinder_lax,
-                              r_odd_shift, y1_product)
+                              p_matrix, q_matrix, r_odd_shift, y1_product)
     worst = 0.0
     cfg = TrigGLConfig(n=3, tau=1.4 + 0.2j, c=0.31 + 0.11j)
     lax = lax_trig_gln(cfg)
@@ -244,21 +246,22 @@ def test_criterion_06_closed_forms_vs_construction():
     worst = max(worst, op_residual(lemma_ns_closed(cfg).restrict(lax.tbl),
                                        lax.L, probes, xs))
     laxe = lax_elliptic_ruijsenaars(3, 0.29 + 0.07j, 0.41 - 0.06j, C_STEP, TAU_ELL)
+    pe = ruijsenaars_params(3, 0.29 + 0.07j, 0.41 - 0.06j, C_STEP, TAU_ELL)
     probes3 = make_probes(3, 2, random.Random(602))
     xs3 = pts(3, 4, 603)
-    worst = max(worst, op_residual(nsel_closed_y1(laxe.params).restrict(laxe.tbl),
+    worst = max(worst, op_residual(nsel_closed_y1(pe).restrict(laxe.tbl),
                                        laxe.L, probes3, xs3))
-    Y2 = y_ell_gln(laxe.params, 2)
-    worst = max(worst, op_residual(nsel_closed_y2(laxe.params).restrict(laxe.tbl),
+    Y2 = y_ell_gln(pe, 2)
+    worst = max(worst, op_residual(nsel_closed_y2(pe).restrict(laxe.tbl),
                                        Y2.restrict(laxe.tbl), probes3, xs3))
     pp = CCnParams(n=2, tau0=1.2 + 0.1j, tau0v=0.8 - 0.05j, taun=1.5 + 0.2j,
                    taunv=0.7 + 0.1j, tau=1.3 - 0.15j, c=0.23 + 0.07j)
     laxk = koornwinder_lax(pp)
     probes2 = make_probes(2, 2, random.Random(604))
     xs2 = pts(2, 4, 605, im=0.12, lo=-0.9, hi=0.9)
-    worst = max(worst, op_residual(laxk.P, abcd_operator(pp).restrict(laxk.tbl),
+    worst = max(worst, op_residual(p_matrix(pp), abcd_operator(pp).restrict(laxk.tbl),
                                        probes2, xs2))
-    worst = max(worst, op_residual(laxk.Q, r_odd_shift(pp).restrict(laxk.tbl),
+    worst = max(worst, op_residual(q_matrix(pp), r_odd_shift(pp).restrict(laxk.tbl),
                                        probes2, xs2))
     worst = max(worst, op_residual(laxk.L, y1_product(pp).restrict(laxk.tbl),
                                        probes2, xs2))
@@ -354,28 +357,28 @@ def test_criterion_08_difference_lax_equations():
 
 def test_criterion_09_integral_families():
     t0 = time.time()
-    from laxkit.rational import RationalDunklConfig, integrals_rational, lax_pair_rational
-    from laxkit.trig import TrigGLConfig, integrals_trig, lax_trig_gln
-    from laxkit.koorn import CCnParams, integrals_ccn, koornwinder_lax
+    from laxkit.rational import RationalDunklConfig, lax_pair_rational
+    from laxkit.trig import TrigGLConfig, lax_trig_gln, phi_vector
+    from laxkit.koorn import CCnParams, koornwinder_lax, phi_vector_ccn
     worst = 0.0
     rs = build_root_system("A", 3)
     cfg = RationalDunklConfig(rs, t=-0.7j, c_short=1.3j)
     lax = lax_pair_rational(cfg)
     probes = make_probes(3, 2, random.Random(900))
     xs = pts(3, 4, 901, im=0.2, lo=-0.9, hi=0.9)
-    for Hk in integrals_rational(lax, kmax=3):
+    for Hk in integrals(lax.L, 3):
         worst = max(worst, op_residual(Hk * lax.H, lax.H * Hk, probes, xs))
     cfgt = TrigGLConfig(n=3, tau=1.4 + 0.2j, c=0.31 + 0.11j)
     laxt = lax_trig_gln(cfgt)
     xs2 = pts(3, 3, 902, im=0.15, lo=-0.9, hi=0.9)
-    for Hk in integrals_trig(laxt, kmax=3):
+    for Hk in integrals(laxt.L, 3, phi_vector(cfgt)):
         worst = max(worst, op_residual(Hk * laxt.H, laxt.H * Hk, probes, xs2))
     pp = CCnParams(n=2, tau0=1.2 + 0.1j, tau0v=0.8 - 0.05j, taun=1.5 + 0.2j,
                    taunv=0.7 + 0.1j, tau=1.3 - 0.15j, c=0.23 + 0.07j)
     laxk = koornwinder_lax(pp)
     probes2 = make_probes(2, 2, random.Random(903))
     xs3 = pts(2, 3, 904, im=0.12, lo=-0.9, hi=0.9)
-    for Hk in integrals_ccn(laxk, kmax=3):
+    for Hk in integrals(laxk.L, 3, phi_vector_ccn(pp)):
         worst = max(worst, op_residual(Hk * laxk.H, laxk.H * Hk, probes2, xs3))
     report(9, "integral families commute (rational, trig GL3, CvC2; k<=3)",
            worst, 1e-8, t0)
@@ -396,8 +399,7 @@ def test_criterion_10_classical_limit_slopes():
     from laxkit.trig import TrigGLConfig, lax_trig_gln
     from laxkit.koorn import CCnParams, koornwinder_lax
     from laxkit.ellcm import lax_elliptic_A, lax_inozemtsev
-    from laxkit.ellrel import (VDParams, classical_symbol_parts,
-                               lax_elliptic_ruijsenaars, lax_vandiejen,
+    from laxkit.ellrel import (VDParams, lax_elliptic_ruijsenaars, lax_vandiejen,
                                vd_dual_substituted, vd_hamiltonian)
     hs = [1e-2, 1e-3, 1e-4]
     slopes = {}
@@ -445,8 +447,8 @@ def test_criterion_10_classical_limit_slopes():
     opc = vd_dual_substituted(base, base.xi_spec(eta))
     Hc = vd_hamiltonian(base, classical=True)
     zpt = xb + pb
-    ia, _ = classical_symbol_parts(opc, zpt)
-    ib, _ = classical_symbol_parts(Hc, zpt)
+    ia, _ = symbol_parts(opc, zpt)
+    ib, _ = symbol_parts(Hc, zpt)
     const = ia - ib
     vals = []
     for h in hs:
@@ -530,9 +532,9 @@ def test_criterion_11_involution_isospectrality():
 
 def test_criterion_12_regularity_probes():
     t0 = time.time()
-    from laxkit.ellcm import EllipticDunklConfig, dual_substitution_value
-    from laxkit.ellrel import (EllRParams, classical_symbol_parts,
-                               dual_substituted, macdonald_elliptic, VDParams,
+    from laxkit.ellcm import EllipticDunklConfig, classical_dual_substitution
+    from laxkit.ellrel import (EllRParams, dual_substituted,
+                               macdonald_elliptic, VDParams,
                                vd_dual_substituted, vd_hamiltonian)
     rng = random.Random(1200)
     worst = 0.0
@@ -544,7 +546,7 @@ def test_criterion_12_regularity_probes():
         lam = tuple(complex(rng.uniform(0.1, 0.35), rng.uniform(0, 0.05))
                     for _ in range(3))
         cfg = EllipticDunklConfig(rsA, -0.7j, 1.3j, 0.31 + 0.84j, lam)
-        ident, off = dual_substitution_value(cfg, zpt)
+        ident, off = symbol_parts(classical_dual_substitution(cfg), zpt)
         idents.append(ident)
         worst = max(worst, off)
     worst = max(worst, max(abs(v - idents[0]) for v in idents)
@@ -557,7 +559,7 @@ def test_criterion_12_regularity_probes():
                     for _ in range(2))
         cfgb = EllipticDunklConfig(rsC, -0.7j, 1.3j, 0.31 + 0.84j, lam,
                                    g=G4, bc=True)
-        identb, offb = dual_substitution_value(cfgb, zb)
+        identb, offb = symbol_parts(classical_dual_substitution(cfgb), zb)
         identsb.append(identb)
         worst = max(worst, offb)
     worst = max(worst, max(abs(v - identsb[0]) for v in identsb)
@@ -570,7 +572,7 @@ def test_criterion_12_regularity_probes():
         xi = (complex(rng.uniform(0.1, 0.35), 0.02),
               complex(rng.uniform(0.1, 0.35), -0.01))
         opc = dual_substituted(pc, xi, classical=True)
-        ident, off = classical_symbol_parts(opc, zc)
+        ident, off = symbol_parts(opc, zc)
         ids.append(ident)
         worst = max(worst, off)
     worst = max(worst, max(abs(v - ids[0]) for v in ids) / (1 + abs(ids[0])))
@@ -580,8 +582,8 @@ def test_criterion_12_regularity_probes():
     opc = dual_substituted(pc, (0.22 + 0.01j, 0.31 - 0.02j), classical=True)
     consts = []
     for z in (zc, zc2):
-        ia, _ = classical_symbol_parts(opc, z)
-        ib, _ = classical_symbol_parts(Lbc, z)
+        ia, _ = symbol_parts(opc, z)
+        ib, _ = symbol_parts(Lbc, z)
         consts.append(ia - ib)
     worst = max(worst, abs(consts[0] - consts[1]) / (1 + abs(consts[0])))
     # (celclq) classical: van Diejen e_1
@@ -593,15 +595,15 @@ def test_criterion_12_regularity_probes():
         xi = (complex(rng.uniform(0.1, 0.35), 0.02),
               complex(rng.uniform(0.1, 0.35), -0.02))
         opv = vd_dual_substituted(base, xi)
-        ident, off = classical_symbol_parts(opv, zc)
+        ident, off = symbol_parts(opv, zc)
         idsv.append(ident)
         worst = max(worst, off)
     worst = max(worst, max(abs(v - idsv[0]) for v in idsv) / (1 + abs(idsv[0])))
     constsv = []
     opv = vd_dual_substituted(base, (0.22 + 0.01j, 0.31 - 0.02j))
     for z in (zc, zc2):
-        ia, _ = classical_symbol_parts(opv, z)
-        ib, _ = classical_symbol_parts(Hc, z)
+        ia, _ = symbol_parts(opv, z)
+        ib, _ = symbol_parts(Hc, z)
         constsv.append(ia - ib)
     worst = max(worst, abs(constsv[0] - constsv[1]) / (1 + abs(constsv[0])))
     report(12, "regularity probes (elcl, elclq, celclq consequences)",

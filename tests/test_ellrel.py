@@ -9,13 +9,14 @@ import pytest
 
 from laxkit.dual import value
 from laxkit.ellrel import (EllGLParams, EllRParams, VDParams, alpha_sequence,
-                           classical_symbol_parts, dual_factor_identity_residual,
+                           dual_factor_identity_residual,
                            dual_substituted, g_factor, lax_elliptic_ruijsenaars,
                            lax_vandiejen, macdonald_elliptic, nsel_closed_y1,
                            nsel_closed_y2, r_matrix, r_matrix_vd,
                            r_matrix_red_dual, residue_conditions,
                            residue_control_failure, residue_growth, rho_m,
                            ruijsenaars_hamiltonian, ruijsenaars_lax_tables,
+                           ruijsenaars_params,
                            t_hat, t_hat_word, vd_alpha_const, vd_beta_field,
                            vd_classical_fields, vd_classical_hamiltonian,
                            vd_coefficient_fields, vd_dual_substituted,
@@ -24,7 +25,7 @@ from laxkit.ellrel import (EllGLParams, EllRParams, VDParams, alpha_sequence,
                            y_elliptic_dual, _rho_m_vee)
 from laxkit.fields import exp_lin
 from laxkit.opcore import (DynOp, OperatorMatrix, WOp, classical_op_residual,
-                           make_probes)
+                           make_probes, symbol_parts)
 from laxkit.special import sigma, v_func, wp
 from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
                            isospectral_drift, matrix_fn_from_fields,
@@ -241,7 +242,7 @@ def test_ruijsenaars_lax_block():
     lax = lax_elliptic_ruijsenaars(3, 0.29 + 0.07j, 0.41 - 0.06j, C, TAU)
     probes = make_probes(3, 2, random.Random(16))
     xs = sample(3)
-    p = lax.params
+    p = ruijsenaars_params(3, 0.29 + 0.07j, 0.41 - 0.06j, C, TAU)
     assert op_residual(nsel_closed_y1(p).restrict(lax.tbl), lax.L, probes, xs) < 1e-12
     Y2 = y_ell_gln(p, 2)
     assert op_residual(nsel_closed_y2(p).restrict(lax.tbl), Y2.restrict(lax.tbl),
@@ -338,7 +339,7 @@ def test_dual_substitution_probes():
         xi = (complex(rng.uniform(0.1, 0.35), 0.02),
               complex(rng.uniform(0.1, 0.35), -0.01))
         opc = dual_substituted(pc, xi, classical=True)
-        ident, off = classical_symbol_parts(opc, zpt)
+        ident, off = symbol_parts(opc, zpt)
         idents.append(ident)
         assert off < 1e-8
     assert max(abs(v - idents[0]) for v in idents) < 1e-8 * (1 + abs(idents[0]))
@@ -348,8 +349,8 @@ def test_dual_substitution_probes():
     opc = dual_substituted(pc, (0.22 + 0.01j, 0.31 - 0.02j), classical=True)
     consts = []
     for z in (zpt, zpt2):
-        ia, _ = classical_symbol_parts(opc, z)
-        ib, _ = classical_symbol_parts(Lbc, z)
+        ia, _ = symbol_parts(opc, z)
+        ib, _ = symbol_parts(Lbc, z)
         consts.append(ia - ib)
     assert abs(consts[0] - consts[1]) < 1e-8 * (1 + abs(consts[0]))
 
@@ -443,8 +444,8 @@ def test_slopes_ruijsenaars_and_vandiejen():
     opc = vd_dual_substituted(base, xi)
     Hc = vd_hamiltonian(base, classical=True)
     zpt = xb + pb
-    ia, _ = classical_symbol_parts(opc, zpt)
-    ib, _ = classical_symbol_parts(Hc, zpt)
+    ia, _ = symbol_parts(opc, zpt)
+    ib, _ = symbol_parts(Hc, zpt)
     const = ia - ib
     vals = []
     for h in hs:

@@ -3,19 +3,18 @@
 import random
 
 from laxkit.dual import value
-from laxkit.koorn import (CCnParams, a_ext, a_plus,
-                          abcd_coeffs, abcd_operator, classical_hamiltonian_ccn,
-                          classical_pq, excluded_indices, ext_coeffs,
-                          integrals_ccn, koornwinder_lax, koornwinder_table,
-                          middle_product, noumi_rep, p_matrix, phi_vector_ccn,
-                          q_matrix, r_diff, r_odd_shift, r_sum, r_two_e1,
-                          y1_product, y_inverse, y_operator)
-from laxkit.opcore import OperatorMatrix, WOp, make_probes
+from laxkit.koorn import (CCnParams, a_ext, abcd_coeffs, abcd_operator,
+                          classical_hamiltonian_ccn, classical_pq,
+                          koornwinder_lax, koornwinder_table, middle_product,
+                          noumi_rep, p_matrix, phi_vector_ccn, q_matrix, r_diff,
+                          r_odd_shift, r_sum, r_two_e1, y1_product, y_inverse,
+                          y_operator)
+from laxkit.opcore import OperatorMatrix, WOp, integrals, make_probes
 from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
                            hamiltonian_flow, isospectral_drift,
                            matrix_fn_from_fields, op_residual, poisson_residual,
                            trace_power_fn)
-from laxkit.weyl import SignedPerm
+from laxkit.weyl import SignedPerm, ext_coord, same_coord
 
 P = CCnParams(n=2, tau0=1.2 + 0.1j, tau0v=0.8 - 0.05j, taun=1.5 + 0.2j,
               taunv=0.7 + 0.1j, tau=1.3 - 0.15j, c=0.23 + 0.07j)
@@ -107,10 +106,10 @@ def test_extended_index_conventions():
     # a^+_{n+i, j} = a(-x_i + x_j)
     n = 2
     x = (0.31 + 0.02j, -0.44 + 0.05j)
-    lhs = value(a_plus(P, n + 1, 2)(x))
+    lhs = value(a_ext(P, n + 1, 2, 1)(x))
     from laxkit.special import trig_ab
     assert abs(lhs - trig_ab(-x[0] + x[1], P.tau)[0]) < 1e-14
-    assert ext_coeffs(3, 2) == (-1.0, 0.0)
+    assert ext_coord(2, 2) == (-1, 0)
 
 
 def test_exclusion_rule_enumeration():
@@ -119,7 +118,8 @@ def test_exclusion_rule_enumeration():
         m = 2 * n
         for i in range(1, m + 1):
             for j in range(1, m + 1):
-                got = set(excluded_indices(i, j, n))
+                got = {l for l in range(1, m + 1)
+                       if same_coord(n, l, i) or same_coord(n, l, j)}
                 want = set()
                 for l in range(1, m + 1):
                     for target in (i, j):
@@ -135,13 +135,14 @@ def test_pq_matrices_and_lax():
     lax = koornwinder_lax(P)
     tbl = lax.tbl
     # P = restriction of the abcd operator; Q = restriction of the tail
-    assert op_residual(lax.P, abcd_operator(P).restrict(tbl), probes, xs) < 1e-12
-    assert op_residual(lax.Q, r_odd_shift(P).restrict(tbl), probes, xs) < 1e-13
+    Pm, Qm = p_matrix(P), q_matrix(P)
+    assert op_residual(Pm, abcd_operator(P).restrict(tbl), probes, xs) < 1e-12
+    assert op_residual(Qm, r_odd_shift(P).restrict(tbl), probes, xs) < 1e-13
     # Q sparsity
     for i in range(4):
         for j in range(4):
             if (i - j) % 4 not in (0, 2):
-                assert not lax.Q.entries[i][j].terms
+                assert not Qm.entries[i][j].terms
     assert op_residual(lax.L, y1_product(P).restrict(tbl), probes, xs) < 1e-8
     Hm = OperatorMatrix.diagonal(lax.H, 4)
     assert op_residual(lax.L * Hm - Hm * lax.L,
@@ -152,14 +153,14 @@ def test_integrals_ccn():
     probes = make_probes(2, 2, random.Random(7))
     xs = sample(2, 3)
     lax = koornwinder_lax(P)
-    ints = integrals_ccn(lax, kmax=2)
+    ints = integrals(lax.L, 2, phi_vector_ccn(P))
     for H_k in ints:
         assert op_residual(H_k * lax.H, lax.H * H_k, probes, xs) < 1e-8
     # phi_{n+i} = u_i prod_{l != i} a^+_{li} a_{il}
     from laxkit.koorn import u_ext
     phis = phi_vector_ccn(P)
     x = xs[0]
-    man = value(u_ext(P, 1, 0)(x)) * value(a_plus(P, 2, 1)(x)) * value(a_ext(P, 1, 2)(x))
+    man = value(u_ext(P, 1, 0)(x)) * value(a_ext(P, 2, 1, 1)(x)) * value(a_ext(P, 1, 2)(x))
     assert abs(value(phis[2](x)) - man) < 1e-13
 
 

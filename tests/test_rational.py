@@ -7,11 +7,12 @@ import pytest
 
 from laxkit.dual import value
 from laxkit.fields import Const
-from laxkit.opcore import DiffOp, OperatorMatrix, make_probes, symmetric_probe
+from laxkit.opcore import (DiffOp, OperatorMatrix, integrals, make_probes,
+                           symmetric_probe)
 from laxkit.rational import (RationalDunklConfig, classical_hamiltonian,
                              classical_lax, cm_hamiltonian_explicit, cm_split,
-                             dunkl, dunkl_basis, integrals_rational,
-                             kks_matrices, lax_pair_rational, position_matrix,
+                             dunkl, dunkl_basis, kks_matrices,
+                             lax_pair_rational, position_matrix,
                              qlp_reference_matrices)
 from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
                            hamiltonian_flow, isospectral_drift,
@@ -110,7 +111,7 @@ def test_generic_xi_full_size_lax():
 def test_integrals_structure_and_commutation():
     cfg = cfg_for("A", 3)
     lax = lax_pair_rational(cfg)
-    ints = integrals_rational(lax, kmax=2)
+    ints = integrals(lax.L, 2)
     probes = make_probes(3, 3, random.Random(7))
     xs = sample(3)
     # H_1 = sum of entries of L = t * (total derivative): pair terms cancel

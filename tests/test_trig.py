@@ -5,11 +5,11 @@ import random
 import numpy as np
 
 from laxkit.dual import value
-from laxkit.opcore import OperatorMatrix, WOp, make_probes
+from laxkit.opcore import (OperatorMatrix, WOp, hecke_inverse, integrals,
+                           make_probes)
 from laxkit.trig import (TrigGLConfig, a_field, b_field, basic_rep,
                          braid_order, cherednik_gln, classical_lax_gln,
-                         classical_mr_hamiltonian, e_tau_symmetrizer,
-                         hecke_inverse, integrals_trig, lax_tables,
+                         classical_mr_hamiltonian, e_tau_symmetrizer, lax_tables,
                          lax_trig_gln, lemma_ns_closed, mr_operator, phi_vector,
                          r_ij, r_ij_inv, translation_op)
 from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
@@ -37,6 +37,7 @@ def test_hecke_quadratic_and_braid():
     for T in Ts:
         quad = (T - WOp.from_scalar(n, C, TAU)) * (T + WOp.from_scalar(n, C, 1 / TAU))
         assert op_residual(quad, None, probes, xs) < 1e-9
+        assert op_residual(hecke_inverse(T, TAU) * T, WOp.one(n, C), probes, xs) < 1e-12
     for i, j in ((0, 1), (1, 2), (0, 2)):
         m = braid_order(rs, i, j)
         assert m == 3
@@ -109,7 +110,7 @@ def test_integrals_and_nazarov_sklyanin_agreement():
     lax = lax_trig_gln(cfg)
     probes = make_probes(3, 2, random.Random(7))
     xs = sample(3, 4)
-    ints = integrals_trig(lax, kmax=3)
+    ints = integrals(lax.L, 3, phi_vector(cfg))
     for k in (1, 2):
         assert op_residual(ints[k] * lax.H, lax.H * ints[k], probes, xs) < 1e-8
     # [u L^2 v, u L^3 v] = 0 is the agreement with the U Z^k E family

@@ -198,6 +198,30 @@ def test_cli_unknown_system_and_flowless_system(capsys):
             in capsys.readouterr().err)
 
 
+# systems whose suites need two coordinates; every other system runs at rank 1
+MIN_RANKS = {"rational-A": 2, "rational-C": 2, "trig-gln": 2, "ell-ruijsenaars": 2}
+
+
+@pytest.mark.parametrize("system", KNOWN_SYSTEMS)
+def test_cli_rank_one(system, capsys):
+    assert SYSTEMS[system].min_rank == MIN_RANKS.get(system, 1)
+    rc = cli_main(["verify", "--system", system, "--rank", "1"])
+    err = capsys.readouterr().err
+    if system in MIN_RANKS:
+        assert rc == 2
+        assert f"configuration error: rank must be >= 2 for system '{system}'" in err
+    else:
+        assert rc == 0, err
+
+
+@pytest.mark.parametrize("system,rank", [("rational-A", 3), ("rational-C", 2)])
+def test_rational_commutator_checks_at_seed_17(system, rank, capsys):
+    # both sides of each commutator are compared, so the residual scales with
+    # the products and not with 1 + |difference|
+    assert cli_main(["verify", "--system", system, "--rank", str(rank),
+                     "--seed", "17"]) == 0, capsys.readouterr().err
+
+
 SYSTEM_MODULES = {"laxkit.rational", "laxkit.trig", "laxkit.koorn",
                   "laxkit.ellcm", "laxkit.ellrel"}
 
@@ -220,7 +244,8 @@ def test_verify_imports_only_its_system_module():
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # span groups perfbench/run.py turns into per-layer metrics
 BENCH_GROUPS = {
-    "verify": ("verify.run_point_max", "fields.eval"),
+    "verify": ("verify.run_point_max", "fields.eval", "opcore.mul",
+               "opcore.restrict", "opcore.apply_field"),
     "flow": ("verify.hamiltonian_rhs", "verify.rk4_step", "verify.scaled_flow",
              "suites.classical_flow_setup", "cli.cmd_flow"),
 }
@@ -243,5 +268,6 @@ def test_benchmark_tracer_hooks_fire(argv):
         assert any(name.startswith("verify.") and name.endswith("_evalfn")
                    and g["calls"] > 0 for name, g in groups.items())
         assert result["trace"]["points"] > 0
+        assert result["trace"]["layers"]["construct"]["incl"] > 0
     for name in BENCH_GROUPS[argv[0]]:
         assert groups.get(name, {}).get("calls", 0) > 0, name

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from laxkit.weyl import (AffineElement, ConfigurationError,
                          UnsupportedElementError, affine_length,
                          affine_reflection, build_root_system, coset_index,
-                         evaluate_word, finite_length, orbit_stabilizer,
-                         reduced_word, reduced_word_finite, translation_word,
-                         weyl_enumerate, SignedPerm)
+                         evaluate_word, ext_coord, ext_form, finite_length,
+                         orbit_stabilizer, reduced_word, reduced_word_finite,
+                         same_coord, translation_word, weyl_enumerate,
+                         SignedPerm)
 
 
 def test_root_counts():
@@ -260,3 +261,32 @@ def test_signed_perm_builders_table():
     assert SignedPerm.transposition(4, 1, 3).basis_image(1) == (3, 1)
     assert SignedPerm.neg_transposition(4, 1, 3).basis_image(1) == (3, -1)
     assert SignedPerm.sign_flip(4, 3).basis_image(3) == (3, -1)
+
+
+def test_ext_coordinate_forms_table():
+    # (form, explicit integer coefficients); 0-based, x_{n+i} = -x_i
+    table = [
+        (ext_coord(1, 0), (1,)),
+        (ext_coord(1, 1), (-1,)),
+        (ext_coord(3, 1), (0, 1, 0)),
+        (ext_coord(3, 4), (0, -1, 0)),
+        (ext_coord(3, 2), (0, 0, 1)),
+        (ext_coord(3, 5), (0, 0, -1)),
+        (ext_form(1, 0, 0), (0,)),
+        (ext_form(1, 0, 0, 1), (2,)),
+        (ext_form(1, 0, 1), (2,)),
+        (ext_form(3, 0, 2), (1, 0, -1)),
+        (ext_form(3, 0, 2, 1), (1, 0, 1)),
+        (ext_form(3, 3, 2), (-1, 0, -1)),
+        (ext_form(3, 5, 4, 1), (0, -1, -1)),
+        (ext_form(3, 1, 4), (0, 2, 0)),
+        (ext_form(3, 2, 5), (0, 0, 2)),
+    ]
+    for got, want in table:
+        assert got == want and all(type(v) is int for v in got), (got, want)
+    for n in (1, 2, 3):
+        for i in range(2 * n):
+            neg = tuple(-v for v in ext_coord(n, i))
+            assert ext_coord(n, (i + n) % (2 * n)) == neg
+            for j in range(2 * n):
+                assert same_coord(n, i, j) == (ext_coord(n, j) in (ext_coord(n, i), neg))
