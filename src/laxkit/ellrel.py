@@ -13,7 +13,8 @@ along reduced words give Rhat_w independently of the word.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
+from functools import partial
 
 from .fields import ONE, BiArg, Const, LinArg, nsum
 from .opcore import DynOp, LaxPair, OperatorMatrix, WOp, lax_pair
@@ -169,29 +170,23 @@ def alpha_sequence(rs: RootSystemData, word):
     return seq
 
 
-def r_word(params, w: AffineElement, unitary=False, rfac=None) -> WOp:
-    """R_w = R(a^1) ... R(a^l) for any reduced word of w."""
+def r_word(params, w: AffineElement, rfac) -> WOp:
+    """R_w = R(a^1) ... R(a^l) for any reduced word of w, with the factors
+    R(a) = rfac(params, a)."""
     rs = params.rs
-    if rfac is None:
-        rfac = r_matrix_vd if isinstance(params, VDParams) else r_matrix
-    word = reduced_word(rs, w)
     out = None
-    for ar in alpha_sequence(rs, word):
-        R = rfac(params, ar, unitary=unitary)
+    for ar in alpha_sequence(rs, reduced_word(rs, w)):
+        R = rfac(params, ar)
         out = R if out is None else out * R
-    if out is None:
-        n = rs.dim
-        out = WOp.one(n, params.c)
-    return out
+    return WOp.one(rs.dim, params.c) if out is None else out
 
 
 def y_elliptic(params, b, unitary=False) -> WOp:
     """Y^b = R_{t(b)} t(b) (or the unitary Yhat^b) for b in the coroot lattice."""
-    rs = params.rs
-    n = rs.dim
-    w = AffineElement.translation(tuple(b))
-    Rw = r_word(params, w, unitary=unitary)
-    return Rw * WOp.translation(n, params.c, tuple(b))
+    rmat = r_matrix_vd if isinstance(params, VDParams) else r_matrix
+    Rw = r_word(params, AffineElement.translation(tuple(b)),
+                partial(rmat, unitary=unitary))
+    return Rw * WOp.translation(params.rs.dim, params.c, tuple(b))
 
 
 def g_factor(params: EllRParams, b) -> complex:
@@ -222,26 +217,17 @@ def r_matrix_red_dual(params: EllRParams, ar: AffineRoot) -> WOp:
 
 def y_elliptic_dual(params: EllRParams, b) -> WOp:
     """Y^{b, vee} = R^vee_{t(b)} t(b) (dual affine root system kernels)."""
-    rs = params.rs
-    n = rs.dim
-    w = AffineElement.translation(tuple(b))
-    word = reduced_word(rs, w)
-    out = None
-    for ar in alpha_sequence(rs, word):
-        R = r_matrix_red_dual(params, ar)
-        out = R if out is None else out * R
-    t = WOp.translation(n, params.c, tuple(b))
-    return t if out is None else out * t
+    Rw = r_word(params, AffineElement.translation(tuple(b)), r_matrix_red_dual)
+    return Rw * WOp.translation(params.rs.dim, params.c, tuple(b))
 
 
 # -- dynamical operators for the Weyl-action checks -------------------------
 
 def _dyn_forms(params, ar: AffineRoot):
     """(xi-argument form, x-argument form) over the 2n coordinates (xi, x)."""
-    n = params.rs.dim if isinstance(params, EllRParams) else params.n
-    av = (params.rs.coroot(ar.alpha) if isinstance(params, EllRParams)
-          else build_root_system("C", params.n).coroot(ar.alpha))
-    ka = tuple(av) + (0,) * n
+    rs = params.rs
+    n = rs.dim
+    ka = tuple(rs.coroot(ar.alpha)) + (0,) * n
     kb = (0,) * n + tuple(ar.alpha)
     return ka, kb
 
@@ -254,25 +240,21 @@ def t_hat(params, i) -> DynOp:
     ar = rs.affine_simple_roots()[i]
     ka, kb = _dyn_forms(params, ar)
     cb = ar.k * params.c
-    if isinstance(params, EllRParams):
-        m = params.m_alpha(ar.alpha)
+    vd = isinstance(params, VDParams)
+    cls = vd_kernel_class(ar) if vd else "diff"
+    if cls == "diff":
+        m = params.mu if vd else params.m_alpha(ar.alpha)
         A = BiArg(lambda mu, z: sigma(m, z, tau) / sigma(m, mu, tau), ka, kb, 0j, cb)
         B = BiArg(lambda mu, z: sigma(mu, z, tau) / sigma(m, mu, tau), ka, kb, 0j, cb)
     else:
-        cls = vd_kernel_class(ar)
-        if cls == "diff":
-            m = params.mu
-            A = BiArg(lambda mu, z: sigma(m, z, tau) / sigma(m, mu, tau), ka, kb, 0j, cb)
-            B = BiArg(lambda mu, z: sigma(mu, z, tau) / sigma(m, mu, tau), ka, kb, 0j, cb)
-        else:
-            nu, g = (params.nu, params.g) if cls == "even" else (params.nub, params.gb)
-            nuv, gv, nubv, gbv = params.dual()
-            nv, gvv = (nuv, gv) if cls == "even" else (nubv, gbv)
-            kb2 = tuple(v / 2 for v in kb)
-            A = BiArg(lambda mu, z: v_func(nu, z, g, tau) / v_func(nv, mu, gvv, tau),
-                      ka, kb2, 0j, cb / 2)
-            B = BiArg(lambda mu, z: v_func(mu, z, g, tau) / v_func(nv, mu, gvv, tau),
-                      ka, kb2, 0j, cb / 2)
+        nu, g = (params.nu, params.g) if cls == "even" else (params.nub, params.gb)
+        nuv, gv, nubv, gbv = params.dual()
+        nv, gvv = (nuv, gv) if cls == "even" else (nubv, gbv)
+        kb2 = tuple(v / 2 for v in kb)
+        A = BiArg(lambda mu, z: v_func(nu, z, g, tau) / v_func(nv, mu, gvv, tau),
+                  ka, kb2, 0j, cb / 2)
+        B = BiArg(lambda mu, z: v_func(mu, z, g, tau) / v_func(nv, mu, gvv, tau),
+                  ka, kb2, 0j, cb / 2)
     s_aff = affine_reflection(ar)
     sv = s_aff.w  # linear part acts on xi
     # That = A (sv x s_aff) - B (sv x (s_a s_aff)); s_a s_aff = identity
@@ -293,13 +275,17 @@ def t_hat_word(params, word) -> DynOp:
 
 # -- elliptic Macdonald operators -------------------------------------------
 
-def rho_m(params: EllRParams):
-    n = params.rs.dim
+def rho_m(params: EllRParams, dual=False):
+    """rho_m = (1/2) sum_{alpha > 0} m_alpha alpha, or with the coroots
+    alpha^vee in place of alpha if ``dual``."""
+    rs = params.rs
+    n = rs.dim
     out = [0j] * n
-    for a in params.rs.pos_roots:
+    for a in rs.pos_roots:
         m = params.m_alpha(a)
+        v = rs.coroot(a) if dual else a
         for k in range(n):
-            out[k] += 0.5 * m * a[k]
+            out[k] += 0.5 * m * v[k]
     return tuple(out)
 
 
@@ -340,24 +326,13 @@ def macdonald_elliptic(params: EllRParams, b, quasi=False, dual=False) -> WOp:
         Af = sigma_form(m_phi, arg_form, tau, shift) * prod
         phiv = rs.coroot(rs.highest)
         if dual:
-            mB = -sum(hp * r for hp, r in zip(rs.highest, _rho_m_vee(params)))
+            mB = -sum(hp * r for hp, r in zip(rs.highest, rho_m(params, dual=True)))
         else:
             mB = -sum(pv * r for pv, r in zip(phiv, rho_m(params)))
         Bf = sigma_form(mB, arg_form, tau, shift) * prod
         out += WOp(n, params.c, {(SignedPerm.identity(n), lam): Af})
         out += WOp.from_field(n, params.c, -Bf)
     return out
-
-
-def _rho_m_vee(params: EllRParams):
-    n = params.rs.dim
-    out = [0j] * n
-    for a in params.rs.pos_roots:
-        m = params.m_alpha(a)
-        av = params.rs.coroot(a)
-        for k in range(n):
-            out[k] += 0.5 * m * av[k]
-    return tuple(out)
 
 
 # -- GL_n elliptic Ruijsenaars ----------------------------------------------
@@ -410,36 +385,34 @@ def _gl_sig_product(p: EllGLParams, j, skip, start=None):
     return out
 
 
-def r_ij_ell(p: EllGLParams, i, j, classical=False) -> WOp:
+def r_ij_ell(p: EllGLParams, i, j) -> WOp:
     """R_ij = sigma_mu(x_ij) - sigma_{xi_i - xi_j}(x_ij) s_ij."""
     n = p.n
-    c = 0.0 if classical else p.c
     form = ext_form(n, i - 1, j - 1)
     dyn = p.xi[i - 1] - p.xi[j - 1]
     s = SignedPerm.transposition(n, i - 1, j - 1)
-    return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): sigma_form(p.mu, form, p.tau),
-                      (s, (0,) * n): -sigma_form(dyn, form, p.tau)})
+    return WOp(n, p.c, {(SignedPerm.identity(n), (0,) * n): sigma_form(p.mu, form, p.tau),
+                        (s, (0,) * n): -sigma_form(dyn, form, p.tau)})
 
 
-def y_ell_gln(p: EllGLParams, i, classical=False) -> WOp:
+def y_ell_gln(p: EllGLParams, i) -> WOp:
     """Y_i = R_{i,i+1} ... R_{i,n} t(e_i) R_{i1} ... R_{i,i-1}."""
     n = p.n
-    c = 0.0 if classical else p.c
     out = None
     for j in range(i + 1, n + 1):
-        R = r_ij_ell(p, i, j, classical=classical)
+        R = r_ij_ell(p, i, j)
         out = R if out is None else out * R
-    ti = WOp.translation(n, c, ext_coord(n, i - 1))
+    ti = WOp.translation(n, p.c, ext_coord(n, i - 1))
     out = ti if out is None else out * ti
     for j in range(1, i):
-        out = out * r_ij_ell(p, i, j, classical=classical)
+        out = out * r_ij_ell(p, i, j)
     return out
 
 
-def ruijsenaars_hamiltonian(p: EllGLParams, classical=False) -> WOp:
+def ruijsenaars_hamiltonian(p: EllGLParams) -> WOp:
     """H = sum_i prod_{j != i} sigma_mu(x_i - x_j) t(e_i)."""
     n = p.n
-    c = 0.0 if classical else p.c
+    c = p.c
     out = WOp.zero(n, c)
     for i in range(1, n + 1):
         out += WOp(n, c, {(SignedPerm.identity(n), ext_coord(n, i - 1)):
@@ -481,10 +454,11 @@ def nsel_closed_y2(p: EllGLParams) -> WOp:
     return out
 
 
-def ruijsenaars_lax_tables(p: EllGLParams, classical=False):
-    """Closed-form entries of L and A (and their classical versions)."""
+def ruijsenaars_lax_tables(p: EllGLParams):
+    """Closed-form entries of L and A; at c = 0 the A entries are the
+    derivative limit of the difference quotients."""
     n = p.n
-    c = 0.0 if classical else p.c
+    c = p.c
     eta = p.xi[0] - p.xi[1]
     one = SignedPerm.identity(n)
     Lrows, Arows = [], []
@@ -497,10 +471,10 @@ def ruijsenaars_lax_tables(p: EllGLParams, classical=False):
                 acc = WOp.zero(n, c)
                 for k in range(1, n + 1):
                     if k != j:
-                        if classical:
+                        if c == 0:
                             diff = (-p.beta) * _gl_sig(p, p.mu, k, j, dz=True)
                         else:
-                            diff = nsum([_gl_sig(p, p.mu, k, j, p.c), -_gl_sig(p, p.mu, k, j)])
+                            diff = nsum([_gl_sig(p, p.mu, k, j, c), -_gl_sig(p, p.mu, k, j)])
                         kprod = _gl_sig_product(p, k, {j, k})
                         term = diff if kprod is None else kprod * diff
                         acc += WOp(n, c, {(one, ext_coord(n, k - 1)): term})
@@ -508,10 +482,10 @@ def ruijsenaars_lax_tables(p: EllGLParams, classical=False):
             else:
                 base = _gl_sig_product(p, j, {i, j}) or ONE
                 Lrow.append(WOp(n, c, {(one, lam): (-1.0) * (_gl_sig(p, eta, i, j) * base)}))
-                if classical:
+                if c == 0:
                     diff = p.beta * _gl_sig(p, eta, i, j, dz=True)
                 else:
-                    diff = nsum([_gl_sig(p, eta, i, j, -p.c), -_gl_sig(p, eta, i, j)])
+                    diff = nsum([_gl_sig(p, eta, i, j, -c), -_gl_sig(p, eta, i, j)])
                 Arow.append(WOp(n, c, {(one, lam): base * diff}))
         Lrows.append(Lrow)
         Arows.append(Arow)
@@ -520,14 +494,14 @@ def ruijsenaars_lax_tables(p: EllGLParams, classical=False):
 
 # -- van Diejen Hamiltonian and Lax matrix ----------------------------------
 
-def vd_hamiltonian(p: VDParams, classical=False) -> WOp:
-    """L^{e_1} of the elliptic van Diejen system (quantum: the delta/2 shift
-    in the v-bar factor; classical: no shift)."""
+def vd_hamiltonian(p: VDParams) -> WOp:
+    """L^{e_1} of the elliptic van Diejen system (the delta/2 shift c/2 in
+    the v-bar factor; no shift at c = 0)."""
     n = p.n
     tau = p.tau
-    c = 0.0 if classical else p.c
+    c = p.c
     out = WOp.zero(n, c)
-    shift = 0.0 if classical else p.c / 2
+    shift = c / 2
     nub_B = -p.nu - (n - 1) * p.mu
     for k in range(2 * n):
         pi = ext_coord(n, k)  # +e_i, then -e_i
@@ -549,7 +523,7 @@ def vd_hamiltonian(p: VDParams, classical=False) -> WOp:
     return out
 
 
-def y1_vd(p: VDParams, classical=False) -> WOp:
+def y1_vd(p: VDParams) -> WOp:
     """Y^{e_1} by the explicit R-product (the n-fold (yicc) word for i = 1)."""
     n = p.n
     out = None
@@ -562,7 +536,7 @@ def y1_vd(p: VDParams, classical=False) -> WOp:
     for j in range(n, 1, -1):
         out = out * r_matrix_vd(p, AffineRoot(ext_form(n, 0, j - 1, 1), 0))
     out = out * r_matrix_vd(p, AffineRoot(two_e1, 1))
-    return out * WOp.translation(n, 0.0 if classical else p.c, ext_coord(n, 0))
+    return out * WOp.translation(n, p.c, ext_coord(n, 0))
 
 
 def vd_alpha_const(p: VDParams, eta):
@@ -604,12 +578,12 @@ def vd_beta_field(p: VDParams, eta, rep_idx):
     return nsum(parts) if parts else Const(0j)
 
 
-def vd_p_matrix(p: VDParams, eta, classical=False) -> OperatorMatrix:
+def vd_p_matrix(p: VDParams, eta) -> OperatorMatrix:
     """P of the van Diejen Lax matrix (6.9 tables)."""
     n = p.n
     m = 2 * n
     tau = p.tau
-    c = 0.0 if classical else p.c
+    c = p.c
     xi12 = eta + p.nu + (n - 2) * p.mu
     alpha = vd_alpha_const(p, eta)
 
@@ -642,13 +616,13 @@ def vd_p_matrix(p: VDParams, eta, classical=False) -> OperatorMatrix:
     return OperatorMatrix(rows)
 
 
-def vd_q_matrix(p: VDParams, eta, classical=False) -> OperatorMatrix:
+def vd_q_matrix(p: VDParams, eta) -> OperatorMatrix:
     """Q: diagonal v-bar_{nub}(x_i + c/2) t(e_i); anti-diagonal -v-bar_{xi_1}."""
     n = p.n
     m = 2 * n
     tau = p.tau
-    c = 0.0 if classical else p.c
-    shift = 0.0 if classical else p.c / 2
+    c = p.c
+    shift = c / 2
     rows = []
     for i in range(1, m + 1):
         row = []
@@ -703,34 +677,6 @@ def lax_vandiejen(p: VDParams, eta) -> LaxPair:
 
 # -- dual substitution for reduced systems -----------------------------------
 
-def r_matrix_classical(params: EllRParams, ar: AffineRoot, unitary=False) -> WOp:
-    """Classical flavor: step constant 0, level shifts dropped."""
-    n = params.rs.dim
-    m = params.m_alpha(ar.alpha)
-    mu = dyn_pairing(params, ar.alpha)
-    f1 = sigma_form(m, ar.alpha, params.tau)
-    f2 = sigma_form(mu, ar.alpha, params.tau)
-    s_aff = affine_reflection(ar)
-    op = WOp(n, 0.0, {(SignedPerm.identity(n), (0,) * n): f1,
-                      (s_aff.w, s_aff.lam): -f2})
-    if unitary:
-        return op.scale(1.0 / sigma(m, mu, params.tau))
-    return op
-
-
-def y_elliptic_classical(params: EllRParams, b, unitary=True) -> WOp:
-    rs = params.rs
-    n = rs.dim
-    w = AffineElement.translation(tuple(b))
-    word = reduced_word(rs, w)
-    out = None
-    for ar in alpha_sequence(rs, word):
-        R = r_matrix_classical(params, ar, unitary=unitary)
-        out = R if out is None else out * R
-    t = WOp.translation(n, 0.0, tuple(b))
-    return t if out is None else out * t
-
-
 def dual_coeffs_quasi(params: EllRParams, pi, xi):
     """(A^vee_pi, B^vee_pi) of the classical dual Hamiltonian at numeric xi."""
     rs = params.rs
@@ -738,7 +684,7 @@ def dual_coeffs_quasi(params: EllRParams, pi, xi):
     m_phi = params.m_alpha(rs.highest)
     zpi = sum(a * b for a, b in zip(pi, xi))
     A = sigma(m_phi, zpi, tau)
-    mB = -sum(hp * r for hp, r in zip(rs.highest, _rho_m_vee(params)))
+    mB = -sum(hp * r for hp, r in zip(rs.highest, rho_m(params, dual=True)))
     B = sigma(mB, zpi, tau)
     for a in rs.roots:
         if dot(pi, a) > 0:
@@ -750,7 +696,7 @@ def dual_coeffs_quasi(params: EllRParams, pi, xi):
     return A, B
 
 
-def dual_substituted(params: EllRParams, xi, classical=False) -> WOp:
+def dual_substituted(params: EllRParams, xi) -> WOp:
     """L^{b,vee}_c(xi, Yhat) for the quasi-minuscule b = highest coroot.
 
     Assembled in the pole-free form sum_pi Y^pi - sum_pi B^vee_pi: the
@@ -764,10 +710,7 @@ def dual_substituted(params: EllRParams, xi, classical=False) -> WOp:
     out = None
     for pi in weyl_orbit(rs, b):
         _A, B = dual_coeffs_quasi(params, pi, xi)
-        if classical:
-            Ypi = y_elliptic_classical(pxi, tuple(int(v) for v in pi), unitary=False)
-        else:
-            Ypi = y_elliptic(pxi, tuple(int(v) for v in pi), unitary=False)
+        Ypi = y_elliptic(pxi, tuple(int(v) for v in pi), unitary=False)
         n = rs.dim
         term = Ypi - WOp.from_scalar(n, Ypi.c, B)
         out = term if out is None else out + term
@@ -789,30 +732,31 @@ def dual_factor_identity_residual(params: EllRParams, xi, probes, points):
     return worst
 
 
-# -- classical van Diejen -----------------------------------------------------
+# -- classical van Diejen: the c = 0 operators, t(e_i) read as e^{beta p_i} --
 
 def vd_classical_fields(p: VDParams, eta):
     """Phase-field entries of the classical van Diejen Lax matrix L = P Q."""
-    Lc = vd_p_matrix(p, eta, classical=True) * vd_q_matrix(p, eta, classical=True)
+    pc = replace(p, c=0.0)
+    Lc = vd_p_matrix(pc, eta) * vd_q_matrix(pc, eta)
     return [[e.phase_field(p.beta) for e in row] for row in Lc.entries]
 
 
 def vd_classical_hamiltonian(p: VDParams):
-    return vd_hamiltonian(p, classical=True).phase_field(p.beta)
+    return vd_hamiltonian(replace(p, c=0.0)).phase_field(p.beta)
 
 
 # -- residue conditions ------------------------------------------------------
 
-def vd_coefficient_fields(p: VDParams, classical=False):
+def vd_coefficient_fields(p: VDParams):
     """The a_pi coefficients of L^{e_1} keyed by pi in {0, +-e_i}."""
-    op = vd_hamiltonian(p, classical=classical)
+    op = vd_hamiltonian(p)
     out = {}
     for (w, lam), h in op.terms.items():
         out[lam] = nsum([out[lam], h]) if lam in out else h
     return out
 
 
-def residue_growth(quantity, base_point, direction, dists, tau=None):
+def residue_growth(quantity, base_point, direction, dists):
     """Log-log growth exponent of |quantity| approaching a hyperplane."""
     import math
     vals = []
@@ -829,8 +773,7 @@ def _theta1_val(z, tau):
     return theta(1, z, tau)
 
 
-def residue_conditions(p: VDParams, classical=False, dists=(1e-2, 1e-3), rng=None,
-                       max_exponent=0.1):
+def residue_conditions(p: VDParams, dists=(1e-2, 1e-3), rng=None, max_exponent=0.1):
     """Growth-exponent report for the residue conditions on L^{e_1}.
 
     The coefficients a_pi are supported on {0, +-e_i} inside Pi = {-1,0,1}^n.
@@ -838,14 +781,16 @@ def residue_conditions(p: VDParams, classical=False, dists=(1e-2, 1e-3), rng=Non
     support are classified by length; each stated quantity is evaluated
     while approaching its hyperplane at the given distances.  A first-order
     pole shows as growth exponent ~ -1; regularity as an exponent above
-    -max_exponent.  Entries are (label, exponent, passed).
+    -max_exponent.  At c = 0 the classical conditions are checked.  Entries
+    are (label, exponent, passed).
     """
     import random as _random
     rng = rng or _random.Random(7)
     n = p.n
     tau = p.tau
-    c = 0.0 if classical else p.c
-    coeffs = vd_coefficient_fields(p, classical=classical)
+    c = p.c
+    classical = c == 0
+    coeffs = vd_coefficient_fields(p)
     zero = Const(0j)
     lam_rs = [2j * cmath.pi * br * (p.nu + p.nub + (n - 1) * p.mu)
               for br in (0, 0, 1, 1)]
@@ -985,7 +930,7 @@ def residue_control_failure(p: VDParams, rng=None, dists=(1e-2, 1e-3)):
     dip below -0.5 (a vacuousness control for the residue checker)."""
     import random as _random
     rng = rng or _random.Random(11)
-    coeffs = vd_coefficient_fields(p, classical=True)
+    coeffs = vd_coefficient_fields(replace(p, c=0.0))
     n = p.n
     alpha = ext_form(n, 0, 0, 1)  # 2 e_1
     av = p.rs.coroot(alpha)

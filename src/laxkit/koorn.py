@@ -11,7 +11,7 @@ collapse of sum_i (Y_i + Y_i^{-1}).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fields import Const, Field, LinArg, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
@@ -55,30 +55,30 @@ def b_ext(p: CCnParams, i, j, sign=-1) -> Field:
     return _hecke_kernel(p, 1, i, j, sign)
 
 
-def u_ext(p, i, q_level=0, classical=False) -> Field:
-    """u(x_i) (even kernel) or u~(x_i) (odd kernel; q = 1 when classical) in
+def u_ext(p, i, q_level=0) -> Field:
+    """u(x_i) (even kernel) or u~(x_i) (odd kernel; q = 1 at c = 0) in
     extended indices."""
     form = ext_coord(p.n, i - 1)
     if q_level == 0:
         tn, tnv = p.taun, p.taunv
         return LinArg(lambda z: u_fun(z, tn, tnv), form)
-    t0, t0v, q = p.tau0, p.tau0v, (1.0 if classical else p.q)
+    t0, t0v, q = p.tau0, p.tau0v, p.q
     return LinArg(lambda z: ut_fun(z, t0, t0v, q), form)
 
 
-def v_ext(p, i, q_level=0, classical=False) -> Field:
+def v_ext(p, i, q_level=0) -> Field:
     tau_i = p.taun if q_level == 0 else p.tau0
-    return nsum([Const(tau_i + 0j), -u_ext(p, i, q_level, classical)])
+    return nsum([Const(tau_i + 0j), -u_ext(p, i, q_level)])
 
 
 # -- Noumi generators ----------------------------------------------------
 
-def noumi_rep(p: CCnParams, classical=False):
+def noumi_rep(p: CCnParams):
     """Realized T_0 .. T_n; T_i = tau_i + c_{a_i}(s_i - 1)."""
     n = p.n
-    c = 0.0 if classical else p.c
+    c = p.c
     # T_0: a_0 = delta - 2 e_1, s_0 = (s_1, e_1), kernel u~(-x_1)
-    gens = [hecke_generator(n, c, p.tau0, u_ext(p, n + 1, 1, classical),
+    gens = [hecke_generator(n, c, p.tau0, u_ext(p, n + 1, 1),
                             SignedPerm.sign_flip(n, 0), ext_coord(n, 0))]
     for i in range(1, n):
         gens.append(hecke_generator(n, c, p.tau, a_ext(p, i, i + 1),
@@ -88,10 +88,10 @@ def noumi_rep(p: CCnParams, classical=False):
     return gens
 
 
-def y_operator(p: CCnParams, i, classical=False) -> WOp:
+def y_operator(p: CCnParams, i) -> WOp:
     """Y_i = T_i ... T_{n-1} T_n T_{n-1} ... T_1 T_0 T_1^{-1} ... T_{i-1}^{-1}."""
     n = p.n
-    Ts = noumi_rep(p, classical=classical)
+    Ts = noumi_rep(p)
     taus = p.taus()
     out = None
     for k in range(i, n):
@@ -105,9 +105,9 @@ def y_operator(p: CCnParams, i, classical=False) -> WOp:
     return out
 
 
-def y_inverse(p: CCnParams, i, classical=False) -> WOp:
+def y_inverse(p: CCnParams, i) -> WOp:
     n = p.n
-    Ts = noumi_rep(p, classical=classical)
+    Ts = noumi_rep(p)
     taus = p.taus()
     factors = []
     for k in range(i, n):
@@ -207,11 +207,11 @@ def abcd_operator(p: CCnParams) -> WOp:
     return op
 
 
-def p_matrix(p: CCnParams, classical=False) -> OperatorMatrix:
+def p_matrix(p: CCnParams) -> OperatorMatrix:
     """The 2n x 2n matrix P of Prop. (lmct) entry formulas."""
     n = p.n
     m = 2 * n
-    c = 0.0 if classical else p.c
+    c = p.c
     rows = []
     for i in range(1, m + 1):
         row = []
@@ -241,20 +241,20 @@ def p_matrix(p: CCnParams, classical=False) -> OperatorMatrix:
     return OperatorMatrix(rows)
 
 
-def q_matrix(p: CCnParams, classical=False) -> OperatorMatrix:
+def q_matrix(p: CCnParams) -> OperatorMatrix:
     """Q: diagonal u~_i t(e_i), anti-diagonal v~_i, zero elsewhere."""
     n = p.n
     m = 2 * n
-    c = 0.0 if classical else p.c
+    c = p.c
     rows = []
     for i in range(1, m + 1):
         row = []
         for j in range(1, m + 1):
             if i == j:
                 row.append(WOp(n, c, {(SignedPerm.identity(n), ext_coord(n, i - 1)):
-                                      u_ext(p, i, 1, classical)}))
+                                      u_ext(p, i, 1)}))
             elif (i - j) % m == n:
-                row.append(WOp.from_field(n, c, v_ext(p, i, 1, classical)))
+                row.append(WOp.from_field(n, c, v_ext(p, i, 1)))
             else:
                 row.append(WOp.zero(n, c))
         rows.append(row)
@@ -266,11 +266,11 @@ def koornwinder_table(p: CCnParams):
     return tbl
 
 
-def koornwinder_hamiltonian(p: CCnParams, classical=False) -> WOp:
+def koornwinder_hamiltonian(p: CCnParams) -> WOp:
     """Koornwinder operator: collapse of sum_i (Y_i + Y_i^{-1})."""
     total = None
     for i in range(1, p.n + 1):
-        term = y_operator(p, i, classical=classical) + y_inverse(p, i, classical=classical)
+        term = y_operator(p, i) + y_inverse(p, i)
         total = term if total is None else total + term
     return total.collapse(), total
 
@@ -301,14 +301,15 @@ def phi_vector_ccn(p: CCnParams):
     return out
 
 
-# -- classical limit -------------------------------------------------------
+# -- classical limit: the c = 0 operators with t(e_i) read as e^{beta p_i} --
 
 def classical_pq(p: CCnParams):
     """Phase-field entries of the classical L = P Q (q = 1, t -> e^{beta p})."""
-    Lc = p_matrix(p, classical=True) * q_matrix(p, classical=True)
+    pc = replace(p, c=0.0)
+    Lc = p_matrix(pc) * q_matrix(pc)
     return [[e.phase_field(p.beta) for e in row] for row in Lc.entries]
 
 
 def classical_hamiltonian_ccn(p: CCnParams):
-    Hc, _f = koornwinder_hamiltonian(p, classical=True)
+    Hc, _f = koornwinder_hamiltonian(replace(p, c=0.0))
     return Hc.phase_field(p.beta)

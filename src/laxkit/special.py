@@ -369,8 +369,3 @@ def cfun(regime_params, aroot_alpha, aroot_k, z):
     # odd level: u~ supplies one factor q^(1/2), so feed it (z - c)/2
     return ut_fun((z - p["c"]) / 2, p["tau0"], p["tau0v"], p["q"]), p["tau0"]
 
-
-def sigma_trig(mu, z):
-    """Im tau -> infinity limit shape: pi (cot(pi z) - cot(pi mu))."""
-    return cmath.pi * (cmath.cos(cmath.pi * z) / cmath.sin(cmath.pi * z)
-                       - cmath.cos(cmath.pi * mu) / cmath.sin(cmath.pi * mu))

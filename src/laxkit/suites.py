@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .opcore import (OperatorMatrix, WOp, integrals, make_probes,
                      symmetric_probe)
+from .special import CouplingSet
 from .verify import (PointPolicy, residual_evalfn, rng_for, run_check,
                      scalar_check)
 from .weyl import build_root_system, weyl_enumerate
@@ -290,14 +291,19 @@ def suite_vandiejen(config: RunConfig):
     out.append(_lax_check("lax-equation", Lm, laxv.A, laxv.H, probes, rng, policy,
                           1e-7, points=4))
     rng = rng_for(config.seed, "residues")
-    rep = ellrel.residue_conditions(pv, classical=False, rng=rng)
+    rep = ellrel.residue_conditions(pv, rng=rng)
     worst = max((-e for (_l, e, _ok) in rep), default=0.0)
     out.append(scalar_check("residue-exponents", 0.1, worst))
     return out
 
 
 def build_suite(config: RunConfig):
-    return SYSTEMS[config.system].suite(config)
+    system = SYSTEMS[config.system]
+    try:
+        CouplingSet(system.regime, config.params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return system.suite(config)
 
 
 # -- classical flows for the CSV front end ----------------------------------
@@ -369,43 +375,47 @@ def classical_flow_setup(config: RunConfig):
 @dataclass(frozen=True)
 class System:
     """Registry entry: default parameters, the verification suite (a callable
-    on RunConfig), for systems with a classical flow its set-up, and the
-    smallest rank the suite and flow can run at."""
+    on RunConfig), for systems with a classical flow its set-up, the
+    smallest rank the suite and flow can run at, and the coupling regime
+    (``special.REGIMES``; the suites of difference regimes need c != 0)."""
 
     defaults: dict
     suite: object
     flow: object = None
     min_rank: int = 1
+    regime: str = field(kw_only=True)
 
 
 SYSTEMS = {
     "rational-A": System({"t": -0.7j, "c": 1.3j},
                          lambda config: suite_rational(config, "A"),
-                         _flow_rational, min_rank=2),
+                         _flow_rational, min_rank=2, regime="rational"),
     "rational-C": System({"t": -0.7j, "c": 1.3j, "c_long": 0.9j},
-                         lambda config: suite_rational(config, "C"), min_rank=2),
+                         lambda config: suite_rational(config, "C"), min_rank=2,
+                         regime="rational"),
     "trig-gln": System({"tau": 1.4 + 0.2j, "c": 0.31 + 0.11j}, suite_trig,
-                       _flow_trig, min_rank=2),
+                       _flow_trig, min_rank=2, regime="trig"),
     "koornwinder": System({"tau0": 1.2 + 0.1j, "tau0v": 0.8 - 0.05j,
                            "taun": 1.5 + 0.2j, "taunv": 0.7 + 0.1j,
                            "tau": 1.3 - 0.15j, "c": 0.23 + 0.07j},
-                          suite_koorn, _flow_koorn),
+                          suite_koorn, _flow_koorn, regime="trig-CvC"),
     "ell-cm-A": System({"t": -0.7j, "c": 1.3j, "tau": 0.31 + 0.84j,
                         "mu": 0.27 + 0.04j},
-                       lambda config: suite_ellcm(config, bc=False)),
+                       lambda config: suite_ellcm(config, bc=False),
+                       regime="elliptic-CM"),
     "inozemtsev": System({"t": -0.7j, "c": 1.3j, "tau": 0.31 + 0.84j,
                           "mu": 0.22 + 0.03j, "g": [0.8j, -0.4j, 0.6j, 0.3j]},
                          lambda config: suite_ellcm(config, bc=True),
-                         _flow_inozemtsev),
+                         _flow_inozemtsev, regime="elliptic-CM"),
     "ell-ruijsenaars": System({"mu": 0.29 + 0.07j, "eta": 0.41 - 0.06j,
                                "c": 0.19 + 0.05j, "tau": 0.27 + 0.82j},
-                              suite_ruijsenaars, min_rank=2),
+                              suite_ruijsenaars, min_rank=2, regime="elliptic-A"),
     "vandiejen": System({"mu": 0.23 + 0.06j, "nu": 0.31 - 0.02j,
                          "nub": 0.27 + 0.05j,
                          "g": [0.8 + 0.1j, -0.4 + 0.2j, 0.6 - 0.1j, 0.3 + 0.15j],
                          "gb": [0.5 - 0.2j, 0.7 + 0.1j, -0.3 + 0.3j, 0.4 + 0j],
                          "c": 0.19 + 0.05j, "tau": 0.27 + 0.82j,
                          "eta": 0.37 - 0.04j},
-                        suite_vandiejen, _flow_vandiejen),
+                        suite_vandiejen, _flow_vandiejen, regime="elliptic-CvC"),
 }
 KNOWN_SYSTEMS = tuple(SYSTEMS)

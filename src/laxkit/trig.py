@@ -10,9 +10,9 @@ the size-n quantum Lax pair, and the u L^k v integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .fields import Const, Field, LinArg, XLift, nsum
+from .fields import Const, Field, LinArg, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
                      hecke_inverse, lax_pair)
 from .special import c_reduced, trig_ab
@@ -57,25 +57,23 @@ def _a_product(cfg, j, skip, start=None, flip=False) -> Field:
     return Const(1.0 + 0j) if out is None else out
 
 
-def r_ij(cfg, i, j, classical=False) -> WOp:
+def r_ij(cfg, i, j) -> WOp:
     """R_{ij} = a(x_i - x_j) + b(x_i - x_j) s_{ij}."""
     n = cfg.n
-    c = 0.0 if classical else cfg.c
     s = SignedPerm.transposition(n, i - 1, j - 1)
-    return WOp(n, c, {(SignedPerm.identity(n), (0,) * n): a_field(cfg, i, j),
-                      (s, (0,) * n): b_field(cfg, i, j)})
+    return WOp(n, cfg.c, {(SignedPerm.identity(n), (0,) * n): a_field(cfg, i, j),
+                          (s, (0,) * n): b_field(cfg, i, j)})
 
 
-def r_ij_inv(cfg, i, j, classical=False) -> WOp:
+def r_ij_inv(cfg, i, j) -> WOp:
     """Inverse via the quadratic relation: R^-1 = s (T - tau + tau^-1)."""
     n = cfg.n
-    c = 0.0 if classical else cfg.c
-    s_op = WOp.from_group(n, c, SignedPerm.transposition(n, i - 1, j - 1))
-    return s_op * hecke_inverse(r_ij(cfg, i, j, classical=classical) * s_op, cfg.tau)
+    s_op = WOp.from_group(n, cfg.c, SignedPerm.transposition(n, i - 1, j - 1))
+    return s_op * hecke_inverse(r_ij(cfg, i, j) * s_op, cfg.tau)
 
 
-def translation_op(cfg, i, classical=False) -> WOp:
-    return WOp.translation(cfg.n, 0.0 if classical else cfg.c, ext_coord(cfg.n, i - 1))
+def translation_op(cfg, i) -> WOp:
+    return WOp.translation(cfg.n, cfg.c, ext_coord(cfg.n, i - 1))
 
 
 # -- general basic representation ---------------------------------------
@@ -112,28 +110,27 @@ def braid_order(rs, i, j):
 
 # -- GL_n Cherednik operators -------------------------------------------
 
-def cherednik_gln(cfg, i, classical=False) -> WOp:
+def cherednik_gln(cfg, i) -> WOp:
     """Y_i = R_{i,i+1} ... R_{i,n} t(e_i) R_{1i}^-1 ... R_{i-1,i}^-1."""
     n = cfg.n
     out = None
     for j in range(i + 1, n + 1):
-        R = r_ij(cfg, i, j, classical=classical)
+        R = r_ij(cfg, i, j)
         out = R if out is None else out * R
-    ti = translation_op(cfg, i, classical=classical)
+    ti = translation_op(cfg, i)
     out = ti if out is None else out * ti
     for j in range(1, i):
-        out = out * r_ij_inv(cfg, j, i, classical=classical)
+        out = out * r_ij_inv(cfg, j, i)
     return out
 
 
-def mr_operator(cfg, classical=False) -> WOp:
+def mr_operator(cfg) -> WOp:
     """L_f for f = Y_1 + ... + Y_n: sum_i (prod_{l != i} a_il) t(e_i)."""
     n = cfg.n
-    c = 0.0 if classical else cfg.c
-    out = WOp.zero(n, c)
+    out = WOp.zero(n, cfg.c)
     for i in range(1, n + 1):
-        out += WOp(n, c, {(SignedPerm.identity(n), ext_coord(n, i - 1)):
-                          _a_product(cfg, i, {i})})
+        out += WOp(n, cfg.c, {(SignedPerm.identity(n), ext_coord(n, i - 1)):
+                              _a_product(cfg, i, {i})})
     return out
 
 
@@ -159,7 +156,8 @@ def lax_trig_gln(cfg) -> LaxPair:
 
 
 def lax_tables(cfg):
-    """Closed-form L and A entries (the Nazarov-Sklyanin shaped matrices)."""
+    """Closed-form L and A entries (the Nazarov-Sklyanin shaped matrices); at
+    c = 0 the A entries are the derivative limit of the difference quotients."""
     n = cfg.n
     c = cfg.c
     Lrows, Arows = [], []
@@ -170,9 +168,13 @@ def lax_tables(cfg):
             if i == j:
                 Lrow.append(WOp(n, c, {key: _a_product(cfg, j, {j})}))
                 Arow.append(None)  # filled below as negative row sum
+                continue
+            base = _a_product(cfg, j, {i, j})
+            Lrow.append(WOp(n, c, {key: base * b_field(cfg, i, j)}))
+            if c == 0:
+                db = _db_dxj(cfg, i, j)
+                Arow.append(WOp(n, c, {key: (cfg.beta * 1.0) * (base * db)}))
             else:
-                base = _a_product(cfg, j, {i, j})
-                Lrow.append(WOp(n, c, {key: base * b_field(cfg, i, j)}))
                 # b_{ij} t(e_j) - t(e_j) b_{ij} = (b_ij - b_ij(x + c e_j)) t(e_j)
                 diff = nsum([b_field(cfg, i, j), -b_field(cfg, i, j, shift=-c)])
                 Arow.append(WOp(n, c, {key: base * diff}))
@@ -185,6 +187,12 @@ def lax_tables(cfg):
                 acc = Arows[i][j] if acc is None else acc + Arows[i][j]
         Arows[i][i] = acc.scale(-1.0)
     return OperatorMatrix(Lrows), OperatorMatrix(Arows)
+
+
+def _db_dxj(cfg, i, j):
+    """d b(x_i - x_j)/d x_j as a field."""
+    n = cfg.n
+    return b_field(cfg, i, j).deriv(tuple(1.0 if k == j - 1 else 0.0 for k in range(n)))
 
 
 def phi_vector(cfg):
@@ -215,48 +223,15 @@ def e_tau_symmetrizer(cfg):
     return total.scale(1.0 / norm)
 
 
-# -- classical limits ----------------------------------------------------
+# -- classical limits: the c = 0 operators with t(e_j) read as e^{beta p_j} --
 
 def classical_lax_gln(cfg):
     """Classical L and A entry phase fields (x_1..x_n, p_1..p_n)."""
-    n = cfg.n
-    beta = cfg.beta
-    Lf, Af = [], []
-    for i in range(1, n + 1):
-        Lrow, Arow = [], []
-        for j in range(1, n + 1):
-            ep = _mom_exp(n, j - 1, beta)
-            if i == j:
-                Lrow.append(XLift(_a_product(cfg, j, {j}), n) * ep)
-                Arow.append(None)
-            else:
-                base = _a_product(cfg, j, {i, j})
-                Lrow.append(XLift(base * b_field(cfg, i, j), n) * ep)
-                db = _db_dxj(cfg, i, j)
-                Arow.append(XLift((beta * 1.0) * (base * db), n) * ep)
-        Lf.append(Lrow)
-        Af.append(Arow)
-    for i in range(n):
-        parts = [Af[i][j] for j in range(n) if j != i]
-        Af[i][i] = nsum(parts) * (-1.0)
-    return Lf, Af
-
-
-def _db_dxj(cfg, i, j):
-    """d b(x_i - x_j)/d x_j as a field."""
-    n = cfg.n
-    return b_field(cfg, i, j).deriv(tuple(1.0 if k == j - 1 else 0.0 for k in range(n)))
-
-
-def _mom_exp(n, idx, beta):
-    from .fields import exp_lin
-    k = [0.0] * (2 * n)
-    k[n + idx] = beta
-    return exp_lin(tuple(k))
+    L, A = lax_tables(replace(cfg, c=0.0))
+    return ([[e.phase_field(cfg.beta) for e in row] for row in L.entries],
+            [[e.phase_field(cfg.beta) for e in row] for row in A.entries])
 
 
 def classical_mr_hamiltonian(cfg):
     """Classical Macdonald-Ruijsenaars Hamiltonian sum_i (prod a_il) e^{beta p_i}."""
-    n = cfg.n
-    return nsum([XLift(_a_product(cfg, i, {i}), n) * _mom_exp(n, i - 1, cfg.beta)
-                 for i in range(1, n + 1)])
+    return mr_operator(replace(cfg, c=0.0)).phase_field(cfg.beta)

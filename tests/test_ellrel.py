@@ -2,6 +2,7 @@
 van Diejen Lax pairs, dual substitution, residue conditions."""
 
 import cmath
+import dataclasses
 import itertools
 import random
 
@@ -21,8 +22,7 @@ from laxkit.ellrel import (EllGLParams, EllRParams, VDParams, alpha_sequence,
                            vd_classical_fields, vd_classical_hamiltonian,
                            vd_coefficient_fields, vd_dual_substituted,
                            vd_hamiltonian, vd_p_matrix, vd_q_matrix,
-                           y1_vd, y_ell_gln, y_elliptic, y_elliptic_classical,
-                           y_elliptic_dual, _rho_m_vee)
+                           y1_vd, y_ell_gln, y_elliptic, y_elliptic_dual)
 from laxkit.fields import exp_lin
 from laxkit.opcore import (DynOp, OperatorMatrix, WOp, classical_op_residual,
                            make_probes, symbol_parts)
@@ -213,7 +213,7 @@ def test_macdonald_elliptic_collapse():
     LbC = macdonald_elliptic(pc, (1, 0), quasi=True)
     assert op_residual(y_elliptic(pc, (1, 0)).collapse(), LbC, probes2, xs2) < 1e-12
     # dual version (kernels on coroots): collapse at zeta = -rho_m_vee
-    pcd = pC().with_xi(tuple(-v for v in _rho_m_vee(pC())))
+    pcd = pC().with_xi(tuple(-v for v in rho_m(pC(), dual=True)))
     LbD = macdonald_elliptic(pcd, (1, 0), quasi=True, dual=True)
     assert op_residual(y_elliptic_dual(pcd, (1, 0)).collapse(), LbD,
                        probes2, xs2) < 1e-12
@@ -335,18 +335,18 @@ def test_dual_substitution_probes():
     zpt = (0.21, 0.36, 0.13, -0.08)
     rng = random.Random(21)
     idents = []
+    pc0 = EllRParams(pc.rs, pc.m_short, pc.m_long, 0.0, TAU, pc.xi)
     for _ in range(3):
         xi = (complex(rng.uniform(0.1, 0.35), 0.02),
               complex(rng.uniform(0.1, 0.35), -0.01))
-        opc = dual_substituted(pc, xi, classical=True)
+        opc = dual_substituted(pc0, xi)
         ident, off = symbol_parts(opc, zpt)
         idents.append(ident)
         assert off < 1e-8
     assert max(abs(v - idents[0]) for v in idents) < 1e-8 * (1 + abs(idents[0]))
-    pc0 = EllRParams(pc.rs, pc.m_short, pc.m_long, 0.0, TAU, pc.xi)
     Lbc = macdonald_elliptic(pc0, (1, 0), quasi=True)
     zpt2 = (0.33, 0.17, -0.11, 0.21)
-    opc = dual_substituted(pc, (0.22 + 0.01j, 0.31 - 0.02j), classical=True)
+    opc = dual_substituted(pc0, (0.22 + 0.01j, 0.31 - 0.02j))
     consts = []
     for z in (zpt, zpt2):
         ia, _ = symbol_parts(opc, z)
@@ -372,12 +372,12 @@ def test_dual_substitution_lax_equation_c2():
 
 
 def test_translation_covariance_classical():
-    pc = pC()
+    pc = dataclasses.replace(pC(), c=0.0)
     xi_a = (0.24 + 0.01j, 0.17 - 0.02j)
     b = (1, 0)
     v = (1, 0)
-    Yc1 = y_elliptic_classical(pc.with_xi(xi_a), b, unitary=False)
-    Yc2 = y_elliptic_classical(pc.with_xi((xi_a[0] + TAU, xi_a[1])), b, unitary=False)
+    Yc1 = y_elliptic(pc.with_xi(xi_a), b, unitary=False)
+    Yc2 = y_elliptic(pc.with_xi((xi_a[0] + TAU, xi_a[1])), b, unitary=False)
     ph = exp_lin(tuple(2j * cmath.pi * vv for vv in v))
     phm = exp_lin(tuple(-2j * cmath.pi * vv for vv in v))
     conj = WOp.from_field(2, 0.0, ph) * Yc1 * WOp.from_field(2, 0.0, phm)
@@ -390,9 +390,9 @@ def test_translation_covariance_classical():
 
 def test_residue_conditions_and_control():
     pv = pV()
-    rep = residue_conditions(pv, classical=False, rng=random.Random(5))
+    rep = residue_conditions(pv, rng=random.Random(5))
     assert rep and all(ok for (_l, _e, ok) in rep)
-    repc = residue_conditions(pv, classical=True, rng=random.Random(5))
+    repc = residue_conditions(dataclasses.replace(pv, c=0.0), rng=random.Random(5))
     assert repc and all(ok for (_l, _e, ok) in repc)
     # the lambda_r-weighted sums are present
     assert any(l.startswith("5res") for (l, _e, _ok) in rep)
@@ -442,7 +442,7 @@ def test_slopes_ruijsenaars_and_vandiejen():
     base = VDParams(2, 0.23 + 0.06j, 0.31 - 0.02j, 0.27 + 0.05j, G, GB, 0.0, TAU)
     xi = base.xi_spec(eta)
     opc = vd_dual_substituted(base, xi)
-    Hc = vd_hamiltonian(base, classical=True)
+    Hc = vd_hamiltonian(base)
     zpt = xb + pb
     ia, _ = symbol_parts(opc, zpt)
     ib, _ = symbol_parts(Hc, zpt)
@@ -535,7 +535,7 @@ def test_classical_ruijsenaars_a_is_hbar_limit():
     beta = 1.0
     pcl = EllGLParams(3, mu, 0.0, TAU, (0j,) * 3)
     pcl = pcl.with_xi(pcl.xi_spec(eta))
-    _Lc, Acl = ruijsenaars_lax_tables(pcl, classical=True)
+    _Lc, Acl = ruijsenaars_lax_tables(pcl)
     x = (0.31, -0.22, 0.4)
     mom = (0.2, -0.3, 0.14)
     h = 1e-5

@@ -13,7 +13,7 @@ from laxkit.dual import Dual, extract, value
 from laxkit.fields import PoleError
 from laxkit.special import (EllipticParams, ModulusError, dual_couplings,
                             dual_params, eta1, sigma, sigma_dz, sigma_r,
-                            sigma_trig, theta, theta_deriv, trig_ab, u_fun,
+                            theta, theta_deriv, trig_ab, u_fun,
                             ut_fun, v_func, v_func_dz, vt_fun, v_fun, wp)
 
 TAU = 0.3 + 0.8j

@@ -12,6 +12,7 @@ import pytest
 
 from laxkit.cli import main as cli_main
 from laxkit.fields import FuncField, PoleError, Scale
+from laxkit.special import DIFFERENCE_REGIMES
 from laxkit.suites import (KNOWN_SYSTEMS, SYSTEMS, ConfigError, RunConfig,
                            classical_flow_setup, default_params)
 from laxkit.verify import (PointPolicy, VerificationReport, decode_number,
@@ -172,6 +173,7 @@ def test_rng_for_deterministic():
 
 
 FLOW_SYSTEMS = {"rational-A", "trig-gln", "inozemtsev", "koornwinder", "vandiejen"}
+DIFFERENCE_SYSTEMS = ("trig-gln", "koornwinder", "ell-ruijsenaars", "vandiejen")
 
 
 def test_system_registry():
@@ -181,6 +183,8 @@ def test_system_registry():
         params = default_params(name, 2)
         assert params == spec.defaults and params is not spec.defaults
     assert {name for name, spec in SYSTEMS.items() if spec.flow} == FLOW_SYSTEMS
+    assert {name for name, spec in SYSTEMS.items()
+            if spec.regime in DIFFERENCE_REGIMES} == set(DIFFERENCE_SYSTEMS)
     with pytest.raises(ConfigError, match="^no defaults for nope$"):
         default_params("nope", 2)
     with pytest.raises(ConfigError, match=r"^unknown system 'nope'; known: \('rational-A', "):
@@ -212,6 +216,25 @@ def test_cli_rank_one(system, capsys):
         assert f"configuration error: rank must be >= 2 for system '{system}'" in err
     else:
         assert rc == 0, err
+
+
+@pytest.mark.parametrize("system", DIFFERENCE_SYSTEMS)
+def test_cli_difference_suite_rejects_zero_step(system, tmp_path, capsys):
+    # the classical flavor (c = 0) has no function action, so no suite runs
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"c": 0}))
+    assert cli_main(["verify", "--system", system, "--params", str(pfile)]) == 2
+    err = capsys.readouterr().err
+    assert (f"configuration error: regime {SYSTEMS[system].regime} needs a "
+            "nonzero step constant c") in err
+
+
+def test_cli_verify_rejects_non_finite_parameter(tmp_path, capsys):
+    # an infinite tau used to give a vacuous pass (every residual 0)
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"tau": {"re": "inf", "im": "0"}}))
+    assert cli_main(["verify", "--system", "trig-gln", "--params", str(pfile)]) == 2
+    assert "configuration error: parameter tau is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("system,rank", [("rational-A", 3), ("rational-C", 2)])
