@@ -6,11 +6,23 @@ so operator calculus below never needs symbolic differentiation.  The
 workhorse leaf is ``LinArg`` (a univariate function of an affine-linear
 form), which is closed under composition with x -> w x + v: exactly the
 substitutions generated by group-algebra arithmetic.
+
+Evaluation contract.  Calling a field, or ``evaluate(roots, x)``, opens one
+memo scope for the point x, and every node is computed at most once in it:
+sums, products, quotients and scalings are keyed by node identity, and the
+leaves ``LinArg``/``BiArg`` by their kernel and affine form, so the equal
+copies that ``o_affine`` makes share one kernel call.  Nodes that move the
+point (``Affine``, ``XLift``, ``Deriv``, ``FuncField``) evaluate their
+subtree in a fresh scope.  This is sound because leaf kernels are pure
+functions of their argument and nodes are immutable.  A scope lives for
+one evaluation only and an exception discards it, so no value survives
+from one point to the next; children are visited left to right, so the
+first ``PoleError`` raised is the one the plain tree walk would raise.
 """
 
 from __future__ import annotations
 
-from .dual import d_exp, directional
+from .dual import d_exp, directional, value
 
 
 class PoleError(ArithmeticError):
@@ -21,6 +33,17 @@ class Field:
     __slots__ = ()
 
     def __call__(self, x):
+        """Value at the point x, in a memo scope of its own."""
+        return self._eval(x, {})
+
+    def _ev(self, x, memo):
+        """Value at x in the scope ``memo``; computed only on a miss."""
+        v = memo.get(self)
+        if v is None:
+            v = memo[self] = self._eval(x, memo)
+        return v
+
+    def _eval(self, x, memo):
         raise NotImplementedError
 
     def __add__(self, other):
@@ -76,6 +99,13 @@ def as_field(x):
     return Const(complex(x))
 
 
+def evaluate(roots, x):
+    """Values of the fields ``roots`` at x from one memo scope, so a node
+    shared between roots is computed once."""
+    memo = {}
+    return [f._ev(x, memo) for f in roots]
+
+
 class Const(Field):
     __slots__ = ("c",)
 
@@ -83,6 +113,9 @@ class Const(Field):
         self.c = c
 
     def __call__(self, x):
+        return self.c
+
+    def _ev(self, x, memo):
         return self.c
 
     def o_affine(self, w, v):
@@ -100,6 +133,9 @@ class Coord(Field):
         self.i = i
 
     def __call__(self, x):
+        return x[self.i]
+
+    def _ev(self, x, memo):
         return x[self.i]
 
     def o_affine(self, w, v):
@@ -125,6 +161,13 @@ class LinArg(Field):
                 z = z + ki * xi
         return z if self.fn is None else self.fn(z)
 
+    def _ev(self, x, memo):
+        key = (self.fn, self.k, self.c0)
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = self(x)
+        return v
+
     def o_affine(self, w, v):
         k = self.k
         if w is not None and not w.is_identity():
@@ -145,14 +188,11 @@ def exp_lin(k, c0=0j):
 
 def inv_form(k, c0=0j, guard=1e-3, name="linear form"):
     """1/(<k,x> + c0) with a pole guard on the denominator."""
-    from .dual import value
-
     def fn(z):
         if abs(value(z)) < guard:
             raise PoleError(f"|{name}| = {abs(value(z)):.2e} below pole guard {guard}")
         return 1.0 / z
     return LinArg(fn, k, c0)
-
 
 
 def linear_form(k, c0=0j):
@@ -195,6 +235,13 @@ class BiArg(Field):
                 zb = zb + ki * xi
         return self.fn(za, zb)
 
+    def _ev(self, x, memo):
+        key = (self.fn, self.ka, self.kb, self.ca, self.cb)
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = self(x)
+        return v
+
     def o_affine(self, w, v):
         ka, kb = self.ka, self.kb
         ca, cb = self.ca, self.cb
@@ -221,8 +268,8 @@ class Scale(Field):
         self.c = c
         self.f = f
 
-    def __call__(self, x):
-        return self.c * self.f(x)
+    def _eval(self, x, memo):
+        return self.c * self.f._ev(x, memo)
 
     def o_affine(self, w, v):
         return Scale(self.c, self.f.o_affine(w, v))
@@ -234,10 +281,10 @@ class NSum(Field):
     def __init__(self, parts):
         self.parts = parts
 
-    def __call__(self, x):
+    def _eval(self, x, memo):
         out = 0j
         for p in self.parts:
-            out = out + p(x)
+            out = out + p._ev(x, memo)
         return out
 
     def o_affine(self, w, v):
@@ -270,8 +317,8 @@ class Prod(Field):
         self.a = a
         self.b = b
 
-    def __call__(self, x):
-        return self.a(x) * self.b(x)
+    def _eval(self, x, memo):
+        return self.a._ev(x, memo) * self.b._ev(x, memo)
 
     def o_affine(self, w, v):
         return Prod(self.a.o_affine(w, v), self.b.o_affine(w, v))
@@ -284,8 +331,8 @@ class Quot(Field):
         self.a = a
         self.b = b
 
-    def __call__(self, x):
-        return self.a(x) / self.b(x)
+    def _eval(self, x, memo):
+        return self.a._ev(x, memo) / self.b._ev(x, memo)
 
     def o_affine(self, w, v):
         return Quot(self.a.o_affine(w, v), self.b.o_affine(w, v))
@@ -307,7 +354,7 @@ class Affine(Field):
         self.w = w
         self.v = v
 
-    def __call__(self, x):
+    def _eval(self, x, memo):
         if self.w is not None:
             x = self.w.apply_vec(x)
         if self.v is not None:
@@ -325,7 +372,7 @@ class Deriv(Field):
         self.base = base
         self.dirs = tuple(dirs)
 
-    def __call__(self, x):
+    def _eval(self, x, memo):
         return directional(self.base, tuple(x), self.dirs)
 
     def deriv(self, direction):
@@ -340,7 +387,7 @@ class FuncField(Field):
     def __init__(self, fn):
         self.fn = fn
 
-    def __call__(self, x):
+    def _eval(self, x, memo):
         return self.fn(x)
 
 
@@ -353,7 +400,7 @@ class XLift(Field):
         self.base = base
         self.n = n
 
-    def __call__(self, z):
+    def _eval(self, z, memo):
         return self.base(z[:self.n])
 
 

@@ -18,6 +18,7 @@ on the induced module M and its parabolic reduction M' = e'M.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -216,7 +217,7 @@ class WOp:
             if w2 == w:
                 wl = w2.apply_vec(lam)
                 arg = beta * sum(pi * li for pi, li in zip(p, wl))
-                total += value(h(x)) * _cexp(arg)
+                total += value(h(x)) * cmath.exp(arg)
         return total
 
     def phase_field(self, beta):
@@ -253,11 +254,6 @@ class WOp:
                                          {(SignedPerm.identity(self.n),
                                            rkinv.apply_vec(wl)): h.o_group(rk)})
         return OperatorMatrix(entries)
-
-
-def _cexp(z):
-    import cmath
-    return cmath.exp(z)
 
 
 class DiffOp:

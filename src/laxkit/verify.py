@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import gradient_vec, value
-from .fields import ZERO, PoleError
+from .fields import ZERO, PoleError, Scale, evaluate
 from .opcore import OperatorMatrix, residual_pair
 
 DEFAULT_POINTS = 8
@@ -128,16 +128,19 @@ def residual_evalfn(lhs, rhs, probes):
 
     ``lhs`` and ``rhs`` are scalar operators or OperatorMatrix objects of
     one size; ``rhs=None`` means lhs = 0.  At a point x the value is the max
-    over entries and probes of residual_pair(lhs f (x), rhs f (x)).
+    over entries and probes of residual_pair(lhs f (x), rhs f (x)), with
+    all the sides evaluated in one memo scope, so the field nodes shared
+    between entries are computed once per point.
     """
     lops = _entries(lhs)
     rops = [None] * len(lops) if rhs is None else _entries(rhs)
-    fs = [(a.apply_field(p), ZERO if b is None else b.apply_field(p))
-          for a, b in zip(lops, rops) for p in probes]
+    roots = [g for a, b in zip(lops, rops) for p in probes
+             for g in (a.apply_field(p), ZERO if b is None else b.apply_field(p))]
 
     def evalfn(x):
-        return max((residual_pair(value(g1(x)), value(g2(x))) for g1, g2 in fs),
-                   default=0.0)
+        vals = evaluate(roots, x)
+        return max((residual_pair(value(v1), value(v2))
+                    for v1, v2 in zip(vals[::2], vals[1::2])), default=0.0)
     return evalfn
 
 
@@ -231,7 +234,6 @@ def flow_time_scale(H, z0, n, target_speed=0.08):
 
 def scaled_flow(H, z0, T, dt, n, target_speed=0.08, record_every=1):
     kappa = flow_time_scale(H, z0, n, target_speed)
-    from .fields import Scale
     Hs = Scale(1.0 / kappa, H) if kappa != 1.0 else H
     times, traj = hamiltonian_flow(Hs, z0, T, dt, n, record_every=record_every)
     return Hs, times, traj
@@ -260,10 +262,17 @@ def isospectral_drift(L_fn, traj):
     return max(charpoly_drifts(L_fn, traj), default=0.0)
 
 
+def _matrix_at(entry_fields, z):
+    """Entry values at z from one memo scope, as nested row lists."""
+    vals = evaluate([e for row in entry_fields for e in row], z)
+    m = len(entry_fields[0]) if entry_fields else 0
+    return [vals[i:i + m] for i in range(0, len(vals), m)]
+
+
 def matrix_fn_from_fields(entry_fields):
     """Phase-point callable producing a numeric matrix from entry fields."""
     def L_fn(z):
-        return [[value(e(z)) for e in row] for row in entry_fields]
+        return [[value(v) for v in row] for row in _matrix_at(entry_fields, z)]
     return L_fn
 
 
@@ -272,7 +281,7 @@ def trace_power_fn(entry_fields, k):
     m = len(entry_fields)
 
     def fn(z):
-        mat = [[e(z) for e in row] for row in entry_fields]
+        mat = _matrix_at(entry_fields, z)
         out = mat
         for _ in range(k - 1):
             out = [[sum(out[i][l] * mat[l][j] for l in range(m))

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from laxkit.cli import main as cli_main
-from laxkit.fields import FuncField, PoleError, Scale
+from laxkit.fields import BiArg, FuncField, LinArg, PoleError, Scale
 from laxkit.special import DIFFERENCE_REGIMES
 from laxkit.suites import (KNOWN_SYSTEMS, SYSTEMS, ConfigError, RunConfig,
                            classical_flow_setup, default_params)
@@ -292,5 +292,9 @@ def test_benchmark_tracer_hooks_fire(argv):
                    and g["calls"] > 0 for name, g in groups.items())
         assert result["trace"]["points"] > 0
         assert result["trace"]["layers"]["construct"]["incl"] > 0
+        # the tracer counts leaf kernel calls by wrapping these methods
+        assert "__call__" in LinArg.__dict__ and "__call__" in BiArg.__dict__
+        assert result["trace"]["counts"].get("leaf_calls", 0) > 0
+        assert result["trace"]["point_totals"].get("leaf_calls", 0) > 0
     for name in BENCH_GROUPS[argv[0]]:
         assert groups.get(name, {}).get("calls", 0) > 0, name
