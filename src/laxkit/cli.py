@@ -19,8 +19,8 @@ import time
 from .fields import PoleError
 from .suites import (ConfigError, RunConfig, build_suite, classical_flow_setup,
                      default_params)
-from .verify import (VerificationReport, charpoly_drifts, decode_number,
-                     matrix_fn_from_fields, scaled_flow, trace_power_fn)
+from .verify import (VerificationReport, decode_number, scaled_flow,
+                     spectral_invariants)
 from .dual import value
 
 
@@ -82,8 +82,6 @@ def cmd_flow(args):
     rows = []
     header = (["t"] + [f"x{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
               + [f"trL{k}" for k in powers] + ["charpoly_drift"])
-    tracers = [trace_power_fn(Lf, k) for k in powers]
-    Lfn = matrix_fn_from_fields(Lf)
     aborted = False
     try:
         Hs, times, traj = scaled_flow(H, z0, config.time, config.dt, n)
@@ -92,13 +90,13 @@ def cmd_flow(args):
         times, traj = [0.0], [tuple(complex(v) for v in z0)]
         aborted = True
     idxs = range(0, len(traj), max(1, len(traj) // 200))
-    drifts = charpoly_drifts(Lfn, [traj[idx] for idx in idxs])
-    for idx, drift in zip(idxs, drifts):
+    spectra = spectral_invariants(Lf, powers, [traj[idx] for idx in idxs])
+    for idx, (traces, drift) in zip(idxs, spectra):
         z = traj[idx]
         row = [float(times[idx])]
         row += [float(value(v).real) for v in z[:n]]
         row += [float(value(v).real) for v in z[n:]]
-        row += [float(value(tr(z)).real) for tr in tracers]
+        row += [float(value(tr).real) for tr in traces]
         row += [drift]
         rows.append(row)
     text = ",".join(header) + "\n"

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import cmath
 
+import numpy as np
+
 
 class Dual:
     """val + eps * (infinitesimal); val/eps may themselves be Dual."""
@@ -131,7 +133,6 @@ def directional(f, point, directions):
 
 def gradient_vec(f, point):
     """All first partials in one pass, using an array-valued eps."""
-    import numpy as np
     n = len(point)
     basis = np.eye(n, dtype=complex)
     pt = tuple(Dual(p, basis[k]) for k, p in enumerate(point))

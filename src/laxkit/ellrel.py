@@ -13,17 +13,20 @@ along reduced words give Rhat_w independently of the word.
 from __future__ import annotations
 
 import cmath
+import math
+import random
 from dataclasses import dataclass, field as dfield, replace
 from functools import partial
 
 from .fields import ONE, BiArg, Const, LinArg, nsum
 from .opcore import DynOp, LaxPair, OperatorMatrix, WOp, lax_pair
 from .special import (dual_params, half_periods, sigma, sigma_dz_form,
-                      sigma_form, v_func)
+                      sigma_form, theta, v_func)
 from .verify import op_residual
 from .weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
                    affine_reflection, build_root_system, dot, ext_coord,
-                   ext_form, orbit_stabilizer, reduced_word, same_coord)
+                   ext_form, orbit_stabilizer, reduced_word, same_coord,
+                   weyl_enumerate)
 
 
 # -- parameter bundles -----------------------------------------------------
@@ -290,7 +293,6 @@ def rho_m(params: EllRParams, dual=False):
 
 
 def weyl_orbit(rs, b):
-    from .weyl import weyl_enumerate
     seen = {}
     for w in weyl_enumerate(rs):
         pt = w.apply_vec(tuple(b))
@@ -758,7 +760,6 @@ def vd_coefficient_fields(p: VDParams):
 
 def residue_growth(quantity, base_point, direction, dists):
     """Log-log growth exponent of |quantity| approaching a hyperplane."""
-    import math
     vals = []
     for d in dists:
         x = tuple(b + d * v for b, v in zip(base_point, direction))
@@ -766,11 +767,6 @@ def residue_growth(quantity, base_point, direction, dists):
     num = math.log(max(vals[1], 1e-300) / max(vals[0], 1e-300))
     den = math.log(dists[1] / dists[0])
     return num / den
-
-
-def _theta1_val(z, tau):
-    from .special import theta
-    return theta(1, z, tau)
 
 
 def residue_conditions(p: VDParams, dists=(1e-2, 1e-3), rng=None, max_exponent=0.1):
@@ -784,8 +780,7 @@ def residue_conditions(p: VDParams, dists=(1e-2, 1e-3), rng=None, max_exponent=0
     -max_exponent.  At c = 0 the classical conditions are checked.  Entries
     are (label, exponent, passed).
     """
-    import random as _random
-    rng = rng or _random.Random(7)
+    rng = rng or random.Random(7)
     n = p.n
     tau = p.tau
     c = p.c
@@ -804,7 +799,7 @@ def residue_conditions(p: VDParams, dists=(1e-2, 1e-3), rng=None, max_exponent=0
 
     def theta_pref(alpha, shift):
         def f(x):
-            return _theta1_val(sum(a * xi for a, xi in zip(alpha, x)) + shift, tau)
+            return theta(1, sum(a * xi for a, xi in zip(alpha, x)) + shift, tau)
         return f
 
     def base_on(alpha, h):
@@ -928,8 +923,7 @@ def residue_control_failure(p: VDParams, rng=None, dists=(1e-2, 1e-3)):
     """Unweighted length-three sum at a shifted half-period: the poles do
     not cancel without the e^{+-lambda_r} weights, so the exponent must
     dip below -0.5 (a vacuousness control for the residue checker)."""
-    import random as _random
-    rng = rng or _random.Random(11)
+    rng = rng or random.Random(11)
     coeffs = vd_coefficient_fields(replace(p, c=0.0))
     n = p.n
     alpha = ext_form(n, 0, 0, 1)  # 2 e_1

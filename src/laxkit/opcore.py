@@ -1,19 +1,23 @@
 """Crossed-product operator algebra and its matrix representations.
 
-Three term shapes cover every construction in the package:
+Two term shapes cover every construction in the package:
 
 * ``WOp`` — difference-reflection operators, finite sums of h(x) * w * t(lam)
   with h a scalar field, w a finite signed permutation and t(lam) a lattice
   translation acting by f(x) -> f(x + c*lam).  Step constant c = 0 gives the
   classical crossed product, where t(lam) is read as e^{beta p_lam} and
-  composition drops the shift of coefficients.
+  composition drops the shift of coefficients.  A dynamical operator
+  h(xi, x) * (a ⊗ w t(lam)), used for the unitary R-matrix Weyl-group
+  action, is the ``WOp`` on the 2n coordinates (xi, x) with group part
+  a ⊕ w and translation (0, lam); ``DynOp`` builds it from (a, w, lam).
 * ``DiffOp`` — differential-reflection operators, sums of f(x) d^m w.  The
   classical flavor reads d^m as a momentum monomial (no Leibniz rule).
-* ``DynOp`` — dynamical operators on (xi, x) with a pair (a, w t(lam)) acting
-  on the two blocks; used for the unitary R-matrix Weyl-group action.
 
-Matrices over the scalar (reflection-free) parts represent operator actions
-on the induced module M and its parabolic reduction M' = e'M.
+Both keep their terms in one dictionary keyed by (group element, exponent),
+sharing the linear algebra; a zero coefficient is dropped, so the zero
+operator has no terms.  Matrices over the scalar (reflection-free) parts
+represent operator actions on the induced module M and its parabolic
+reduction M' = e'M.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .dual import value
-from .fields import (Const, Deriv, Field, XLift, as_field, exp_lin, nsum,
-                     symmetrized)
+from .fields import Const, Deriv, Field, XLift, as_field, exp_lin, nsum
 from .weyl import SignedPerm
 
 
@@ -67,14 +70,18 @@ def field_dmulti(f: Field, m):
     return Deriv(f, tuple(dirs))
 
 
-class WOp:
-    """Finite sum of h(x) * w * t(lam) in normal form."""
+class _TermOp:
+    """Finite sum of coefficient fields over term keys (w, exponent).
 
-    __slots__ = ("n", "c", "terms")
+    Subclasses fix the flavor, the empty operator of that flavor
+    (``_like``) and composition; sums, differences and scalar multiples
+    are the same for all of them.
+    """
 
-    def __init__(self, n, c, terms=None):
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n, terms=None):
         self.n = n
-        self.c = c
         self.terms = {}
         if terms:
             for key, f in terms.items():
@@ -87,6 +94,58 @@ class WOp:
             self.terms[key] = nsum([self.terms[key], f])
         else:
             self.terms[key] = f
+
+    def _like(self, terms=None):
+        """Operator of the same algebra, dimension and flavor with ``terms``."""
+        raise NotImplementedError
+
+    def _flavor(self):
+        raise NotImplementedError
+
+    def _check(self, other):
+        if not isinstance(other, _TermOp) or other._flavor() != self._flavor():
+            raise FlavorError(f"cannot combine {type(self).__name__} with "
+                              f"{type(other).__name__} of another dimension "
+                              f"or flavor")
+
+    def __add__(self, other):
+        self._check(other)
+        out = self._like(self.terms)
+        for key, f in other.terms.items():
+            out._add_term(key, f)
+        return out
+
+    def __sub__(self, other):
+        return self + other.scale(-1.0)
+
+    def scale(self, z):
+        if z == 0:
+            return self._like()
+        return self._like({key: z * f for key, f in self.terms.items()})
+
+    def __neg__(self):
+        return self.scale(-1.0)
+
+    def __rmul__(self, z):
+        if isinstance(z, (int, float, complex)):
+            return self.scale(z)
+        return NotImplemented
+
+
+class WOp(_TermOp):
+    """Finite sum of h(x) * w * t(lam) in normal form."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, n, c, terms=None):
+        self.c = c
+        super().__init__(n, terms)
+
+    def _like(self, terms=None):
+        return WOp(self.n, self.c, terms)
+
+    def _flavor(self):
+        return WOp, self.n, self.c
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -116,35 +175,6 @@ class WOp:
         return WOp(n, c, {(SignedPerm.identity(n), tuple(lam)): as_field(coeff)})
 
     # -- algebra -------------------------------------------------------
-    def _check(self, other):
-        if not isinstance(other, WOp):
-            raise FlavorError(f"cannot combine WOp with {type(other).__name__}")
-        if other.n != self.n or other.c != self.c:
-            raise FlavorError("WOp dimension/step-constant mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = WOp(self.n, self.c, dict(self.terms))
-        for key, f in other.terms.items():
-            out._add_term(key, f)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, z):
-        if z == 0:
-            return WOp.zero(self.n, self.c)
-        return WOp(self.n, self.c, {key: z * f for key, f in self.terms.items()})
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __rmul__(self, z):
-        if isinstance(z, (int, float, complex)):
-            return self.scale(z)
-        return NotImplemented
-
     def mul_field_left(self, g: Field):
         return WOp(self.n, self.c, {key: g * f for key, f in self.terms.items()})
 
@@ -152,53 +182,25 @@ class WOp:
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         self._check(other)
-        out = WOp.zero(self.n, self.c)
+        out = self._like()
         for (w1, l1), h1 in self.terms.items():
             w1inv = w1.inverse()
             shift = tuple(self.c * v for v in l1) if self.c != 0 else None
             for (w2, l2), h2 in other.terms.items():
                 # h1 w1 t(l1) h2 w2 t(l2) = h1 * (h2 o map) * (w1 w2) t(w2^-1 l1 + l2)
-                h2c = h2.o_affine(w1inv, shift) if self.c != 0 else h2.o_affine(w1inv, None)
+                h2c = h2.o_affine(w1inv, shift)
                 w2inv = w2.inverse()
                 lam = tuple(a + b for a, b in zip(w2inv.apply_vec(l1), l2))
                 out._add_term((w1 * w2, lam), h1 * h2c)
         return out
 
-    def power(self, k):
-        out = WOp.one(self.n, self.c)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def conj(self, g: SignedPerm):
-        """g^{-1} * self * g."""
-        ginv = g.inverse()
-        out = WOp.zero(self.n, self.c)
-        for (w, lam), h in self.terms.items():
-            out._add_term((ginv * w * g, ginv.apply_vec(lam)), h.o_group(g))
-        return out
-
     # -- structure -----------------------------------------------------
     def collapse(self):
         """Sum of the D_q-parts a_w (group factors dropped): h w t(lam) -> h t(w lam)."""
-        out = WOp.zero(self.n, self.c)
+        out = self._like()
         for (w, lam), h in self.terms.items():
             out._add_term((SignedPerm.identity(self.n), w.apply_vec(lam)), h)
         return out
-
-    def off_identity(self):
-        """A_hat = self - collapse(self) = sum a_w (w - 1)."""
-        return self - self.collapse()
-
-    def is_scalar(self):
-        return all(w.is_identity() for (w, _lam) in self.terms)
-
-    def components(self):
-        """Normal form a = sum_w a_w w: dict w -> list of (wlam, coeff field)."""
-        comp = {}
-        for (w, lam), h in self.terms.items():
-            comp.setdefault(w, []).append((w.apply_vec(lam), h))
-        return comp
 
     # -- actions ---------------------------------------------------------
     def apply_field(self, f: Field) -> Field:
@@ -239,7 +241,7 @@ class WOp:
         """
         m = tbl.m
         rep_index = {r: k for k, r in enumerate(tbl.reps)}
-        entries = [[WOp.zero(self.n, self.c) for _ in range(m)] for _ in range(m)]
+        entries = [[self._like() for _ in range(m)] for _ in range(m)]
         for (w, lam), h in self.terms.items():
             wl = w.apply_vec(lam)
             for j, rj in enumerate(tbl.reps):
@@ -250,32 +252,25 @@ class WOp:
                         continue
                     rk = tbl.reps[k]
                     rkinv = rk.inverse()
-                    entries[k][j] += WOp(self.n, self.c,
-                                         {(SignedPerm.identity(self.n),
-                                           rkinv.apply_vec(wl)): h.o_group(rk)})
+                    entries[k][j] += self._like({(SignedPerm.identity(self.n),
+                                                  rkinv.apply_vec(wl)): h.o_group(rk)})
         return OperatorMatrix(entries)
 
 
-class DiffOp:
+class DiffOp(_TermOp):
     """Finite sum of f(x) d^m w; classical flavor reads d as momentum."""
 
-    __slots__ = ("n", "terms", "classical")
+    __slots__ = ("classical",)
 
     def __init__(self, n, terms=None, classical=False):
-        self.n = n
         self.classical = classical
-        self.terms = {}
-        if terms:
-            for key, f in terms.items():
-                self._add_term(key, f)
+        super().__init__(n, terms)
 
-    def _add_term(self, key, f):
-        if _is_zero_field(f):
-            return
-        if key in self.terms:
-            self.terms[key] = nsum([self.terms[key], f])
-        else:
-            self.terms[key] = f
+    def _like(self, terms=None):
+        return DiffOp(self.n, terms, classical=self.classical)
+
+    def _flavor(self):
+        return DiffOp, self.n, self.classical
 
     @staticmethod
     def zero(n, classical=False):
@@ -284,8 +279,7 @@ class DiffOp:
     @staticmethod
     def from_field(n, f, classical=False):
         key = (SignedPerm.identity(n), (0,) * n)
-        return DiffOp(n, {key: as_field(f) if not isinstance(f, Field) else f},
-                      classical=classical)
+        return DiffOp(n, {key: as_field(f)}, classical=classical)
 
     @staticmethod
     def partial(n, direction_index, coeff=1.0, classical=False):
@@ -297,39 +291,11 @@ class DiffOp:
     def from_group(n, w, coeff=1.0, classical=False):
         return DiffOp(n, {(w, (0,) * n): as_field(coeff)}, classical=classical)
 
-    def _check(self, other):
-        if not isinstance(other, DiffOp):
-            raise FlavorError(f"cannot combine DiffOp with {type(other).__name__}")
-        if other.n != self.n or other.classical != self.classical:
-            raise FlavorError("DiffOp dimension/flavor mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = DiffOp(self.n, dict(self.terms), classical=self.classical)
-        for key, f in other.terms.items():
-            out._add_term(key, f)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, z):
-        return DiffOp(self.n, {k: z * f for k, f in self.terms.items()},
-                      classical=self.classical)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __rmul__(self, z):
-        if isinstance(z, (int, float, complex)):
-            return self.scale(z)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         self._check(other)
-        out = DiffOp.zero(self.n, classical=self.classical)
+        out = self._like()
         for (w1, m1), f1 in self.terms.items():
             w1inv = w1.inverse()
             for (w2, m2), f2 in other.terms.items():
@@ -357,25 +323,11 @@ class DiffOp:
             out = out * self
         return out
 
-    def conj(self, g: SignedPerm):
-        ginv = g.inverse()
-        out = DiffOp.zero(self.n, classical=self.classical)
-        for (w, m), f in self.terms.items():
-            mt, sign = _multi_transform(m, g)
-            out._add_term((ginv * w * g, mt), sign * f.o_group(g))
-        return out
-
     def collapse(self):
-        out = DiffOp.zero(self.n, classical=self.classical)
+        out = self._like()
         for (w, m), f in self.terms.items():
             out._add_term((SignedPerm.identity(self.n), m), f)
         return out
-
-    def off_identity(self):
-        return self - self.collapse()
-
-    def is_scalar(self):
-        return all(w.is_identity() for (w, _m) in self.terms)
 
     def components(self):
         comp = {}
@@ -407,8 +359,7 @@ class DiffOp:
     def restrict(self, tbl) -> "OperatorMatrix":
         m = tbl.m
         rep_index = {r: k for k, r in enumerate(tbl.reps)}
-        entries = [[DiffOp.zero(self.n, classical=self.classical) for _ in range(m)]
-                   for _ in range(m)]
+        entries = [[self._like() for _ in range(m)] for _ in range(m)]
         for (w, mi), f in self.terms.items():
             for j, rj in enumerate(tbl.reps):
                 for wp in tbl.stabilizer:
@@ -418,88 +369,25 @@ class DiffOp:
                         continue
                     rk = tbl.reps[k]
                     mt, sign = _multi_transform(mi, rk)
-                    entries[k][j] += DiffOp(self.n, {(SignedPerm.identity(self.n), mt):
-                                                     sign * f.o_group(rk)},
-                                            classical=self.classical)
+                    entries[k][j] += self._like({(SignedPerm.identity(self.n), mt):
+                                                 sign * f.o_group(rk)})
         return OperatorMatrix(entries)
 
 
-class DynOp:
-    """Dynamical operator: sum of h(xi, x) * (a ⊗ w t(lam)) on C^n x C^n."""
+class DynOp(WOp):
+    """Dynamical operator sum h(xi, x) * (a ⊗ w t(lam)) on C^n x C^n: the WOp
+    on the 2n coordinates (xi, x) with group part a ⊕ w and translation
+    (0, lam), built from terms keyed by (a, w, lam)."""
 
-    __slots__ = ("n", "c", "terms")
+    __slots__ = ()
 
     def __init__(self, n, c, terms=None):
-        self.n = n
-        self.c = c
-        self.terms = {}
-        if terms:
-            for key, f in terms.items():
-                self._add_term(key, f)
-
-    def _add_term(self, key, f):
-        if _is_zero_field(f):
-            return
-        if key in self.terms:
-            self.terms[key] = nsum([self.terms[key], f])
-        else:
-            self.terms[key] = f
+        super().__init__(2 * n, c, {(SignedPerm.block(a, w), (0,) * n + tuple(lam)): h
+                                    for (a, w, lam), h in (terms or {}).items()})
 
     @staticmethod
     def one(n, c):
-        e = SignedPerm.identity(n)
-        return DynOp(n, c, {(e, e, (0,) * n): as_field(1.0)})
-
-    def _check(self, other):
-        if not isinstance(other, DynOp) or other.n != self.n or other.c != self.c:
-            raise FlavorError("DynOp mismatch")
-
-    def _block_map(self, a_inv, w_inv, lam):
-        """Point map (xi, x) -> (a^{-1} xi, w^{-1} x + c lam) as (perm, shift)."""
-        n = self.n
-        img = [0] * (2 * n)
-        for i in range(n):
-            j, s = a_inv.basis_image(i)
-            img[i] = s * (j + 1)
-        for i in range(n):
-            j, s = w_inv.basis_image(i)
-            img[n + i] = s * (n + j + 1)
-        shift = (0,) * n + tuple(self.c * v for v in lam)
-        return SignedPerm(img), shift
-
-    def __add__(self, other):
-        self._check(other)
-        out = DynOp(self.n, self.c, dict(self.terms))
-        for key, f in other.terms.items():
-            out._add_term(key, f)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, z):
-        return DynOp(self.n, self.c, {k: z * f for k, f in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        self._check(other)
-        out = DynOp(self.n, self.c)
-        for (a1, w1, l1), h1 in self.terms.items():
-            pmap, shift = self._block_map(a1.inverse(), w1.inverse(), l1)
-            for (a2, w2, l2), h2 in other.terms.items():
-                h2c = h2.o_affine(pmap, shift)
-                w2inv = w2.inverse()
-                lam = tuple(p + q for p, q in zip(w2inv.apply_vec(l1), l2))
-                out._add_term((a1 * a2, w1 * w2, lam), h1 * h2c)
-        return out
-
-    def apply_field(self, F: Field) -> Field:
-        parts = []
-        for (a, w, lam), h in self.terms.items():
-            pmap, shift = self._block_map(a.inverse(), w.inverse(), lam)
-            parts.append(h * F.o_affine(pmap, shift))
-        return nsum(parts)
+        return WOp.one(2 * n, c)
 
 
 # -- module elements (oracle layer) ------------------------------------
@@ -594,10 +482,6 @@ class OperatorMatrix:
     def m(self):
         return len(self.entries)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     @staticmethod
     def diagonal(scalar_op, m):
         zero = scalar_op - scalar_op
@@ -628,13 +512,6 @@ class OperatorMatrix:
                 row.append(acc)
             out.append(row)
         return OperatorMatrix(out)
-
-    def power(self, k):
-        assert k >= 1
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
 
     def apply_vector(self, fields):
         return [nsum([self.entries[i][j].apply_field(fields[j])
@@ -765,7 +642,3 @@ def make_probes(n, count, rng, scale=1.0):
         k = tuple(complex(rng.gauss(0, scale), rng.gauss(0, scale)) for _ in range(n))
         out.append(exp_lin(k))
     return out
-
-
-def symmetric_probe(probe, group):
-    return symmetrized(probe, group)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Const, inv_form, linear_form, nsum
+from .fields import Const, FuncField, inv_form, linear_form, nsum
 from .opcore import DiffOp, LaxPair, OperatorMatrix, lax_pair
 from .weyl import (RootSystemData, SignedPerm, dot, ext_coord, ext_form,
                    orbit_stabilizer)
@@ -191,7 +191,6 @@ def classical_hamiltonian(cfg, poly=((0.5, 2),)):
 
 def _diff_symbol_field(op: DiffOp, t):
     """Phase field of a scalar differential operator, d_k -> p_k/t."""
-    from .fields import FuncField
     n = op.n
 
     def fn(z):

@@ -11,8 +11,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from .opcore import (OperatorMatrix, WOp, integrals, make_probes,
-                     symmetric_probe)
+from .fields import Const, symmetrized
+from .opcore import DiffOp, OperatorMatrix, WOp, integrals, make_probes
 from .special import CouplingSet
 from .verify import (PointPolicy, residual_evalfn, rng_for, run_check,
                      scalar_check)
@@ -99,7 +99,7 @@ def suite_rational(config: RunConfig, kind):
                          residual_evalfn(L_q, rat.cm_hamiltonian_explicit(cfg), probes),
                          rng, policy))
     W = weyl_enumerate(rs)
-    sp = symmetric_probe(probes[0], W)
+    sp = symmetrized(probes[0], W)
     out.append(run_check("Ahat-annihilates-e", 1e-9,
                          residual_evalfn(A_hat, None, [sp]), rng, policy))
     rng = rng_for(config.seed, "lax")
@@ -216,8 +216,6 @@ def suite_ellcm(config: RunConfig, bc=False):
                              npoints=5))
     rng = rng_for(config.seed, "split")
     probes = make_probes(n, 2, rng)
-    from .fields import Const
-    from .opcore import DiffOp
     qy = ellcm.quadratic_sum(cfg)
     H, A, const = ellcm.elliptic_split(cfg)
     scale = 0.5 if not bc else 1.0

@@ -10,6 +10,7 @@ the size-n quantum Lax pair, and the u L^k v integrals.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 
 from .fields import Const, Field, LinArg, nsum
@@ -30,7 +31,6 @@ class TrigGLConfig:
 
     @property
     def q(self):
-        import cmath
         return cmath.exp(self.c)
 
 

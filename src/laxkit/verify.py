@@ -244,12 +244,12 @@ def energy_drift(H, traj):
     return max(abs(value(H(z)) - e0) / (1.0 + abs(e0)) for z in traj)
 
 
-def charpoly_drifts(L_fn, points):
-    """Per-point drift of the characteristic-polynomial coefficients of the
-    matrix L_fn(z) from those at the first point, over 1 + their max size."""
+def charpoly_drifts(matrices):
+    """Per-matrix drift of the characteristic-polynomial coefficients from
+    those of the first matrix, over 1 + their max size."""
     out = []
-    for z in points:
-        coeffs = np.poly(np.array(L_fn(z), dtype=complex))
+    for mat in matrices:
+        coeffs = np.poly(np.array(mat, dtype=complex))
         if not out:
             ref = coeffs
             scale = 1.0 + float(np.max(np.abs(ref)))
@@ -259,7 +259,7 @@ def charpoly_drifts(L_fn, points):
 
 def isospectral_drift(L_fn, traj):
     """Max drift of characteristic-polynomial coefficients along a flow."""
-    return max(charpoly_drifts(L_fn, traj), default=0.0)
+    return max(charpoly_drifts(L_fn(z) for z in traj), default=0.0)
 
 
 def _matrix_at(entry_fields, z):
@@ -276,21 +276,31 @@ def matrix_fn_from_fields(entry_fields):
     return L_fn
 
 
+def _trace_power(mat, k):
+    """Dual-safe tr M^k of a square matrix given as row lists."""
+    m = len(mat)
+    out = mat
+    for _ in range(k - 1):
+        out = [[sum(out[i][l] * mat[l][j] for l in range(m))
+                for j in range(m)] for i in range(m)]
+    tr = out[0][0]
+    for i in range(1, m):
+        tr = tr + out[i][i]
+    return tr
+
+
 def trace_power_fn(entry_fields, k):
     """Dual-safe tr L^k as a function of the phase point."""
-    m = len(entry_fields)
+    return lambda z: _trace_power(_matrix_at(entry_fields, z), k)
 
-    def fn(z):
-        mat = _matrix_at(entry_fields, z)
-        out = mat
-        for _ in range(k - 1):
-            out = [[sum(out[i][l] * mat[l][j] for l in range(m))
-                    for j in range(m)] for i in range(m)]
-        tr = out[0][0]
-        for i in range(1, m):
-            tr = tr + out[i][i]
-        return tr
-    return fn
+
+def spectral_invariants(entry_fields, powers, points):
+    """Per point, ([tr L^k for k in powers], characteristic-polynomial drift
+    from the first point), from one evaluation of the matrix L per point."""
+    mats = [_matrix_at(entry_fields, z) for z in points]
+    drifts = charpoly_drifts([[value(v) for v in row] for row in mat] for mat in mats)
+    return [([_trace_power(mat, k) for k in powers], drift)
+            for mat, drift in zip(mats, drifts)]
 
 
 def fit_slope(hs, vals):

@@ -58,6 +58,12 @@ class SignedPerm:
         img[i] = -(i + 1)
         return SignedPerm(img)
 
+    @staticmethod
+    def block(a, w):
+        """a ⊕ w: a on the first a.n coordinates and w on the w.n after them."""
+        k = a.n
+        return SignedPerm(a.img + tuple(t + k if t > 0 else t - k for t in w.img))
+
     @property
     def n(self):
         return len(self.img)

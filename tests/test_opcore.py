@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from laxkit.dual import Dual, directional, extract, gradient_vec, value
 from laxkit.fields import Const, coord, exp_lin, inv_form, linear_form
-from laxkit.opcore import (DiffOp, FlavorError, OperatorMatrix, RestrictionError,
+from laxkit.opcore import (DiffOp, DynOp, FlavorError, OperatorMatrix, RestrictionError,
                            WOp, check_wprime_invariance, make_probes,
                            module_apply_diffop, module_apply_wop, module_inject,
                            module_residual, restrict_to_matrix)
@@ -121,6 +121,24 @@ def test_flavor_mismatch_raises():
         WOp.one(2, C) * WOp.one(2, 0.5)
     with pytest.raises(FlavorError):
         WOp.one(2, C) + DiffOp.zero(2)
+
+
+def test_dynop_is_wop_on_xi_and_x():
+    n = 2
+    a, w, lam = SignedPerm.sign_flip(n, 1), SignedPerm.transposition(n, 0, 1), (1, -2)
+    h = exp_lin((0.2, -0.1, 0.3, 0.4))
+    op = DynOp(n, C, {(a, w, lam): h})
+    assert isinstance(op, WOp) and op.n == 2 * n and op.c == C
+    assert op.terms == {(SignedPerm.block(a, w), (0,) * n + lam): h}
+    assert list(DynOp.one(n, C).terms) == [(SignedPerm.identity(2 * n), (0,) * 2 * n)]
+    # the action is f(xi, x) -> h(xi, x) f(a^-1 xi, w^-1 x + c lam)
+    f = exp_lin((0.5, -0.3, 0.7, 0.1))
+    for z in pts(2 * n, 3):
+        xi, x = z[:n], z[n:]
+        moved = a.inverse().apply_vec(xi) + tuple(
+            v + C * l for v, l in zip(w.inverse().apply_vec(x), lam))
+        want = value(h(z)) * value(f(moved))
+        assert abs(value(op.apply_field(f)(z)) - want) < 1e-14
 
 
 def test_collapse_identity_and_trig():

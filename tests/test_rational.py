@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from laxkit.dual import value
-from laxkit.fields import Const
-from laxkit.opcore import (DiffOp, OperatorMatrix, integrals, make_probes,
-                           symmetric_probe)
+from laxkit.fields import Const, symmetrized
+from laxkit.opcore import DiffOp, OperatorMatrix, integrals, make_probes
 from laxkit.rational import (RationalDunklConfig, classical_hamiltonian,
                              classical_lax, cm_hamiltonian_explicit, cm_split,
                              dunkl, dunkl_basis, kks_matrices,
@@ -69,7 +68,7 @@ def test_cm_split_and_physical_potential():
     assert op_residual(L, cm_hamiltonian_explicit(cfg), probes, xs) < 1e-12
     assert op_residual(qy, L + A, probes, xs) < 1e-13
     W = weyl_enumerate(cfg.rs)
-    sp = symmetric_probe(probes[0], W)
+    sp = symmetrized(probes[0], W)
     assert op_residual(A, None, [sp], xs) < 1e-10
     # potential coefficient: -c(c+t) <a,a>/<a,x>^2 = g(g - hbar) <a,a>/<a,x>^2
     x = xs[0]

@@ -216,13 +216,13 @@ def test_general_w_basic_rep_smoke_c2():
 def test_restricted_a_annihilates_symmetric_module_vector():
     # rows of A sum to zero on W-invariant probes (A-hat e = 0 restricted)
     import random as _r
-    from laxkit.opcore import symmetric_probe
+    from laxkit.fields import symmetrized
     from laxkit.weyl import build_root_system, weyl_enumerate
     from laxkit.dual import value
     cfg = TrigGLConfig(n=3, tau=TAU, c=C)
     lax = lax_trig_gln(cfg)
     W = weyl_enumerate(build_root_system("A", 3))
-    probe = symmetric_probe(make_probes(3, 1, _r.Random(77))[0], W)
+    probe = symmetrized(make_probes(3, 1, _r.Random(77))[0], W)
     images = lax.A.apply_vector([probe, probe, probe])
     for g in images:
         for x in sample(3, 4):

@@ -12,6 +12,7 @@ import pytest
 
 from laxkit.cli import main as cli_main
 from laxkit.fields import BiArg, FuncField, LinArg, PoleError, Scale
+from laxkit.opcore import DiffOp, WOp
 from laxkit.special import DIFFERENCE_REGIMES
 from laxkit.suites import (KNOWN_SYSTEMS, SYSTEMS, ConfigError, RunConfig,
                            classical_flow_setup, default_params)
@@ -165,6 +166,26 @@ def test_cli_flow_csv(tmp_path):
     assert len(single.read_text().strip().splitlines()) == 2
 
 
+def test_cli_flow_evaluates_lax_matrix_once_per_row(tmp_path, monkeypatch):
+    # the trL^k columns and the charpoly drift of a row share one evaluation
+    # of the L entry fields (trig-gln writes four trace powers)
+    import laxkit.verify as verify
+    calls = []
+    real = verify.evaluate
+
+    def counting(roots, x):
+        calls.append(len(roots))
+        return real(roots, x)
+    monkeypatch.setattr(verify, "evaluate", counting)
+    csvpath = tmp_path / "traj.csv"
+    assert cli_main(["flow", "--system", "trig-gln", "--rank", "2", "--time", "0.05",
+                     "--dt", "1e-2", "--csv", str(csvpath)]) == 0
+    rows = list(csv.DictReader(csvpath.open()))
+    assert len(rows) == 6 and [k for k in rows[0] if k.startswith("trL")] == \
+        ["trL1", "trL2", "trL3", "trL4"]
+    assert calls == [4] * len(rows)
+
+
 def test_rng_for_deterministic():
     a = rng_for(7, "x").random()
     b = rng_for(7, "x").random()
@@ -276,10 +297,14 @@ BENCH_GROUPS = {
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--system", "trig-gln", "--rank", "2", "--seed", "0"],
+    ["verify", "--system", "rational-A", "--rank", "2", "--seed", "0"],
     ["flow", "--system", "rational-A", "--rank", "2", "--time", "0.05",
      "--dt", "1e-2"],
-], ids=["verify", "flow"])
+], ids=["verify", "verify-differential", "flow"])
 def test_benchmark_tracer_hooks_fire(argv):
+    # the tracer wraps these operator methods only where a class defines them
+    for cls in (WOp, DiffOp):
+        assert {"__mul__", "restrict", "apply_field"} <= set(cls.__dict__), cls
     spec = json.dumps({"argv": argv, "trace": "full"})
     r = subprocess.run([sys.executable, "-I", str(ROOT / "perfbench" / "child.py"),
                         str(ROOT), spec], capture_output=True, text=True)

@@ -253,10 +253,22 @@ def test_signed_perm_builders_table():
         (SignedPerm.sign_flip(1, 0), (-1,)),
         (SignedPerm.sign_flip(3, 0), (-1, 2, 3)),
         (SignedPerm.sign_flip(3, 2), (1, 2, -3)),
+        # a ⊕ w: the second block's indices are shifted by a.n
+        (SignedPerm.block(SignedPerm.identity(1), SignedPerm.identity(1)), (1, 2)),
+        (SignedPerm.block(SignedPerm.sign_flip(1, 0), SignedPerm.sign_flip(1, 0)),
+         (-1, -2)),
+        (SignedPerm.block(SignedPerm.transposition(3, 0, 2), SignedPerm.sign_flip(3, 2)),
+         (3, 2, 1, 4, 5, -6)),
+        (SignedPerm.block(SignedPerm.neg_transposition(2, 0, 1),
+                          SignedPerm.transposition(3, 1, 2)), (-2, -1, 3, 5, 4)),
     ]
     for w, img in table:
         assert w == SignedPerm(img)
         assert (w * w).is_identity()
+    # blocks compose and invert blockwise
+    a, w = SignedPerm((2, -3, 1)), SignedPerm((-2, 1))
+    assert SignedPerm.block(a, w) * SignedPerm.block(a, w) == SignedPerm.block(a * a, w * w)
+    assert SignedPerm.block(a, w).inverse() == SignedPerm.block(a.inverse(), w.inverse())
     # 0-based indices: s_ij maps e_i to e_j, s^+_ij maps e_i to -e_j
     assert SignedPerm.transposition(4, 1, 3).basis_image(1) == (3, 1)
     assert SignedPerm.neg_transposition(4, 1, 3).basis_image(1) == (3, -1)
