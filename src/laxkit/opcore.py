@@ -484,7 +484,8 @@ class OperatorMatrix:
 
     @staticmethod
     def diagonal(scalar_op, m):
-        zero = scalar_op - scalar_op
+        """scalar_op * 1: off the diagonal the operator with no terms."""
+        zero = scalar_op._like()
         return OperatorMatrix([[scalar_op if i == j else zero for j in range(m)]
                                for i in range(m)])
 

@@ -141,6 +141,21 @@ def test_dynop_is_wop_on_xi_and_x():
         assert abs(value(op.apply_field(f)(z)) - want) < 1e-14
 
 
+def test_diagonal_off_entries_have_no_terms():
+    n = 2
+    for op in (WOp.from_field(n, C, exp_lin((0.3, -0.2))) + WOp.translation(n, C, (1, 0)),
+               DiffOp.from_field(n, exp_lin((0.3, -0.2))) + DiffOp.partial(n, 1)):
+        mat = OperatorMatrix.diagonal(op, 3)
+        for i, row in enumerate(mat.entries):
+            for j, e in enumerate(row):
+                if i == j:
+                    assert e is op
+                else:
+                    # a zero of the same flavor: no terms, and op + 0 = op
+                    assert type(e) is type(op) and e.terms == {}
+                    assert (e + op).terms == op.terms
+
+
 def test_collapse_identity_and_trig():
     n = 3
     ident = WOp.one(n, C)
