@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Const, Field, LinArg, XLift, nsum
+from .fields import Const, Field, LinArg, XLift, momentum, nsum
 from .opcore import DiffOp, LaxPair, OperatorMatrix
 from .special import (dual_couplings, eta1, half_periods, sigma_dz_form,
                       sigma_form, v_func, v_func_dz, wp)
@@ -30,10 +30,6 @@ class EllipticDunklConfig:
     g: tuple = None          # (g0..g3) for the BC/Inozemtsev flavor
     bc: bool = False         # v-kernel sign-flip terms instead of reduced 2e_i roots
 
-    def with_lam(self, lam):
-        return EllipticDunklConfig(self.rs, self.t, self.c, self.tau, tuple(lam),
-                                   self.g, self.bc)
-
 
 def wp_form(form, tau, const=0j) -> Field:
     return LinArg(lambda z: wp(z, tau), form, const)
@@ -45,13 +41,6 @@ def v_form(mu, form, g, tau) -> Field:
 
 def v_dz_form(mu, form, g, tau) -> Field:
     return LinArg(lambda z: v_func_dz(mu, z, g, tau), form)
-
-
-def _momentum(n, i, sign=1.0) -> Field:
-    """sign * p_i as a phase field over (x_1..x_n, p_1..p_n)."""
-    k = [0.0] * (2 * n)
-    k[n + i] = sign
-    return LinArg(None, tuple(k))
 
 
 def elliptic_dunkl(cfg: EllipticDunklConfig, i, classical=False) -> DiffOp:
@@ -327,7 +316,7 @@ def classical_inozemtsev_fields(n, c, g, mu, tau):
         row = []
         for j in range(m):
             if i == j:
-                row.append(_momentum(n, i % n, 1.0 if i < n else -1.0))
+                row.append(momentum(n, i % n, 1.0 if i < n else -1.0))
             elif (i - j) % m == n:
                 row.append(XLift(v_form(mu, ext_coord(n, i), g, tau), n))
             else:
@@ -339,7 +328,7 @@ def classical_inozemtsev_fields(n, c, g, mu, tau):
 def classical_inozemtsev_hamiltonian(n, c, g, tau):
     """H = sum p_i^2 - 2c^2 sum (wp(x_ij) + wp(x^+_ij)) - sum_i sum_r g_r^2 wp(x_i + om_r)."""
     om_shift = half_periods(tau)
-    parts = [_momentum(n, i) * _momentum(n, i) for i in range(n)]
+    parts = [momentum(n, i) * momentum(n, i) for i in range(n)]
     xparts = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -361,7 +350,7 @@ def classical_cm_phase_field(cfg: EllipticDunklConfig):
     n = rs.dim
     if cfg.bc:
         return classical_inozemtsev_hamiltonian(n, cfg.c, cfg.g, cfg.tau)
-    parts = [0.5 * (_momentum(n, i) * _momentum(n, i)) for i in range(n)]
+    parts = [0.5 * (momentum(n, i) * momentum(n, i)) for i in range(n)]
     xparts = [(-0.5 * cfg.c ** 2 * dot(a, a)) * wp_form(a, cfg.tau) for a in rs.pos_roots]
     return nsum(parts + [XLift(nsum(xparts), n)])
 

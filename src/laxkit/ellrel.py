@@ -47,10 +47,6 @@ class EllRParams:
             return self.m_long
         return self.m_short
 
-    def with_xi(self, xi):
-        return EllRParams(self.rs, self.m_short, self.m_long, self.c, self.tau,
-                          tuple(xi))
-
 
 @dataclass
 class VDParams:
@@ -79,12 +75,6 @@ class VDParams:
             nubv, gbv = dual_params(self.nub, self.gb, self.tau)
             object.__setattr__(self, "_dual", (nuv, gv, nubv, gbv))
         return self._dual
-
-    def with_xi(self, xi):
-        p = VDParams(self.n, self.mu, self.nu, self.nub, self.g, self.gb,
-                     self.c, self.tau, tuple(xi), self.beta)
-        object.__setattr__(p, "_dual", self._dual)
-        return p
 
     def xi0(self):
         """Solution of <a_i^vee, xi> = -m_i: xi_i = -nu - (n-i) mu."""
@@ -352,9 +342,6 @@ class EllGLParams:
     def rs(self):
         return build_root_system("A", self.n)
 
-    def with_xi(self, xi):
-        return EllGLParams(self.n, self.mu, self.c, self.tau, tuple(xi), self.beta)
-
     def xi_spec(self, eta):
         """xi_i - xi_{i+1} = -mu for i > 1, eta = xi_1 - xi_2 spectral."""
         out = [0j] * self.n
@@ -367,7 +354,7 @@ class EllGLParams:
 def ruijsenaars_params(n, mu, eta, c, tau) -> EllGLParams:
     """Parameters at the Lax specialization xi_spec(eta) of the spectral eta."""
     p = EllGLParams(n, mu, c, tau, (0j,) * n)
-    return p.with_xi(p.xi_spec(eta))
+    return replace(p, xi=p.xi_spec(eta))
 
 
 def _gl_sig(p: EllGLParams, mu, i, j, shift=0j, dz=False):
@@ -648,7 +635,7 @@ def vd_dual_substituted(p: VDParams, xi) -> WOp:
     n = p.n
     tau = p.tau
     nuv, gv, nubv, gbv = p.dual()
-    pxi = p.with_xi(xi)
+    pxi = replace(p, xi=xi)
     out = None
     nubv_B = -nuv - (n - 1) * p.mu
     for k in range(2 * n):
@@ -708,7 +695,7 @@ def dual_substituted(params: EllRParams, xi) -> WOp:
     """
     rs = params.rs
     b = rs.coroot(rs.highest)
-    pxi = params.with_xi(xi)
+    pxi = replace(params, xi=xi)
     out = None
     for pi in weyl_orbit(rs, b):
         _A, B = dual_coeffs_quasi(params, pi, xi)
@@ -723,7 +710,7 @@ def dual_factor_identity_residual(params: EllRParams, xi, probes, points):
     """Check A^vee_pi(xi) Yhat^pi = Y^pi at a generic xi (both routes)."""
     rs = params.rs
     b = rs.coroot(rs.highest)
-    pxi = params.with_xi(xi)
+    pxi = replace(params, xi=xi)
     worst = 0.0
     for pi in weyl_orbit(rs, b):
         A, _B = dual_coeffs_quasi(params, pi, xi)

@@ -12,12 +12,18 @@ memo scope for the point x, and every node is computed at most once in it:
 sums, products, quotients and scalings are keyed by node identity, and the
 leaves ``LinArg``/``BiArg`` by their kernel and affine form, so the equal
 copies that ``o_affine`` makes share one kernel call.  Nodes that move the
-point (``Affine``, ``XLift``, ``Deriv``, ``FuncField``) evaluate their
-subtree in a fresh scope.  This is sound because leaf kernels are pure
-functions of their argument and nodes are immutable.  A scope lives for
-one evaluation only and an exception discards it, so no value survives
-from one point to the next; children are visited left to right, so the
-first ``PoleError`` raised is the one the plain tree walk would raise.
+point (``XLift``, ``Deriv``, ``FuncField``) evaluate their subtree in a
+fresh scope.  This is sound because leaf kernels are pure functions of
+their argument and nodes are immutable.  A scope lives for one evaluation
+only and an exception discards it, so no value survives from one point to
+the next; children are visited left to right, so the first ``PoleError``
+raised is the one the plain tree walk would raise.
+
+Composition with an affine map, ``o_affine``, is structural: every node
+kind that operators transform pushes the map down to its leaves (``Deriv``
+moves its directions with it), so no node stores a map.  The phase-space
+nodes ``XLift`` and ``FuncField`` have no such rule and raise
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -81,9 +87,7 @@ class Field:
 
     def o_affine(self, w, v):
         """The field x -> f(w x + v); w is a SignedPerm or None."""
-        if (w is None or w.is_identity()) and (v is None or not any(v)):
-            return self
-        return Affine(self, w, v)
+        raise TypeError(f"{type(self).__name__} has no composition with an affine map")
 
     def o_group(self, w):
         return self.o_affine(w, None)
@@ -124,24 +128,6 @@ class Const(Field):
 
 ZERO = Const(0j)
 ONE = Const(1.0 + 0j)
-
-
-class Coord(Field):
-    __slots__ = ("i",)
-
-    def __init__(self, i):
-        self.i = i
-
-    def __call__(self, x):
-        return x[self.i]
-
-    def _ev(self, x, memo):
-        return x[self.i]
-
-    def o_affine(self, w, v):
-        k = [0.0] * (self.i + 1)
-        k[self.i] = 1.0
-        return LinArg(None, tuple(k), 0j).o_affine(w, v)
 
 
 class LinArg(Field):
@@ -199,12 +185,11 @@ def linear_form(k, c0=0j):
     return LinArg(None, k, c0)
 
 
-def coord(i, n=None):
-    if n is None:
-        return Coord(i)
-    k = [0.0] * n
-    k[i] = 1.0
-    return LinArg(None, tuple(k), 0j)
+def momentum(n, i, sign=1.0):
+    """sign * p_i as a field on phase points (x_1..x_n, p_1..p_n)."""
+    k = [0.0] * (2 * n)
+    k[n + i] = sign
+    return LinArg(None, tuple(k))
 
 
 class BiArg(Field):
@@ -338,30 +323,6 @@ class Quot(Field):
         return Quot(self.a.o_affine(w, v), self.b.o_affine(w, v))
 
 
-class Affine(Field):
-    __slots__ = ("base", "w", "v")
-
-    def __init__(self, base, w, v):
-        if isinstance(base, Affine):
-            # f((w' y + v') with y = w x + v) -> combine maps
-            w2, v2 = base.w, base.v
-            if v is not None:
-                inner = w2.apply_vec(v) if w2 is not None else tuple(v)
-                v2 = tuple(a + b for a, b in zip(inner, v2)) if v2 is not None else inner
-            w2 = w2 if w is None else (w2 * w if w2 is not None else w)
-            base, w, v = base.base, w2, v2
-        self.base = base
-        self.w = w
-        self.v = v
-
-    def _eval(self, x, memo):
-        if self.w is not None:
-            x = self.w.apply_vec(x)
-        if self.v is not None:
-            x = tuple(a + b for a, b in zip(x, self.v))
-        return self.base(x)
-
-
 class Deriv(Field):
     __slots__ = ("base", "dirs")
 
@@ -374,6 +335,16 @@ class Deriv(Field):
 
     def _eval(self, x, memo):
         return directional(self.base, tuple(x), self.dirs)
+
+    def o_affine(self, w, v):
+        # (D_d f)(w x + v) = D_{w^-1 d} (f(w x + v))
+        if (w is None or w.is_identity()) and (v is None or not any(v)):
+            return self
+        dirs = self.dirs
+        if w is not None:
+            winv = w.inverse()
+            dirs = tuple(winv.apply_vec(d) for d in dirs)
+        return Deriv(self.base.o_affine(w, v), dirs)
 
     def deriv(self, direction):
         return Deriv(self.base, self.dirs + (tuple(direction),))

@@ -15,9 +15,12 @@ Two term shapes cover every construction in the package:
 
 Both keep their terms in one dictionary keyed by (group element, exponent),
 sharing the linear algebra; a zero coefficient is dropped, so the zero
-operator has no terms.  Matrices over the scalar (reflection-free) parts
-represent operator actions on the induced module M and its parabolic
-reduction M' = e'M.
+operator has no terms.  Each flavor gives one rule for its exponent (moved
+past the group factor, conjugated by a coset representative, read as a
+classical symbol), and collapse, restriction to M' = e'M and the symbol
+readings ``symbol_component``/``phase_field`` are written once over it.
+Matrices over the scalar (reflection-free) parts represent operator
+actions on the induced module M and its parabolic reduction M'.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import math
 from dataclasses import dataclass
 
 from .dual import value
-from .fields import Const, Deriv, Field, XLift, as_field, exp_lin, nsum
+from .fields import (ONE, Const, Deriv, Field, XLift, as_field, exp_lin,
+                     momentum, nsum)
 from .weyl import SignedPerm
 
 
@@ -73,9 +77,9 @@ def field_dmulti(f: Field, m):
 class _TermOp:
     """Finite sum of coefficient fields over term keys (w, exponent).
 
-    Subclasses fix the flavor, the empty operator of that flavor
-    (``_like``) and composition; sums, differences and scalar multiples
-    are the same for all of them.
+    Subclasses give the flavor (``_flavor``, ``_like``), composition and
+    the exponent hooks ``_moved``, ``_conj``, ``_symbol``, ``_symbol_field``
+    over which collapse, restriction and the symbol readings are written.
     """
 
     __slots__ = ("n", "terms")
@@ -130,6 +134,51 @@ class _TermOp:
         if isinstance(z, (int, float, complex)):
             return self.scale(z)
         return NotImplemented
+
+    def collapse(self):
+        """Sum of the scalar parts a_w, group factors dropped."""
+        out = self._like()
+        one = SignedPerm.identity(self.n)
+        for (w, e), f in self.terms.items():
+            out._add_term((one, self._moved(w, e)), f)
+        return out
+
+    def restrict(self, tbl) -> "OperatorMatrix":
+        """Matrix of the action on M' = e'M in the basis e' r_j (x) f_j.
+
+        Entry (k, j) collects conj(d, r_k) over all w' in W' with
+        u w' r_j = r_k; this is exact whenever the operator preserves M',
+        with no two-sided W'-commutation assumed.
+        """
+        m = tbl.m
+        rep_index = {r: k for k, r in enumerate(tbl.reps)}
+        one = SignedPerm.identity(self.n)
+        entries = [[self._like() for _ in range(m)] for _ in range(m)]
+        for (w, e), f in self.terms.items():
+            moved = self._moved(w, e)
+            for j, rj in enumerate(tbl.reps):
+                for wp in tbl.stabilizer:
+                    k = rep_index.get(w * (wp * rj))
+                    if k is None:
+                        continue
+                    ek, fk = self._conj(tbl.reps[k], moved, f)
+                    entries[k][j] += self._like({(one, ek): fk})
+        return OperatorMatrix(entries)
+
+    def symbol_component(self, w, x, p, s):
+        """Classical symbol of the a_w component at the phase point (x, p);
+        ``s`` is beta for a WOp and t for a DiffOp."""
+        total = 0j
+        for (w2, e), f in self.terms.items():
+            if w2 == w:
+                total += value(f(x)) * self._symbol(self._moved(w2, e), p, s)
+        return total
+
+    def phase_field(self, s):
+        """The classical symbol, summed over components, as a field on phase
+        points (x_1..x_n, p_1..p_n); ``s`` as in ``symbol_component``."""
+        return nsum([XLift(f, self.n) * self._symbol_field(self._moved(w, e), s)
+                     for (w, e), f in self.terms.items()])
 
 
 class WOp(_TermOp):
@@ -194,13 +243,18 @@ class WOp(_TermOp):
                 out._add_term((w1 * w2, lam), h1 * h2c)
         return out
 
-    # -- structure -----------------------------------------------------
-    def collapse(self):
-        """Sum of the D_q-parts a_w (group factors dropped): h w t(lam) -> h t(w lam)."""
-        out = self._like()
-        for (w, lam), h in self.terms.items():
-            out._add_term((SignedPerm.identity(self.n), w.apply_vec(lam)), h)
-        return out
+    # -- flavor hooks: h w t(lam) = h t(w lam) w; t(lam) reads as e^{beta p_lam}
+    def _moved(self, w, lam):
+        return w.apply_vec(lam)
+
+    def _conj(self, r, lam, h):
+        return r.inverse().apply_vec(lam), h.o_group(r)
+
+    def _symbol(self, lam, p, beta):
+        return cmath.exp(beta * sum(pi * li for pi, li in zip(p, lam)))
+
+    def _symbol_field(self, lam, beta):
+        return exp_lin((0.0,) * self.n + tuple(beta * v for v in lam))
 
     # -- actions ---------------------------------------------------------
     def apply_field(self, f: Field) -> Field:
@@ -212,49 +266,7 @@ class WOp(_TermOp):
             parts.append(h * f.o_affine(w.inverse(), shift))
         return nsum(parts)
 
-    def symbol_component(self, w, x, p, beta):
-        """Classical symbol of the a_w component at a phase point."""
-        total = 0j
-        for (w2, lam), h in self.terms.items():
-            if w2 == w:
-                wl = w2.apply_vec(lam)
-                arg = beta * sum(pi * li for pi, li in zip(p, wl))
-                total += value(h(x)) * cmath.exp(arg)
-        return total
-
-    def phase_field(self, beta):
-        """Phase field sum h(x) e^{beta <lam, p>} of a classical scalar
-        operator: t(lam) read as e^{beta p_lam}, group factors dropped."""
-        n = self.n
-        parts = []
-        for (_w, lam), h in self.terms.items():
-            k = (0.0,) * n + tuple(beta * v for v in lam)
-            parts.append(XLift(h, n) * exp_lin(k))
-        return nsum(parts)
-
-    def restrict(self, tbl) -> "OperatorMatrix":
-        """Matrix of the action on M' = e'M in the basis e' r_j (x) f_j.
-
-        Entry (k, j) collects conj(d, r_k) over all w' in W' with
-        u w' r_j = r_k; this is exact whenever the operator preserves M',
-        with no two-sided W'-commutation assumed.
-        """
-        m = tbl.m
-        rep_index = {r: k for k, r in enumerate(tbl.reps)}
-        entries = [[self._like() for _ in range(m)] for _ in range(m)]
-        for (w, lam), h in self.terms.items():
-            wl = w.apply_vec(lam)
-            for j, rj in enumerate(tbl.reps):
-                for wp in tbl.stabilizer:
-                    g = w * (wp * rj)
-                    k = rep_index.get(g)
-                    if k is None:
-                        continue
-                    rk = tbl.reps[k]
-                    rkinv = rk.inverse()
-                    entries[k][j] += self._like({(SignedPerm.identity(self.n),
-                                                  rkinv.apply_vec(wl)): h.o_group(rk)})
-        return OperatorMatrix(entries)
+    restrict = _TermOp.restrict   # a class-dict entry, which perfbench/tracer.py times
 
 
 class DiffOp(_TermOp):
@@ -323,17 +335,33 @@ class DiffOp(_TermOp):
             out = out * self
         return out
 
-    def collapse(self):
-        out = self._like()
-        for (w, m), f in self.terms.items():
-            out._add_term((SignedPerm.identity(self.n), m), f)
-        return out
-
     def components(self):
         comp = {}
         for (w, m), f in self.terms.items():
             comp.setdefault(w, []).append((m, f))
         return comp
+
+    # -- flavor hooks: f d^m w has its group factor right; d_k reads as p_k/t
+    def _moved(self, w, m):
+        return m
+
+    def _conj(self, r, m, f):
+        mt, sign = _multi_transform(m, r)
+        return mt, sign * f.o_group(r)
+
+    def _symbol(self, m, p, t):
+        mono = 1.0 + 0j
+        for k, mk in enumerate(m):
+            if mk:
+                mono *= (p[k] / t) ** mk
+        return mono
+
+    def _symbol_field(self, m, t):
+        mono = ONE
+        for k, mk in enumerate(m):
+            for _ in range(mk):
+                mono = mono * momentum(self.n, k, 1.0 / t)
+        return mono
 
     def apply_field(self, f: Field) -> Field:
         if self.classical:
@@ -344,34 +372,7 @@ class DiffOp(_TermOp):
             parts.append(h * field_dmulti(g, m))
         return nsum(parts)
 
-    def symbol_component(self, w, x, p, t):
-        """a_w as a phase-space value, with d_k read as p_k / t."""
-        total = 0j
-        for (w2, m), f in self.terms.items():
-            if w2 == w:
-                mono = 1.0 + 0j
-                for k, mk in enumerate(m):
-                    if mk:
-                        mono *= (p[k] / t) ** mk
-                total += value(f(x)) * mono
-        return total
-
-    def restrict(self, tbl) -> "OperatorMatrix":
-        m = tbl.m
-        rep_index = {r: k for k, r in enumerate(tbl.reps)}
-        entries = [[self._like() for _ in range(m)] for _ in range(m)]
-        for (w, mi), f in self.terms.items():
-            for j, rj in enumerate(tbl.reps):
-                for wp in tbl.stabilizer:
-                    g = w * (wp * rj)
-                    k = rep_index.get(g)
-                    if k is None:
-                        continue
-                    rk = tbl.reps[k]
-                    mt, sign = _multi_transform(mi, rk)
-                    entries[k][j] += self._like({(SignedPerm.identity(self.n), mt):
-                                                 sign * f.o_group(rk)})
-        return OperatorMatrix(entries)
+    restrict = _TermOp.restrict   # a class-dict entry, which perfbench/tracer.py times
 
 
 class DynOp(WOp):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Const, FuncField, inv_form, linear_form, nsum
+from .fields import Const, inv_form, linear_form, nsum
 from .opcore import DiffOp, LaxPair, OperatorMatrix, lax_pair
 from .weyl import (RootSystemData, SignedPerm, dot, ext_coord, ext_form,
                    orbit_stabilizer)
@@ -178,30 +178,12 @@ def classical_lax(cfg, xi=None):
     Lmat = yc.restrict(tbl)
     _qy, _L, A_hat = cm_split(cfg, ((0.5, 2),))
     Amat = A_hat.restrict(tbl).scale(-1.0 / cfg.t)
-    L_fields = [[_diff_symbol_field(e, 1.0) for e in row] for row in Lmat.entries]
-    A_fields = [[_diff_symbol_field(e, cfg.t) for e in row] for row in Amat.entries]
+    L_fields = [[e.phase_field(1.0) for e in row] for row in Lmat.entries]
+    A_fields = [[e.phase_field(cfg.t) for e in row] for row in Amat.entries]
     return tbl, L_fields, A_fields
 
 
 def classical_hamiltonian(cfg, poly=((0.5, 2),)):
     """q(y^c) collapsed to a phase field (off-identity parts vanish)."""
     qy, L_q, _A = cm_split(cfg, poly, classical=True)
-    return _diff_symbol_field(L_q, 1.0), qy
-
-
-def _diff_symbol_field(op: DiffOp, t):
-    """Phase field of a scalar differential operator, d_k -> p_k/t."""
-    n = op.n
-
-    def fn(z):
-        x = z[:n]
-        p = z[n:]
-        total = 0j
-        for (w, m), f in op.terms.items():
-            mono = 1.0 + 0j
-            for k, mk in enumerate(m):
-                if mk:
-                    mono = mono * (p[k] / t) ** mk
-            total = total + f(x) * mono
-        return total
-    return FuncField(fn)
+    return L_q.phase_field(1.0), qy

@@ -38,10 +38,6 @@ class EllipticParams:
         if self.tau.imag < MIN_IM_TAU:
             raise ModulusError(f"Im tau = {self.tau.imag} < {MIN_IM_TAU}")
 
-    @property
-    def nome(self):
-        return cmath.exp(1j * cmath.pi * self.tau)
-
 
 REGIMES = ("rational", "trig", "trig-CvC", "elliptic-A", "elliptic-CM",
            "elliptic-CvC")
@@ -195,11 +191,7 @@ def _guard(name, w, scale=1.0):
 
 def sigma(mu, z, tau):
     """sigma_mu(z) = theta1(z-mu) theta1'(0) / (theta1(z) theta1(-mu))."""
-    sc = theta_scale(1, tau)
-    num = theta(1, z - mu, tau) * theta1_d0(tau)
-    den = (_guard("theta1(z)", theta(1, z, tau), sc)
-           * _guard("theta1(-mu)", theta(1, -mu, tau), sc))
-    return num / den
+    return sigma_r(0, mu, z, tau)
 
 
 def half_periods(tau):

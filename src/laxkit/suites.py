@@ -9,7 +9,7 @@ before the Lax-equation check, which must then fail.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .fields import Const, symmetrized
 from .opcore import DiffOp, OperatorMatrix, WOp, integrals, make_probes
@@ -273,7 +273,7 @@ def suite_vandiejen(config: RunConfig):
     out = []
     rng = rng_for(config.seed, "clb")
     probes = make_probes(n, 2, rng)
-    Y1 = ellrel.y1_vd(pv.with_xi(pv.xi0()))
+    Y1 = ellrel.y1_vd(replace(pv, xi=pv.xi0()))
     out.append(run_check("collapse-matches-hamiltonian", 1e-8,
                          residual_evalfn(Y1.collapse(), ellrel.vd_hamiltonian(pv), probes),
                          rng, policy, npoints=5))
@@ -281,7 +281,7 @@ def suite_vandiejen(config: RunConfig):
     probes = make_probes(n, 2, rng)
     eta = p["eta"]
     laxv = ellrel.lax_vandiejen(pv, eta)
-    Y1s = ellrel.y1_vd(pv.with_xi(pv.xi_spec(eta)))
+    Y1s = ellrel.y1_vd(replace(pv, xi=pv.xi_spec(eta)))
     out.append(run_check("PQ-matches-restriction", 1e-7,
                          residual_evalfn(laxv.L, Y1s.restrict(laxv.tbl), probes),
                          rng, policy, npoints=4))

@@ -69,7 +69,12 @@ class SignedPerm:
         return len(self.img)
 
     def is_identity(self):
-        return self.img == tuple(range(1, self.n + 1))
+        i = 0
+        for t in self.img:
+            i += 1
+            if t != i:
+                return False
+        return True
 
     def __mul__(self, other):
         """Composition (self*other)(x) = self(other(x))."""

@@ -270,7 +270,7 @@ def test_criterion_06_closed_forms_vs_construction():
                   C_STEP, TAU_ELL)
     eta = 0.37 - 0.04j
     PQ = vd_p_matrix(pv, eta) * vd_q_matrix(pv, eta)
-    Y1s = y1_vd(pv.with_xi(pv.xi_spec(eta)))
+    Y1s = y1_vd(dataclasses.replace(pv, xi=pv.xi_spec(eta)))
     _o, _s, tbl = orbit_stabilizer(pv.rs, (1, 0))
     xs2e = pts(2, 4, 606)
     vd_resid = op_residual(PQ, Y1s.restrict(tbl), probes2, xs2e)

@@ -1,6 +1,7 @@
 """Elliptic Dunkl operators, Krichever/Inozemtsev Lax pairs, regularity."""
 
 import random
+from dataclasses import replace
 
 from laxkit.dual import value
 from laxkit.ellcm import (EllipticDunklConfig, ael_tables,
@@ -49,7 +50,7 @@ def test_commutativity_and_lambda_equivariance():
     rs = cfg.rs
     w = rs.reflection(rs.pos_roots[0])
     lhs = DiffOp.from_group(3, w) * elliptic_dunkl(cfg, 0)
-    cfg_w = cfg.with_lam(w.apply_vec(cfg.lam))
+    cfg_w = replace(cfg, lam=w.apply_vec(cfg.lam))
     rhs = elliptic_dunkl(cfg_w, 1) * DiffOp.from_group(3, w)
     assert op_residual(lhs, rhs, probes, xs) < 1e-12
 
@@ -180,7 +181,7 @@ def test_regularity_probe_A_and_BC():
     spread = max(abs(v - idents[0]) for v in idents)
     assert spread < 1e-8 * (1 + abs(idents[0]))
     # lambda and lambda + e_1 give equal values
-    cfg2 = cfg.with_lam((cfg.lam[0] + 1.0,) + cfg.lam[1:])
+    cfg2 = replace(cfg, lam=(cfg.lam[0] + 1.0,) + cfg.lam[1:])
     id2, _ = symbol_parts(classical_dual_substitution(cfg2), zpt)
     assert abs(id2 - idents[-1]) < 1e-8 * (1 + abs(id2))
     # identity component equals the classical CM Hamiltonian (+ constant 0)

@@ -77,7 +77,7 @@ def test_r_matrix_uni_relations():
     assert op_residual(r_matrix(p, ar1, unitary=True) * r_matrix(p, neg1, unitary=True),
                        WOp.one(3, C), probes, xs) < 1e-12
     # C-vee-C doubled-root unitarity through the dual-parameter normalization
-    pv = pV().with_xi((0.33 + 0.02j, -0.21 + 0.05j))
+    pv = dataclasses.replace(pV(), xi=(0.33 + 0.02j, -0.21 + 0.05j))
     probes2 = make_probes(2, 2, random.Random(2))
     xs2 = sample(2)
     ar2 = AffineRoot((2, 0), 0)
@@ -100,7 +100,8 @@ def test_equivariance_pair_action():
     ar = AffineRoot(p.rs.pos_roots[1], 1)
     w = p.rs.reflection(p.rs.pos_roots[0])
     lhs = WOp.from_group(3, C, w) * r_matrix(p, ar) * WOp.from_group(3, C, w.inverse())
-    rhs = r_matrix(p.with_xi(w.apply_vec(p.xi)), AffineRoot(w.apply_vec(ar.alpha), ar.k))
+    rhs = r_matrix(dataclasses.replace(p, xi=w.apply_vec(p.xi)),
+                   AffineRoot(w.apply_vec(ar.alpha), ar.k))
     assert op_residual(lhs, rhs, make_probes(3, 2, random.Random(5)), sample(3)) < 1e-12
 
 
@@ -120,7 +121,7 @@ def test_yang_baxter_braid_and_homomorphism():
     lhs = t_hat_word(p, [1, 2]) * t_hat_word(p, [0, 1])
     assert op_residual(lhs, t_hat_word(p, word), probes, xs) < 1e-11
     # C-vee-C braid (b1): m = 4 pairs
-    pv = pV().with_xi((0.33 + 0.02j, -0.21 + 0.05j))
+    pv = dataclasses.replace(pV(), xi=(0.33 + 0.02j, -0.21 + 0.05j))
     probes2 = make_probes(4, 2, random.Random(8))
     pol2 = PointPolicy(4, -0.3, 0.3, 0.04)
     xs2 = [pol2.draw(random.Random(9)) for _ in range(3)]
@@ -168,7 +169,7 @@ def test_lemmay_limit():
     resid = []
     for d in (1e-2, 1e-3):
         xi = (0.21 + 0.01j + d, 0.21 + 0.01j, -0.13 + 0.03j)
-        Y = y_elliptic(p.with_xi(xi), av, unitary=True)
+        Y = y_elliptic(dataclasses.replace(p, xi=xi), av, unitary=True)
         resid.append(op_residual(Y, WOp.one(3, C), probes, xs))
     assert resid[1] < 0.2 * resid[0]
     assert resid[1] < 1e-2
@@ -191,7 +192,7 @@ def test_rhat_value_at_dynamical_half_periods():
     for r in range(4):
         resid = []
         for d in (1e-2, 1e-3):
-            pxi = pv.with_xi((oms[r] + d, 0.17 - 0.04j))
+            pxi = dataclasses.replace(pv, xi=(oms[r] + d, 0.17 - 0.04j))
             Rh = r_matrix_vd(pxi, ar, unitary=True)
             ph = LinArg(lambda z, br=betas[r]: cmath.exp(1j * cmath.pi * br * (z - 2 * nuv)),
                         ar.alpha, 0j)
@@ -201,19 +202,19 @@ def test_rhat_value_at_dynamical_half_periods():
 
 
 def test_macdonald_elliptic_collapse():
-    p = pA().with_xi(tuple(-v for v in rho_m(pA())))
+    p = dataclasses.replace(pA(), xi=tuple(-v for v in rho_m(pA())))
     probes = make_probes(3, 2, random.Random(13))
     xs = sample(3)
     phiv = (1, 0, -1)
     Lb = macdonald_elliptic(p, phiv, quasi=True)
     assert op_residual(y_elliptic(p, phiv).collapse(), Lb, probes, xs) < 1e-12
-    pc = pC().with_xi(tuple(-v for v in rho_m(pC())))
+    pc = dataclasses.replace(pC(), xi=tuple(-v for v in rho_m(pC())))
     probes2 = make_probes(2, 2, random.Random(14))
     xs2 = sample(2)
     LbC = macdonald_elliptic(pc, (1, 0), quasi=True)
     assert op_residual(y_elliptic(pc, (1, 0)).collapse(), LbC, probes2, xs2) < 1e-12
     # dual version (kernels on coroots): collapse at zeta = -rho_m_vee
-    pcd = pC().with_xi(tuple(-v for v in rho_m(pC(), dual=True)))
+    pcd = dataclasses.replace(pC(), xi=tuple(-v for v in rho_m(pC(), dual=True)))
     LbD = macdonald_elliptic(pcd, (1, 0), quasi=True, dual=True)
     assert op_residual(y_elliptic_dual(pcd, (1, 0)).collapse(), LbD,
                        probes2, xs2) < 1e-12
@@ -222,7 +223,7 @@ def test_macdonald_elliptic_collapse():
     # Hamiltonian, with the minuscule products of the closed form
     mu = 0.23 + 0.06j
     pg = EllGLParams(3, mu, C, TAU, (0j,) * 3)
-    pg = pg.with_xi(pg.xi_spec(-mu))
+    pg = dataclasses.replace(pg, xi=pg.xi_spec(-mu))
     H = ruijsenaars_hamiltonian(pg)
     assert op_residual(y_ell_gln(pg, 1).collapse(), H, probes, xs) < 1e-11
 
@@ -259,7 +260,7 @@ def test_vandiejen_hamiltonian_and_alpha():
     pv = pV()
     probes = make_probes(2, 2, random.Random(17))
     xs = sample(2)
-    Y1 = y1_vd(pv.with_xi(pv.xi0()))
+    Y1 = y1_vd(dataclasses.replace(pv, xi=pv.xi0()))
     H = vd_hamiltonian(pv)
     assert op_residual(Y1.collapse(), H, probes, xs) < 1e-12
     # xi0 solves the (csystem) equations
@@ -301,13 +302,13 @@ def test_vandiejen_lax_block():
     probes = make_probes(2, 2, random.Random(19))
     xs = sample(2)
     laxv = lax_vandiejen(pv, eta)
-    Y1s = y1_vd(pv.with_xi(pv.xi_spec(eta)))
+    Y1s = y1_vd(dataclasses.replace(pv, xi=pv.xi_spec(eta)))
     assert op_residual(laxv.L, Y1s.restrict(laxv.tbl), probes, xs) < 1e-8
     Hm = OperatorMatrix.diagonal(laxv.H, 4)
     assert op_residual(laxv.L * Hm - Hm * laxv.L,
                            laxv.A * laxv.L - laxv.L * laxv.A, probes, xs) < 1e-7
     # commutativity of the elliptic C-vee-C Cherednik operators
-    pgen = pv.with_xi((0.33 + 0.02j, -0.21 + 0.05j))
+    pgen = dataclasses.replace(pv, xi=(0.33 + 0.02j, -0.21 + 0.05j))
     Ya = y_elliptic(pgen, (1, 0))
     Yb = y_elliptic(pgen, (0, 1))
     assert op_residual(Ya * Yb, Yb * Ya, probes, xs) < 1e-8
@@ -363,7 +364,7 @@ def test_dual_substitution_lax_equation_c2():
     eta = 0.29 - 0.03j
     xi_il = (-rho[0] + eta, -rho[1])
     _o, _s, tbl = orbit_stabilizer(pc.rs, (1, 0))
-    Y1 = y_elliptic(pc.with_xi(xi_il), (1, 0))
+    Y1 = y_elliptic(dataclasses.replace(pc, xi=xi_il), (1, 0))
     L = Y1.restrict(tbl)
     H = macdonald_elliptic(pc, (1, 0), quasi=True)
     A = dual_substituted(pc, xi_il).restrict(tbl) - OperatorMatrix.diagonal(H, 4)
@@ -376,8 +377,8 @@ def test_translation_covariance_classical():
     xi_a = (0.24 + 0.01j, 0.17 - 0.02j)
     b = (1, 0)
     v = (1, 0)
-    Yc1 = y_elliptic(pc.with_xi(xi_a), b, unitary=False)
-    Yc2 = y_elliptic(pc.with_xi((xi_a[0] + TAU, xi_a[1])), b, unitary=False)
+    Yc1 = y_elliptic(dataclasses.replace(pc, xi=xi_a), b, unitary=False)
+    Yc2 = y_elliptic(dataclasses.replace(pc, xi=(xi_a[0] + TAU, xi_a[1])), b, unitary=False)
     ph = exp_lin(tuple(2j * cmath.pi * vv for vv in v))
     phm = exp_lin(tuple(-2j * cmath.pi * vv for vv in v))
     conj = WOp.from_field(2, 0.0, ph) * Yc1 * WOp.from_field(2, 0.0, phm)
@@ -534,13 +535,13 @@ def test_classical_ruijsenaars_a_is_hbar_limit():
     mu, eta = 0.29 + 0.07j, 0.41 - 0.06j
     beta = 1.0
     pcl = EllGLParams(3, mu, 0.0, TAU, (0j,) * 3)
-    pcl = pcl.with_xi(pcl.xi_spec(eta))
+    pcl = dataclasses.replace(pcl, xi=pcl.xi_spec(eta))
     _Lc, Acl = ruijsenaars_lax_tables(pcl)
     x = (0.31, -0.22, 0.4)
     mom = (0.2, -0.3, 0.14)
     h = 1e-5
     pq = EllGLParams(3, mu, -1j * h * beta, TAU, (0j,) * 3)
-    pq = pq.with_xi(pq.xi_spec(eta))
+    pq = dataclasses.replace(pq, xi=pq.xi_spec(eta))
     _Lq, Aq = ruijsenaars_lax_tables(pq)
     worst = 0.0
     for i in range(3):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from laxkit.dual import Dual, d_exp, d_sin, seed, value
-from laxkit.fields import (Affine, BiArg, LinArg, PoleError, Quot, Scale,
-                           XLift, evaluate, exp_lin, inv_form, linear_form)
+from laxkit.dual import Dual, d_exp, d_sin, directional, seed, value
+from laxkit.fields import (BiArg, Deriv, FuncField, LinArg, PoleError, Quot,
+                           Scale, XLift, evaluate, exp_lin, inv_form,
+                           linear_form)
 from laxkit.opcore import OperatorMatrix, WOp
 from laxkit.verify import residual_evalfn
 from laxkit.weyl import SignedPerm
@@ -29,9 +30,10 @@ def build(shared):
     (``shared``) or as a fresh tree in which no node or kernel is reused.
 
     The shared subtree ``s`` sits in the outer tree and also under a Quot,
-    an Affine, an XLift and a Deriv node, where it is read at another point
-    than the outer one; ``s.o_affine(W, V)`` makes leaf copies whose keys
-    equal those of an explicit leaf elsewhere in the tree.
+    an XLift and a Deriv node, where it is read at another point than the
+    outer one; ``s.o_affine(W, V)`` makes leaf copies whose keys equal those
+    of an explicit leaf elsewhere in the tree, and a moved Deriv reads its
+    base at the moved point.
     """
     cache = {}
 
@@ -56,11 +58,11 @@ def build(shared):
     s, t = node("s"), node("t")
     copy = LinArg(d_exp, (0.3, -0.7, 1.1, 0.5), 0.1j).o_affine(W, V)
     shifted = LinArg(kernel(d_exp), copy.k, copy.c0)
-    return (s * Affine(node("s"), W, V)
+    return (s * node("s").o_affine(W, V)
             + Quot(node("s"), t)
             - XLift(node("s"), 2) * node("s").deriv(DIR)
             + Scale(2.0, node("s").o_affine(W, V)) * shifted
-            + Affine(node("s") * node("t").deriv(DIR), None, V).deriv(DIR))
+            + (node("s") * node("t").deriv(DIR)).o_affine(None, V).deriv(DIR))
 
 
 @pytest.mark.parametrize("point", [Z, seed(Z, DIR)], ids=["complex", "dual"])
@@ -133,3 +135,27 @@ def test_first_pole_error_is_the_leftmost():
         evaluate([left * 2.0, right + left], (1e-5 + 0j,))
     with pytest.raises(PoleError, match="right"):
         evaluate([right + left, left], (1e-5 + 0j,))
+
+
+@pytest.mark.parametrize("w, v", [(SignedPerm.sign_flip(N, 1), None),
+                                  (None, V), (SignedPerm((2, -3, 1, 4)), V)],
+                         ids=["sign-flip", "shift", "signed-cycle-and-shift"])
+def test_moved_derivative_is_the_derivative_read_at_the_moved_point(w, v):
+    f = (LinArg(d_exp, (0.3, -0.7, 1.1, 0.5), 0.1j)
+         * BiArg(lambda a, b: d_sin(a) * b, (1.0, 0.0, -1.0), (0.0, 0.5, 0.0, 1.0)))
+    dirs = (DIR, (0.0, 1.0, -0.5, 0.3))
+    moved = Deriv(f, dirs).o_affine(w, v)
+    assert isinstance(moved, Deriv)
+    y = w.apply_vec(Z) if w is not None else Z
+    if v is not None:
+        y = tuple(a + b for a, b in zip(y, v))
+    want = directional(f, y, dirs)
+    assert abs(moved(Z) - want) < 1e-13 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("node", [XLift(exp_lin((0.3, -0.2)), 2),
+                                  FuncField(lambda z: z[0] * z[2])],
+                         ids=["XLift", "FuncField"])
+def test_point_moving_nodes_without_a_rule_refuse_affine_maps(node):
+    with pytest.raises(TypeError, match=type(node).__name__):
+        node.o_affine(W, V)

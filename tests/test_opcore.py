@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxkit.dual import Dual, directional, extract, gradient_vec, value
-from laxkit.fields import Const, coord, exp_lin, inv_form, linear_form
+from laxkit.fields import Const, exp_lin, inv_form, linear_form
 from laxkit.opcore import (DiffOp, DynOp, FlavorError, OperatorMatrix, RestrictionError,
                            WOp, check_wprime_invariance, make_probes,
                            module_apply_diffop, module_apply_wop, module_inject,
@@ -331,3 +331,16 @@ def test_op_equal_check_object():
                         op_residual(R, R.scale(1 + 1e-3), make_probes(2, 2, RNG),
                                     pts(2, 3)))
     assert not chk2.passed
+
+
+@pytest.mark.parametrize("t", [1.0, 0.7 - 0.2j])
+def test_diffop_phase_field_sums_the_symbol_components(t):
+    cfg = RationalDunklConfig(build_root_system("A", 3), t=t, c_short=0.6 + 0.1j)
+    qy, _L, _A = cm_split(cfg)
+    ws = dict.fromkeys(w for (w, _m) in qy.terms)
+    assert len(ws) > 1
+    z = (0.31 + 0.05j, -0.42 + 0.02j, 0.07 - 0.03j, 0.5 - 0.1j, -0.3 + 0.2j, 0.8)
+    x, p = z[:3], z[3:]
+    want = sum(qy.symbol_component(w, x, p, t) for w in ws)
+    got = value(qy.phase_field(t)(z))
+    assert abs(got - want) < 1e-13 * (1 + abs(want))
