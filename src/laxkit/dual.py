@@ -2,14 +2,15 @@
 
 A ``Dual`` carries a value and one infinitesimal component; nesting duals
 inside duals yields exact higher-order and mixed directional derivatives.
-Every special function in this package is written against the small generic
-API here (``d_exp``, ``d_sin``, ...), so any expression built from them can
-be differentiated to arbitrary depth without symbolic calculus.
+Kernels are written against the small generic API here (Dual arithmetic,
+``d_exp``, ``taylor``), so any expression built from them can be
+differentiated to arbitrary depth without symbolic calculus.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -89,23 +90,21 @@ def value(x):
     return x
 
 
+def taylor(derivs, h):
+    """sum_j derivs[j] h^j / j!: f(z0 + h) from the derivatives of f at z0,
+    exact for a Dual h of value 0 and depth below len(derivs), whose powers
+    past its depth vanish."""
+    out = derivs[-1] / math.factorial(len(derivs) - 1)
+    for j in range(len(derivs) - 2, -1, -1):
+        out = out * h + derivs[j] / math.factorial(j)
+    return out
+
+
 def d_exp(x):
     if isinstance(x, Dual):
         e = d_exp(x.val)
         return Dual(e, e * x.eps)
     return cmath.exp(x)
-
-
-def d_sin(x):
-    if isinstance(x, Dual):
-        return Dual(d_sin(x.val), d_cos(x.val) * x.eps)
-    return cmath.sin(x)
-
-
-def d_cos(x):
-    if isinstance(x, Dual):
-        return Dual(d_cos(x.val), -d_sin(x.val) * x.eps)
-    return cmath.cos(x)
 
 
 def seed(point, direction):

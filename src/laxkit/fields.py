@@ -11,13 +11,17 @@ Evaluation contract.  Calling a field, or ``evaluate(roots, x)``, opens one
 memo scope for the point x, and every node is computed at most once in it:
 sums, products, quotients and scalings are keyed by node identity, and the
 leaves ``LinArg``/``BiArg`` by their kernel and affine form, so the equal
-copies that ``o_affine`` makes share one kernel call.  Nodes that move the
-point (``XLift``, ``Deriv``, ``FuncField``) evaluate their subtree in a
-fresh scope.  This is sound because leaf kernels are pure functions of
-their argument and nodes are immutable.  A scope lives for one evaluation
-only and an exception discards it, so no value survives from one point to
-the next; children are visited left to right, so the first ``PoleError``
-raised is the one the plain tree walk would raise.
+copies that ``o_affine`` makes share one kernel call.  Every ``XLift`` at a
+phase point reads its base in one x-space scope shared by all of them (x is
+the same for each), while ``Deriv`` and ``FuncField``, which move the point,
+evaluate their subtree in a fresh scope.  This is sound because leaf
+kernels are pure functions of their argument and nodes are immutable.  A
+scope lives for one evaluation only and an exception discards it, so no
+value survives from one point to the next; children are visited left to
+right, so the first ``PoleError`` raised is the one the plain tree walk
+would raise.  At a ``gradient_vec`` point, whose Duals carry array
+tangents, a leaf runs its kernel on the scalar tangent 1 and applies the
+chain rule.
 
 Composition with an affine map, ``o_affine``, is structural: every node
 kind that operators transform pushes the map down to its leaves (``Deriv``
@@ -28,7 +32,9 @@ nodes ``XLift`` and ``FuncField`` have no such rule and raise
 
 from __future__ import annotations
 
-from .dual import d_exp, directional, value
+from numpy import ndarray
+
+from .dual import Dual, d_exp, directional, extract, value
 
 
 class PoleError(ArithmeticError):
@@ -130,6 +136,21 @@ ZERO = Const(0j)
 ONE = Const(1.0 + 0j)
 
 
+def _form(k, c, x):
+    """c + <k, x>, skipping the zero entries of k."""
+    for ki, xi in zip(k, x):
+        if ki != 0:
+            c = c + ki * xi
+    return c
+
+
+def _moved(k, w):
+    """The form of <k, w x>, i.e. w^{-1} k."""
+    if w is None or w.is_identity():
+        return k
+    return w.inverse().apply_vec(k + (0,) * (w.n - len(k)))
+
+
 class LinArg(Field):
     """fn(<k, x> + c0); fn=None means the linear form itself."""
 
@@ -145,7 +166,12 @@ class LinArg(Field):
         for ki, xi in zip(self.k, x):
             if ki != 0:
                 z = z + ki * xi
-        return z if self.fn is None else self.fn(z)
+        if self.fn is None or type(z) is not Dual or type(z.eps) is not ndarray:
+            return z if self.fn is None else self.fn(z)
+        # an array tangent (a gradient_vec point): one kernel call on the
+        # scalar tangent 1, then the chain rule
+        r = self.fn(Dual(z.val, 1.0))
+        return Dual(value(r), extract(r) * z.eps)
 
     def _ev(self, x, memo):
         key = (self.fn, self.k, self.c0)
@@ -155,16 +181,8 @@ class LinArg(Field):
         return v
 
     def o_affine(self, w, v):
-        k = self.k
-        if w is not None and not w.is_identity():
-            # <k, w x> = <w^{-1} k, x>
-            k = w.inverse().apply_vec(k + (0,) * (w.n - len(k)))
-        c0 = self.c0
-        if v is not None:
-            for ki, vi in zip(self.k, v):
-                if ki != 0:
-                    c0 = c0 + ki * vi
-        return LinArg(self.fn, k, c0)
+        c0 = self.c0 if v is None else _form(self.k, self.c0, v)
+        return LinArg(self.fn, _moved(self.k, w), c0)
 
 
 def exp_lin(k, c0=0j):
@@ -210,15 +228,17 @@ class BiArg(Field):
         self.cb = cb
 
     def __call__(self, x):
-        za = self.ca
-        for ki, xi in zip(self.ka, x):
-            if ki != 0:
-                za = za + ki * xi
-        zb = self.cb
-        for ki, xi in zip(self.kb, x):
-            if ki != 0:
-                zb = zb + ki * xi
-        return self.fn(za, zb)
+        za, zb = _form(self.ka, self.ca, x), _form(self.kb, self.cb, x)
+        ta = type(za) is Dual and type(za.eps) is ndarray
+        tb = type(zb) is Dual and type(zb.eps) is ndarray
+        if not (ta or tb):
+            return self.fn(za, zb)
+        # array tangents: one scalar-tangent kernel call per such argument
+        a, b = (za.val if ta else za), (zb.val if tb else zb)
+        parts = [(self.fn(Dual(a, 1.0), b), za.eps)] if ta else []
+        if tb:
+            parts.append((self.fn(a, Dual(b, 1.0)), zb.eps))
+        return Dual(value(parts[0][0]), sum(extract(r) * e for r, e in parts))
 
     def _ev(self, x, memo):
         key = (self.fn, self.ka, self.kb, self.ca, self.cb)
@@ -228,20 +248,10 @@ class BiArg(Field):
         return v
 
     def o_affine(self, w, v):
-        ka, kb = self.ka, self.kb
         ca, cb = self.ca, self.cb
         if v is not None:
-            for ki, vi in zip(ka, v):
-                if ki != 0:
-                    ca = ca + ki * vi
-            for ki, vi in zip(kb, v):
-                if ki != 0:
-                    cb = cb + ki * vi
-        if w is not None and not w.is_identity():
-            winv = w.inverse()
-            ka = winv.apply_vec(ka + (0,) * (w.n - len(ka)))
-            kb = winv.apply_vec(kb + (0,) * (w.n - len(kb)))
-        return BiArg(self.fn, ka, kb, ca, cb)
+            ca, cb = _form(self.ka, ca, v), _form(self.kb, cb, v)
+        return BiArg(self.fn, _moved(self.ka, w), _moved(self.kb, w), ca, cb)
 
 
 class Scale(Field):
@@ -372,7 +382,12 @@ class XLift(Field):
         self.n = n
 
     def _eval(self, z, memo):
-        return self.base(z[:self.n])
+        # every XLift at this phase point shares one x-space scope
+        key = (XLift, self.n)
+        xmemo = memo.get(key)
+        if xmemo is None:
+            xmemo = memo[key] = {}
+        return self.base._ev(z[:self.n], xmemo)
 
 
 def symmetrized(field, group_elements):

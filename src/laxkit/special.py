@@ -3,8 +3,15 @@ four-coupling v-functions, plus their trigonometric degenerations.
 
 Conventions: theta_1..theta_4 with nome q = e^{i pi tau}, quasi-periods
 theta_1(z+1) = -theta_1(z), theta_1(z+tau) = -e^{-i pi tau - 2 pi i z} theta_1(z).
-All evaluations accept Dual arguments in z, so derivatives of any order
-come from the series itself.  P(z) is normalized by its Laurent expansion
+Jets.  At a plain complex z one loop over the Fourier series gives theta_r
+and its z-derivatives up to order d, for only the r asked for (``_series``);
+it stops once the bound of the last term is at most THETA_RTOL times the
+partial sum at every order j <= d, so truncation bounds the derivatives,
+not only the value.  A Dual z of depth d never enters the series: with
+z0 = value(z) and h = z - z0, theta returns sum_{j<=d} theta^(j)(z0) h^j/j!,
+which is exact because h^(d+1) = 0.  sigma_dz, v_func_dz and wp read their
+derivatives from the same jets, memoized per plain point in one cache.
+P(z) is normalized by its Laurent expansion
 P = 1/z^2 + O(z^2), which together with eta1 = -theta1'''(0)/(6 theta1'(0))
 gives lim_{mu->0} sigma_mu'(z) = -P(z) - 2*eta1.
 """
@@ -15,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .dual import Dual, d_cos, d_exp, d_sin, directional, extract, value
+from .dual import Dual, d_exp, extract, taylor, value
 from .fields import LinArg, PoleError
 
 MIN_IM_TAU = 0.05
@@ -70,22 +77,26 @@ class CouplingSet:
 
 
 class _ThetaData:
-    __slots__ = ("tau", "odd_coeffs", "even_coeffs", "d1_0", "d3_0", "eta1", "wp_const")
+    """Series tables for one tau: per theta_r the coefficients c_k of its
+    harmonic pairs, per parity of m (True: odd) the bounds 2|c_k|, and the
+    constants read from the jet of theta_1 at 0."""
+
+    __slots__ = ("coeffs", "bounds", "scales", "d1_0", "eta1", "wp_const")
 
     def __init__(self, tau):
         if tau.imag < MIN_IM_TAU:
             raise ModulusError(f"Im tau = {tau.imag} < {MIN_IM_TAU}")
-        self.tau = tau
         q = cmath.exp(1j * cmath.pi * tau)
-        self.odd_coeffs = []       # q^{(k+1/2)^2}
-        self.even_coeffs = []      # q^{k^2}, k >= 1
-        for k in range(THETA_CAP):
-            self.odd_coeffs.append(q ** ((k + 0.5) ** 2))
-            self.even_coeffs.append(q ** ((k + 1) ** 2))
-        self.d1_0 = None
-        self.d3_0 = None
-        self.eta1 = None
-        self.wp_const = None
+        odd = [q ** ((k + 0.5) ** 2) for k in range(THETA_CAP)]       # m = 2k + 1
+        even = [q ** ((k + 1) ** 2) for k in range(THETA_CAP)]        # m = 2k + 2
+        self.coeffs = {1: [-1j * (-1) ** k * c for k, c in enumerate(odd)], 2: odd,
+                       3: even, 4: [(-1) ** (k + 1) * c for k, c in enumerate(even)]}
+        self.bounds = {True: [2 * abs(c) for c in odd], False: [2 * abs(c) for c in even]}
+        # natural magnitude of theta_r: its leading series coefficient
+        self.scales = {1: 2 * abs(odd[0]), 2: 2 * abs(odd[0]), 3: 1.0, 4: 1.0}
+        _f, self.d1_0, _f2, d3 = _series((1,), 0j, 3, self)[0]
+        self.eta1 = -d3 / (6 * self.d1_0)
+        self.wp_const = d3 / (3 * self.d1_0)
 
 
 _theta_cache: dict = {}
@@ -100,86 +111,87 @@ def _tdata(tau) -> _ThetaData:
     return td
 
 
-_value_cache: dict = {}
-_VALUE_CACHE_CAP = 400000
+# pi m of the k-th term, for theta_1, theta_2 (odd m) and theta_3, theta_4 (even m)
+_PI_M = {odd: [math.pi * (2 * k + 2 - odd) for k in range(THETA_CAP)] for odd in (True, False)}
+
+
+def _series(rs, z, d, td):
+    """[[theta_r^(j)(z) for j <= d] for r in rs] at a plain z.
+
+    Term k of theta_r is c_k (i pi m)^j (e^{i pi m z} -+ (-1)^j e^{-i pi m z})
+    (minus for theta_1), over the odd m for theta_1, theta_2 and the even m
+    for theta_3, theta_4; each power is one product with e^{+-2 i pi z}, and
+    the exponentials are shared by all r.  The sum stops once the term bound
+    2|c_k| (pi m)^j e^{pi m |Im z|} is at most THETA_RTOL times the
+    magnitude of the partial sum at every order j.
+    """
+    w, wi = cmath.exp(1j * math.pi * z), cmath.exp(-1j * math.pi * z)
+    ey = math.exp(math.pi * abs(z.imag))
+    w2, wi2, ey2 = w * w, wi * wi, ey * ey
+    out = []
+    for r in rs:
+        odd = r < 3
+        P, M, e = (w, wi, ey) if odd else (w2, wi2, ey2)
+        coeffs, bounds, pms = td.coeffs[r], td.bounds[odd], _PI_M[odd]
+        tot = [0j if odd else 1 + 0j] + [0j] * d
+        for k in range(THETA_CAP):
+            harm = (P - M, P + M) if r == 1 else (P + M, P - M)
+            t, pm = coeffs[k], pms[k]
+            for j in range(d + 1):
+                tot[j] += t * harm[j & 1]
+                t *= 1j * pm
+            b = bounds[k] * e
+            for x in tot:
+                if b > THETA_RTOL * abs(x):
+                    break
+                b *= pm
+            else:
+                break
+            P, M, e = P * w2, M * wi2, e * ey2
+        out.append(tot)
+    return out
+
+
+_jet_cache: dict = {}
+_JET_CACHE_CAP = 400000
+
+
+def _jets(rs, z, d, tau):
+    """[theta_r^(j)(z) for j <= d] for each r in rs at the plain point z."""
+    key = (rs, z, d, tau)
+    jets = _jet_cache.get(key)
+    if jets is None:
+        jets = _series(rs, z, d, _tdata(tau))
+        if len(_jet_cache) < _JET_CACHE_CAP:
+            _jet_cache[key] = jets
+    return jets
+
+
+def _theta_at(rs, z, tau, m):
+    """[[theta_r^(i)(z) for i <= m] for r in rs]; a Dual z of depth d is
+    the Taylor expansion of the order d + m jet at its plain value."""
+    d, z0 = 0, z
+    while isinstance(z0, Dual):
+        d, z0 = d + 1, z0.val
+    if d == 0:
+        return _jets(rs, z, m, tau)
+    h = z - z0
+    return [[taylor(jet[i:i + d + 1], h) for i in range(m + 1)]
+            for jet in _jets(rs, z0, d + m, tau)]
 
 
 def theta(r, z, tau):
     """theta_r(z | tau), r in 1..4 (r = 4 also reachable as r = 0)."""
-    if r == 0:
-        r = 4
+    rs = (r or 4,)
     if type(z) is complex or type(z) is float:
-        key = (r, z, tau)
-        hit = _value_cache.get(key)
+        hit = _jet_cache.get((rs, z, 0, tau))
         if hit is not None:
-            return hit
-        out = _theta_series(r, z, tau)
-        if len(_value_cache) < _VALUE_CACHE_CAP:
-            _value_cache[key] = out
-        return out
-    return _theta_series(r, z, tau)
-
-
-def _theta_series(r, z, tau):
-    td = _tdata(tau)
-    imz = abs(value(z).imag)
-    piz = cmath.pi * z
-    if r in (1, 2):
-        total = 0j
-        mag = 0.0
-        for k in range(THETA_CAP):
-            qc = td.odd_coeffs[k]
-            if r == 1:
-                term = 2 * ((-1) ** k) * qc * d_sin((2 * k + 1) * piz)
-            else:
-                term = 2 * qc * d_cos((2 * k + 1) * piz)
-            total = total + term
-            mag = max(mag, abs(value(total)))
-            bound = 2 * abs(qc) * math.exp((2 * k + 1) * math.pi * imz)
-            if k >= 1 and bound < THETA_RTOL * (mag + 1e-300):
-                break
-        return total
-    total = 1.0 + 0j
-    mag = 1.0
-    for k in range(1, THETA_CAP + 1):
-        qc = td.even_coeffs[k - 1]
-        sign = (-1) ** k if r == 4 else 1
-        term = 2 * sign * qc * d_cos(2 * k * piz)
-        total = total + term
-        mag = max(mag, abs(value(total)))
-        bound = 2 * abs(qc) * math.exp(2 * k * math.pi * imz)
-        if bound < THETA_RTOL * (mag + 1e-300):
-            break
-    return total
-
-
-def theta_deriv(r, z, tau, order=1):
-    """d^order/dz^order theta_r(z|tau), via nested duals on the series."""
-    fn = lambda pt: theta(r, pt[0], tau)
-    return directional(fn, (z,), [(1.0,)] * order)
-
-
-def theta1_d0(tau):
-    td = _tdata(tau)
-    if td.d1_0 is None:
-        td.d1_0 = theta_deriv(1, 0j, tau, 1)
-        td.d3_0 = theta_deriv(1, 0j, tau, 3)
-        td.eta1 = -td.d3_0 / (6 * td.d1_0)
-        td.wp_const = td.d3_0 / (3 * td.d1_0)
-    return td.d1_0
+            return hit[0][0]
+    return _theta_at(rs, z, tau, 0)[0][0]
 
 
 def eta1(tau):
-    theta1_d0(tau)
     return _tdata(tau).eta1
-
-
-def theta_scale(r, tau):
-    """Natural magnitude scale of theta_r (its leading series coefficient)."""
-    td = _tdata(tau)
-    if r in (1, 2):
-        return 2 * abs(td.odd_coeffs[0])
-    return 1.0
 
 
 def _guard(name, w, scale=1.0):
@@ -191,7 +203,7 @@ def _guard(name, w, scale=1.0):
 
 def sigma(mu, z, tau):
     """sigma_mu(z) = theta1(z-mu) theta1'(0) / (theta1(z) theta1(-mu))."""
-    return sigma_r(0, mu, z, tau)
+    return _sigmas((1,), mu, z, tau, 0)[0]
 
 
 def half_periods(tau):
@@ -209,44 +221,57 @@ def sigma_dz_form(mu, form, tau, const=0j):
     return LinArg(lambda z: sigma_dz(mu, z, tau), form, const)
 
 
+def _sigmas(rs, mu, z, tau, m):
+    """For each r in rs, theta_r(z - mu) theta1'(0) / (theta_r(z) theta1(-mu))
+    (m = 0) or its z-derivative (m = 1), from the jets at z - mu and z; the
+    pole guards run in the order of one sigma_r call per r."""
+    td = _tdata(tau)
+    t1 = theta(1, -mu, tau)
+    out = []
+    for r, (a, *da), (b, *db) in zip(rs, _theta_at(rs, z - mu, tau, m),
+                                     _theta_at(rs, z, tau, m)):
+        den = (_guard(f"theta{r}(z)", b, td.scales[r])
+               * _guard("theta1(-mu)", t1, td.scales[1]))
+        out.append(a * td.d1_0 / den if m == 0
+                   else (da[0] * b - a * db[0]) * td.d1_0 / (b * den))
+    return out
+
+
 def sigma_r(r, mu, z, tau):
     """sigma^r_mu(z) with theta_{r+1} in place of theta_1 (theta_4 = theta_0)."""
-    idx = r + 1
-    num = theta(idx, z - mu, tau) * theta1_d0(tau)
-    den = (_guard(f"theta{idx}(z)", theta(idx, z, tau), theta_scale(idx, tau))
-           * _guard("theta1(-mu)", theta(1, -mu, tau), theta_scale(1, tau)))
-    return num / den
+    return _sigmas((r + 1,), mu, z, tau, 0)[0]
 
 
 def sigma_dz(mu, z, tau):
     """d/dz sigma_mu(z)."""
-    fn = lambda pt: sigma(mu, pt[0], tau)
-    return directional(fn, (z,), [(1.0,)])
+    return _sigmas((1,), mu, z, tau, 1)[0]
 
 
 def wp(z, tau):
     """Weierstrass P for the lattice Z + tau Z, Laurent-normalized."""
-    theta1_d0(tau)
+    f, fp, fpp = _theta_at((1,), z, tau, 2)[0]
     td = _tdata(tau)
-    # two dual layers seeded outside any layers already present in z
-    t0 = theta(1, Dual(Dual(z, 1.0 + 0j), Dual(1.0 + 0j, 0j)), tau)
-    f, fp, fpp = t0.val.val, t0.val.eps, t0.eps.eps
-    _guard("theta1(z)", f, theta_scale(1, tau))
+    _guard("theta1(z)", f, td.scales[1])
     return -(fpp * f - fp * fp) / (f * f) + td.wp_const
+
+
+def _v(mu, z, g, tau, m):
+    """d^m/dz^m v_mu(z; g0..g3) for m = 0 or 1."""
+    rs = tuple(r + 1 for r in range(4) if g[r] != 0)
+    out = 0j
+    for r, s in zip(rs, _sigmas(rs, 2 * mu, z, tau, m)):
+        out = out + g[r - 1] * s
+    return out
 
 
 def v_func(mu, z, g, tau):
     """v_mu(z; g0..g3) = sum_r g_r sigma^r_{2 mu}(z)."""
-    out = 0j
-    for r in range(4):
-        if g[r] != 0:
-            out = out + g[r] * sigma_r(r, 2 * mu, z, tau)
-    return out
+    return _v(mu, z, g, tau, 0)
 
 
 def v_func_dz(mu, z, g, tau):
-    fn = lambda pt: v_func(mu, pt[0], g, tau)
-    return directional(fn, (z,), [(1.0,)])
+    """d/dz v_mu(z; g0..g3)."""
+    return _v(mu, z, g, tau, 1)
 
 
 def dual_couplings(g):

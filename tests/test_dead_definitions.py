@@ -6,6 +6,9 @@ attribute) or appears in an identifier string such as ``"restrict"`` or
 scripts or the benchmark, outside the definition's own body.  Imports do
 not count, so an unused import does not keep a definition alive.  Dunder
 names are exempt: the interpreter calls them.
+
+Imports in the tests and scripts are checked too: every name a file there
+imports must be loaded as a name somewhere in that file.
 """
 
 import ast
@@ -14,6 +17,7 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "scripts", "perfbench")
+IMPORT_CHECKED = ("tests", "scripts")
 IDENTIFIERS = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -54,3 +58,24 @@ def unused_definitions():
 
 def test_no_definition_in_the_package_is_unused():
     assert unused_definitions() == []
+
+
+def unused_imports():
+    out = []
+    for top in IMPORT_CHECKED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            loaded = {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for node in ast.walk(tree):
+                if (isinstance(node, (ast.Import, ast.ImportFrom))
+                        and getattr(node, "module", None) != "__future__"):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in loaded:
+                            out.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return out
+
+
+def test_no_import_in_the_tests_or_scripts_is_unused():
+    assert unused_imports() == []

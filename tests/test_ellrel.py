@@ -6,22 +6,19 @@ import dataclasses
 import itertools
 import random
 
-import pytest
-
 from laxkit.dual import value
 from laxkit.ellrel import (EllGLParams, EllRParams, VDParams, alpha_sequence,
                            dual_factor_identity_residual,
                            dual_substituted, g_factor, lax_elliptic_ruijsenaars,
                            lax_vandiejen, macdonald_elliptic, nsel_closed_y1,
                            nsel_closed_y2, r_matrix, r_matrix_vd,
-                           r_matrix_red_dual, residue_conditions,
-                           residue_control_failure, residue_growth, rho_m,
+                           residue_conditions, residue_control_failure, rho_m,
                            ruijsenaars_hamiltonian, ruijsenaars_lax_tables,
                            ruijsenaars_params,
                            t_hat, t_hat_word, vd_alpha_const, vd_beta_field,
                            vd_classical_fields, vd_classical_hamiltonian,
-                           vd_coefficient_fields, vd_dual_substituted,
-                           vd_hamiltonian, vd_p_matrix, vd_q_matrix,
+                           vd_dual_substituted,
+                           vd_hamiltonian, vd_p_matrix,
                            y1_vd, y_ell_gln, y_elliptic, y_elliptic_dual)
 from laxkit.fields import exp_lin
 from laxkit.opcore import (DynOp, OperatorMatrix, WOp, classical_op_residual,

@@ -2,11 +2,12 @@
 
 import pytest
 
-from laxkit.dual import Dual, d_exp, d_sin, directional, seed, value
+from laxkit.dual import Dual, d_exp, directional, gradient_vec, seed, value
 from laxkit.fields import (BiArg, Deriv, FuncField, LinArg, PoleError, Quot,
                            Scale, XLift, evaluate, exp_lin, inv_form,
-                           linear_form)
+                           linear_form, momentum)
 from laxkit.opcore import OperatorMatrix, WOp
+from laxkit.special import sigma
 from laxkit.verify import residual_evalfn
 from laxkit.weyl import SignedPerm
 
@@ -46,7 +47,7 @@ def build(shared):
         if name == "s":
             out = (LinArg(kernel(d_exp), (0.3, -0.7, 1.1, 0.5), 0.1j)
                    * linear_form((1.0, 2.0, 0.0, 0.0), 0.25)
-                   + BiArg(kernel(lambda a, b: d_sin(a) * b), (1.0, 0.0, -1.0),
+                   + BiArg(kernel(lambda a, b: d_exp(a) * b * b), (1.0, 0.0, -1.0),
                            (0.0, 0.5, 0.0, 1.0), 0.2, -0.1j) + 0.5)
         elif name == "t":
             out = 1.7 + LinArg(kernel(d_exp), (0.0, 0.4, -0.3), -0.05)
@@ -142,7 +143,7 @@ def test_first_pole_error_is_the_leftmost():
                          ids=["sign-flip", "shift", "signed-cycle-and-shift"])
 def test_moved_derivative_is_the_derivative_read_at_the_moved_point(w, v):
     f = (LinArg(d_exp, (0.3, -0.7, 1.1, 0.5), 0.1j)
-         * BiArg(lambda a, b: d_sin(a) * b, (1.0, 0.0, -1.0), (0.0, 0.5, 0.0, 1.0)))
+         * BiArg(lambda a, b: d_exp(a) * b * b, (1.0, 0.0, -1.0), (0.0, 0.5, 0.0, 1.0)))
     dirs = (DIR, (0.0, 1.0, -0.5, 0.3))
     moved = Deriv(f, dirs).o_affine(w, v)
     assert isinstance(moved, Deriv)
@@ -159,3 +160,27 @@ def test_moved_derivative_is_the_derivative_read_at_the_moved_point(w, v):
 def test_point_moving_nodes_without_a_rule_refuse_affine_maps(node):
     with pytest.raises(TypeError, match=type(node).__name__):
         node.o_affine(W, V)
+
+
+def test_array_tangent_leaf_gives_the_per_direction_derivatives():
+    kernel = lambda z: sigma(0.31 - 0.02j, z, 0.3 + 0.8j)
+    leaf = LinArg(kernel, (0.7, -1.2, 0.0, 0.4), 0.05j)
+    bileaf = BiArg(lambda a, b: kernel(a) * d_exp(b), (0.7, -1.2, 0.0, 0.4),
+                   (0.0, 0.3, 0.0, -0.5))
+    for f in (leaf, bileaf):
+        grad = gradient_vec(f, Z)
+        for i in range(N):
+            e = tuple(float(i == j) for j in range(N))
+            want = directional(f, Z, [e])
+            assert abs(grad[i] - want) <= 1e-14 * (1 + abs(want))
+
+
+def test_xlifts_at_one_phase_point_share_one_x_space_scope():
+    fn, calls = counting(d_exp)
+    leaf = LinArg(fn, (1.0, -0.5))
+    H = XLift(2.0 * leaf, 2) * momentum(2, 0) + XLift(leaf + 1.0, 2)
+    L = [XLift(leaf, 2), momentum(2, 1) - XLift(leaf * leaf, 2)]
+    for run in (H, lambda z: gradient_vec(H, z), lambda z: evaluate(L, z)):
+        calls.clear()
+        run(Z)
+        assert len(calls) == 1

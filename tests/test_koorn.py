@@ -7,7 +7,7 @@ from laxkit.koorn import (CCnParams, a_ext, abcd_coeffs, abcd_operator,
                           classical_hamiltonian_ccn, classical_pq,
                           koornwinder_lax, koornwinder_table, middle_product,
                           noumi_rep, p_matrix, phi_vector_ccn, q_matrix, r_diff,
-                          r_odd_shift, r_sum, r_two_e1, y1_product, y_inverse,
+                          r_odd_shift, r_sum, y1_product, y_inverse,
                           y_operator)
 from laxkit.opcore import OperatorMatrix, WOp, integrals, make_probes
 from laxkit.verify import (PointPolicy, energy_drift, fit_slope,

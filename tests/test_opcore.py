@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from laxkit.dual import Dual, directional, extract, gradient_vec, value
 from laxkit.fields import Const, exp_lin, inv_form, linear_form
 from laxkit.opcore import (DiffOp, DynOp, FlavorError, OperatorMatrix, RestrictionError,
-                           WOp, check_wprime_invariance, make_probes,
+                           WOp, make_probes,
                            module_apply_diffop, module_apply_wop, module_inject,
                            module_residual, restrict_to_matrix)
 from laxkit.trig import TrigGLConfig, mr_operator, r_ij, cherednik_gln

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from laxkit.dual import value
-from laxkit.fields import Const, symmetrized
+from laxkit.fields import symmetrized
 from laxkit.opcore import DiffOp, OperatorMatrix, integrals, make_probes
 from laxkit.rational import (RationalDunklConfig, classical_hamiltonian,
                              classical_lax, cm_hamiltonian_explicit, cm_split,
                              dunkl, dunkl_basis, kks_matrices,
-                             lax_pair_rational, position_matrix,
-                             qlp_reference_matrices)
+                             lax_pair_rational, position_matrix)
 from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
                            hamiltonian_flow, isospectral_drift,
                            matrix_fn_from_fields, op_residual, poisson_bracket,
@@ -190,7 +189,7 @@ def test_classical_moser_flow_and_involution():
     assert poisson_residual(tr2, tr3, z, 3) < 1e-10
     # time reversal returns to the start
     back_H = lambda zz: -Hcl(zz)
-    from laxkit.fields import Scale, FuncField
+    from laxkit.fields import Scale
     _t, back = hamiltonian_flow(Scale(-1.0, Hcl), traj[-1], T=1.0, dt=1e-3, n=3)
     assert max(abs(a - b) for a, b in zip(back[-1], z)) < 1e-8
 

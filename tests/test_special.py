@@ -5,15 +5,17 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxkit.dual import Dual, extract, value
+from laxkit import special
+from laxkit.dual import Dual, directional, extract
 from laxkit.fields import PoleError
 from laxkit.special import (EllipticParams, ModulusError, dual_couplings,
                             dual_params, eta1, sigma, sigma_dz, sigma_r,
-                            theta, theta_deriv, trig_ab, u_fun,
+                            theta, trig_ab, u_fun,
                             ut_fun, v_func, v_func_dz, vt_fun, v_fun, wp)
 
 TAU = 0.3 + 0.8j
@@ -51,6 +53,38 @@ def test_theta_vs_mpmath():
             ours = theta(r, z, TAU)
             ref = complex(mp.jtheta(r, mp.pi * mp.mpc(z), q))
             assert abs(ours - ref) < 1e-13
+
+
+@pytest.mark.parametrize("tau", [TAU, 0.1 + 0.5j])
+def test_theta_jets_vs_mpmath(tau):
+    """Orders 0-3 of every theta_r, alone and from one shared pass, against
+    mpmath's z-derivatives (mpmath's argument is pi z)."""
+    mp.mp.dps = 30
+    q = mp.exp(1j * mp.pi * mp.mpc(tau))
+    for z in (0.21 + 0.04j, -0.37 + 0.09j, 0.05 - 0.12j):
+        shared = special._jets((1, 2, 3, 4), z, 3, tau)
+        for r in (1, 2, 3, 4):
+            alone = special._jets((r,), z, 3, tau)[0]
+            assert alone == shared[r - 1]
+            for k in range(4):
+                ref = complex(mp.jtheta(r, mp.pi * mp.mpc(z), q, derivative=k)
+                              * mp.pi ** k)
+                assert abs(alone[k] - ref) < 1e-13
+
+
+def test_theta_on_duals_is_the_taylor_expansion_of_the_jet():
+    z, dirs = 0.23 - 0.06j, (1.0, 0.5 - 0.25j, -2.0)
+    for r in (1, 2, 3, 4):
+        jet = special._jets((r,), z, 3, TAU)[0]
+        for d in (1, 2, 3):
+            want = jet[d] * math.prod(dirs[:d])
+            got = directional(lambda pt: theta(r, pt[0], TAU), (z,),
+                              [(a,) for a in dirs[:d]])
+            assert abs(got - want) <= 1e-14 * abs(want)
+        tangent = np.array([1.0, -0.3 + 0.2j, 0.0])
+        got = theta(r, Dual(z, tangent), TAU)
+        assert abs(got.val - jet[0]) <= 1e-14 * abs(jet[0])
+        assert np.all(abs(got.eps - jet[1] * tangent) <= 1e-14 * abs(jet[1]))
 
 
 def test_theta1_odd_and_zero():

@@ -7,11 +7,11 @@ import numpy as np
 from laxkit.dual import value
 from laxkit.opcore import (OperatorMatrix, WOp, hecke_inverse, integrals,
                            make_probes)
-from laxkit.trig import (TrigGLConfig, a_field, b_field, basic_rep,
+from laxkit.trig import (TrigGLConfig, a_field, basic_rep,
                          braid_order, cherednik_gln, classical_lax_gln,
                          classical_mr_hamiltonian, e_tau_symmetrizer, lax_tables,
                          lax_trig_gln, lemma_ns_closed, mr_operator, phi_vector,
-                         r_ij, r_ij_inv, translation_op)
+                         r_ij, r_ij_inv)
 from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
                            hamiltonian_flow, isospectral_drift,
                            matrix_fn_from_fields, op_residual, poisson_bracket,
