@@ -20,8 +20,8 @@ scope lives for one evaluation only and an exception discards it, so no
 value survives from one point to the next; children are visited left to
 right, so the first ``PoleError`` raised is the one the plain tree walk
 would raise.  At a ``gradient_vec`` point, whose Duals carry array
-tangents, a leaf runs its kernel on the scalar tangent 1 and applies the
-chain rule.
+tangents, a ``LinArg`` runs its kernel on the scalar tangent 1 and applies
+the chain rule.
 
 Composition with an affine map, ``o_affine``, is structural: every node
 kind that operators transform pushes the map down to its leaves (``Deriv``
@@ -228,17 +228,7 @@ class BiArg(Field):
         self.cb = cb
 
     def __call__(self, x):
-        za, zb = _form(self.ka, self.ca, x), _form(self.kb, self.cb, x)
-        ta = type(za) is Dual and type(za.eps) is ndarray
-        tb = type(zb) is Dual and type(zb.eps) is ndarray
-        if not (ta or tb):
-            return self.fn(za, zb)
-        # array tangents: one scalar-tangent kernel call per such argument
-        a, b = (za.val if ta else za), (zb.val if tb else zb)
-        parts = [(self.fn(Dual(a, 1.0), b), za.eps)] if ta else []
-        if tb:
-            parts.append((self.fn(a, Dual(b, 1.0)), zb.eps))
-        return Dual(value(parts[0][0]), sum(extract(r) * e for r, e in parts))
+        return self.fn(_form(self.ka, self.ca, x), _form(self.kb, self.cb, x))
 
     def _ev(self, x, memo):
         key = (self.fn, self.ka, self.kb, self.ca, self.cb)

@@ -182,12 +182,7 @@ def _theta_at(rs, z, tau, m):
 
 def theta(r, z, tau):
     """theta_r(z | tau), r in 1..4 (r = 4 also reachable as r = 0)."""
-    rs = (r or 4,)
-    if type(z) is complex or type(z) is float:
-        hit = _jet_cache.get((rs, z, 0, tau))
-        if hit is not None:
-            return hit[0][0]
-    return _theta_at(rs, z, tau, 0)[0][0]
+    return _theta_at((r or 4,), z, tau, 0)[0][0]
 
 
 def eta1(tau):
