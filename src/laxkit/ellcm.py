@@ -5,14 +5,17 @@ The dynamical vector lambda enters through the kernels sigma_{<a^vee,
 lambda>}(<a, x>); specializing lambda = (mu, 0, ..., 0) makes mu a spectral
 parameter and turns the quadratic split <y,y> - const = H + A into a Lax
 pair on M' after dropping scalar terms (which are retained internally so
-the split closes exactly).
+the split closes exactly).  The Planck constant t is the only flavor
+switch: the classical Lax matrices and Hamiltonians are the same operators
+built at t = 0, where (t d)_k reads as p_k, and read with
+``phase_field``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .fields import Const, Field, LinArg, XLift, momentum, nsum
+from .fields import Const, Field, LinArg, nsum
 from .opcore import DiffOp, LaxPair, OperatorMatrix
 from .special import (dual_couplings, eta1, half_periods, sigma_dz_form,
                       sigma_form, v_func, v_func_dz, wp)
@@ -28,7 +31,11 @@ class EllipticDunklConfig:
     tau: complex
     lam: tuple
     g: tuple = None          # (g0..g3) for the BC/Inozemtsev flavor
-    bc: bool = False         # v-kernel sign-flip terms instead of reduced 2e_i roots
+
+    @property
+    def bc(self):
+        """BC flavor: v-kernel sign-flip terms instead of reduced 2e_i roots."""
+        return self.g is not None
 
 
 def wp_form(form, tau, const=0j) -> Field:
@@ -43,13 +50,14 @@ def v_dz_form(mu, form, g, tau) -> Field:
     return LinArg(lambda z: v_func_dz(mu, z, g, tau), form)
 
 
-def elliptic_dunkl(cfg: EllipticDunklConfig, i, classical=False) -> DiffOp:
+def elliptic_dunkl(cfg: EllipticDunklConfig, i) -> DiffOp:
     """y_i(lambda); the BC flavor has the v-kernel on sign flips."""
     rs = cfg.rs
     n = rs.dim
+    t = cfg.t
     tau = cfg.tau
     lam = cfg.lam
-    op = DiffOp.partial(n, i, 1.0 if classical else cfg.t, classical=classical)
+    op = DiffOp.partial(n, t, i)
     xi = ext_coord(n, i)
     if not cfg.bc:
         for a in rs.pos_roots:
@@ -59,29 +67,25 @@ def elliptic_dunkl(cfg: EllipticDunklConfig, i, classical=False) -> DiffOp:
             av = rs.coroot(a)
             mu = sum(v * l for v, l in zip(av, lam))
             ker = (cfg.c * ax) * sigma_form(mu, a, tau)
-            op = op + DiffOp(n, {(rs.reflection(a), (0,) * n): ker},
-                             classical=classical)
+            op = op + DiffOp(n, t, {(rs.reflection(a), (0,) * n): ker})
         return op
     # Inozemtsev flavor: v_{lam_i}(x_i) s_i + c sum_j (sigma terms)
-    op = op + DiffOp(n, {(SignedPerm.sign_flip(n, i), (0,) * n):
-                         v_form(lam[i], xi, cfg.g, tau)},
-                     classical=classical)
+    op = op + DiffOp(n, t, {(SignedPerm.sign_flip(n, i), (0,) * n):
+                               v_form(lam[i], xi, cfg.g, tau)})
     for j in range(n):
         if j == i:
             continue
-        op = op + DiffOp(n, {(SignedPerm.transposition(n, i, j), (0,) * n):
-                             cfg.c * sigma_form(lam[i] - lam[j], ext_form(n, i, j), tau)},
-                         classical=classical)
-        op = op + DiffOp(n, {(SignedPerm.neg_transposition(n, i, j), (0,) * n):
-                             cfg.c * sigma_form(lam[i] + lam[j], ext_form(n, i, j, 1), tau)},
-                         classical=classical)
+        op = op + DiffOp(n, t, {(SignedPerm.transposition(n, i, j), (0,) * n):
+                                   cfg.c * sigma_form(lam[i] - lam[j], ext_form(n, i, j), tau)})
+        op = op + DiffOp(n, t, {(SignedPerm.neg_transposition(n, i, j), (0,) * n):
+                                   cfg.c * sigma_form(lam[i] + lam[j], ext_form(n, i, j, 1), tau)})
     return op
 
 
-def quadratic_sum(cfg, classical=False) -> DiffOp:
+def quadratic_sum(cfg) -> DiffOp:
     out = None
     for i in range(cfg.rs.dim):
-        y = elliptic_dunkl(cfg, i, classical=classical)
+        y = elliptic_dunkl(cfg, i)
         y2 = y * y
         out = y2 if out is None else out + y2
     return out
@@ -118,20 +122,16 @@ def split_hamiltonian(cfg) -> DiffOp:
     n = rs.dim
     tau = cfg.tau
     t = cfg.t
-    if not cfg.bc:
-        op = DiffOp.zero(n)
-        for i in range(n):
-            m = tuple(2 if k == i else 0 for k in range(n))
-            op = op + DiffOp(n, {(SignedPerm.identity(n), m): Const(0.5 * t ** 2 + 0j)})
-        parts = []
-        for a in rs.pos_roots:
-            parts.append((-0.5 * cfg.c * (cfg.c + t) * dot(a, a)) * wp_form(a, tau))
-        return op + DiffOp.from_field(n, nsum(parts))
-    op = DiffOp.zero(n)
+    op = DiffOp.zero(n, t)
     for i in range(n):
         m = tuple(2 if k == i else 0 for k in range(n))
-        op = op + DiffOp(n, {(SignedPerm.identity(n), m): Const(t ** 2 + 0j)})
+        op = op + DiffOp(n, t, {(SignedPerm.identity(n), m):
+                                Const((1.0 if cfg.bc else 0.5) + 0j)})
     parts = []
+    if not cfg.bc:
+        for a in rs.pos_roots:
+            parts.append((-0.5 * cfg.c * (cfg.c + t) * dot(a, a)) * wp_form(a, tau))
+        return op + DiffOp.from_field(n, t, nsum(parts))
     om_shift = half_periods(tau)
     for i in range(n):
         for j in range(i + 1, n):
@@ -141,7 +141,7 @@ def split_hamiltonian(cfg) -> DiffOp:
         for r in range(4):
             gr = cfg.g[r]
             parts.append((-gr * (gr + t)) * wp_form(ext_coord(n, i), tau, om_shift[r]))
-    return op + DiffOp.from_field(n, nsum(parts))
+    return op + DiffOp.from_field(n, t, nsum(parts))
 
 
 def split_a_operator(cfg) -> DiffOp:
@@ -152,7 +152,7 @@ def split_a_operator(cfg) -> DiffOp:
     tau = cfg.tau
     t = cfg.t
     e1 = eta1(tau)
-    op = DiffOp.zero(n)
+    op = DiffOp.zero(n, t)
     if not cfg.bc:
         for a in rs.pos_roots:
             av = rs.coroot(a)
@@ -163,12 +163,12 @@ def split_a_operator(cfg) -> DiffOp:
                 continue
             if abs(mu) < 1e-12:
                 # sigma'_0(z) s -> (-wp(z) - 2 eta1) s
-                op = op + DiffOp(n, {(SignedPerm.identity(n), (0,) * n): pref * wp_form(a, tau),
-                                     (s, (0,) * n): pref * nsum([-wp_form(a, tau),
-                                                                 Const(-2 * e1)])})
+                op = op + DiffOp(n, t, {(SignedPerm.identity(n), (0,) * n): pref * wp_form(a, tau),
+                                        (s, (0,) * n): pref * nsum([-wp_form(a, tau),
+                                                                    Const(-2 * e1)])})
             else:
-                op = op + DiffOp(n, {(SignedPerm.identity(n), (0,) * n): pref * wp_form(a, tau),
-                                     (s, (0,) * n): pref * sigma_dz_form(mu, a, tau)})
+                op = op + DiffOp(n, t, {(SignedPerm.identity(n), (0,) * n): pref * wp_form(a, tau),
+                                        (s, (0,) * n): pref * sigma_dz_form(mu, a, tau)})
         return op
     lam = cfg.lam
     om_shift = half_periods(tau)
@@ -182,22 +182,22 @@ def split_a_operator(cfg) -> DiffOp:
                 if pref == 0:
                     continue
                 if abs(mu) < 1e-12:
-                    op = op + DiffOp(n, {(SignedPerm.identity(n), (0,) * n): pref * wp_form(form, tau),
-                                         (s, (0,) * n): pref * nsum([-wp_form(form, tau),
-                                                                     Const(-2 * e1)])})
+                    op = op + DiffOp(n, t, {(SignedPerm.identity(n), (0,) * n): pref * wp_form(form, tau),
+                                            (s, (0,) * n): pref * nsum([-wp_form(form, tau),
+                                                                        Const(-2 * e1)])})
                 else:
-                    op = op + DiffOp(n, {(SignedPerm.identity(n), (0,) * n): pref * wp_form(form, tau),
-                                         (s, (0,) * n): pref * sigma_dz_form(mu, form, tau)})
+                    op = op + DiffOp(n, t, {(SignedPerm.identity(n), (0,) * n): pref * wp_form(form, tau),
+                                            (s, (0,) * n): pref * sigma_dz_form(mu, form, tau)})
     for i in range(n):
         xi = ext_coord(n, i)
         parts = [(t * cfg.g[r]) * wp_form(xi, tau, om_shift[r]) for r in range(4)]
-        op = op + DiffOp.from_field(n, nsum(parts))
+        op = op + DiffOp.from_field(n, t, nsum(parts))
         if abs(lam[i]) < 1e-12:
             ker = nsum([(-t * cfg.g[r]) * wp_form(xi, tau, om_shift[r])
                         for r in range(4)] + [Const(-2 * e1 * t * sum(cfg.g))])
         else:
             ker = t * v_dz_form(lam[i], xi, cfg.g, tau)
-        op = op + DiffOp(n, {(SignedPerm.sign_flip(n, i), (0,) * n): ker})
+        op = op + DiffOp(n, t, {(SignedPerm.sign_flip(n, i), (0,) * n): ker})
     return op
 
 
@@ -220,11 +220,11 @@ def lax_elliptic_A(n, t, c, mu, tau) -> LaxPair:
     y1 = elliptic_dunkl(cfg, 0)
     Lmat = y1.restrict(tbl)
     # A-hat on M': c t sum_j (wp(x_1j) + sigma'_mu(x_1j) s_1j), constants dropped
-    Ahat = DiffOp.zero(n)
+    Ahat = DiffOp.zero(n, t)
     for j in range(1, n):
         form = ext_form(n, 0, j)
-        Ahat = Ahat + DiffOp(n, {(SignedPerm.identity(n), (0,) * n): (cfg.c * t) * wp_form(form, tau),
-                                 (SignedPerm.transposition(n, 0, j), (0,) * n): (cfg.c * t) * sigma_dz_form(mu, form, tau)})
+        Ahat = Ahat + DiffOp(n, t, {(SignedPerm.identity(n), (0,) * n): (cfg.c * t) * wp_form(form, tau),
+                                    (SignedPerm.transposition(n, 0, j), (0,) * n): (cfg.c * t) * sigma_dz_form(mu, form, tau)})
     return LaxPair(tbl, Lmat, Ahat.restrict(tbl), split_hamiltonian(cfg))
 
 
@@ -236,16 +236,16 @@ def ael_tables(n, t, c, mu, tau):
         Lrow, Arow = [], []
         for l in range(n):
             if k == l:
-                Lrow.append(DiffOp.partial(n, k, t))
+                Lrow.append(DiffOp.partial(n, t, k))
                 parts = []
                 for j in range(n):
                     if j != k:
                         parts.append(wp_form(ext_form(n, j, k), tau))
-                Arow.append(DiffOp.from_field(n, (c * t) * nsum(parts)))
+                Arow.append(DiffOp.from_field(n, t, (c * t) * nsum(parts)))
             else:
                 form = ext_form(n, k, l)
-                Lrow.append(DiffOp.from_field(n, c * sigma_form(mu, form, tau)))
-                Arow.append(DiffOp.from_field(n, (c * t) * sigma_dz_form(mu, form, tau)))
+                Lrow.append(DiffOp.from_field(n, t, c * sigma_form(mu, form, tau)))
+                Arow.append(DiffOp.from_field(n, t, (c * t) * sigma_dz_form(mu, form, tau)))
         Lrows.append(Lrow)
         Arows.append(Arow)
     return OperatorMatrix(Lrows), OperatorMatrix(Arows)
@@ -257,24 +257,24 @@ def lax_inozemtsev(n, t, c, g, mu, tau):
     """2n x 2n quantum Lax pair for the Inozemtsev system at lambda = (mu, 0..0)."""
     rs = build_root_system("C", n)
     lam = (mu,) + (0,) * (n - 1)
-    cfg = EllipticDunklConfig(rs, t, c, tau, lam, g=tuple(g), bc=True)
+    cfg = EllipticDunklConfig(rs, t, c, tau, lam, g=tuple(g))
     _o, _s, tbl = orbit_stabilizer(rs, ext_coord(n, 0))
     y1 = elliptic_dunkl(cfg, 0)
     Lmat = y1.restrict(tbl)
     om_shift = half_periods(tau)
     x1 = ext_coord(n, 0)
-    Ahat = DiffOp.zero(n)
+    Ahat = DiffOp.zero(n, t)
     for j in range(1, n):
         dform, sform = ext_form(n, 0, j), ext_form(n, 0, j, 1)
-        Ahat = Ahat + DiffOp(n, {
+        Ahat = Ahat + DiffOp(n, t, {
             (SignedPerm.identity(n), (0,) * n):
                 (2 * c * t) * (wp_form(dform, tau) + wp_form(sform, tau)),
             (SignedPerm.transposition(n, 0, j), (0,) * n): (2 * c * t) * sigma_dz_form(mu, dform, tau),
             (SignedPerm.neg_transposition(n, 0, j), (0,) * n): (2 * c * t) * sigma_dz_form(mu, sform, tau)})
     parts = [(t * g[r]) * wp_form(x1, tau, om_shift[r]) for r in range(4)]
-    Ahat = Ahat + DiffOp.from_field(n, nsum(parts))
-    Ahat = Ahat + DiffOp(n, {(SignedPerm.sign_flip(n, 0), (0,) * n):
-                             t * v_dz_form(mu, x1, g, tau)})
+    Ahat = Ahat + DiffOp.from_field(n, t, nsum(parts))
+    Ahat = Ahat + DiffOp(n, t, {(SignedPerm.sign_flip(n, 0), (0,) * n):
+                                t * v_dz_form(mu, x1, g, tau)})
     return LaxPair(tbl, Lmat, Ahat.restrict(tbl), split_hamiltonian(cfg))
 
 
@@ -289,70 +289,49 @@ def inozemtsev_tables(n, t, c, g, mu, tau):
         for j in range(m):
             if i == j:
                 sign = 1.0 if i < n else -1.0
-                Lrow.append(DiffOp.partial(n, i % n, sign * t))
+                Lrow.append(DiffOp.partial(n, t, i % n, sign))
                 parts = [wp_form(ext_form(n, i, l), tau) for l in range(m)
                          if not same_coord(n, l, i)]
                 acc = (2 * c * t) * nsum(parts)
                 acc = nsum([acc] + [(t * g[r]) * wp_form(fi, tau, om_shift[r])
                                     for r in range(4)])
-                Arow.append(DiffOp.from_field(n, acc))
+                Arow.append(DiffOp.from_field(n, t, acc))
             elif (i - j) % m == n:
-                Lrow.append(DiffOp.from_field(n, v_form(mu, fi, g, tau)))
-                Arow.append(DiffOp.from_field(n, t * v_dz_form(mu, fi, g, tau)))
+                Lrow.append(DiffOp.from_field(n, t, v_form(mu, fi, g, tau)))
+                Arow.append(DiffOp.from_field(n, t, t * v_dz_form(mu, fi, g, tau)))
             else:
                 diff = ext_form(n, i, j)
-                Lrow.append(DiffOp.from_field(n, c * sigma_form(mu, diff, tau)))
-                Arow.append(DiffOp.from_field(n, (2 * c * t) * sigma_dz_form(mu, diff, tau)))
+                Lrow.append(DiffOp.from_field(n, t, c * sigma_form(mu, diff, tau)))
+                Arow.append(DiffOp.from_field(n, t, (2 * c * t) * sigma_dz_form(mu, diff, tau)))
         Lrows.append(Lrow)
         Arows.append(Arow)
     return OperatorMatrix(Lrows), OperatorMatrix(Arows)
 
 
 def classical_inozemtsev_fields(n, c, g, mu, tau):
-    """Phase-field entries of the classical Inozemtsev Lax matrix (inolax)."""
-    m = 2 * n
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if i == j:
-                row.append(momentum(n, i % n, 1.0 if i < n else -1.0))
-            elif (i - j) % m == n:
-                row.append(XLift(v_form(mu, ext_coord(n, i), g, tau), n))
-            else:
-                row.append(XLift(c * sigma_form(mu, ext_form(n, i, j), tau), n))
-        rows.append(row)
-    return rows
+    """Phase-field entries of the classical Inozemtsev Lax matrix (inolax):
+    y_1 at lambda = (mu, 0, ..., 0) and t = 0, restricted to M'."""
+    rs = build_root_system("C", n)
+    cfg = EllipticDunklConfig(rs, 0.0, c, tau, (mu,) + (0,) * (n - 1), g=tuple(g))
+    _o, _s, tbl = orbit_stabilizer(rs, ext_coord(n, 0))
+    return [[e.phase_field() for e in row]
+            for row in elliptic_dunkl(cfg, 0).restrict(tbl).entries]
 
 
 def classical_inozemtsev_hamiltonian(n, c, g, tau):
     """H = sum p_i^2 - 2c^2 sum (wp(x_ij) + wp(x^+_ij)) - sum_i sum_r g_r^2 wp(x_i + om_r)."""
-    om_shift = half_periods(tau)
-    parts = [momentum(n, i) * momentum(n, i) for i in range(n)]
-    xparts = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            xparts.append((-2 * c * c) * (wp_form(ext_form(n, i, j), tau)
-                                          + wp_form(ext_form(n, i, j, 1), tau)))
-    for i in range(n):
-        for r in range(4):
-            xparts.append((-g[r] * g[r]) * wp_form(ext_coord(n, i), tau, om_shift[r]))
-    return nsum(parts + [XLift(nsum(xparts), n)])
+    rs = build_root_system("C", n)
+    return classical_cm_phase_field(EllipticDunklConfig(rs, 0.0, c, tau, (0j,) * n,
+                                                        g=tuple(g)))
 
 
 def classical_cm_phase_field(cfg: EllipticDunklConfig):
-    """Classical elliptic CM Hamiltonian as a phase field.
+    """Classical elliptic CM Hamiltonian as a phase field: the split H at t = 0.
 
     Type A: (1/2) sum p^2 - (1/2) sum c^2 <a,a> wp(<a,x>);
     BC: sum p^2 - 2c^2 sum (wp +- combos) - sum g_r^2 wp(x_i + om_r).
     """
-    rs = cfg.rs
-    n = rs.dim
-    if cfg.bc:
-        return classical_inozemtsev_hamiltonian(n, cfg.c, cfg.g, cfg.tau)
-    parts = [0.5 * (momentum(n, i) * momentum(n, i)) for i in range(n)]
-    xparts = [(-0.5 * cfg.c ** 2 * dot(a, a)) * wp_form(a, cfg.tau) for a in rs.pos_roots]
-    return nsum(parts + [XLift(nsum(xparts), n)])
+    return split_hamiltonian(replace(cfg, t=0.0)).phase_field()
 
 
 # -- regularity probes ------------------------------------------------------
@@ -364,8 +343,7 @@ def classical_dual_substitution(cfg: EllipticDunklConfig) -> DiffOp:
     flavor uses <y,y> minus its dual-coupled constant, following the
     quadratic split normalizations.
     """
-    qy = quadratic_sum(cfg, classical=True)
+    qy = quadratic_sum(replace(cfg, t=0.0))
     const = split_constant(cfg)
     scale = 0.5 if not cfg.bc else 1.0
-    return qy.scale(scale) - DiffOp.from_field(cfg.rs.dim, Const(const),
-                                               classical=True)
+    return qy.scale(scale) - DiffOp.from_field(cfg.rs.dim, 0.0, Const(const))

@@ -10,8 +10,12 @@ Two term shapes cover every construction in the package:
   h(xi, x) * (a ⊗ w t(lam)), used for the unitary R-matrix Weyl-group
   action, is the ``WOp`` on the 2n coordinates (xi, x) with group part
   a ⊕ w and translation (0, lam); ``DynOp`` builds it from (a, w, lam).
-* ``DiffOp`` — differential-reflection operators, sums of f(x) d^m w.  The
-  classical flavor reads d^m as a momentum monomial (no Leibniz rule).
+* ``DiffOp`` — differential-reflection operators, sums of f(x) (t d)^m w
+  with the Planck constant t.  Composition follows the Leibniz rule, whose
+  j-th term carries t^|j|, so t = 0 gives the classical crossed product:
+  (t d)^m reads as the momentum monomial p^m and composition drops the
+  derivatives of coefficients.  As for a WOp at c = 0, a DiffOp at t = 0
+  has no function action, only symbols.
 
 Both keep their terms in one dictionary keyed by (group element, exponent),
 sharing the linear algebra; a zero coefficient is dropped, so the zero
@@ -165,19 +169,20 @@ class _TermOp:
                     entries[k][j] += self._like({(one, ek): fk})
         return OperatorMatrix(entries)
 
-    def symbol_component(self, w, x, p, s):
-        """Classical symbol of the a_w component at the phase point (x, p);
-        ``s`` is beta for a WOp and t for a DiffOp."""
+    def symbol_component(self, w, x, p, beta=1.0):
+        """Classical symbol of the a_w component at the phase point (x, p).
+        A WOp reads t(lam) as e^{beta <lam, p>}; a DiffOp reads (t d)_k as
+        p_k and has no use for beta."""
         total = 0j
         for (w2, e), f in self.terms.items():
             if w2 == w:
-                total += value(f(x)) * self._symbol(self._moved(w2, e), p, s)
+                total += value(f(x)) * self._symbol(self._moved(w2, e), p, beta)
         return total
 
-    def phase_field(self, s):
+    def phase_field(self, beta=1.0):
         """The classical symbol, summed over components, as a field on phase
-        points (x_1..x_n, p_1..p_n); ``s`` as in ``symbol_component``."""
-        return nsum([XLift(f, self.n) * self._symbol_field(self._moved(w, e), s)
+        points (x_1..x_n, p_1..p_n); ``beta`` as in ``symbol_component``."""
+        return nsum([XLift(f, self.n) * self._symbol_field(self._moved(w, e), beta)
                      for (w, e), f in self.terms.items()])
 
 
@@ -270,38 +275,39 @@ class WOp(_TermOp):
 
 
 class DiffOp(_TermOp):
-    """Finite sum of f(x) d^m w; classical flavor reads d as momentum."""
+    """Finite sum of f(x) (t d)^m w for the Planck constant t; at t = 0 the
+    Leibniz rule keeps only its leading term and (t d)_k reads as p_k."""
 
-    __slots__ = ("classical",)
+    __slots__ = ("t",)
 
-    def __init__(self, n, terms=None, classical=False):
-        self.classical = classical
+    def __init__(self, n, t, terms=None):
+        self.t = t
         super().__init__(n, terms)
 
     def _like(self, terms=None):
-        return DiffOp(self.n, terms, classical=self.classical)
+        return DiffOp(self.n, self.t, terms)
 
     def _flavor(self):
-        return DiffOp, self.n, self.classical
+        return DiffOp, self.n, self.t
 
     @staticmethod
-    def zero(n, classical=False):
-        return DiffOp(n, classical=classical)
+    def zero(n, t):
+        return DiffOp(n, t)
 
     @staticmethod
-    def from_field(n, f, classical=False):
+    def from_field(n, t, f):
         key = (SignedPerm.identity(n), (0,) * n)
-        return DiffOp(n, {key: as_field(f)}, classical=classical)
+        return DiffOp(n, t, {key: as_field(f)})
 
     @staticmethod
-    def partial(n, direction_index, coeff=1.0, classical=False):
+    def partial(n, t, direction_index, coeff=1.0):
+        """coeff * (t d_i) for i = ``direction_index``."""
         m = tuple(1 if i == direction_index else 0 for i in range(n))
-        return DiffOp(n, {(SignedPerm.identity(n), m): as_field(coeff)},
-                      classical=classical)
+        return DiffOp(n, t, {(SignedPerm.identity(n), m): as_field(coeff)})
 
     @staticmethod
-    def from_group(n, w, coeff=1.0, classical=False):
-        return DiffOp(n, {(w, (0,) * n): as_field(coeff)}, classical=classical)
+    def from_group(n, t, w, coeff=1.0):
+        return DiffOp(n, t, {(w, (0,) * n): as_field(coeff)})
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -310,27 +316,26 @@ class DiffOp(_TermOp):
         out = self._like()
         for (w1, m1), f1 in self.terms.items():
             w1inv = w1.inverse()
+            # (t d)^m1 g = sum_j C(m1,j) t^|j| (d^j g) (t d)^(m1-j): at t = 0
+            # only j = 0 is left
+            ranges = [range(mi + 1 if self.t else 1) for mi in m1]
             for (w2, m2), f2 in other.terms.items():
                 g_w = f2.o_group(w1inv)
                 m2t, sign = _multi_transform(m2, w1inv)
                 w12 = w1 * w2
-                if self.classical:
-                    mm = tuple(a + b for a, b in zip(m1, m2t))
-                    out._add_term((w12, mm), sign * (f1 * g_w))
-                    continue
-                # Leibniz: d^m1 (g_w * d^m2t) = sum_j C(m1,j) (d^j g_w) d^(m1-j+m2t)
-                ranges = [range(mi + 1) for mi in m1]
                 for j in itertools.product(*ranges):
-                    binom = 1
+                    coeff = sign
                     for a, b in zip(m1, j):
-                        binom *= math.comb(a, b)
+                        coeff *= math.comb(a, b)
+                    if any(j):
+                        coeff = coeff * self.t ** sum(j)
                     dj = field_dmulti(g_w, j)
                     mm = tuple(a - b + cpart for a, b, cpart in zip(m1, j, m2t))
-                    out._add_term((w12, mm), (sign * binom) * (f1 * dj))
+                    out._add_term((w12, mm), coeff * (f1 * dj))
         return out
 
     def power(self, k):
-        out = DiffOp.from_field(self.n, Const(1.0 + 0j), classical=self.classical)
+        out = DiffOp.from_field(self.n, self.t, Const(1.0 + 0j))
         for _ in range(k):
             out = out * self
         return out
@@ -341,7 +346,7 @@ class DiffOp(_TermOp):
             comp.setdefault(w, []).append((m, f))
         return comp
 
-    # -- flavor hooks: f d^m w has its group factor right; d_k reads as p_k/t
+    # -- flavor hooks: f (t d)^m w has its group factor right; (t d)_k reads as p_k
     def _moved(self, w, m):
         return m
 
@@ -349,27 +354,33 @@ class DiffOp(_TermOp):
         mt, sign = _multi_transform(m, r)
         return mt, sign * f.o_group(r)
 
-    def _symbol(self, m, p, t):
+    def _symbol(self, m, p, _beta):
         mono = 1.0 + 0j
         for k, mk in enumerate(m):
             if mk:
-                mono *= (p[k] / t) ** mk
+                mono *= p[k] ** mk
         return mono
 
-    def _symbol_field(self, m, t):
+    def _symbol_field(self, m, _beta):
         mono = ONE
         for k, mk in enumerate(m):
             for _ in range(mk):
-                mono = mono * momentum(self.n, k, 1.0 / t)
+                mono = mono * momentum(self.n, k)
         return mono
 
+    def _scaled(self, h, m):
+        """t^|m| h, the coefficient of d^m in h (t d)^m."""
+        k = sum(m)
+        return self.t ** k * h if k else h
+
     def apply_field(self, f: Field) -> Field:
-        if self.classical:
-            raise FlavorError("classical DiffOp has no function action; use symbols")
+        if self.t == 0:
+            raise FlavorError("classical DiffOp (t = 0) has no function action; "
+                              "use symbols")
         parts = []
         for (w, m), h in self.terms.items():
             g = f.o_group(w.inverse())
-            parts.append(h * field_dmulti(g, m))
+            parts.append(self._scaled(h, m) * field_dmulti(g, m))
         return nsum(parts)
 
     restrict = _TermOp.restrict   # a class-dict entry, which perfbench/tracer.py times
@@ -448,7 +459,7 @@ def module_apply_diffop(op: DiffOp, melem: dict) -> dict:
         for g, f in melem.items():
             tgt = w * g
             mt, sign = _multi_transform(m, tgt)
-            term = (sign * h.o_group(tgt)) * field_dmulti(f, mt)
+            term = (sign * op._scaled(h, m).o_group(tgt)) * field_dmulti(f, mt)
             out[tgt] = nsum([out[tgt], term]) if tgt in out else term
     return out
 
@@ -621,15 +632,14 @@ def classical_op_residual(op1: WOp, op2: WOp, zpoints, beta=1.0) -> float:
     return worst
 
 
-def symbol_parts(op, zpoint, scale=1.0):
+def symbol_parts(op, zpoint):
     """(identity component, worst off-identity magnitude) of the classical
-    symbol of ``op`` at the phase point (x, p); ``scale`` is the
-    ``symbol_component`` argument (beta of a WOp, t of a DiffOp)."""
+    symbol of ``op`` at the phase point (x, p), a WOp read at beta = 1."""
     n = op.n
     x, p = zpoint[:n], zpoint[n:]
     ident, worst = 0j, 0.0
     for w in dict.fromkeys(w for (w, _k) in op.terms):
-        v = op.symbol_component(w, x, p, scale)
+        v = op.symbol_component(w, x, p)
         if w.is_identity():
             ident = v
         else:

@@ -3,13 +3,15 @@
 The Dunkl operator y_xi = t d_xi + sum_{a>0} c_a <a,xi>/<a,x> s_a generates
 everything here: invariant polynomials in the y's split as q(y) = L_q + A
 with A e = 0, and restricting to M' = e'M turns (y_xi, A) into a quantum Lax
-pair of size |W/W'|.  The classical flavor replaces d by momenta; its Lax
-pair is the Moser matrix and its A-partner is the t -> 0 limit of A/(i hbar).
+pair of size |W/W'|.  The Planck constant t is the only flavor switch: the
+classical entry points build the same operators at t = 0, where (t d)_k
+reads as p_k, so the Lax matrix is the Moser matrix; the classical
+A-partner is minus the t-linear part of the quantum A.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fields import Const, inv_form, linear_form, nsum
 from .opcore import DiffOp, LaxPair, OperatorMatrix, lax_pair
@@ -32,33 +34,32 @@ class RationalDunklConfig:
         return self.c_short
 
 
-def dunkl(cfg: RationalDunklConfig, xi, classical=False) -> DiffOp:
-    """y_xi (quantum) or y^c_xi (classical, momenta in place of t d)."""
+def dunkl(cfg: RationalDunklConfig, xi) -> DiffOp:
+    """y_xi = t d_xi + sum_{a>0} c_a <a,xi>/<a,x> s_a."""
     rs = cfg.rs
     n = rs.dim
-    op = DiffOp.zero(n, classical=classical)
-    scale = 1.0 if classical else cfg.t
+    t = cfg.t
+    op = DiffOp.zero(n, t)
     for i, x in enumerate(xi):
         if x != 0:
-            op = op + DiffOp.partial(n, i, scale * x, classical=classical)
+            op = op + DiffOp.partial(n, t, i, x)
     for a in rs.pos_roots:
         ax = dot(a, xi)
         if ax == 0:
             continue
         coeff = (cfg.coupling(a) * ax) * inv_form(a, name=f"<{a},x>")
-        op = op + DiffOp(n, {(rs.reflection(a), (0,) * n): coeff},
-                         classical=classical)
+        op = op + DiffOp(n, t, {(rs.reflection(a), (0,) * n): coeff})
     return op
 
 
-def dunkl_basis(cfg, classical=False):
+def dunkl_basis(cfg):
     n = cfg.rs.dim
-    return [dunkl(cfg, ext_coord(n, i), classical=classical) for i in range(n)]
+    return [dunkl(cfg, ext_coord(n, i)) for i in range(n)]
 
 
-def power_sum(cfg, k, classical=False) -> DiffOp:
+def power_sum(cfg, k) -> DiffOp:
     """sum_i y_i^k over an orthonormal basis (invariant for k even or type A)."""
-    ys = dunkl_basis(cfg, classical=classical)
+    ys = dunkl_basis(cfg)
     out = None
     for y in ys:
         yk = y.power(k)
@@ -66,7 +67,7 @@ def power_sum(cfg, k, classical=False) -> DiffOp:
     return out
 
 
-def cm_split(cfg, poly=((1.0, 2),), classical=False):
+def cm_split(cfg, poly=((1.0, 2),)):
     """q(y) = L_q + A_hat for q a combination of power sums.
 
     ``poly`` lists (coefficient, power); the default q = <y,y>.  Returns
@@ -74,7 +75,7 @@ def cm_split(cfg, poly=((1.0, 2),), classical=False):
     """
     total = None
     for coeff, k in poly:
-        term = power_sum(cfg, k, classical=classical).scale(coeff)
+        term = power_sum(cfg, k).scale(coeff)
         total = term if total is None else total + term
     L_q = total.collapse()
     A_hat = total - L_q
@@ -85,16 +86,17 @@ def cm_hamiltonian_explicit(cfg) -> DiffOp:
     """L_{xi^2} = t^2 Delta - sum_{a>0} c_a (c_a + t) <a,a> / <a,x>^2."""
     rs = cfg.rs
     n = rs.dim
-    op = DiffOp.zero(n)
+    t = cfg.t
+    op = DiffOp.zero(n, t)
     for i in range(n):
         m = tuple(2 if j == i else 0 for j in range(n))
-        op = op + DiffOp(n, {(SignedPerm.identity(n), m): Const(cfg.t ** 2 + 0j)})
+        op = op + DiffOp(n, t, {(SignedPerm.identity(n), m): Const(1.0 + 0j)})
     parts = []
     for a in rs.pos_roots:
         ca = cfg.coupling(a)
         inv = inv_form(a, name=f"<{a},x>")
-        parts.append((-ca * (ca + cfg.t) * dot(a, a)) * (inv * inv))
-    return op + DiffOp.from_field(n, nsum(parts))
+        parts.append((-ca * (ca + t) * dot(a, a)) * (inv * inv))
+    return op + DiffOp.from_field(n, t, nsum(parts))
 
 
 def lax_pair_rational(cfg, xi=None, poly=((0.5, 2),)) -> LaxPair:
@@ -125,17 +127,17 @@ def qlp_reference_matrices(cfg, tbl):
         Lrow, Arow = [], []
         for l in range(m):
             if k == l:
-                Lrow.append(DiffOp.partial(n, k, t))
+                Lrow.append(DiffOp.partial(n, t, k))
                 diag_parts = []
                 for j in range(m):
                     if j != k:
                         iv = inv_form(ext_form(n, j, k), name="x_j - x_k")
                         diag_parts.append((c * t) * (iv * iv))
-                Arow.append(DiffOp.from_field(n, nsum(diag_parts)))
+                Arow.append(DiffOp.from_field(n, t, nsum(diag_parts)))
             else:
                 iv = inv_form(ext_form(n, k, l), name="x_k - x_l")
-                Lrow.append(DiffOp.from_field(n, c * iv))
-                Arow.append(DiffOp.from_field(n, (-c * t) * (iv * iv)))
+                Lrow.append(DiffOp.from_field(n, t, c * iv))
+                Arow.append(DiffOp.from_field(n, t, (-c * t) * (iv * iv)))
         Lrows.append(Lrow)
         Arows.append(Arow)
     return OperatorMatrix(Lrows), OperatorMatrix(Arows)
@@ -144,7 +146,7 @@ def qlp_reference_matrices(cfg, tbl):
 def position_matrix(cfg, tbl):
     """Restriction of multiplication by x_1: diag(x_1, ..., x_n) in type A."""
     n = cfg.rs.dim
-    x1 = DiffOp.from_field(n, linear_form(ext_coord(n, 0)))
+    x1 = DiffOp.from_field(n, cfg.t, linear_form(ext_coord(n, 0)))
     return x1.restrict(tbl)
 
 
@@ -156,15 +158,17 @@ def kks_matrices(cfg, tbl):
     n = cfg.rs.dim
     m = tbl.m
     lhs = Xmat * Lmat - Lmat * Xmat
-    const = DiffOp.from_field(n, Const(cfg.c_short + cfg.t))
+    const = DiffOp.from_field(n, cfg.t, Const(cfg.c_short + cfg.t))
     lhs = lhs + OperatorMatrix.diagonal(const, m)
-    ones = OperatorMatrix([[DiffOp.from_field(n, Const(cfg.c_short + 0j))
+    ones = OperatorMatrix([[DiffOp.from_field(n, cfg.t, Const(cfg.c_short + 0j))
                             for _ in range(m)] for _ in range(m)])
     return lhs, ones
 
 
 def classical_lax(cfg, xi=None):
-    """Classical Lax pair: L = restriction of y^c_xi, A = -(1/t) * A-matrix.
+    """Classical Lax pair: L = y_xi at t = 0, and A = minus the t-coefficient
+    of the quantum A-matrix, which is -A_hat at t = 1 because the split of
+    <y,y>/2 is linear in t off the identity.  Neither depends on cfg.t.
 
     Returns (tbl, L entry fields, A entry fields) where entries are phase
     fields over (x_1..x_n, p_1..p_n).
@@ -174,16 +178,15 @@ def classical_lax(cfg, xi=None):
     if xi is None:
         xi = ext_coord(n, 0)
     _o, _s, tbl = orbit_stabilizer(rs, xi)
-    yc = dunkl(cfg, xi, classical=True)
-    Lmat = yc.restrict(tbl)
-    _qy, _L, A_hat = cm_split(cfg, ((0.5, 2),))
-    Amat = A_hat.restrict(tbl).scale(-1.0 / cfg.t)
-    L_fields = [[e.phase_field(1.0) for e in row] for row in Lmat.entries]
-    A_fields = [[e.phase_field(cfg.t) for e in row] for row in Amat.entries]
+    Lmat = dunkl(replace(cfg, t=0.0), xi).restrict(tbl)
+    _qy, _L, A_hat = cm_split(replace(cfg, t=1.0), ((0.5, 2),))
+    Amat = A_hat.restrict(tbl).scale(-1.0)
+    L_fields = [[e.phase_field() for e in row] for row in Lmat.entries]
+    A_fields = [[e.phase_field() for e in row] for row in Amat.entries]
     return tbl, L_fields, A_fields
 
 
 def classical_hamiltonian(cfg, poly=((0.5, 2),)):
-    """q(y^c) collapsed to a phase field (off-identity parts vanish)."""
-    qy, L_q, _A = cm_split(cfg, poly, classical=True)
-    return L_q.phase_field(1.0), qy
+    """q(y) at t = 0 collapsed to a phase field (off-identity parts vanish)."""
+    qy, L_q, _A = cm_split(replace(cfg, t=0.0), poly)
+    return L_q.phase_field(), qy

@@ -49,14 +49,16 @@ class EllipticParams:
 REGIMES = ("rational", "trig", "trig-CvC", "elliptic-A", "elliptic-CM",
            "elliptic-CvC")
 DIFFERENCE_REGIMES = ("trig", "trig-CvC", "elliptic-A", "elliptic-CvC")
+DIFFERENTIAL_REGIMES = ("rational", "elliptic-CM")
 
 
 @dataclass(frozen=True)
 class CouplingSet:
     """Tagged parameter bundle for one regime.
 
-    All parameters must be finite, and difference regimes need a nonzero
-    step constant c.
+    All parameters must be finite.  Difference regimes need a nonzero step
+    constant c and differential regimes a nonzero Planck constant t: at zero
+    the operators are classical and act on no function.
     """
 
     regime: str
@@ -71,6 +73,8 @@ class CouplingSet:
                     raise ValueError(f"parameter {k} is not finite")
         if self.regime in DIFFERENCE_REGIMES and not self.params.get("c"):
             raise ValueError(f"regime {self.regime} needs a nonzero step constant c")
+        if self.regime in DIFFERENTIAL_REGIMES and not self.params.get("t"):
+            raise ValueError(f"regime {self.regime} needs a nonzero Planck constant t")
 
     def __getitem__(self, key):
         return self.params[key]
@@ -218,15 +222,14 @@ def sigma_dz_form(mu, form, tau, const=0j):
 
 def _sigmas(rs, mu, z, tau, m):
     """For each r in rs, theta_r(z - mu) theta1'(0) / (theta_r(z) theta1(-mu))
-    (m = 0) or its z-derivative (m = 1), from the jets at z - mu and z; the
-    pole guards run in the order of one sigma_r call per r."""
+    (m = 0) or its z-derivative (m = 1), from the jets at z - mu and z;
+    theta1(-mu) is guarded once, before the theta_r(z) guards."""
     td = _tdata(tau)
-    t1 = theta(1, -mu, tau)
+    t1 = _guard("theta1(-mu)", theta(1, -mu, tau), td.scales[1])
     out = []
     for r, (a, *da), (b, *db) in zip(rs, _theta_at(rs, z - mu, tau, m),
                                      _theta_at(rs, z, tau, m)):
-        den = (_guard(f"theta{r}(z)", b, td.scales[r])
-               * _guard("theta1(-mu)", t1, td.scales[1]))
+        den = _guard(f"theta{r}(z)", b, td.scales[r]) * t1
         out.append(a * td.d1_0 / den if m == 0
                    else (da[0] * b - a * db[0]) * td.d1_0 / (b * den))
     return out

@@ -207,7 +207,7 @@ def suite_ellcm(config: RunConfig, bc=False):
     rs = build_root_system("C" if bc else "A", n)
     lam = tuple(complex(0.2 + 0.03 * i, 0.02) for i in range(n))
     cfg = ellcm.EllipticDunklConfig(rs, p["t"], p["c"], p["tau"], lam,
-                                    g=tuple(p["g"]) if bc else None, bc=bc)
+                                    g=tuple(p["g"]) if bc else None)
     if n >= 2:
         y0 = ellcm.elliptic_dunkl(cfg, 0)
         y1 = ellcm.elliptic_dunkl(cfg, 1)
@@ -219,7 +219,7 @@ def suite_ellcm(config: RunConfig, bc=False):
     qy = ellcm.quadratic_sum(cfg)
     H, A, const = ellcm.elliptic_split(cfg)
     scale = 0.5 if not bc else 1.0
-    lhs = qy.scale(scale) - DiffOp.from_field(n, Const(const))
+    lhs = qy.scale(scale) - DiffOp.from_field(n, cfg.t, Const(const))
     out.append(run_check("quadratic-split", 1e-9, residual_evalfn(lhs, H + A, probes),
                          rng, policy, npoints=5))
     rng = rng_for(config.seed, "lax")
@@ -375,7 +375,8 @@ class System:
     """Registry entry: default parameters, the verification suite (a callable
     on RunConfig), for systems with a classical flow its set-up, the
     smallest rank the suite and flow can run at, and the coupling regime
-    (``special.REGIMES``; the suites of difference regimes need c != 0)."""
+    (``special.REGIMES``; the suites of difference regimes need c != 0, those
+    of differential regimes t != 0)."""
 
     defaults: dict
     suite: object

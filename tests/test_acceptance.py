@@ -106,7 +106,8 @@ def test_criterion_02_dunkl_commutativity_equivariance():
                                                probes, xs))
         w = rs.reflection(rs.pos_roots[0])
         xi = tuple(1 if i == 0 else 0 for i in range(n))
-        lhs = DiffOp.from_group(n, w) * dunkl(cfg, xi) * DiffOp.from_group(n, w.inverse())
+        lhs = (DiffOp.from_group(n, cfg.t, w) * dunkl(cfg, xi)
+               * DiffOp.from_group(n, cfg.t, w.inverse()))
         rhs = dunkl(cfg, w.apply_vec(xi))
         worst = max(worst, op_residual(lhs, rhs, probes, xs))
     report(2, "rational Dunkl commutativity/equivariance (A2,A3,C2,C3)",
@@ -306,8 +307,7 @@ def test_criterion_07_van_diejen_alpha_beta():
     x1 = 0.21 + 0.02j
     b_entry = value(list(P1.entries[0][1].terms.values())[0]((x1,)))
     exact_b = abs(b_entry - (-v_func(eta, x1, G4, TAU_ELL)))
-    worst = max(spread, closed, exact_b / 1e4)  # B must be exact
-    assert exact_b < 1e-12
+    assert exact_b < 1e-12  # B must be exact
     report(7, "van Diejen alpha constancy/closed form; n=1 B exact",
            max(spread, closed), 1e-8, t0)
 
@@ -385,12 +385,12 @@ def test_criterion_09_integral_families():
            worst, 1e-8, t0)
 
 
-def _max_symbol(entries, x, p, tsub):
+def _max_symbol(entries, x, p):
     mx = 0.0
     for row in entries:
         for e in row:
             for (w, _m) in e.terms:
-                mx = max(mx, abs(e.symbol_component(w, x, p, tsub)))
+                mx = max(mx, abs(e.symbol_component(w, x, p)))
     return mx
 
 
@@ -409,12 +409,12 @@ def test_criterion_10_classical_limit_slopes():
     vals = []
     for h in hs:
         lax = lax_pair_rational(RationalDunklConfig(rsA, t=-1j * h, c_short=1.3j))
-        vals.append(_max_symbol(lax.A.entries, x3, p3, -1j * h))
+        vals.append(_max_symbol(lax.A.entries, x3, p3))
     slopes["rational"] = fit_slope(hs, vals)
     vals = []
     for h in hs:
         lax = lax_trig_gln(TrigGLConfig(n=3, tau=1.4 + 0.2j, c=-1j * h))
-        vals.append(_max_symbol(lax.A.entries, x3, p3, 1.0))
+        vals.append(_max_symbol(lax.A.entries, x3, p3))
     slopes["trig"] = fit_slope(hs, vals)
     x2, p2 = (0.4, -0.2), (0.1, 0.3)
     vals = []
@@ -422,25 +422,25 @@ def test_criterion_10_classical_limit_slopes():
         laxk = koornwinder_lax(CCnParams(n=2, tau0=1.2 + 0.1j, tau0v=0.8 - 0.05j,
                                          taun=1.5 + 0.2j, taunv=0.7 + 0.1j,
                                          tau=1.3 - 0.15j, c=-1j * h))
-        vals.append(_max_symbol(laxk.A.entries, x2, p2, 1.0))
+        vals.append(_max_symbol(laxk.A.entries, x2, p2))
     slopes["koornwinder"] = fit_slope(hs, vals)
     xe, pe = (0.31, -0.22, 0.4), (0.2, -0.3, 0.14)
     vals = []
     for h in hs:
         lax = lax_elliptic_A(3, -1j * h, 1.3j, 0.27 + 0.04j, TAU_ELL)
-        vals.append(_max_symbol(lax.A.entries, xe, pe, -1j * h))
+        vals.append(_max_symbol(lax.A.entries, xe, pe))
     slopes["ell-cm-A"] = fit_slope(hs, vals)
     xb, pb = (0.31, -0.22), (0.2, -0.3)
     vals = []
     for h in hs:
         lax = lax_inozemtsev(2, -1j * h, 1.3j, G4, 0.22 + 0.03j, TAU_ELL)
-        vals.append(_max_symbol(lax.A.entries, xb, pb, -1j * h))
+        vals.append(_max_symbol(lax.A.entries, xb, pb))
     slopes["inozemtsev"] = fit_slope(hs, vals)
     vals = []
     for h in hs:
         laxe = lax_elliptic_ruijsenaars(3, 0.29 + 0.07j, 0.41 - 0.06j,
                                         -1j * h, TAU_ELL)
-        vals.append(_max_symbol(laxe.A.entries, xe, pe, 1.0))
+        vals.append(_max_symbol(laxe.A.entries, xe, pe))
     slopes["ell-ruijsenaars"] = fit_slope(hs, vals)
     eta = 0.37 - 0.04j
     base = VDParams(2, 0.23 + 0.06j, 0.31 - 0.02j, 0.27 + 0.05j, G4, GB4,
@@ -457,7 +457,7 @@ def test_criterion_10_classical_limit_slopes():
                       -1j * h, TAU_ELL)
         laxv = lax_vandiejen(pv, eta)
         shifted = laxv.A - OperatorMatrix.diagonal(WOp.from_scalar(2, pv.c, const), 4)
-        vals.append(_max_symbol(shifted.entries, xb, pb, 1.0))
+        vals.append(_max_symbol(shifted.entries, xb, pb))
     slopes["vandiejen"] = fit_slope(hs, vals)
     worst = max(abs(s - 1.0) for s in slopes.values())
     print("    slopes:", {k: round(v.real if hasattr(v, 'real') else v, 4)
@@ -477,7 +477,6 @@ def test_criterion_11_involution_isospectrality():
     from laxkit.ellrel import VDParams, vd_classical_fields, vd_classical_hamiltonian
     worst_inv = 0.0
     worst_drift = 0.0
-    rng = random.Random(1100)
     # rational A3 (n = 4)
     rs = build_root_system("A", 4)
     cfg = RationalDunklConfig(rs, t=-0.7j, c_short=1.3j)
@@ -559,7 +558,7 @@ def test_criterion_12_regularity_probes():
         lam = tuple(complex(rng.uniform(0.1, 0.3), rng.uniform(0, 0.05))
                     for _ in range(2))
         cfgb = EllipticDunklConfig(rsC, -0.7j, 1.3j, 0.31 + 0.84j, lam,
-                                   g=G4, bc=True)
+                                   g=G4)
         identb, offb = symbol_parts(classical_dual_substitution(cfgb), zb)
         identsb.append(identb)
         worst = max(worst, offb)

@@ -8,7 +8,8 @@ not count, so an unused import does not keep a definition alive.  Dunder
 names are exempt: the interpreter calls them.
 
 Imports in the tests and scripts are checked too: every name a file there
-imports must be loaded as a name somewhere in that file.
+imports must be loaded as a name somewhere in that file.  So are their
+local assignments: a function that assigns a single name must load it.
 """
 
 import ast
@@ -79,3 +80,33 @@ def unused_imports():
 
 def test_no_import_in_the_tests_or_scripts_is_unused():
     assert unused_imports() == []
+
+
+def dead_assignments():
+    """Single-name assignments in a function under tests/ or scripts/ whose
+    name the function never loads (``_``-prefixed and global names exempt)."""
+    out = []
+    for top in IMPORT_CHECKED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                loaded, declared = set(), set()
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        loaded.add(node.id)
+                    elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                        declared.update(node.names)
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                            and isinstance(node.targets[0], ast.Name)):
+                        name = node.targets[0].id
+                        if not (name.startswith("_") or name in loaded
+                                or name in declared):
+                            out.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return out
+
+
+def test_no_local_assignment_in_the_tests_or_scripts_is_dead():
+    assert dead_assignments() == []

@@ -35,8 +35,7 @@ def acfg(lam=(0.23 + 0.05j, -0.31 + 0.02j, 0.12 - 0.04j)):
 
 
 def bcfg(lam=(0.21 + 0.03j, -0.17 + 0.06j)):
-    return EllipticDunklConfig(build_root_system("C", 2), T, CC, TAU, lam,
-                               g=G4, bc=True)
+    return EllipticDunklConfig(build_root_system("C", 2), T, CC, TAU, lam, g=G4)
 
 
 def test_commutativity_and_lambda_equivariance():
@@ -49,21 +48,22 @@ def test_commutativity_and_lambda_equivariance():
     # w y_xi(lam) = y_{w xi}(w lam) w
     rs = cfg.rs
     w = rs.reflection(rs.pos_roots[0])
-    lhs = DiffOp.from_group(3, w) * elliptic_dunkl(cfg, 0)
+    lhs = DiffOp.from_group(3, T, w) * elliptic_dunkl(cfg, 0)
     cfg_w = replace(cfg, lam=w.apply_vec(cfg.lam))
-    rhs = elliptic_dunkl(cfg_w, 1) * DiffOp.from_group(3, w)
+    rhs = elliptic_dunkl(cfg_w, 1) * DiffOp.from_group(3, T, w)
     assert op_residual(lhs, rhs, probes, xs) < 1e-12
 
 
 def test_bc_flavor_and_single_variable_case():
     cfg = bcfg()
+    assert cfg.bc and not acfg().bc  # the flavor is read from g
     probes = make_probes(2, 2, random.Random(2))
     xs = sample(2)
     y0 = elliptic_dunkl(cfg, 0)
     y1 = elliptic_dunkl(cfg, 1)
     assert op_residual(y0 * y1 - y1 * y0, None, probes, xs) < 1e-9
     rc1 = build_root_system("C", 1)
-    cfg1 = EllipticDunklConfig(rc1, T, CC, TAU, (0.2 + 0.05j,), g=G4, bc=True)
+    cfg1 = EllipticDunklConfig(rc1, T, CC, TAU, (0.2 + 0.05j,), g=G4)
     yb = elliptic_dunkl(cfg1, 0)
     assert len(yb.terms) == 2  # t d_1 + v_lam(x_1) s_1
 
@@ -74,14 +74,14 @@ def test_quadratic_split_identities():
     xs = sample(3)
     qy = quadratic_sum(cfg).scale(0.5)
     H, A, const = elliptic_split(cfg)
-    lhs = qy - DiffOp.from_field(3, Const(const))
+    lhs = qy - DiffOp.from_field(3, T, Const(const))
     assert op_residual(lhs, H + A, probes, xs) < 1e-9
     cfgb = bcfg()
     probesb = make_probes(2, 2, random.Random(4))
     xsb = sample(2)
     qyb = quadratic_sum(cfgb)
     Hb, Ab, constb = elliptic_split(cfgb)
-    lhsb = qyb - DiffOp.from_field(2, Const(constb))
+    lhsb = qyb - DiffOp.from_field(2, T, Const(constb))
     assert op_residual(lhsb, Hb + Ab, probesb, xsb) < 1e-9
 
 
@@ -194,7 +194,7 @@ def test_regularity_probe_A_and_BC():
     for _ in range(3):
         lam = tuple(complex(rng.uniform(0.1, 0.3), rng.uniform(0, 0.05))
                     for _ in range(2))
-        cfgb = EllipticDunklConfig(rc, T, CC, TAU, lam, g=G4, bc=True)
+        cfgb = EllipticDunklConfig(rc, T, CC, TAU, lam, g=G4)
         identb, offb = symbol_parts(classical_dual_substitution(cfgb), zb)
         identsb.append(identb)
         assert offb < 1e-8
@@ -223,7 +223,7 @@ def test_ahat_slopes_elliptic():
         for row in lax.A.entries:
             for e in row:
                 for (w, _m) in e.terms:
-                    mx = max(mx, abs(e.symbol_component(w, x, p, -1j * h)))
+                    mx = max(mx, abs(e.symbol_component(w, x, p)))
         vals.append(mx)
     assert abs(fit_slope(hs, vals) - 1.0) < 0.1
     vals = []
@@ -234,7 +234,7 @@ def test_ahat_slopes_elliptic():
         for row in lax.A.entries:
             for e in row:
                 for (w, _m) in e.terms:
-                    mx = max(mx, abs(e.symbol_component(w, xb, pb, -1j * h)))
+                    mx = max(mx, abs(e.symbol_component(w, xb, pb)))
         vals.append(mx)
     assert abs(fit_slope(hs, vals) - 1.0) < 0.1
 

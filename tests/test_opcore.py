@@ -68,8 +68,15 @@ def test_apply_translation_reflection_derivative():
     x1 = linear_form((1, 0, 0))
     assert abs(value(sw.apply_field(x1)(x)) - x[1]) < 1e-15
     t = 0.7
-    dop = DiffOp.partial(n, 0, t)
+    dop = DiffOp.partial(n, t, 0)
     assert abs(value(dop.apply_field(probe)(x)) - t * k[0] * value(probe(x))) < 1e-14
+    # t = 0 is the classical flavor: no function action, and the Leibniz
+    # rule keeps only its leading term, (t d_1) f = f (t d_1)
+    with pytest.raises(FlavorError):
+        DiffOp.partial(n, 0.0, 0).apply_field(probe)
+    for tt, keys in ((t, [(0, 0, 0), (1, 0, 0)]), (0.0, [(1, 0, 0)])):
+        prod = DiffOp.partial(n, tt, 0) * DiffOp.from_field(n, tt, probe)
+        assert sorted(m for (_w, m) in prod.terms) == keys
 
 
 def test_translations_compose_additively():
@@ -120,7 +127,9 @@ def test_flavor_mismatch_raises():
     with pytest.raises(FlavorError):
         WOp.one(2, C) * WOp.one(2, 0.5)
     with pytest.raises(FlavorError):
-        WOp.one(2, C) + DiffOp.zero(2)
+        WOp.one(2, C) + DiffOp.zero(2, 0.7)
+    with pytest.raises(FlavorError):
+        DiffOp.partial(2, 0.7, 0) * DiffOp.partial(2, 0.5, 0)
 
 
 def test_dynop_is_wop_on_xi_and_x():
@@ -144,7 +153,7 @@ def test_dynop_is_wop_on_xi_and_x():
 def test_diagonal_off_entries_have_no_terms():
     n = 2
     for op in (WOp.from_field(n, C, exp_lin((0.3, -0.2))) + WOp.translation(n, C, (1, 0)),
-               DiffOp.from_field(n, exp_lin((0.3, -0.2))) + DiffOp.partial(n, 1)):
+               DiffOp.from_field(n, 0.7, exp_lin((0.3, -0.2))) + DiffOp.partial(n, 0.7, 1)):
         mat = OperatorMatrix.diagonal(op, 3)
         for i, row in enumerate(mat.entries):
             for j, e in enumerate(row):
@@ -204,15 +213,15 @@ def test_matrix_identities():
     lax = lax_pair_rational(cfg)
     m = lax.tbl.m
     n = 3
-    X = OperatorMatrix.diagonal(DiffOp.from_field(n, linear_form((1, 0, 0))), m)
-    ident = OperatorMatrix.diagonal(DiffOp.from_field(n, Const(1.0 + 0j)), m)
+    X = OperatorMatrix.diagonal(DiffOp.from_field(n, cfg.t, linear_form((1, 0, 0))), m)
+    ident = OperatorMatrix.diagonal(DiffOp.from_field(n, cfg.t, Const(1.0 + 0j)), m)
     probes = make_probes(n, 2, RNG)
     xs = pts(3, 4)
     comm = ident * X - X * ident
-    zero = OperatorMatrix.diagonal(DiffOp.zero(n), m)
+    zero = OperatorMatrix.diagonal(DiffOp.zero(n, cfg.t), m)
     assert op_residual(comm, zero, probes, xs) < 1e-15
     # J L^k J = (w L^k v) J with J the all-ones matrix
-    J = OperatorMatrix([[DiffOp.from_field(n, Const(1.0 + 0j)) for _ in range(m)]
+    J = OperatorMatrix([[DiffOp.from_field(n, cfg.t, Const(1.0 + 0j)) for _ in range(m)]
                         for _ in range(m)])
     Lk = lax.L * lax.L
     acc = None
@@ -341,6 +350,6 @@ def test_diffop_phase_field_sums_the_symbol_components(t):
     assert len(ws) > 1
     z = (0.31 + 0.05j, -0.42 + 0.02j, 0.07 - 0.03j, 0.5 - 0.1j, -0.3 + 0.2j, 0.8)
     x, p = z[:3], z[3:]
-    want = sum(qy.symbol_component(w, x, p, t) for w in ws)
-    got = value(qy.phase_field(t)(z))
+    want = sum(qy.symbol_component(w, x, p) for w in ws)
+    got = value(qy.phase_field()(z))
     assert abs(got - want) < 1e-13 * (1 + abs(want))

@@ -285,5 +285,7 @@ def test_coupling_set_validation():
         CouplingSet("nope", {})
     with pytest.raises(ValueError):
         CouplingSet("trig", {"tau": 1.3, "c": 0.0})
+    with pytest.raises(ValueError, match="nonzero Planck constant t"):
+        CouplingSet("elliptic-CM", {"tau": 0.8j, "c": 1.3j, "t": 0})
     with pytest.raises(ValueError):
         CouplingSet("rational", {"c": float("inf")})

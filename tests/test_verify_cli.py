@@ -13,7 +13,7 @@ import pytest
 from laxkit.cli import main as cli_main
 from laxkit.fields import BiArg, FuncField, LinArg, PoleError, Scale
 from laxkit.opcore import DiffOp, WOp
-from laxkit.special import DIFFERENCE_REGIMES
+from laxkit.special import DIFFERENCE_REGIMES, DIFFERENTIAL_REGIMES
 from laxkit.suites import (KNOWN_SYSTEMS, SYSTEMS, ConfigError, RunConfig,
                            classical_flow_setup, default_params)
 from laxkit.verify import (PointPolicy, VerificationReport, decode_number,
@@ -195,6 +195,7 @@ def test_rng_for_deterministic():
 
 FLOW_SYSTEMS = {"rational-A", "trig-gln", "inozemtsev", "koornwinder", "vandiejen"}
 DIFFERENCE_SYSTEMS = ("trig-gln", "koornwinder", "ell-ruijsenaars", "vandiejen")
+DIFFERENTIAL_SYSTEMS = ("rational-A", "rational-C", "ell-cm-A", "inozemtsev")
 
 
 def test_system_registry():
@@ -206,6 +207,8 @@ def test_system_registry():
     assert {name for name, spec in SYSTEMS.items() if spec.flow} == FLOW_SYSTEMS
     assert {name for name, spec in SYSTEMS.items()
             if spec.regime in DIFFERENCE_REGIMES} == set(DIFFERENCE_SYSTEMS)
+    assert {name for name, spec in SYSTEMS.items()
+            if spec.regime in DIFFERENTIAL_REGIMES} == set(DIFFERENTIAL_SYSTEMS)
     with pytest.raises(ConfigError, match="^no defaults for nope$"):
         default_params("nope", 2)
     with pytest.raises(ConfigError, match=r"^unknown system 'nope'; known: \('rational-A', "):
@@ -248,6 +251,18 @@ def test_cli_difference_suite_rejects_zero_step(system, tmp_path, capsys):
     err = capsys.readouterr().err
     assert (f"configuration error: regime {SYSTEMS[system].regime} needs a "
             "nonzero step constant c") in err
+
+
+@pytest.mark.parametrize("system", DIFFERENTIAL_SYSTEMS)
+def test_cli_differential_suite_rejects_zero_planck_constant(system, tmp_path, capsys):
+    # the classical flavor (t = 0) has no function action either; its suites
+    # used to pass vacuously, with every residual 0
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"t": 0}))
+    assert cli_main(["verify", "--system", system, "--params", str(pfile)]) == 2
+    err = capsys.readouterr().err
+    assert (f"configuration error: regime {SYSTEMS[system].regime} needs a "
+            "nonzero Planck constant t") in err
 
 
 def test_cli_verify_rejects_non_finite_parameter(tmp_path, capsys):
