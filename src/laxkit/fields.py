@@ -28,6 +28,17 @@ kind that operators transform pushes the map down to its leaves (``Deriv``
 moves its directions with it), so no node stores a map.  The phase-space
 nodes ``XLift`` and ``FuncField`` have no such rule and raise
 ``TypeError``.
+
+Sharing contract.  Construction shares structure in the two operations
+that would otherwise copy it.  Equal transforms of one node are one object:
+``o_affine`` (and so ``o_group``) is memoized on the source node under a
+key that tells maps apart bit for bit (a shift of -0.0 is not one of 0.0),
+so a second call with an equal map returns the image built by the first,
+and a subtree shared by two parents stays shared in their images.  There
+is one ``Deriv`` per source node and direction tuple, built by
+``derivative``.  Both memos live in slots of the source node, filled on
+first use, so they die with it; nodes are immutable, so a shared node is
+indistinguishable from a copy except by identity.
 """
 
 from __future__ import annotations
@@ -42,7 +53,8 @@ class PoleError(ArithmeticError):
 
 
 class Field:
-    __slots__ = ()
+    # filled on first use: images under affine maps and derivative nodes
+    __slots__ = ("_images", "_derivs")
 
     def __call__(self, x):
         """Value at the point x, in a memo scope of its own."""
@@ -92,7 +104,23 @@ class Field:
         return Quot(as_field(other), self)
 
     def o_affine(self, w, v):
-        """The field x -> f(w x + v); w is a SignedPerm or None."""
+        """The field x -> f(w x + v); w is a SignedPerm or None.  A map equal
+        bit for bit to an earlier one returns the image built then."""
+        return self._image(w, v, repr((None if w is None else w.img, v)))
+
+    def _image(self, w, v, key):
+        """``o_affine`` under the map's bit-exact ``key``, memoized on self."""
+        try:
+            images = self._images
+        except AttributeError:
+            images = self._images = {}
+        out = images.get(key)
+        if out is None:
+            out = images[key] = self._o_affine(w, v, key)
+        return out
+
+    def _o_affine(self, w, v, key):
+        """The image under the map; children are moved by ``_image``."""
         raise TypeError(f"{type(self).__name__} has no composition with an affine map")
 
     def o_group(self, w):
@@ -100,7 +128,7 @@ class Field:
 
     def deriv(self, direction):
         """Directional derivative field along the vector ``direction``."""
-        return Deriv(self, (tuple(direction),))
+        return derivative(self, (tuple(direction),))
 
 
 def as_field(x):
@@ -129,6 +157,9 @@ class Const(Field):
         return self.c
 
     def o_affine(self, w, v):
+        return self
+
+    def _image(self, w, v, key):
         return self
 
 
@@ -180,7 +211,7 @@ class LinArg(Field):
             v = memo[key] = self(x)
         return v
 
-    def o_affine(self, w, v):
+    def _o_affine(self, w, v, key):
         c0 = self.c0 if v is None else _form(self.k, self.c0, v)
         return LinArg(self.fn, _moved(self.k, w), c0)
 
@@ -237,7 +268,7 @@ class BiArg(Field):
             v = memo[key] = self(x)
         return v
 
-    def o_affine(self, w, v):
+    def _o_affine(self, w, v, key):
         ca, cb = self.ca, self.cb
         if v is not None:
             ca, cb = _form(self.ka, ca, v), _form(self.kb, cb, v)
@@ -256,8 +287,8 @@ class Scale(Field):
     def _eval(self, x, memo):
         return self.c * self.f._ev(x, memo)
 
-    def o_affine(self, w, v):
-        return Scale(self.c, self.f.o_affine(w, v))
+    def _o_affine(self, w, v, key):
+        return Scale(self.c, self.f._image(w, v, key))
 
 
 class NSum(Field):
@@ -272,8 +303,8 @@ class NSum(Field):
             out = out + p._ev(x, memo)
         return out
 
-    def o_affine(self, w, v):
-        return NSum([p.o_affine(w, v) for p in self.parts])
+    def _o_affine(self, w, v, key):
+        return NSum([p._image(w, v, key) for p in self.parts])
 
 
 def nsum(parts):
@@ -305,8 +336,8 @@ class Prod(Field):
     def _eval(self, x, memo):
         return self.a._ev(x, memo) * self.b._ev(x, memo)
 
-    def o_affine(self, w, v):
-        return Prod(self.a.o_affine(w, v), self.b.o_affine(w, v))
+    def _o_affine(self, w, v, key):
+        return Prod(self.a._image(w, v, key), self.b._image(w, v, key))
 
 
 class Quot(Field):
@@ -319,24 +350,23 @@ class Quot(Field):
     def _eval(self, x, memo):
         return self.a._ev(x, memo) / self.b._ev(x, memo)
 
-    def o_affine(self, w, v):
-        return Quot(self.a.o_affine(w, v), self.b.o_affine(w, v))
+    def _o_affine(self, w, v, key):
+        return Quot(self.a._image(w, v, key), self.b._image(w, v, key))
 
 
 class Deriv(Field):
+    """D_{dirs} base; built by ``derivative``, which shares it."""
+
     __slots__ = ("base", "dirs")
 
     def __init__(self, base, dirs):
-        if isinstance(base, Deriv):
-            dirs = base.dirs + tuple(dirs)
-            base = base.base
         self.base = base
         self.dirs = tuple(dirs)
 
     def _eval(self, x, memo):
         return directional(self.base, tuple(x), self.dirs)
 
-    def o_affine(self, w, v):
+    def _o_affine(self, w, v, key):
         # (D_d f)(w x + v) = D_{w^-1 d} (f(w x + v))
         if (w is None or w.is_identity()) and (v is None or not any(v)):
             return self
@@ -344,10 +374,24 @@ class Deriv(Field):
         if w is not None:
             winv = w.inverse()
             dirs = tuple(winv.apply_vec(d) for d in dirs)
-        return Deriv(self.base.o_affine(w, v), dirs)
+        return derivative(self.base._image(w, v, key), dirs)
 
-    def deriv(self, direction):
-        return Deriv(self.base, self.dirs + (tuple(direction),))
+
+def derivative(f, dirs):
+    """The field D_{dirs} f for a tuple of direction tuples: one ``Deriv``
+    per (source node, directions bit for bit), memoized on the source; the
+    directions of a ``Deriv`` source are prepended to ``dirs``."""
+    if isinstance(f, Deriv):
+        f, dirs = f.base, f.dirs + tuple(dirs)
+    key = repr(dirs)
+    try:
+        derivs = f._derivs
+    except AttributeError:
+        derivs = f._derivs = {}
+    out = derivs.get(key)
+    if out is None:
+        out = derivs[key] = Deriv(f, dirs)
+    return out
 
 
 class FuncField(Field):

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .dual import value
-from .fields import (ONE, Const, Deriv, Field, XLift, as_field, exp_lin,
+from .fields import (ONE, Const, Field, XLift, as_field, derivative, exp_lin,
                      momentum, nsum)
 from .weyl import SignedPerm
 
@@ -75,7 +75,7 @@ def field_dmulti(f: Field, m):
         dirs.extend([e] * mi)
     if not dirs:
         return f
-    return Deriv(f, tuple(dirs))
+    return derivative(f, tuple(dirs))
 
 
 class _TermOp:
@@ -182,8 +182,11 @@ class _TermOp:
     def phase_field(self, beta=1.0):
         """The classical symbol, summed over components, as a field on phase
         points (x_1..x_n, p_1..p_n); ``beta`` as in ``symbol_component``."""
-        return nsum([XLift(f, self.n) * self._symbol_field(self._moved(w, e), beta)
-                     for (w, e), f in self.terms.items()])
+        parts = []
+        for (w, e), f in self.terms.items():
+            sym = self._symbol_field(self._moved(w, e), beta)
+            parts.append(XLift(f, self.n) if sym is ONE else XLift(f, self.n) * sym)
+        return nsum(parts)
 
 
 class WOp(_TermOp):
@@ -316,14 +319,15 @@ class DiffOp(_TermOp):
         out = self._like()
         for (w1, m1), f1 in self.terms.items():
             w1inv = w1.inverse()
-            # (t d)^m1 g = sum_j C(m1,j) t^|j| (d^j g) (t d)^(m1-j): at t = 0
-            # only j = 0 is left
-            ranges = [range(mi + 1 if self.t else 1) for mi in m1]
+            ranges = [range(mi + 1) for mi in m1]
             for (w2, m2), f2 in other.terms.items():
                 g_w = f2.o_group(w1inv)
                 m2t, sign = _multi_transform(m2, w1inv)
                 w12 = w1 * w2
-                for j in itertools.product(*ranges):
+                # (t d)^m1 g = sum_j C(m1,j) t^|j| (d^j g) (t d)^(m1-j): at t = 0
+                # or for a constant g only j = 0 is left
+                lead_only = not self.t or isinstance(g_w, Const)
+                for j in ([(0,) * self.n] if lead_only else itertools.product(*ranges)):
                     coeff = sign
                     for a, b in zip(m1, j):
                         coeff *= math.comb(a, b)
@@ -352,7 +356,8 @@ class DiffOp(_TermOp):
 
     def _conj(self, r, m, f):
         mt, sign = _multi_transform(m, r)
-        return mt, sign * f.o_group(r)
+        fr = f.o_group(r)
+        return mt, (fr if sign == 1 else sign * fr)
 
     def _symbol(self, m, p, _beta):
         mono = 1.0 + 0j
@@ -365,7 +370,8 @@ class DiffOp(_TermOp):
         mono = ONE
         for k, mk in enumerate(m):
             for _ in range(mk):
-                mono = mono * momentum(self.n, k)
+                p = momentum(self.n, k)
+                mono = p if mono is ONE else mono * p
         return mono
 
     def _scaled(self, h, m):

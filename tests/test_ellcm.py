@@ -11,13 +11,14 @@ from laxkit.ellcm import (EllipticDunklConfig, ael_tables,
                           classical_inozemtsev_hamiltonian, elliptic_dunkl,
                           elliptic_split, inozemtsev_tables, lax_elliptic_A,
                           lax_inozemtsev, quadratic_sum)
-from laxkit.fields import Const
+from laxkit.fields import Const, Prod, Scale
 from laxkit.opcore import DiffOp, OperatorMatrix, make_probes, symbol_parts
 from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
                            hamiltonian_flow, isospectral_drift,
                            matrix_fn_from_fields, op_residual, poisson_residual,
                            trace_power_fn)
 from laxkit.weyl import build_root_system
+from test_fields import field_nodes
 
 TAU = 0.31 + 0.84j
 T, CC = -0.7j, 1.3j
@@ -139,6 +140,15 @@ def test_inozemtsev_lax_and_tables():
     assert lax1.L.m == 2
     f1 = list(lax1.L.entries[0][1].terms.values())[0]
     assert abs(value(f1((x[0],))) - v_func(mu, x[0], G4, TAU)) < 1e-12
+
+
+def test_classical_inozemtsev_entries_carry_no_unit_factors():
+    gr = tuple(1j * v * 0.12 for v in (0.8, -0.4, 0.6, 0.3))
+    Lf = classical_inozemtsev_fields(2, 0.15j, gr, 0.24, 0.9j)
+    nodes = field_nodes([f for row in Lf for f in row])
+    assert not [f for f in nodes if isinstance(f, Scale) and f.c == 1]
+    assert not [f for f in nodes if isinstance(f, Prod)
+                and any(isinstance(g, Const) and g.c == 1 for g in (f.a, f.b))]
 
 
 def test_corinoz_classical_involution_and_isospectrality():

@@ -1,13 +1,16 @@
-"""Field evaluation: one memo scope per point over the shared field DAG."""
+"""Field evaluation: one memo scope per point over the shared field DAG, and
+the structure shared at construction (affine images and derivative nodes)."""
 
 import pytest
 
 from laxkit.dual import Dual, d_exp, directional, gradient_vec, seed, value
-from laxkit.fields import (BiArg, Deriv, FuncField, LinArg, PoleError, Quot,
-                           Scale, XLift, evaluate, exp_lin, inv_form,
+from laxkit.fields import (BiArg, Deriv, Field, FuncField, LinArg, PoleError,
+                           Quot, Scale, XLift, evaluate, exp_lin, inv_form,
                            linear_form, momentum)
-from laxkit.opcore import OperatorMatrix, WOp
+from laxkit.koorn import CCnParams, koornwinder_lax
+from laxkit.opcore import OperatorMatrix, WOp, field_dmulti
 from laxkit.special import sigma
+from laxkit.suites import default_params
 from laxkit.verify import residual_evalfn
 from laxkit.weyl import SignedPerm
 
@@ -184,3 +187,66 @@ def test_xlifts_at_one_phase_point_share_one_x_space_scope():
         calls.clear()
         run(Z)
         assert len(calls) == 1
+
+
+def field_nodes(roots):
+    """Every distinct field object reachable from ``roots``, by identity."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen[id(f)] = f
+        for cls in type(f).__mro__:
+            for slot in getattr(cls, "__slots__", ()):
+                val = getattr(f, slot, None)
+                kids = val if isinstance(val, (list, tuple)) else (val,)
+                stack.extend(k for k in kids if isinstance(k, Field))
+    return list(seen.values())
+
+
+def test_equal_affine_map_returns_the_image_built_before():
+    f = (LinArg(d_exp, (0.3, -0.7, 1.1, 0.5), 0.1j) * linear_form((1.0, 2.0, 0.0, 0.0))
+         + Deriv(exp_lin((0.2, 0.0, -0.4, 0.1)), (DIR,)))
+    image = f.o_affine(SignedPerm((2, 1, 3, 4)), (0.11 + 0.05j, -0.2j, 0.07, 0.0))
+    assert f.o_affine(SignedPerm(W.img), V) is image
+    assert f.o_group(SignedPerm(W.img)) is f.o_group(W)
+    # equal but not bit-identical: a shift of -0.0 is another map
+    assert f.o_affine(W, V[:3] + (-0.0,)) is not image
+    want = f(tuple(a + b for a, b in zip(W.apply_vec(Z), V)))
+    assert abs(image(Z) - want) < 1e-13 * (1 + abs(want))
+
+
+def test_subtree_shared_by_two_parents_stays_shared_in_both_images():
+    s = LinArg(d_exp, (0.3, -0.7, 1.1, 0.5), 0.1j) + linear_form((1.0, 2.0, 0.0, 0.0))
+    p1 = s * exp_lin((0.0, 1.0, 0.0, 0.0))
+    p2 = Quot(1.5 + linear_form((0.0, 0.0, 1.0, 0.0)), s)
+    i1, i2 = p1.o_affine(W, V), p2.o_affine(W, V)
+    assert i1.a is i2.b is s.o_affine(W, V)
+
+
+def test_field_dmulti_gives_one_deriv_per_node_and_directions():
+    g = exp_lin((0.3, -0.7, 1.1)) * linear_form((1.0, 2.0, 0.0))
+    d = field_dmulti(g, (1, 0, 2))
+    assert isinstance(d, Deriv) and d.base is g
+    assert field_dmulti(g, (1, 0, 2)) is d
+    assert field_dmulti(g, (2, 0, 1)) is not d
+    # the derivative of a derivative extends the directions of its base
+    assert field_dmulti(field_dmulti(g, (1, 0, 0)), (0, 0, 2)) is d
+    assert g.deriv((1.0, 0.0, 0.0)) is field_dmulti(g, (1, 0, 0))
+    moved = Deriv(g, ((0.0, 1.0, 0.0),)).o_group(SignedPerm((2, 1, 3)))
+    assert moved is field_dmulti(g.o_group(SignedPerm((2, 1, 3))), (1, 0, 0))
+
+
+def test_koornwinder_lax_equation_sides_share_their_nodes():
+    p = default_params("koornwinder", 2)
+    lax = koornwinder_lax(CCnParams(n=2, tau0=p["tau0"], tau0v=p["tau0v"],
+                                    taun=p["taun"], taunv=p["taunv"], tau=p["tau"],
+                                    c=p["c"]))
+    Hm = OperatorMatrix.diagonal(lax.H, lax.L.m)
+    sides = (lax.L * Hm - Hm * lax.L, lax.A * lax.L - lax.L * lax.A)
+    roots = [f for side in sides for row in side.entries for op in row
+             for f in op.terms.values()]
+    # 87,919 distinct objects when every image is a fresh copy
+    assert len(field_nodes(roots)) <= 20_000

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxkit.dual import Dual, directional, extract, gradient_vec, value
-from laxkit.fields import Const, exp_lin, inv_form, linear_form
+from laxkit.fields import Const, Deriv, exp_lin, inv_form, linear_form
 from laxkit.opcore import (DiffOp, DynOp, FlavorError, OperatorMatrix, RestrictionError,
                            WOp, make_probes,
                            module_apply_diffop, module_apply_wop, module_inject,
@@ -18,6 +18,7 @@ from laxkit.rational import (RationalDunklConfig, cm_hamiltonian_explicit,
                              qlp_reference_matrices)
 from laxkit.verify import PointPolicy, op_residual, scalar_check
 from laxkit.weyl import SignedPerm, build_root_system, orbit_stabilizer, weyl_enumerate
+from test_fields import field_nodes
 
 RNG = random.Random(123)
 C = 0.31 + 0.11j
@@ -353,3 +354,11 @@ def test_diffop_phase_field_sums_the_symbol_components(t):
     want = sum(qy.symbol_component(w, x, p) for w in ws)
     got = value(qy.phase_field()(z))
     assert abs(got - want) < 1e-13 * (1 + abs(want))
+
+
+def test_dunkl_product_differentiates_no_constant():
+    cfg = RationalDunklConfig(build_root_system("A", 3), t=0.7 - 0.2j, c_short=0.6 + 0.1j)
+    y0, y1 = (dunkl(cfg, tuple(float(i == j) for j in range(3))) for i in (0, 1))
+    nodes = field_nodes(list((y0 * y1).terms.values()))
+    assert any(isinstance(f, Deriv) for f in nodes)
+    assert not [f for f in nodes if isinstance(f, Deriv) and isinstance(f.base, Const)]
