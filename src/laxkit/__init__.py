@@ -5,8 +5,8 @@ numerical certification harness for every identity used along the way."""
 __version__ = "0.1.0"
 
 from .weyl import (AffineElement, AffineRoot, CosetTable, RootSystemData,
-                   SignedPerm, build_root_system, coset_index, orbit_stabilizer,
-                   reduced_word, weyl_enumerate)
+                   SignedPerm, build_root_system, orbit_stabilizer, reduced_word,
+                   weyl_enumerate)
 from .opcore import (DiffOp, DynOp, OperatorMatrix, WOp, make_probes,
                      restrict_to_matrix)
 from .verify import (CheckResult, PointPolicy, VerificationReport,
@@ -15,7 +15,7 @@ from .verify import (CheckResult, PointPolicy, VerificationReport,
 
 __all__ = [
     "AffineElement", "AffineRoot", "CosetTable", "RootSystemData", "SignedPerm",
-    "build_root_system", "coset_index", "orbit_stabilizer", "reduced_word",
+    "build_root_system", "orbit_stabilizer", "reduced_word",
     "weyl_enumerate", "DiffOp", "DynOp", "OperatorMatrix", "WOp", "make_probes",
     "restrict_to_matrix", "CheckResult", "PointPolicy", "VerificationReport",
     "hamiltonian_flow", "isospectral_drift", "op_residual", "poisson_bracket",

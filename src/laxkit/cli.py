@@ -38,7 +38,8 @@ def load_params(path):
     return out
 
 
-def make_config(args) -> RunConfig:
+def make_config(args, perturb=0.0) -> RunConfig:
+    """RunConfig from the flags both subcommands read and verify's ``perturb``."""
     params = default_params(args.system, args.rank)
     if args.params:
         loaded = load_params(args.params)
@@ -48,16 +49,16 @@ def make_config(args) -> RunConfig:
                               f"expected a subset of {sorted(params)}")
         params.update(loaded)
     return RunConfig(system=args.system, rank=args.rank, params=params,
-                     seed=args.seed, suite=args.suite, time=args.time,
-                     dt=args.dt, perturb=args.perturb)
+                     seed=args.seed, perturb=perturb)
 
 
 def cmd_verify(args):
-    config = make_config(args)
+    config = make_config(args, args.perturb)
     t0 = time.perf_counter()
+    # one suite exists; the report names it so that reports keep their shape
     report = VerificationReport(system=config.system,
                                 params=dict(config.params, rank=config.rank,
-                                            suite=config.suite,
+                                            suite="default",
                                             perturb=config.perturb),
                                 seed=config.seed)
     for r in build_suite(config):
@@ -84,7 +85,7 @@ def cmd_flow(args):
               + [f"trL{k}" for k in powers] + ["charpoly_drift"])
     aborted = False
     try:
-        Hs, times, traj = scaled_flow(H, z0, config.time, config.dt, n)
+        Hs, times, traj = scaled_flow(H, z0, args.time, args.dt, n)
     except (PoleError, OverflowError) as exc:
         print(f"flow aborted near a pole: {exc}", file=sys.stderr)
         times, traj = [0.0], [tuple(complex(v) for v in z0)]
@@ -117,20 +118,23 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="laxkit",
                                      description="Lax pair construction and "
                                                  "numerical certification")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--system", required=True)
+    common.add_argument("--rank", type=int, default=2)
+    common.add_argument("--params", default=None, help="JSON parameter file")
+    # the flow is deterministic and reads no seed; it accepts one so that
+    # one argv shape drives both subcommands
+    common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("verify", cmd_verify), ("flow", cmd_flow)):
-        sp = sub.add_parser(name)
-        sp.add_argument("--system", required=True)
-        sp.add_argument("--rank", type=int, default=2)
-        sp.add_argument("--params", default=None, help="JSON parameter file")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--suite", default="default")
-        sp.add_argument("--out", default=None, help="JSON report path")
-        sp.add_argument("--time", type=float, default=1.0)
-        sp.add_argument("--dt", type=float, default=2e-3)
-        sp.add_argument("--perturb", type=float, default=0.0)
-        sp.add_argument("--csv", default=None, help="CSV trajectory path")
-        sp.set_defaults(fn=fn)
+    verify = sub.add_parser("verify", parents=[common])
+    verify.add_argument("--out", default=None, help="JSON report path")
+    verify.add_argument("--perturb", type=float, default=0.0)
+    verify.set_defaults(fn=cmd_verify)
+    flow = sub.add_parser("flow", parents=[common])
+    flow.add_argument("--time", type=float, default=1.0)
+    flow.add_argument("--dt", type=float, default=2e-3)
+    flow.add_argument("--csv", default=None, help="CSV trajectory path")
+    flow.set_defaults(fn=cmd_flow)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -216,7 +216,7 @@ def lax_elliptic_A(n, t, c, mu, tau) -> LaxPair:
     rs = build_root_system("A", n)
     lam = (mu,) + (0,) * (n - 1)
     cfg = EllipticDunklConfig(rs, t, c, tau, lam)
-    _o, _s, tbl = orbit_stabilizer(rs, ext_coord(n, 0))
+    tbl = orbit_stabilizer(rs, ext_coord(n, 0))
     y1 = elliptic_dunkl(cfg, 0)
     Lmat = y1.restrict(tbl)
     # A-hat on M': c t sum_j (wp(x_1j) + sigma'_mu(x_1j) s_1j), constants dropped
@@ -258,7 +258,7 @@ def lax_inozemtsev(n, t, c, g, mu, tau):
     rs = build_root_system("C", n)
     lam = (mu,) + (0,) * (n - 1)
     cfg = EllipticDunklConfig(rs, t, c, tau, lam, g=tuple(g))
-    _o, _s, tbl = orbit_stabilizer(rs, ext_coord(n, 0))
+    tbl = orbit_stabilizer(rs, ext_coord(n, 0))
     y1 = elliptic_dunkl(cfg, 0)
     Lmat = y1.restrict(tbl)
     om_shift = half_periods(tau)
@@ -313,7 +313,7 @@ def classical_inozemtsev_fields(n, c, g, mu, tau):
     y_1 at lambda = (mu, 0, ..., 0) and t = 0, restricted to M'."""
     rs = build_root_system("C", n)
     cfg = EllipticDunklConfig(rs, 0.0, c, tau, (mu,) + (0,) * (n - 1), g=tuple(g))
-    _o, _s, tbl = orbit_stabilizer(rs, ext_coord(n, 0))
+    tbl = orbit_stabilizer(rs, ext_coord(n, 0))
     return [[e.phase_field() for e in row]
             for row in elliptic_dunkl(cfg, 0).restrict(tbl).entries]
 

@@ -61,7 +61,6 @@ class VDParams:
     c: complex
     tau: complex
     xi: tuple = None
-    beta: float = 1.0
     _dual: tuple = dfield(default=None, repr=False)
 
     @property
@@ -336,7 +335,6 @@ class EllGLParams:
     c: complex
     tau: complex
     xi: tuple
-    beta: float = 1.0
 
     @property
     def rs(self):
@@ -358,9 +356,10 @@ def ruijsenaars_params(n, mu, eta, c, tau) -> EllGLParams:
 
 
 def _gl_sig(p: EllGLParams, mu, i, j, shift=0j, dz=False):
-    """sigma_mu(x_i - x_j + shift), or its derivative sigma_mu', 1-based i, j."""
-    form = sigma_dz_form if dz else sigma_form
-    return form(mu, ext_form(p.n, i - 1, j - 1), p.tau, shift)
+    """sigma_mu(x_i - x_j + shift), or at no shift its derivative sigma_mu',
+    1-based i, j."""
+    form = ext_form(p.n, i - 1, j - 1)
+    return sigma_dz_form(mu, form, p.tau) if dz else sigma_form(mu, form, p.tau, shift)
 
 
 def _gl_sig_product(p: EllGLParams, j, skip, start=None):
@@ -412,7 +411,7 @@ def ruijsenaars_hamiltonian(p: EllGLParams) -> WOp:
 def lax_elliptic_ruijsenaars(n, mu, eta, c, tau) -> LaxPair:
     """L = Y_1|M' at ruijsenaars_params; A from f(Y) = Y_1 + Y_2."""
     p = ruijsenaars_params(n, mu, eta, c, tau)
-    _o, _s, tbl = orbit_stabilizer(p.rs, ext_coord(n, 0))
+    tbl = orbit_stabilizer(p.rs, ext_coord(n, 0))
     Y1 = y_ell_gln(p, 1)
     return lax_pair(tbl, Y1.restrict(tbl), Y1 + y_ell_gln(p, 2),
                     ruijsenaars_hamiltonian(p))
@@ -461,7 +460,7 @@ def ruijsenaars_lax_tables(p: EllGLParams):
                 for k in range(1, n + 1):
                     if k != j:
                         if c == 0:
-                            diff = (-p.beta) * _gl_sig(p, p.mu, k, j, dz=True)
+                            diff = -_gl_sig(p, p.mu, k, j, dz=True)
                         else:
                             diff = nsum([_gl_sig(p, p.mu, k, j, c), -_gl_sig(p, p.mu, k, j)])
                         kprod = _gl_sig_product(p, k, {j, k})
@@ -472,7 +471,7 @@ def ruijsenaars_lax_tables(p: EllGLParams):
                 base = _gl_sig_product(p, j, {i, j}) or ONE
                 Lrow.append(WOp(n, c, {(one, lam): (-1.0) * (_gl_sig(p, eta, i, j) * base)}))
                 if c == 0:
-                    diff = p.beta * _gl_sig(p, eta, i, j, dz=True)
+                    diff = _gl_sig(p, eta, i, j, dz=True)
                 else:
                     diff = nsum([_gl_sig(p, eta, i, j, -c), -_gl_sig(p, eta, i, j)])
                 Arow.append(WOp(n, c, {(one, lam): base * diff}))
@@ -510,22 +509,6 @@ def vd_hamiltonian(p: VDParams) -> WOp:
         out += WOp(n, c, {(SignedPerm.identity(n), pi): A})
         out += WOp.from_field(n, c, -B)
     return out
-
-
-def y1_vd(p: VDParams) -> WOp:
-    """Y^{e_1} by the explicit R-product (the n-fold (yicc) word for i = 1)."""
-    n = p.n
-    out = None
-    for j in range(2, n + 1):
-        R = r_matrix_vd(p, AffineRoot(ext_form(n, 0, j - 1), 0))
-        out = R if out is None else out * R
-    two_e1 = ext_form(n, 0, 0, 1)
-    R = r_matrix_vd(p, AffineRoot(two_e1, 0))
-    out = R if out is None else out * R
-    for j in range(n, 1, -1):
-        out = out * r_matrix_vd(p, AffineRoot(ext_form(n, 0, j - 1, 1), 0))
-    out = out * r_matrix_vd(p, AffineRoot(two_e1, 1))
-    return out * WOp.translation(n, p.c, ext_coord(n, 0))
 
 
 def vd_alpha_const(p: VDParams, eta):
@@ -657,7 +640,7 @@ def vd_dual_substituted(p: VDParams, xi) -> WOp:
 def lax_vandiejen(p: VDParams, eta) -> LaxPair:
     """L = P Q; A is the restricted dual substitution minus H on the diagonal."""
     n = p.n
-    _o, _s, tbl = orbit_stabilizer(p.rs, ext_coord(n, 0))
+    tbl = orbit_stabilizer(p.rs, ext_coord(n, 0))
     H = vd_hamiltonian(p)
     A = (vd_dual_substituted(p, p.xi_spec(eta)).restrict(tbl)
          - OperatorMatrix.diagonal(H, 2 * n))
@@ -721,20 +704,26 @@ def dual_factor_identity_residual(params: EllRParams, xi, probes, points):
     return worst
 
 
-# -- classical van Diejen: the c = 0 operators, t(e_i) read as e^{beta p_i} --
+# -- classical van Diejen: the c = 0 operators, t(e_i) read as e^{p_i} --
 
 def vd_classical_fields(p: VDParams, eta):
     """Phase-field entries of the classical van Diejen Lax matrix L = P Q."""
     pc = replace(p, c=0.0)
     Lc = vd_p_matrix(pc, eta) * vd_q_matrix(pc, eta)
-    return [[e.phase_field(p.beta) for e in row] for row in Lc.entries]
+    return [[e.phase_field() for e in row] for row in Lc.entries]
 
 
 def vd_classical_hamiltonian(p: VDParams):
-    return vd_hamiltonian(replace(p, c=0.0)).phase_field(p.beta)
+    return vd_hamiltonian(replace(p, c=0.0)).phase_field()
 
 
 # -- residue conditions ------------------------------------------------------
+
+# distances to a hyperplane at which a growth exponent is read
+RESIDUE_DISTS = (1e-2, 1e-3)
+# a residue condition holds when its growth exponent exceeds -RESIDUE_MAX_EXPONENT
+RESIDUE_MAX_EXPONENT = 0.1
+
 
 def vd_coefficient_fields(p: VDParams):
     """The a_pi coefficients of L^{e_1} keyed by pi in {0, +-e_i}."""
@@ -745,27 +734,28 @@ def vd_coefficient_fields(p: VDParams):
     return out
 
 
-def residue_growth(quantity, base_point, direction, dists):
-    """Log-log growth exponent of |quantity| approaching a hyperplane."""
+def residue_growth(quantity, base_point, direction):
+    """Log-log growth exponent of |quantity| approaching a hyperplane, read
+    at the distances RESIDUE_DISTS."""
     vals = []
-    for d in dists:
+    for d in RESIDUE_DISTS:
         x = tuple(b + d * v for b, v in zip(base_point, direction))
         vals.append(abs(quantity(x)))
     num = math.log(max(vals[1], 1e-300) / max(vals[0], 1e-300))
-    den = math.log(dists[1] / dists[0])
+    den = math.log(RESIDUE_DISTS[1] / RESIDUE_DISTS[0])
     return num / den
 
 
-def residue_conditions(p: VDParams, dists=(1e-2, 1e-3), rng=None, max_exponent=0.1):
+def residue_conditions(p: VDParams, rng=None):
     """Growth-exponent report for the residue conditions on L^{e_1}.
 
     The coefficients a_pi are supported on {0, +-e_i} inside Pi = {-1,0,1}^n.
     For each positive root alpha, the coroot strings of Pi meeting the
     support are classified by length; each stated quantity is evaluated
-    while approaching its hyperplane at the given distances.  A first-order
-    pole shows as growth exponent ~ -1; regularity as an exponent above
-    -max_exponent.  At c = 0 the classical conditions are checked.  Entries
-    are (label, exponent, passed).
+    while approaching its hyperplane at the distances RESIDUE_DISTS.  A
+    first-order pole shows as growth exponent ~ -1; regularity as an
+    exponent above -RESIDUE_MAX_EXPONENT.  At c = 0 the classical
+    conditions are checked.  Entries are (label, exponent, passed).
     """
     rng = rng or random.Random(7)
     n = p.n
@@ -820,8 +810,8 @@ def residue_conditions(p: VDParams, dists=(1e-2, 1e-3), rng=None, max_exponent=0
         aa = dot(alpha, alpha)
         direction = tuple(ai / aa for ai in alpha)
         base = base_on(alpha, h)
-        expo = residue_growth(quantity, base, direction, dists)
-        report.append((label, expo, expo > -max_exponent))
+        expo = residue_growth(quantity, base, direction)
+        report.append((label, expo, expo > -RESIDUE_MAX_EXPONENT))
 
     def combo(parts):
         def f(x):
@@ -906,11 +896,10 @@ def residue_conditions(p: VDParams, dists=(1e-2, 1e-3), rng=None, max_exponent=0
     return report
 
 
-def residue_control_failure(p: VDParams, rng=None, dists=(1e-2, 1e-3)):
+def residue_control_failure(p: VDParams):
     """Unweighted length-three sum at a shifted half-period: the poles do
     not cancel without the e^{+-lambda_r} weights, so the exponent must
     dip below -0.5 (a vacuousness control for the residue checker)."""
-    rng = rng or random.Random(11)
     coeffs = vd_coefficient_fields(replace(p, c=0.0))
     n = p.n
     alpha = ext_form(n, 0, 0, 1)  # 2 e_1
@@ -928,4 +917,4 @@ def residue_control_failure(p: VDParams, rng=None, dists=(1e-2, 1e-3)):
     base = tuple(complex(0.23 + 0.07 * i, 0.01) for i in range(n))
     off = (2 * oms[2] - sum(ai * xi for ai, xi in zip(alpha, base))) / aa
     base = tuple(xi + off * ai for ai, xi in zip(alpha, base))
-    return residue_growth(q, base, direction, dists)
+    return residue_growth(q, base, direction)

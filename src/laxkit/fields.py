@@ -30,7 +30,8 @@ nodes ``XLift`` and ``FuncField`` have no such rule and raise
 ``TypeError``.
 
 Sharing contract.  Construction shares structure in the two operations
-that would otherwise copy it.  Equal transforms of one node are one object:
+that would otherwise copy it.  The identity map (no shift) returns the node
+itself, and equal transforms of one node are one object:
 ``o_affine`` (and so ``o_group``) is memoized on the source node under a
 key that tells maps apart bit for bit (a shift of -0.0 is not one of 0.0),
 so a second call with an equal map returns the image built by the first,
@@ -104,8 +105,11 @@ class Field:
         return Quot(as_field(other), self)
 
     def o_affine(self, w, v):
-        """The field x -> f(w x + v); w is a SignedPerm or None.  A map equal
-        bit for bit to an earlier one returns the image built then."""
+        """The field x -> f(w x + v); w is a SignedPerm or None.  The identity
+        map (no shift, w None or the identity) returns the field itself; a map
+        equal bit for bit to an earlier one returns the image built then."""
+        if v is None and (w is None or w.is_identity()):
+            return self
         return self._image(w, v, repr((None if w is None else w.img, v)))
 
     def _image(self, w, v, key):
@@ -216,9 +220,9 @@ class LinArg(Field):
         return LinArg(self.fn, _moved(self.k, w), c0)
 
 
-def exp_lin(k, c0=0j):
-    """e^{<k,x> + c0}."""
-    return LinArg(d_exp, k, c0)
+def exp_lin(k):
+    """e^{<k,x>}."""
+    return LinArg(d_exp, k)
 
 
 def inv_form(k, c0=0j, guard=1e-3, name="linear form"):
@@ -234,10 +238,10 @@ def linear_form(k, c0=0j):
     return LinArg(None, k, c0)
 
 
-def momentum(n, i, sign=1.0):
-    """sign * p_i as a field on phase points (x_1..x_n, p_1..p_n)."""
+def momentum(n, i):
+    """p_i as a field on phase points (x_1..x_n, p_1..p_n)."""
     k = [0.0] * (2 * n)
-    k[n + i] = sign
+    k[n + i] = 1.0
     return LinArg(None, tuple(k))
 
 
@@ -368,8 +372,6 @@ class Deriv(Field):
 
     def _o_affine(self, w, v, key):
         # (D_d f)(w x + v) = D_{w^-1 d} (f(w x + v))
-        if (w is None or w.is_identity()) and (v is None or not any(v)):
-            return self
         dirs = self.dirs
         if w is not None:
             winv = w.inverse()

@@ -30,7 +30,6 @@ class CCnParams:
     taunv: complex
     tau: complex
     c: complex
-    beta: float = 1.0
 
     @property
     def q(self):
@@ -262,8 +261,7 @@ def q_matrix(p: CCnParams) -> OperatorMatrix:
 
 
 def koornwinder_table(p: CCnParams):
-    _o, _s, tbl = orbit_stabilizer(build_root_system("C", p.n), ext_coord(p.n, 0))
-    return tbl
+    return orbit_stabilizer(build_root_system("C", p.n), ext_coord(p.n, 0))
 
 
 def koornwinder_hamiltonian(p: CCnParams) -> WOp:
@@ -301,15 +299,15 @@ def phi_vector_ccn(p: CCnParams):
     return out
 
 
-# -- classical limit: the c = 0 operators with t(e_i) read as e^{beta p_i} --
+# -- classical limit: the c = 0 operators with t(e_i) read as e^{p_i} --
 
 def classical_pq(p: CCnParams):
-    """Phase-field entries of the classical L = P Q (q = 1, t -> e^{beta p})."""
+    """Phase-field entries of the classical L = P Q (q = 1, t -> e^p)."""
     pc = replace(p, c=0.0)
     Lc = p_matrix(pc) * q_matrix(pc)
-    return [[e.phase_field(p.beta) for e in row] for row in Lc.entries]
+    return [[e.phase_field() for e in row] for row in Lc.entries]
 
 
 def classical_hamiltonian_ccn(p: CCnParams):
     Hc, _f = koornwinder_hamiltonian(replace(p, c=0.0))
-    return Hc.phase_field(p.beta)
+    return Hc.phase_field()

@@ -5,7 +5,7 @@ Two term shapes cover every construction in the package:
 * ``WOp`` — difference-reflection operators, finite sums of h(x) * w * t(lam)
   with h a scalar field, w a finite signed permutation and t(lam) a lattice
   translation acting by f(x) -> f(x + c*lam).  Step constant c = 0 gives the
-  classical crossed product, where t(lam) is read as e^{beta p_lam} and
+  classical crossed product, where t(lam) is read as e^{p_lam} and
   composition drops the shift of coefficients.  A dynamical operator
   h(xi, x) * (a ⊗ w t(lam)), used for the unitary R-matrix Weyl-group
   action, is the ``WOp`` on the 2n coordinates (xi, x) with group part
@@ -169,22 +169,21 @@ class _TermOp:
                     entries[k][j] += self._like({(one, ek): fk})
         return OperatorMatrix(entries)
 
-    def symbol_component(self, w, x, p, beta=1.0):
+    def symbol_component(self, w, x, p):
         """Classical symbol of the a_w component at the phase point (x, p).
-        A WOp reads t(lam) as e^{beta <lam, p>}; a DiffOp reads (t d)_k as
-        p_k and has no use for beta."""
+        A WOp reads t(lam) as e^{<lam, p>}; a DiffOp reads (t d)_k as p_k."""
         total = 0j
         for (w2, e), f in self.terms.items():
             if w2 == w:
-                total += value(f(x)) * self._symbol(self._moved(w2, e), p, beta)
+                total += value(f(x)) * self._symbol(self._moved(w2, e), p)
         return total
 
-    def phase_field(self, beta=1.0):
+    def phase_field(self):
         """The classical symbol, summed over components, as a field on phase
-        points (x_1..x_n, p_1..p_n); ``beta`` as in ``symbol_component``."""
+        points (x_1..x_n, p_1..p_n), read as in ``symbol_component``."""
         parts = []
         for (w, e), f in self.terms.items():
-            sym = self._symbol_field(self._moved(w, e), beta)
+            sym = self._symbol_field(self._moved(w, e))
             parts.append(XLift(f, self.n) if sym is ONE else XLift(f, self.n) * sym)
         return nsum(parts)
 
@@ -228,8 +227,8 @@ class WOp(_TermOp):
         return WOp(n, c, {(w, (0,) * n): as_field(coeff)})
 
     @staticmethod
-    def translation(n, c, lam, coeff=1.0):
-        return WOp(n, c, {(SignedPerm.identity(n), tuple(lam)): as_field(coeff)})
+    def translation(n, c, lam):
+        return WOp(n, c, {(SignedPerm.identity(n), tuple(lam)): as_field(1.0)})
 
     # -- algebra -------------------------------------------------------
     def mul_field_left(self, g: Field):
@@ -251,18 +250,18 @@ class WOp(_TermOp):
                 out._add_term((w1 * w2, lam), h1 * h2c)
         return out
 
-    # -- flavor hooks: h w t(lam) = h t(w lam) w; t(lam) reads as e^{beta p_lam}
+    # -- flavor hooks: h w t(lam) = h t(w lam) w; t(lam) reads as e^{p_lam}
     def _moved(self, w, lam):
         return w.apply_vec(lam)
 
     def _conj(self, r, lam, h):
         return r.inverse().apply_vec(lam), h.o_group(r)
 
-    def _symbol(self, lam, p, beta):
-        return cmath.exp(beta * sum(pi * li for pi, li in zip(p, lam)))
+    def _symbol(self, lam, p):
+        return cmath.exp(sum(pi * li for pi, li in zip(p, lam)))
 
-    def _symbol_field(self, lam, beta):
-        return exp_lin((0.0,) * self.n + tuple(beta * v for v in lam))
+    def _symbol_field(self, lam):
+        return exp_lin((0.0,) * self.n + tuple(lam))
 
     # -- actions ---------------------------------------------------------
     def apply_field(self, f: Field) -> Field:
@@ -359,14 +358,14 @@ class DiffOp(_TermOp):
         fr = f.o_group(r)
         return mt, (fr if sign == 1 else sign * fr)
 
-    def _symbol(self, m, p, _beta):
+    def _symbol(self, m, p):
         mono = 1.0 + 0j
         for k, mk in enumerate(m):
             if mk:
                 mono *= p[k] ** mk
         return mono
 
-    def _symbol_field(self, m, _beta):
+    def _symbol_field(self, m):
         mono = ONE
         for k, mk in enumerate(m):
             for _ in range(mk):
@@ -588,14 +587,13 @@ def hecke_inverse(T: WOp, tau) -> WOp:
     return T - WOp.from_scalar(T.n, T.c, tau - 1.0 / tau)
 
 
-def check_wprime_invariance(op, tbl, probes, points, columns=None):
+def check_wprime_invariance(op, tbl, probes, points):
     """Max residual of (1 - w) op e' on probe module vectors, w in W'."""
     n = len(tbl.xi)
     apply_mod = module_apply_wop if isinstance(op, WOp) else module_apply_diffop
     worst = 0.0
-    cols = range(tbl.m) if columns is None else columns
     for f in probes:
-        for j in cols:
+        for j in range(tbl.m):
             vec = [Const(0j)] * tbl.m
             vec[j] = f
             melem = module_inject(tbl, vec, n)
@@ -608,13 +606,13 @@ def check_wprime_invariance(op, tbl, probes, points, columns=None):
     return worst
 
 
-def restrict_to_matrix(op, tbl, probes=None, points=None, inv_tol=1e-9):
-    """Matrix of the action on M' = e'M, with an optional invariance gate."""
-    if probes is not None and points is not None:
-        res = check_wprime_invariance(op, tbl, probes, points)
-        if res > inv_tol:
-            raise RestrictionError(
-                f"operator is not W'-invariant on M' (worst residual {res:.3e})")
+def restrict_to_matrix(op, tbl, probes, points):
+    """Matrix of the action on M' = e'M, gated on W'-invariance (worst
+    residual at most 1e-9 on the probes at the points)."""
+    res = check_wprime_invariance(op, tbl, probes, points)
+    if res > 1e-9:
+        raise RestrictionError(
+            f"operator is not W'-invariant on M' (worst residual {res:.3e})")
     return op.restrict(tbl)
 
 
@@ -624,7 +622,7 @@ def residual_pair(lhs_val, rhs_val):
     return abs(lhs_val - rhs_val) / (1.0 + abs(lhs_val) + abs(rhs_val))
 
 
-def classical_op_residual(op1: WOp, op2: WOp, zpoints, beta=1.0) -> float:
+def classical_op_residual(op1: WOp, op2: WOp, zpoints) -> float:
     """Componentwise symbol residual of two classical (c = 0) operators."""
     ws = {w for (w, _l) in op1.terms} | {w for (w, _l) in op2.terms}
     n = op1.n
@@ -632,15 +630,15 @@ def classical_op_residual(op1: WOp, op2: WOp, zpoints, beta=1.0) -> float:
     for z in zpoints:
         x, p = z[:n], z[n:]
         for w in ws:
-            a = op1.symbol_component(w, x, p, beta)
-            b = op2.symbol_component(w, x, p, beta)
+            a = op1.symbol_component(w, x, p)
+            b = op2.symbol_component(w, x, p)
             worst = max(worst, residual_pair(a, b))
     return worst
 
 
 def symbol_parts(op, zpoint):
     """(identity component, worst off-identity magnitude) of the classical
-    symbol of ``op`` at the phase point (x, p), a WOp read at beta = 1."""
+    symbol of ``op`` at the phase point (x, p)."""
     n = op.n
     x, p = zpoint[:n], zpoint[n:]
     ident, worst = 0j, 0.0
@@ -653,10 +651,10 @@ def symbol_parts(op, zpoint):
     return ident, worst
 
 
-def make_probes(n, count, rng, scale=1.0):
-    """Exponential probes e^{<k,x>} with seeded complex-Gaussian k."""
+def make_probes(n, count, rng):
+    """Exponential probes e^{<k,x>} with seeded standard complex-Gaussian k."""
     out = []
     for _ in range(count):
-        k = tuple(complex(rng.gauss(0, scale), rng.gauss(0, scale)) for _ in range(n))
+        k = tuple(complex(rng.gauss(0, 1.0), rng.gauss(0, 1.0)) for _ in range(n))
         out.append(exp_lin(k))
     return out

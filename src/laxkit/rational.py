@@ -109,7 +109,7 @@ def lax_pair_rational(cfg, xi=None, poly=((0.5, 2),)) -> LaxPair:
     rs = cfg.rs
     if xi is None:
         xi = ext_coord(rs.dim, 0)
-    _orbit, _stab, tbl = orbit_stabilizer(rs, xi)
+    tbl = orbit_stabilizer(rs, xi)
     qy, L_q, _A_hat = cm_split(cfg, poly)
     return lax_pair(tbl, dunkl(cfg, xi).restrict(tbl), qy, L_q)
 
@@ -165,19 +165,16 @@ def kks_matrices(cfg, tbl):
     return lhs, ones
 
 
-def classical_lax(cfg, xi=None):
-    """Classical Lax pair: L = y_xi at t = 0, and A = minus the t-coefficient
+def classical_lax(cfg):
+    """Classical Lax pair: L = y_{e_1} at t = 0, and A = minus the t-coefficient
     of the quantum A-matrix, which is -A_hat at t = 1 because the split of
     <y,y>/2 is linear in t off the identity.  Neither depends on cfg.t.
 
     Returns (tbl, L entry fields, A entry fields) where entries are phase
     fields over (x_1..x_n, p_1..p_n).
     """
-    rs = cfg.rs
-    n = rs.dim
-    if xi is None:
-        xi = ext_coord(n, 0)
-    _o, _s, tbl = orbit_stabilizer(rs, xi)
+    xi = ext_coord(cfg.rs.dim, 0)
+    tbl = orbit_stabilizer(cfg.rs, xi)
     Lmat = dunkl(replace(cfg, t=0.0), xi).restrict(tbl)
     _qy, _L, A_hat = cm_split(replace(cfg, t=1.0), ((0.5, 2),))
     Amat = A_hat.restrict(tbl).scale(-1.0)
@@ -186,7 +183,8 @@ def classical_lax(cfg, xi=None):
     return tbl, L_fields, A_fields
 
 
-def classical_hamiltonian(cfg, poly=((0.5, 2),)):
-    """q(y) at t = 0 collapsed to a phase field (off-identity parts vanish)."""
-    qy, L_q, _A = cm_split(replace(cfg, t=0.0), poly)
+def classical_hamiltonian(cfg):
+    """q(y) = <y,y>/2 at t = 0 collapsed to a phase field (off-identity parts
+    vanish)."""
+    qy, L_q, _A = cm_split(replace(cfg, t=0.0), ((0.5, 2),))
     return L_q.phase_field(), qy

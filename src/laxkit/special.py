@@ -37,15 +37,6 @@ class ModulusError(ValueError):
     """Im tau below the numeric guard."""
 
 
-@dataclass(frozen=True)
-class EllipticParams:
-    tau: complex
-
-    def __post_init__(self):
-        if self.tau.imag < MIN_IM_TAU:
-            raise ModulusError(f"Im tau = {self.tau.imag} < {MIN_IM_TAU}")
-
-
 REGIMES = ("rational", "trig", "trig-CvC", "elliptic-A", "elliptic-CM",
            "elliptic-CvC")
 DIFFERENCE_REGIMES = ("trig", "trig-CvC", "elliptic-A", "elliptic-CvC")
@@ -215,9 +206,9 @@ def sigma_form(mu, form, tau, const=0j):
     return LinArg(lambda z: sigma(mu, z, tau), form, const)
 
 
-def sigma_dz_form(mu, form, tau, const=0j):
-    """The field sigma_mu'(<form, x> + const)."""
-    return LinArg(lambda z: sigma_dz(mu, z, tau), form, const)
+def sigma_dz_form(mu, form, tau):
+    """The field sigma_mu'(<form, x>)."""
+    return LinArg(lambda z: sigma_dz(mu, z, tau), form)
 
 
 def _sigmas(rs, mu, z, tau, m):
@@ -282,11 +273,12 @@ class NewtonError(ArithmeticError):
     """Root search for the dual spectral point failed from all seeds."""
 
 
-def dual_params(nu, g, tau, tol=1e-12, max_steps=100):
+def dual_params(nu, g, tau):
     """Dual parameters (nu^vee, g^vee): g^vee = H g / 2 and v_{nu,g}(nu^vee) = 0.
 
     nu^vee is found by complex Newton iteration from 16 lattice-fraction
-    seeds; among converged roots the one closest to 0 is returned.
+    seeds, at most 100 steps each, to |v| < 1e-12; among converged roots
+    the one closest to 0 is returned.
     """
     gv = dual_couplings(g)
     roots = []
@@ -295,13 +287,13 @@ def dual_params(nu, g, tau, tol=1e-12, max_steps=100):
             z0 = (a + 0.61803) / 4 + tau * (b + 0.61803) / 4
             z = complex(z0)
             ok = False
-            for _ in range(max_steps):
+            for _ in range(100):
                 try:
                     jet = v_func(nu, Dual(z, 1.0 + 0j), g, tau)
                 except PoleError:
                     break
                 f, fp = value(jet), value(extract(jet))
-                if abs(f) < tol:
+                if abs(f) < 1e-12:
                     ok = True
                     break
                 if fp == 0:

@@ -27,17 +27,16 @@ class TrigGLConfig:
     n: int
     tau: complex
     c: complex          # step constant, q = e^c
-    beta: float = 1.0   # classical momenta enter as e^{beta p}
 
     @property
     def q(self):
         return cmath.exp(self.c)
 
 
-def a_field(cfg, i, j, shift=0.0) -> Field:
-    """a(x_i - x_j + shift), 1-based i, j."""
+def a_field(cfg, i, j) -> Field:
+    """a(x_i - x_j), 1-based i, j."""
     tau = cfg.tau
-    return LinArg(lambda z: trig_ab(z, tau)[0], ext_form(cfg.n, i - 1, j - 1), shift)
+    return LinArg(lambda z: trig_ab(z, tau)[0], ext_form(cfg.n, i - 1, j - 1))
 
 
 def b_field(cfg, i, j, shift=0.0) -> Field:
@@ -147,7 +146,7 @@ def lemma_ns_closed(cfg) -> WOp:
 def lax_trig_gln(cfg) -> LaxPair:
     """Quantum Lax pair of size n for the trigonometric Ruijsenaars system."""
     n = cfg.n
-    _o, _s, tbl = orbit_stabilizer(build_root_system("A", n), ext_coord(n, 0))
+    tbl = orbit_stabilizer(build_root_system("A", n), ext_coord(n, 0))
     Y1 = cherednik_gln(cfg, 1)
     fY = Y1
     for i in range(2, n + 1):
@@ -173,7 +172,7 @@ def lax_tables(cfg):
             Lrow.append(WOp(n, c, {key: base * b_field(cfg, i, j)}))
             if c == 0:
                 db = _db_dxj(cfg, i, j)
-                Arow.append(WOp(n, c, {key: (cfg.beta * 1.0) * (base * db)}))
+                Arow.append(WOp(n, c, {key: base * db}))
             else:
                 # b_{ij} t(e_j) - t(e_j) b_{ij} = (b_ij - b_ij(x + c e_j)) t(e_j)
                 diff = nsum([b_field(cfg, i, j), -b_field(cfg, i, j, shift=-c)])
@@ -223,15 +222,15 @@ def e_tau_symmetrizer(cfg):
     return total.scale(1.0 / norm)
 
 
-# -- classical limits: the c = 0 operators with t(e_j) read as e^{beta p_j} --
+# -- classical limits: the c = 0 operators with t(e_j) read as e^{p_j} --
 
 def classical_lax_gln(cfg):
     """Classical L and A entry phase fields (x_1..x_n, p_1..p_n)."""
     L, A = lax_tables(replace(cfg, c=0.0))
-    return ([[e.phase_field(cfg.beta) for e in row] for row in L.entries],
-            [[e.phase_field(cfg.beta) for e in row] for row in A.entries])
+    return ([[e.phase_field() for e in row] for row in L.entries],
+            [[e.phase_field() for e in row] for row in A.entries])
 
 
 def classical_mr_hamiltonian(cfg):
-    """Classical Macdonald-Ruijsenaars Hamiltonian sum_i (prod a_il) e^{beta p_i}."""
-    return mr_operator(replace(cfg, c=0.0)).phase_field(cfg.beta)
+    """Classical Macdonald-Ruijsenaars Hamiltonian sum_i (prod a_il) e^{p_i}."""
+    return mr_operator(replace(cfg, c=0.0)).phase_field()

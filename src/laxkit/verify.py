@@ -42,8 +42,8 @@ class VerificationReport:
     system: str
     params: dict
     seed: int
-    checks: list = field(default_factory=list)
-    runtime_ms: float = 0.0
+    checks: list = field(default_factory=list, init=False)
+    runtime_ms: float = field(default=0.0, init=False)
 
     def add(self, result: CheckResult):
         self.checks.append(result)
@@ -206,8 +206,9 @@ def rk4_step(H, z, dt, n):
                  for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4))
 
 
-def hamiltonian_flow(H, z0, T, dt, n, record_every=1):
-    """Fixed-step RK4 trajectory of Hamilton's equations for H(x, p)."""
+def hamiltonian_flow(H, z0, T, dt, n):
+    """Fixed-step RK4 trajectory of Hamilton's equations for H(x, p), every
+    step recorded."""
     if T == 0:
         return [0.0], [tuple(z0)]
     steps = max(1, round(T / dt))
@@ -216,9 +217,8 @@ def hamiltonian_flow(H, z0, T, dt, n, record_every=1):
     traj = [z]
     for s in range(steps):
         z = rk4_step(H, z, dt, n)
-        if (s + 1) % record_every == 0 or s == steps - 1:
-            times.append((s + 1) * dt)
-            traj.append(z)
+        times.append((s + 1) * dt)
+        traj.append(z)
     return times, traj
 
 
@@ -232,10 +232,10 @@ def flow_time_scale(H, z0, n, target_speed=0.08):
     return max(speed / target_speed, 1.0)
 
 
-def scaled_flow(H, z0, T, dt, n, target_speed=0.08, record_every=1):
+def scaled_flow(H, z0, T, dt, n, target_speed=0.08):
     kappa = flow_time_scale(H, z0, n, target_speed)
     Hs = Scale(1.0 / kappa, H) if kappa != 1.0 else H
-    times, traj = hamiltonian_flow(Hs, z0, T, dt, n, record_every=record_every)
+    times, traj = hamiltonian_flow(Hs, z0, T, dt, n)
     return Hs, times, traj
 
 

@@ -408,11 +408,10 @@ def reduced_word_finite(rs: RootSystemData, w: SignedPerm):
     return word
 
 
-def affine_length(rs: RootSystemData, w: AffineElement, k_bound=None) -> int:
+def affine_length(rs: RootSystemData, w: AffineElement) -> int:
     """Number of positive affine roots sent negative (the length)."""
     winv = w.inverse()
-    if k_bound is None:
-        k_bound = max((abs(dot(a, w.lam)) for a in rs.pos_roots), default=0) + 2
+    k_bound = max((abs(dot(a, w.lam)) for a in rs.pos_roots), default=0) + 2
     count = 0
     for a in rs.pos_roots:
         for k in range(-k_bound, k_bound + 1):
@@ -502,12 +501,8 @@ class CosetTable:
         return self.index_of(self.reps[i - 1] * self.reps[j - 1]) + 1
 
 
-def coset_index(tbl: CosetTable, i: int, j: int) -> int:
-    return tbl.k(i, j)
-
-
-def orbit_stabilizer(rs: RootSystemData, xi):
-    """Orbit of xi, its stabilizer W', and the coset table.
+def orbit_stabilizer(rs: RootSystemData, xi) -> CosetTable:
+    """The coset table of xi, holding its orbit and its stabilizer W'.
 
     For xi = e_1 the representatives follow the paper conventions:
     type A uses {id, s_{1i}}; type C uses {s_{1i}} ∪ {s^+_{1i}} with
@@ -526,7 +521,7 @@ def orbit_stabilizer(rs: RootSystemData, xi):
         if rs.kind != "A":
             reps += [SignedPerm.neg_transposition(n, 0, i) for i in range(n)]
         orbit = [r.inverse().apply_vec(xi) for r in reps]
-        return orbit, stab, CosetTable(xi=xi, reps=reps, orbit=orbit, stabilizer=stab)
+        return CosetTable(xi=xi, reps=reps, orbit=orbit, stabilizer=stab)
 
     # generic xi: BFS over the orbit; minimal-length reps found by BFS depth.
     # Track u with u(xi) = pt; the coset rep for pt is u^{-1}.
@@ -548,4 +543,4 @@ def orbit_stabilizer(rs: RootSystemData, xi):
                     reps.append(uq.inverse())
                     new.append((q, uq))
         frontier = new
-    return orbit, stab, CosetTable(xi=xi, reps=reps, orbit=orbit, stabilizer=stab)
+    return CosetTable(xi=xi, reps=reps, orbit=orbit, stabilizer=stab)

@@ -237,7 +237,7 @@ def test_criterion_06_closed_forms_vs_construction():
     from laxkit.ellrel import (VDParams, lax_elliptic_ruijsenaars,
                                nsel_closed_y1, nsel_closed_y2,
                                ruijsenaars_params, vd_p_matrix, vd_q_matrix,
-                               y1_vd, y_ell_gln)
+                               y_ell_gln, y_elliptic)
     from laxkit.koorn import (CCnParams, abcd_operator, koornwinder_lax,
                               p_matrix, q_matrix, r_odd_shift, y1_product)
     worst = 0.0
@@ -271,8 +271,8 @@ def test_criterion_06_closed_forms_vs_construction():
                   C_STEP, TAU_ELL)
     eta = 0.37 - 0.04j
     PQ = vd_p_matrix(pv, eta) * vd_q_matrix(pv, eta)
-    Y1s = y1_vd(dataclasses.replace(pv, xi=pv.xi_spec(eta)))
-    _o, _s, tbl = orbit_stabilizer(pv.rs, (1, 0))
+    Y1s = y_elliptic(dataclasses.replace(pv, xi=pv.xi_spec(eta)), (1, 0))
+    tbl = orbit_stabilizer(pv.rs, (1, 0))
     xs2e = pts(2, 4, 606)
     vd_resid = op_residual(PQ, Y1s.restrict(tbl), probes2, xs2e)
     print(f"    (van Diejen table residual {vd_resid:.3e}, tol 1e-7)")

@@ -10,6 +10,10 @@ names are exempt: the interpreter calls them.
 Imports in the tests and scripts are checked too: every name a file there
 imports must be loaded as a name somewhere in that file.  So are their
 local assignments: a function that assigns a single name must load it.
+
+Every parameter with a default of a module-level function or method in
+src/laxkit, and every public dataclass field with one, is passed by some
+call: a default that no call overrides is a constant.
 """
 
 import ast
@@ -110,3 +114,97 @@ def dead_assignments():
 
 def test_no_local_assignment_in_the_tests_or_scripts_is_dead():
     assert dead_assignments() == []
+
+
+def _params_with_defaults(fn, skip):
+    """(name, positional index or None) for each parameter of ``fn`` that
+    has a default; the first ``skip`` positional slots are bound by the
+    call (self, cls) and do not count in the index."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(pos) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _dataclass_fields(cls):
+    """(name, positional index or None) for each public field of a dataclass
+    that has a default and is set by the constructor."""
+    if not any((isinstance(d, ast.Name) and d.id == "dataclass")
+               or (isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass")
+               for d in cls.decorator_list):
+        return []
+    out, index = [], 0
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            kws = {k.arg: getattr(k.value, "value", None) for k in value.keywords}
+            if kws.get("init") is False:
+                continue
+            has_default = "default" in kws or "default_factory" in kws
+            kw_only = kws.get("kw_only") is True
+        else:
+            has_default, kw_only = value is not None, False
+        name = node.target.id
+        if has_default and not name.startswith("_"):
+            out.append((name, None if kw_only else index))
+        if not kw_only:
+            index += 1
+    return out
+
+
+def unpassed_defaults():
+    """Parameters with a default in src/laxkit that no call passes.
+
+    Calls are matched by name: ``f(...)`` and ``obj.f(...)`` both call every
+    definition named ``f``, a class name calls its ``__init__`` or its
+    dataclass constructor, and ``replace(obj, name=...)`` sets the dataclass
+    field ``name``.  A parameter is passed when some call names it as a
+    keyword, gives enough positional arguments to reach it, or spreads a
+    starred argument over it."""
+    calls = {}                                  # name -> [(npos, keywords, starred)]
+    params = []                                 # (path, line, call names, name, index)
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                               or any(k.arg is None for k in node.keywords))
+                    calls.setdefault(name, []).append(
+                        (len(node.args), {k.arg for k in node.keywords}, starred))
+            if top != "src":
+                continue
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    for pname, index in _dataclass_fields(cls):
+                        params.append((path, cls.lineno, (cls.name, "replace"),
+                                       pname, index))
+                    for fn in cls.body:
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                            static = any(getattr(d, "id", None) == "staticmethod"
+                                         for d in fn.decorator_list)
+                            names = ((cls.name, "__init__") if fn.name == "__init__"
+                                     else (fn.name,))
+                            for pname, index in _params_with_defaults(fn, 0 if static else 1):
+                                params.append((path, fn.lineno, names, pname, index))
+            for fn in tree.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for pname, index in _params_with_defaults(fn, 0):
+                        params.append((path, fn.lineno, (fn.name,), pname, index))
+    out = []
+    for path, line, names, pname, index in params:
+        if not any(pname in kws or starred or (index is not None and npos > index)
+                   for name in names for npos, kws, starred in calls.get(name, ())):
+            out.append(f"{path.relative_to(ROOT)}:{line} {names[0]}({pname})")
+    return out
+
+
+def test_every_parameter_default_is_overridden_by_some_call():
+    assert unpassed_defaults() == []

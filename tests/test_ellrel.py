@@ -19,7 +19,7 @@ from laxkit.ellrel import (EllGLParams, EllRParams, VDParams, alpha_sequence,
                            vd_classical_fields, vd_classical_hamiltonian,
                            vd_dual_substituted,
                            vd_hamiltonian, vd_p_matrix,
-                           y1_vd, y_ell_gln, y_elliptic, y_elliptic_dual)
+                           y_ell_gln, y_elliptic, y_elliptic_dual)
 from laxkit.fields import exp_lin
 from laxkit.opcore import (DynOp, OperatorMatrix, WOp, classical_op_residual,
                            make_probes, symbol_parts)
@@ -257,7 +257,7 @@ def test_vandiejen_hamiltonian_and_alpha():
     pv = pV()
     probes = make_probes(2, 2, random.Random(17))
     xs = sample(2)
-    Y1 = y1_vd(dataclasses.replace(pv, xi=pv.xi0()))
+    Y1 = y_elliptic(dataclasses.replace(pv, xi=pv.xi0()), (1, 0))
     H = vd_hamiltonian(pv)
     assert op_residual(Y1.collapse(), H, probes, xs) < 1e-12
     # xi0 solves the (csystem) equations
@@ -299,7 +299,7 @@ def test_vandiejen_lax_block():
     probes = make_probes(2, 2, random.Random(19))
     xs = sample(2)
     laxv = lax_vandiejen(pv, eta)
-    Y1s = y1_vd(dataclasses.replace(pv, xi=pv.xi_spec(eta)))
+    Y1s = y_elliptic(dataclasses.replace(pv, xi=pv.xi_spec(eta)), (1, 0))
     assert op_residual(laxv.L, Y1s.restrict(laxv.tbl), probes, xs) < 1e-8
     Hm = OperatorMatrix.diagonal(laxv.H, 4)
     assert op_residual(laxv.L * Hm - Hm * laxv.L,
@@ -360,7 +360,7 @@ def test_dual_substitution_lax_equation_c2():
     rho = rho_m(pc)
     eta = 0.29 - 0.03j
     xi_il = (-rho[0] + eta, -rho[1])
-    _o, _s, tbl = orbit_stabilizer(pc.rs, (1, 0))
+    tbl = orbit_stabilizer(pc.rs, (1, 0))
     Y1 = y_elliptic(dataclasses.replace(pc, xi=xi_il), (1, 0))
     L = Y1.restrict(tbl)
     H = macdonald_elliptic(pc, (1, 0), quasi=True)
@@ -422,16 +422,15 @@ def test_slopes_ruijsenaars_and_vandiejen():
     hs = [1e-2, 1e-3, 1e-4]
     x = (0.31, -0.22, 0.4)
     mom = (0.2, -0.3, 0.14)
-    beta = 1.0
     vals = []
     for h in hs:
         lax = lax_elliptic_ruijsenaars(3, 0.29 + 0.07j, 0.41 - 0.06j,
-                                       -1j * h * beta, TAU)
+                                       -1j * h, TAU)
         mx = 0.0
         for row in lax.A.entries:
             for e in row:
                 for (w, _l) in e.terms:
-                    mx = max(mx, abs(e.symbol_component(w, x, mom, beta)))
+                    mx = max(mx, abs(e.symbol_component(w, x, mom)))
         vals.append(mx)
     assert abs(fit_slope(hs, vals) - 1.0) < 0.1
     # van Diejen: subtract the exact classical constant first
@@ -448,7 +447,7 @@ def test_slopes_ruijsenaars_and_vandiejen():
     vals = []
     for h in hs:
         pv = VDParams(2, 0.23 + 0.06j, 0.31 - 0.02j, 0.27 + 0.05j, G, GB,
-                      -1j * h * beta, TAU)
+                      -1j * h, TAU)
         laxv = lax_vandiejen(pv, eta)
         shifted = laxv.A - OperatorMatrix.diagonal(
             WOp.from_scalar(2, pv.c, const), 4)
@@ -456,7 +455,7 @@ def test_slopes_ruijsenaars_and_vandiejen():
         for row in shifted.entries:
             for e in row:
                 for (w, _l) in e.terms:
-                    mx = max(mx, abs(e.symbol_component(w, xb, pb, beta)))
+                    mx = max(mx, abs(e.symbol_component(w, xb, pb)))
         vals.append(mx)
     assert abs(fit_slope(hs, vals) - 1.0) < 0.1
 
@@ -530,14 +529,13 @@ def test_trig_limit_of_elliptic_r_matrix():
 def test_classical_ruijsenaars_a_is_hbar_limit():
     # entries of A_cl match (i hbar)^-1 * (quantum A) as hbar -> 0
     mu, eta = 0.29 + 0.07j, 0.41 - 0.06j
-    beta = 1.0
     pcl = EllGLParams(3, mu, 0.0, TAU, (0j,) * 3)
     pcl = dataclasses.replace(pcl, xi=pcl.xi_spec(eta))
     _Lc, Acl = ruijsenaars_lax_tables(pcl)
     x = (0.31, -0.22, 0.4)
     mom = (0.2, -0.3, 0.14)
     h = 1e-5
-    pq = EllGLParams(3, mu, -1j * h * beta, TAU, (0j,) * 3)
+    pq = EllGLParams(3, mu, -1j * h, TAU, (0j,) * 3)
     pq = dataclasses.replace(pq, xi=pq.xi_spec(eta))
     _Lq, Aq = ruijsenaars_lax_tables(pq)
     worst = 0.0
@@ -545,10 +543,10 @@ def test_classical_ruijsenaars_a_is_hbar_limit():
         for j in range(3):
             want = 0j
             for (w, _l) in Acl.entries[i][j].terms:
-                want += Acl.entries[i][j].symbol_component(w, x, mom, beta)
+                want += Acl.entries[i][j].symbol_component(w, x, mom)
             got = 0j
             for (w, _l) in Aq.entries[i][j].terms:
-                got += Aq.entries[i][j].symbol_component(w, x, mom, beta)
+                got += Aq.entries[i][j].symbol_component(w, x, mom)
             got /= (1j * h)
             worst = max(worst, abs(got - want) / (1 + abs(want)))
     assert worst < 1e-3  # O(hbar) agreement at hbar = 1e-5

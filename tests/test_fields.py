@@ -1,6 +1,8 @@
 """Field evaluation: one memo scope per point over the shared field DAG, and
 the structure shared at construction (affine images and derivative nodes)."""
 
+import gc
+
 import pytest
 
 from laxkit.dual import Dual, d_exp, directional, gradient_vec, seed, value
@@ -10,7 +12,7 @@ from laxkit.fields import (BiArg, Deriv, Field, FuncField, LinArg, PoleError,
 from laxkit.koorn import CCnParams, koornwinder_lax
 from laxkit.opcore import OperatorMatrix, WOp, field_dmulti
 from laxkit.special import sigma
-from laxkit.suites import default_params
+from laxkit.suites import RunConfig, build_suite, default_params
 from laxkit.verify import residual_evalfn
 from laxkit.weyl import SignedPerm
 
@@ -216,6 +218,30 @@ def test_equal_affine_map_returns_the_image_built_before():
     assert f.o_affine(W, V[:3] + (-0.0,)) is not image
     want = f(tuple(a + b for a, b in zip(W.apply_vec(Z), V)))
     assert abs(image(Z) - want) < 1e-13 * (1 + abs(want))
+
+
+def test_a_zero_shift_moves_a_deriv_as_it_moves_a_leaf():
+    leaf = LinArg(d_exp, (0.3, -0.7, 1.1, 0.5), 0.1j)
+    d = leaf.deriv(DIR)
+    zero, negzero = (0.0,) * N, (-0.0,) + (0.0,) * (N - 1)
+    for f in (leaf, d):
+        assert f.o_affine(None, zero) is not f
+        assert f.o_affine(None, negzero) is not f.o_affine(None, zero)
+    # the identity map with no shift returns the node itself
+    assert d.o_affine(None, None) is d and d.o_group(SignedPerm.identity(N)) is d
+
+
+def test_no_node_built_by_a_suite_holds_itself_in_its_image_memo():
+    gc.collect()
+    gc.disable()
+    try:
+        build_suite(RunConfig(system="rational-C", rank=2,
+                              params=default_params("rational-C", 2)))
+        selfish = [f for f in gc.get_objects() if isinstance(f, Field)
+                   and any(img is f for img in getattr(f, "_images", {}).values())]
+    finally:
+        gc.enable()
+    assert selfish == []
 
 
 def test_subtree_shared_by_two_parents_stays_shared_in_both_images():

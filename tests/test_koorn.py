@@ -194,6 +194,6 @@ def test_koorn_ahat_slope():
         for row in lax.A.entries:
             for e in row:
                 for (w, _l) in e.terms:
-                    mx = max(mx, abs(e.symbol_component(w, x, p, 1.0)))
+                    mx = max(mx, abs(e.symbol_component(w, x, p)))
         vals.append(mx)
     assert abs(fit_slope(hs, vals) - 1.0) < 0.1

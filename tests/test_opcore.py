@@ -201,7 +201,7 @@ def test_restrict_qlp_and_symmetrizer():
     e_op = WOp.zero(3, 0.23)
     for w in W:
         e_op += WOp.from_group(3, 0.23, w, 1.0 / len(W))
-    _o, _s, tbl = orbit_stabilizer(rs, (1, 0, 0))
+    tbl = orbit_stabilizer(rs, (1, 0, 0))
     em = e_op.restrict(tbl)
     ones = OperatorMatrix([[WOp.from_scalar(3, 0.23, 1.0 / tbl.m) for _ in range(tbl.m)]
                            for _ in range(tbl.m)])
@@ -239,7 +239,7 @@ def test_matrix_action_matches_module_action():
     cfg = RationalDunklConfig(rs, t=-0.7j, c_short=1.3j)
     rng = random.Random(9)
     y1 = dunkl(cfg, (1, 0, 0))
-    _o, _s, tbl = orbit_stabilizer(rs, (1, 0, 0))
+    tbl = orbit_stabilizer(rs, (1, 0, 0))
     mat = y1.restrict(tbl)
     vec = make_probes(3, tbl.m, rng)
     direct = module_apply_diffop(y1, module_inject(tbl, vec, 3))
@@ -256,7 +256,7 @@ def test_matrix_action_matches_module_action():
 
 def test_restriction_gate_rejects_noninvariant():
     rs = build_root_system("A", 3)
-    _o, _s, tbl = orbit_stabilizer(rs, (1, 0, 0))
+    tbl = orbit_stabilizer(rs, (1, 0, 0))
     bad = WOp.from_field(3, C, linear_form((0, 1, 0)))  # x_2 is not W'-invariant
     probes = make_probes(3, 2, RNG)
     with pytest.raises(RestrictionError):
@@ -322,7 +322,7 @@ def test_module_vector_wrapper():
     rs = build_root_system("A", 3)
     cfg = RationalDunklConfig(rs, t=-0.7j, c_short=1.3j)
     y1 = dunkl(cfg, (1, 0, 0))
-    _o, _s, tbl = orbit_stabilizer(rs, (1, 0, 0))
+    tbl = orbit_stabilizer(rs, (1, 0, 0))
     vec = ModuleVector(tbl, make_probes(3, tbl.m, random.Random(61)))
     image = vec.apply_matrix(y1.restrict(tbl))
     direct = module_apply_diffop(y1, vec.expand())

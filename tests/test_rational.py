@@ -79,23 +79,38 @@ def test_cm_split_and_physical_potential():
     assert abs(val - pot) / (1 + abs(pot)) < 1e-12
 
 
-@pytest.mark.parametrize("kind,n,size", [("A", 3, 3), ("C", 2, 4)])
-def test_lax_equation_and_sizes(kind, n, size):
+QUADRATIC, QUARTIC = ((0.5, 2),), ((0.25, 4),)
+
+
+@pytest.mark.parametrize("kind,n,xi,poly,size", [
+    pytest.param("A", 3, (1, 0, 0), QUADRATIC, 3, id="A-3-3"),
+    pytest.param("C", 2, (1, 0), QUADRATIC, 4, id="C-2-4"),
+    pytest.param("C", 2, (1, 1), QUADRATIC, 4, id="C-2-4-orbit-of-e1+e2"),
+    pytest.param("A", 3, (1, 1, 0), QUADRATIC, 3, id="A-3-3-orbit-of-e1+e2"),
+    pytest.param("A", 3, (1, 0, 0), QUARTIC, 3, id="A-3-3-quartic"),
+    pytest.param("C", 2, (1, 0), QUARTIC, 4, id="C-2-4-quartic")])
+def test_lax_equation_and_sizes(kind, n, xi, poly, size):
+    """The families of the paper: one pair per W-orbit of xi, of the orbit's
+    size, and one per invariant polynomial q (here <y,y>/2 and sum y_i^4/4);
+    a 1e-3 change of one L entry must break the equation."""
     cfg = cfg_for(kind, n)
-    lax = lax_pair_rational(cfg)
+    lax = lax_pair_rational(cfg, xi, poly)
     assert lax.L.m == size
     probes = make_probes(n, 2, random.Random(5))
     xs = sample(n, 4)
     Hm = OperatorMatrix.diagonal(lax.H, size)
     assert op_residual(lax.L * Hm - Hm * lax.L,
-                           lax.A * lax.L - lax.L * lax.A, probes, xs) < 1e-9
+                       lax.A * lax.L - lax.L * lax.A, probes, xs) < 1e-9
+    Lp = OperatorMatrix([list(row) for row in lax.L.entries])
+    Lp.entries[0][-1] = Lp.entries[0][-1].scale(1.0 + 1e-3)
+    assert op_residual(Lp * Hm - Hm * Lp, lax.A * Lp - Lp * lax.A, probes, xs) > 1e-4
 
 
 def test_generic_xi_full_size_lax():
     cfg = cfg_for("A", 3)
     rs = cfg.rs
     xi = (0.43, -0.18, 0.71)
-    _o, _s, tbl = orbit_stabilizer(rs, xi)
+    tbl = orbit_stabilizer(rs, xi)
     assert tbl.m == 6
     y = dunkl(cfg, xi)
     _qy, L_q, A_hat = cm_split(cfg, ((0.5, 2),))
@@ -135,7 +150,7 @@ def test_integrals_structure_and_commutation():
 
 def test_kks_relation_and_degenerate_case():
     cfg = cfg_for("A", 2)
-    _o, _s, tbl = orbit_stabilizer(cfg.rs, (1, 0))
+    tbl = orbit_stabilizer(cfg.rs, (1, 0))
     lhs, rhs = kks_matrices(cfg, tbl)
     probes = make_probes(2, 2, random.Random(8))
     xs = sample(2, 4)

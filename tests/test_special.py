@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from laxkit import special
 from laxkit.dual import Dual, directional, extract
 from laxkit.fields import PoleError
-from laxkit.special import (EllipticParams, ModulusError, dual_couplings,
+from laxkit.special import (ModulusError, dual_couplings,
                             dual_params, eta1, sigma, sigma_dz, sigma_r,
                             theta, trig_ab, u_fun,
                             ut_fun, v_func, v_func_dz, vt_fun, v_fun, wp)
@@ -102,8 +102,6 @@ def test_theta1_quasi_periodicity():
 
 
 def test_modulus_guard():
-    with pytest.raises(ModulusError):
-        EllipticParams(0.5 + 0.01j)
     with pytest.raises(ModulusError):
         theta(1, 0.3, 0.3 + 0.01j)
 

@@ -150,7 +150,7 @@ def test_e_tau_battery():
 
 
 def test_classical_lax_and_flow():
-    cfg = TrigGLConfig(n=3, tau=1.4, c=0.0, beta=1.0)
+    cfg = TrigGLConfig(n=3, tau=1.4, c=0.0)
     Lf, Af = classical_lax_gln(cfg)
     Hcl = classical_mr_hamiltonian(cfg)
     z0 = (0.4, -0.3, 0.8, 0.1, -0.2, 0.15)
@@ -176,15 +176,14 @@ def test_ahat_slope_in_hbar():
     vals = []
     x = (0.4, -0.2, 0.7)
     p = (0.1, 0.3, -0.2)
-    beta = 1.0
     for h in hs:
-        cfg = TrigGLConfig(n=3, tau=TAU, c=-1j * h * beta)
+        cfg = TrigGLConfig(n=3, tau=TAU, c=-1j * h)
         lax = lax_trig_gln(cfg)
         mx = 0.0
         for row in lax.A.entries:
             for e in row:
                 for (w, _l) in e.terms:
-                    mx = max(mx, abs(e.symbol_component(w, x, p, beta)))
+                    mx = max(mx, abs(e.symbol_component(w, x, p)))
         vals.append(mx)
     assert abs(fit_slope(hs, vals) - 1.0) < 0.1
 

@@ -186,6 +186,19 @@ def test_cli_flow_evaluates_lax_matrix_once_per_row(tmp_path, monkeypatch):
     assert calls == [4] * len(rows)
 
 
+def test_cli_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys):
+    # a flag the subcommand would ignore is a usage error, not a silent no-op
+    assert cli_main(["flow", "--system", "trig-gln", "--perturb", "1e-3"]) == 2
+    assert cli_main(["verify", "--system", "trig-gln", "--dt", "1e-2"]) == 2
+    assert cli_main(["verify", "--system", "trig-gln", "--suite", "default"]) == 2
+    assert capsys.readouterr().out == ""
+    # the argv shape of perfbench/run.py, which passes --seed to every operation
+    csvpath = tmp_path / "traj.csv"
+    assert cli_main(["flow", "--system", "trig-gln", "--rank", "2", "--seed", "0",
+                     "--time", "0.05", "--dt", "1e-2", "--csv", str(csvpath)]) == 0
+    assert len(csvpath.read_text().splitlines()) == 7
+
+
 def test_rng_for_deterministic():
     a = rng_for(7, "x").random()
     b = rng_for(7, "x").random()

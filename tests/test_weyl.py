@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from laxkit.weyl import (AffineElement, ConfigurationError,
                          UnsupportedElementError, affine_length,
-                         affine_reflection, build_root_system, coset_index,
+                         affine_reflection, build_root_system,
                          evaluate_word, ext_coord, ext_form, finite_length,
                          orbit_stabilizer, reduced_word, reduced_word_finite,
                          same_coord, translation_word, weyl_enumerate,
@@ -80,22 +80,22 @@ def test_reflection_involutive_and_negates_root():
 
 def test_orbit_stabilizer_special_and_counting():
     rs = build_root_system("A", 3)
-    orbit, stab, tbl = orbit_stabilizer(rs, (1, 0, 0))
-    assert tbl.m == 3 and len(stab) == 2
+    tbl = orbit_stabilizer(rs, (1, 0, 0))
+    assert tbl.m == 3 and len(tbl.stabilizer) == 2
     c2 = build_root_system("C", 2)
-    orbit, stab, tbl2 = orbit_stabilizer(c2, (1, 0))
-    assert tbl2.m == 4 and len(stab) == 2
+    tbl2 = orbit_stabilizer(c2, (1, 0))
+    assert tbl2.m == 4 and len(tbl2.stabilizer) == 2
     # generic xi: trivial stabilizer
-    _o, stab_g, tbl_g = orbit_stabilizer(rs, (0.31, -0.12, 0.44))
-    assert tbl_g.m == 6 and len(stab_g) == 1
+    tbl_g = orbit_stabilizer(rs, (0.31, -0.12, 0.44))
+    assert tbl_g.m == 6 and len(tbl_g.stabilizer) == 1
     rng = random.Random(3)
     for kind, n in (("A", 3), ("C", 2), ("C", 3)):
         rsx = build_root_system(kind, n)
         W = len(weyl_enumerate(rsx))
         for _ in range(20):
             xi = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n))
-            orbit, stab, _t = orbit_stabilizer(rsx, xi)
-            assert len(orbit) * len(stab) == W
+            tbl = orbit_stabilizer(rsx, xi)
+            assert len(tbl.orbit) * len(tbl.stabilizer) == W
 
 
 def test_xi_zero_rejected():
@@ -107,11 +107,11 @@ def test_xi_zero_rejected():
 def test_coset_table_against_group_multiplication():
     for kind, n in (("A", 5), ("C", 3)):
         rs = build_root_system(kind, n)
-        _o, stab, tbl = orbit_stabilizer(rs, tuple(1 if i == 0 else 0 for i in range(n)))
-        stabset = set(stab)
+        tbl = orbit_stabilizer(rs, tuple(1 if i == 0 else 0 for i in range(n)))
+        stabset = set(tbl.stabilizer)
         for i in range(1, tbl.m + 1):
             for j in range(1, tbl.m + 1):
-                k = coset_index(tbl, i, j)
+                k = tbl.k(i, j)
                 # e' r_i r_j = e' r_k means r_i r_j r_k^-1 in W'
                 g = tbl.reps[i - 1] * tbl.reps[j - 1] * tbl.reps[k - 1].inverse()
                 assert g in stabset
@@ -119,17 +119,17 @@ def test_coset_table_against_group_multiplication():
 
 def test_coset_table_paper_cases():
     rs = build_root_system("A", 5)
-    _o, _s, tbl = orbit_stabilizer(rs, (1, 0, 0, 0, 0))
-    assert coset_index(tbl, 1, 5) == 5
-    assert coset_index(tbl, 4, 4) == 1
-    assert coset_index(tbl, 3, 5) == 3
+    tbl = orbit_stabilizer(rs, (1, 0, 0, 0, 0))
+    assert tbl.k(1, 5) == 5
+    assert tbl.k(4, 4) == 1
+    assert tbl.k(3, 5) == 3
     c3 = build_root_system("C", 3)
     n = 3
-    _o, _s, tbl = orbit_stabilizer(c3, (1, 0, 0))
+    tbl = orbit_stabilizer(c3, (1, 0, 0))
     for j in range(1, n + 1):
-        assert coset_index(tbl, n + 1, j) == j + n
-        assert coset_index(tbl, n + 1, j + n) == j
-    assert coset_index(tbl, 2, 2 + n) == n + 1
+        assert tbl.k(n + 1, j) == j + n
+        assert tbl.k(n + 1, j + n) == j
+    assert tbl.k(2, 2 + n) == n + 1
 
 
 def test_reduced_word_simple_and_translations():
