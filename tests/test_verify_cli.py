@@ -351,3 +351,33 @@ def test_benchmark_tracer_hooks_fire(argv):
         assert result["trace"]["point_totals"].get("leaf_calls", 0) > 0
     for name in BENCH_GROUPS[argv[0]]:
         assert groups.get(name, {}).get("calls", 0) > 0, name
+
+
+def test_flow_agreement_gates_values_drift_and_exit_codes(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import flow_agreement
+    header = ["t", "x1", "p1", "trL2", "charpoly_drift"]
+    rows = [[0.0, 0.3, -0.2, 1.5, 0.0], [0.5, 0.31, 1e-3, 1.5, 2e-16],
+            [1.0, 0.33, -0.1, 1.5, 4e-16]]
+
+    def failed(rows_b, code_b=0, rows_a=rows):
+        return flow_agreement.agreement("flow", "rational-A", (0, False, header, rows_a),
+                                        (code_b, False, header, rows_b))[0]
+
+    def moved(col, fn):
+        out = [list(r) for r in rows]
+        out[1][col] = fn(out[1][col])
+        return out
+    assert not failed(rows)
+    assert failed(moved(1, lambda v: v * (1 + 1e-10)))
+    assert failed(moved(4, lambda v: v + 1e-11))
+    # a rounding-level change of the drift is no disagreement, though it is
+    # five times the drift itself
+    assert not failed(moved(4, lambda v: v + 1e-15))
+    assert failed(rows, code_b=1)
+    # a flow that aborted before its first step compares no trajectory
+    bad, lines = flow_agreement.agreement("flow", "vandiejen", (1, True, header, rows[:1]),
+                                          (1, True, header, rows[:1]))
+    assert not bad and "aborted, 1 row compared" in lines[0]
+    assert flow_agreement.agreement("flow", "vandiejen", (1, True, header, rows[:1]),
+                                    (1, False, header, rows[:1]))[0]
