@@ -12,8 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 
 class Dual:
     """val + eps * (infinitesimal); val/eps may themselves be Dual."""
@@ -90,13 +88,17 @@ def value(x):
     return x
 
 
+# j! for the orders of a Taylor shift (Dual depth plus jet order below 21)
+_FACTORIALS = tuple(math.factorial(j) for j in range(21))
+
+
 def taylor(derivs, h):
     """sum_j derivs[j] h^j / j!: f(z0 + h) from the derivatives of f at z0,
     exact for a Dual h of value 0 and depth below len(derivs), whose powers
     past its depth vanish."""
-    out = derivs[-1] / math.factorial(len(derivs) - 1)
+    out = derivs[-1] / _FACTORIALS[len(derivs) - 1]
     for j in range(len(derivs) - 2, -1, -1):
-        out = out * h + derivs[j] / math.factorial(j)
+        out = out * h + derivs[j] / _FACTORIALS[j]
     return out
 
 
@@ -131,14 +133,10 @@ def directional(f, point, directions):
 
 
 def gradient_vec(f, point):
-    """All first partials in one pass, using an array-valued eps."""
-    n = len(point)
-    basis = np.eye(n, dtype=complex)
-    pt = tuple(Dual(p, basis[k]) for k, p in enumerate(point))
-    out = f(pt)
-    if isinstance(out, Dual):
-        e = out.eps
-        if isinstance(e, np.ndarray):
-            return e
-        return np.full(n, 0j) + e
-    return np.zeros(n, dtype=complex)
+    """All first partials of ``f`` at ``point``, from one forward loop and
+    one adjoint sweep of the field's tape; a callable that is not a field is
+    taken as a ``FuncField``."""
+    from .fields import Field, FuncField
+    if not isinstance(f, Field):
+        f = FuncField(f)
+    return f.tape().gradient(point)

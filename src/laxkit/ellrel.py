@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass, field as dfield, replace
 from functools import partial
 
@@ -746,7 +745,7 @@ def residue_growth(quantity, base_point, direction):
     return num / den
 
 
-def residue_conditions(p: VDParams, rng=None):
+def residue_conditions(p: VDParams, rng):
     """Growth-exponent report for the residue conditions on L^{e_1}.
 
     The coefficients a_pi are supported on {0, +-e_i} inside Pi = {-1,0,1}^n.
@@ -755,9 +754,9 @@ def residue_conditions(p: VDParams, rng=None):
     while approaching its hyperplane at the distances RESIDUE_DISTS.  A
     first-order pole shows as growth exponent ~ -1; regularity as an
     exponent above -RESIDUE_MAX_EXPONENT.  At c = 0 the classical
-    conditions are checked.  Entries are (label, exponent, passed).
+    conditions are checked; ``rng`` draws the base points.  Entries are
+    (label, exponent, passed).
     """
-    rng = rng or random.Random(7)
     n = p.n
     tau = p.tau
     c = p.c

@@ -7,21 +7,30 @@ workhorse leaf is ``LinArg`` (a univariate function of an affine-linear
 form), which is closed under composition with x -> w x + v: exactly the
 substitutions generated by group-algebra arithmetic.
 
-Evaluation contract.  Calling a field, or ``evaluate(roots, x)``, opens one
-memo scope for the point x, and every node is computed at most once in it:
-sums, products, quotients and scalings are keyed by node identity, and the
-leaves ``LinArg``/``BiArg`` by their kernel and affine form, so the equal
-copies that ``o_affine`` makes share one kernel call.  Every ``XLift`` at a
-phase point reads its base in one x-space scope shared by all of them (x is
-the same for each), while ``Deriv`` and ``FuncField``, which move the point,
-evaluate their subtree in a fresh scope.  This is sound because leaf
-kernels are pure functions of their argument and nodes are immutable.  A
-scope lives for one evaluation only and an exception discards it, so no
-value survives from one point to the next; children are visited left to
-right, so the first ``PoleError`` raised is the one the plain tree walk
-would raise.  At a ``gradient_vec`` point, whose Duals carry array
-tangents, a ``LinArg`` runs its kernel on the scalar tangent 1 and applies
-the chain rule.
+Evaluation contract.  Fields are evaluated from a ``Tape``: a set of root
+fields compiled once into a flat post-order list of instructions, in the
+order in which a left-to-right walk of the roots first finishes each node.
+One instruction computes one value per point, and equal nodes share it:
+composites (``NSum``, ``Prod``, ``Quot``, ``Scale``, ``Const``) by node
+identity, ``LinArg`` and ``BiArg`` by their kernel and affine form, so the
+equal copies that ``o_affine`` makes share one kernel call.  An ``XLift``
+compiles to no instruction: its base is compiled in an x-space scope,
+whose point is the first n coordinates of the phase point, and all the
+``XLift``s of one n share that scope.  ``Deriv`` and ``FuncField``, which
+move the point, are opaque instructions: they call the node at their
+scope's point, and a ``Deriv`` reads its base from the base's own tape.
+Leaves are called through their ``__call__``.  The forward loop runs on
+complex numbers and on Duals alike, doing the operations of a recursive
+walk in its order (a sum folds from 0j, a scaling is c * v), so values are
+those of the walk bit for bit and the first ``PoleError`` raised is the
+one the walk would raise; nothing is kept from one point to the next.
+This is sound because leaf kernels are pure functions of their argument
+and nodes are immutable.  ``Tape.gradient`` runs the forward loop on plain
+numbers, with each ``LinArg`` kernel run once on a Dual of tangent 1 for
+its derivative, then one adjoint sweep in reverse; an opaque instruction
+and a ``BiArg`` take one ``directional`` call per coordinate of their
+scope's point.  A field called directly compiles its own tape once, kept
+in a slot of the node.
 
 Composition with an affine map, ``o_affine``, is structural: every node
 kind that operators transform pushes the map down to its leaves (``Deriv``
@@ -44,8 +53,6 @@ indistinguishable from a copy except by identity.
 
 from __future__ import annotations
 
-from numpy import ndarray
-
 from .dual import Dual, d_exp, directional, extract, value
 
 
@@ -54,21 +61,24 @@ class PoleError(ArithmeticError):
 
 
 class Field:
-    # filled on first use: images under affine maps and derivative nodes
-    __slots__ = ("_images", "_derivs")
+    # filled on first use: images under affine maps, derivative nodes and
+    # the field's own tape
+    __slots__ = ("_images", "_derivs", "_tape")
 
     def __call__(self, x):
-        """Value at the point x, in a memo scope of its own."""
-        return self._eval(x, {})
+        """Value at the point x, from this field's tape."""
+        return self.tape()(x)[0]
 
-    def _ev(self, x, memo):
-        """Value at x in the scope ``memo``; computed only on a miss."""
-        v = memo.get(self)
-        if v is None:
-            v = memo[self] = self._eval(x, memo)
-        return v
+    def tape(self):
+        """This field alone compiled to a ``Tape``, on first use."""
+        try:
+            return self._tape
+        except AttributeError:
+            out = self._tape = Tape([self])
+            return out
 
-    def _eval(self, x, memo):
+    def _emit(self, tape, scope):
+        """Append this node's instruction to ``tape``; returns its slot."""
         raise NotImplementedError
 
     def __add__(self, other):
@@ -142,10 +152,167 @@ def as_field(x):
 
 
 def evaluate(roots, x):
-    """Values of the fields ``roots`` at x from one memo scope, so a node
-    shared between roots is computed once."""
-    memo = {}
-    return [f._ev(x, memo) for f in roots]
+    """Values of the fields ``roots`` at x from one tape, so a node shared
+    between roots is computed once."""
+    return Tape(roots)(x)
+
+
+# instruction kinds of a Tape
+_LEAF, _CALL, _SUM, _SCALE, _PROD, _QUOT, _CONST = range(7)
+
+
+class Tape:
+    """Root fields compiled to a flat post-order list of instructions.
+
+    Instruction i computes slot i of a point's values and is a tuple
+    ``(kind, a, b)``: ``_LEAF`` calls the ``LinArg`` a at the point of scope
+    b; ``_CALL`` calls the ``BiArg``, ``Deriv`` or ``FuncField`` a at the
+    point of scope b; ``_SUM`` adds the slots a; ``_SCALE`` is a * slot b;
+    ``_PROD`` and ``_QUOT`` combine slots a and b; ``_CONST`` is the
+    constant a.  Scope 0 is the point the tape is called at; ``scopes``
+    holds the (parent scope, n) of each x-space scope after it.
+    """
+
+    __slots__ = ("code", "scopes", "out", "_slots", "_leaves")
+
+    def __init__(self, roots):
+        self.code = []
+        self.scopes = []
+        self._slots = [{}]
+        self._leaves = None
+        self.out = [self.slot(f, 0) for f in roots]
+        del self._slots
+
+    def slot(self, f, scope):
+        """The slot of node f in ``scope``, compiling it on the first visit."""
+        slots = self._slots[scope]
+        out = slots.get(f)
+        if out is None:
+            out = slots[f] = f._emit(self, scope)
+        return out
+
+    def push(self, kind, a, b=None):
+        self.code.append((kind, a, b))
+        return len(self.code) - 1
+
+    def shared(self, key, kind, node, scope):
+        """The slot of the leaf ``node`` in ``scope``, shared under ``key``."""
+        slots = self._slots[scope]
+        out = slots.get(key)
+        if out is None:
+            out = slots[key] = self.push(kind, node, scope)
+        return out
+
+    def scope(self, parent, n):
+        """The x-space scope of the first n coordinates of ``parent``'s point."""
+        slots = self._slots[parent]
+        out = slots.get((XLift, n))
+        if out is None:
+            self.scopes.append((parent, n))
+            self._slots.append({})
+            out = slots[XLift, n] = len(self.scopes)
+        return out
+
+    def _points(self, x):
+        pts = [x]
+        for parent, n in self.scopes:
+            pts.append(pts[parent][:n])
+        return pts
+
+    def __call__(self, x):
+        """Values of the roots at the point x."""
+        vals = self._forward(self._points(x), None)
+        return [vals[i] for i in self.out]
+
+    def _forward(self, pts, slopes):
+        """The value of every slot at the scope points ``pts``.  Given a list
+        ``slopes``, each ``LinArg`` kernel runs once on a Dual of tangent 1
+        and the leaf's derivative is appended to it."""
+        vals = []
+        push = vals.append
+        leaves = None if slopes is None else iter(self._leaf_data())
+        PROD, SCALE, SUM, LEAF, CALL, QUOT = _PROD, _SCALE, _SUM, _LEAF, _CALL, _QUOT
+        for kind, a, b in self.code:
+            if kind == PROD:
+                push(vals[a] * vals[b])
+            elif kind == SCALE:
+                push(a * vals[b])
+            elif kind == SUM:
+                s = 0j
+                for i in a:
+                    s = s + vals[i]
+                push(s)
+            elif kind <= CALL and (slopes is None or kind == CALL):
+                push(a(pts[b]))
+            elif kind == LEAF:
+                unit = next(leaves)[1]
+                if unit is None:
+                    push(a(pts[b]))
+                    slopes.append(1.0)
+                else:
+                    r = unit((Dual(_form(a.k, a.c0, pts[b]), 1.0),))
+                    push(value(r))
+                    slopes.append(extract(r))
+            elif kind == QUOT:
+                push(vals[a] / vals[b])
+            else:
+                push(a)
+        return vals
+
+    def _leaf_data(self):
+        """Per ``LinArg`` instruction, in tape order: its nonzero (coordinate,
+        coefficient) pairs, and a leaf of one coordinate through which the
+        gradient runs its kernel on a Dual (None for a linear form)."""
+        if self._leaves is None:
+            self._leaves = [(tuple((j, kj) for j, kj in enumerate(a.k) if kj != 0),
+                             None if a.fn is None else LinArg(a.fn, (1.0,)))
+                            for kind, a, _b in self.code if kind == _LEAF]
+        return self._leaves
+
+    def gradient(self, x):
+        """The partials of the first root at x along every coordinate of x:
+        the forward loop on plain numbers, then one adjoint sweep."""
+        pts = self._points(x)
+        slopes = []
+        vals = self._forward(pts, slopes)
+        code = self.code
+        adj = [0j] * len(code)
+        adj[self.out[0]] = 1.0 + 0j
+        grads = [[0j] * len(p) for p in pts]
+        leaves = reversed(self._leaves)
+        PROD, SCALE, SUM, LEAF, CALL, QUOT = _PROD, _SCALE, _SUM, _LEAF, _CALL, _QUOT
+        i = len(code)
+        for kind, a, b in reversed(code):
+            i -= 1
+            w = adj[i]
+            if kind == PROD:
+                adj[a] += w * vals[b]
+                adj[b] += w * vals[a]
+            elif kind == SCALE:
+                adj[b] += a * w
+            elif kind == SUM:
+                for j in a:
+                    adj[j] += w
+            elif kind == LEAF:
+                w = w * slopes.pop()
+                g = grads[b]
+                for j, kj in next(leaves)[0]:
+                    g[j] += w * kj
+            elif kind == CALL:
+                # one directional derivative per coordinate of the scope
+                g, pt = grads[b], pts[b]
+                for j in range(len(pt)):
+                    e = tuple(float(j == m) for m in range(len(pt)))
+                    g[j] += w * directional(a, pt, (e,))
+            elif kind == QUOT:
+                q = w / vals[b]
+                adj[a] += q
+                adj[b] -= q * vals[i]
+        for s in range(len(self.scopes), 0, -1):
+            g = grads[self.scopes[s - 1][0]]
+            for j, gj in enumerate(grads[s]):
+                g[j] += gj
+        return grads[0]
 
 
 class Const(Field):
@@ -157,8 +324,8 @@ class Const(Field):
     def __call__(self, x):
         return self.c
 
-    def _ev(self, x, memo):
-        return self.c
+    def _emit(self, tape, scope):
+        return tape.push(_CONST, self.c)
 
     def o_affine(self, w, v):
         return self
@@ -201,19 +368,10 @@ class LinArg(Field):
         for ki, xi in zip(self.k, x):
             if ki != 0:
                 z = z + ki * xi
-        if self.fn is None or type(z) is not Dual or type(z.eps) is not ndarray:
-            return z if self.fn is None else self.fn(z)
-        # an array tangent (a gradient_vec point): one kernel call on the
-        # scalar tangent 1, then the chain rule
-        r = self.fn(Dual(z.val, 1.0))
-        return Dual(value(r), extract(r) * z.eps)
+        return z if self.fn is None else self.fn(z)
 
-    def _ev(self, x, memo):
-        key = (self.fn, self.k, self.c0)
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = self(x)
-        return v
+    def _emit(self, tape, scope):
+        return tape.shared((LinArg, self.fn, self.k, self.c0), _LEAF, self, scope)
 
     def _o_affine(self, w, v, key):
         c0 = self.c0 if v is None else _form(self.k, self.c0, v)
@@ -265,12 +423,9 @@ class BiArg(Field):
     def __call__(self, x):
         return self.fn(_form(self.ka, self.ca, x), _form(self.kb, self.cb, x))
 
-    def _ev(self, x, memo):
-        key = (self.fn, self.ka, self.kb, self.ca, self.cb)
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = self(x)
-        return v
+    def _emit(self, tape, scope):
+        return tape.shared((BiArg, self.fn, self.ka, self.kb, self.ca, self.cb),
+                           _CALL, self, scope)
 
     def _o_affine(self, w, v, key):
         ca, cb = self.ca, self.cb
@@ -288,8 +443,8 @@ class Scale(Field):
         self.c = c
         self.f = f
 
-    def _eval(self, x, memo):
-        return self.c * self.f._ev(x, memo)
+    def _emit(self, tape, scope):
+        return tape.push(_SCALE, self.c, tape.slot(self.f, scope))
 
     def _o_affine(self, w, v, key):
         return Scale(self.c, self.f._image(w, v, key))
@@ -301,11 +456,8 @@ class NSum(Field):
     def __init__(self, parts):
         self.parts = parts
 
-    def _eval(self, x, memo):
-        out = 0j
-        for p in self.parts:
-            out = out + p._ev(x, memo)
-        return out
+    def _emit(self, tape, scope):
+        return tape.push(_SUM, tuple([tape.slot(p, scope) for p in self.parts]))
 
     def _o_affine(self, w, v, key):
         return NSum([p._image(w, v, key) for p in self.parts])
@@ -337,8 +489,9 @@ class Prod(Field):
         self.a = a
         self.b = b
 
-    def _eval(self, x, memo):
-        return self.a._ev(x, memo) * self.b._ev(x, memo)
+    def _emit(self, tape, scope):
+        a = tape.slot(self.a, scope)
+        return tape.push(_PROD, a, tape.slot(self.b, scope))
 
     def _o_affine(self, w, v, key):
         return Prod(self.a._image(w, v, key), self.b._image(w, v, key))
@@ -351,8 +504,9 @@ class Quot(Field):
         self.a = a
         self.b = b
 
-    def _eval(self, x, memo):
-        return self.a._ev(x, memo) / self.b._ev(x, memo)
+    def _emit(self, tape, scope):
+        a = tape.slot(self.a, scope)
+        return tape.push(_QUOT, a, tape.slot(self.b, scope))
 
     def _o_affine(self, w, v, key):
         return Quot(self.a._image(w, v, key), self.b._image(w, v, key))
@@ -367,8 +521,11 @@ class Deriv(Field):
         self.base = base
         self.dirs = tuple(dirs)
 
-    def _eval(self, x, memo):
+    def __call__(self, x):
         return directional(self.base, tuple(x), self.dirs)
+
+    def _emit(self, tape, scope):
+        return tape.push(_CALL, self, scope)
 
     def _o_affine(self, w, v, key):
         # (D_d f)(w x + v) = D_{w^-1 d} (f(w x + v))
@@ -404,8 +561,11 @@ class FuncField(Field):
     def __init__(self, fn):
         self.fn = fn
 
-    def _eval(self, x, memo):
+    def __call__(self, x):
         return self.fn(x)
+
+    def _emit(self, tape, scope):
+        return tape.push(_CALL, self, scope)
 
 
 class XLift(Field):
@@ -417,13 +577,8 @@ class XLift(Field):
         self.base = base
         self.n = n
 
-    def _eval(self, z, memo):
-        # every XLift at this phase point shares one x-space scope
-        key = (XLift, self.n)
-        xmemo = memo.get(key)
-        if xmemo is None:
-            xmemo = memo[key] = {}
-        return self.base._ev(z[:self.n], xmemo)
+    def _emit(self, tape, scope):
+        return tape.slot(self.base, tape.scope(scope, self.n))
 
 
 def symmetrized(field, group_elements):

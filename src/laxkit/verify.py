@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import gradient_vec, value
-from .fields import ZERO, PoleError, Scale, evaluate
+from .fields import ZERO, PoleError, Scale, Tape
 from .opcore import OperatorMatrix, residual_pair
 
 DEFAULT_POINTS = 8
@@ -129,16 +129,17 @@ def residual_evalfn(lhs, rhs, probes):
     ``lhs`` and ``rhs`` are scalar operators or OperatorMatrix objects of
     one size; ``rhs=None`` means lhs = 0.  At a point x the value is the max
     over entries and probes of residual_pair(lhs f (x), rhs f (x)), with
-    all the sides evaluated in one memo scope, so the field nodes shared
-    between entries are computed once per point.
+    all the sides compiled into one tape, so the field nodes shared between
+    entries are computed once per point.
     """
     lops = _entries(lhs)
     rops = [None] * len(lops) if rhs is None else _entries(rhs)
     roots = [g for a, b in zip(lops, rops) for p in probes
              for g in (a.apply_field(p), ZERO if b is None else b.apply_field(p))]
+    tape = Tape(roots)
 
     def evalfn(x):
-        vals = evaluate(roots, x)
+        vals = tape(x)
         return max((residual_pair(value(v1), value(v2))
                     for v1, v2 in zip(vals[::2], vals[1::2])), default=0.0)
     return evalfn
@@ -192,7 +193,7 @@ def poisson_residual(f, g, z, n):
 
 def hamiltonian_rhs(H, z, n):
     g = gradient_vec(H, z)
-    return tuple(g[n:]) + tuple(-g[:n])
+    return tuple(g[n:]) + tuple(-v for v in g[:n])
 
 
 def rk4_step(H, z, dt, n):
@@ -262,17 +263,24 @@ def isospectral_drift(L_fn, traj):
     return max(charpoly_drifts(L_fn(z) for z in traj), default=0.0)
 
 
-def _matrix_at(entry_fields, z):
-    """Entry values at z from one memo scope, as nested row lists."""
-    vals = evaluate([e for row in entry_fields for e in row], z)
+def _matrix_fn(entry_fields):
+    """Phase-point callable giving the entry values as nested row lists, from
+    one tape of all the entries."""
+    tape = Tape([e for row in entry_fields for e in row])
     m = len(entry_fields[0]) if entry_fields else 0
-    return [vals[i:i + m] for i in range(0, len(vals), m)]
+
+    def at(z):
+        vals = tape(z)
+        return [vals[i:i + m] for i in range(0, len(vals), m)]
+    return at
 
 
 def matrix_fn_from_fields(entry_fields):
     """Phase-point callable producing a numeric matrix from entry fields."""
+    at = _matrix_fn(entry_fields)
+
     def L_fn(z):
-        return [[value(v) for v in row] for row in _matrix_at(entry_fields, z)]
+        return [[value(v) for v in row] for row in at(z)]
     return L_fn
 
 
@@ -291,13 +299,15 @@ def _trace_power(mat, k):
 
 def trace_power_fn(entry_fields, k):
     """Dual-safe tr L^k as a function of the phase point."""
-    return lambda z: _trace_power(_matrix_at(entry_fields, z), k)
+    at = _matrix_fn(entry_fields)
+    return lambda z: _trace_power(at(z), k)
 
 
 def spectral_invariants(entry_fields, powers, points):
     """Per point, ([tr L^k for k in powers], characteristic-polynomial drift
     from the first point), from one evaluation of the matrix L per point."""
-    mats = [_matrix_at(entry_fields, z) for z in points]
+    at = _matrix_fn(entry_fields)
+    mats = [at(z) for z in points]
     drifts = charpoly_drifts([[value(v) for v in row] for row in mat] for mat in mats)
     return [([_trace_power(mat, k) for k in powers], drift)
             for mat, drift in zip(mats, drifts)]

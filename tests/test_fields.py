@@ -1,19 +1,21 @@
-"""Field evaluation: one memo scope per point over the shared field DAG, and
-the structure shared at construction (affine images and derivative nodes)."""
+"""Field evaluation: one tape per root set over the shared field DAG, its
+gradient by an adjoint sweep, and the structure shared at construction
+(affine images and derivative nodes)."""
 
 import gc
 
 import pytest
 
 from laxkit.dual import Dual, d_exp, directional, gradient_vec, seed, value
-from laxkit.fields import (BiArg, Deriv, Field, FuncField, LinArg, PoleError,
-                           Quot, Scale, XLift, evaluate, exp_lin, inv_form,
-                           linear_form, momentum)
+from laxkit.fields import (BiArg, Const, Deriv, Field, FuncField, LinArg,
+                           PoleError, Quot, Scale, Tape, XLift, evaluate, exp_lin,
+                           inv_form, linear_form, momentum)
 from laxkit.koorn import CCnParams, koornwinder_lax
 from laxkit.opcore import OperatorMatrix, WOp, field_dmulti
 from laxkit.special import sigma
-from laxkit.suites import RunConfig, build_suite, default_params
-from laxkit.verify import residual_evalfn
+from laxkit.suites import (RunConfig, build_suite, classical_flow_setup,
+                           default_params)
+from laxkit.verify import hamiltonian_flow, residual_evalfn, spectral_invariants
 from laxkit.weyl import SignedPerm
 
 N = 4                                   # phase points (x1, x2, p1, p2)
@@ -167,17 +169,76 @@ def test_point_moving_nodes_without_a_rule_refuse_affine_maps(node):
         node.o_affine(W, V)
 
 
-def test_array_tangent_leaf_gives_the_per_direction_derivatives():
-    kernel = lambda z: sigma(0.31 - 0.02j, z, 0.3 + 0.8j)
-    leaf = LinArg(kernel, (0.7, -1.2, 0.0, 0.4), 0.05j)
-    bileaf = BiArg(lambda a, b: kernel(a) * d_exp(b), (0.7, -1.2, 0.0, 0.4),
-                   (0.0, 0.3, 0.0, -0.5))
-    for f in (leaf, bileaf):
-        grad = gradient_vec(f, Z)
-        for i in range(N):
-            e = tuple(float(i == j) for j in range(N))
-            want = directional(f, Z, [e])
-            assert abs(grad[i] - want) <= 1e-14 * (1 + abs(want))
+def gradient_matches_directional(f, z):
+    """gradient_vec of f at z equals directional along each basis vector to
+    1e-13 relative (an exactly zero partial to 1e-13 of the largest)."""
+    got = gradient_vec(f, z)
+    want = [directional(f, z, [tuple(float(i == j) for j in range(len(z)))])
+            for i in range(len(z))]
+    scale = max(abs(w) for w in want)
+    return len(got) == len(z) and all(abs(g - w) <= 1e-13 * (abs(w) or scale)
+                                      for g, w in zip(got, want))
+
+
+def _kernel(z):
+    return sigma(0.31 - 0.02j, z, 0.3 + 0.8j)
+
+
+_LEAF = LinArg(_kernel, (0.7, -1.2, 0.0, 0.4), 0.05j)
+_FORM = linear_form((0.3, 0.0, -0.6, 1.1), 0.2)
+_XLEAF = LinArg(d_exp, (1.0, -0.5))
+INSTRUCTION_KINDS = {
+    "Const": Const(0.7 - 0.2j) * _LEAF,
+    "LinArg-kernel": _LEAF,
+    "LinArg-form": _FORM,
+    "BiArg": BiArg(lambda a, b: _kernel(a) * d_exp(b), (0.7, -1.2, 0.0, 0.4),
+                   (0.0, 0.3, 0.0, -0.5)),
+    "Scale": Scale(2.5 - 1.0j, _LEAF),
+    "NSum": _LEAF + _FORM + exp_lin((0.0, 0.2, 0.1, 0.0)),
+    "Prod": _LEAF * _FORM,
+    "Quot": Quot(_LEAF, 1.5 + _FORM),
+    "XLift-shared-scope": (XLift(2.0 * _XLEAF, 2) * momentum(2, 0)
+                           + XLift(_XLEAF * _XLEAF, 2) * exp_lin((0.4, 0.0, 0.0, 0.3))),
+    "Deriv": Deriv(_LEAF * _FORM, (DIR,)),
+    "FuncField": FuncField(lambda z: z[0] * d_exp(z[1] * z[3])),
+}
+
+
+@pytest.mark.parametrize("kind", INSTRUCTION_KINDS)
+def test_gradient_is_the_directional_derivative_per_basis_vector(kind):
+    assert gradient_matches_directional(INSTRUCTION_KINDS[kind], Z)
+
+
+FLOW_RANKS = {"rational-A": 3, "trig-gln": 3, "inozemtsev": 2, "koornwinder": 2,
+              "vandiejen": 2}
+
+
+def _flow_setup(system):
+    rank = FLOW_RANKS[system]
+    return classical_flow_setup(RunConfig(system=system, rank=rank,
+                                          params=default_params(system, rank)))
+
+
+@pytest.mark.parametrize("system", FLOW_RANKS)
+def test_flow_hamiltonian_gradient_is_the_directional_derivative(system):
+    H, _Lf, _n, _powers, z0 = _flow_setup(system)
+    assert gradient_matches_directional(H, tuple(z0))
+
+
+def test_a_flow_compiles_its_hamiltonian_and_lax_matrix_once(monkeypatch):
+    H, Lf, n, powers, z0 = _flow_setup("rational-A")
+    compiled = []
+    init = Tape.__init__
+
+    def counting(tape, roots):
+        compiled.append(list(roots))
+        init(tape, roots)
+    monkeypatch.setattr(Tape, "__init__", counting)
+    _t, traj = hamiltonian_flow(H, z0, T=0.1, dt=1e-2, n=n)
+    assert len(traj) == 11 and compiled == [[H]]
+    compiled.clear()
+    rows = spectral_invariants(Lf, powers, traj)
+    assert len(rows) == 11 and compiled == [[e for row in Lf for e in row]]
 
 
 def test_xlifts_at_one_phase_point_share_one_x_space_scope():

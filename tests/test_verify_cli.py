@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from laxkit.cli import main as cli_main
-from laxkit.fields import BiArg, FuncField, LinArg, PoleError, Scale
+from laxkit.fields import BiArg, FuncField, LinArg, PoleError, Scale, Tape
 from laxkit.opcore import DiffOp, WOp
 from laxkit.special import DIFFERENCE_REGIMES, DIFFERENTIAL_REGIMES
 from laxkit.suites import (KNOWN_SYSTEMS, SYSTEMS, ConfigError, RunConfig,
@@ -169,14 +169,13 @@ def test_cli_flow_csv(tmp_path):
 def test_cli_flow_evaluates_lax_matrix_once_per_row(tmp_path, monkeypatch):
     # the trL^k columns and the charpoly drift of a row share one evaluation
     # of the L entry fields (trig-gln writes four trace powers)
-    import laxkit.verify as verify
     calls = []
-    real = verify.evaluate
+    real = Tape.__call__
 
-    def counting(roots, x):
-        calls.append(len(roots))
-        return real(roots, x)
-    monkeypatch.setattr(verify, "evaluate", counting)
+    def counting(tape, x):
+        calls.append(len(tape.out))
+        return real(tape, x)
+    monkeypatch.setattr(Tape, "__call__", counting)
     csvpath = tmp_path / "traj.csv"
     assert cli_main(["flow", "--system", "trig-gln", "--rank", "2", "--time", "0.05",
                      "--dt", "1e-2", "--csv", str(csvpath)]) == 0
