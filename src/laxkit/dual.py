@@ -4,7 +4,9 @@ A ``Dual`` carries a value and one infinitesimal component; nesting duals
 inside duals yields exact higher-order and mixed directional derivatives.
 Kernels are written against the small generic API here (Dual arithmetic,
 ``d_exp``, ``taylor``), so any expression built from them can be
-differentiated to arbitrary depth without symbolic calculus.
+differentiated to arbitrary depth without symbolic calculus.  Gradients
+(``gradient_vec``) come from a field's compiled tape in ``fields``, by one
+adjoint sweep.
 """
 
 from __future__ import annotations
