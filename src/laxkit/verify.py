@@ -14,8 +14,6 @@ import random
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .dual import gradient_vec, value
 from .fields import ZERO, PoleError, Scale, Tape
 from .opcore import OperatorMatrix, residual_pair
@@ -245,16 +243,64 @@ def energy_drift(H, traj):
     return max(abs(value(H(z)) - e0) / (1.0 + abs(e0)) for z in traj)
 
 
+def charpoly(mat):
+    """Coefficients of det(x I - A), highest power first (leading 1), of a
+    square matrix given as row lists.
+
+    Wilkinson, The Algebraic Eigenvalue Problem (1965), ch. 7: reduce A to
+    upper Hessenberg form H by Gaussian similarity transforms with partial
+    pivoting (a column whose pivot is exactly 0 is already reduced), then
+    expand det(x I - H) by the Hessenberg determinant recurrence (Hyman)
+        p_k = (x - h_kk) p_{k-1} - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_{i-1}
+    over the leading principal submatrices, p_0 = 1.
+    """
+    a = [[complex(v) for v in row] for row in mat]
+    n = len(a)
+    for k in range(1, n - 1):
+        p = max(range(k, n), key=lambda i: abs(a[i][k - 1]))
+        pivot = a[p][k - 1]
+        if pivot == 0:
+            continue
+        if p != k:
+            a[p], a[k] = a[k], a[p]
+            for row in a:
+                row[p], row[k] = row[k], row[p]
+        for i in range(k + 1, n):
+            m = a[i][k - 1] / pivot
+            if m == 0:
+                continue
+            ri, rk = a[i], a[k]
+            for j in range(k, n):
+                ri[j] -= m * rk[j]
+            for row in a:
+                row[k] += m * row[i]
+    polys = [[1.0 + 0j]]
+    for k in range(n):
+        prev = polys[k]
+        pk = prev + [0j]
+        for j, c in enumerate(prev):
+            pk[j + 1] -= a[k][k] * c
+        sub = 1.0 + 0j
+        for i in range(k, 0, -1):
+            sub *= a[i][i - 1]
+            f = a[i - 1][k] * sub
+            off = k + 2 - i
+            for j, c in enumerate(polys[i - 1]):
+                pk[off + j] -= f * c
+        polys.append(pk)
+    return polys[n]
+
+
 def charpoly_drifts(matrices):
     """Per-matrix drift of the characteristic-polynomial coefficients from
     those of the first matrix, over 1 + their max size."""
     out = []
     for mat in matrices:
-        coeffs = np.poly(np.array(mat, dtype=complex))
+        coeffs = charpoly(mat)
         if not out:
             ref = coeffs
-            scale = 1.0 + float(np.max(np.abs(ref)))
-        out.append(float(np.max(np.abs(coeffs - ref)) / scale))
+            scale = 1.0 + max(abs(c) for c in ref)
+        out.append(max(abs(c - r) for c, r in zip(coeffs, ref)) / scale)
     return out
 
 

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from laxkit.cli import main as cli_main
@@ -16,10 +17,10 @@ from laxkit.opcore import DiffOp, WOp
 from laxkit.special import DIFFERENCE_REGIMES, DIFFERENTIAL_REGIMES
 from laxkit.suites import (KNOWN_SYSTEMS, SYSTEMS, ConfigError, RunConfig,
                            classical_flow_setup, default_params)
-from laxkit.verify import (PointPolicy, VerificationReport, decode_number,
-                           encode_params, energy_drift, hamiltonian_flow,
-                           isospectral_drift, poisson_bracket, run_point_max,
-                           rng_for)
+from laxkit.verify import (PointPolicy, VerificationReport, charpoly,
+                           decode_number, encode_params, energy_drift,
+                           hamiltonian_flow, isospectral_drift,
+                           poisson_bracket, run_point_max, rng_for)
 
 
 def test_poisson_bracket_basics():
@@ -71,6 +72,54 @@ def test_isospectral_drift_constant_matrix():
     Lfn = matrix_fn_from_fields(L)
     traj = [(0.1, 0.2, 0.3, 0.4)] * 5
     assert isospectral_drift(Lfn, traj) == 0.0
+
+
+def _charpoly_error(mat):
+    """max |c - c_np| / (1 + max |c_np|) against numpy's np.poly."""
+    c = charpoly(mat)
+    ref = np.poly(np.array(mat, dtype=complex))
+    assert len(c) == len(ref) and c[0] == 1
+    return max(abs(a - b) for a, b in zip(c, ref)) / (1 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_charpoly_matches_numpy_on_seeded_complex_matrices(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        mat = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+               for _ in range(n)]
+        assert _charpoly_error(mat) <= 1e-12
+
+
+@pytest.mark.parametrize("mat", [
+    [[1, 2, 3], [0, 4, 5], [6, 7, 8]],
+    [[1, 2, 3, 4], [1e-3, 5, 6, 7], [0.5, -2, 8, 9], [0, 3j, 1, 2]],
+], ids=["first-column", "second-column"])
+def test_charpoly_with_a_row_swap(mat):
+    assert _charpoly_error(mat) <= 1e-12
+
+
+@pytest.mark.parametrize("mat", [
+    [[1, 2, 3], [0, 4, 5], [0, 7, 8]],
+    [[1, 2, 3, 4], [5, 6, 7, 8], [0, 0, 1, 2], [0, 0, 3, 4]],
+], ids=["first-column", "zero-subdiagonal"])
+def test_charpoly_with_a_zero_pivot(mat):
+    assert _charpoly_error(mat) <= 1e-12
+
+
+def test_charpoly_of_upper_triangular_is_product_of_linear_factors():
+    diag = (2.0, -1 + 0.5j, 3j, 0.25, -4.0)
+    rng = random.Random(0)
+    mat = [[diag[i] if i == j else
+            (complex(rng.gauss(0, 1), rng.gauss(0, 1)) if j > i else 0.0)
+            for j in range(5)] for i in range(5)]
+    expected = [1.0]
+    for d in diag:
+        expected = [a - d * b for a, b in zip(expected + [0.0], [0.0] + expected)]
+    c = charpoly(mat)
+    assert len(c) == len(expected)
+    assert max(abs(a - b) for a, b in zip(c, expected)) <= 1e-14 * (
+        1 + max(abs(e) for e in expected))
 
 
 def test_run_point_max_resamples_poles():
@@ -310,6 +359,22 @@ def test_verify_imports_only_its_system_module():
     rc, *loaded = r.stdout.split()
     assert rc == "0"
     assert SYSTEM_MODULES & set(loaded) == {"laxkit.trig"}
+
+
+def test_cli_flow_and_verify_run_without_numpy():
+    # numpy is a test-only oracle: the package imports none of it
+    code = ("import io, sys, contextlib\n"
+            "from laxkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    rcs = [main(['flow', '--system', 'trig-gln', '--rank', '3', "
+            "'--time', '0.05', '--dt', '1e-2']),\n"
+            "           main(['verify', '--system', 'trig-gln', '--rank', '2'])]\n"
+            "print(*rcs, *(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=dict(os.environ))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", "0"]
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
