@@ -270,7 +270,7 @@ def charpoly(mat):
             if m == 0:
                 continue
             ri, rk = a[i], a[k]
-            for j in range(k, n):
+            for j in range(k, n):           # a[i][k - 1] is never read again
                 ri[j] -= m * rk[j]
             for row in a:
                 row[k] += m * row[i]
