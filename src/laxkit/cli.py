@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -31,11 +32,16 @@ def load_params(path):
         raise ConfigError("params file must hold a JSON object")
     out = {}
     for k, v in raw.items():
-        if isinstance(v, list):
-            out[k] = [decode_number(x) for x in v]
-        else:
-            out[k] = decode_number(v)
+        try:
+            out[k] = ([decode_number(x) for x in v] if isinstance(v, list)
+                      else decode_number(v))
+        except (TypeError, ValueError):
+            raise ConfigError(f"parameter {k} is not a number") from None
     return out
+
+
+def _is_number(v):
+    return isinstance(v, (int, float, complex)) and not isinstance(v, bool)
 
 
 def make_config(args, perturb=0.0) -> RunConfig:
@@ -47,6 +53,15 @@ def make_config(args, perturb=0.0) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown parameter keys {sorted(unknown)}; "
                               f"expected a subset of {sorted(params)}")
+        for k, v in loaded.items():
+            default = params[k]
+            if isinstance(default, list):
+                if not (isinstance(v, list) and len(v) == len(default)
+                        and all(map(_is_number, v))):
+                    raise ConfigError(f"parameter {k} must be a list of "
+                                      f"{len(default)} numbers")
+            elif not _is_number(v):
+                raise ConfigError(f"parameter {k} is not a number")
         params.update(loaded)
     return RunConfig(system=args.system, rank=args.rank, params=params,
                      seed=args.seed, perturb=perturb)
@@ -78,6 +93,10 @@ def cmd_verify(args):
 
 
 def cmd_flow(args):
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        raise ConfigError(f"--dt must be finite and > 0, got {args.dt}")
+    if not (math.isfinite(args.time) and args.time >= 0):
+        raise ConfigError(f"--time must be finite and >= 0, got {args.time}")
     config = make_config(args)
     H, Lf, n, powers, z0 = classical_flow_setup(config)
     rows = []

@@ -7,13 +7,12 @@ parameter and turns the quadratic split <y,y> - const = H + A into a Lax
 pair on M' after dropping scalar terms (which are retained internally so
 the split closes exactly).  The Planck constant t is the only flavor
 switch: the classical Lax matrices and Hamiltonians are the same operators
-built at t = 0, where (t d)_k reads as p_k, and read with
-``phase_field``.
+built at t = 0, where (t d)_k reads as p_k in their ``phase_field``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .fields import Const, Field, LinArg, nsum
 from .opcore import DiffOp, LaxPair, OperatorMatrix
@@ -201,12 +200,16 @@ def split_a_operator(cfg) -> DiffOp:
     return op
 
 
-def elliptic_split(cfg):
-    """(H, A, const) with <y,y>-normalized split: lhs - const = H + A."""
-    H = split_hamiltonian(cfg)
-    A = split_a_operator(cfg)
-    const = split_constant(cfg)
-    return H, A, const
+def dual_substitution(cfg: EllipticDunklConfig) -> DiffOp:
+    """L_q^vee(y(lambda), lambda), the left side of the quadratic split
+    L_q^vee = split_hamiltonian + split_a_operator: (1/2)<y,y> - (1/2) sum
+    c^2 <a,a> wp(<a^vee,lambda>) in type A, and <y,y> minus its dual-coupled
+    constant in the BC flavor.  At t = 0 its symbol is the regularity probe:
+    the classical CM Hamiltonian on the identity component and 0 off it, for
+    every lambda."""
+    scale = 0.5 if not cfg.bc else 1.0
+    return (quadratic_sum(cfg).scale(scale)
+            - DiffOp.from_field(cfg.rs.dim, cfg.t, Const(split_constant(cfg))))
 
 
 # -- type A Lax pair -------------------------------------------------------
@@ -307,43 +310,3 @@ def inozemtsev_tables(n, t, c, g, mu, tau):
         Arows.append(Arow)
     return OperatorMatrix(Lrows), OperatorMatrix(Arows)
 
-
-def classical_inozemtsev_fields(n, c, g, mu, tau):
-    """Phase-field entries of the classical Inozemtsev Lax matrix (inolax):
-    y_1 at lambda = (mu, 0, ..., 0) and t = 0, restricted to M'."""
-    rs = build_root_system("C", n)
-    cfg = EllipticDunklConfig(rs, 0.0, c, tau, (mu,) + (0,) * (n - 1), g=tuple(g))
-    tbl = orbit_stabilizer(rs, ext_coord(n, 0))
-    return [[e.phase_field() for e in row]
-            for row in elliptic_dunkl(cfg, 0).restrict(tbl).entries]
-
-
-def classical_inozemtsev_hamiltonian(n, c, g, tau):
-    """H = sum p_i^2 - 2c^2 sum (wp(x_ij) + wp(x^+_ij)) - sum_i sum_r g_r^2 wp(x_i + om_r)."""
-    rs = build_root_system("C", n)
-    return classical_cm_phase_field(EllipticDunklConfig(rs, 0.0, c, tau, (0j,) * n,
-                                                        g=tuple(g)))
-
-
-def classical_cm_phase_field(cfg: EllipticDunklConfig):
-    """Classical elliptic CM Hamiltonian as a phase field: the split H at t = 0.
-
-    Type A: (1/2) sum p^2 - (1/2) sum c^2 <a,a> wp(<a,x>);
-    BC: sum p^2 - 2c^2 sum (wp +- combos) - sum g_r^2 wp(x_i + om_r).
-    """
-    return split_hamiltonian(replace(cfg, t=0.0)).phase_field()
-
-
-# -- regularity probes ------------------------------------------------------
-
-def classical_dual_substitution(cfg: EllipticDunklConfig) -> DiffOp:
-    """L_q^{vee,c}(y^c(lambda), lambda) for q = <xi,xi>/2-normalized forms.
-
-    Type A uses (1/2)<y,y> - (1/2) sum c^2 <a,a> wp(<a^vee,lambda>); the BC
-    flavor uses <y,y> minus its dual-coupled constant, following the
-    quadratic split normalizations.
-    """
-    qy = quadratic_sum(replace(cfg, t=0.0))
-    const = split_constant(cfg)
-    scale = 0.5 if not cfg.bc else 1.0
-    return qy.scale(scale) - DiffOp.from_field(cfg.rs.dim, 0.0, Const(const))

@@ -703,19 +703,6 @@ def dual_factor_identity_residual(params: EllRParams, xi, probes, points):
     return worst
 
 
-# -- classical van Diejen: the c = 0 operators, t(e_i) read as e^{p_i} --
-
-def vd_classical_fields(p: VDParams, eta):
-    """Phase-field entries of the classical van Diejen Lax matrix L = P Q."""
-    pc = replace(p, c=0.0)
-    Lc = vd_p_matrix(pc, eta) * vd_q_matrix(pc, eta)
-    return [[e.phase_field() for e in row] for row in Lc.entries]
-
-
-def vd_classical_hamiltonian(p: VDParams):
-    return vd_hamiltonian(replace(p, c=0.0)).phase_field()
-
-
 # -- residue conditions ------------------------------------------------------
 
 # distances to a hyperplane at which a growth exponent is read

@@ -151,12 +151,6 @@ def as_field(x):
     return Const(complex(x))
 
 
-def evaluate(roots, x):
-    """Values of the fields ``roots`` at x from one tape, so a node shared
-    between roots is computed once."""
-    return Tape(roots)(x)
-
-
 # instruction kinds of a Tape
 _LEAF, _CALL, _SUM, _SCALE, _PROD, _QUOT, _CONST = range(7)
 

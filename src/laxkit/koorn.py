@@ -11,7 +11,7 @@ collapse of sum_i (Y_i + Y_i^{-1}).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .fields import Const, Field, LinArg, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
@@ -298,16 +298,3 @@ def phi_vector_ccn(p: CCnParams):
         out.append(f)
     return out
 
-
-# -- classical limit: the c = 0 operators with t(e_i) read as e^{p_i} --
-
-def classical_pq(p: CCnParams):
-    """Phase-field entries of the classical L = P Q (q = 1, t -> e^p)."""
-    pc = replace(p, c=0.0)
-    Lc = p_matrix(pc) * q_matrix(pc)
-    return [[e.phase_field() for e in row] for row in Lc.entries]
-
-
-def classical_hamiltonian_ccn(p: CCnParams):
-    Hc, _f = koornwinder_hamiltonian(replace(p, c=0.0))
-    return Hc.phase_field()

@@ -535,6 +535,9 @@ class OperatorMatrix:
         return [nsum([self.entries[i][j].apply_field(fields[j])
                       for j in range(self.m)]) for i in range(self.m)]
 
+    def phase_field(self):
+        """The entries' classical symbols as nested lists of phase fields."""
+        return [[e.phase_field() for e in row] for row in self.entries]
 
 
 # -- Lax pairs -----------------------------------------------------------

@@ -4,9 +4,9 @@ The Dunkl operator y_xi = t d_xi + sum_{a>0} c_a <a,xi>/<a,x> s_a generates
 everything here: invariant polynomials in the y's split as q(y) = L_q + A
 with A e = 0, and restricting to M' = e'M turns (y_xi, A) into a quantum Lax
 pair of size |W/W'|.  The Planck constant t is the only flavor switch: the
-classical entry points build the same operators at t = 0, where (t d)_k
-reads as p_k, so the Lax matrix is the Moser matrix; the classical
-A-partner is minus the t-linear part of the quantum A.
+same operators built at t = 0, where (t d)_k reads as p_k, give the classical
+pair, whose Lax matrix is the Moser matrix; the classical A-partner is minus
+the t-linear part of the quantum A (``classical_a_matrix``).
 """
 
 from __future__ import annotations
@@ -165,26 +165,10 @@ def kks_matrices(cfg, tbl):
     return lhs, ones
 
 
-def classical_lax(cfg):
-    """Classical Lax pair: L = y_{e_1} at t = 0, and A = minus the t-coefficient
-    of the quantum A-matrix, which is -A_hat at t = 1 because the split of
-    <y,y>/2 is linear in t off the identity.  Neither depends on cfg.t.
-
-    Returns (tbl, L entry fields, A entry fields) where entries are phase
-    fields over (x_1..x_n, p_1..p_n).
-    """
-    xi = ext_coord(cfg.rs.dim, 0)
-    tbl = orbit_stabilizer(cfg.rs, xi)
-    Lmat = dunkl(replace(cfg, t=0.0), xi).restrict(tbl)
+def classical_a_matrix(cfg):
+    """Classical A-partner of the Moser matrix: minus the t-coefficient of the
+    quantum A, which is -A_hat restricted to M' at t = 1 because the split of
+    <y,y>/2 is linear in t off the identity.  It does not depend on cfg.t."""
+    tbl = orbit_stabilizer(cfg.rs, ext_coord(cfg.rs.dim, 0))
     _qy, _L, A_hat = cm_split(replace(cfg, t=1.0), ((0.5, 2),))
-    Amat = A_hat.restrict(tbl).scale(-1.0)
-    L_fields = [[e.phase_field() for e in row] for row in Lmat.entries]
-    A_fields = [[e.phase_field() for e in row] for row in Amat.entries]
-    return tbl, L_fields, A_fields
-
-
-def classical_hamiltonian(cfg):
-    """q(y) = <y,y>/2 at t = 0 collapsed to a phase field (off-identity parts
-    vanish)."""
-    qy, L_q, _A = cm_split(replace(cfg, t=0.0), ((0.5, 2),))
-    return L_q.phase_field(), qy
+    return A_hat.restrict(tbl).scale(-1.0)

@@ -11,16 +11,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, replace
 
-from .fields import Const, symmetrized
-from .opcore import DiffOp, OperatorMatrix, WOp, integrals, make_probes
+from .fields import symmetrized
+from .opcore import OperatorMatrix, WOp, integrals, make_probes
 from .special import CouplingSet
 from .verify import (PointPolicy, residual_evalfn, rng_for, run_check,
                      scalar_check)
-from .weyl import build_root_system, ext_coord, weyl_enumerate
-
-
-class ConfigError(ValueError):
-    pass
+from .weyl import ConfigError, build_root_system, ext_coord, weyl_enumerate
 
 
 @dataclass
@@ -211,11 +207,9 @@ def suite_ellcm(config: RunConfig, bc=False):
                              npoints=5))
     rng = rng_for(config.seed, "split")
     probes = make_probes(n, 2, rng)
-    qy = ellcm.quadratic_sum(cfg)
-    H, A, const = ellcm.elliptic_split(cfg)
-    scale = 0.5 if not bc else 1.0
-    lhs = qy.scale(scale) - DiffOp.from_field(n, cfg.t, Const(const))
-    out.append(run_check("quadratic-split", 1e-9, residual_evalfn(lhs, H + A, probes),
+    HA = ellcm.split_hamiltonian(cfg) + ellcm.split_a_operator(cfg)
+    out.append(run_check("quadratic-split", 1e-9,
+                         residual_evalfn(ellcm.dual_substitution(cfg), HA, probes),
                          rng, policy, npoints=5))
     rng = rng_for(config.seed, "lax")
     probes = make_probes(n, 2, rng)
@@ -309,28 +303,23 @@ def _z0(xs, p0):
 def _flow_rational(p, n):
     from . import rational as rat
     rs = build_root_system("A", n)
-    cfg = rat.RationalDunklConfig(rs, t=p["t"], c_short=p["c"])
-    H, _ = rat.classical_hamiltonian(cfg)
-    _tbl, Lf, _Af = rat.classical_lax(cfg)
-    return H, Lf, (1, 2, 3, 4), _z0([0.45 * i - 0.4 for i in range(n)], 0.1)
+    lax = rat.lax_pair_rational(rat.RationalDunklConfig(rs, t=0.0, c_short=p["c"]))
+    return lax.H, lax.L, (1, 2, 3, 4), _z0([0.45 * i - 0.4 for i in range(n)], 0.1)
 
 
 def _flow_trig(p, n):
     from . import trig
     cfg = trig.TrigGLConfig(n=n, tau=abs(p["tau"]), c=0.0)
-    H = trig.classical_mr_hamiltonian(cfg)
-    Lf, _Af = trig.classical_lax_gln(cfg)
-    return H, Lf, (1, 2, 3, 4), _z0([0.5 * i - 0.4 for i in range(n)], 0.08)
+    return (trig.mr_operator(cfg), trig.lax_tables(cfg)[0], (1, 2, 3, 4),
+            _z0([0.5 * i - 0.4 for i in range(n)], 0.08))
 
 
 def _flow_inozemtsev(p, n):
     from . import ellcm
-    tau = complex(0, p["tau"].imag)
     g = tuple(complex(0, v.imag * 0.15) for v in p["g"])
-    c = complex(0, p["c"].imag * 0.12)
-    H = ellcm.classical_inozemtsev_hamiltonian(n, c, g, tau)
-    Lf = ellcm.classical_inozemtsev_fields(n, c, g, p["mu"].real or 0.24, tau)
-    return H, Lf, (2, 4), _z0([0.2 + 0.15 * i for i in range(n)], 0.012)
+    lax = ellcm.lax_inozemtsev(n, 0.0, complex(0, p["c"].imag * 0.12), g,
+                               p["mu"].real or 0.24, complex(0, p["tau"].imag))
+    return lax.H, lax.L, (2, 4), _z0([0.2 + 0.15 * i for i in range(n)], 0.012)
 
 
 def _flow_koorn(p, n):
@@ -338,29 +327,32 @@ def _flow_koorn(p, n):
     pc = koorn.CCnParams(n=n, tau0=abs(p["tau0"]), tau0v=abs(p["tau0v"]),
                          taun=abs(p["taun"]), taunv=abs(p["taunv"]),
                          tau=abs(p["tau"]), c=0.0)
-    H = koorn.classical_hamiltonian_ccn(pc)
-    Lf = koorn.classical_pq(pc)
-    return H, Lf, (2, 4), _z0([0.4 + 0.35 * i - 1.0 for i in range(n)], 0.1)
+    H, _fY = koorn.koornwinder_hamiltonian(pc)
+    return (H, koorn.p_matrix(pc) * koorn.q_matrix(pc), (2, 4),
+            _z0([0.4 + 0.35 * i - 1.0 for i in range(n)], 0.1))
 
 
 def _flow_vandiejen(p, n):
     from . import ellrel
-    tau = complex(0, p["tau"].imag)
     pr = ellrel.VDParams(n, abs(p["mu"]), abs(p["nu"]), abs(p["nub"]),
                          tuple(abs(v) * 0.5 for v in p["g"]),
-                         tuple(abs(v) * 0.5 for v in p["gb"]), 0.0, tau)
-    H = ellrel.vd_classical_hamiltonian(pr)
-    Lf = ellrel.vd_classical_fields(pr, abs(p["eta"]))
-    return H, Lf, (2, 4), _z0([0.19 + 0.14 * i for i in range(n)], 0.015)
+                         tuple(abs(v) * 0.5 for v in p["gb"]), 0.0,
+                         complex(0, p["tau"].imag))
+    eta = abs(p["eta"])
+    return (ellrel.vd_hamiltonian(pr),
+            ellrel.vd_p_matrix(pr, eta) * ellrel.vd_q_matrix(pr, eta), (2, 4),
+            _z0([0.19 + 0.14 * i for i in range(n)], 0.015))
 
 
 def classical_flow_setup(config: RunConfig):
-    """(H phase field, L entry fields, n, trace powers, z0) for flow runs."""
+    """(H phase field, L entry phase fields, n, trace powers, z0) for flow
+    runs: each flow builds the quantum H and L at the classical point (c = 0
+    or t = 0), and this is where they are read on phase space."""
     flow = SYSTEMS[config.system].flow
     if flow is None:
         raise ConfigError(f"no classical flow for system {config.system!r}")
-    H, Lf, powers, z0 = flow(config.params, config.rank)
-    return H, Lf, config.rank, powers, z0
+    H, L, powers, z0 = flow(config.params, config.rank)
+    return H.phase_field(), L.phase_field(), config.rank, powers, z0
 
 
 # -- the system registry ------------------------------------------------------

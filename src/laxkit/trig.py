@@ -11,7 +11,7 @@ the size-n quantum Lax pair, and the u L^k v integrals.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .fields import Const, Field, LinArg, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
@@ -220,17 +220,3 @@ def e_tau_symmetrizer(cfg):
         total = Tw.scale(tw) if total is None else total + Tw.scale(tw)
         norm += tw * tw
     return total.scale(1.0 / norm)
-
-
-# -- classical limits: the c = 0 operators with t(e_j) read as e^{p_j} --
-
-def classical_lax_gln(cfg):
-    """Classical L and A entry phase fields (x_1..x_n, p_1..p_n)."""
-    L, A = lax_tables(replace(cfg, c=0.0))
-    return ([[e.phase_field() for e in row] for row in L.entries],
-            [[e.phase_field() for e in row] for row in A.entries])
-
-
-def classical_mr_hamiltonian(cfg):
-    """Classical Macdonald-Ruijsenaars Hamiltonian sum_i (prod a_il) e^{p_i}."""
-    return mr_operator(replace(cfg, c=0.0)).phase_field()

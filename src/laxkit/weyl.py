@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 WEYL_SIZE_GUARD = 10**6
 
 
-class ConfigurationError(ValueError):
-    """Unsupported root-system type or rank."""
+class ConfigError(ValueError):
+    """A configuration laxkit cannot build or run (unknown system, root-system
+    type or parameter, a rank out of range, a Weyl group above the size
+    guard); the CLI reports it with exit status 2."""
 
 
 class UnsupportedElementError(ValueError):
@@ -230,11 +232,11 @@ def reflection(alpha, n):
         e[i] = 1
         coeff = 2 * alpha[i] // aa if (2 * alpha[i]) % aa == 0 else None
         if coeff is None:
-            raise ConfigurationError(f"reflection of e_{i} not a signed basis vector")
+            raise ConfigError(f"reflection of e_{i} not a signed basis vector")
         v = tuple(e[j] - coeff * alpha[j] for j in range(n))
         nz = [(j, val) for j, val in enumerate(v) if val != 0]
         if len(nz) != 1 or abs(nz[0][1]) != 1:
-            raise ConfigurationError("reflection leaves the signed-permutation class")
+            raise ConfigError("reflection leaves the signed-permutation class")
         j, val = nz[0]
         img.append((j + 1) * val)
     # img currently lists images indexed by source; build SignedPerm directly
@@ -306,7 +308,7 @@ class RootSystemData:
 def build_root_system(kind: str, rank: int) -> RootSystemData:
     """Roots, positive roots, simple roots for A_(n-1) (GL_n) or C_n."""
     if rank < 1:
-        raise ConfigurationError(f"rank must be >= 1, got {rank}")
+        raise ConfigError(f"rank must be >= 1, got {rank}")
     n = rank
     if kind == "A":
         pos = []
@@ -351,7 +353,7 @@ def build_root_system(kind: str, rank: int) -> RootSystemData:
         h[0] = 2
         highest = tuple(h)
     else:
-        raise ConfigurationError(f"unsupported root system type {kind!r}")
+        raise ConfigError(f"unsupported root system type {kind!r}")
     roots = pos + [tuple(-v for v in a) for a in pos]
     rs = RootSystemData(kind=kind, rank=rank, dim=n, roots=roots,
                         pos_roots=pos, simple=simple, highest=highest)
@@ -361,7 +363,7 @@ def build_root_system(kind: str, rank: int) -> RootSystemData:
 def weyl_enumerate(rs: RootSystemData):
     """All elements of W by breadth-first closure over simple reflections."""
     if rs.weyl_order() > WEYL_SIZE_GUARD:
-        raise ConfigurationError(f"|W| = {rs.weyl_order()} exceeds guard {WEYL_SIZE_GUARD}")
+        raise ConfigError(f"|W| = {rs.weyl_order()} exceeds guard {WEYL_SIZE_GUARD}")
     if rs._weyl is not None:
         return rs._weyl
     gens = rs.simple_reflections()

@@ -117,8 +117,8 @@ def test_criterion_02_dunkl_commutativity_equivariance():
 def test_criterion_03_rational_lax_and_qlp():
     t0 = time.time()
     import numpy as np
-    from laxkit.rational import (RationalDunklConfig, classical_lax,
-                                 lax_pair_rational, qlp_reference_matrices)
+    from laxkit.rational import (RationalDunklConfig, lax_pair_rational,
+                                 qlp_reference_matrices)
     worst = 0.0
     for kind, ns in (("A", (2, 3, 4)), ("C", (2, 3))):
         for n in ns:
@@ -138,7 +138,7 @@ def test_criterion_03_rational_lax_and_qlp():
                 worst = max(worst, op_residual(lax.L, Lref, probes, xs))
                 worst = max(worst, op_residual(lax.A, Aref, probes, xs))
                 # classical Moser matrix (lp): ig/(x_k-x_l) off, p_k diagonal
-                _tbl, Lf, _Af = classical_lax(cfg)
+                Lf = lax_pair_rational(dataclasses.replace(cfg, t=0.0)).L.phase_field()
                 z = tuple([0.4 * i - 0.5 for i in range(n)]
                           + [0.1 * ((-1) ** i) for i in range(n)])
                 Lv = np.array(matrix_fn_from_fields(Lf)(z))
@@ -468,20 +468,16 @@ def test_criterion_10_classical_limit_slopes():
 
 def test_criterion_11_involution_isospectrality():
     t0 = time.time()
-    from laxkit.rational import (RationalDunklConfig, classical_hamiltonian,
-                                 classical_lax)
-    from laxkit.trig import (TrigGLConfig, classical_lax_gln,
-                             classical_mr_hamiltonian)
-    from laxkit.ellcm import (classical_inozemtsev_fields,
-                              classical_inozemtsev_hamiltonian)
-    from laxkit.ellrel import VDParams, vd_classical_fields, vd_classical_hamiltonian
+    from laxkit.rational import RationalDunklConfig, lax_pair_rational
+    from laxkit.trig import TrigGLConfig, lax_tables, mr_operator
+    from laxkit.ellcm import lax_inozemtsev
+    from laxkit.ellrel import VDParams, vd_hamiltonian, vd_p_matrix, vd_q_matrix
     worst_inv = 0.0
     worst_drift = 0.0
     # rational A3 (n = 4)
     rs = build_root_system("A", 4)
-    cfg = RationalDunklConfig(rs, t=-0.7j, c_short=1.3j)
-    _tbl, Lf, _Af = classical_lax(cfg)
-    Hcl, _ = classical_hamiltonian(cfg)
+    lax = lax_pair_rational(RationalDunklConfig(rs, t=0.0, c_short=1.3j))
+    Lf, Hcl = lax.L.phase_field(), lax.H.phase_field()
     z0 = (-0.6, -0.1, 0.35, 0.8, 0.1, -0.05, 0.08, -0.1)
     _t, traj = hamiltonian_flow(Hcl, z0, T=1.0, dt=1e-3, n=4)
     worst_drift = max(worst_drift, isospectral_drift(matrix_fn_from_fields(Lf),
@@ -491,8 +487,8 @@ def test_criterion_11_involution_isospectrality():
                                                     trace_power_fn(Lf, b), z0, 4))
     # trig GL3
     cfgt = TrigGLConfig(n=3, tau=1.4, c=0.0)
-    Lf3, _A3 = classical_lax_gln(cfgt)
-    H3 = classical_mr_hamiltonian(cfgt)
+    Lf3 = lax_tables(cfgt)[0].phase_field()
+    H3 = mr_operator(cfgt).phase_field()
     z3 = (0.4, -0.3, 0.8, 0.1, -0.2, 0.15)
     _t, traj3 = hamiltonian_flow(H3, z3, T=1.0, dt=2e-3, n=3)
     worst_drift = max(worst_drift, isospectral_drift(matrix_fn_from_fields(Lf3),
@@ -504,8 +500,8 @@ def test_criterion_11_involution_isospectrality():
     taur = 0.9j
     cc = 0.15j
     gr = tuple(1j * v * 0.12 for v in (0.8, -0.4, 0.6, 0.3))
-    Hi = classical_inozemtsev_hamiltonian(2, cc, gr, taur)
-    Li = classical_inozemtsev_fields(2, cc, gr, 0.24, taur)
+    laxi = lax_inozemtsev(2, 0.0, cc, gr, 0.24, taur)
+    Hi, Li = laxi.H.phase_field(), laxi.L.phase_field()
     zi = (0.2, 0.35, 0.012, -0.01)
     _t, traji = hamiltonian_flow(Hi, zi, T=1.0, dt=1e-3, n=2)
     worst_drift = max(worst_drift, isospectral_drift(matrix_fn_from_fields(Li),
@@ -515,8 +511,8 @@ def test_criterion_11_involution_isospectrality():
     # van Diejen n=2
     pvr = VDParams(2, 0.21, 0.33, 0.27, (0.4, 0.25, 0.3, 0.2),
                    (0.35, 0.2, 0.25, 0.15), 0.0, 0.85j)
-    Lv = vd_classical_fields(pvr, 0.37)
-    Hv = vd_classical_hamiltonian(pvr)
+    Lv = (vd_p_matrix(pvr, 0.37) * vd_q_matrix(pvr, 0.37)).phase_field()
+    Hv = vd_hamiltonian(pvr).phase_field()
     zv = (0.21, 0.33, 0.015, -0.01)
     Hs, _t, trajv = scaled_flow(Hv, zv, T=1.0, dt=2e-3, n=2, target_speed=0.03)
     worst_drift = max(worst_drift, isospectral_drift(matrix_fn_from_fields(Lv),
@@ -532,7 +528,7 @@ def test_criterion_11_involution_isospectrality():
 
 def test_criterion_12_regularity_probes():
     t0 = time.time()
-    from laxkit.ellcm import EllipticDunklConfig, classical_dual_substitution
+    from laxkit.ellcm import EllipticDunklConfig, dual_substitution
     from laxkit.ellrel import (EllRParams, dual_substituted,
                                macdonald_elliptic, VDParams,
                                vd_dual_substituted, vd_hamiltonian)
@@ -545,8 +541,8 @@ def test_criterion_12_regularity_probes():
     for _ in range(4):
         lam = tuple(complex(rng.uniform(0.1, 0.35), rng.uniform(0, 0.05))
                     for _ in range(3))
-        cfg = EllipticDunklConfig(rsA, -0.7j, 1.3j, 0.31 + 0.84j, lam)
-        ident, off = symbol_parts(classical_dual_substitution(cfg), zpt)
+        cfg = EllipticDunklConfig(rsA, 0.0, 1.3j, 0.31 + 0.84j, lam)
+        ident, off = symbol_parts(dual_substitution(cfg), zpt)
         idents.append(ident)
         worst = max(worst, off)
     worst = max(worst, max(abs(v - idents[0]) for v in idents)
@@ -557,9 +553,8 @@ def test_criterion_12_regularity_probes():
     for _ in range(3):
         lam = tuple(complex(rng.uniform(0.1, 0.3), rng.uniform(0, 0.05))
                     for _ in range(2))
-        cfgb = EllipticDunklConfig(rsC, -0.7j, 1.3j, 0.31 + 0.84j, lam,
-                                   g=G4)
-        identb, offb = symbol_parts(classical_dual_substitution(cfgb), zb)
+        cfgb = EllipticDunklConfig(rsC, 0.0, 1.3j, 0.31 + 0.84j, lam, g=G4)
+        identb, offb = symbol_parts(dual_substitution(cfgb), zb)
         identsb.append(identb)
         worst = max(worst, offb)
     worst = max(worst, max(abs(v - identsb[0]) for v in identsb)

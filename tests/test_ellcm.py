@@ -4,13 +4,9 @@ import random
 from dataclasses import replace
 
 from laxkit.dual import value
-from laxkit.ellcm import (EllipticDunklConfig, ael_tables,
-                          classical_cm_phase_field,
-                          classical_inozemtsev_fields,
-                          classical_dual_substitution,
-                          classical_inozemtsev_hamiltonian, elliptic_dunkl,
-                          elliptic_split, inozemtsev_tables, lax_elliptic_A,
-                          lax_inozemtsev, quadratic_sum)
+from laxkit.ellcm import (EllipticDunklConfig, ael_tables, dual_substitution,
+                          elliptic_dunkl, inozemtsev_tables, lax_elliptic_A,
+                          lax_inozemtsev, split_a_operator, split_hamiltonian)
 from laxkit.fields import Const, Prod, Scale
 from laxkit.opcore import DiffOp, OperatorMatrix, make_probes, symbol_parts
 from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
@@ -73,24 +69,19 @@ def test_quadratic_split_identities():
     cfg = acfg()
     probes = make_probes(3, 2, random.Random(3))
     xs = sample(3)
-    qy = quadratic_sum(cfg).scale(0.5)
-    H, A, const = elliptic_split(cfg)
-    lhs = qy - DiffOp.from_field(3, T, Const(const))
-    assert op_residual(lhs, H + A, probes, xs) < 1e-9
+    H, A = split_hamiltonian(cfg), split_a_operator(cfg)
+    assert op_residual(dual_substitution(cfg), H + A, probes, xs) < 1e-9
     cfgb = bcfg()
     probesb = make_probes(2, 2, random.Random(4))
     xsb = sample(2)
-    qyb = quadratic_sum(cfgb)
-    Hb, Ab, constb = elliptic_split(cfgb)
-    lhsb = qyb - DiffOp.from_field(2, T, Const(constb))
-    assert op_residual(lhsb, Hb + Ab, probesb, xsb) < 1e-9
+    Hb, Ab = split_hamiltonian(cfgb), split_a_operator(cfgb)
+    assert op_residual(dual_substitution(cfgb), Hb + Ab, probesb, xsb) < 1e-9
 
 
 def test_zero_coupling_trivial_split():
     rs = build_root_system("A", 2)
     cfg = EllipticDunklConfig(rs, T, 0.0, TAU, (0.2, -0.1))
-    _H, A, _const = elliptic_split(cfg)
-    assert not A.terms  # c = 0 gives A-hat = 0
+    assert not split_a_operator(cfg).terms  # c = 0 gives A-hat = 0
 
 
 def test_lax_elliptic_A_tables_and_equation():
@@ -144,7 +135,7 @@ def test_inozemtsev_lax_and_tables():
 
 def test_classical_inozemtsev_entries_carry_no_unit_factors():
     gr = tuple(1j * v * 0.12 for v in (0.8, -0.4, 0.6, 0.3))
-    Lf = classical_inozemtsev_fields(2, 0.15j, gr, 0.24, 0.9j)
+    Lf = lax_inozemtsev(2, 0.0, 0.15j, gr, 0.24, 0.9j).L.phase_field()
     nodes = field_nodes([f for row in Lf for f in row])
     assert not [f for f in nodes if isinstance(f, Scale) and f.c == 1]
     assert not [f for f in nodes if isinstance(f, Prod)
@@ -155,8 +146,8 @@ def test_corinoz_classical_involution_and_isospectrality():
     taur = 0.9j
     cc = 0.15j
     gr = tuple(1j * v * 0.12 for v in (0.8, -0.4, 0.6, 0.3))
-    H = classical_inozemtsev_hamiltonian(2, cc, gr, taur)
-    Lf = classical_inozemtsev_fields(2, cc, gr, 0.24, taur)
+    lax = lax_inozemtsev(2, 0.0, cc, gr, 0.24, taur)
+    H, Lf = lax.H.phase_field(), lax.L.phase_field()
     z0 = (0.2, 0.35, 0.012, -0.01)
     times, traj = hamiltonian_flow(H, z0, T=1.0, dt=1e-3, n=2)
     assert energy_drift(H, traj) < 1e-7
@@ -184,18 +175,18 @@ def test_regularity_probe_A_and_BC():
     for _ in range(5):
         lam = tuple(complex(rng.uniform(0.1, 0.35), rng.uniform(0, 0.05))
                     for _ in range(3))
-        cfg = EllipticDunklConfig(rs, T, CC, TAU, lam)
-        ident, off = symbol_parts(classical_dual_substitution(cfg), zpt)
+        cfg = EllipticDunklConfig(rs, 0.0, CC, TAU, lam)
+        ident, off = symbol_parts(dual_substitution(cfg), zpt)
         idents.append(ident)
         assert off < 1e-8
     spread = max(abs(v - idents[0]) for v in idents)
     assert spread < 1e-8 * (1 + abs(idents[0]))
     # lambda and lambda + e_1 give equal values
     cfg2 = replace(cfg, lam=(cfg.lam[0] + 1.0,) + cfg.lam[1:])
-    id2, _ = symbol_parts(classical_dual_substitution(cfg2), zpt)
+    id2, _ = symbol_parts(dual_substitution(cfg2), zpt)
     assert abs(id2 - idents[-1]) < 1e-8 * (1 + abs(id2))
     # identity component equals the classical CM Hamiltonian (+ constant 0)
-    Hph = classical_cm_phase_field(cfg)
+    Hph = split_hamiltonian(cfg).phase_field()
     assert abs(idents[-1] - value(Hph(zpt))) < 1e-8 * (1 + abs(idents[-1]))
     # BC variant
     rc = build_root_system("C", 2)
@@ -204,8 +195,8 @@ def test_regularity_probe_A_and_BC():
     for _ in range(3):
         lam = tuple(complex(rng.uniform(0.1, 0.3), rng.uniform(0, 0.05))
                     for _ in range(2))
-        cfgb = EllipticDunklConfig(rc, T, CC, TAU, lam, g=G4)
-        identb, offb = symbol_parts(classical_dual_substitution(cfgb), zb)
+        cfgb = EllipticDunklConfig(rc, 0.0, CC, TAU, lam, g=G4)
+        identb, offb = symbol_parts(dual_substitution(cfgb), zb)
         identsb.append(identb)
         assert offb < 1e-8
     assert max(abs(v - identsb[0]) for v in identsb) < 1e-8 * (1 + abs(identsb[0]))
@@ -255,13 +246,13 @@ def test_isospectral_drift_across_spectral_values():
     taur = 0.9j
     cc = 0.15j
     gr = tuple(1j * v * 0.12 for v in (0.8, -0.4, 0.6, 0.3))
-    H = classical_inozemtsev_hamiltonian(2, cc, gr, taur)
+    H = lax_inozemtsev(2, 0.0, cc, gr, 0.24, taur).H.phase_field()
     z0 = (0.2, 0.35, 0.012, -0.01)
     _t, traj = hamiltonian_flow(H, z0, T=1.0, dt=1e-3, n=2)
     import numpy as np
     polys = []
     for mu in (0.24, 0.31, 0.18 + 0.02j):
-        Lf = classical_inozemtsev_fields(2, cc, gr, mu, taur)
+        Lf = lax_inozemtsev(2, 0.0, cc, gr, mu, taur).L.phase_field()
         Lfn = matrix_fn_from_fields(Lf)
         assert isospectral_drift(Lfn, traj[::25]) < 1e-6
         polys.append(np.poly(np.array(Lfn(z0), dtype=complex)))

@@ -16,9 +16,8 @@ from laxkit.ellrel import (EllGLParams, EllRParams, VDParams, alpha_sequence,
                            ruijsenaars_hamiltonian, ruijsenaars_lax_tables,
                            ruijsenaars_params,
                            t_hat, t_hat_word, vd_alpha_const, vd_beta_field,
-                           vd_classical_fields, vd_classical_hamiltonian,
                            vd_dual_substituted,
-                           vd_hamiltonian, vd_p_matrix,
+                           vd_hamiltonian, vd_p_matrix, vd_q_matrix,
                            y_ell_gln, y_elliptic, y_elliptic_dual)
 from laxkit.fields import exp_lin
 from laxkit.opcore import (DynOp, OperatorMatrix, WOp, classical_op_residual,
@@ -403,8 +402,8 @@ def test_vandiejen_classical_flow_and_involution():
     taur = 0.85j
     pvr = VDParams(2, 0.21, 0.33, 0.27, (0.4, 0.25, 0.3, 0.2),
                    (0.35, 0.2, 0.25, 0.15), 0.0, taur)
-    Lf = vd_classical_fields(pvr, 0.37)
-    Hc = vd_classical_hamiltonian(pvr)
+    Lf = (vd_p_matrix(pvr, 0.37) * vd_q_matrix(pvr, 0.37)).phase_field()
+    Hc = vd_hamiltonian(pvr).phase_field()
     z0 = (0.21, 0.33, 0.015, -0.01)
     Hs, times, traj = scaled_flow(Hc, z0, T=1.0, dt=2e-3, n=2, target_speed=0.03)
     assert energy_drift(Hs, traj) < 1e-7

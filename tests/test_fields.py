@@ -8,7 +8,7 @@ import pytest
 
 from laxkit.dual import Dual, d_exp, directional, gradient_vec, seed, value
 from laxkit.fields import (BiArg, Const, Deriv, Field, FuncField, LinArg,
-                           PoleError, Quot, Scale, Tape, XLift, evaluate, exp_lin,
+                           PoleError, Quot, Scale, Tape, XLift, exp_lin,
                            inv_form, linear_form, momentum)
 from laxkit.koorn import CCnParams, koornwinder_lax
 from laxkit.opcore import OperatorMatrix, WOp, field_dmulti
@@ -81,7 +81,7 @@ def test_memoized_value_equals_fresh_tree_bit_for_bit(point):
     assert bits(got) == bits(want)
     # several roots in one scope give the values each root gives alone
     roots = [build(shared=True), build(shared=False)]
-    assert [bits(v) for v in evaluate(roots, point)] == [bits(want)] * 2
+    assert [bits(v) for v in Tape(roots)(point)] == [bits(want)] * 2
 
 
 def counting(fn):
@@ -140,9 +140,9 @@ def test_first_pole_error_is_the_leftmost():
     left = inv_form((1.0,), 0j, name="left")
     right = inv_form((1.0,), 0j, name="right")
     with pytest.raises(PoleError, match="left"):
-        evaluate([left * 2.0, right + left], (1e-5 + 0j,))
+        Tape([left * 2.0, right + left])((1e-5 + 0j,))
     with pytest.raises(PoleError, match="right"):
-        evaluate([right + left, left], (1e-5 + 0j,))
+        Tape([right + left, left])((1e-5 + 0j,))
 
 
 @pytest.mark.parametrize("w, v", [(SignedPerm.sign_flip(N, 1), None),
@@ -246,7 +246,7 @@ def test_xlifts_at_one_phase_point_share_one_x_space_scope():
     leaf = LinArg(fn, (1.0, -0.5))
     H = XLift(2.0 * leaf, 2) * momentum(2, 0) + XLift(leaf + 1.0, 2)
     L = [XLift(leaf, 2), momentum(2, 1) - XLift(leaf * leaf, 2)]
-    for run in (H, lambda z: gradient_vec(H, z), lambda z: evaluate(L, z)):
+    for run in (H, lambda z: gradient_vec(H, z), lambda z: Tape(L)(z)):
         calls.clear()
         run(Z)
         assert len(calls) == 1

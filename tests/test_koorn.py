@@ -4,8 +4,8 @@ import random
 
 from laxkit.dual import value
 from laxkit.koorn import (CCnParams, a_ext, abcd_coeffs, abcd_operator,
-                          classical_hamiltonian_ccn, classical_pq,
-                          koornwinder_lax, koornwinder_table, middle_product,
+                          koornwinder_hamiltonian, koornwinder_lax,
+                          koornwinder_table, middle_product,
                           noumi_rep, p_matrix, phi_vector_ccn, q_matrix, r_diff,
                           r_odd_shift, r_sum, y1_product, y_inverse,
                           y_operator)
@@ -166,8 +166,8 @@ def test_integrals_ccn():
 
 def test_classical_koornwinder():
     pc = CCnParams(n=2, tau0=1.2, tau0v=0.8, taun=1.5, taunv=0.7, tau=1.3, c=0.0)
-    Lf = classical_pq(pc)
-    Hc = classical_hamiltonian_ccn(pc)
+    Lf = (p_matrix(pc) * q_matrix(pc)).phase_field()
+    Hc = koornwinder_hamiltonian(pc)[0].phase_field()
     z0 = (0.4, -0.6, 0.13, -0.07)
     times, traj = hamiltonian_flow(Hc, z0, T=1.0, dt=2e-3, n=2)
     assert energy_drift(Hc, traj) < 1e-7

@@ -1,6 +1,7 @@
 """Rational Dunkl operators, CM Lax pairs, integrals, classical limits."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from laxkit.dual import value
 from laxkit.fields import symmetrized
 from laxkit.opcore import DiffOp, OperatorMatrix, integrals, make_probes
-from laxkit.rational import (RationalDunklConfig, classical_hamiltonian,
-                             classical_lax, cm_hamiltonian_explicit, cm_split,
+from laxkit.rational import (RationalDunklConfig, classical_a_matrix,
+                             cm_hamiltonian_explicit, cm_split,
                              dunkl, dunkl_basis, kks_matrices,
                              lax_pair_rational, position_matrix)
 from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
@@ -168,8 +169,11 @@ def test_kks_relation_and_degenerate_case():
 
 def test_classical_moser_flow_and_involution():
     cfg = cfg_for("A", 3)
-    tbl, Lf, Af = classical_lax(cfg)
-    Hcl, qyc = classical_hamiltonian(cfg)
+    cfg0 = replace(cfg, t=0.0)
+    lax = lax_pair_rational(cfg0)
+    Lf, Hcl = lax.L.phase_field(), lax.H.phase_field()
+    Af = classical_a_matrix(cfg).phase_field()
+    qyc, _L, _A = cm_split(cfg0, ((0.5, 2),))
     # Lemma: off-identity components of q(y^c) vanish
     z = (0.3, -0.5, 0.9, 0.2, -0.1, 0.4)
     worst = 0.0

@@ -8,8 +8,7 @@ from laxkit.dual import value
 from laxkit.opcore import (OperatorMatrix, WOp, hecke_inverse, integrals,
                            make_probes)
 from laxkit.trig import (TrigGLConfig, a_field, basic_rep,
-                         braid_order, cherednik_gln, classical_lax_gln,
-                         classical_mr_hamiltonian, e_tau_symmetrizer, lax_tables,
+                         braid_order, cherednik_gln, e_tau_symmetrizer, lax_tables,
                          lax_trig_gln, lemma_ns_closed, mr_operator, phi_vector,
                          r_ij, r_ij_inv)
 from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
@@ -151,8 +150,8 @@ def test_e_tau_battery():
 
 def test_classical_lax_and_flow():
     cfg = TrigGLConfig(n=3, tau=1.4, c=0.0)
-    Lf, Af = classical_lax_gln(cfg)
-    Hcl = classical_mr_hamiltonian(cfg)
+    Lf, Af = (M.phase_field() for M in lax_tables(cfg))
+    Hcl = mr_operator(cfg).phase_field()
     z0 = (0.4, -0.3, 0.8, 0.1, -0.2, 0.15)
     times, traj = hamiltonian_flow(Hcl, z0, T=1.0, dt=2e-3, n=3)
     assert energy_drift(Hcl, traj) < 1e-8

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from laxkit import weyl
 from laxkit.cli import main as cli_main
 from laxkit.fields import BiArg, FuncField, LinArg, PoleError, Scale, Tape
 from laxkit.opcore import DiffOp, WOp
@@ -327,6 +328,45 @@ def test_cli_verify_rejects_non_finite_parameter(tmp_path, capsys):
     pfile.write_text(json.dumps({"tau": {"re": "inf", "im": "0"}}))
     assert cli_main(["verify", "--system", "trig-gln", "--params", str(pfile)]) == 2
     assert "configuration error: parameter tau is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--dt", "0", "--dt must be finite and > 0, got 0.0"),
+    ("--dt", "-0.01", "--dt must be finite and > 0, got -0.01"),
+    ("--time", "-1", "--time must be finite and >= 0, got -1.0"),
+    ("--time", "nan", "--time must be finite and >= 0, got nan"),
+], ids=["dt-zero", "dt-negative", "time-negative", "time-nan"])
+def test_cli_flow_rejects_a_bad_step_or_time(flag, value, message, capsys):
+    # dt <= 0 or a negative time used to take one silent step the wrong way,
+    # dt = 0 and a NaN time to end in a traceback
+    assert cli_main(["flow", "--system", "trig-gln", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"configuration error: {message}" in captured.err
+
+
+def test_cli_verify_rank_above_the_weyl_guard(capsys):
+    # the Weyl-group guard raises the one configuration error the CLI catches
+    assert weyl.ConfigError is ConfigError
+    assert cli_main(["verify", "--system", "rational-A", "--rank", "12"]) == 2
+    assert ("configuration error: |W| = 479001600 exceeds guard 1000000"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["verify", "flow"])
+@pytest.mark.parametrize("params,message", [
+    ({"t": "abc"}, "parameter t is not a number"),
+    ({"t": {"re": "abc", "im": "0"}}, "parameter t is not a number"),
+    ({"g": [0.1j, "x", 0.2j, 0.3j]}, "parameter g must be a list of 4 numbers"),
+    ({"g": 0.1j}, "parameter g must be a list of 4 numbers"),
+    ({"g": [0.1j, 0.2j]}, "parameter g must be a list of 4 numbers"),
+], ids=["string", "complex-string", "list-entry", "scalar-for-list", "short-list"])
+def test_cli_rejects_non_numeric_params(command, params, message, tmp_path, capsys):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(params, default=lambda z: {"re": str(z.real),
+                                                           "im": str(z.imag)}))
+    assert cli_main([command, "--system", "inozemtsev", "--params", str(pfile)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("system,rank", [("rational-A", 3), ("rational-C", 2)])

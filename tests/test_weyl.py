@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxkit.weyl import (AffineElement, ConfigurationError,
+from laxkit.weyl import (AffineElement, ConfigError,
                          UnsupportedElementError, affine_length,
                          affine_reflection, build_root_system,
                          evaluate_word, ext_coord, ext_form, finite_length,
@@ -30,9 +30,9 @@ def test_root_counts():
 
 
 def test_bad_type_raises():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         build_root_system("E", 8)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         build_root_system("A", 0)
 
 
