@@ -19,8 +19,7 @@ def main():
     rank = int(sys.argv[2]) if len(sys.argv) > 2 else 3
     T = float(sys.argv[3]) if len(sys.argv) > 3 else 1.0
     dt = float(sys.argv[4]) if len(sys.argv) > 4 else 2e-3
-    config = RunConfig(system=system, rank=rank,
-                       params=default_params(system, rank))
+    config = RunConfig(system=system, rank=rank, params=default_params(system))
     H, Lf, n, powers, z0 = classical_flow_setup(config)
     Hs, times, traj = scaled_flow(H, z0, T, dt, n)
     print(f"{system} rank {rank}: {len(traj)} states over T={T}")

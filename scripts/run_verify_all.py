@@ -1,14 +1,16 @@
-"""Run the verification suite for every system and write one report each.
+"""Run ``laxkit verify`` for every system at its README rank and write one
+report each; a summary line per system reads the worst residual and the
+runtime from the written report.
 
 Usage: python scripts/run_verify_all.py [outdir] [seed]
 """
 
+import json
 import pathlib
 import sys
-import time
 
-from laxkit.suites import KNOWN_SYSTEMS, RunConfig, build_suite, default_params
-from laxkit.verify import VerificationReport
+from laxkit.cli import main as cli_main
+from laxkit.suites import KNOWN_SYSTEMS
 
 RANKS = {"rational-A": 3, "rational-C": 2, "trig-gln": 3, "koornwinder": 2,
          "ell-cm-A": 3, "inozemtsev": 2, "ell-ruijsenaars": 3, "vandiejen": 2}
@@ -20,24 +22,15 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     failures = 0
     for system in KNOWN_SYSTEMS:
-        rank = RANKS[system]
-        config = RunConfig(system=system, rank=rank,
-                           params=default_params(system, rank), seed=seed)
-        t0 = time.perf_counter()
-        report = VerificationReport(system=system,
-                                    params=dict(config.params, rank=rank),
-                                    seed=seed)
-        for result in build_suite(config):
-            report.add(result)
-        report.runtime_ms = 1000.0 * (time.perf_counter() - t0)
         path = outdir / f"{system}.json"
-        path.write_text(report.to_json() + "\n")
-        status = "ok" if report.all_passed() else "FAILED"
-        worst = max((c.residual for c in report.checks), default=0.0)
-        print(f"{system:16s} {status:6s} {len(report.checks)} checks, "
-              f"worst residual {worst:.2e}, {report.runtime_ms:.0f} ms -> {path}")
-        if not report.all_passed():
-            failures += 1
+        code = cli_main(["verify", "--system", system, "--rank", str(RANKS[system]),
+                         "--seed", str(seed), "--out", str(path)])
+        report = json.loads(path.read_text())
+        worst = max((c["residual"] for c in report["checks"]), default=0.0)
+        print(f"{system:16s} {'ok' if code == 0 else 'FAILED':6s} "
+              f"{len(report['checks'])} checks, worst residual {worst:.2e}, "
+              f"{report['runtime_ms']:.0f} ms -> {path}")
+        failures += code != 0
     return 1 if failures else 0
 
 

@@ -46,7 +46,7 @@ def _is_number(v):
 
 def make_config(args, perturb=0.0) -> RunConfig:
     """RunConfig from the flags both subcommands read and verify's ``perturb``."""
-    params = default_params(args.system, args.rank)
+    params = default_params(args.system)
     if args.params:
         loaded = load_params(args.params)
         unknown = set(loaded) - set(params)

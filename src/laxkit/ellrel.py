@@ -2,10 +2,10 @@
 the spectral-parameter Lax pairs of the elliptic Ruijsenaars and van Diejen
 systems.
 
-Reduced systems use R(a) = sigma_{m}(a) - sigma_{<a^vee, xi>}(a) s_a; the
-C-vee-C_n system replaces the kernels on doubled roots by the four-coupling
-v-functions, with dual parameters entering through the unitary
-normalization.  Unitary R-matrices satisfy Rhat(a) Rhat(-a) = 1, making
+R(a) = k(a) - k_dyn(<a^vee, xi>, a) s_a with the kernels of one rule per
+parameter class (``r_kernels``): sigma_m, or for C-vee-C_n the four-coupling
+v-functions at a/2 on doubled roots, whose unitary norm alone reads the dual
+parameters.  Unitary R-matrices satisfy Rhat(a) Rhat(-a) = 1, making
 That_i = Rhat(a_i)(s_i^vee x s_i) an affine Weyl group action; products
 along reduced words give Rhat_w independently of the word.
 """
@@ -30,6 +30,12 @@ from .weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
 
 # -- parameter bundles -----------------------------------------------------
 
+def _sigma_kernels(m, tau):
+    """The sigma rule (k, k_dyn, norm, h) of an R-matrix with coupling m."""
+    return (lambda z: sigma(m, z, tau), lambda mu, z: sigma(mu, z, tau),
+            lambda mu: sigma(m, mu, tau), 1)
+
+
 @dataclass
 class EllRParams:
     """Reduced elliptic regime: couplings m_alpha per root length."""
@@ -45,6 +51,16 @@ class EllRParams:
         if self.rs.kind == "C" and dot(alpha, alpha) == 4:
             return self.m_long
         return self.m_short
+
+    def r_kernels(self, ar):
+        """(k(z), k_dyn(mu, z), norm(mu), h) of R(ar): sigma_{m_alpha}."""
+        return _sigma_kernels(self.m_alpha(ar.alpha), self.tau)
+
+    def dual_terms(self, xi):
+        """(pi, B^vee_pi(xi)) over the orbit of the highest coroot."""
+        rs = self.rs
+        return [(tuple(int(v) for v in pi), dual_coeffs_quasi(self, pi, xi)[1])
+                for pi in weyl_orbit(rs, rs.coroot(rs.highest))]
 
 
 @dataclass
@@ -84,30 +100,39 @@ class VDParams:
         base[0] = eta
         return tuple(base)
 
+    def r_kernels(self, ar):
+        """(k(z), k_dyn(mu, z), norm(mu), h) of R(ar): sigma_mu, or on doubled
+        roots v_{nu,g} (even level) or v_{nub,gb} (odd) at h = 1/2, with the
+        dual v-function as norm (its parameters solved on the first call)."""
+        tau = self.tau
+        cls = vd_kernel_class(ar)
+        if cls == "diff":
+            return _sigma_kernels(self.mu, tau)
+        even = cls == "even"
+        nu, g = (self.nu, self.g) if even else (self.nub, self.gb)
 
-def dyn_pairing(params, alpha):
-    """<alpha^vee, xi> for the finite part of an affine root."""
-    av = params.rs.coroot(alpha)
-    return sum(a * b for a, b in zip(av, params.xi))
+        def norm(mu):
+            nv, gv = self.dual()[:2] if even else self.dual()[2:]
+            return v_func(nv, mu, gv, tau)
+        return (lambda z: v_func(nu, z, g, tau), lambda mu, z: v_func(mu, z, g, tau),
+                norm, 0.5)
 
-
-# -- R-matrices at fixed xi (reduced regime) --------------------------------
-
-def r_matrix(params: EllRParams, ar: AffineRoot, unitary=False) -> WOp:
-    """R(a) = sigma_m(a) - sigma_{<a^vee,xi>}(a) s_a, optionally divided by
-    sigma_m(<a^vee, xi>)."""
-    n = params.rs.dim
-    m = params.m_alpha(ar.alpha)
-    mu = dyn_pairing(params, ar.alpha)
-    const = ar.k * params.c
-    f1 = sigma_form(m, ar.alpha, params.tau, const)
-    f2 = sigma_form(mu, ar.alpha, params.tau, const)
-    s_aff = affine_reflection(ar)
-    op = WOp(n, params.c, {(SignedPerm.identity(n), (0,) * n): f1,
-                           (s_aff.w, s_aff.lam): -f2})
-    if unitary:
-        return op.scale(1.0 / sigma(m, mu, params.tau))
-    return op
+    def dual_terms(self, xi):
+        """(pi, B^vee_pi(xi)) over pi = +e_i, then -e_i."""
+        n, tau = self.n, self.tau
+        nuv, gv, nubv, gbv = self.dual()
+        nubv_B = -nuv - (n - 1) * self.mu
+        out = []
+        for k in range(2 * n):
+            pi = ext_coord(n, k)
+            zduel = sum(a * b for a, b in zip(pi, xi))
+            Bcoef = v_func(nuv, zduel, gv, tau) * v_func(nubv_B, zduel, gbv, tau)
+            for a in self.rs.roots:
+                if dot(pi, a) == 1:
+                    za = sum(u * v for u, v in zip(a, xi))
+                    Bcoef *= sigma(self.mu, za, tau)
+            out.append((pi, Bcoef))
+        return out
 
 
 def vd_kernel_class(ar: AffineRoot):
@@ -121,32 +146,25 @@ def vd_kernel_class(ar: AffineRoot):
     raise ValueError(f"unsupported affine root {ar}")
 
 
-def r_matrix_vd(params: VDParams, ar: AffineRoot, unitary=False) -> WOp:
-    n = params.n
-    tau = params.tau
-    mu_dyn = dyn_pairing(params, ar.alpha)
-    cls = vd_kernel_class(ar)
-    const = ar.k * params.c
+def dyn_pairing(params, alpha):
+    """<alpha^vee, xi> for the finite part of an affine root."""
+    av = params.rs.coroot(alpha)
+    return sum(a * b for a, b in zip(av, params.xi))
+
+
+# -- R-matrices at fixed xi ------------------------------------------------
+
+def r_matrix(params, ar: AffineRoot, unitary=False) -> WOp:
+    """R(a) = k(a) - k_dyn(<a^vee,xi>, a) s_a from ``params.r_kernels``, with
+    the kernels read at h a + h k c, optionally divided by norm(<a^vee,xi>)."""
+    n = params.rs.dim
+    k, k_dyn, norm, h = params.r_kernels(ar)
+    mu = dyn_pairing(params, ar.alpha)
+    form, const = tuple(h * v for v in ar.alpha), h * ar.k * params.c
     s_aff = affine_reflection(ar)
-    if cls == "diff":
-        f1 = sigma_form(params.mu, ar.alpha, tau, const)
-        f2 = sigma_form(mu_dyn, ar.alpha, tau, const)
-        norm = sigma(params.mu, mu_dyn, tau)
-    else:
-        nu, g = (params.nu, params.g) if cls == "even" else (params.nub, params.gb)
-        half = tuple(v / 2 for v in ar.alpha)
-        f1 = LinArg(lambda z, nn=nu, gg=g: v_func(nn, z, gg, tau), half, const / 2)
-        f2 = LinArg(lambda z, gg=g, md=mu_dyn: v_func(md, z, gg, tau), half, const / 2)
-        nuv, gv, nubv, gbv = params.dual()
-        if cls == "even":
-            norm = v_func(nuv, mu_dyn, gv, tau)
-        else:
-            norm = v_func(nubv, mu_dyn, gbv, tau)
-    op = WOp(n, params.c, {(SignedPerm.identity(n), (0,) * n): f1,
-                           (s_aff.w, s_aff.lam): -f2})
-    if unitary:
-        return op.scale(1.0 / norm)
-    return op
+    op = WOp(n, params.c, {(SignedPerm.identity(n), (0,) * n): LinArg(k, form, const),
+                           (s_aff.w, s_aff.lam): -LinArg(partial(k_dyn, mu), form, const)})
+    return op.scale(1.0 / norm(mu)) if unitary else op
 
 
 def alpha_sequence(rs: RootSystemData, word):
@@ -174,9 +192,8 @@ def r_word(params, w: AffineElement, rfac) -> WOp:
 
 def y_elliptic(params, b, unitary=False) -> WOp:
     """Y^b = R_{t(b)} t(b) (or the unitary Yhat^b) for b in the coroot lattice."""
-    rmat = r_matrix_vd if isinstance(params, VDParams) else r_matrix
     Rw = r_word(params, AffineElement.translation(tuple(b)),
-                partial(rmat, unitary=unitary))
+                partial(r_matrix, unitary=unitary))
     return Rw * WOp.translation(params.rs.dim, params.c, tuple(b))
 
 
@@ -214,38 +231,18 @@ def y_elliptic_dual(params: EllRParams, b) -> WOp:
 
 # -- dynamical operators for the Weyl-action checks -------------------------
 
-def _dyn_forms(params, ar: AffineRoot):
-    """(xi-argument form, x-argument form) over the 2n coordinates (xi, x)."""
-    rs = params.rs
-    n = rs.dim
-    ka = tuple(rs.coroot(ar.alpha)) + (0,) * n
-    kb = (0,) * n + tuple(ar.alpha)
-    return ka, kb
-
-
 def t_hat(params, i) -> DynOp:
-    """That_i = Rhat(a_i) (s_i^vee x s_i) as a dynamical operator."""
+    """That_i = Rhat(a_i) (s_i^vee x s_i) as a dynamical operator on (xi, x):
+    the kernels of ``params.r_kernels`` divided by norm, with mu = <a^vee, xi>."""
     rs = params.rs
     n = rs.dim
-    tau = params.tau
     ar = rs.affine_simple_roots()[i]
-    ka, kb = _dyn_forms(params, ar)
-    cb = ar.k * params.c
-    vd = isinstance(params, VDParams)
-    cls = vd_kernel_class(ar) if vd else "diff"
-    if cls == "diff":
-        m = params.mu if vd else params.m_alpha(ar.alpha)
-        A = BiArg(lambda mu, z: sigma(m, z, tau) / sigma(m, mu, tau), ka, kb, 0j, cb)
-        B = BiArg(lambda mu, z: sigma(mu, z, tau) / sigma(m, mu, tau), ka, kb, 0j, cb)
-    else:
-        nu, g = (params.nu, params.g) if cls == "even" else (params.nub, params.gb)
-        nuv, gv, nubv, gbv = params.dual()
-        nv, gvv = (nuv, gv) if cls == "even" else (nubv, gbv)
-        kb2 = tuple(v / 2 for v in kb)
-        A = BiArg(lambda mu, z: v_func(nu, z, g, tau) / v_func(nv, mu, gvv, tau),
-                  ka, kb2, 0j, cb / 2)
-        B = BiArg(lambda mu, z: v_func(mu, z, g, tau) / v_func(nv, mu, gvv, tau),
-                  ka, kb2, 0j, cb / 2)
+    k, k_dyn, norm, h = params.r_kernels(ar)
+    ka = tuple(rs.coroot(ar.alpha)) + (0,) * n
+    kb = tuple(h * v for v in (0,) * n + tuple(ar.alpha))
+    cb = h * ar.k * params.c
+    A = BiArg(lambda mu, z: k(z) / norm(mu), ka, kb, 0j, cb)
+    B = BiArg(lambda mu, z: k_dyn(mu, z) / norm(mu), ka, kb, 0j, cb)
     s_aff = affine_reflection(ar)
     sv = s_aff.w  # linear part acts on xi
     # That = A (sv x s_aff) - B (sv x (s_a s_aff)); s_a s_aff = identity
@@ -612,36 +609,12 @@ def vd_q_matrix(p: VDParams, eta) -> OperatorMatrix:
     return OperatorMatrix(rows)
 
 
-def vd_dual_substituted(p: VDParams, xi) -> WOp:
-    """L^{b,vee}_c(xi, Yhat) = sum_pi (A^vee_pi(xi) Yhat^pi - B^vee_pi(xi))."""
-    n = p.n
-    tau = p.tau
-    nuv, gv, nubv, gbv = p.dual()
-    pxi = replace(p, xi=xi)
-    out = None
-    nubv_B = -nuv - (n - 1) * p.mu
-    for k in range(2 * n):
-        pi = ext_coord(n, k)  # +e_i, then -e_i
-        zduel = sum(a * b for a, b in zip(pi, xi))
-        Bcoef = v_func(nuv, zduel, gv, tau) * v_func(nubv_B, zduel, gbv, tau)
-        for a in p.rs.roots:
-            if dot(pi, a) == 1:
-                za = sum(u * v for u, v in zip(a, xi))
-                Bcoef *= sigma(p.mu, za, tau)
-        # A^vee_pi Yhat^pi = Y^pi (classical dual coefficients are the
-        # G-factors), so the substituted operator is pole-free in xi
-        Ypi = y_elliptic(pxi, pi, unitary=False)
-        term = Ypi - WOp.from_scalar(n, p.c, Bcoef)
-        out = term if out is None else out + term
-    return out
-
-
 def lax_vandiejen(p: VDParams, eta) -> LaxPair:
     """L = P Q; A is the restricted dual substitution minus H on the diagonal."""
     n = p.n
     tbl = orbit_stabilizer(p.rs, ext_coord(n, 0))
     H = vd_hamiltonian(p)
-    A = (vd_dual_substituted(p, p.xi_spec(eta)).restrict(tbl)
+    A = (dual_substituted(p, p.xi_spec(eta)).restrict(tbl)
          - OperatorMatrix.diagonal(H, 2 * n))
     return LaxPair(tbl, vd_p_matrix(p, eta) * vd_q_matrix(p, eta), A, H)
 
@@ -667,23 +640,20 @@ def dual_coeffs_quasi(params: EllRParams, pi, xi):
     return A, B
 
 
-def dual_substituted(params: EllRParams, xi) -> WOp:
-    """L^{b,vee}_c(xi, Yhat) for the quasi-minuscule b = highest coroot.
+def dual_substituted(params, xi) -> WOp:
+    """L^{b,vee}_c(xi, Yhat) = sum_pi (A^vee_pi(xi) Yhat^pi - B^vee_pi(xi)) over
+    ``params.dual_terms(xi)``: the highest-coroot orbit (reduced systems) or
+    +-e_i (van Diejen).
 
     Assembled in the pole-free form sum_pi Y^pi - sum_pi B^vee_pi: the
     classical dual coefficients A^vee_pi coincide with the G-factors, so
-    A^vee_pi Yhat^pi = Y^pi exactly and the sigma_m(<a^vee,xi>) = 0 walls
-    never appear (they are removable, and do occur at the Lax locus).
+    A^vee_pi Yhat^pi = Y^pi exactly and the walls where the dual norms
+    vanish never appear (they are removable, and do occur at the Lax locus).
     """
-    rs = params.rs
-    b = rs.coroot(rs.highest)
     pxi = replace(params, xi=xi)
     out = None
-    for pi in weyl_orbit(rs, b):
-        _A, B = dual_coeffs_quasi(params, pi, xi)
-        Ypi = y_elliptic(pxi, tuple(int(v) for v in pi), unitary=False)
-        n = rs.dim
-        term = Ypi - WOp.from_scalar(n, Ypi.c, B)
+    for pi, B in params.dual_terms(xi):
+        term = y_elliptic(pxi, pi) - WOp.from_scalar(params.rs.dim, params.c, B)
         out = term if out is None else out + term
     return out
 

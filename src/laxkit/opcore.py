@@ -426,13 +426,13 @@ class ModuleVector:
 
     def expand(self):
         """The underlying module element, as a dict w -> field over W."""
-        return module_inject(self.tbl, self.fields, len(self.tbl.xi))
+        return module_inject(self.tbl, self.fields)
 
     def apply_matrix(self, mat: "OperatorMatrix"):
         return ModuleVector(self.tbl, mat.apply_vector(self.fields))
 
 
-def module_inject(tbl, fields, n):
+def module_inject(tbl, fields):
     """e' sum_j r_j f_j as a dict w -> field over the whole of W."""
     out = {}
     norm = 1.0 / len(tbl.stabilizer)
@@ -592,14 +592,13 @@ def hecke_inverse(T: WOp, tau) -> WOp:
 
 def check_wprime_invariance(op, tbl, probes, points):
     """Max residual of (1 - w) op e' on probe module vectors, w in W'."""
-    n = len(tbl.xi)
     apply_mod = module_apply_wop if isinstance(op, WOp) else module_apply_diffop
     worst = 0.0
     for f in probes:
         for j in range(tbl.m):
             vec = [Const(0j)] * tbl.m
             vec[j] = f
-            melem = module_inject(tbl, vec, n)
+            melem = module_inject(tbl, vec)
             image = apply_mod(op, melem)
             for wp in tbl.stabilizer:
                 if wp.is_identity():

@@ -356,23 +356,3 @@ def ut_fun(z, tau_0, tau_0_vee, q):
 
 def vt_fun(z, tau_0, tau_0_vee, q):
     return tau_0 - ut_fun(z, tau_0, tau_0_vee, q)
-
-
-def cfun(regime_params, aroot_alpha, aroot_k, z):
-    """Value of c_alpha at z = <alpha,x> + k c, for the C-vee-C kernel classes.
-
-    ``regime_params`` carries tau, tau0, tau0v, taun, taunv, q.  The class
-    of the affine root is decided by the finite part (long/short... here:
-    doubled vs difference roots) and the parity of k.
-    """
-    p = regime_params
-    nonzero = [v for v in aroot_alpha if v != 0]
-    if len(nonzero) == 2:
-        return c_reduced(z, p["tau"]), p["tau"]
-    if len(nonzero) != 1 or abs(nonzero[0]) != 2:
-        raise ValueError(f"unsupported affine root {aroot_alpha}")
-    if aroot_k % 2 == 0:
-        return u_fun(z / 2, p["taun"], p["taunv"]), p["taun"]
-    # odd level: u~ supplies one factor q^(1/2), so feed it (z - c)/2
-    return ut_fun((z - p["c"]) / 2, p["tau0"], p["tau0v"], p["q"]), p["tau0"]
-

@@ -28,17 +28,19 @@ class RunConfig:
     perturb: float = 0.0
 
     def __post_init__(self):
-        if self.system not in KNOWN_SYSTEMS:
-            raise ConfigError(f"unknown system {self.system!r}; known: {KNOWN_SYSTEMS}")
-        min_rank = SYSTEMS[self.system].min_rank
+        min_rank = _system(self.system).min_rank
         if self.rank < min_rank:
             raise ConfigError(f"rank must be >= {min_rank} for system {self.system!r}")
 
 
-def default_params(system, rank):
-    if system not in SYSTEMS:
-        raise ConfigError(f"no defaults for {system}")
-    return copy.deepcopy(SYSTEMS[system].defaults)
+def _system(name):
+    if name not in SYSTEMS:
+        raise ConfigError(f"unknown system {name!r}; known: {KNOWN_SYSTEMS}")
+    return SYSTEMS[name]
+
+
+def default_params(system):
+    return copy.deepcopy(_system(system).defaults)
 
 
 def _perturb_matrix(mat, eps):

@@ -400,8 +400,8 @@ def test_criterion_10_classical_limit_slopes():
     from laxkit.trig import TrigGLConfig, lax_trig_gln
     from laxkit.koorn import CCnParams, koornwinder_lax
     from laxkit.ellcm import lax_elliptic_A, lax_inozemtsev
-    from laxkit.ellrel import (VDParams, lax_elliptic_ruijsenaars, lax_vandiejen,
-                               vd_dual_substituted, vd_hamiltonian)
+    from laxkit.ellrel import (VDParams, dual_substituted, lax_elliptic_ruijsenaars,
+                               lax_vandiejen, vd_hamiltonian)
     hs = [1e-2, 1e-3, 1e-4]
     slopes = {}
     rsA = build_root_system("A", 3)
@@ -445,7 +445,7 @@ def test_criterion_10_classical_limit_slopes():
     eta = 0.37 - 0.04j
     base = VDParams(2, 0.23 + 0.06j, 0.31 - 0.02j, 0.27 + 0.05j, G4, GB4,
                     0.0, TAU_ELL)
-    opc = vd_dual_substituted(base, base.xi_spec(eta))
+    opc = dual_substituted(base, base.xi_spec(eta))
     Hc = vd_hamiltonian(base)
     zpt = xb + pb
     ia, _ = symbol_parts(opc, zpt)
@@ -530,8 +530,7 @@ def test_criterion_12_regularity_probes():
     t0 = time.time()
     from laxkit.ellcm import EllipticDunklConfig, dual_substitution
     from laxkit.ellrel import (EllRParams, dual_substituted,
-                               macdonald_elliptic, VDParams,
-                               vd_dual_substituted, vd_hamiltonian)
+                               macdonald_elliptic, VDParams, vd_hamiltonian)
     rng = random.Random(1200)
     worst = 0.0
     # Prop (elcl)(iii)-type: elliptic CM, A2 and C2/BC
@@ -589,13 +588,13 @@ def test_criterion_12_regularity_probes():
     for _ in range(3):
         xi = (complex(rng.uniform(0.1, 0.35), 0.02),
               complex(rng.uniform(0.1, 0.35), -0.02))
-        opv = vd_dual_substituted(base, xi)
+        opv = dual_substituted(base, xi)
         ident, off = symbol_parts(opv, zc)
         idsv.append(ident)
         worst = max(worst, off)
     worst = max(worst, max(abs(v - idsv[0]) for v in idsv) / (1 + abs(idsv[0])))
     constsv = []
-    opv = vd_dual_substituted(base, (0.22 + 0.01j, 0.31 - 0.02j))
+    opv = dual_substituted(base, (0.22 + 0.01j, 0.31 - 0.02j))
     for z in (zc, zc2):
         ia, _ = symbol_parts(opv, z)
         ib, _ = symbol_parts(Hc, z)

@@ -62,7 +62,7 @@ def test_flow_reads_its_operators_at_the_classical_point(system):
     # the step constant c (difference systems) or Planck constant t
     # (differential ones) that the quantum suite reads leaves the flow as it is
     key = "c" if SYSTEMS[system].regime in DIFFERENCE_REGIMES else "t"
-    params = default_params(system, 2)
+    params = default_params(system)
     assert params[key] != 0
     moved = dict(params, **{key: 1.7 * params[key]})
     H, L, _n, _powers, z = classical_flow_setup(RunConfig(system, 2, params))
@@ -97,7 +97,7 @@ ENTRY_POINTS = [
 @pytest.mark.parametrize("name,system,read,n,z", ENTRY_POINTS,
                          ids=[e[0] for e in ENTRY_POINTS])
 def test_classical_entry_points_build_at_c_zero(name, system, read, n, z):
-    params = default_params(system, n)
+    params = default_params(system)
     assert params["c"] != 0
     got = _values(read(params, n), z)
     ref = _values(read(dict(params, c=0.0), n), z)
@@ -123,7 +123,7 @@ DIFFERENTIAL_ENTRY_POINTS = [
 @pytest.mark.parametrize("name,system,read,n,z", DIFFERENTIAL_ENTRY_POINTS,
                          ids=[e[0] for e in DIFFERENTIAL_ENTRY_POINTS])
 def test_differential_entry_points_build_at_t_zero(name, system, read, n, z):
-    params = default_params(system, n)
+    params = default_params(system)
     assert params["t"] != 0
     got = _values(read(params, n), z)
     ref = _values(read(dict(params, t=0.0), n), z)

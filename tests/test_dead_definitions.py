@@ -13,7 +13,9 @@ local assignments: a function that assigns a single name must load it.
 
 Every parameter with a default of a module-level function or method in
 src/laxkit, and every public dataclass field with one, is passed by some
-call: a default that no call overrides is a constant.
+call: a default that no call overrides is a constant.  Every parameter of a
+module-level function in src/laxkit is read in its body; methods are exempt,
+since they keep their class's signature.
 """
 
 import ast
@@ -208,3 +210,26 @@ def unpassed_defaults():
 
 def test_every_parameter_default_is_overridden_by_some_call():
     assert unpassed_defaults() == []
+
+
+def unread_parameters():
+    """Parameters of module-level functions in src/laxkit whose body never
+    loads them (nested functions and lambdas count as the body)."""
+    out = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loaded = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            args = fn.args
+            for a in (args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg]):
+                if a is not None and a.arg not in loaded:
+                    out.append(f"{path.relative_to(ROOT)}:{fn.lineno} {fn.name}({a.arg})")
+    return out
+
+
+def test_every_function_parameter_is_read():
+    assert unread_parameters() == []

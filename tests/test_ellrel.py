@@ -6,17 +6,18 @@ import dataclasses
 import itertools
 import random
 
+import pytest
+
 from laxkit.dual import value
 from laxkit.ellrel import (EllGLParams, EllRParams, VDParams, alpha_sequence,
                            dual_factor_identity_residual,
                            dual_substituted, g_factor, lax_elliptic_ruijsenaars,
                            lax_vandiejen, macdonald_elliptic, nsel_closed_y1,
-                           nsel_closed_y2, r_matrix, r_matrix_vd,
+                           nsel_closed_y2, r_matrix,
                            residue_conditions, residue_control_failure, rho_m,
                            ruijsenaars_hamiltonian, ruijsenaars_lax_tables,
                            ruijsenaars_params,
                            t_hat, t_hat_word, vd_alpha_const, vd_beta_field,
-                           vd_dual_substituted,
                            vd_hamiltonian, vd_p_matrix, vd_q_matrix,
                            y_ell_gln, y_elliptic, y_elliptic_dual)
 from laxkit.fields import exp_lin
@@ -78,8 +79,21 @@ def test_r_matrix_uni_relations():
     xs2 = sample(2)
     ar2 = AffineRoot((2, 0), 0)
     neg2 = AffineRoot((-2, 0), 0)
-    assert op_residual(r_matrix_vd(pv, ar2, unitary=True) * r_matrix_vd(pv, neg2, unitary=True),
+    assert op_residual(r_matrix(pv, ar2, unitary=True) * r_matrix(pv, neg2, unitary=True),
                        WOp.one(2, C), probes2, xs2) < 1e-11
+
+
+def test_non_unitary_vandiejen_operators_solve_no_dual_parameters(monkeypatch):
+    # the dual parameters enter only the unitary norm of a doubled-root factor
+    def refuse(*args):
+        raise RuntimeError("dual parameters solved")
+    monkeypatch.setattr("laxkit.ellrel.dual_params", refuse)
+    pv = dataclasses.replace(pV(), xi=(0.33 + 0.02j, -0.21 + 0.05j))
+    y_elliptic(dataclasses.replace(pv, xi=pv.xi0()), (1, 0))
+    ar = AffineRoot((2, 0), 1)
+    r_matrix(pv, ar)
+    with pytest.raises(RuntimeError, match="dual parameters solved"):
+        r_matrix(pv, ar, unitary=True)
 
 
 def test_equivariance_pair_action():
@@ -189,7 +203,7 @@ def test_rhat_value_at_dynamical_half_periods():
         resid = []
         for d in (1e-2, 1e-3):
             pxi = dataclasses.replace(pv, xi=(oms[r] + d, 0.17 - 0.04j))
-            Rh = r_matrix_vd(pxi, ar, unitary=True)
+            Rh = r_matrix(pxi, ar, unitary=True)
             ph = LinArg(lambda z, br=betas[r]: cmath.exp(1j * cmath.pi * br * (z - 2 * nuv)),
                         ar.alpha, 0j)
             cand = WOp(2, C, {(s_aff.w, s_aff.lam): ph})
@@ -437,7 +451,7 @@ def test_slopes_ruijsenaars_and_vandiejen():
     eta = 0.37 - 0.04j
     base = VDParams(2, 0.23 + 0.06j, 0.31 - 0.02j, 0.27 + 0.05j, G, GB, 0.0, TAU)
     xi = base.xi_spec(eta)
-    opc = vd_dual_substituted(base, xi)
+    opc = dual_substituted(base, xi)
     Hc = vd_hamiltonian(base)
     zpt = xb + pb
     ia, _ = symbol_parts(opc, zpt)

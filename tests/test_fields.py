@@ -216,7 +216,7 @@ FLOW_RANKS = {"rational-A": 3, "trig-gln": 3, "inozemtsev": 2, "koornwinder": 2,
 def _flow_setup(system):
     rank = FLOW_RANKS[system]
     return classical_flow_setup(RunConfig(system=system, rank=rank,
-                                          params=default_params(system, rank)))
+                                          params=default_params(system)))
 
 
 @pytest.mark.parametrize("system", FLOW_RANKS)
@@ -297,7 +297,7 @@ def test_no_node_built_by_a_suite_holds_itself_in_its_image_memo():
     gc.disable()
     try:
         build_suite(RunConfig(system="rational-C", rank=2,
-                              params=default_params("rational-C", 2)))
+                              params=default_params("rational-C")))
         selfish = [f for f in gc.get_objects() if isinstance(f, Field)
                    and any(img is f for img in getattr(f, "_images", {}).values())]
     finally:
@@ -327,7 +327,7 @@ def test_field_dmulti_gives_one_deriv_per_node_and_directions():
 
 
 def test_koornwinder_lax_equation_sides_share_their_nodes():
-    p = default_params("koornwinder", 2)
+    p = default_params("koornwinder")
     lax = koornwinder_lax(CCnParams(n=2, tau0=p["tau0"], tau0v=p["tau0v"],
                                     taun=p["taun"], taunv=p["taunv"], tau=p["tau"],
                                     c=p["c"]))

@@ -242,15 +242,15 @@ def test_matrix_action_matches_module_action():
     tbl = orbit_stabilizer(rs, (1, 0, 0))
     mat = y1.restrict(tbl)
     vec = make_probes(3, tbl.m, rng)
-    direct = module_apply_diffop(y1, module_inject(tbl, vec, 3))
-    viamat = module_inject(tbl, mat.apply_vector(vec), 3)
+    direct = module_apply_diffop(y1, module_inject(tbl, vec))
+    viamat = module_inject(tbl, mat.apply_vector(vec))
     assert module_residual(direct, viamat, pts(3, 6)) < 1e-10
     # and for a difference operator
     cfgt = TrigGLConfig(n=3, tau=1.4 + 0.2j, c=C)
     Y1 = cherednik_gln(cfgt, 1)
     matt = Y1.restrict(tbl)
-    directt = module_apply_wop(Y1, module_inject(tbl, vec, 3))
-    viamatt = module_inject(tbl, matt.apply_vector(vec), 3)
+    directt = module_apply_wop(Y1, module_inject(tbl, vec))
+    viamatt = module_inject(tbl, matt.apply_vector(vec))
     assert module_residual(directt, viamatt, pts(3, 6)) < 1e-10
 
 

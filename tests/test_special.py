@@ -249,32 +249,6 @@ def test_v_derivative_consistency():
     assert abs(v_func_dz(mu, z, G, TAU) - fd) < 1e-5
 
 
-def test_cfun_branch_dispatch():
-    """The c-function classifier: reduced kernel for difference roots,
-    u for even doubled levels, u~ (with one q^(1/2)) for odd levels."""
-    from laxkit.special import c_reduced, cfun, u_fun, ut_fun
-    c = 0.23 + 0.07j
-    params = {"tau": 1.3 - 0.15j, "tau0": 1.2 + 0.1j, "tau0v": 0.8 - 0.05j,
-              "taun": 1.5 + 0.2j, "taunv": 0.7 + 0.1j, "c": c,
-              "q": cmath.exp(c)}
-    x = (0.31 + 0.02j, -0.24 + 0.04j)
-    # difference root (e1 - e2) at level 1: reduced kernel of the full value
-    z = x[0] - x[1] + c
-    val, tau_a = cfun(params, (1, -1), 1, z)
-    assert tau_a == params["tau"]
-    assert abs(val - c_reduced(z, params["tau"])) < 1e-14
-    # even doubled root 2 e_1: u(z/2)
-    z = 2 * x[0]
-    val, tau_a = cfun(params, (2, 0), 0, z)
-    assert tau_a == params["taun"]
-    assert abs(val - u_fun(x[0], params["taun"], params["taunv"])) < 1e-14
-    # odd level delta + 2 e_1: u~((z - c)/2)
-    z = 2 * x[0] + c
-    val, tau_a = cfun(params, (2, 0), 1, z)
-    assert tau_a == params["tau0"]
-    assert abs(val - ut_fun(x[0], params["tau0"], params["tau0v"], params["q"])) < 1e-14
-
-
 def test_coupling_set_validation():
     from laxkit.special import CouplingSet
     cs = CouplingSet("trig", {"tau": 1.3, "c": 0.2})

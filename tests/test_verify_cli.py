@@ -259,25 +259,26 @@ def test_system_registry():
     assert KNOWN_SYSTEMS == tuple(SYSTEMS) and len(SYSTEMS) == 8
     for name, spec in SYSTEMS.items():
         assert spec.defaults and callable(spec.suite)
-        params = default_params(name, 2)
+        params = default_params(name)
         assert params == spec.defaults and params is not spec.defaults
     assert {name for name, spec in SYSTEMS.items() if spec.flow} == FLOW_SYSTEMS
     assert {name for name, spec in SYSTEMS.items()
             if spec.regime in DIFFERENCE_REGIMES} == set(DIFFERENCE_SYSTEMS)
     assert {name for name, spec in SYSTEMS.items()
             if spec.regime in DIFFERENTIAL_REGIMES} == set(DIFFERENTIAL_SYSTEMS)
-    with pytest.raises(ConfigError, match="^no defaults for nope$"):
-        default_params("nope", 2)
+    with pytest.raises(ConfigError, match=r"^unknown system 'nope'; known: \('rational-A', "):
+        default_params("nope")
     with pytest.raises(ConfigError, match=r"^unknown system 'nope'; known: \('rational-A', "):
         RunConfig(system="nope")
-    config = RunConfig(system="ell-cm-A", params=default_params("ell-cm-A", 2))
+    config = RunConfig(system="ell-cm-A", params=default_params("ell-cm-A"))
     with pytest.raises(ConfigError, match="^no classical flow for system 'ell-cm-A'$"):
         classical_flow_setup(config)
 
 
 def test_cli_unknown_system_and_flowless_system(capsys):
     assert cli_main(["verify", "--system", "nope"]) == 2
-    assert "configuration error: no defaults for nope" in capsys.readouterr().err
+    assert ("configuration error: unknown system 'nope'; known: ('rational-A', "
+            in capsys.readouterr().err)
     assert cli_main(["flow", "--system", "ell-cm-A"]) == 2
     assert ("configuration error: no classical flow for system 'ell-cm-A'"
             in capsys.readouterr().err)
