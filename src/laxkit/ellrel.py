@@ -8,6 +8,11 @@ v-functions at a/2 on doubled roots, whose unitary norm alone reads the dual
 parameters.  Unitary R-matrices satisfy Rhat(a) Rhat(-a) = 1, making
 That_i = Rhat(a_i)(s_i^vee x s_i) an affine Weyl group action; products
 along reduced words give Rhat_w independently of the word.
+
+``y_elliptic`` is the one Cherednik builder, Y^b = R_{t(b)} t(b), for every
+parameter class with ``rs``, ``c``, ``xi`` and ``r_kernels``: the reduced
+families and GL_n (``EllRParams``; GL_n is type A with m_short = m_long),
+van Diejen (``VDParams``) and Koornwinder (``koorn.CCnParams``, for b = e_1).
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ class EllRParams:
 
 @dataclass
 class VDParams:
-    """Elliptic C-vee-C_n (van Diejen): 9 effective couplings."""
+    """Elliptic C-vee-C_n (van Diejen): 9 effective couplings; ``rs`` (C_n)
+    is built once per instance."""
 
     n: int
     mu: complex
@@ -78,9 +84,8 @@ class VDParams:
     xi: tuple = None
     _dual: tuple = dfield(default=None, repr=False)
 
-    @property
-    def rs(self):
-        return build_root_system("C", self.n)
+    def __post_init__(self):
+        self.rs = build_root_system("C", self.n)
 
     def dual(self):
         """(nu_vee, g_vee, nub_vee, gb_vee), cached."""
@@ -181,7 +186,7 @@ def alpha_sequence(rs: RootSystemData, word):
 
 def r_word(params, w: AffineElement, rfac) -> WOp:
     """R_w = R(a^1) ... R(a^l) for any reduced word of w, with the factors
-    R(a) = rfac(params, a)."""
+    R(a) = rfac(params, a); the length-0 part of an extended w adds none."""
     rs = params.rs
     out = None
     for ar in alpha_sequence(rs, reduced_word(rs, w)):
@@ -324,78 +329,34 @@ def macdonald_elliptic(params: EllRParams, b, quasi=False, dual=False) -> WOp:
 
 # -- GL_n elliptic Ruijsenaars ----------------------------------------------
 
-@dataclass
-class EllGLParams:
-    n: int
-    mu: complex
-    c: complex
-    tau: complex
-    xi: tuple
-
-    @property
-    def rs(self):
-        return build_root_system("A", self.n)
-
-    def xi_spec(self, eta):
-        """xi_i - xi_{i+1} = -mu for i > 1, eta = xi_1 - xi_2 spectral."""
-        out = [0j] * self.n
-        out[0] = eta
-        for i in range(1, self.n):
-            out[i] = (i - 1) * self.mu
-        return tuple(out)
+def ruijsenaars_params(n, mu, eta, c, tau) -> EllRParams:
+    """A_{n-1} (GL_n) parameters with m = mu at the Lax specialization
+    xi_i - xi_{i+1} = -mu for i > 1, with eta = xi_1 - xi_2 spectral."""
+    xi = (eta,) + tuple((i - 1) * mu for i in range(1, n))
+    return EllRParams(build_root_system("A", n), mu, mu, c, tau, xi)
 
 
-def ruijsenaars_params(n, mu, eta, c, tau) -> EllGLParams:
-    """Parameters at the Lax specialization xi_spec(eta) of the spectral eta."""
-    p = EllGLParams(n, mu, c, tau, (0j,) * n)
-    return replace(p, xi=p.xi_spec(eta))
-
-
-def _gl_sig(p: EllGLParams, mu, i, j, shift=0j, dz=False):
+def _gl_sig(p: EllRParams, mu, i, j, shift=0j, dz=False):
     """sigma_mu(x_i - x_j + shift), or at no shift its derivative sigma_mu',
     1-based i, j."""
-    form = ext_form(p.n, i - 1, j - 1)
+    form = ext_form(p.rs.dim, i - 1, j - 1)
     return sigma_dz_form(mu, form, p.tau) if dz else sigma_form(mu, form, p.tau, shift)
 
 
-def _gl_sig_product(p: EllGLParams, j, skip, start=None):
+def _gl_sig_product(p: EllRParams, j, skip, start=None):
     """start * prod_{l not in skip} sigma_mu(x_j - x_l), folded from the first
     factor in increasing l; None if nothing is left."""
     out = start
-    for l in range(1, p.n + 1):
+    for l in range(1, p.rs.dim + 1):
         if l not in skip:
-            f = _gl_sig(p, p.mu, j, l)
+            f = _gl_sig(p, p.m_short, j, l)
             out = f if out is None else out * f
     return out
 
 
-def r_ij_ell(p: EllGLParams, i, j) -> WOp:
-    """R_ij = sigma_mu(x_ij) - sigma_{xi_i - xi_j}(x_ij) s_ij."""
-    n = p.n
-    form = ext_form(n, i - 1, j - 1)
-    dyn = p.xi[i - 1] - p.xi[j - 1]
-    s = SignedPerm.transposition(n, i - 1, j - 1)
-    return WOp(n, p.c, {(SignedPerm.identity(n), (0,) * n): sigma_form(p.mu, form, p.tau),
-                        (s, (0,) * n): -sigma_form(dyn, form, p.tau)})
-
-
-def y_ell_gln(p: EllGLParams, i) -> WOp:
-    """Y_i = R_{i,i+1} ... R_{i,n} t(e_i) R_{i1} ... R_{i,i-1}."""
-    n = p.n
-    out = None
-    for j in range(i + 1, n + 1):
-        R = r_ij_ell(p, i, j)
-        out = R if out is None else out * R
-    ti = WOp.translation(n, p.c, ext_coord(n, i - 1))
-    out = ti if out is None else out * ti
-    for j in range(1, i):
-        out = out * r_ij_ell(p, i, j)
-    return out
-
-
-def ruijsenaars_hamiltonian(p: EllGLParams) -> WOp:
+def ruijsenaars_hamiltonian(p: EllRParams) -> WOp:
     """H = sum_i prod_{j != i} sigma_mu(x_i - x_j) t(e_i)."""
-    n = p.n
+    n = p.rs.dim
     c = p.c
     out = WOp.zero(n, c)
     for i in range(1, n + 1):
@@ -408,14 +369,14 @@ def lax_elliptic_ruijsenaars(n, mu, eta, c, tau) -> LaxPair:
     """L = Y_1|M' at ruijsenaars_params; A from f(Y) = Y_1 + Y_2."""
     p = ruijsenaars_params(n, mu, eta, c, tau)
     tbl = orbit_stabilizer(p.rs, ext_coord(n, 0))
-    Y1 = y_ell_gln(p, 1)
-    return lax_pair(tbl, Y1.restrict(tbl), Y1 + y_ell_gln(p, 2),
+    Y1 = y_elliptic(p, ext_coord(n, 0))
+    return lax_pair(tbl, Y1.restrict(tbl), Y1 + y_elliptic(p, ext_coord(n, 1)),
                     ruijsenaars_hamiltonian(p))
 
 
-def nsel_closed_y1(p: EllGLParams) -> WOp:
+def nsel_closed_y1(p: EllRParams) -> WOp:
     """Y_1|_{M'} = (A + sum_i B_i s_{1i}) t(e_1)."""
-    n = p.n
+    n = p.rs.dim
     eta = p.xi[0] - p.xi[1]
     op = WOp(n, p.c, {(SignedPerm.identity(n), (0,) * n): _gl_sig_product(p, 1, {1})})
     for i in range(2, n + 1):
@@ -424,13 +385,13 @@ def nsel_closed_y1(p: EllGLParams) -> WOp:
     return op * WOp.translation(n, p.c, ext_coord(n, 0))
 
 
-def nsel_closed_y2(p: EllGLParams) -> WOp:
+def nsel_closed_y2(p: EllRParams) -> WOp:
     """Y_2|_{M'} = E + sum_i F_i s_{1i}."""
-    n = p.n
+    n = p.rs.dim
     eta = p.xi[0] - p.xi[1]
     out = WOp.zero(n, p.c)
     for i in range(2, n + 1):
-        E = _gl_sig_product(p, i, {1, i}, start=_gl_sig(p, p.mu, i, 1, p.c))
+        E = _gl_sig_product(p, i, {1, i}, start=_gl_sig(p, p.m_short, i, 1, p.c))
         F = _gl_sig_product(p, i, {1, i}, start=_gl_sig(p, eta, 1, i, -p.c))
         out += WOp(n, p.c, {(SignedPerm.identity(n), ext_coord(n, i - 1)): E})
         # F_i contains t(e_i) to the LEFT of s_{1i}: h t(e_i) s_{1i} = h s_{1i} t(e_1)
@@ -438,12 +399,12 @@ def nsel_closed_y2(p: EllGLParams) -> WOp:
     return out
 
 
-def ruijsenaars_lax_tables(p: EllGLParams):
+def ruijsenaars_lax_tables(p: EllRParams):
     """Closed-form entries of L and A; at c = 0 the A entries are the
     derivative limit of the difference quotients."""
-    n = p.n
+    n = p.rs.dim
     c = p.c
-    eta = p.xi[0] - p.xi[1]
+    mu, eta = p.m_short, p.xi[0] - p.xi[1]
     one = SignedPerm.identity(n)
     Lrows, Arows = [], []
     for i in range(1, n + 1):
@@ -456,9 +417,9 @@ def ruijsenaars_lax_tables(p: EllGLParams):
                 for k in range(1, n + 1):
                     if k != j:
                         if c == 0:
-                            diff = -_gl_sig(p, p.mu, k, j, dz=True)
+                            diff = -_gl_sig(p, mu, k, j, dz=True)
                         else:
-                            diff = nsum([_gl_sig(p, p.mu, k, j, c), -_gl_sig(p, p.mu, k, j)])
+                            diff = nsum([_gl_sig(p, mu, k, j, c), -_gl_sig(p, mu, k, j)])
                         kprod = _gl_sig_product(p, k, {j, k})
                         term = diff if kprod is None else kprod * diff
                         acc += WOp(n, c, {(one, ext_coord(n, k - 1)): term})

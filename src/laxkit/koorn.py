@@ -3,9 +3,12 @@
 
 Five parameters (tau0, tau0v, taun, taunv, tau) enter through the kernels
 a, b (difference roots), u, v (doubled roots) and u~, v~ (odd-level doubled
-roots).  Y_1 restricted to M' factorizes as P Q with P carrying the finite
-reflection data and Q the single shift; the Koornwinder operator is the
-collapse of sum_i (Y_i + Y_i^{-1}).
+roots).  Y_1 = R_{t(e_1)} t(e_1) comes from the one elliptic builder
+``ellrel.y_elliptic`` with the trigonometric rule ``CCnParams.r_kernels``;
+the Noumi T-word ``y_operator`` is the independent reference.  Y_1
+restricted to M' factorizes as P Q with P carrying the finite reflection
+data and Q the single shift; the Koornwinder operator is the collapse of
+sum_i (Y_i + Y_i^{-1}).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+from .ellrel import vd_kernel_class
 from .fields import Const, Field, LinArg, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
                      hecke_inverse, lax_pair)
@@ -23,6 +27,8 @@ from .weyl import (SignedPerm, build_root_system, ext_coord, ext_form,
 
 @dataclass
 class CCnParams:
+    """Koornwinder parameters; ``rs`` (C_n) is built once per instance."""
+
     n: int
     tau0: complex
     tau0v: complex
@@ -31,12 +37,37 @@ class CCnParams:
     tau: complex
     c: complex
 
+    def __post_init__(self):
+        self.rs = build_root_system("C", self.n)
+
     @property
     def q(self):
         return cmath.exp(self.c)
 
+    @property
+    def xi(self):
+        """All zero: the Noumi kernels are not dynamical."""
+        return (0j,) * self.n
+
     def taus(self):
         return [self.tau0] + [self.tau] * (self.n - 1) + [self.taun]
+
+    def r_kernels(self, ar):
+        """(k(z), k_dyn(mu, z), norm, h) of R(ar) = k - k_dyn s_ar: the
+        trigonometric limit of ``VDParams.r_kernels``, with R = a + b s on
+        difference roots and u + v s at h = 1/2 on doubled roots (taun, taunv
+        at even level; tau0, tau0v at odd level, where the shift c/2 is the
+        q^{1/2} of u~).  No unitary norm (None): mu is 0 here.  The rule is
+        for b = e_1 only: R_{t(b)} t(b) is Noumi's Y_1, but for i >= 2 Y_i
+        holds inverse generators and R_{t(e_i)} t(e_i) is another operator.
+        """
+        cls = vd_kernel_class(ar)
+        if cls == "diff":
+            tau = self.tau
+            return (lambda z: trig_ab(z, tau)[0], lambda mu, z: -trig_ab(z, tau)[1],
+                    None, 1)
+        t, tv = (self.taun, self.taunv) if cls == "even" else (self.tau0, self.tau0v)
+        return (lambda z: u_fun(z, t, tv), lambda mu, z: u_fun(z, t, tv) - t, None, 0.5)
 
 
 def _hecke_kernel(p, k, i, j, sign):
@@ -63,11 +94,6 @@ def u_ext(p, i, q_level=0) -> Field:
         return LinArg(lambda z: u_fun(z, tn, tnv), form)
     t0, t0v, q = p.tau0, p.tau0v, p.q
     return LinArg(lambda z: ut_fun(z, t0, t0v, q), form)
-
-
-def v_ext(p, i, q_level=0) -> Field:
-    tau_i = p.taun if q_level == 0 else p.tau0
-    return nsum([Const(tau_i + 0j), -u_ext(p, i, q_level)])
 
 
 # -- Noumi generators ----------------------------------------------------
@@ -122,52 +148,6 @@ def y_inverse(p: CCnParams, i) -> WOp:
         op = hecke_inverse(Ts[k], taus[k]) if not inverted else Ts[k]
         out = op if out is None else out * op
     return out
-
-
-# -- R-matrix product form of Y_1 ----------------------------------------
-
-def r_diff(p, i, j) -> WOp:
-    n = p.n
-    return WOp(n, p.c, {(SignedPerm.identity(n), (0,) * n): a_ext(p, i, j),
-                        (SignedPerm.transposition(n, i - 1, j - 1), (0,) * n): b_ext(p, i, j)})
-
-
-def r_sum(p, i, j) -> WOp:
-    n = p.n
-    return WOp(n, p.c, {(SignedPerm.identity(n), (0,) * n): a_ext(p, i, j, 1),
-                        (SignedPerm.neg_transposition(n, i - 1, j - 1), (0,) * n): b_ext(p, i, j, 1)})
-
-
-def r_two_e1(p) -> WOp:
-    n = p.n
-    return WOp(n, p.c, {(SignedPerm.identity(n), (0,) * n): u_ext(p, 1, 0),
-                        (SignedPerm.sign_flip(n, 0), (0,) * n): v_ext(p, 1, 0)})
-
-
-def r_odd_shift(p) -> WOp:
-    """R(delta + 2 e_1) t(e_1) = u~_1 t(e_1) + v~_1 s_1."""
-    n = p.n
-    return WOp(n, p.c, {(SignedPerm.identity(n), ext_coord(n, 0)): u_ext(p, 1, 1),
-                        (SignedPerm.sign_flip(n, 0), (0,) * n): v_ext(p, 1, 1)})
-
-
-def middle_product(p: CCnParams) -> WOp:
-    """R_{12}...R_{1n} R(2e_1) R^+_{1n}...R^+_{12} (the first three factors)."""
-    n = p.n
-    out = None
-    for j in range(2, n + 1):
-        R = r_diff(p, 1, j)
-        out = R if out is None else out * R
-    R2 = r_two_e1(p)
-    out = R2 if out is None else out * R2
-    for j in range(n, 1, -1):
-        out = out * r_sum(p, 1, j)
-    return out
-
-
-def y1_product(p: CCnParams) -> WOp:
-    """Y_1 = R_{12}...R_{1n} R(2e_1) R^+_{1n}...R^+_{12} R(delta+2e_1) t(e_1)."""
-    return middle_product(p) * r_odd_shift(p)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -241,7 +221,8 @@ def p_matrix(p: CCnParams) -> OperatorMatrix:
 
 
 def q_matrix(p: CCnParams) -> OperatorMatrix:
-    """Q: diagonal u~_i t(e_i), anti-diagonal v~_i, zero elsewhere."""
+    """Q: diagonal u~_i t(e_i), anti-diagonal v~_i = tau0 - u~_i, zero
+    elsewhere."""
     n = p.n
     m = 2 * n
     c = p.c
@@ -253,7 +234,8 @@ def q_matrix(p: CCnParams) -> OperatorMatrix:
                 row.append(WOp(n, c, {(SignedPerm.identity(n), ext_coord(n, i - 1)):
                                       u_ext(p, i, 1)}))
             elif (i - j) % m == n:
-                row.append(WOp.from_field(n, c, v_ext(p, i, 1)))
+                v = nsum([Const(p.tau0 + 0j), -u_ext(p, i, 1)])
+                row.append(WOp.from_field(n, c, v))
             else:
                 row.append(WOp.zero(n, c))
         rows.append(row)
@@ -261,7 +243,7 @@ def q_matrix(p: CCnParams) -> OperatorMatrix:
 
 
 def koornwinder_table(p: CCnParams):
-    return orbit_stabilizer(build_root_system("C", p.n), ext_coord(p.n, 0))
+    return orbit_stabilizer(p.rs, ext_coord(p.n, 0))
 
 
 def koornwinder_hamiltonian(p: CCnParams) -> WOp:

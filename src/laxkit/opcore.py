@@ -624,35 +624,6 @@ def residual_pair(lhs_val, rhs_val):
     return abs(lhs_val - rhs_val) / (1.0 + abs(lhs_val) + abs(rhs_val))
 
 
-def classical_op_residual(op1: WOp, op2: WOp, zpoints) -> float:
-    """Componentwise symbol residual of two classical (c = 0) operators."""
-    ws = {w for (w, _l) in op1.terms} | {w for (w, _l) in op2.terms}
-    n = op1.n
-    worst = 0.0
-    for z in zpoints:
-        x, p = z[:n], z[n:]
-        for w in ws:
-            a = op1.symbol_component(w, x, p)
-            b = op2.symbol_component(w, x, p)
-            worst = max(worst, residual_pair(a, b))
-    return worst
-
-
-def symbol_parts(op, zpoint):
-    """(identity component, worst off-identity magnitude) of the classical
-    symbol of ``op`` at the phase point (x, p)."""
-    n = op.n
-    x, p = zpoint[:n], zpoint[n:]
-    ident, worst = 0j, 0.0
-    for w in dict.fromkeys(w for (w, _k) in op.terms):
-        v = op.symbol_component(w, x, p)
-        if w.is_identity():
-            ident = v
-        else:
-            worst = max(worst, abs(v))
-    return ident, worst
-
-
 def make_probes(n, count, rng):
     """Exponential probes e^{<k,x>} with seeded standard complex-Gaussian k."""
     out = []

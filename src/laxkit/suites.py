@@ -156,7 +156,7 @@ def suite_trig(config: RunConfig):
 
 
 def suite_koorn(config: RunConfig):
-    from . import koorn
+    from . import ellrel, koorn
     n = config.rank
     p = config.params
     pp = koorn.CCnParams(n=n, tau0=p["tau0"], tau0v=p["tau0v"], taun=p["taun"],
@@ -169,15 +169,16 @@ def suite_koorn(config: RunConfig):
                                 rng, policy))
     rng = rng_for(config.seed, "y1")
     probes = make_probes(n, 2, rng)
+    Y1 = ellrel.y_elliptic(pp, ext_coord(n, 0))
     out.append(run_check("y1-product-forms", 1e-9,
-                         residual_evalfn(koorn.y_operator(pp, 1), koorn.y1_product(pp),
-                                     probes), rng, policy))
+                         residual_evalfn(koorn.y_operator(pp, 1), Y1, probes),
+                         rng, policy))
     rng = rng_for(config.seed, "lax")
     probes = make_probes(n, 2, rng)
     lax = koorn.koornwinder_lax(pp)
-    Y1res = koorn.y1_product(pp).restrict(lax.tbl)
     out.append(run_check("PQ-matches-restriction", 1e-8,
-                         residual_evalfn(lax.L, Y1res, probes), rng, policy))
+                         residual_evalfn(lax.L, Y1.restrict(lax.tbl), probes),
+                         rng, policy))
     Lm = _perturb_matrix(lax.L, config.perturb)
     out.append(_lax_check("lax-equation", Lm, lax.A, lax.H, probes, rng, policy, 1e-8))
     rng = rng_for(config.seed, "integrals")

@@ -9,7 +9,6 @@ reproducible bit-for-bit from its seed.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -181,14 +180,6 @@ def poisson_bracket(f, g, z, n):
     return _bracket(f, g, z, n)[0]
 
 
-def poisson_residual(f, g, z, n):
-    """Scale-free bracket residual: |{f,g}| / (1 + |grad f| |grad g|)."""
-    br, gf, gg = _bracket(f, g, z, n)
-    sf = math.sqrt(sum(abs(v) ** 2 for v in gf))
-    sg = math.sqrt(sum(abs(v) ** 2 for v in gg))
-    return abs(br) / (1.0 + sf * sg)
-
-
 def hamiltonian_rhs(H, z, n):
     g = gradient_vec(H, z)
     return tuple(g[n:]) + tuple(-v for v in g[:n])
@@ -357,18 +348,6 @@ def spectral_invariants(entry_fields, powers, points):
     drifts = charpoly_drifts([[value(v) for v in row] for row in mat] for mat in mats)
     return [([_trace_power(mat, k) for k in powers], drift)
             for mat, drift in zip(mats, drifts)]
-
-
-def fit_slope(hs, vals):
-    """Least-squares slope of log|val| against log h."""
-    xs = [math.log(h) for h in hs]
-    ys = [math.log(max(v, 1e-300)) for v in vals]
-    n = len(xs)
-    xbar = sum(xs) / n
-    ybar = sum(ys) / n
-    num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    den = sum((x - xbar) ** 2 for x in xs)
-    return num / den
 
 
 def rng_for(seed, tag):

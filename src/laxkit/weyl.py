@@ -384,11 +384,6 @@ def weyl_enumerate(rs: RootSystemData):
     return order
 
 
-def finite_length(rs: RootSystemData, w: SignedPerm) -> int:
-    return sum(1 for a in rs.pos_roots
-               if AffineRoot(w.apply_vec(a), 0).is_negative())
-
-
 def reduced_word_finite(rs: RootSystemData, w: SignedPerm):
     """Reduced word of a finite Weyl element over simple-root indices 1..n."""
     word = []
@@ -410,39 +405,19 @@ def reduced_word_finite(rs: RootSystemData, w: SignedPerm):
     return word
 
 
-def affine_length(rs: RootSystemData, w: AffineElement) -> int:
-    """Number of positive affine roots sent negative (the length)."""
-    winv = w.inverse()
-    k_bound = max((abs(dot(a, w.lam)) for a in rs.pos_roots), default=0) + 2
-    count = 0
-    for a in rs.pos_roots:
-        for k in range(-k_bound, k_bound + 1):
-            ar = AffineRoot(a, k)
-            if ar.is_negative():
-                continue
-            if winv.apply_affine_root(ar).is_negative():
-                count += 1
-        na = tuple(-v for v in a)
-        for k in range(1, k_bound + 1):
-            ar = AffineRoot(na, k)
-            if winv.apply_affine_root(ar).is_negative():
-                count += 1
-    return count
-
-
 def reduced_word(rs: RootSystemData, w: AffineElement):
-    """Reduced word over {0..n} for w in W ⋉ t(Q^vee), by greedy descent.
+    """Reduced word over {0..n} of w = s_{i1} ... s_{il} pi, by greedy descent.
 
-    Repeatedly strips the smallest i with w^{-1}(a_i) negative; raises
-    UnsupportedElementError for elements outside the non-extended group
-    (nontrivial Omega part).
+    Repeatedly strips the smallest i with w^{-1}(a_i) negative and stops at
+    the remainder pi of length 0: the identity on W ⋉ t(Q^vee), a nontrivial
+    element of Omega for an extended element such as t(e_i) of GL_n.
     """
     simples = rs.affine_simple_roots()
     refl = [affine_reflection(a) for a in simples]
     word = []
     cur = w
     guard = 100000
-    while not cur.is_identity():
+    while True:
         if guard == 0:
             raise UnsupportedElementError("reduced-word search did not terminate")
         guard -= 1
@@ -453,21 +428,7 @@ def reduced_word(rs: RootSystemData, w: AffineElement):
                 cur = refl[i] * cur
                 break
         else:
-            raise UnsupportedElementError(
-                "element has no affine descent (outside W ⋉ t(Q^vee))")
-    return word
-
-
-def evaluate_word(rs: RootSystemData, word) -> AffineElement:
-    refl = [affine_reflection(a) for a in rs.affine_simple_roots()]
-    out = AffineElement.identity(rs.dim)
-    for i in word:
-        out = out * refl[i]
-    return out
-
-
-def translation_word(rs: RootSystemData, lam) -> list:
-    return reduced_word(rs, AffineElement.translation(tuple(lam)))
+            return word
 
 
 @dataclass

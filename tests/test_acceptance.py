@@ -13,13 +13,12 @@ import sys
 import time
 
 from laxkit.dual import value
-from laxkit.opcore import (OperatorMatrix, WOp, integrals, make_probes,
-                           symbol_parts)
-from laxkit.verify import (PointPolicy, fit_slope, hamiltonian_flow,
-                           isospectral_drift, matrix_fn_from_fields,
-                           op_residual, poisson_residual, scaled_flow,
+from laxkit.opcore import OperatorMatrix, WOp, integrals, make_probes
+from laxkit.verify import (PointPolicy, hamiltonian_flow, isospectral_drift,
+                           matrix_fn_from_fields, op_residual, scaled_flow,
                            trace_power_fn)
 from laxkit.weyl import build_root_system, orbit_stabilizer
+from support import fit_slope, poisson_residual, symbol_parts
 
 TAU_ELL = 0.27 + 0.82j
 C_STEP = 0.19 + 0.05j
@@ -203,7 +202,7 @@ def test_criterion_04_hecke_braid_relations():
 def test_criterion_05_cherednik_commutativity():
     t0 = time.time()
     from laxkit.trig import TrigGLConfig, cherednik_gln
-    from laxkit.ellrel import EllGLParams, VDParams, y_ell_gln, y_elliptic
+    from laxkit.ellrel import EllRParams, VDParams, y_elliptic
     worst = 0.0
     cfg = TrigGLConfig(n=4, tau=1.4 + 0.2j, c=0.31 + 0.11j)
     probes = make_probes(4, 2, random.Random(500))
@@ -212,11 +211,11 @@ def test_criterion_05_cherednik_commutativity():
     for i in range(4):
         for j in range(i + 1, 4):
             worst = max(worst, op_residual(Ys[i] * Ys[j], Ys[j] * Ys[i], probes, xs))
-    pg = EllGLParams(3, 0.23 + 0.06j, C_STEP, TAU_ELL,
-                     (0.31 + 0.02j, -0.12 + 0.04j, 0.27 - 0.03j))
+    pg = EllRParams(build_root_system("A", 3), 0.23 + 0.06j, 0.23 + 0.06j, C_STEP,
+                    TAU_ELL, (0.31 + 0.02j, -0.12 + 0.04j, 0.27 - 0.03j))
     probes3 = make_probes(3, 2, random.Random(502))
     xs3 = pts(3, 4, 503)
-    Ye = [y_ell_gln(pg, i) for i in (1, 2, 3)]
+    Ye = [y_elliptic(pg, b) for b in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     for i in range(3):
         for j in range(i + 1, 3):
             worst = max(worst, op_residual(Ye[i] * Ye[j], Ye[j] * Ye[i], probes3, xs3))
@@ -236,10 +235,11 @@ def test_criterion_06_closed_forms_vs_construction():
     from laxkit.trig import TrigGLConfig, lax_trig_gln, lemma_ns_closed
     from laxkit.ellrel import (VDParams, lax_elliptic_ruijsenaars,
                                nsel_closed_y1, nsel_closed_y2,
-                               ruijsenaars_params, vd_p_matrix, vd_q_matrix,
-                               y_ell_gln, y_elliptic)
+                               r_matrix, ruijsenaars_params, vd_p_matrix,
+                               vd_q_matrix, y_elliptic)
     from laxkit.koorn import (CCnParams, abcd_operator, koornwinder_lax,
-                              p_matrix, q_matrix, r_odd_shift, y1_product)
+                              p_matrix, q_matrix)
+    from laxkit.weyl import AffineRoot
     worst = 0.0
     cfg = TrigGLConfig(n=3, tau=1.4 + 0.2j, c=0.31 + 0.11j)
     lax = lax_trig_gln(cfg)
@@ -253,7 +253,7 @@ def test_criterion_06_closed_forms_vs_construction():
     xs3 = pts(3, 4, 603)
     worst = max(worst, op_residual(nsel_closed_y1(pe).restrict(laxe.tbl),
                                        laxe.L, probes3, xs3))
-    Y2 = y_ell_gln(pe, 2)
+    Y2 = y_elliptic(pe, (0, 1, 0))
     worst = max(worst, op_residual(nsel_closed_y2(pe).restrict(laxe.tbl),
                                        Y2.restrict(laxe.tbl), probes3, xs3))
     pp = CCnParams(n=2, tau0=1.2 + 0.1j, tau0v=0.8 - 0.05j, taun=1.5 + 0.2j,
@@ -263,9 +263,11 @@ def test_criterion_06_closed_forms_vs_construction():
     xs2 = pts(2, 4, 605, im=0.12, lo=-0.9, hi=0.9)
     worst = max(worst, op_residual(p_matrix(pp), abcd_operator(pp).restrict(laxk.tbl),
                                        probes2, xs2))
-    worst = max(worst, op_residual(q_matrix(pp), r_odd_shift(pp).restrict(laxk.tbl),
+    # R(delta + 2 e_1) t(e_1), the last factor of Y_1 = R_{t(e_1)} t(e_1)
+    odd = r_matrix(pp, AffineRoot((2, 0), 1)) * WOp.translation(2, pp.c, (1, 0))
+    worst = max(worst, op_residual(q_matrix(pp), odd.restrict(laxk.tbl),
                                        probes2, xs2))
-    worst = max(worst, op_residual(laxk.L, y1_product(pp).restrict(laxk.tbl),
+    worst = max(worst, op_residual(laxk.L, y_elliptic(pp, (1, 0)).restrict(laxk.tbl),
                                        probes2, xs2))
     pv = VDParams(2, 0.23 + 0.06j, 0.31 - 0.02j, 0.27 + 0.05j, G4, GB4,
                   C_STEP, TAU_ELL)

@@ -8,13 +8,13 @@ from laxkit.ellcm import (EllipticDunklConfig, ael_tables, dual_substitution,
                           elliptic_dunkl, inozemtsev_tables, lax_elliptic_A,
                           lax_inozemtsev, split_a_operator, split_hamiltonian)
 from laxkit.fields import Const, Prod, Scale
-from laxkit.opcore import DiffOp, OperatorMatrix, make_probes, symbol_parts
-from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
-                           hamiltonian_flow, isospectral_drift,
-                           matrix_fn_from_fields, op_residual, poisson_residual,
+from laxkit.opcore import DiffOp, OperatorMatrix, make_probes
+from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
+                           isospectral_drift, matrix_fn_from_fields, op_residual,
                            trace_power_fn)
 from laxkit.weyl import build_root_system
 from test_fields import field_nodes
+from support import fit_slope, poisson_residual, symbol_parts
 
 TAU = 0.31 + 0.84j
 T, CC = -0.7j, 1.3j

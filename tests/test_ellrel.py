@@ -9,7 +9,8 @@ import random
 import pytest
 
 from laxkit.dual import value
-from laxkit.ellrel import (EllGLParams, EllRParams, VDParams, alpha_sequence,
+from laxkit import ellrel, koorn
+from laxkit.ellrel import (EllRParams, VDParams, alpha_sequence,
                            dual_factor_identity_residual,
                            dual_substituted, g_factor, lax_elliptic_ruijsenaars,
                            lax_vandiejen, macdonald_elliptic, nsel_closed_y1,
@@ -19,17 +20,16 @@ from laxkit.ellrel import (EllGLParams, EllRParams, VDParams, alpha_sequence,
                            ruijsenaars_params,
                            t_hat, t_hat_word, vd_alpha_const, vd_beta_field,
                            vd_hamiltonian, vd_p_matrix, vd_q_matrix,
-                           y_ell_gln, y_elliptic, y_elliptic_dual)
+                           y_elliptic, y_elliptic_dual)
 from laxkit.fields import exp_lin
-from laxkit.opcore import (DynOp, OperatorMatrix, WOp, classical_op_residual,
-                           make_probes, symbol_parts)
+from laxkit.opcore import DynOp, OperatorMatrix, WOp, make_probes
 from laxkit.special import sigma, v_func, wp
-from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
-                           isospectral_drift, matrix_fn_from_fields,
-                           op_residual, poisson_residual, scaled_flow,
+from laxkit.verify import (PointPolicy, energy_drift, isospectral_drift,
+                           matrix_fn_from_fields, op_residual, scaled_flow,
                            trace_power_fn)
 from laxkit.weyl import (AffineElement, AffineRoot, affine_reflection,
                          build_root_system, orbit_stabilizer, reduced_word)
+from support import classical_op_residual, fit_slope, poisson_residual, symbol_parts
 
 TAU = 0.27 + 0.82j
 C = 0.19 + 0.05j
@@ -232,18 +232,16 @@ def test_macdonald_elliptic_collapse():
     # a uniform shift) the collapse of Y_1 alone is the Ruijsenaars
     # Hamiltonian, with the minuscule products of the closed form
     mu = 0.23 + 0.06j
-    pg = EllGLParams(3, mu, C, TAU, (0j,) * 3)
-    pg = dataclasses.replace(pg, xi=pg.xi_spec(-mu))
+    pg = ruijsenaars_params(3, mu, -mu, C, TAU)
     H = ruijsenaars_hamiltonian(pg)
-    assert op_residual(y_ell_gln(pg, 1).collapse(), H, probes, xs) < 1e-11
+    assert op_residual(y_elliptic(pg, (1, 0, 0)).collapse(), H, probes, xs) < 1e-11
 
 
 def test_elliptic_gl_cherednik_commutativity():
-    pg = EllGLParams(3, 0.23 + 0.06j, C, TAU,
-                     (0.31 + 0.02j, -0.12 + 0.04j, 0.27 - 0.03j))
+    pg = pA()
     probes = make_probes(3, 2, random.Random(15))
     xs = sample(3)
-    Ys = [y_ell_gln(pg, i) for i in (1, 2, 3)]
+    Ys = [y_elliptic(pg, b) for b in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     for i in range(3):
         for j in range(i + 1, 3):
             assert op_residual(Ys[i] * Ys[j], Ys[j] * Ys[i], probes, xs) < 1e-8
@@ -255,7 +253,7 @@ def test_ruijsenaars_lax_block():
     xs = sample(3)
     p = ruijsenaars_params(3, 0.29 + 0.07j, 0.41 - 0.06j, C, TAU)
     assert op_residual(nsel_closed_y1(p).restrict(lax.tbl), lax.L, probes, xs) < 1e-12
-    Y2 = y_ell_gln(p, 2)
+    Y2 = y_elliptic(p, (0, 1, 0))
     assert op_residual(nsel_closed_y2(p).restrict(lax.tbl), Y2.restrict(lax.tbl),
                            probes, xs) < 1e-12
     Ltab, Atab = ruijsenaars_lax_tables(p)
@@ -542,14 +540,12 @@ def test_trig_limit_of_elliptic_r_matrix():
 def test_classical_ruijsenaars_a_is_hbar_limit():
     # entries of A_cl match (i hbar)^-1 * (quantum A) as hbar -> 0
     mu, eta = 0.29 + 0.07j, 0.41 - 0.06j
-    pcl = EllGLParams(3, mu, 0.0, TAU, (0j,) * 3)
-    pcl = dataclasses.replace(pcl, xi=pcl.xi_spec(eta))
+    pcl = ruijsenaars_params(3, mu, eta, 0.0, TAU)
     _Lc, Acl = ruijsenaars_lax_tables(pcl)
     x = (0.31, -0.22, 0.4)
     mom = (0.2, -0.3, 0.14)
     h = 1e-5
-    pq = EllGLParams(3, mu, -1j * h, TAU, (0j,) * 3)
-    pq = dataclasses.replace(pq, xi=pq.xi_spec(eta))
+    pq = ruijsenaars_params(3, mu, eta, -1j * h, TAU)
     _Lq, Aq = ruijsenaars_lax_tables(pq)
     worst = 0.0
     for i in range(3):
@@ -563,3 +559,19 @@ def test_classical_ruijsenaars_a_is_hbar_limit():
             got /= (1j * h)
             worst = max(worst, abs(got - want) / (1 + abs(want)))
     assert worst < 1e-3  # O(hbar) agreement at hbar = 1e-5
+
+
+def test_root_system_is_built_once_per_parameter_object(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_root_system(*args)
+    pv = dataclasses.replace(pV(), xi=(0.33 + 0.02j, -0.21 + 0.05j))
+    pk = koorn.CCnParams(n=2, tau0=1.2 + 0.1j, tau0v=0.8 - 0.05j, taun=1.5 + 0.2j,
+                         taunv=0.7 + 0.1j, tau=1.3 - 0.15j, c=0.23 + 0.07j)
+    monkeypatch.setattr(ellrel, "build_root_system", counted)
+    monkeypatch.setattr(koorn, "build_root_system", counted)
+    for params in (pv, pk):
+        y_elliptic(params, (1, 0))
+        assert calls == []

@@ -1,20 +1,21 @@
 """Noumi representation and the Koornwinder--van Diejen Lax matrix."""
 
+import dataclasses
 import random
 
 from laxkit.dual import value
+from laxkit.ellrel import alpha_sequence, r_matrix, y_elliptic
 from laxkit.koorn import (CCnParams, a_ext, abcd_coeffs, abcd_operator,
                           koornwinder_hamiltonian, koornwinder_lax,
-                          koornwinder_table, middle_product,
-                          noumi_rep, p_matrix, phi_vector_ccn, q_matrix, r_diff,
-                          r_odd_shift, r_sum, y1_product, y_inverse,
-                          y_operator)
+                          koornwinder_table, noumi_rep, p_matrix,
+                          phi_vector_ccn, q_matrix, y_inverse, y_operator)
 from laxkit.opcore import OperatorMatrix, WOp, integrals, make_probes
-from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
-                           hamiltonian_flow, isospectral_drift,
-                           matrix_fn_from_fields, op_residual, poisson_residual,
+from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
+                           isospectral_drift, matrix_fn_from_fields, op_residual,
                            trace_power_fn)
-from laxkit.weyl import SignedPerm, ext_coord, same_coord
+from laxkit.weyl import (AffineElement, AffineRoot, SignedPerm, ext_coord,
+                         ext_form, reduced_word, same_coord)
+from support import fit_slope, poisson_residual
 
 P = CCnParams(n=2, tau0=1.2 + 0.1j, tau0v=0.8 - 0.05j, taun=1.5 + 0.2j,
               taunv=0.7 + 0.1j, tau=1.3 - 0.15j, c=0.23 + 0.07j)
@@ -24,6 +25,22 @@ def sample(n, count=5, seed=4):
     rng = random.Random(seed)
     pol = PointPolicy(n, -0.9, 0.9, 0.12)
     return [pol.draw(rng) for _ in range(count)]
+
+
+def y1_roots(p):
+    """a^1 .. a^{2n} of R_{t(e_1)}: e_1 - e_j (j = 2..n), 2 e_1, e_1 + e_j
+    (j = n..2), delta + 2 e_1."""
+    rs = p.rs
+    return alpha_sequence(rs, reduced_word(rs, AffineElement.translation(ext_coord(p.n, 0))))
+
+
+def r_product(p, roots):
+    """R(a^1) ... R(a^k) over the given affine roots."""
+    out = None
+    for ar in roots:
+        R = r_matrix(p, ar)
+        out = R if out is None else out * R
+    return out
 
 
 def test_noumi_quadratic_and_braids():
@@ -55,14 +72,20 @@ def test_noumi_quadratic_and_braids():
 
 
 def test_y1_product_forms_and_inverse():
-    probes = make_probes(2, 2, random.Random(3))
-    xs = sample(2, 4)
-    Y1t = y_operator(P, 1)
-    Y1r = y1_product(P)
-    assert op_residual(Y1t, Y1r, probes, xs) < 1e-12
-    assert op_residual(Y1t * y_inverse(P, 1), WOp.one(2, P.c), probes, xs) < 1e-12
-    Y2 = y_operator(P, 2)
-    assert op_residual(Y1t * Y2, Y2 * Y1t, probes, xs) < 1e-9
+    # R_{t(e_1)} t(e_1) from the one elliptic builder is Noumi's Y_1
+    for n, nterms in ((1, 4), (2, 12), (3, 40)):
+        p = dataclasses.replace(P, n=n)
+        probes = make_probes(n, 2, random.Random(3))
+        xs = sample(n, 4)
+        Y1t = y_operator(p, 1)
+        Y1r = y_elliptic(p, ext_coord(n, 0))
+        assert len(Y1r.terms) == nterms
+        assert op_residual(Y1t, Y1r, probes, xs) < 1e-12
+        if n == 2:
+            assert op_residual(Y1t * y_inverse(p, 1), WOp.one(n, p.c), probes,
+                               xs) < 1e-12
+            Y2 = y_operator(p, 2)
+            assert op_residual(Y1t * Y2, Y2 * Y1t, probes, xs) < 1e-9
 
 
 def test_omega_conjugation_of_plus_block():
@@ -70,14 +93,12 @@ def test_omega_conjugation_of_plus_block():
     n = 3
     p3 = CCnParams(n=n, tau0=P.tau0, tau0v=P.tau0v, taun=P.taun, taunv=P.taunv,
                    tau=P.tau, c=P.c)
-    Rchain = None
-    Rplus = None
-    for j in range(2, n + 1):
-        R = r_diff(p3, 1, j)
-        Rchain = R if Rchain is None else Rchain * R
-    for j in range(n, 1, -1):
-        R = r_sum(p3, 1, j)
-        Rplus = R if Rplus is None else Rplus * R
+    roots = y1_roots(p3)
+    assert roots[:n - 1] == [AffineRoot(ext_form(n, 0, j), 0) for j in range(1, n)]
+    assert roots[n:2 * n - 1] == [AffineRoot(ext_form(n, 0, j, 1), 0)
+                                  for j in range(n - 1, 0, -1)]
+    Rchain = r_product(p3, roots[:n - 1])
+    Rplus = r_product(p3, roots[n:2 * n - 1])
     omega = SignedPerm((1, -3, -2))  # x -> (x1, -x3, -x2)
     lhs = WOp.from_group(n, p3.c, omega) * Rchain * WOp.from_group(n, p3.c, omega.inverse())
     probes = make_probes(n, 2, random.Random(4))
@@ -90,7 +111,7 @@ def test_abcd_closed_form_identity_and_symmetry():
     probes = make_probes(2, 2, random.Random(5))
     xs = sample(2, 4)
     Z = abcd_operator(P)
-    assert op_residual(middle_product(P).restrict(tbl), Z.restrict(tbl),
+    assert op_residual(r_product(P, y1_roots(P)[:-1]).restrict(tbl), Z.restrict(tbl),
                            probes, xs) < 1e-12
     A, B, Cs, Ds = abcd_coeffs(P)
     x = xs[0]
@@ -137,13 +158,16 @@ def test_pq_matrices_and_lax():
     # P = restriction of the abcd operator; Q = restriction of the tail
     Pm, Qm = p_matrix(P), q_matrix(P)
     assert op_residual(Pm, abcd_operator(P).restrict(tbl), probes, xs) < 1e-12
-    assert op_residual(Qm, r_odd_shift(P).restrict(tbl), probes, xs) < 1e-13
+    # the last factor of Y_1: R(delta + 2 e_1) t(e_1)
+    odd = r_matrix(P, y1_roots(P)[-1]) * WOp.translation(2, P.c, ext_coord(2, 0))
+    assert op_residual(Qm, odd.restrict(tbl), probes, xs) < 1e-13
     # Q sparsity
     for i in range(4):
         for j in range(4):
             if (i - j) % 4 not in (0, 2):
                 assert not Qm.entries[i][j].terms
-    assert op_residual(lax.L, y1_product(P).restrict(tbl), probes, xs) < 1e-8
+    assert op_residual(lax.L, y_elliptic(P, ext_coord(2, 0)).restrict(tbl),
+                       probes, xs) < 1e-8
     Hm = OperatorMatrix.diagonal(lax.H, 4)
     assert op_residual(lax.L * Hm - Hm * lax.L,
                            lax.A * lax.L - lax.L * lax.A, probes, xs) < 1e-8

@@ -13,11 +13,11 @@ from laxkit.rational import (RationalDunklConfig, classical_a_matrix,
                              cm_hamiltonian_explicit, cm_split,
                              dunkl, dunkl_basis, kks_matrices,
                              lax_pair_rational, position_matrix)
-from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
-                           hamiltonian_flow, isospectral_drift,
-                           matrix_fn_from_fields, op_residual, poisson_bracket,
-                           poisson_residual, trace_power_fn)
+from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
+                           isospectral_drift, matrix_fn_from_fields, op_residual,
+                           poisson_bracket, trace_power_fn)
 from laxkit.weyl import build_root_system, orbit_stabilizer, weyl_enumerate
+from support import fit_slope, poisson_residual
 
 HBAR, G = 0.7, 1.3
 T, CC = -1j * HBAR, 1j * G

@@ -11,11 +11,11 @@ from laxkit.trig import (TrigGLConfig, a_field, basic_rep,
                          braid_order, cherednik_gln, e_tau_symmetrizer, lax_tables,
                          lax_trig_gln, lemma_ns_closed, mr_operator, phi_vector,
                          r_ij, r_ij_inv)
-from laxkit.verify import (PointPolicy, energy_drift, fit_slope,
-                           hamiltonian_flow, isospectral_drift,
-                           matrix_fn_from_fields, op_residual, poisson_bracket,
-                           poisson_residual, trace_power_fn)
+from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
+                           isospectral_drift, matrix_fn_from_fields, op_residual,
+                           poisson_bracket, trace_power_fn)
 from laxkit.weyl import SignedPerm, build_root_system
+from support import fit_slope, poisson_residual
 
 TAU, C = 1.4 + 0.2j, 0.31 + 0.11j
 

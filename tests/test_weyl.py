@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxkit.weyl import (AffineElement, ConfigError,
-                         UnsupportedElementError, affine_length,
-                         affine_reflection, build_root_system,
-                         evaluate_word, ext_coord, ext_form, finite_length,
+from laxkit.weyl import (AffineElement, ConfigError, affine_reflection,
+                         build_root_system, ext_coord, ext_form,
                          orbit_stabilizer, reduced_word, reduced_word_finite,
-                         same_coord, translation_word, weyl_enumerate,
-                         SignedPerm)
+                         same_coord, weyl_enumerate, SignedPerm)
+from support import affine_length, evaluate_word, finite_length, translation_word
 
 
 def test_root_counts():
@@ -183,11 +181,17 @@ def test_word_length_equals_inversions_random():
         assert len(word) == affine_length(c2, el)
 
 
-def test_unsupported_element_raises():
-    # GL_3: t(e_1) is not in W x t(Q_vee) (nontrivial Omega part)
+def test_extended_translation_words_stop_at_length_zero():
+    # GL_3: t(e_i) = s_{i1} ... s_{il} pi, with pi a nontrivial element of
+    # length 0 (Omega); the word is that of the part of positive length
     rs = build_root_system("A", 3)
-    with pytest.raises(UnsupportedElementError):
-        reduced_word(rs, AffineElement.translation((1, 0, 0)))
+    for i, expect in enumerate(([1, 2], [2, 0], [0, 1])):
+        t = AffineElement.translation(ext_coord(3, i))
+        word = reduced_word(rs, t)
+        assert word == expect
+        rest = evaluate_word(rs, word).inverse() * t
+        assert not rest.is_identity()
+        assert affine_length(rs, rest) == 0
 
 
 def test_finite_reduced_words():
