@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .fields import Const, Field, LinArg, nsum
 from .opcore import DiffOp, LaxPair, OperatorMatrix
 from .special import (dual_couplings, eta1, half_periods, sigma_dz_form,
-                      sigma_form, v_func, v_func_dz, wp)
+                      sigma_form, v_dz_kernel, v_kernel, wp, wp_kernel)
 from .weyl import (RootSystemData, SignedPerm, build_root_system, dot,
                    ext_coord, ext_form, orbit_stabilizer, same_coord)
 
@@ -38,15 +38,15 @@ class EllipticDunklConfig:
 
 
 def wp_form(form, tau, const=0j) -> Field:
-    return LinArg(lambda z: wp(z, tau), form, const)
+    return LinArg(wp_kernel(tau), form, const)
 
 
 def v_form(mu, form, g, tau) -> Field:
-    return LinArg(lambda z: v_func(mu, z, g, tau), form)
+    return LinArg(v_kernel(mu, g, tau), form)
 
 
 def v_dz_form(mu, form, g, tau) -> Field:
-    return LinArg(lambda z: v_func_dz(mu, z, g, tau), form)
+    return LinArg(v_dz_kernel(mu, g, tau), form)
 
 
 def elliptic_dunkl(cfg: EllipticDunklConfig, i) -> DiffOp:

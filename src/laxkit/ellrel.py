@@ -2,7 +2,7 @@
 the spectral-parameter Lax pairs of the elliptic Ruijsenaars and van Diejen
 systems.
 
-R(a) = k(a) - k_dyn(<a^vee, xi>, a) s_a with the kernels of one rule per
+R(a) = k(a) - k_dyn(<a^vee, xi>)(a) s_a with the kernels of one rule per
 parameter class (``r_kernels``): sigma_m, or for C-vee-C_n the four-coupling
 v-functions at a/2 on doubled roots, whose unitary norm alone reads the dual
 parameters.  Unitary R-matrices satisfy Rhat(a) Rhat(-a) = 1, making
@@ -25,7 +25,7 @@ from functools import partial
 from .fields import ONE, BiArg, Const, LinArg, nsum
 from .opcore import DynOp, LaxPair, OperatorMatrix, WOp, lax_pair
 from .special import (dual_params, half_periods, sigma, sigma_dz_form,
-                      sigma_form, theta, v_func)
+                      sigma_form, sigma_kernel, theta, v_func, v_kernel)
 from .verify import op_residual
 from .weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
                    affine_reflection, build_root_system, dot, ext_coord,
@@ -37,7 +37,7 @@ from .weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
 
 def _sigma_kernels(m, tau):
     """The sigma rule (k, k_dyn, norm, h) of an R-matrix with coupling m."""
-    return (lambda z: sigma(m, z, tau), lambda mu, z: sigma(mu, z, tau),
+    return (sigma_kernel(m, tau), lambda mu: sigma_kernel(mu, tau),
             lambda mu: sigma(m, mu, tau), 1)
 
 
@@ -58,7 +58,7 @@ class EllRParams:
         return self.m_short
 
     def r_kernels(self, ar):
-        """(k(z), k_dyn(mu, z), norm(mu), h) of R(ar): sigma_{m_alpha}."""
+        """(k, k_dyn, norm, h) of R(ar): sigma_{m_alpha}."""
         return _sigma_kernels(self.m_alpha(ar.alpha), self.tau)
 
     def dual_terms(self, xi):
@@ -106,7 +106,7 @@ class VDParams:
         return tuple(base)
 
     def r_kernels(self, ar):
-        """(k(z), k_dyn(mu, z), norm(mu), h) of R(ar): sigma_mu, or on doubled
+        """(k, k_dyn, norm, h) of R(ar): sigma_mu, or on doubled
         roots v_{nu,g} (even level) or v_{nub,gb} (odd) at h = 1/2, with the
         dual v-function as norm (its parameters solved on the first call)."""
         tau = self.tau
@@ -119,8 +119,7 @@ class VDParams:
         def norm(mu):
             nv, gv = self.dual()[:2] if even else self.dual()[2:]
             return v_func(nv, mu, gv, tau)
-        return (lambda z: v_func(nu, z, g, tau), lambda mu, z: v_func(mu, z, g, tau),
-                norm, 0.5)
+        return v_kernel(nu, g, tau), lambda mu: v_kernel(mu, g, tau), norm, 0.5
 
     def dual_terms(self, xi):
         """(pi, B^vee_pi(xi)) over pi = +e_i, then -e_i."""
@@ -160,7 +159,7 @@ def dyn_pairing(params, alpha):
 # -- R-matrices at fixed xi ------------------------------------------------
 
 def r_matrix(params, ar: AffineRoot, unitary=False) -> WOp:
-    """R(a) = k(a) - k_dyn(<a^vee,xi>, a) s_a from ``params.r_kernels``, with
+    """R(a) = k(a) - k_dyn(<a^vee,xi>)(a) s_a from ``params.r_kernels``, with
     the kernels read at h a + h k c, optionally divided by norm(<a^vee,xi>)."""
     n = params.rs.dim
     k, k_dyn, norm, h = params.r_kernels(ar)
@@ -168,7 +167,7 @@ def r_matrix(params, ar: AffineRoot, unitary=False) -> WOp:
     form, const = tuple(h * v for v in ar.alpha), h * ar.k * params.c
     s_aff = affine_reflection(ar)
     op = WOp(n, params.c, {(SignedPerm.identity(n), (0,) * n): LinArg(k, form, const),
-                           (s_aff.w, s_aff.lam): -LinArg(partial(k_dyn, mu), form, const)})
+                           (s_aff.w, s_aff.lam): -LinArg(k_dyn(mu), form, const)})
     return op.scale(1.0 / norm(mu)) if unitary else op
 
 
@@ -247,7 +246,7 @@ def t_hat(params, i) -> DynOp:
     kb = tuple(h * v for v in (0,) * n + tuple(ar.alpha))
     cb = h * ar.k * params.c
     A = BiArg(lambda mu, z: k(z) / norm(mu), ka, kb, 0j, cb)
-    B = BiArg(lambda mu, z: k_dyn(mu, z) / norm(mu), ka, kb, 0j, cb)
+    B = BiArg(lambda mu, z: k_dyn(mu)(z) / norm(mu), ka, kb, 0j, cb)
     s_aff = affine_reflection(ar)
     sv = s_aff.w  # linear part acts on xi
     # That = A (sv x s_aff) - B (sv x (s_a s_aff)); s_a s_aff = identity
@@ -365,9 +364,9 @@ def ruijsenaars_hamiltonian(p: EllRParams) -> WOp:
     return out
 
 
-def lax_elliptic_ruijsenaars(n, mu, eta, c, tau) -> LaxPair:
-    """L = Y_1|M' at ruijsenaars_params; A from f(Y) = Y_1 + Y_2."""
-    p = ruijsenaars_params(n, mu, eta, c, tau)
+def lax_elliptic_ruijsenaars(p: EllRParams) -> LaxPair:
+    """L = Y_1|M' at the ``ruijsenaars_params`` p; A from f(Y) = Y_1 + Y_2."""
+    n = p.rs.dim
     tbl = orbit_stabilizer(p.rs, ext_coord(n, 0))
     Y1 = y_elliptic(p, ext_coord(n, 0))
     return lax_pair(tbl, Y1.restrict(tbl), Y1 + y_elliptic(p, ext_coord(n, 1)),
@@ -455,9 +454,9 @@ def vd_hamiltonian(p: VDParams) -> WOp:
             if dot(pi, a) == 1:
                 f = sigma_form(p.mu, a, tau)
                 prod = f if prod is None else prod * f
-        vf = LinArg(lambda z, nn=p.nu: v_func(nn, z, p.g, tau), pi)
-        vbA = LinArg(lambda z, nn=p.nub: v_func(nn, z, p.gb, tau), pi, shift)
-        vbB = LinArg(lambda z, nn=nub_B: v_func(nn, z, p.gb, tau), pi, shift)
+        vf = LinArg(v_kernel(p.nu, p.g, tau), pi)
+        vbA = LinArg(v_kernel(p.nub, p.gb, tau), pi, shift)
+        vbB = LinArg(v_kernel(nub_B, p.gb, tau), pi, shift)
         A = vf * vbA
         B = vf * vbB
         if prod is not None:
@@ -517,10 +516,10 @@ def vd_p_matrix(p: VDParams, eta) -> OperatorMatrix:
     alpha = vd_alpha_const(p, eta)
 
     def vnu(i):
-        return LinArg(lambda z: v_func(p.nu, z, p.g, tau), ext_coord(n, i - 1))
+        return LinArg(v_kernel(p.nu, p.g, tau), ext_coord(n, i - 1))
 
     def veta(i):
-        return LinArg(lambda z: v_func(eta, z, p.g, tau), ext_coord(n, i - 1))
+        return LinArg(v_kernel(eta, p.g, tau), ext_coord(n, i - 1))
 
     rows = []
     for i in range(1, m + 1):
@@ -559,10 +558,10 @@ def vd_q_matrix(p: VDParams, eta) -> OperatorMatrix:
         for j in range(1, m + 1):
             dmod = (i - j) % m
             if i == j:
-                f = LinArg(lambda z: v_func(p.nub, z, p.gb, tau), form, shift)
+                f = LinArg(v_kernel(p.nub, p.gb, tau), form, shift)
                 row.append(WOp(n, c, {(SignedPerm.identity(n), form): f}))
             elif dmod == n:
-                f = LinArg(lambda z, ee=eta: v_func(ee, z, p.gb, tau), form, shift)
+                f = LinArg(v_kernel(eta, p.gb, tau), form, shift)
                 row.append(WOp.from_field(n, c, (-1.0) * f))
             else:
                 row.append(WOp.zero(n, c))

@@ -13,7 +13,10 @@ order in which a left-to-right walk of the roots first finishes each node.
 One instruction computes one value per point, and equal nodes share it:
 composites (``NSum``, ``Prod``, ``Quot``, ``Scale``, ``Const``) by node
 identity, ``LinArg`` and ``BiArg`` by their kernel and affine form, so the
-equal copies that ``o_affine`` makes share one kernel call.  An ``XLift``
+equal copies that ``o_affine`` makes share one kernel call.  Kernels are
+equal by value: a family's factory, memoized by ``kernel_family``, returns
+one kernel object per family and bit-exact parameters, so leaves built by
+separate calls share one kernel call too.  An ``XLift``
 compiles to no instruction: its base is compiled in an x-space scope,
 whose point is the first n coordinates of the phase point, and all the
 ``XLift``s of one n share that scope.  ``Deriv`` and ``FuncField``, which
@@ -377,13 +380,34 @@ def exp_lin(k):
     return LinArg(d_exp, k)
 
 
-def inv_form(k, c0=0j, guard=1e-3, name="linear form"):
-    """1/(<k,x> + c0) with a pole guard on the denominator."""
+def kernel_family(make):
+    """The kernel factory ``make`` memoized on the repr of its parameters:
+    separate calls with parameters equal bit for bit return one kernel
+    object, so a tape shares their leaves (a parameter of -0.0 is not one of
+    0.0, as in the key of ``o_affine``)."""
+    memo = {}
+
+    def family(*params):
+        key = repr(params)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = make(*params)
+        return out
+    return family
+
+
+@kernel_family
+def _inv_kernel(guard, name):
     def fn(z):
         if abs(value(z)) < guard:
             raise PoleError(f"|{name}| = {abs(value(z)):.2e} below pole guard {guard}")
         return 1.0 / z
-    return LinArg(fn, k, c0)
+    return fn
+
+
+def inv_form(k, c0=0j, guard=1e-3, name="linear form"):
+    """1/(<k,x> + c0) with a pole guard on the denominator."""
+    return LinArg(_inv_kernel(guard, name), k, c0)
 
 
 def linear_form(k, c0=0j):

@@ -17,10 +17,10 @@ import cmath
 from dataclasses import dataclass
 
 from .ellrel import vd_kernel_class
-from .fields import Const, Field, LinArg, nsum
+from .fields import Const, Field, LinArg, kernel_family, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
                      hecke_inverse, lax_pair)
-from .special import trig_ab, u_fun, ut_fun
+from .special import hecke_kernel, trig_ab, u_fun, u_kernel, ut_kernel
 from .weyl import (SignedPerm, build_root_system, ext_coord, ext_form,
                    orbit_stabilizer, same_coord)
 
@@ -53,7 +53,7 @@ class CCnParams:
         return [self.tau0] + [self.tau] * (self.n - 1) + [self.taun]
 
     def r_kernels(self, ar):
-        """(k(z), k_dyn(mu, z), norm, h) of R(ar) = k - k_dyn s_ar: the
+        """(k, k_dyn, norm, h) of R(ar) = k - k_dyn(mu) s_ar: the
         trigonometric limit of ``VDParams.r_kernels``, with R = a + b s on
         difference roots and u + v s at h = 1/2 on doubled roots (taun, taunv
         at even level; tau0, tau0v at odd level, where the shift c/2 is the
@@ -63,26 +63,24 @@ class CCnParams:
         """
         cls = vd_kernel_class(ar)
         if cls == "diff":
-            tau = self.tau
-            return (lambda z: trig_ab(z, tau)[0], lambda mu, z: -trig_ab(z, tau)[1],
-                    None, 1)
+            return hecke_kernel(self.tau, 0), lambda mu: _neg_b_kernel(self.tau), None, 1
         t, tv = (self.taun, self.taunv) if cls == "even" else (self.tau0, self.tau0v)
-        return (lambda z: u_fun(z, t, tv), lambda mu, z: u_fun(z, t, tv) - t, None, 0.5)
+        return u_kernel(t, tv), lambda mu: _u_minus_tau_kernel(t, tv), None, 0.5
 
 
-def _hecke_kernel(p, k, i, j, sign):
-    tau = p.tau
-    return LinArg(lambda z: trig_ab(z, tau)[k], ext_form(p.n, i - 1, j - 1, sign))
+# the kernels k_dyn of r_kernels: -b, and u - t on doubled roots
+_neg_b_kernel = kernel_family(lambda tau: lambda z: -trig_ab(z, tau)[1])
+_u_minus_tau_kernel = kernel_family(lambda t, tv: lambda z: u_fun(z, t, tv) - t)
 
 
 def a_ext(p: CCnParams, i, j, sign=-1) -> Field:
     """a(x_i + sign * x_j) in extended indices (1-based, x_{n+i} = -x_i)."""
-    return _hecke_kernel(p, 0, i, j, sign)
+    return LinArg(hecke_kernel(p.tau, 0), ext_form(p.n, i - 1, j - 1, sign))
 
 
 def b_ext(p: CCnParams, i, j, sign=-1) -> Field:
     """b(x_i + sign * x_j) in extended indices (1-based, x_{n+i} = -x_i)."""
-    return _hecke_kernel(p, 1, i, j, sign)
+    return LinArg(hecke_kernel(p.tau, 1), ext_form(p.n, i - 1, j - 1, sign))
 
 
 def u_ext(p, i, q_level=0) -> Field:
@@ -90,10 +88,8 @@ def u_ext(p, i, q_level=0) -> Field:
     extended indices."""
     form = ext_coord(p.n, i - 1)
     if q_level == 0:
-        tn, tnv = p.taun, p.taunv
-        return LinArg(lambda z: u_fun(z, tn, tnv), form)
-    t0, t0v, q = p.tau0, p.tau0v, p.q
-    return LinArg(lambda z: ut_fun(z, t0, t0v, q), form)
+        return LinArg(u_kernel(p.taun, p.taunv), form)
+    return LinArg(ut_kernel(p.tau0, p.tau0v, p.q), form)
 
 
 # -- Noumi generators ----------------------------------------------------

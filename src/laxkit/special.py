@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .dual import Dual, d_exp, extract, taylor, value
-from .fields import LinArg, PoleError
+from .fields import LinArg, PoleError, kernel_family
 
 MIN_IM_TAU = 0.05
 THETA_RTOL = 1e-16
@@ -201,14 +201,26 @@ def half_periods(tau):
     return (0j, 0.5 + 0j, (1 + tau) / 2, tau / 2)
 
 
+# Kernel families: one kernel object per parameter set (``fields.kernel_family``).
+sigma_kernel = kernel_family(lambda mu, tau: lambda z: sigma(mu, z, tau))
+sigma_dz_kernel = kernel_family(lambda mu, tau: lambda z: sigma_dz(mu, z, tau))
+v_kernel = kernel_family(lambda mu, g, tau: lambda z: v_func(mu, z, g, tau))
+v_dz_kernel = kernel_family(lambda mu, g, tau: lambda z: v_func_dz(mu, z, g, tau))
+wp_kernel = kernel_family(lambda tau: lambda z: wp(z, tau))
+hecke_kernel = kernel_family(lambda tau, k: lambda z: trig_ab(z, tau)[k])  # a, b: k = 0, 1
+c_reduced_kernel = kernel_family(lambda tau_a: lambda z: c_reduced(z, tau_a))
+u_kernel = kernel_family(lambda t, tv: lambda z: u_fun(z, t, tv))
+ut_kernel = kernel_family(lambda t, tv, q: lambda z: ut_fun(z, t, tv, q))
+
+
 def sigma_form(mu, form, tau, const=0j):
     """The field sigma_mu(<form, x> + const)."""
-    return LinArg(lambda z: sigma(mu, z, tau), form, const)
+    return LinArg(sigma_kernel(mu, tau), form, const)
 
 
 def sigma_dz_form(mu, form, tau):
     """The field sigma_mu'(<form, x>)."""
-    return LinArg(lambda z: sigma_dz(mu, z, tau), form)
+    return LinArg(sigma_dz_kernel(mu, tau), form)
 
 
 def _sigmas(rs, mu, z, tau, m):

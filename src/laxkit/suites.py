@@ -16,7 +16,8 @@ from .opcore import OperatorMatrix, WOp, integrals, make_probes
 from .special import CouplingSet
 from .verify import (PointPolicy, residual_evalfn, rng_for, run_check,
                      scalar_check)
-from .weyl import ConfigError, build_root_system, ext_coord, weyl_enumerate
+from .weyl import (ConfigError, build_root_system, ext_coord, orbit_stabilizer,
+                   weyl_enumerate)
 
 
 @dataclass
@@ -240,8 +241,8 @@ def suite_ruijsenaars(config: RunConfig):
     out = []
     rng = rng_for(config.seed, "lax")
     probes = make_probes(n, 2, rng)
-    lax = ellrel.lax_elliptic_ruijsenaars(n, p["mu"], p["eta"], p["c"], p["tau"])
     pg = ellrel.ruijsenaars_params(n, p["mu"], p["eta"], p["c"], p["tau"])
+    lax = ellrel.lax_elliptic_ruijsenaars(pg)
     Ltab, Atab = ellrel.ruijsenaars_lax_tables(pg)
     out.append(run_check("L-matches-table", 1e-9,
                          residual_evalfn(lax.L, Ltab, probes), rng, policy,
@@ -305,9 +306,11 @@ def _z0(xs, p0):
 
 def _flow_rational(p, n):
     from . import rational as rat
-    rs = build_root_system("A", n)
-    lax = rat.lax_pair_rational(rat.RationalDunklConfig(rs, t=0.0, c_short=p["c"]))
-    return lax.H, lax.L, (1, 2, 3, 4), _z0([0.45 * i - 0.4 for i in range(n)], 0.1)
+    cfg = rat.RationalDunklConfig(build_root_system("A", n), t=0.0, c_short=p["c"])
+    xi = ext_coord(n, 0)
+    _qy, H, _A_hat = rat.cm_split(cfg, ((0.5, 2),))
+    L = rat.dunkl(cfg, xi).restrict(orbit_stabilizer(cfg.rs, xi))
+    return H, L, (1, 2, 3, 4), _z0([0.45 * i - 0.4 for i in range(n)], 0.1)
 
 
 def _flow_trig(p, n):
@@ -320,9 +323,13 @@ def _flow_trig(p, n):
 def _flow_inozemtsev(p, n):
     from . import ellcm
     g = tuple(complex(0, v.imag * 0.15) for v in p["g"])
-    lax = ellcm.lax_inozemtsev(n, 0.0, complex(0, p["c"].imag * 0.12), g,
-                               p["mu"].real or 0.24, complex(0, p["tau"].imag))
-    return lax.H, lax.L, (2, 4), _z0([0.2 + 0.15 * i for i in range(n)], 0.012)
+    rs = build_root_system("C", n)
+    cfg = ellcm.EllipticDunklConfig(rs, 0.0, complex(0, p["c"].imag * 0.12),
+                                    complex(0, p["tau"].imag),
+                                    (p["mu"].real or 0.24,) + (0,) * (n - 1), g=g)
+    L = ellcm.elliptic_dunkl(cfg, 0).restrict(orbit_stabilizer(rs, ext_coord(n, 0)))
+    return (ellcm.split_hamiltonian(cfg), L, (2, 4),
+            _z0([0.2 + 0.15 * i for i in range(n)], 0.012))
 
 
 def _flow_koorn(p, n):

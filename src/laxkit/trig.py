@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .fields import Const, Field, LinArg, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
                      hecke_inverse, lax_pair)
-from .special import c_reduced, trig_ab
+from .special import c_reduced_kernel, hecke_kernel
 from .weyl import (RootSystemData, SignedPerm, affine_reflection,
                    build_root_system, dot, ext_coord, ext_form,
                    orbit_stabilizer, reduced_word_finite, weyl_enumerate)
@@ -35,14 +35,12 @@ class TrigGLConfig:
 
 def a_field(cfg, i, j) -> Field:
     """a(x_i - x_j), 1-based i, j."""
-    tau = cfg.tau
-    return LinArg(lambda z: trig_ab(z, tau)[0], ext_form(cfg.n, i - 1, j - 1))
+    return LinArg(hecke_kernel(cfg.tau, 0), ext_form(cfg.n, i - 1, j - 1))
 
 
 def b_field(cfg, i, j, shift=0.0) -> Field:
     """b(x_i - x_j + shift), 1-based i, j."""
-    tau = cfg.tau
-    return LinArg(lambda z: trig_ab(z, tau)[1], ext_form(cfg.n, i - 1, j - 1), shift)
+    return LinArg(hecke_kernel(cfg.tau, 1), ext_form(cfg.n, i - 1, j - 1), shift)
 
 
 def _a_product(cfg, j, skip, start=None, flip=False) -> Field:
@@ -90,7 +88,7 @@ def basic_rep(rs: RootSystemData, c, tau_short, tau_long=None):
     for ar in rs.affine_simple_roots():
         tau_a = hecke_tau(rs, ar.alpha, tau_short, tau_long)
         s_aff = affine_reflection(ar)
-        kernel = LinArg(lambda z, ta=tau_a: c_reduced(z, ta), ar.alpha, ar.k * c)
+        kernel = LinArg(c_reduced_kernel(tau_a), ar.alpha, ar.k * c)
         gens.append(hecke_generator(n, c, tau_a, kernel, s_aff.w, s_aff.lam))
     return gens
 

@@ -247,8 +247,8 @@ def test_criterion_06_closed_forms_vs_construction():
     xs = pts(3, 4, 601, im=0.15, lo=-0.9, hi=0.9)
     worst = max(worst, op_residual(lemma_ns_closed(cfg).restrict(lax.tbl),
                                        lax.L, probes, xs))
-    laxe = lax_elliptic_ruijsenaars(3, 0.29 + 0.07j, 0.41 - 0.06j, C_STEP, TAU_ELL)
     pe = ruijsenaars_params(3, 0.29 + 0.07j, 0.41 - 0.06j, C_STEP, TAU_ELL)
+    laxe = lax_elliptic_ruijsenaars(pe)
     probes3 = make_probes(3, 2, random.Random(602))
     xs3 = pts(3, 4, 603)
     worst = max(worst, op_residual(nsel_closed_y1(pe).restrict(laxe.tbl),
@@ -318,7 +318,8 @@ def test_criterion_08_difference_lax_equations():
     t0 = time.time()
     from laxkit.trig import TrigGLConfig, lax_trig_gln
     from laxkit.koorn import CCnParams, koornwinder_lax
-    from laxkit.ellrel import VDParams, lax_elliptic_ruijsenaars, lax_vandiejen
+    from laxkit.ellrel import (VDParams, lax_elliptic_ruijsenaars, lax_vandiejen,
+                               ruijsenaars_params)
     worst = 0.0
     cfg = TrigGLConfig(n=3, tau=1.4 + 0.2j, c=0.31 + 0.11j)
     lax = lax_trig_gln(cfg)
@@ -337,7 +338,8 @@ def test_criterion_08_difference_lax_equations():
                                        laxk.A * laxk.L - laxk.L * laxk.A,
                                        probes2, xs2))
     for eta in (0.41 - 0.06j, 0.23 + 0.09j, -0.31 + 0.04j):
-        laxe = lax_elliptic_ruijsenaars(3, 0.29 + 0.07j, eta, C_STEP, TAU_ELL)
+        laxe = lax_elliptic_ruijsenaars(ruijsenaars_params(3, 0.29 + 0.07j, eta,
+                                                           C_STEP, TAU_ELL))
         probes3 = make_probes(3, 2, random.Random(804))
         xs3 = pts(3, 3, 805)
         Hm3 = OperatorMatrix.diagonal(laxe.H, 3)
@@ -403,7 +405,7 @@ def test_criterion_10_classical_limit_slopes():
     from laxkit.koorn import CCnParams, koornwinder_lax
     from laxkit.ellcm import lax_elliptic_A, lax_inozemtsev
     from laxkit.ellrel import (VDParams, dual_substituted, lax_elliptic_ruijsenaars,
-                               lax_vandiejen, vd_hamiltonian)
+                               lax_vandiejen, ruijsenaars_params, vd_hamiltonian)
     hs = [1e-2, 1e-3, 1e-4]
     slopes = {}
     rsA = build_root_system("A", 3)
@@ -440,8 +442,8 @@ def test_criterion_10_classical_limit_slopes():
     slopes["inozemtsev"] = fit_slope(hs, vals)
     vals = []
     for h in hs:
-        laxe = lax_elliptic_ruijsenaars(3, 0.29 + 0.07j, 0.41 - 0.06j,
-                                        -1j * h, TAU_ELL)
+        laxe = lax_elliptic_ruijsenaars(ruijsenaars_params(3, 0.29 + 0.07j, 0.41 - 0.06j,
+                                                           -1j * h, TAU_ELL))
         vals.append(_max_symbol(laxe.A.entries, xe, pe))
     slopes["ell-ruijsenaars"] = fit_slope(hs, vals)
     eta = 0.37 - 0.04j

@@ -16,6 +16,11 @@ src/laxkit, and every public dataclass field with one, is passed by some
 call: a default that no call overrides is a constant.  Every parameter of a
 module-level function in src/laxkit is read in its body; methods are exempt,
 since they keep their class's signature.
+
+No ``LinArg`` in src/laxkit takes a lambda expression as its kernel: a
+lambda is a new object per call, so two equal leaves built by separate calls
+would each run their kernel at every point; a ``fields.kernel_family``
+factory returns one kernel per parameter set.
 """
 
 import ast
@@ -233,3 +238,22 @@ def unread_parameters():
 
 def test_every_function_parameter_is_read():
     assert unread_parameters() == []
+
+
+def lambda_kernels():
+    """``LinArg(...)`` calls in src/laxkit whose kernel is a lambda expression."""
+    out = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "LinArg"):
+                continue
+            kernels = node.args[:1] + [k.value for k in node.keywords if k.arg == "fn"]
+            if any(isinstance(k, ast.Lambda) for k in kernels):
+                out.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return out
+
+
+def test_no_leaf_kernel_is_a_lambda():
+    assert lambda_kernels() == []

@@ -248,10 +248,10 @@ def test_elliptic_gl_cherednik_commutativity():
 
 
 def test_ruijsenaars_lax_block():
-    lax = lax_elliptic_ruijsenaars(3, 0.29 + 0.07j, 0.41 - 0.06j, C, TAU)
+    p = ruijsenaars_params(3, 0.29 + 0.07j, 0.41 - 0.06j, C, TAU)
+    lax = lax_elliptic_ruijsenaars(p)
     probes = make_probes(3, 2, random.Random(16))
     xs = sample(3)
-    p = ruijsenaars_params(3, 0.29 + 0.07j, 0.41 - 0.06j, C, TAU)
     assert op_residual(nsel_closed_y1(p).restrict(lax.tbl), lax.L, probes, xs) < 1e-12
     Y2 = y_elliptic(p, (0, 1, 0))
     assert op_residual(nsel_closed_y2(p).restrict(lax.tbl), Y2.restrict(lax.tbl),
@@ -435,8 +435,8 @@ def test_slopes_ruijsenaars_and_vandiejen():
     mom = (0.2, -0.3, 0.14)
     vals = []
     for h in hs:
-        lax = lax_elliptic_ruijsenaars(3, 0.29 + 0.07j, 0.41 - 0.06j,
-                                       -1j * h, TAU)
+        lax = lax_elliptic_ruijsenaars(ruijsenaars_params(3, 0.29 + 0.07j, 0.41 - 0.06j,
+                                                          -1j * h, TAU))
         mx = 0.0
         for row in lax.A.entries:
             for e in row:

@@ -1,20 +1,22 @@
 """Field evaluation: one tape per root set over the shared field DAG, its
 gradient by an adjoint sweep, and the structure shared at construction
-(affine images and derivative nodes)."""
+(affine images, derivative nodes and leaf kernels equal by value)."""
 
 import gc
 
 import pytest
 
+from laxkit import fields, special
 from laxkit.dual import Dual, d_exp, directional, gradient_vec, seed, value
 from laxkit.fields import (BiArg, Const, Deriv, Field, FuncField, LinArg,
                            PoleError, Quot, Scale, Tape, XLift, exp_lin,
                            inv_form, linear_form, momentum)
 from laxkit.koorn import CCnParams, koornwinder_lax
 from laxkit.opcore import OperatorMatrix, WOp, field_dmulti
-from laxkit.special import sigma
+from laxkit.special import sigma, sigma_form
 from laxkit.suites import (RunConfig, build_suite, classical_flow_setup,
                            default_params)
+from laxkit.trig import TrigGLConfig, a_field
 from laxkit.verify import hamiltonian_flow, residual_evalfn, spectral_invariants
 from laxkit.weyl import SignedPerm
 
@@ -94,34 +96,72 @@ def counting(fn):
     return kernel, calls
 
 
-def _shared_kernel_matrix(h):
+def _shared_kernel_matrix(make):
+    """A 2 x 2 matrix of equal operators whose 8 coefficients are each built
+    by a separate call of ``make``."""
     n, c = 2, 0.3
     ident = SignedPerm.identity(n)
-    op = WOp(n, c, {(ident, (1, 0)): h, (ident, (0, 1)): 2.0 * h})
-    return OperatorMatrix([[op, op], [op, op]])
+
+    def op():
+        return WOp(n, c, {(ident, (1, 0)): make(), (ident, (0, 1)): 2.0 * make()})
+    return OperatorMatrix([[op(), op()], [op(), op()]])
 
 
-def test_shared_kernel_runs_once_per_point_in_residual_evalfn():
+def logged(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records every call."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+TRIG = TrigGLConfig(n=2, tau=0.8 + 0.1j, c=0.3)
+MU, TAU = 0.31 - 0.02j, 0.3 + 0.8j
+
+
+def test_shared_kernel_runs_once_per_point_in_residual_evalfn(monkeypatch):
     fn, calls = counting(d_exp)
-    probe_fn, probe_calls = counting(d_exp)
     h = LinArg(fn, (1.0, -1.0), 0.2j)
-    probe = LinArg(probe_fn, (0.5, 0.25))
-    m = _shared_kernel_matrix(h)
-    evalfn = residual_evalfn(m, m, [probe])
-    for x in [(0.3 + 0.1j, -0.2 + 0.05j), (0.1 - 0.1j, 0.4 + 0.02j)]:
-        calls.clear()
-        probe_calls.clear()
-        assert evalfn(x) == 0.0
-        # 8 roots share one h and two shifted probe copies (t(1,0), t(0,1))
-        assert len(calls) == 1
-        assert len(probe_calls) == 2
+    # one object, then kernels built by separate calls with equal parameters,
+    # each with the log of the function its kernel calls
+    cases = [(lambda: h, calls),
+             (lambda: a_field(TRIG, 1, 2), logged(monkeypatch, special, "trig_ab")),
+             (lambda: sigma_form(MU, (1.0, -1.0), TAU), logged(monkeypatch, special, "sigma"))]
+    for make, kernel_calls in cases:
+        assert [kind for kind, _a, _b in Tape([make(), make()]).code] == [fields._LEAF]
+        probe_fn, probe_calls = counting(d_exp)
+        probe = LinArg(probe_fn, (0.5, 0.25))
+        m = _shared_kernel_matrix(make)
+        evalfn = residual_evalfn(m, m, [probe])
+        for x in [(0.3 + 0.1j, -0.2 + 0.05j), (0.1 - 0.1j, 0.4 + 0.02j)]:
+            kernel_calls.clear()
+            probe_calls.clear()
+            assert evalfn(x) == 0.0
+            # 8 roots share one h and two shifted probe copies (t(1,0), t(0,1))
+            assert len(kernel_calls) == 1
+            assert len(probe_calls) == 2
+
+
+@pytest.mark.parametrize("pair", [
+    (sigma_form(complex(0.31, 0.0), (1.0, -1.0), TAU),
+     sigma_form(complex(0.31, -0.0), (1.0, -1.0), TAU)),
+    (a_field(TrigGLConfig(n=2, tau=complex(0.8, 0.0), c=0.3), 1, 2),
+     a_field(TrigGLConfig(n=2, tau=complex(0.8, -0.0), c=0.3), 1, 2)),
+    (inv_form((1.0,), 0j, name="left"), inv_form((1.0,), 0j, name="right")),
+], ids=["sigma-mu-signed-zero", "a-tau-signed-zero", "inv_form-name"])
+def test_kernels_apart_in_bits_or_name_stay_two_leaves(pair):
+    assert [kind for kind, _a, _b in Tape(list(pair)).code] == [fields._LEAF] * 2
 
 
 def test_pole_error_propagates_and_no_value_survives_the_point():
     fn, calls = counting(d_exp)
     pole = inv_form((1.0, 0.0), 0j, guard=1e-2, name="x1")
     h = LinArg(fn, (1.0, 1.0)) * pole
-    m = _shared_kernel_matrix(h)
+    m = _shared_kernel_matrix(lambda: h)
     evalfn = residual_evalfn(m, None, [exp_lin((0.5, 0.25))])
     with pytest.raises(PoleError, match="x1"):
         evalfn((1e-3 + 0j, 0.2 + 0.1j))
@@ -132,7 +172,7 @@ def test_pole_error_propagates_and_no_value_survives_the_point():
         r = evalfn(x)
         assert len(calls) == 1
         assert r == residual_evalfn(_shared_kernel_matrix(
-            LinArg(d_exp, (1.0, 1.0)) * inv_form((1.0, 0.0), 0j, guard=1e-2)),
+            lambda: LinArg(d_exp, (1.0, 1.0)) * inv_form((1.0, 0.0), 0j, guard=1e-2)),
             None, [exp_lin((0.5, 0.25))])(x)
 
 
@@ -239,6 +279,39 @@ def test_a_flow_compiles_its_hamiltonian_and_lax_matrix_once(monkeypatch):
     compiled.clear()
     rows = spectral_invariants(Lf, powers, traj)
     assert len(rows) == 11 and compiled == [[e for row in Lf for e in row]]
+
+
+# leaf instructions of each flow's tapes: (H, the L entries)
+FLOW_LEAVES = {"rational-A": (15, 9), "trig-gln": (9, 15), "inozemtsev": (12, 10),
+               "koornwinder": (17, 21), "vandiejen": (21, 29)}
+KERNEL_ARGS = (0.23 + 0.11j, -0.37 + 0.05j, 0j)
+
+
+def outcome(fn, z):
+    """The bits of a kernel's value at z, or its pole message there."""
+    try:
+        return bits(z if fn is None else fn(z))
+    except PoleError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("system", FLOW_RANKS)
+def test_no_two_flow_leaves_are_equal_by_value(system):
+    """Leaves of one form, constant and scope differ in their kernel's value
+    or pole message at some sample argument, so no kernel runs twice per
+    point."""
+    H, Lf, _n, _powers, _z0 = _flow_setup(system)
+    counts = []
+    for tape in (Tape([H]), Tape([e for row in Lf for e in row])):
+        groups = {}
+        for kind, a, scope in tape.code:
+            if kind == fields._LEAF:
+                groups.setdefault((scope, a.k, a.c0), []).append(a.fn)
+        for fns in groups.values():
+            outcomes = {tuple(outcome(fn, z) for z in KERNEL_ARGS) for fn in fns}
+            assert len(outcomes) == len(fns)
+        counts.append(sum(len(fns) for fns in groups.values()))
+    assert tuple(counts) == FLOW_LEAVES[system]
 
 
 def test_xlifts_at_one_phase_point_share_one_x_space_scope():
