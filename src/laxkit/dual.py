@@ -6,7 +6,10 @@ Kernels are written against the small generic API here (Dual arithmetic,
 ``d_exp``, ``taylor``), so any expression built from them can be
 differentiated to arbitrary depth without symbolic calculus.  Gradients
 (``gradient_vec``) come from a field's compiled tape in ``fields``, by one
-adjoint sweep.
+adjoint sweep; there a leaf whose kernel has a pair function (``d_exp``'s
+is ``d_exp.pair``) gives its value and slope from one jet at a plain
+point, and Duals stay for ``Deriv``, ``BiArg``, ``FuncField`` and kernels
+without a pair.
 """
 
 from __future__ import annotations
@@ -109,6 +112,15 @@ def d_exp(x):
         e = d_exp(x.val)
         return Dual(e, e * x.eps)
     return cmath.exp(x)
+
+
+def _d_exp_pair(z):
+    """(e^z, its slope) at a plain z, as ``d_exp`` gives them on Dual(z, 1.0)."""
+    e = cmath.exp(z)
+    return e, e * 1.0
+
+
+d_exp.pair = _d_exp_pair
 
 
 def seed(point, direction):

@@ -71,7 +71,8 @@ class EllRParams:
 @dataclass
 class VDParams:
     """Elliptic C-vee-C_n (van Diejen): 9 effective couplings; ``rs`` (C_n)
-    is built once per instance."""
+    is built once, and ``replace`` passes it (like the solved dual
+    parameters) on to the copy unless the copy has another n."""
 
     n: int
     mu: complex
@@ -83,9 +84,15 @@ class VDParams:
     tau: complex
     xi: tuple = None
     _dual: tuple = dfield(default=None, repr=False)
+    _rs: RootSystemData = dfield(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.rs = build_root_system("C", self.n)
+        if self._rs is None or self._rs.rank != self.n:
+            self._rs = build_root_system("C", self.n)
+
+    @property
+    def rs(self):
+        return self._rs
 
     def dual(self):
         """(nu_vee, g_vee, nub_vee, gb_vee), cached."""

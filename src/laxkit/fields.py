@@ -29,11 +29,16 @@ those of the walk bit for bit and the first ``PoleError`` raised is the
 one the walk would raise; nothing is kept from one point to the next.
 This is sound because leaf kernels are pure functions of their argument
 and nodes are immutable.  ``Tape.gradient`` runs the forward loop on plain
-numbers, with each ``LinArg`` kernel run once on a Dual of tangent 1 for
-its derivative, then one adjoint sweep in reverse; an opaque instruction
-and a ``BiArg`` take one ``directional`` call per coordinate of their
-scope's point.  A field called directly compiles its own tape once, kept
-in a slot of the node.
+numbers, then one adjoint sweep in reverse.  Each ``LinArg`` leaf gives its
+value and slope there from one jet: a kernel family's pair function
+(``kernel_family``; ``d_exp.pair``) returns (f(z), f'(z)) at a plain z by
+the arithmetic the Dual quotients and products would do, op for op, so
+both are the Dual path's bit for bit and no Dual is built.  Duals stay
+for the rest: a kernel without a pair (sigma', v', a test's callable)
+runs once on a Dual of tangent 1, and an opaque instruction (``Deriv``,
+``FuncField``) and a ``BiArg`` take one ``directional`` call per
+coordinate of their scope's point.  A field called directly compiles its
+own tape once, kept in a slot of the node.
 
 Composition with an affine map, ``o_affine``, is structural: every node
 kind that operators transform pushes the map down to its leaves (``Deriv``
@@ -223,8 +228,8 @@ class Tape:
 
     def _forward(self, pts, slopes):
         """The value of every slot at the scope points ``pts``.  Given a list
-        ``slopes``, each ``LinArg`` kernel runs once on a Dual of tangent 1
-        and the leaf's derivative is appended to it."""
+        ``slopes``, each ``LinArg`` leaf reads its value and derivative from
+        its kernel's pair (``_leaf_data``) and appends the derivative to it."""
         vals = []
         push = vals.append
         leaves = None if slopes is None else iter(self._leaf_data())
@@ -247,9 +252,9 @@ class Tape:
                     push(a(pts[b]))
                     slopes.append(1.0)
                 else:
-                    r = unit((Dual(_form(a.k, a.c0, pts[b]), 1.0),))
-                    push(value(r))
-                    slopes.append(extract(r))
+                    v, s = unit((_form(a.k, a.c0, pts[b]),))
+                    push(v)
+                    slopes.append(s)
             elif kind == QUOT:
                 push(vals[a] / vals[b])
             else:
@@ -258,17 +263,22 @@ class Tape:
 
     def _leaf_data(self):
         """Per ``LinArg`` instruction, in tape order: its nonzero (coordinate,
-        coefficient) pairs, and a leaf of one coordinate through which the
-        gradient runs its kernel on a Dual (None for a linear form)."""
+        coefficient) pairs, and a leaf of one coordinate whose kernel is the
+        pair giving (value, slope) at a plain argument (None for a linear
+        form): the kernel's ``pair``, or for a kernel without one a run on a
+        Dual of tangent 1.  The leaf is called, not its pair, so that a
+        count of ``LinArg`` calls sees each kernel's run."""
         if self._leaves is None:
             self._leaves = [(tuple((j, kj) for j, kj in enumerate(a.k) if kj != 0),
-                             None if a.fn is None else LinArg(a.fn, (1.0,)))
+                             None if a.fn is None else
+                             LinArg(getattr(a.fn, "pair", None) or _dual_pair(a.fn), (1.0,)))
                             for kind, a, _b in self.code if kind == _LEAF]
         return self._leaves
 
     def gradient(self, x):
         """The partials of the first root at x along every coordinate of x:
-        the forward loop on plain numbers, then one adjoint sweep."""
+        the forward loop on plain numbers, each leaf giving its value and
+        slope from its kernel's pair, then one adjoint sweep."""
         pts = self._points(x)
         slopes = []
         vals = self._forward(pts, slopes)
@@ -380,11 +390,14 @@ def exp_lin(k):
     return LinArg(d_exp, k)
 
 
-def kernel_family(make):
+def kernel_family(make, pair):
     """The kernel factory ``make`` memoized on the repr of its parameters:
     separate calls with parameters equal bit for bit return one kernel
     object, so a tape shares their leaves (a parameter of -0.0 is not one of
-    0.0, as in the key of ``o_affine``)."""
+    0.0, as in the key of ``o_affine``).  ``pair`` makes, for the same
+    parameters, the kernel's ``pair`` attribute: z -> (f(z), f'(z)) at a
+    plain z, equal bit for bit to the value and slope of f on Dual(z, 1.0)
+    and raising the same ``PoleError``, or None for a family without one."""
     memo = {}
 
     def family(*params):
@@ -392,17 +405,41 @@ def kernel_family(make):
         out = memo.get(key)
         if out is None:
             out = memo[key] = make(*params)
+            out.pair = None if pair is None else pair(*params)
         return out
     return family
 
 
-@kernel_family
-def _inv_kernel(guard, name):
+def _dual_pair(fn):
+    """(f(z), f'(z)) at a plain z from one run of ``fn`` on Dual(z, 1.0)."""
+    def pair(z):
+        r = fn(Dual(z, 1.0))
+        return value(r), extract(r)
+    return pair
+
+
+def _inv_pole(z, guard, name):
+    return PoleError(f"|{name}| = {abs(value(z)):.2e} below pole guard {guard}")
+
+
+def _inv_fn(guard, name):
     def fn(z):
         if abs(value(z)) < guard:
-            raise PoleError(f"|{name}| = {abs(value(z)):.2e} below pole guard {guard}")
+            raise _inv_pole(z, guard, name)
         return 1.0 / z
     return fn
+
+
+def _inv_pair(guard, name):
+    def pair(z):
+        if abs(z) < guard:
+            raise _inv_pole(z, guard, name)
+        q = 1.0 / z
+        return q, (0j - q * 1.0) / z
+    return pair
+
+
+_inv_kernel = kernel_family(_inv_fn, _inv_pair)
 
 
 def inv_form(k, c0=0j, guard=1e-3, name="linear form"):

@@ -20,7 +20,8 @@ from .ellrel import vd_kernel_class
 from .fields import Const, Field, LinArg, kernel_family, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
                      hecke_inverse, lax_pair)
-from .special import hecke_kernel, trig_ab, u_fun, u_kernel, ut_kernel
+from .special import (hecke_kernel, hecke_pair, trig_ab, u_fun, u_kernel,
+                      u_pair, ut_kernel)
 from .weyl import (SignedPerm, build_root_system, ext_coord, ext_form,
                    orbit_stabilizer, same_coord)
 
@@ -68,9 +69,21 @@ class CCnParams:
         return u_kernel(t, tv), lambda mu: _u_minus_tau_kernel(t, tv), None, 0.5
 
 
+def _neg_b_pair(z, tau):
+    b, db = hecke_pair(z, tau, 1, "1 - e^z")
+    return -b, -db
+
+
+def _u_minus_tau_pair(z, t, tv):
+    u, du = u_pair(z, t, tv)
+    return u - t, du
+
+
 # the kernels k_dyn of r_kernels: -b, and u - t on doubled roots
-_neg_b_kernel = kernel_family(lambda tau: lambda z: -trig_ab(z, tau)[1])
-_u_minus_tau_kernel = kernel_family(lambda t, tv: lambda z: u_fun(z, t, tv) - t)
+_neg_b_kernel = kernel_family(lambda tau: lambda z: -trig_ab(z, tau)[1],
+                              lambda tau: lambda z: _neg_b_pair(z, tau))
+_u_minus_tau_kernel = kernel_family(lambda t, tv: lambda z: u_fun(z, t, tv) - t,
+                                    lambda t, tv: lambda z: _u_minus_tau_pair(z, t, tv))
 
 
 def a_ext(p: CCnParams, i, j, sign=-1) -> Field:

@@ -575,3 +575,11 @@ def test_root_system_is_built_once_per_parameter_object(monkeypatch):
     for params in (pv, pk):
         y_elliptic(params, (1, 0))
         assert calls == []
+    # a copy made by replace keeps its source's C_n; a copy of another n
+    # builds its own
+    copy = dataclasses.replace(pv, xi=pv.xi0(), c=0.0)
+    assert copy.rs is pv.rs and calls == []
+    y_elliptic(copy, (1, 0))
+    assert calls == []
+    assert dataclasses.replace(pv, n=1, xi=(0.33 + 0.02j,)).rs.rank == 1
+    assert calls == [("C", 1)]

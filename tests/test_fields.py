@@ -265,6 +265,25 @@ def test_flow_hamiltonian_gradient_is_the_directional_derivative(system):
     assert gradient_matches_directional(H, tuple(z0))
 
 
+@pytest.mark.parametrize("system", FLOW_RANKS)
+def test_flow_gradient_builds_no_dual(system, monkeypatch):
+    """Every kernel leaf of a flow's tapes has a pair, and the gradient of H
+    at z0 reads each leaf's value and slope from it: no Dual is built."""
+    H, Lf, _n, _powers, z0 = _flow_setup(system)
+    for tape in (H.tape(), Tape([e for row in Lf for e in row])):
+        assert all(a.fn.pair is not None for kind, a, _s in tape.code
+                   if kind == fields._LEAF and a.fn is not None)
+    made = []
+    init = Dual.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+    monkeypatch.setattr(Dual, "__init__", counting)
+    grad = H.tape().gradient(tuple(z0))
+    assert made == [] and len(grad) == len(z0)
+
+
 def test_a_flow_compiles_its_hamiltonian_and_lax_matrix_once(monkeypatch):
     H, Lf, n, powers, z0 = _flow_setup("rational-A")
     compiled = []

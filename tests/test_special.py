@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxkit import special
-from laxkit.dual import Dual, directional, extract
-from laxkit.fields import PoleError
+from laxkit import koorn, special
+from laxkit.dual import Dual, d_exp, directional, extract, value
+from laxkit.fields import PoleError, inv_form
 from laxkit.special import (ModulusError, dual_couplings,
                             dual_params, eta1, sigma, sigma_dz, sigma_r,
                             theta, trig_ab, u_fun,
@@ -193,6 +193,52 @@ def test_dual_params_newton():
     nuv, gv = dual_params(nu, G, TAU)
     assert abs(v_func(nu, nuv, G, TAU)) < 1e-12
     assert gv == dual_couplings(G)
+
+
+# each kernel family with a pair, at parameters like those of the flows, and
+# an argument inside its pole guard (d_exp has none)
+PAIRED_KERNELS = {
+    "sigma": (special.sigma_kernel(0.24 + 0.03j, TAU), 1e-7),
+    "v": (special.v_kernel(0.31 - 0.02j, G, TAU), 1e-7),
+    "v-real-couplings": (special.v_kernel(0.27, (0.4, 0.0, 0.3, 0.2), 0.82j), 1e-7),
+    "wp": (special.wp_kernel(0.84j), 1e-7),
+    "hecke-a": (special.hecke_kernel(1.4 + 0.2j, 0), 1e-7),
+    "hecke-b": (special.hecke_kernel(2 ** 0.5, 1), -1e-7j),
+    "c_reduced": (special.c_reduced_kernel(1.2 - 0.1j), 1e-7),
+    "u": (special.u_kernel(1.5 + 0.2j, 0.7 + 0.1j), 1e-7),
+    "ut": (special.ut_kernel(1.2 + 0.1j, 0.8 - 0.05j, 0.9 + 0.2j),
+           -cmath.log(0.9 + 0.2j) / 2 + 1e-7),
+    "koorn-neg-b": (koorn._neg_b_kernel(1.3 - 0.15j), 1e-7),
+    "koorn-u-minus-tau": (koorn._u_minus_tau_kernel(1.5 + 0.2j, 0.7 + 0.1j), 1e-7),
+    "inv_form": (inv_form((1.0, -1.0)).fn, 1e-5 + 1e-5j),
+    "d_exp": (d_exp, None),
+}
+
+
+def bits(v):
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+@pytest.mark.parametrize("family", PAIRED_KERNELS)
+def test_kernel_pair_is_the_dual_path_bit_for_bit(family):
+    """``kernel.pair(z)`` gives the value and slope of the kernel on
+    Dual(z, 1) with every bit, for the tangents 1.0 of ``Tape.gradient`` and
+    1 + 0j of ``dual_params`` too, and inside the guard the same PoleError."""
+    k, pole = PAIRED_KERNELS[family]
+    rng = random.Random(11)
+    for _ in range(50):
+        z = rand_z(rng, 0.9, 0.3)
+        got = tuple(map(bits, k.pair(z)))
+        for tangent in (1, 1.0, 1.0 + 0j):
+            r = k(Dual(z, tangent))
+            assert got == (bits(value(r)), bits(extract(r)))
+    if pole is not None:
+        with pytest.raises(PoleError) as dual_err:
+            k(Dual(pole, 1))
+        with pytest.raises(PoleError) as pair_err:
+            k.pair(pole)
+        assert str(pair_err.value) == str(dual_err.value)
 
 
 def test_trig_ab_sum_and_limit():
