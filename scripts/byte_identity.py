@@ -2,10 +2,12 @@
 
 Usage: python scripts/byte_identity.py [ROOT] > digests.txt
 
-Runs ``laxkit verify`` for every system at its README rank, at seeds 0, 7
-and 17, with and without ``--perturb 1e-3``, and ``laxkit flow`` for every
-system with a classical flow at T=1 with dt 2e-3 and 1e-2.  Each run is a
-fresh interpreter on ``ROOT/src`` (default: the tree holding this script).
+Runs ``laxkit verify`` for every system at its README rank (``RANKS``, the
+one table of them that the other scripts import), at seeds 0, 7 and 17,
+with and without ``--perturb 1e-3``, and ``laxkit flow`` for every system
+with a classical flow (``suites.SYSTEMS``) at T=1 with dt 2e-3 and 1e-2.
+Each run is a fresh interpreter on ``ROOT/src`` (default: the tree holding
+this script); the system list is read from the installed ``laxkit``.
 The digest covers stdout with ``runtime_ms`` zeroed, stderr and the exit
 code, so two trees give the same outputs iff their digest files are equal:
 
@@ -22,10 +24,11 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from laxkit.suites import SYSTEMS
+
 RANKS = {"rational-A": 3, "rational-C": 2, "trig-gln": 3, "koornwinder": 2,
          "ell-cm-A": 3, "inozemtsev": 2, "ell-ruijsenaars": 3, "vandiejen": 2}
-FLOW_SYSTEMS = ("rational-A", "trig-gln", "inozemtsev", "koornwinder",
-                "vandiejen")
+FLOW_SYSTEMS = tuple(name for name, system in SYSTEMS.items() if system.flow is not None)
 SEEDS = (0, 7, 17)
 PERTURBS = ("0", "1e-3")
 DTS = ("2e-3", "1e-2")

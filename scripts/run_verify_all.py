@@ -9,11 +9,9 @@ import json
 import pathlib
 import sys
 
+from byte_identity import RANKS
 from laxkit.cli import main as cli_main
 from laxkit.suites import KNOWN_SYSTEMS
-
-RANKS = {"rational-A": 3, "rational-C": 2, "trig-gln": 3, "koornwinder": 2,
-         "ell-cm-A": 3, "inozemtsev": 2, "ell-ruijsenaars": 3, "vandiejen": 2}
 
 
 def main():

@@ -418,22 +418,22 @@ def _dual_pair(fn):
     return pair
 
 
-def _inv_pole(z, guard, name):
-    return PoleError(f"|{name}| = {abs(value(z)):.2e} below pole guard {guard}")
+def _inv_pole(z, guard):
+    return PoleError(f"|linear form| = {abs(value(z)):.2e} below pole guard {guard}")
 
 
-def _inv_fn(guard, name):
+def _inv_fn(guard):
     def fn(z):
         if abs(value(z)) < guard:
-            raise _inv_pole(z, guard, name)
+            raise _inv_pole(z, guard)
         return 1.0 / z
     return fn
 
 
-def _inv_pair(guard, name):
+def _inv_pair(guard):
     def pair(z):
         if abs(z) < guard:
-            raise _inv_pole(z, guard, name)
+            raise _inv_pole(z, guard)
         q = 1.0 / z
         return q, (0j - q * 1.0) / z
     return pair
@@ -442,9 +442,10 @@ def _inv_pair(guard, name):
 _inv_kernel = kernel_family(_inv_fn, _inv_pair)
 
 
-def inv_form(k, c0=0j, guard=1e-3, name="linear form"):
-    """1/(<k,x> + c0) with a pole guard on the denominator."""
-    return LinArg(_inv_kernel(guard, name), k, c0)
+def inv_form(k, c0=0j, guard=1e-3):
+    """1/(<k,x> + c0) with a pole guard on the denominator: one kernel per
+    guard, whatever the form, so the pole message names no form."""
+    return LinArg(_inv_kernel(guard), k, c0)
 
 
 def linear_form(k, c0=0j):

@@ -2,8 +2,10 @@
 2n x 2n Koornwinder--van Diejen Lax matrix L = P Q.
 
 Five parameters (tau0, tau0v, taun, taunv, tau) enter through the kernels
-a, b (difference roots), u, v (doubled roots) and u~, v~ (odd-level doubled
-roots).  Y_1 = R_{t(e_1)} t(e_1) comes from the one elliptic builder
+a, b (difference roots) and u, v = tau_n - u (doubled roots).  The
+odd-level doubled roots (2k+1) delta +- 2 e_i need no kernel of their own:
+Noumi's u~ is u at tau0, tau0v read at x_i + c/2, since q^(1/2) = e^(c/2).
+Y_1 = R_{t(e_1)} t(e_1) comes from the one elliptic builder
 ``ellrel.y_elliptic`` with the trigonometric rule ``CCnParams.r_kernels``;
 the Noumi T-word ``y_operator`` is the independent reference.  Y_1
 restricted to M' factorizes as P Q with P carrying the finite reflection
@@ -13,15 +15,13 @@ sum_i (Y_i + Y_i^{-1}).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 from .ellrel import vd_kernel_class
 from .fields import Const, Field, LinArg, kernel_family, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
                      hecke_inverse, lax_pair)
-from .special import (hecke_kernel, hecke_pair, trig_ab, u_fun, u_kernel,
-                      u_pair, ut_kernel)
+from .special import hecke, hecke_kernel, hecke_pair, u_fun, u_kernel, u_pair
 from .weyl import (SignedPerm, build_root_system, ext_coord, ext_form,
                    orbit_stabilizer, same_coord)
 
@@ -42,10 +42,6 @@ class CCnParams:
         self.rs = build_root_system("C", self.n)
 
     @property
-    def q(self):
-        return cmath.exp(self.c)
-
-    @property
     def xi(self):
         """All zero: the Noumi kernels are not dynamical."""
         return (0j,) * self.n
@@ -57,8 +53,8 @@ class CCnParams:
         """(k, k_dyn, norm, h) of R(ar) = k - k_dyn(mu) s_ar: the
         trigonometric limit of ``VDParams.r_kernels``, with R = a + b s on
         difference roots and u + v s at h = 1/2 on doubled roots (taun, taunv
-        at even level; tau0, tau0v at odd level, where the shift c/2 is the
-        q^{1/2} of u~).  No unitary norm (None): mu is 0 here.  The rule is
+        at even level; tau0, tau0v at odd level, where the shift c/2 is
+        q^{1/2}).  No unitary norm (None): mu is 0 here.  The rule is
         for b = e_1 only: R_{t(b)} t(b) is Noumi's Y_1, but for i >= 2 Y_i
         holds inverse generators and R_{t(e_i)} t(e_i) is another operator.
         """
@@ -70,7 +66,7 @@ class CCnParams:
 
 
 def _neg_b_pair(z, tau):
-    b, db = hecke_pair(z, tau, 1, "1 - e^z")
+    b, db = hecke_pair(z, tau, 1)
     return -b, -db
 
 
@@ -80,7 +76,7 @@ def _u_minus_tau_pair(z, t, tv):
 
 
 # the kernels k_dyn of r_kernels: -b, and u - t on doubled roots
-_neg_b_kernel = kernel_family(lambda tau: lambda z: -trig_ab(z, tau)[1],
+_neg_b_kernel = kernel_family(lambda tau: lambda z: -hecke(z, tau, 1),
                               lambda tau: lambda z: _neg_b_pair(z, tau))
 _u_minus_tau_kernel = kernel_family(lambda t, tv: lambda z: u_fun(z, t, tv) - t,
                                     lambda t, tv: lambda z: _u_minus_tau_pair(z, t, tv))
@@ -97,12 +93,12 @@ def b_ext(p: CCnParams, i, j, sign=-1) -> Field:
 
 
 def u_ext(p, i, q_level=0) -> Field:
-    """u(x_i) (even kernel) or u~(x_i) (odd kernel; q = 1 at c = 0) in
-    extended indices."""
+    """In extended indices, u(x_i) at taun, taunv (even level) or u(x_i + c/2)
+    at tau0, tau0v (odd level, Noumi's u~)."""
     form = ext_coord(p.n, i - 1)
     if q_level == 0:
         return LinArg(u_kernel(p.taun, p.taunv), form)
-    return LinArg(ut_kernel(p.tau0, p.tau0v, p.q), form)
+    return LinArg(u_kernel(p.tau0, p.tau0v), form, p.c / 2)
 
 
 # -- Noumi generators ----------------------------------------------------
@@ -111,7 +107,7 @@ def noumi_rep(p: CCnParams):
     """Realized T_0 .. T_n; T_i = tau_i + c_{a_i}(s_i - 1)."""
     n = p.n
     c = p.c
-    # T_0: a_0 = delta - 2 e_1, s_0 = (s_1, e_1), kernel u~(-x_1)
+    # T_0: a_0 = delta - 2 e_1, s_0 = (s_1, e_1), kernel u~(-x_1) = u(-x_1 + c/2)
     gens = [hecke_generator(n, c, p.tau0, u_ext(p, n + 1, 1),
                             SignedPerm.sign_flip(n, 0), ext_coord(n, 0))]
     for i in range(1, n):
@@ -122,41 +118,32 @@ def noumi_rep(p: CCnParams):
     return gens
 
 
-def y_operator(p: CCnParams, i) -> WOp:
-    """Y_i = T_i ... T_{n-1} T_n T_{n-1} ... T_1 T_0 T_1^{-1} ... T_{i-1}^{-1}."""
-    n = p.n
+def _y_word(n, i):
+    """The factors of Y_i, left to right, as (k, inverted) for T_k or T_k^{-1}."""
+    return ([(k, False) for k in range(i, n)] + [(n, False)]
+            + [(k, False) for k in range(n - 1, -1, -1)]
+            + [(k, True) for k in range(1, i)])
+
+
+def _t_product(p: CCnParams, word) -> WOp:
+    """The left-to-right product of the Noumi generators in ``word``."""
     Ts = noumi_rep(p)
     taus = p.taus()
     out = None
-    for k in range(i, n):
-        out = Ts[k] if out is None else out * Ts[k]
-    out = Ts[n] if out is None else out * Ts[n]
-    for k in range(n - 1, 0, -1):
-        out = out * Ts[k]
-    out = out * Ts[0]
-    for k in range(1, i):
-        out = out * hecke_inverse(Ts[k], taus[k])
+    for k, inverted in word:
+        op = hecke_inverse(Ts[k], taus[k]) if inverted else Ts[k]
+        out = op if out is None else out * op
     return out
+
+
+def y_operator(p: CCnParams, i) -> WOp:
+    """Y_i = T_i ... T_{n-1} T_n T_{n-1} ... T_1 T_0 T_1^{-1} ... T_{i-1}^{-1}."""
+    return _t_product(p, _y_word(p.n, i))
 
 
 def y_inverse(p: CCnParams, i) -> WOp:
-    n = p.n
-    Ts = noumi_rep(p)
-    taus = p.taus()
-    factors = []
-    for k in range(i, n):
-        factors.append((k, False))
-    factors.append((n, False))
-    for k in range(n - 1, 0, -1):
-        factors.append((k, False))
-    factors.append((0, False))
-    for k in range(1, i):
-        factors.append((k, True))
-    out = None
-    for k, inverted in reversed(factors):
-        op = hecke_inverse(Ts[k], taus[k]) if not inverted else Ts[k]
-        out = op if out is None else out * op
-    return out
+    """Y_i^{-1}: the factors of Y_i in reverse order, each inverted."""
+    return _t_product(p, [(k, not inverted) for k, inverted in reversed(_y_word(p.n, i))])
 
 
 # -- closed forms ----------------------------------------------------------

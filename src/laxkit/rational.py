@@ -47,7 +47,7 @@ def dunkl(cfg: RationalDunklConfig, xi) -> DiffOp:
         ax = dot(a, xi)
         if ax == 0:
             continue
-        coeff = (cfg.coupling(a) * ax) * inv_form(a, name=f"<{a},x>")
+        coeff = (cfg.coupling(a) * ax) * inv_form(a)
         op = op + DiffOp(n, t, {(rs.reflection(a), (0,) * n): coeff})
     return op
 
@@ -94,7 +94,7 @@ def cm_hamiltonian_explicit(cfg) -> DiffOp:
     parts = []
     for a in rs.pos_roots:
         ca = cfg.coupling(a)
-        inv = inv_form(a, name=f"<{a},x>")
+        inv = inv_form(a)
         parts.append((-ca * (ca + t) * dot(a, a)) * (inv * inv))
     return op + DiffOp.from_field(n, t, nsum(parts))
 
@@ -131,11 +131,11 @@ def qlp_reference_matrices(cfg, tbl):
                 diag_parts = []
                 for j in range(m):
                     if j != k:
-                        iv = inv_form(ext_form(n, j, k), name="x_j - x_k")
+                        iv = inv_form(ext_form(n, j, k))
                         diag_parts.append((c * t) * (iv * iv))
                 Arow.append(DiffOp.from_field(n, t, nsum(diag_parts)))
             else:
-                iv = inv_form(ext_form(n, k, l), name="x_k - x_l")
+                iv = inv_form(ext_form(n, k, l))
                 Lrow.append(DiffOp.from_field(n, t, c * iv))
                 Arow.append(DiffOp.from_field(n, t, (-c * t) * (iv * iv)))
         Lrows.append(Lrow)

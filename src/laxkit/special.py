@@ -15,13 +15,16 @@ P(z) is normalized by its Laurent expansion
 P = 1/z^2 + O(z^2), which together with eta1 = -theta1'''(0)/(6 theta1'(0))
 gives lim_{mu->0} sigma_mu'(z) = -P(z) - 2*eta1.
 Pairs.  A flow's gradient needs each kernel's value and slope at a plain
-point.  ``sigma_pair``, ``v_pair``, ``wp_pair``, ``hecke_pair``, ``u_pair``
-and ``ut_pair`` return (f(z), f'(z)) from the jet that the kernel on a Dual
-z of depth 1 fetches, by the quotients and products Dual arithmetic would
-do, in its order, so both are the kernel's on Dual(z, 1.0) bit for bit and
-no Dual is built.  Each kernel family but sigma' and v' carries its pair
-(``fields.kernel_family``); those two keep the Dual path.  The Newton
-solve of ``dual_params`` reads v and v' from ``v_pair``.
+point.  ``sigma_pair``, ``v_pair``, ``wp_pair``, ``hecke_pair`` and
+``u_pair`` return (f(z), f'(z)) from the jet that the kernel on a Dual z of
+depth 1 fetches, by the quotients and products Dual arithmetic would do, in
+its order, so both are the kernel's on Dual(z, 1.0) bit for bit (up to the
+sign of a zero) and no Dual is built.  Each kernel family but sigma' and v'
+carries its pair (``fields.kernel_family``); those two keep the Dual path.
+The Newton solve of ``dual_params`` reads v and v' from ``v_pair``.
+Kernels.  No family restates another: the Hecke a of ``hecke`` is also the
+c-function of the basic representation, and Noumi's odd-level kernel u~ is
+``u_fun`` at tau_0, tau_0^vee on the argument moved by c/2.
 """
 
 from __future__ import annotations
@@ -219,14 +222,10 @@ v_kernel = kernel_family(lambda mu, g, tau: lambda z: v_func(mu, z, g, tau),
 v_dz_kernel = kernel_family(lambda mu, g, tau: lambda z: v_func_dz(mu, z, g, tau), None)
 wp_kernel = kernel_family(lambda tau: lambda z: wp(z, tau),
                           lambda tau: lambda z: wp_pair(z, tau))
-hecke_kernel = kernel_family(lambda tau, k: lambda z: trig_ab(z, tau)[k],  # a, b: k = 0, 1
-                             lambda tau, k: lambda z: hecke_pair(z, tau, k, "1 - e^z"))
-c_reduced_kernel = kernel_family(lambda tau_a: lambda z: c_reduced(z, tau_a),
-                                 lambda tau_a: lambda z: hecke_pair(z, tau_a, 0, "1 - e^alpha"))
+hecke_kernel = kernel_family(lambda tau, k: lambda z: hecke(z, tau, k),
+                             lambda tau, k: lambda z: hecke_pair(z, tau, k))
 u_kernel = kernel_family(lambda t, tv: lambda z: u_fun(z, t, tv),
                          lambda t, tv: lambda z: u_pair(z, t, tv))
-ut_kernel = kernel_family(lambda t, tv, q: lambda z: ut_fun(z, t, tv, q),
-                          lambda t, tv, q: lambda z: ut_pair(z, t, tv, q))
 
 
 def sigma_form(mu, form, tau, const=0j):
@@ -254,22 +253,13 @@ def _sigmas(rs, mu, z, tau, m):
     return out
 
 
-def _shift1(f0, f1):
-    """(value, slope) of ``taylor((f0, f1), h)`` at h = Dual(0j, 1.0), op for
-    op: a theta jet entry and its derivative at the plain point of a Dual z."""
-    d = f1 / 1
-    return 0j * d + f0 / 1, 1.0 * d
-
-
 def _sigma_pairs(rs, mu, z, tau):
     """For each r in rs, (value, slope) of ``_sigmas(rs, mu, Dual(z, 1.0),
     tau, 0)``, from the order-1 jets at z - mu and z, with its guards."""
     td = _tdata(tau)
     t1 = _guard("theta1(-mu)", theta(1, -mu, tau), td.scales[1])
     out = []
-    for r, ja, jb in zip(rs, _jets(rs, z - mu, 1, tau), _jets(rs, z, 1, tau)):
-        a, da = _shift1(*ja)
-        b, db = _shift1(*jb)
+    for r, (a, da), (b, db) in zip(rs, _jets(rs, z - mu, 1, tau), _jets(rs, z, 1, tau)):
         den, dden = _guard(f"theta{r}(z)", b, td.scales[r]) * t1, db * t1
         q = a * td.d1_0 / den
         out.append((q, (da * td.d1_0 - q * dden) / den))
@@ -279,11 +269,6 @@ def _sigma_pairs(rs, mu, z, tau):
 def sigma_pair(mu, z, tau):
     """(sigma_mu(z), sigma_mu'(z)) at a plain z, as on Dual(z, 1.0)."""
     return _sigma_pairs((1,), mu, z, tau)[0]
-
-
-def sigma_r(r, mu, z, tau):
-    """sigma^r_mu(z) with theta_{r+1} in place of theta_1 (theta_4 = theta_0)."""
-    return _sigmas((r + 1,), mu, z, tau, 0)[0]
 
 
 def sigma_dz(mu, z, tau):
@@ -301,15 +286,12 @@ def wp(z, tau):
 
 def wp_pair(z, tau):
     """(P(z), P'(z)) at a plain z, as ``wp`` gives them on Dual(z, 1.0)."""
-    j = _jets((1,), z, 3, tau)[0]
-    f, df = _shift1(j[0], j[1])
-    fp, dfp = _shift1(j[1], j[2])
-    fpp, dfpp = _shift1(j[2], j[3])
+    f, fp, fpp, fppp = _jets((1,), z, 3, tau)[0]
     td = _tdata(tau)
     _guard("theta1(z)", f, td.scales[1])
     num = -(fpp * f - fp * fp)
-    dnum = -((fpp * df + dfpp * f) - (fp * dfp + dfp * fp))
-    den, dden = f * f, f * df + df * f
+    dnum = -((fpp * fp + fppp * f) - (fp * fpp + fpp * fp))
+    den, dden = f * f, f * fp + fp * f
     q = num / den
     return q + td.wp_const, (dnum - q * dden) / den
 
@@ -400,20 +382,20 @@ def dual_params(nu, g, tau):
     return best, gv
 
 
-def trig_ab(z, tau_hecke):
-    """Hecke kernel pair a(z) = (tau^-1 - tau e^z)/(1 - e^z), b = (tau - tau^-1)/(1 - e^z)."""
+def hecke(z, tau_hecke, k):
+    """Hecke kernel a(z) = (tau^-1 - tau e^z)/(1 - e^z) (k = 0), the c-function
+    of the basic representation, or b(z) = (tau - tau^-1)/(1 - e^z) (k = 1)."""
     ez = d_exp(z)
     den = _guard("1 - e^z", 1.0 - ez)
-    return ((1.0 / tau_hecke - tau_hecke * ez) / den,
-            (tau_hecke - 1.0 / tau_hecke) / den)
+    num = 1.0 / tau_hecke - tau_hecke * ez if k == 0 else tau_hecke - 1.0 / tau_hecke
+    return num / den
 
 
-def hecke_pair(z, tau_hecke, k, name):
-    """(f(z), f'(z)) for f = a (k = 0) or b (k = 1) of ``trig_ab`` (a is also
-    ``c_reduced``), as on Dual(z, 1.0), with the guard named ``name``."""
+def hecke_pair(z, tau_hecke, k):
+    """(f(z), f'(z)) for f = ``hecke(., tau_hecke, k)``, as on Dual(z, 1.0)."""
     e = cmath.exp(z)
     de = e * 1.0
-    den, dden = _guard(name, 1.0 - e), -de
+    den, dden = _guard("1 - e^z", 1.0 - e), -de
     if k == 0:
         num, dnum = 1.0 / tau_hecke - e * tau_hecke, -(de * tau_hecke)
     else:
@@ -422,61 +404,22 @@ def hecke_pair(z, tau_hecke, k, name):
     return q, (dnum - q * dden) / den
 
 
-def c_reduced(z, tau_alpha):
-    """c_alpha = (tau^-1 - tau e^z)/(1 - e^z) at z = <alpha, x> + k c."""
-    ez = d_exp(z)
-    den = _guard("1 - e^alpha", 1.0 - ez)
-    return (1.0 / tau_alpha - tau_alpha * ez) / den
-
-
 def u_fun(z, tau_n, tau_n_vee):
-    """u(z) of the Noumi kernels (even affine roots 2k delta +- 2 e_i)."""
+    """u(z) of the Noumi kernels (affine roots k delta +- 2 e_i; at odd k,
+    u~(z) = u(z + c/2) at tau_0, tau_0^vee)."""
     ez = d_exp(z)
     den = _guard("1 - e^{2z}", 1.0 - ez * ez)
     return (1.0 - tau_n * tau_n_vee * ez) * (1.0 + tau_n / tau_n_vee * ez) / (tau_n * den)
-
-
-def _noumi_pair(e, de, den, dden, ca, cb, t):
-    """(value, slope) of (1 - ca e^z)(1 + cb e^z) / (t den) on Dual(z, 1.0),
-    from e = e^z, its slope de and the guarded denominator (den, dden)."""
-    a, da = 1.0 - e * ca, -(de * ca)
-    b, db = e * cb + 1.0, de * cb
-    den, dden = den * t, dden * t
-    q = a * b / den
-    return q, ((a * db + da * b) - q * dden) / den
 
 
 def u_pair(z, tau_n, tau_n_vee):
     """(u(z), u'(z)) at a plain z, as ``u_fun`` gives them on Dual(z, 1.0)."""
     e = cmath.exp(z)
     de = e * 1.0
-    den = _guard("1 - e^{2z}", 1.0 - e * e)
-    return _noumi_pair(e, de, den, -(e * de + de * e), tau_n * tau_n_vee,
-                       tau_n / tau_n_vee, tau_n)
-
-
-def v_fun(z, tau_n, tau_n_vee):
-    return tau_n - u_fun(z, tau_n, tau_n_vee)
-
-
-def ut_fun(z, tau_0, tau_0_vee, q):
-    """u~(z): odd affine roots (2k+1) delta +- 2 e_i, carries q^(1/2)."""
-    qh = cmath.sqrt(q)
-    ez = d_exp(z)
-    den = _guard("1 - q e^{2z}", 1.0 - q * ez * ez)
-    return (1.0 - tau_0 * tau_0_vee * qh * ez) * (1.0 + tau_0 / tau_0_vee * qh * ez) / (tau_0 * den)
-
-
-def ut_pair(z, tau_0, tau_0_vee, q):
-    """(u~(z), u~'(z)) at a plain z, as ``ut_fun`` gives them on Dual(z, 1.0)."""
-    qh = cmath.sqrt(q)
-    e = cmath.exp(z)
-    de = e * 1.0
-    qe, dqe = e * q, de * q
-    den = _guard("1 - q e^{2z}", 1.0 - qe * e)
-    return _noumi_pair(e, de, den, -(qe * de + dqe * e), tau_0 * tau_0_vee * qh,
-                       tau_0 / tau_0_vee * qh, tau_0)
-
-
-def vt_fun(z, tau_0, tau_0_vee, q):
-    return tau_0 - ut_fun(z, tau_0, tau_0_vee, q)
+    den = _guard("1 - e^{2z}", 1.0 - e * e) * tau_n
+    dden = -(e * de + de * e) * tau_n
+    ca, cb = tau_n * tau_n_vee, tau_n / tau_n_vee
+    a, da = 1.0 - e * ca, -(de * ca)
+    b, db = e * cb + 1.0, de * cb
+    q = a * b / den
+    return q, ((a * db + da * b) - q * dden) / den

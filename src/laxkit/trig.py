@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from .fields import Const, Field, LinArg, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
                      hecke_inverse, lax_pair)
-from .special import c_reduced_kernel, hecke_kernel
-from .weyl import (RootSystemData, SignedPerm, affine_reflection,
-                   build_root_system, dot, ext_coord, ext_form,
-                   orbit_stabilizer, reduced_word_finite, weyl_enumerate)
+from .special import hecke_kernel
+from .weyl import (AffineElement, RootSystemData, SignedPerm, affine_reflection,
+                   build_root_system, dot, ext_coord, ext_form, orbit_stabilizer,
+                   reduced_word, weyl_enumerate)
 
 
 @dataclass
@@ -88,7 +88,7 @@ def basic_rep(rs: RootSystemData, c, tau_short, tau_long=None):
     for ar in rs.affine_simple_roots():
         tau_a = hecke_tau(rs, ar.alpha, tau_short, tau_long)
         s_aff = affine_reflection(ar)
-        kernel = LinArg(c_reduced_kernel(tau_a), ar.alpha, ar.k * c)
+        kernel = LinArg(hecke_kernel(tau_a, 0), ar.alpha, ar.k * c)
         gens.append(hecke_generator(n, c, tau_a, kernel, s_aff.w, s_aff.lam))
     return gens
 
@@ -210,7 +210,7 @@ def e_tau_symmetrizer(cfg):
     total = None
     norm = 0j
     for w in W:
-        word = reduced_word_finite(rs, w)
+        word = reduced_word(rs, AffineElement.from_linear(w))
         tw = cfg.tau ** len(word)
         Tw = WOp.one(n, cfg.c)
         for idx in word:

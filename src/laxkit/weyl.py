@@ -384,27 +384,6 @@ def weyl_enumerate(rs: RootSystemData):
     return order
 
 
-def reduced_word_finite(rs: RootSystemData, w: SignedPerm):
-    """Reduced word of a finite Weyl element over simple-root indices 1..n."""
-    word = []
-    cur = w
-    gens = rs.simple_reflections()
-    guard = 4 * len(rs.pos_roots) + 4
-    while not cur.is_identity():
-        if guard == 0:
-            raise UnsupportedElementError("descent search failed (finite group)")
-        guard -= 1
-        inv = cur.inverse()
-        for i, a in enumerate(rs.simple):
-            if AffineRoot(inv.apply_vec(a), 0).is_negative():
-                word.append(i + 1)
-                cur = gens[i] * cur
-                break
-        else:
-            raise UnsupportedElementError("no descent for a non-identity element")
-    return word
-
-
 def reduced_word(rs: RootSystemData, w: AffineElement):
     """Reduced word over {0..n} of w = s_{i1} ... s_{il} pi, by greedy descent.
 

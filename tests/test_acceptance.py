@@ -50,8 +50,7 @@ def pts(n, count, seed, im=0.05, lo=-0.35, hi=0.35):
 
 def test_criterion_01_special_identities():
     t0 = time.time()
-    from laxkit.special import (dual_couplings, sigma, trig_ab, u_fun, ut_fun,
-                                v_func, v_fun, vt_fun, wp)
+    from laxkit.special import dual_couplings, hecke, sigma, v_func, wp
     rng = random.Random(101)
     worst = 0.0
     tau = TAU_ELL
@@ -78,12 +77,8 @@ def test_criterion_01_special_identities():
         sym = -v_func(z, mu, gv, tau)
         worst = max(worst, abs(v_func(mu, z, G4, tau) - sym) / (1 + 2 * abs(sym)))
         th = 1.4 + 0.2j
-        a, b = trig_ab(z, th)
+        a, b = hecke(z, th, 0), hecke(z, th, 1)
         worst = max(worst, abs(a + b - th) / (1 + 2 * abs(th)))
-        tn, tnv, t0p, t0v = 1.5 + 0.2j, 0.7 + 0.1j, 1.2 + 0.1j, 0.8 - 0.05j
-        q = cmath.exp(C_STEP)
-        worst = max(worst, abs(v_fun(z, tn, tnv) - (tn - u_fun(z, tn, tnv))))
-        worst = max(worst, abs(vt_fun(z, t0p, t0v, q) - (t0p - ut_fun(z, t0p, t0v, q))))
     report(1, "special-function identity suite", worst, 1e-10, t0, budget=5.0)
 
 

@@ -129,7 +129,7 @@ def test_shared_kernel_runs_once_per_point_in_residual_evalfn(monkeypatch):
     # one object, then kernels built by separate calls with equal parameters,
     # each with the log of the function its kernel calls
     cases = [(lambda: h, calls),
-             (lambda: a_field(TRIG, 1, 2), logged(monkeypatch, special, "trig_ab")),
+             (lambda: a_field(TRIG, 1, 2), logged(monkeypatch, special, "hecke")),
              (lambda: sigma_form(MU, (1.0, -1.0), TAU), logged(monkeypatch, special, "sigma"))]
     for make, kernel_calls in cases:
         assert [kind for kind, _a, _b in Tape([make(), make()]).code] == [fields._LEAF]
@@ -151,19 +151,33 @@ def test_shared_kernel_runs_once_per_point_in_residual_evalfn(monkeypatch):
      sigma_form(complex(0.31, -0.0), (1.0, -1.0), TAU)),
     (a_field(TrigGLConfig(n=2, tau=complex(0.8, 0.0), c=0.3), 1, 2),
      a_field(TrigGLConfig(n=2, tau=complex(0.8, -0.0), c=0.3), 1, 2)),
-    (inv_form((1.0,), 0j, name="left"), inv_form((1.0,), 0j, name="right")),
-], ids=["sigma-mu-signed-zero", "a-tau-signed-zero", "inv_form-name"])
+], ids=["sigma-mu-signed-zero", "a-tau-signed-zero"])
 def test_kernels_apart_in_bits_or_name_stay_two_leaves(pair):
     assert [kind for kind, _a, _b in Tape(list(pair)).code] == [fields._LEAF] * 2
 
 
+def test_inv_forms_of_one_guard_share_one_kernel():
+    """inv_form has one kernel per guard: leaves on two forms hold one
+    kernel object, so do the 1/<a,x> leaves that the rational Dunkl
+    operators and the Lax pair build, and the pole message names no form."""
+    f, g = inv_form((1.0, -1.0)), inv_form((0.0, 1.0), 0.5)
+    assert f.fn is g.fn
+    assert inv_form((1.0, -1.0), guard=1e-2).fn is not f.fn
+    H, Lf, _n, _powers, _z0 = _flow_setup("rational-A")
+    for tape in (Tape([H]), Tape([e for row in Lf for e in row])):
+        assert {a.fn for kind, a, _s in tape.code if kind == fields._LEAF} == {f.fn, None}
+    with pytest.raises(PoleError) as err:
+        g((0.3, -0.5 + 1e-5j))
+    assert str(err.value) == "|linear form| = 1.00e-05 below pole guard 0.001"
+
+
 def test_pole_error_propagates_and_no_value_survives_the_point():
     fn, calls = counting(d_exp)
-    pole = inv_form((1.0, 0.0), 0j, guard=1e-2, name="x1")
+    pole = inv_form((1.0, 0.0), 0j, guard=1e-2)
     h = LinArg(fn, (1.0, 1.0)) * pole
     m = _shared_kernel_matrix(lambda: h)
     evalfn = residual_evalfn(m, None, [exp_lin((0.5, 0.25))])
-    with pytest.raises(PoleError, match="x1"):
+    with pytest.raises(PoleError, match=r"\|linear form\| = 1\.00e-03 below pole guard 0\.01"):
         evalfn((1e-3 + 0j, 0.2 + 0.1j))
     assert len(calls) == 1                  # h's kernel ran before the pole
     x = (0.3 + 0.1j, -0.2 + 0.05j)
@@ -177,11 +191,12 @@ def test_pole_error_propagates_and_no_value_survives_the_point():
 
 
 def test_first_pole_error_is_the_leftmost():
-    left = inv_form((1.0,), 0j, name="left")
-    right = inv_form((1.0,), 0j, name="right")
-    with pytest.raises(PoleError, match="left"):
+    # one kernel on two forms: the |z| in the message tells the leaves apart
+    left = inv_form((1.0,), 0j)
+    right = inv_form((1.0,), 2e-5)
+    with pytest.raises(PoleError, match="= 1.00e-05 "):
         Tape([left * 2.0, right + left])((1e-5 + 0j,))
-    with pytest.raises(PoleError, match="right"):
+    with pytest.raises(PoleError, match="= 3.00e-05 "):
         Tape([right + left, left])((1e-5 + 0j,))
 
 
@@ -301,7 +316,7 @@ def test_a_flow_compiles_its_hamiltonian_and_lax_matrix_once(monkeypatch):
 
 
 # leaf instructions of each flow's tapes: (H, the L entries)
-FLOW_LEAVES = {"rational-A": (15, 9), "trig-gln": (9, 15), "inozemtsev": (12, 10),
+FLOW_LEAVES = {"rational-A": (9, 9), "trig-gln": (9, 15), "inozemtsev": (12, 10),
                "koornwinder": (17, 21), "vandiejen": (21, 29)}
 KERNEL_ARGS = (0.23 + 0.11j, -0.37 + 0.05j, 0j)
 

@@ -128,8 +128,8 @@ def test_extended_index_conventions():
     n = 2
     x = (0.31 + 0.02j, -0.44 + 0.05j)
     lhs = value(a_ext(P, n + 1, 2, 1)(x))
-    from laxkit.special import trig_ab
-    assert abs(lhs - trig_ab(-x[0] + x[1], P.tau)[0]) < 1e-14
+    from laxkit.special import hecke
+    assert abs(lhs - hecke(-x[0] + x[1], P.tau, 0)) < 1e-14
     assert ext_coord(2, 2) == (-1, 0)
 
 

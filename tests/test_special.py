@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from laxkit import koorn, special
 from laxkit.dual import Dual, d_exp, directional, extract, value
 from laxkit.fields import PoleError, inv_form
-from laxkit.special import (ModulusError, dual_couplings,
-                            dual_params, eta1, sigma, sigma_dz, sigma_r,
-                            theta, trig_ab, u_fun,
-                            ut_fun, v_func, v_func_dz, vt_fun, v_fun, wp)
+from laxkit.special import (ModulusError, dual_couplings, dual_params, eta1,
+                            hecke, sigma, sigma_dz, theta, u_fun, v_func,
+                            v_func_dz, wp)
 
 TAU = 0.3 + 0.8j
 RNG = random.Random(2024)
@@ -204,10 +203,7 @@ PAIRED_KERNELS = {
     "wp": (special.wp_kernel(0.84j), 1e-7),
     "hecke-a": (special.hecke_kernel(1.4 + 0.2j, 0), 1e-7),
     "hecke-b": (special.hecke_kernel(2 ** 0.5, 1), -1e-7j),
-    "c_reduced": (special.c_reduced_kernel(1.2 - 0.1j), 1e-7),
     "u": (special.u_kernel(1.5 + 0.2j, 0.7 + 0.1j), 1e-7),
-    "ut": (special.ut_kernel(1.2 + 0.1j, 0.8 - 0.05j, 0.9 + 0.2j),
-           -cmath.log(0.9 + 0.2j) / 2 + 1e-7),
     "koorn-neg-b": (koorn._neg_b_kernel(1.3 - 0.15j), 1e-7),
     "koorn-u-minus-tau": (koorn._u_minus_tau_kernel(1.5 + 0.2j, 0.7 + 0.1j), 1e-7),
     "inv_form": (inv_form((1.0, -1.0)).fn, 1e-5 + 1e-5j),
@@ -241,37 +237,51 @@ def test_kernel_pair_is_the_dual_path_bit_for_bit(family):
         assert str(pair_err.value) == str(dual_err.value)
 
 
-def test_trig_ab_sum_and_limit():
+def test_hecke_sum_and_limit():
     tau_h = 1.4 + 0.2j
     z = 0.7 + 0.1j
-    a, b = trig_ab(z, tau_h)
-    assert abs(a + b - tau_h) < 1e-14
-    a_inf, _ = trig_ab(30.0, tau_h)
-    assert abs(a_inf - tau_h) < 1e-10
+    assert abs(hecke(z, tau_h, 0) + hecke(z, tau_h, 1) - tau_h) < 1e-14
+    assert abs(hecke(30.0, tau_h, 0) - tau_h) < 1e-10
 
 
 def test_uv_complements():
-    taun, taunv, tau0, tau0v = 1.5 + 0.2j, 0.7 + 0.1j, 1.2 + 0.1j, 0.8 - 0.05j
-    q = cmath.exp(0.23 + 0.07j)
+    taun, taunv = 1.5 + 0.2j, 0.7 + 0.1j
     rng = random.Random(10)
     for _ in range(10):
         z = rand_z(rng)
         if abs(z) < 0.05:
             continue
-        assert abs(v_fun(z, taun, taunv) - (taun - u_fun(z, taun, taunv))) < 1e-14
-        assert abs(vt_fun(z, tau0, tau0v, q) - (tau0 - ut_fun(z, tau0, tau0v, q))) < 1e-14
         # the Hecke-closure identity behind the quadratic relations
         assert abs(u_fun(z, taun, taunv) + u_fun(-z, taun, taunv)
                    - taun - 1 / taun) < 1e-12
 
 
+def test_odd_level_kernel_is_u_at_half_step():
+    """Noumi's odd-level kernel, written out with q^(1/2) = e^(c/2), is
+    u(z + c/2): to 1e-13 at a complex step, bit for bit at c = 0."""
+    tau0, tau0v = 1.2 + 0.1j, 0.8 - 0.05j
+
+    def ut(z, c):
+        qh, q = cmath.exp(c / 2), cmath.exp(c)
+        e = cmath.exp(z)
+        return ((1 - tau0 * tau0v * qh * e) * (1 + tau0 / tau0v * qh * e)
+                / (tau0 * (1 - q * e * e)))
+
+    c = 0.23 + 0.07j
+    rng = random.Random(12)
+    for _ in range(20):
+        z = rand_z(rng)
+        want = ut(z, c)
+        assert abs(u_fun(z + c / 2, tau0, tau0v) - want) < 1e-13 * (1 + abs(want))
+        assert bits(u_fun(z, tau0, tau0v)) == bits(ut(z, 0))
+
+
 def test_reduced_kernel_complement():
-    from laxkit.special import c_reduced
     tau_h = 1.3 - 0.15j
     z = 0.4 + 0.05j
-    # c_alpha + (tau - c_alpha) = tau identically; at e^z -> infinity c -> tau
-    assert abs(c_reduced(40.0, tau_h) - tau_h) < 1e-12
-    assert abs(c_reduced(z, tau_h) + (tau_h - c_reduced(z, tau_h)) - tau_h) < 1e-15
+    # c_alpha + c_{-alpha} = tau + tau^-1; at e^z -> infinity c_alpha -> tau
+    assert abs(hecke(z, tau_h, 0) + hecke(-z, tau_h, 0) - tau_h - 1 / tau_h) < 1e-14
+    assert abs(hecke(40.0, tau_h, 0) - tau_h) < 1e-12
 
 
 def test_trig_degeneration_cot_form():
@@ -281,11 +291,6 @@ def test_trig_degeneration_cot_form():
         lhs = sigma(mu / math.pi, z / math.pi, tau_big) / math.pi
         rhs = (cmath.cos(z) / cmath.sin(z)) - (cmath.cos(mu) / cmath.sin(mu))
         assert abs(lhs - rhs) < 1e-8
-
-
-def test_sigma_r_matches_sigma_for_r0():
-    z, mu = 0.31 + 0.02j, 0.22 - 0.04j
-    assert abs(sigma_r(0, mu, z, TAU) - sigma(mu, z, TAU)) < 1e-14
 
 
 def test_v_derivative_consistency():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from laxkit.weyl import (AffineElement, ConfigError, affine_reflection,
                          build_root_system, ext_coord, ext_form,
-                         orbit_stabilizer, reduced_word, reduced_word_finite,
-                         same_coord, weyl_enumerate, SignedPerm)
+                         orbit_stabilizer, reduced_word, same_coord,
+                         weyl_enumerate, SignedPerm)
 from support import affine_length, evaluate_word, finite_length, translation_word
 
 
@@ -202,7 +202,8 @@ def test_finite_reduced_words():
         w = SignedPerm.identity(3)
         for _k in range(rng.randrange(0, 9)):
             w = gens[rng.randrange(3)] * w
-        word = reduced_word_finite(rs, w)
+        word = reduced_word(rs, AffineElement.from_linear(w))
+        assert 0 not in word                # a finite w never takes a_0
         out = SignedPerm.identity(3)
         for i in word:
             out = out * gens[i - 1]
