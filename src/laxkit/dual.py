@@ -8,8 +8,9 @@ differentiated to arbitrary depth without symbolic calculus.  Gradients
 (``gradient_vec``) come from a field's compiled tape in ``fields``, by one
 adjoint sweep; there a leaf whose kernel has a pair function (``d_exp``'s
 is ``d_exp.pair``) gives its value and slope from one jet at a plain
-point, and Duals stay for ``Deriv``, ``BiArg``, ``FuncField`` and kernels
-without a pair.
+point.  Duals stay for the points of a ``Deriv``'s derivative scope, seeded
+by ``seed`` as ``directional`` seeds them, for the adjoints of ``Deriv``,
+``BiArg`` and ``FuncField``, and for kernels without a pair.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ d_exp.pair = _d_exp_pair
 
 
 def seed(point, direction):
-    """Seed one infinitesimal along ``direction`` at ``point`` (tuples)."""
-    return tuple(Dual(p, d) for p, d in zip(point, direction))
+    """Seed one infinitesimal along ``direction`` at ``point`` (tuples of
+    one length; ``ValueError`` otherwise)."""
+    return tuple(Dual(p, d) for p, d in zip(point, direction, strict=True))
 
 
 def extract(x):

@@ -19,10 +19,14 @@ one kernel object per family and bit-exact parameters, so leaves built by
 separate calls share one kernel call too.  An ``XLift``
 compiles to no instruction: its base is compiled in an x-space scope,
 whose point is the first n coordinates of the phase point, and all the
-``XLift``s of one n share that scope.  ``Deriv`` and ``FuncField``, which
-move the point, are opaque instructions: they call the node at their
-scope's point, and a ``Deriv`` reads its base from the base's own tape.
-Leaves are called through their ``__call__``.  The forward loop runs on
+``XLift``s of one n share that scope.  A ``Deriv`` compiles its base in a
+derivative scope, whose point is its scope's point seeded along each of
+its directions in turn (``directional``'s point), one per parent scope and
+direction tuple bit for bit, so the bases of equal directions share their
+nodes and leaf calls; its instruction takes the ``eps`` part of the base's
+value there once per direction.  ``FuncField``, which moves the point, is
+an opaque instruction that calls the node at its scope's point.  Leaves
+are called through their ``__call__``.  The forward loop runs on
 complex numbers and on Duals alike, doing the operations of a recursive
 walk in its order (a sum folds from 0j, a scaling is c * v), so values are
 those of the walk bit for bit and the first ``PoleError`` raised is the
@@ -35,10 +39,11 @@ value and slope there from one jet: a kernel family's pair function
 the arithmetic the Dual quotients and products would do, op for op, so
 both are the Dual path's bit for bit and no Dual is built.  Duals stay
 for the rest: a kernel without a pair (sigma', v', a test's callable)
-runs once on a Dual of tangent 1, and an opaque instruction (``Deriv``,
-``FuncField``) and a ``BiArg`` take one ``directional`` call per
-coordinate of their scope's point.  A field called directly compiles its
-own tape once, kept in a slot of the node.
+runs once on a Dual of tangent 1, a leaf in a derivative scope is called
+on its Dual point, and a ``Deriv``, a ``FuncField`` and a ``BiArg`` take
+one ``directional`` call per coordinate of their scope's point, while the
+sweep skips the block of each ``Deriv``'s base.  A field called directly
+(a ``Deriv`` too) compiles its own tape once, kept in a slot of the node.
 
 Composition with an affine map, ``o_affine``, is structural: every node
 kind that operators transform pushes the map down to its leaves (``Deriv``
@@ -61,7 +66,9 @@ indistinguishable from a copy except by identity.
 
 from __future__ import annotations
 
-from .dual import Dual, d_exp, directional, extract, value
+from itertools import islice
+
+from .dual import Dual, d_exp, directional, extract, seed, value
 
 
 class PoleError(ArithmeticError):
@@ -160,7 +167,7 @@ def as_field(x):
 
 
 # instruction kinds of a Tape
-_LEAF, _CALL, _SUM, _SCALE, _PROD, _QUOT, _CONST = range(7)
+_LEAF, _CALL, _SUM, _SCALE, _PROD, _QUOT, _CONST, _DERIV = range(8)
 
 
 class Tape:
@@ -168,22 +175,28 @@ class Tape:
 
     Instruction i computes slot i of a point's values and is a tuple
     ``(kind, a, b)``: ``_LEAF`` calls the ``LinArg`` a at the point of scope
-    b; ``_CALL`` calls the ``BiArg``, ``Deriv`` or ``FuncField`` a at the
-    point of scope b; ``_SUM`` adds the slots a; ``_SCALE`` is a * slot b;
-    ``_PROD`` and ``_QUOT`` combine slots a and b; ``_CONST`` is the
-    constant a.  Scope 0 is the point the tape is called at; ``scopes``
-    holds the (parent scope, n) of each x-space scope after it.
+    b; ``_CALL`` calls the ``BiArg`` or ``FuncField`` a, or a ``LinArg`` of a
+    derivative scope, at the point of scope b; ``_SUM`` adds the slots a;
+    ``_SCALE`` is a * slot b; ``_PROD`` and ``_QUOT`` combine slots a and b;
+    ``_CONST`` is the constant a; ``_DERIV`` reads, for a = (``Deriv``
+    node, base slot, start), its base's slot in the node's derivative scope
+    and takes ``.eps`` once per direction, in scope b; its base's block, the
+    instructions from start on, lies just before it.  Scope 0 is the point
+    the tape is called at; ``scopes`` holds the (parent scope, n) of each
+    scope after it: an int n for the x-space scope of the first n
+    coordinates, a tuple of directions for a derivative scope.
     """
 
-    __slots__ = ("code", "scopes", "out", "_slots", "_leaves")
+    __slots__ = ("code", "scopes", "out", "_slots", "_dual", "_leaves")
 
     def __init__(self, roots):
         self.code = []
         self.scopes = []
         self._slots = [{}]
+        self._dual = [False]
         self._leaves = None
         self.out = [self.slot(f, 0) for f in roots]
-        del self._slots
+        del self._slots, self._dual
 
     def slot(self, f, scope):
         """The slot of node f in ``scope``, compiling it on the first visit."""
@@ -198,27 +211,40 @@ class Tape:
         return len(self.code) - 1
 
     def shared(self, key, kind, node, scope):
-        """The slot of the leaf ``node`` in ``scope``, shared under ``key``."""
+        """The slot of the leaf ``node`` in ``scope``, shared under ``key``;
+        a leaf at or under a derivative scope is called on its Dual point,
+        never through its pair."""
         slots = self._slots[scope]
         out = slots.get(key)
         if out is None:
-            out = slots[key] = self.push(kind, node, scope)
+            out = slots[key] = self.push(_CALL if self._dual[scope] else kind, node, scope)
         return out
 
     def scope(self, parent, n):
-        """The x-space scope of the first n coordinates of ``parent``'s point."""
+        """The scope whose point is ``parent``'s point in x-space (an int n:
+        its first n coordinates) or seeded along each direction of the tuple
+        n in turn, as ``directional`` seeds it: one per parent and n, whose
+        directions are told apart bit for bit."""
         slots = self._slots[parent]
-        out = slots.get((XLift, n))
+        key = (Tape, repr(n))
+        out = slots.get(key)
         if out is None:
             self.scopes.append((parent, n))
             self._slots.append({})
-            out = slots[XLift, n] = len(self.scopes)
+            self._dual.append(self._dual[parent] or type(n) is not int)
+            out = slots[key] = len(self.scopes)
         return out
 
     def _points(self, x):
         pts = [x]
         for parent, n in self.scopes:
-            pts.append(pts[parent][:n])
+            p = pts[parent]
+            if type(n) is int:
+                p = p[:n]
+            else:
+                for d in n:
+                    p = seed(p, d)
+            pts.append(p)
         return pts
 
     def __call__(self, x):
@@ -233,7 +259,8 @@ class Tape:
         vals = []
         push = vals.append
         leaves = None if slopes is None else iter(self._leaf_data())
-        PROD, SCALE, SUM, LEAF, CALL, QUOT = _PROD, _SCALE, _SUM, _LEAF, _CALL, _QUOT
+        PROD, SCALE, SUM, LEAF, CALL, QUOT, DERIV = (_PROD, _SCALE, _SUM, _LEAF, _CALL,
+                                                     _QUOT, _DERIV)
         for kind, a, b in self.code:
             if kind == PROD:
                 push(vals[a] * vals[b])
@@ -257,12 +284,17 @@ class Tape:
                     slopes.append(s)
             elif kind == QUOT:
                 push(vals[a] / vals[b])
+            elif kind == DERIV:
+                v = vals[a[1]]
+                for _d in a[0].dirs:
+                    v = v.eps if isinstance(v, Dual) else 0j
+                push(v)
             else:
                 push(a)
         return vals
 
     def _leaf_data(self):
-        """Per ``LinArg`` instruction, in tape order: its nonzero (coordinate,
+        """Per ``_LEAF`` instruction, in tape order: its nonzero (coordinate,
         coefficient) pairs, and a leaf of one coordinate whose kernel is the
         pair giving (value, slope) at a plain argument (None for a linear
         form): the kernel's ``pair``, or for a kernel without one a run on a
@@ -278,7 +310,8 @@ class Tape:
     def gradient(self, x):
         """The partials of the first root at x along every coordinate of x:
         the forward loop on plain numbers, each leaf giving its value and
-        slope from its kernel's pair, then one adjoint sweep."""
+        slope from its kernel's pair, then one adjoint sweep, which skips
+        the block of each ``Deriv`` base."""
         pts = self._points(x)
         slopes = []
         vals = self._forward(pts, slopes)
@@ -287,9 +320,11 @@ class Tape:
         adj[self.out[0]] = 1.0 + 0j
         grads = [[0j] * len(p) for p in pts]
         leaves = reversed(self._leaves)
-        PROD, SCALE, SUM, LEAF, CALL, QUOT = _PROD, _SCALE, _SUM, _LEAF, _CALL, _QUOT
+        PROD, SCALE, SUM, LEAF, CALL, QUOT, DERIV = (_PROD, _SCALE, _SUM, _LEAF, _CALL,
+                                                     _QUOT, _DERIV)
         i = len(code)
-        for kind, a, b in reversed(code):
+        sweep = reversed(code)
+        for kind, a, b in sweep:
             i -= 1
             w = adj[i]
             if kind == PROD:
@@ -305,20 +340,27 @@ class Tape:
                 g = grads[b]
                 for j, kj in next(leaves)[0]:
                     g[j] += w * kj
-            elif kind == CALL:
+            elif kind == QUOT:
+                q = w / vals[b]
+                adj[a] += q
+                adj[b] -= q * vals[i]
+            elif kind == CALL or kind == DERIV:
+                if kind == DERIV:
+                    # a Deriv: its base's block takes no adjoint
+                    a, start = a[0], a[2]
+                    next(islice(sweep, i - start, i - start), None)
+                    i = start
                 # one directional derivative per coordinate of the scope
                 g, pt = grads[b], pts[b]
                 for j in range(len(pt)):
                     e = tuple(float(j == m) for m in range(len(pt)))
                     g[j] += w * directional(a, pt, (e,))
-            elif kind == QUOT:
-                q = w / vals[b]
-                adj[a] += q
-                adj[b] -= q * vals[i]
         for s in range(len(self.scopes), 0, -1):
-            g = grads[self.scopes[s - 1][0]]
-            for j, gj in enumerate(grads[s]):
-                g[j] += gj
+            parent, n = self.scopes[s - 1]
+            if type(n) is int:              # a derivative scope takes no adjoint
+                g = grads[parent]
+                for j, gj in enumerate(grads[s]):
+                    g[j] += gj
         return grads[0]
 
 
@@ -577,11 +619,10 @@ class Deriv(Field):
         self.base = base
         self.dirs = tuple(dirs)
 
-    def __call__(self, x):
-        return directional(self.base, tuple(x), self.dirs)
-
     def _emit(self, tape, scope):
-        return tape.push(_CALL, self, scope)
+        start = len(tape.code)
+        base = tape.slot(self.base, tape.scope(scope, self.dirs))
+        return tape.push(_DERIV, (self, base, start), scope)
 
     def _o_affine(self, w, v, key):
         # (D_d f)(w x + v) = D_{w^-1 d} (f(w x + v))

@@ -1,12 +1,13 @@
-"""Field evaluation: one tape per root set over the shared field DAG, its
-gradient by an adjoint sweep, and the structure shared at construction
-(affine images, derivative nodes and leaf kernels equal by value)."""
+"""Field evaluation: one tape per root set over the shared field DAG, with
+each derivative read in a derivative scope of that tape, its gradient by an
+adjoint sweep, and the structure shared at construction (affine images,
+derivative nodes and leaf kernels equal by value)."""
 
 import gc
 
 import pytest
 
-from laxkit import fields, special
+from laxkit import fields, special, suites
 from laxkit.dual import Dual, d_exp, directional, gradient_vec, seed, value
 from laxkit.fields import (BiArg, Const, Deriv, Field, FuncField, LinArg,
                            PoleError, Quot, Scale, Tape, XLift, exp_lin,
@@ -17,7 +18,8 @@ from laxkit.special import sigma, sigma_form
 from laxkit.suites import (RunConfig, build_suite, classical_flow_setup,
                            default_params)
 from laxkit.trig import TrigGLConfig, a_field
-from laxkit.verify import hamiltonian_flow, residual_evalfn, spectral_invariants
+from laxkit.verify import (CheckResult, hamiltonian_flow, residual_evalfn,
+                           spectral_invariants)
 from laxkit.weyl import SignedPerm
 
 N = 4                                   # phase points (x1, x2, p1, p2)
@@ -200,6 +202,83 @@ def test_first_pole_error_is_the_leftmost():
         Tape([right + left, left])((1e-5 + 0j,))
 
 
+DIR2 = (0.0, 1.0, -0.5, 0.3)
+_G = (sigma_form(MU, (0.7, -1.2, 0.0, 0.4), TAU, 0.05j) * linear_form((0.3, 0.0, -0.6, 1.1), 0.2)
+      + exp_lin((0.0, 0.2, 0.1, -0.3)))
+_X = LinArg(d_exp, (1.0, -0.5), 0.1j) * linear_form((0.2, 0.7))
+# (base, directions, n): the root D_dirs base, read in x-space through an
+# XLift of n coordinates when n is not None
+DERIV_ROOTS = {
+    "first": (_G, (DIR,), None),
+    "second": (_G, (DIR, DIR), None),
+    "mixed": (_G, (DIR, DIR2), None),
+    "base-holds-deriv": (_G * _G.deriv(DIR2) + Deriv(_G, (DIR2, DIR)), (DIR,), None),
+    "under-XLift": (_X, ((1.0, 0.5), (0.0, -2.0)), 2),
+}
+
+
+@pytest.mark.parametrize("point", [Z, seed(Z, DIR2)], ids=["complex", "dual"])
+def test_deriv_roots_equal_directional_bit_for_bit(point):
+    """Deriv roots read from derivative scopes of one tape, which the bases
+    of equal directions share, equal ``directional`` of their base."""
+    roots = [Deriv(base, dirs) if n is None else XLift(Deriv(base, dirs), n)
+             for base, dirs, n in DERIV_ROOTS.values()]
+    got = Tape(roots)(point)
+    for (base, dirs, n), v in zip(DERIV_ROOTS.values(), got):
+        assert bits(v) == bits(directional(base, point if n is None else point[:n], dirs))
+
+
+def test_first_pole_error_in_a_derivative_scope_is_the_leftmost():
+    left = inv_form((1.0,), 0j)
+    right = inv_form((1.0,), 2e-5)
+    d = (1.0,)
+    with pytest.raises(PoleError, match="= 1.00e-05 "):
+        Tape([(left * 2.0).deriv(d), (right + left).deriv(d)])((1e-5 + 0j,))
+    with pytest.raises(PoleError, match="= 3.00e-05 "):
+        Tape([(right + left).deriv(d), left.deriv(d)])((1e-5 + 0j,))
+
+
+def test_derivs_of_one_direction_run_a_shared_kernel_once_per_point():
+    fn, calls = counting(d_exp)
+    leaf = LinArg(fn, (1.0, -0.5, 0.0, 0.2))
+    tape = Tape([(2.0 * leaf).deriv(DIR), (leaf * leaf + 1.0).deriv(DIR)])
+    for point in (Z, seed(Z, DIR2)):
+        calls.clear()
+        tape(point)
+        assert len(calls) == 1
+
+
+def test_rational_suite_tapes_compile_no_tape_at_their_points(monkeypatch):
+    """A residual tape holds its Deriv bases: evaluating it compiles no
+    tape of theirs, at the first point or at a later one."""
+    evalfns = []
+
+    def run_check(name, tol, evalfn, *_args):
+        evalfns.append(evalfn)
+        return CheckResult(name, 0.0, tol, True)
+    monkeypatch.setattr(suites, "run_check", run_check)
+    build_suite(RunConfig(system="rational-A", rank=3, params=default_params("rational-A")))
+    compiled = []
+    init = Tape.__init__
+
+    def counting_init(tape, roots):
+        compiled.append(roots)
+        init(tape, roots)
+    monkeypatch.setattr(Tape, "__init__", counting_init)
+    for x in [(0.31 + 0.05j, -0.52 + 0.02j, 0.14 - 0.03j), (-0.6 + 0.1j, 0.2, 0.45 - 0.07j)]:
+        for evalfn in evalfns:
+            evalfn(x)
+    assert len(evalfns) == 7 and compiled == []
+
+
+def test_seed_refuses_a_direction_of_another_length():
+    with pytest.raises(ValueError):
+        seed(Z, DIR[:2])
+    # an x-space derivative read at a phase point would drop the momenta
+    with pytest.raises(ValueError):
+        exp_lin((0.3, -0.2)).deriv((1.0, 0.0))(Z)
+
+
 @pytest.mark.parametrize("w, v", [(SignedPerm.sign_flip(N, 1), None),
                                   (None, V), (SignedPerm((2, -3, 1, 4)), V)],
                          ids=["sign-flip", "shift", "signed-cycle-and-shift"])
@@ -255,6 +334,10 @@ INSTRUCTION_KINDS = {
     "XLift-shared-scope": (XLift(2.0 * _XLEAF, 2) * momentum(2, 0)
                            + XLift(_XLEAF * _XLEAF, 2) * exp_lin((0.4, 0.0, 0.0, 0.3))),
     "Deriv": Deriv(_LEAF * _FORM, (DIR,)),
+    "Deriv-paired-kernel": Deriv(sigma_form(MU, (0.7, -1.2, 0.0, 0.4), TAU) * _FORM, (DIR,)),
+    "Deriv-nested-under-XLift": (XLift(Deriv(_XLEAF * Deriv(_XLEAF, ((0.3, 1.0),)),
+                                             ((1.0, -0.5),)), 2) * momentum(2, 0)
+                                 + _LEAF * _XLEAF.deriv((0.0, 1.0, 0.0, 0.0))),
     "FuncField": FuncField(lambda z: z[0] * d_exp(z[1] * z[3])),
 }
 
