@@ -3,14 +3,21 @@ four-coupling v-functions, plus their trigonometric degenerations.
 
 Conventions: theta_1..theta_4 with nome q = e^{i pi tau}, quasi-periods
 theta_1(z+1) = -theta_1(z), theta_1(z+tau) = -e^{-i pi tau - 2 pi i z} theta_1(z).
-Jets.  At a plain complex z one loop over the Fourier series gives theta_r
+Jets.  At a plain complex z one pass over the Fourier series gives theta_r
 and its z-derivatives up to order d, for only the r asked for (``_series``);
 it stops once the bound of the last term is at most THETA_RTOL times the
 partial sum at every order j <= d, so truncation bounds the derivatives,
-not only the value.  A Dual z of depth d never enters the series: with
-z0 = value(z) and h = z - z0, theta returns sum_{j<=d} theta^(j)(z0) h^j/j!,
-which is exact because h^(d+1) = 0.  sigma_dz, v_func_dz and wp read their
-derivatives from the same jets, memoized per plain point in one cache.
+not only the value.  The orders the kernels ask for most, d = 0, 1 and 3,
+run straight-line loops that do the generic loop's products and sums in
+its order and stop at its term, so every jet is the generic loop's bit for
+bit; the others run the generic loop.  The d = 1 and d = 3 loops also keep
+the order-0 partial sum at the term where the value alone would stop,
+which is the d = 0 jet, and the cache stores it, so a point whose value and
+slope are both asked for is summed once.  A Dual z of depth d never enters
+the series: with z0 = value(z) and h = z - z0, theta returns
+sum_{j<=d} theta^(j)(z0) h^j/j!, which is exact because h^(d+1) = 0.
+sigma_dz, v_func_dz and wp read their derivatives from the same jets,
+memoized per plain point in one cache.
 P(z) is normalized by its Laurent expansion
 P = 1/z^2 + O(z^2), which together with eta1 = -theta1'''(0)/(6 theta1'(0))
 gives lim_{mu->0} sigma_mu'(z) = -P(z) - 2*eta1.
@@ -100,7 +107,7 @@ class _ThetaData:
         self.bounds = {True: [2 * abs(c) for c in odd], False: [2 * abs(c) for c in even]}
         # natural magnitude of theta_r: its leading series coefficient
         self.scales = {1: 2 * abs(odd[0]), 2: 2 * abs(odd[0]), 3: 1.0, 4: 1.0}
-        _f, self.d1_0, _f2, d3 = _series((1,), 0j, 3, self)[0]
+        _f, self.d1_0, _f2, d3 = _series((1,), 0j, 3, self)[0][0]
         self.eta1 = -d3 / (6 * self.d1_0)
         self.wp_const = d3 / (3 * self.d1_0)
 
@@ -122,7 +129,7 @@ _PI_M = {odd: [math.pi * (2 * k + 2 - odd) for k in range(THETA_CAP)] for odd in
 
 
 def _series(rs, z, d, td):
-    """[[theta_r^(j)(z) for j <= d] for r in rs] at a plain z.
+    """([[theta_r^(j)(z) for j <= d] for r in rs], values) at a plain z.
 
     Term k of theta_r is c_k (i pi m)^j (e^{i pi m z} -+ (-1)^j e^{-i pi m z})
     (minus for theta_1), over the odd m for theta_1, theta_2 and the even m
@@ -130,7 +137,25 @@ def _series(rs, z, d, td):
     the exponentials are shared by all r.  The sum stops once the term bound
     2|c_k| (pi m)^j e^{pi m |Im z|} is at most THETA_RTOL times the
     magnitude of the partial sum at every order j.
+
+    Orders 0, 1 and 3 run straight-line loops (``_series_0``, ``_series_1``,
+    ``_series_3``) and every other order the generic loop (``_series_loop``);
+    all of them give the generic loop's jets bit for bit.  ``values`` is
+    [[theta_r(z)] for r in rs] as the d = 0 loop gives it, kept by the d = 1
+    and d = 3 loops, and None for the other orders.
     """
+    if d == 0:
+        return _series_0(rs, z, td), None
+    if d == 1:
+        return _series_1(rs, z, td)
+    if d == 3:
+        return _series_3(rs, z, td)
+    return _series_loop(rs, z, d, td), None
+
+
+def _series_loop(rs, z, d, td):
+    """The jets of ``_series`` at any order d: per term, one loop over the
+    orders adds the products and a second one tests the stop rule."""
     w, wi = cmath.exp(1j * math.pi * z), cmath.exp(-1j * math.pi * z)
     ey = math.exp(math.pi * abs(z.imag))
     w2, wi2, ey2 = w * w, wi * wi, ey * ey
@@ -158,18 +183,113 @@ def _series(rs, z, d, td):
     return out
 
 
+# The straight-line loops below keep the generic loop's `b > THETA_RTOL * abs(x)`
+# and its negation, so a NaN partial sum stops them at the same term.
+def _series_0(rs, z, td):
+    """The order-0 jets of ``_series``."""
+    w, wi = cmath.exp(1j * math.pi * z), cmath.exp(-1j * math.pi * z)
+    ey = math.exp(math.pi * abs(z.imag))
+    w2, wi2, ey2 = w * w, wi * wi, ey * ey
+    out = []
+    for r in rs:
+        odd = r < 3
+        P, M, e = (w, wi, ey) if odd else (w2, wi2, ey2)
+        coeffs, bounds = td.coeffs[r], td.bounds[odd]
+        s0 = 0j if odd else 1 + 0j
+        for k in range(THETA_CAP):
+            s0 += coeffs[k] * (P - M if r == 1 else P + M)
+            if not bounds[k] * e > THETA_RTOL * abs(s0):
+                break
+            P, M, e = P * w2, M * wi2, e * ey2
+        out.append([s0])
+    return out
+
+
+def _series_1(rs, z, td):
+    """The order-1 jets of ``_series`` and the order-0 values: the partial
+    sum s0 at the first term whose order-0 test stops, or the full sum."""
+    w, wi = cmath.exp(1j * math.pi * z), cmath.exp(-1j * math.pi * z)
+    ey = math.exp(math.pi * abs(z.imag))
+    w2, wi2, ey2 = w * w, wi * wi, ey * ey
+    out, values = [], []
+    for r in rs:
+        odd = r < 3
+        P, M, e = (w, wi, ey) if odd else (w2, wi2, ey2)
+        coeffs, bounds, pms = td.coeffs[r], td.bounds[odd], _PI_M[odd]
+        s0, s1, v = (0j if odd else 1 + 0j), 0j, None
+        for k in range(THETA_CAP):
+            h0, h1 = (P - M, P + M) if r == 1 else (P + M, P - M)
+            t, pm = coeffs[k], pms[k]
+            s0 += t * h0
+            t *= 1j * pm
+            s1 += t * h1
+            b = bounds[k] * e
+            if not b > THETA_RTOL * abs(s0):
+                if v is None:
+                    v = s0
+                if not b * pm > THETA_RTOL * abs(s1):
+                    break
+            P, M, e = P * w2, M * wi2, e * ey2
+        out.append([s0, s1])
+        values.append([s0 if v is None else v])
+    return out, values
+
+
+def _series_3(rs, z, td):
+    """The order-3 jets of ``_series`` and the order-0 values, kept as
+    ``_series_1`` keeps them."""
+    w, wi = cmath.exp(1j * math.pi * z), cmath.exp(-1j * math.pi * z)
+    ey = math.exp(math.pi * abs(z.imag))
+    w2, wi2, ey2 = w * w, wi * wi, ey * ey
+    out, values = [], []
+    for r in rs:
+        odd = r < 3
+        P, M, e = (w, wi, ey) if odd else (w2, wi2, ey2)
+        coeffs, bounds, pms = td.coeffs[r], td.bounds[odd], _PI_M[odd]
+        s0, s1, s2, s3, v = (0j if odd else 1 + 0j), 0j, 0j, 0j, None
+        for k in range(THETA_CAP):
+            h0, h1 = (P - M, P + M) if r == 1 else (P + M, P - M)
+            t, pm = coeffs[k], pms[k]
+            ipm = 1j * pm
+            s0 += t * h0
+            t *= ipm
+            s1 += t * h1
+            t *= ipm
+            s2 += t * h0
+            t *= ipm
+            s3 += t * h1
+            b = bounds[k] * e
+            if not b > THETA_RTOL * abs(s0):
+                if v is None:
+                    v = s0
+                b *= pm
+                if not b > THETA_RTOL * abs(s1):
+                    b *= pm
+                    if not b > THETA_RTOL * abs(s2):
+                        if not b * pm > THETA_RTOL * abs(s3):
+                            break
+            P, M, e = P * w2, M * wi2, e * ey2
+        out.append([s0, s1, s2, s3])
+        values.append([s0 if v is None else v])
+    return out, values
+
+
 _jet_cache: dict = {}
 _JET_CACHE_CAP = 400000
 
 
 def _jets(rs, z, d, tau):
-    """[theta_r^(j)(z) for j <= d] for each r in rs at the plain point z."""
+    """[theta_r^(j)(z) for j <= d] for each r in rs at the plain point z.
+    The order-0 values that a sum of order 1 or 3 kept are stored too, so a
+    later order-0 request at z is a cache hit."""
     key = (rs, z, d, tau)
     jets = _jet_cache.get(key)
     if jets is None:
-        jets = _series(rs, z, d, _tdata(tau))
+        jets, values = _series(rs, z, d, _tdata(tau))
         if len(_jet_cache) < _JET_CACHE_CAP:
             _jet_cache[key] = jets
+            if values is not None:
+                _jet_cache.setdefault((rs, z, 0, tau), values)
     return jets
 
 

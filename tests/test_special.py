@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxkit import koorn, special
+from laxkit.cli import main as cli_main
 from laxkit.dual import Dual, d_exp, directional, extract, value
 from laxkit.fields import PoleError, inv_form
 from laxkit.special import (ModulusError, dual_couplings, dual_params, eta1,
@@ -84,6 +85,69 @@ def test_theta_on_duals_is_the_taylor_expansion_of_the_jet():
         got = theta(r, Dual(z, tangent), TAU)
         assert abs(got.val - jet[0]) <= 1e-14 * abs(jet[0])
         assert np.all(abs(got.eps - jet[1] * tangent) <= 1e-14 * abs(jet[1]))
+
+
+def near_component_zeros(r, td, rng, edge, count):
+    """Pairs of points that bracket a sign change of Re or Im theta_r(x + iy)
+    to the last bit of x: there a partial sum's small component still moves
+    after the value's stop test first passes."""
+    out = []
+    while len(out) < 2 * count:
+        y, part = rng.uniform(-edge, edge), rng.choice(("real", "imag"))
+
+        def f(x):
+            return getattr(special._series_loop((r,), complex(x, y), 0, td)[0][0], part)
+        a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        if f(a) * f(b) > 0:
+            continue
+        for _ in range(60):
+            m = (a + b) / 2
+            a, b = (a, m) if f(a) * f(m) <= 0 else (m, b)
+        out += [complex(a, y), complex(b, y)]
+    return out
+
+
+@pytest.mark.parametrize("tau", [0.82j, 0.1 + 0.5j, 0.2 + (special.MIN_IM_TAU + 1e-3) * 1j])
+def test_series_paths_are_the_generic_loop_bit_for_bit(tau, monkeypatch):
+    """The d = 0, 1 and 3 loops of ``_series`` give the generic loop's jets
+    with every bit, signs of zeros included (repr), for each theta_r alone
+    and for all four, up to the strip edge |Im z| < Im tau / 2 and at a tau
+    whose sums run long; the order-0 values the d = 1 and d = 3 loops keep
+    are the d = 0 sum, also next to a zero of one of its components, and
+    ``_jets`` stores them under order 0."""
+    monkeypatch.setattr(special, "_jet_cache", {})
+    td = special._tdata(tau)
+    rng = random.Random(21)
+    edge = 0.999 * tau.imag / 2
+    zs = [0j, complex(0.5, -0.0)] + [rand_z(rng, 1.5, edge) for _ in range(150)]
+    zs += [z for r in (1, 2, 3, 4) for z in near_component_zeros(r, td, rng, edge, 10)]
+    for z in zs:
+        for rs in ((1,), (2,), (3,), (4,), (1, 2, 3, 4)):
+            value0 = repr(special._series_loop(rs, z, 0, td))
+            for d in (0, 1, 3):
+                jets, values = special._series(rs, z, d, td)
+                assert repr(jets) == repr(special._series_loop(rs, z, d, td))
+                assert repr(values) == (repr(None) if d == 0 else value0)
+            special._jets(rs, z, 1, tau)
+            assert repr(special._jet_cache[(rs, z, 0, tau)]) == value0
+
+
+def test_value_and_slope_at_one_point_are_summed_once(tmp_path, monkeypatch):
+    """A vandiejen flow asks for the order-1 (and order-3) jets and for the
+    values at the same points; no (rs, z) is summed at order 0 and again at
+    a higher order."""
+    monkeypatch.setattr(special, "_jet_cache", {})
+    orders = {}
+    real = special._series
+
+    def counting(rs, z, d, td):
+        orders.setdefault((rs, z), []).append(d)
+        return real(rs, z, d, td)
+    monkeypatch.setattr(special, "_series", counting)
+    assert cli_main(["flow", "--system", "vandiejen", "--rank", "2", "--time", "1",
+                     "--dt", "1e-2", "--csv", str(tmp_path / "flow.csv")]) == 0
+    assert {d for ds in orders.values() for d in ds} >= {0, 1}
+    assert [key for key, ds in orders.items() if 0 in ds and len(ds) > 1] == []
 
 
 def test_theta1_odd_and_zero():
