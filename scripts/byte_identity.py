@@ -1,6 +1,7 @@
-"""Fingerprint the CLI outputs of a laxkit tree, one SHA-256 line per run.
+"""Fingerprint the CLI outputs of laxkit trees, one SHA-256 digest per run.
 
 Usage: python scripts/byte_identity.py [ROOT] > digests.txt
+       python scripts/byte_identity.py [ROOT] --against OTHER_ROOT
 
 Runs ``laxkit verify`` for every system at its README rank (``RANKS``, the
 one table of them that the other scripts import), at seeds 0, 7 and 17,
@@ -9,13 +10,17 @@ with a classical flow (``suites.SYSTEMS``) at T=1 with dt 2e-3 and 1e-2.
 Each run is a fresh interpreter on ``ROOT/src`` (default: the tree holding
 this script); the system list is read from the installed ``laxkit``.
 The digest covers stdout with ``runtime_ms`` zeroed, stderr and the exit
-code, so two trees give the same outputs iff their digest files are equal:
+code, so two trees give the same outputs iff all their digests are equal.
 
-    python scripts/byte_identity.py /path/to/other/tree > other.txt
-    python scripts/byte_identity.py > this.txt
-    diff other.txt this.txt
+With ``--against OTHER_ROOT`` the same runs are fingerprinted on both trees,
+and each is printed, sorted by label, as ``same`` or ``moved`` with the
+digests of OTHER_ROOT and of ROOT; the exit status is 1 if any run moved.
+Both trees run this script's matrix, so the comparison does not depend on
+the order in which either tree's own script lists its runs.  Without it,
+one ``digest  label`` line per run is printed in the matrix's order.
 """
 
+import argparse
 import hashlib
 import os
 import pathlib
@@ -63,14 +68,41 @@ def fingerprint(root, argv):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def main():
-    here = pathlib.Path(__file__).resolve().parent.parent
-    root = pathlib.Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else here
-    matrix = runs()
+def digests(root, matrix):
+    """The digest of each (label, argv) run of ``matrix`` on the tree at
+    ``root``, in the matrix's order."""
     with ThreadPoolExecutor(WORKERS) as pool:
-        digests = pool.map(lambda run: fingerprint(root, run[1]), matrix)
-        for (label, _argv), dig in zip(matrix, digests):
-            print(f"{dig}  {label}", flush=True)
+        yield from pool.map(lambda run: fingerprint(root, run[1]), matrix)
+
+
+def compare(root, other, matrix):
+    """One ``same`` or ``moved`` line per run of ``matrix``, sorted by label,
+    with the digests of ``other`` and ``root``; returns the exit status."""
+    theirs = dict(zip((label for label, _argv in matrix), digests(other, matrix)))
+    ours = dict(zip((label for label, _argv in matrix), digests(root, matrix)))
+    moved = 0
+    for label in sorted(ours):
+        status = "same" if ours[label] == theirs[label] else "moved"
+        moved += status == "moved"
+        print(f"{status:5}  {theirs[label]}  {ours[label]}  {label}")
+    print(f"{moved} of {len(ours)} runs moved")
+    return 1 if moved else 0
+
+
+def main(argv=None):
+    here = pathlib.Path(__file__).resolve().parent.parent
+    parser = argparse.ArgumentParser(description="Fingerprint the CLI outputs of laxkit trees.")
+    parser.add_argument("root", nargs="?", type=pathlib.Path, default=here,
+                        help="the tree to fingerprint (default: the one holding this script)")
+    parser.add_argument("--against", type=pathlib.Path, metavar="OTHER_ROOT",
+                        help="compare every run with the same run on this tree")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    matrix = runs()
+    if args.against is not None:
+        return compare(root, args.against.resolve(), matrix)
+    for (label, _argv), dig in zip(matrix, digests(root, matrix)):
+        print(f"{dig}  {label}", flush=True)
     return 0
 
 

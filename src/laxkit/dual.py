@@ -5,11 +5,12 @@ inside duals yields exact higher-order and mixed directional derivatives.
 Kernels are written against the small generic API here (Dual arithmetic,
 ``d_exp``, ``taylor``), so any expression built from them can be
 differentiated to arbitrary depth without symbolic calculus.  Gradients
-(``gradient_vec``) come from a field's compiled tape in ``fields``, by one
-adjoint sweep; there a leaf whose kernel has a pair function (``d_exp``'s
-is ``d_exp.pair``) gives its value and slope from one jet at a plain
-point.  Duals stay for the points of a ``Deriv``'s derivative scope, seeded
-by ``seed`` as ``directional`` seeds them, for the adjoints of ``Deriv``,
+(``gradient_vec``) come from the function that ``fields`` generates for a
+field's tape: straight-line code of one forward pass and one adjoint sweep,
+in which a leaf whose kernel has a pair function (``d_exp``'s is
+``d_exp.pair``) gives its value and slope from one jet at a plain point.
+Duals stay for the points of a ``Deriv``'s derivative scope, seeded by
+``seed`` as ``directional`` seeds them, for the adjoints of ``Deriv``,
 ``BiArg`` and ``FuncField``, and for kernels without a pair.
 """
 
@@ -149,9 +150,10 @@ def directional(f, point, directions):
 
 
 def gradient_vec(f, point):
-    """All first partials of ``f`` at ``point``, from one forward loop and
-    one adjoint sweep of the field's tape; a callable that is not a field is
-    taken as a ``FuncField``."""
+    """All first partials of ``f`` at ``point``, from the gradient function
+    generated for the field's tape (``fields.Tape.gradient``: one forward
+    pass and one adjoint sweep as straight-line code, compiled once per
+    tape); a callable that is not a field is taken as a ``FuncField``."""
     from .fields import Field, FuncField
     if not isinstance(f, Field):
         f = FuncField(f)

@@ -25,25 +25,36 @@ its directions in turn (``directional``'s point), one per parent scope and
 direction tuple bit for bit, so the bases of equal directions share their
 nodes and leaf calls; its instruction takes the ``eps`` part of the base's
 value there once per direction.  ``FuncField``, which moves the point, is
-an opaque instruction that calls the node at its scope's point.  Leaves
-are called through their ``__call__``.  The forward loop runs on
-complex numbers and on Duals alike, doing the operations of a recursive
-walk in its order (a sum folds from 0j, a scaling is c * v), so values are
-those of the walk bit for bit and the first ``PoleError`` raised is the
-one the walk would raise; nothing is kept from one point to the next.
-This is sound because leaf kernels are pure functions of their argument
-and nodes are immutable.  ``Tape.gradient`` runs the forward loop on plain
-numbers, then one adjoint sweep in reverse.  Each ``LinArg`` leaf gives its
-value and slope there from one jet: a kernel family's pair function
-(``kernel_family``; ``d_exp.pair``) returns (f(z), f'(z)) at a plain z by
-the arithmetic the Dual quotients and products would do, op for op, so
-both are the Dual path's bit for bit and no Dual is built.  Duals stay
-for the rest: a kernel without a pair (sigma', v', a test's callable)
-runs once on a Dual of tangent 1, a leaf in a derivative scope is called
-on its Dual point, and a ``Deriv``, a ``FuncField`` and a ``BiArg`` take
-one ``directional`` call per coordinate of their scope's point, while the
-sweep skips the block of each ``Deriv``'s base.  A field called directly
-(a ``Deriv`` too) compiles its own tape once, kept in a slot of the node.
+an opaque instruction that calls the node at its scope's point.
+``Tape.__call__`` interprets the list, calling leaves through their
+``__call__``: a forward loop that runs on complex numbers and on Duals
+alike, doing the operations of a recursive walk in its order (a sum folds
+from 0j, a scaling is c * v), so values are those of the walk bit for bit
+and the first ``PoleError`` raised is the one the walk would raise; nothing
+is kept from one point to the next.  This is sound because leaf kernels are
+pure functions of their argument and nodes are immutable.
+``Tape.gradient`` runs code generated for its tape (source transformation):
+on the first call at a point length it writes one Python function, with one
+statement per forward instruction and one per adjoint of a reverse sweep
+(``_gradient_source``), compiles it once and keeps it in a slot of the
+tape.  The function does the operations of the forward loop on plain
+numbers and of one adjoint sweep, in their order (an adjoint is 0j plus its
+contributions in sweep order), so the first ``PoleError`` is still the
+leftmost and every value is the one an interpreted loop and sweep would
+give, bit for bit (the tests keep such an interpreter as the oracle).  Each
+``LinArg`` leaf calls its kernel family's pair function (``kernel_family``;
+``d_exp.pair``) on its form ``c0 + k_j*x_j``; the pair returns (f(z),
+f'(z)) at a plain z by the arithmetic the Dual quotients and products would
+do, op for op, so both are the Dual path's bit for bit and no Dual is
+built.  Duals stay for the rest: a kernel without a pair (sigma', v', a
+test's callable) runs once on a Dual of tangent 1, a leaf in a derivative
+scope is called on its Dual point, and a ``Deriv``, a ``FuncField`` and a
+``BiArg`` take one ``directional`` call per coordinate of their scope's
+point, while the block of each ``Deriv``'s base takes no adjoint.  Only
+gradients are generated: a verify tape has thousands of instructions and
+runs at about ten points, where compiling would cost more than it saves.  A
+field called directly (a ``Deriv`` too) compiles its own tape once, kept in
+a slot of the node.
 
 Composition with an affine map, ``o_affine``, is structural: every node
 kind that operators transform pushes the map down to its leaves (``Deriv``
@@ -66,7 +77,7 @@ indistinguishable from a copy except by identity.
 
 from __future__ import annotations
 
-from itertools import islice
+import math
 
 from .dual import Dual, d_exp, directional, extract, seed, value
 
@@ -184,17 +195,19 @@ class Tape:
     instructions from start on, lies just before it.  Scope 0 is the point
     the tape is called at; ``scopes`` holds the (parent scope, n) of each
     scope after it: an int n for the x-space scope of the first n
-    coordinates, a tuple of directions for a derivative scope.
+    coordinates, a tuple of directions for a derivative scope.  Calling the
+    tape interprets the list; ``gradient`` runs the function generated for
+    it, kept per point length in ``_grads``.
     """
 
-    __slots__ = ("code", "scopes", "out", "_slots", "_dual", "_leaves")
+    __slots__ = ("code", "scopes", "out", "_slots", "_dual", "_grads")
 
     def __init__(self, roots):
         self.code = []
         self.scopes = []
         self._slots = [{}]
         self._dual = [False]
-        self._leaves = None
+        self._grads = {}
         self.out = [self.slot(f, 0) for f in roots]
         del self._slots, self._dual
 
@@ -238,29 +251,15 @@ class Tape:
     def _points(self, x):
         pts = [x]
         for parent, n in self.scopes:
-            p = pts[parent]
-            if type(n) is int:
-                p = p[:n]
-            else:
-                for d in n:
-                    p = seed(p, d)
-            pts.append(p)
+            pts.append(pts[parent][:n] if type(n) is int else _seeded(pts[parent], n))
         return pts
 
     def __call__(self, x):
         """Values of the roots at the point x."""
-        vals = self._forward(self._points(x), None)
-        return [vals[i] for i in self.out]
-
-    def _forward(self, pts, slopes):
-        """The value of every slot at the scope points ``pts``.  Given a list
-        ``slopes``, each ``LinArg`` leaf reads its value and derivative from
-        its kernel's pair (``_leaf_data``) and appends the derivative to it."""
+        pts = self._points(x)
         vals = []
         push = vals.append
-        leaves = None if slopes is None else iter(self._leaf_data())
-        PROD, SCALE, SUM, LEAF, CALL, QUOT, DERIV = (_PROD, _SCALE, _SUM, _LEAF, _CALL,
-                                                     _QUOT, _DERIV)
+        PROD, SCALE, SUM, CALL, QUOT, DERIV = _PROD, _SCALE, _SUM, _CALL, _QUOT, _DERIV
         for kind, a, b in self.code:
             if kind == PROD:
                 push(vals[a] * vals[b])
@@ -271,97 +270,189 @@ class Tape:
                 for i in a:
                     s = s + vals[i]
                 push(s)
-            elif kind <= CALL and (slopes is None or kind == CALL):
+            elif kind <= CALL:
                 push(a(pts[b]))
-            elif kind == LEAF:
-                unit = next(leaves)[1]
-                if unit is None:
-                    push(a(pts[b]))
-                    slopes.append(1.0)
-                else:
-                    v, s = unit((_form(a.k, a.c0, pts[b]),))
-                    push(v)
-                    slopes.append(s)
             elif kind == QUOT:
                 push(vals[a] / vals[b])
             elif kind == DERIV:
-                v = vals[a[1]]
-                for _d in a[0].dirs:
-                    v = v.eps if isinstance(v, Dual) else 0j
-                push(v)
+                push(_eps(vals[a[1]], a[0].dirs))
             else:
                 push(a)
-        return vals
-
-    def _leaf_data(self):
-        """Per ``_LEAF`` instruction, in tape order: its nonzero (coordinate,
-        coefficient) pairs, and a leaf of one coordinate whose kernel is the
-        pair giving (value, slope) at a plain argument (None for a linear
-        form): the kernel's ``pair``, or for a kernel without one a run on a
-        Dual of tangent 1.  The leaf is called, not its pair, so that a
-        count of ``LinArg`` calls sees each kernel's run."""
-        if self._leaves is None:
-            self._leaves = [(tuple((j, kj) for j, kj in enumerate(a.k) if kj != 0),
-                             None if a.fn is None else
-                             LinArg(getattr(a.fn, "pair", None) or _dual_pair(a.fn), (1.0,)))
-                            for kind, a, _b in self.code if kind == _LEAF]
-        return self._leaves
+        return [vals[i] for i in self.out]
 
     def gradient(self, x):
-        """The partials of the first root at x along every coordinate of x:
-        the forward loop on plain numbers, each leaf giving its value and
-        slope from its kernel's pair, then one adjoint sweep, which skips
-        the block of each ``Deriv`` base."""
-        pts = self._points(x)
-        slopes = []
-        vals = self._forward(pts, slopes)
-        code = self.code
-        adj = [0j] * len(code)
-        adj[self.out[0]] = 1.0 + 0j
-        grads = [[0j] * len(p) for p in pts]
-        leaves = reversed(self._leaves)
-        PROD, SCALE, SUM, LEAF, CALL, QUOT, DERIV = (_PROD, _SCALE, _SUM, _LEAF, _CALL,
-                                                     _QUOT, _DERIV)
-        i = len(code)
-        sweep = reversed(code)
-        for kind, a, b in sweep:
-            i -= 1
-            w = adj[i]
-            if kind == PROD:
-                adj[a] += w * vals[b]
-                adj[b] += w * vals[a]
-            elif kind == SCALE:
-                adj[b] += a * w
-            elif kind == SUM:
-                for j in a:
-                    adj[j] += w
-            elif kind == LEAF:
-                w = w * slopes.pop()
-                g = grads[b]
-                for j, kj in next(leaves)[0]:
-                    g[j] += w * kj
-            elif kind == QUOT:
-                q = w / vals[b]
-                adj[a] += q
-                adj[b] -= q * vals[i]
-            elif kind == CALL or kind == DERIV:
-                if kind == DERIV:
-                    # a Deriv: its base's block takes no adjoint
-                    a, start = a[0], a[2]
-                    next(islice(sweep, i - start, i - start), None)
-                    i = start
-                # one directional derivative per coordinate of the scope
-                g, pt = grads[b], pts[b]
-                for j in range(len(pt)):
-                    e = tuple(float(j == m) for m in range(len(pt)))
-                    g[j] += w * directional(a, pt, (e,))
-        for s in range(len(self.scopes), 0, -1):
-            parent, n = self.scopes[s - 1]
-            if type(n) is int:              # a derivative scope takes no adjoint
-                g = grads[parent]
-                for j, gj in enumerate(grads[s]):
-                    g[j] += gj
-        return grads[0]
+        """The partials of the first root at x along every coordinate of x,
+        from a function generated for this tape and the length of x
+        (``_gradient_source``), compiled on first use and kept."""
+        fn = self._grads.get(len(x))
+        if fn is None:
+            src, names = _gradient_source(self, len(x))
+            exec(compile(src, "<laxkit tape gradient>", "exec"), names)
+            fn = self._grads[len(x)] = names["grad"]
+        return fn(x)
+
+
+def _seeded(point, dirs):
+    """``point`` seeded along each direction of ``dirs`` in turn."""
+    for d in dirs:
+        point = seed(point, d)
+    return point
+
+
+def _eps(v, dirs):
+    """The ``eps`` part of a derivative scope's value, once per direction of
+    ``dirs`` (0j for a plain value, as ``extract`` gives it)."""
+    for _d in dirs:
+        v = v.eps if isinstance(v, Dual) else 0j
+    return v
+
+
+def _adjoint_row(node, pt, w):
+    """w times the partial of ``node`` at ``pt`` along each coordinate, by one
+    ``directional`` call per coordinate: the adjoint of a ``_CALL`` or
+    ``_DERIV`` instruction."""
+    n = len(pt)
+    return [w * directional(node, pt, (tuple(float(j == m) for m in range(n)),))
+            for j in range(n)]
+
+
+# terms per line of a generated sum: one line of thousands would overflow the
+# compiler's recursion
+_TERMS_PER_LINE = 64
+
+
+def _gradient_source(tape, dim):
+    """The source of ``def grad(p0)``, the gradient of the tape's first root
+    at points p0 of ``dim`` coordinates, and the names it reads.
+
+    The function does the operations of an interpreted forward loop and
+    adjoint sweep in their order, one statement per forward instruction and
+    one per adjoint, so every value is theirs bit for bit.  A leaf reads its
+    form ``c0 + k_j*x_j`` over its nonzero ``k_j`` and calls its kernel's
+    pair on it (``kernel_family``; a kernel without one runs once on a Dual
+    of tangent 1), or is the form itself with slope 1.0.  A sum folds from
+    0j; the adjoint of a slot is 0j (1+0j at the root) plus its
+    contributions in sweep order, the quotient's subtracted, and a gradient
+    coordinate is 0j plus its leaves' contributions in sweep order, then
+    each x-space scope's in turn, the last scope first.  A ``_CALL`` or a
+    ``_DERIV`` takes one ``directional`` call per coordinate of its scope's
+    point (``_adjoint_row``), and the block of a ``_DERIV`` base takes no
+    adjoint.  Constants the source cannot spell with their type and bits,
+    kernels and nodes are read from the names.
+    """
+    code = tape.code
+    names = {"_seeded": _seeded, "_eps": _eps, "_adjoint_row": _adjoint_row}
+    bound, pairs = {}, {}
+
+    def name(obj, prefix):
+        out = bound.get(id(obj))
+        if out is None:
+            out = bound[id(obj)] = f"{prefix}{len(names)}"
+            names[out] = obj
+        return out
+
+    def lit(c):
+        if type(c) is int or type(c) is float and math.isfinite(c) or repr(c) == "0j":
+            return repr(c)
+        return name(c, "c")
+
+    def total(target, head, terms):
+        # target = head + terms..., folded left to right over as many lines
+        # as keep the compiler's nesting shallow
+        for i in range(0, max(len(terms), 1), _TERMS_PER_LINE):
+            lines.append(f"    {target} = {head}{''.join(terms[i:i + _TERMS_PER_LINE])}")
+            head = target
+
+    # scope s has the point p{s}; a plain x-space scope reads the coordinates
+    # of its parent, a derivative scope and every scope under one only its
+    # whole point (coords None)
+    coords = [[f"x{j}" for j in range(dim)]]
+    lines = ["def grad(p0):", f"    [{', '.join(coords[0])}] = p0"]
+    for s, (parent, n) in enumerate(tape.scopes, 1):
+        plain = type(n) is int and coords[parent] is not None
+        coords.append(coords[parent][:n] if plain else None)
+        rhs = f"p{parent}[:{n}]" if type(n) is int else f"_seeded(p{parent}, {name(n, 'd')})"
+        lines.append(f"    p{s} = {rhs}")
+
+    val, slope = [None] * len(code), {}
+    for i, (kind, a, b) in enumerate(code):
+        v = val[i] = f"v{i}"
+        if kind == _CONST:
+            val[i] = lit(a)
+        elif kind == _PROD:
+            lines.append(f"    {v} = {val[a]} * {val[b]}")
+        elif kind == _SCALE:
+            lines.append(f"    {v} = {lit(a)} * {val[b]}")
+        elif kind == _SUM:
+            total(v, "0j", [f" + {val[j]}" for j in a])
+        elif kind == _QUOT:
+            lines.append(f"    {v} = {val[a]} / {val[b]}")
+        elif kind == _CALL:
+            lines.append(f"    {v} = {name(a, 'n')}(p{b})")
+        elif kind == _DERIV:
+            lines.append(f"    {v} = _eps({val[a[1]]}, {name(a[0].dirs, 'd')})")
+        else:
+            form = lit(a.c0) + "".join(f" + {lit(kj)}*{xj}"
+                                       for kj, xj in zip(a.k, coords[b]) if kj != 0)
+            if a.fn is None:
+                lines.append(f"    {v} = {form}")
+                slope[i] = "1.0"
+            else:
+                pair = pairs.get(id(a.fn))
+                if pair is None:
+                    pair = pairs[id(a.fn)] = name(
+                        getattr(a.fn, "pair", None) or _dual_pair(a.fn), "f")
+                lines.append(f"    {v}, s{i} = {pair}({form})")
+                slope[i] = f"s{i}"
+
+    adj = [[] for _ in code]
+    grads = [None if c is None else [[] for _ in c] for c in coords]
+    i = len(code)
+    while i:
+        i -= 1
+        kind, a, b = code[i]
+        if kind == _CONST:
+            continue
+        w = f"a{i}"
+        total(w, "(1+0j)" if i == tape.out[0] else "0j", adj[i])
+        if kind == _PROD:
+            adj[a].append(f" + {w} * {val[b]}")
+            adj[b].append(f" + {w} * {val[a]}")
+        elif kind == _SCALE:
+            adj[b].append(f" + {lit(a)} * {w}")
+        elif kind == _SUM:
+            for j in a:
+                adj[j].append(f" + {w}")
+        elif kind == _QUOT:
+            lines.append(f"    q{i} = {w} / {val[b]}")
+            adj[a].append(f" + q{i}")
+            adj[b].append(f" - q{i} * v{i}")
+        elif kind == _LEAF:
+            ks = [(j, kj) for j, kj in enumerate(a.k) if kj != 0]
+            t = f"{w} * {slope[i]}"
+            if len(ks) > 1:
+                lines.append(f"    t{i} = {t}")
+                t = f"t{i}"
+            for j, kj in ks:
+                grads[b][j].append(f" + {t} * {lit(kj)}")
+        else:
+            lines.append(f"    r{i} = _adjoint_row({name(a[0] if kind == _DERIV else a, 'n')}, "
+                         f"p{b}, {w})")
+            for j, terms in enumerate(grads[b]):
+                terms.append(f" + r{i}[{j}]")
+            if kind == _DERIV:
+                i = a[2]                # its base's block takes no adjoint
+    for s in range(len(coords) - 1, -1, -1):
+        if grads[s] is None:            # a derivative scope's point takes no adjoint
+            continue
+        for j, terms in enumerate(grads[s]):
+            total(f"g{s}_{j}", "0j", terms)
+        if s:                           # an x-space scope folds into its parent
+            parent = grads[tape.scopes[s - 1][0]]
+            for j in range(len(grads[s])):
+                parent[j].append(f" + g{s}_{j}")
+    lines.append(f"    return [{', '.join(f'g0_{j}' for j in range(dim))}]")
+    return "\n".join(lines) + "\n", names
 
 
 class Const(Field):

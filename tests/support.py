@@ -1,9 +1,12 @@
 """Test oracles and helpers that the package itself does not run: Weyl-group
 lengths and words, classical symbol comparisons, the scale-free Poisson
-bracket residual and log-log slopes."""
+bracket residual, log-log slopes and the interpreted tape gradient."""
 
 import math
+from itertools import islice
 
+from laxkit import fields
+from laxkit.dual import Dual, directional
 from laxkit.opcore import WOp, residual_pair
 from laxkit.verify import _bracket
 from laxkit.weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
@@ -94,3 +97,118 @@ def fit_slope(hs, vals):
     num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
     den = sum((x - xbar) ** 2 for x in xs)
     return num / den
+
+
+def _leaf_data(tape):
+    """Per ``_LEAF`` instruction, in tape order: its nonzero (coordinate,
+    coefficient) pairs, and a leaf of one coordinate whose kernel is the
+    pair giving (value, slope) at a plain argument (None for a linear
+    form): the kernel's ``pair``, or for a kernel without one a run on a
+    Dual of tangent 1."""
+    return [(tuple((j, kj) for j, kj in enumerate(a.k) if kj != 0),
+             None if a.fn is None else
+             fields.LinArg(getattr(a.fn, "pair", None) or fields._dual_pair(a.fn), (1.0,)))
+            for kind, a, _b in tape.code if kind == fields._LEAF]
+
+
+def _forward_with_slopes(tape, pts, slopes, leaf_data):
+    """The value of every slot at the scope points ``pts``; each ``LinArg``
+    leaf reads its value and derivative from its kernel's pair and appends
+    the derivative to ``slopes``."""
+    vals = []
+    push = vals.append
+    leaves = iter(leaf_data)
+    PROD, SCALE, SUM, LEAF, CALL, QUOT, DERIV = (fields._PROD, fields._SCALE, fields._SUM,
+                                                 fields._LEAF, fields._CALL, fields._QUOT,
+                                                 fields._DERIV)
+    for kind, a, b in tape.code:
+        if kind == PROD:
+            push(vals[a] * vals[b])
+        elif kind == SCALE:
+            push(a * vals[b])
+        elif kind == SUM:
+            s = 0j
+            for i in a:
+                s = s + vals[i]
+            push(s)
+        elif kind == CALL:
+            push(a(pts[b]))
+        elif kind == LEAF:
+            unit = next(leaves)[1]
+            if unit is None:
+                push(a(pts[b]))
+                slopes.append(1.0)
+            else:
+                v, s = unit((fields._form(a.k, a.c0, pts[b]),))
+                push(v)
+                slopes.append(s)
+        elif kind == QUOT:
+            push(vals[a] / vals[b])
+        elif kind == DERIV:
+            v = vals[a[1]]
+            for _d in a[0].dirs:
+                v = v.eps if isinstance(v, Dual) else 0j
+            push(v)
+        else:
+            push(a)
+    return vals
+
+
+def interpreted_gradient(tape, x):
+    """The partials of the tape's first root at x along every coordinate of
+    x, by interpretation: the forward loop on plain numbers, each leaf giving
+    its value and slope from its kernel's pair, then one adjoint sweep,
+    which skips the block of each ``Deriv`` base.  The oracle that the
+    generated ``Tape.gradient`` matches bit for bit."""
+    pts = tape._points(x)
+    slopes = []
+    leaf_data = _leaf_data(tape)
+    vals = _forward_with_slopes(tape, pts, slopes, leaf_data)
+    code = tape.code
+    adj = [0j] * len(code)
+    adj[tape.out[0]] = 1.0 + 0j
+    grads = [[0j] * len(p) for p in pts]
+    leaves = reversed(leaf_data)
+    PROD, SCALE, SUM, LEAF, CALL, QUOT, DERIV = (fields._PROD, fields._SCALE, fields._SUM,
+                                                 fields._LEAF, fields._CALL, fields._QUOT,
+                                                 fields._DERIV)
+    i = len(code)
+    sweep = reversed(code)
+    for kind, a, b in sweep:
+        i -= 1
+        w = adj[i]
+        if kind == PROD:
+            adj[a] += w * vals[b]
+            adj[b] += w * vals[a]
+        elif kind == SCALE:
+            adj[b] += a * w
+        elif kind == SUM:
+            for j in a:
+                adj[j] += w
+        elif kind == LEAF:
+            w = w * slopes.pop()
+            g = grads[b]
+            for j, kj in next(leaves)[0]:
+                g[j] += w * kj
+        elif kind == QUOT:
+            q = w / vals[b]
+            adj[a] += q
+            adj[b] -= q * vals[i]
+        elif kind == CALL or kind == DERIV:
+            if kind == DERIV:
+                # a Deriv: its base's block takes no adjoint
+                a, start = a[0], a[2]
+                next(islice(sweep, i - start, i - start), None)
+                i = start
+            # one directional derivative per coordinate of the scope
+            g, pt = grads[b], pts[b]
+            for j in range(len(pt)):
+                e = tuple(float(j == m) for m in range(len(pt)))
+                g[j] += w * directional(a, pt, (e,))
+    for s in range(len(tape.scopes), 0, -1):
+        parent, n = tape.scopes[s - 1]
+        if type(n) is int:              # a derivative scope takes no adjoint
+            g = grads[parent]
+            for j, gj in enumerate(grads[s]):
+                g[j] += gj
+    return grads[0]

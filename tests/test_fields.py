@@ -1,11 +1,13 @@
 """Field evaluation: one tape per root set over the shared field DAG, with
-each derivative read in a derivative scope of that tape, its gradient by an
-adjoint sweep, and the structure shared at construction (affine images,
-derivative nodes and leaf kernels equal by value)."""
+each derivative read in a derivative scope of that tape, its gradient by a
+function generated for the tape, and the structure shared at construction
+(affine images, derivative nodes and leaf kernels equal by value)."""
 
 import gc
+import random
 
 import pytest
+from support import interpreted_gradient
 
 from laxkit import fields, special, suites
 from laxkit.dual import Dual, d_exp, directional, gradient_vec, seed, value
@@ -18,8 +20,8 @@ from laxkit.special import sigma, sigma_form
 from laxkit.suites import (RunConfig, build_suite, classical_flow_setup,
                            default_params)
 from laxkit.trig import TrigGLConfig, a_field
-from laxkit.verify import (CheckResult, hamiltonian_flow, residual_evalfn,
-                           spectral_invariants)
+from laxkit.verify import (CheckResult, flow_time_scale, hamiltonian_flow,
+                           residual_evalfn, spectral_invariants)
 from laxkit.weyl import SignedPerm
 
 N = 4                                   # phase points (x1, x2, p1, p2)
@@ -132,7 +134,7 @@ def test_shared_kernel_runs_once_per_point_in_residual_evalfn(monkeypatch):
     # each with the log of the function its kernel calls
     cases = [(lambda: h, calls),
              (lambda: a_field(TRIG, 1, 2), logged(monkeypatch, special, "hecke")),
-             (lambda: sigma_form(MU, (1.0, -1.0), TAU), logged(monkeypatch, special, "sigma"))]
+             (lambda: sigma_form(MU, (1.0, -1.0), TAU), logged(monkeypatch, special, "_sigmas"))]
     for make, kernel_calls in cases:
         assert [kind for kind, _a, _b in Tape([make(), make()]).code] == [fields._LEAF]
         probe_fn, probe_calls = counting(d_exp)
@@ -333,6 +335,8 @@ INSTRUCTION_KINDS = {
     "Quot": Quot(_LEAF, 1.5 + _FORM),
     "XLift-shared-scope": (XLift(2.0 * _XLEAF, 2) * momentum(2, 0)
                            + XLift(_XLEAF * _XLEAF, 2) * exp_lin((0.4, 0.0, 0.0, 0.3))),
+    "XLift-two-scopes": (XLift(exp_lin((1.0, -0.5)) * linear_form((0.2, 0.9)), 2) * _FORM
+                         + XLift(_XLEAF * exp_lin((0.3, 0.7, -0.2)), 3) * _LEAF),
     "Deriv": Deriv(_LEAF * _FORM, (DIR,)),
     "Deriv-paired-kernel": Deriv(sigma_form(MU, (0.7, -1.2, 0.0, 0.4), TAU) * _FORM, (DIR,)),
     "Deriv-nested-under-XLift": (XLift(Deriv(_XLEAF * Deriv(_XLEAF, ((0.3, 1.0),)),
@@ -347,6 +351,42 @@ def test_gradient_is_the_directional_derivative_per_basis_vector(kind):
     assert gradient_matches_directional(INSTRUCTION_KINDS[kind], Z)
 
 
+def reprs(values):
+    return [repr(v) for v in values]
+
+
+@pytest.mark.parametrize("kind", INSTRUCTION_KINDS)
+def test_generated_gradient_is_the_interpreted_one_bit_for_bit(kind):
+    tape = INSTRUCTION_KINDS[kind].tape()
+    assert reprs(tape.gradient(Z)) == reprs(interpreted_gradient(tape, Z))
+
+
+def test_generated_gradient_of_a_sum_of_thousands_of_terms():
+    """A sum and an adjoint of 3000 terms, which one line of source could not
+    nest, and a point of no coordinate."""
+    f = sum((linear_form((1.0, 0.5 - 0.1 * (i % 7)), 1e-3 * i) * exp_lin((0.0, 0.01 * i))
+             for i in range(3000)), Const(0j))
+    tape = f.tape()
+    x = (0.3 + 0.1j, -0.2 + 0.05j)
+    assert reprs(tape.gradient(x)) == reprs(interpreted_gradient(tape, x))
+    assert Tape([Const(2.0 + 0j)]).gradient(()) == []
+
+
+def test_generated_gradient_raises_the_leftmost_pole_error():
+    """Two guarded leaves both past their guards: the generated gradient
+    raises the first one's message in tape order, as the interpreter does."""
+    left = inv_form((1.0, 0.0), 0j)
+    right = inv_form((1.0, 0.0), 2e-5)
+    for tape, want in ((Tape([left * exp_lin((0.0, 1.0)) + right]), "= 1.00e-05 "),
+                       (Tape([right * exp_lin((0.0, 1.0)) + left]), "= 3.00e-05 ")):
+        x = (1e-5 + 0j, 0.3 - 0.1j)
+        with pytest.raises(PoleError, match=want) as got:
+            tape.gradient(x)
+        with pytest.raises(PoleError) as oracle:
+            interpreted_gradient(tape, x)
+        assert str(got.value) == str(oracle.value)
+
+
 FLOW_RANKS = {"rational-A": 3, "trig-gln": 3, "inozemtsev": 2, "koornwinder": 2,
               "vandiejen": 2}
 
@@ -355,6 +395,21 @@ def _flow_setup(system):
     rank = FLOW_RANKS[system]
     return classical_flow_setup(RunConfig(system=system, rank=rank,
                                           params=default_params(system)))
+
+
+@pytest.mark.parametrize("system", FLOW_RANKS)
+def test_flow_gradients_are_the_interpreted_ones_bit_for_bit(system):
+    """The generated gradients of a flow's H tape and of its time-scaled H
+    tape (``scaled_flow``'s) at z0 and at 5 seeded nearby points."""
+    H, _Lf, n, _powers, z0 = _flow_setup(system)
+    kappa = flow_time_scale(H, tuple(z0), n)
+    rng = random.Random(22)
+    points = [tuple(z0)] + [tuple(z + complex(rng.uniform(-1e-2, 1e-2), rng.uniform(-1e-2, 1e-2))
+                                  for z in z0) for _ in range(5)]
+    for f in (H, Scale(1.0 / kappa, H)):
+        tape = f.tape()
+        for x in points:
+            assert reprs(tape.gradient(x)) == reprs(interpreted_gradient(tape, x))
 
 
 @pytest.mark.parametrize("system", FLOW_RANKS)
@@ -383,19 +438,30 @@ def test_flow_gradient_builds_no_dual(system, monkeypatch):
 
 
 def test_a_flow_compiles_its_hamiltonian_and_lax_matrix_once(monkeypatch):
+    """One tape each for H and the L entries, and one generated gradient
+    source, H's; the L rows and a residual take no gradient."""
     H, Lf, n, powers, z0 = _flow_setup("rational-A")
-    compiled = []
-    init = Tape.__init__
+    compiled, generated = [], []
+    init, source = Tape.__init__, fields._gradient_source
 
     def counting(tape, roots):
         compiled.append(list(roots))
         init(tape, roots)
+
+    def generating(tape, dim):
+        generated.append(tape)
+        return source(tape, dim)
     monkeypatch.setattr(Tape, "__init__", counting)
+    monkeypatch.setattr(fields, "_gradient_source", generating)
     _t, traj = hamiltonian_flow(H, z0, T=0.1, dt=1e-2, n=n)
-    assert len(traj) == 11 and compiled == [[H]]
+    assert len(traj) == 11 and compiled == [[H]] and generated == [H.tape()]
     compiled.clear()
+    generated.clear()
     rows = spectral_invariants(Lf, powers, traj)
     assert len(rows) == 11 and compiled == [[e for row in Lf for e in row]]
+    m = _shared_kernel_matrix(lambda: LinArg(d_exp, (1.0, -1.0), 0.2j))
+    residual_evalfn(m, m, [exp_lin((0.5, 0.25))])((0.3 + 0.1j, -0.2 + 0.05j))
+    assert generated == []
 
 
 # leaf instructions of each flow's tapes: (H, the L entries)

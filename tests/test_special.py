@@ -301,6 +301,32 @@ def test_kernel_pair_is_the_dual_path_bit_for_bit(family):
         assert str(pair_err.value) == str(dual_err.value)
 
 
+# (kernel, the function reading theta1(-mu) at each call) at a mu whose
+# theta1(-mu) (theta1(-2 mu) for v) is inside the pole guard
+MU_POLE_KERNELS = {
+    "sigma": (lambda: special.sigma_kernel(1e-9, TAU), lambda z: sigma(1e-9, z, TAU)),
+    "sigma-dz": (lambda: special.sigma_dz_kernel(1e-9, TAU), lambda z: sigma_dz(1e-9, z, TAU)),
+    "v": (lambda: special.v_kernel(5e-10, G, TAU), lambda z: v_func(5e-10, z, G, TAU)),
+    "v-dz": (lambda: special.v_dz_kernel(5e-10, G, TAU), lambda z: v_func_dz(5e-10, z, G, TAU)),
+}
+
+
+@pytest.mark.parametrize("family", MU_POLE_KERNELS)
+def test_theta1_minus_mu_guard_raises_at_call_time_first(family):
+    """Such a kernel builds; calling it, or its pair, raises the theta1(-mu)
+    guard's message before the theta_r(z) guards, as the function does."""
+    make, direct = MU_POLE_KERNELS[family]
+    k = make()
+    z = 1e-9 + 0j                           # theta_1(z) is inside its guard too
+    with pytest.raises(PoleError) as want:
+        direct(z)
+    assert str(want.value).startswith("|theta1(-mu)| = ")
+    for call in (k, k.pair or k):
+        with pytest.raises(PoleError) as got:
+            call(z)
+        assert str(got.value) == str(want.value)
+
+
 def test_hecke_sum_and_limit():
     tau_h = 1.4 + 0.2j
     z = 0.7 + 0.1j

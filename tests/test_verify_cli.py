@@ -453,6 +453,33 @@ def test_benchmark_tracer_hooks_fire(argv):
         assert groups.get(name, {}).get("calls", 0) > 0, name
 
 
+def test_byte_identity_against_prints_each_run_sorted_and_fails_if_one_moved(
+        monkeypatch, capsys, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import byte_identity
+    this, other = tmp_path / "this", tmp_path / "other"
+    moved = ["flow", "--system", "vandiejen", "--rank", "2", "--time", "1", "--dt", "2e-3"]
+
+    def fingerprint(root, argv):
+        return f"{root.name if argv == moved else 'both'}:{'_'.join(argv)}"
+    monkeypatch.setattr(byte_identity, "fingerprint", fingerprint)
+    labels = sorted(label for label, _argv in byte_identity.runs())
+    assert byte_identity.main([str(this), "--against", str(other)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(labels) + 1 == 59 and lines[-1] == "1 of 58 runs moved"
+    rows = [line.split(maxsplit=3) for line in lines[:-1]]
+    assert [row[3] for row in rows] == labels
+    for status, theirs, ours, label in rows:
+        if label == "flow vandiejen rank=2 T=1 dt=2e-3":
+            assert (status, theirs, ours) == ("moved", f"other:{'_'.join(moved)}",
+                                              f"this:{'_'.join(moved)}")
+        else:
+            assert status == "same" and theirs == ours and theirs.startswith("both:")
+    monkeypatch.setattr(byte_identity, "fingerprint", lambda root, argv: "_".join(argv))
+    assert byte_identity.main([str(this), "--against", str(other)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 of 58 runs moved"
+
+
 def test_flow_agreement_gates_values_drift_and_exit_codes(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import flow_agreement
