@@ -3,15 +3,12 @@
 A ``Dual`` carries a value and one infinitesimal component; nesting duals
 inside duals yields exact higher-order and mixed directional derivatives.
 Kernels are written against the small generic API here (Dual arithmetic,
-``d_exp``, ``taylor``), so any expression built from them can be
-differentiated to arbitrary depth without symbolic calculus.  Gradients
-(``gradient_vec``) come from the function that ``fields`` generates for a
-field's tape: straight-line code of one forward pass and one adjoint sweep,
-in which a leaf whose kernel has a pair function (``d_exp``'s is
-``d_exp.pair``) gives its value and slope from one jet at a plain point.
-Duals stay for the points of a ``Deriv``'s derivative scope, seeded by
-``seed`` as ``directional`` seeds them, for the adjoints of ``Deriv``,
-``BiArg`` and ``FuncField``, and for kernels without a pair.
+``d_exp``, ``taylor``), so one kernel differentiates another by a run on a
+Dual: ``fields`` derives fields by rule and keeps Duals inside single
+kernels (a derivative kernel, a kernel without a pair), and in the
+``directional`` adjoints of ``BiArg`` and ``FuncField``.  ``d_exp`` is its
+own derivative (``d_exp.dz``) and gives its value and slope at a plain
+point from one exponential (``d_exp.pair``).
 """
 
 from __future__ import annotations
@@ -123,6 +120,7 @@ def _d_exp_pair(z):
 
 
 d_exp.pair = _d_exp_pair
+d_exp.dz = d_exp
 
 
 def seed(point, direction):
@@ -150,11 +148,8 @@ def directional(f, point, directions):
 
 
 def gradient_vec(f, point):
-    """All first partials of ``f`` at ``point``, from the gradient function
-    generated for the field's tape (``fields.Tape.gradient``: one forward
+    """All first partials of the field ``f`` at ``point``, from the gradient
+    function generated for its tape (``fields.Tape.gradient``: one forward
     pass and one adjoint sweep as straight-line code, compiled once per
-    tape); a callable that is not a field is taken as a ``FuncField``."""
-    from .fields import Field, FuncField
-    if not isinstance(f, Field):
-        f = FuncField(f)
+    tape)."""
     return f.tape().gradient(point)

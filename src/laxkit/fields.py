@@ -1,85 +1,62 @@
-"""Scalar fields on C^n with exact directional derivatives.
+"""Scalar fields on C^n, their derivatives by rule, and the tapes that
+evaluate them.
 
-A field is a small expression tree whose leaves are Dual-safe callables;
-evaluating with dual-seeded points gives exact derivatives of any order,
-so operator calculus below never needs symbolic differentiation.  The
-workhorse leaf is ``LinArg`` (a univariate function of an affine-linear
-form), which is closed under composition with x -> w x + v: exactly the
-substitutions generated by group-algebra arithmetic.
+A field is a small expression DAG whose leaves are Dual-safe callables.
+The workhorse leaf is ``LinArg``, a kernel of an affine-linear form, which
+is closed under composition with x -> w x + v: exactly the substitutions
+generated by group-algebra arithmetic.
 
-Evaluation contract.  Fields are evaluated from a ``Tape``: a set of root
-fields compiled once into a flat post-order list of instructions, in the
-order in which a left-to-right walk of the roots first finishes each node.
-One instruction computes one value per point, and equal nodes share it:
-composites (``NSum``, ``Prod``, ``Quot``, ``Scale``, ``Const``) by node
-identity, ``LinArg`` and ``BiArg`` by their kernel and affine form, so the
-equal copies that ``o_affine`` makes share one kernel call.  Kernels are
-equal by value: a family's factory, memoized by ``kernel_family``, returns
-one kernel object per family and bit-exact parameters, so leaves built by
-separate calls share one kernel call too.  An ``XLift``
-compiles to no instruction: its base is compiled in an x-space scope,
-whose point is the first n coordinates of the phase point, and all the
-``XLift``s of one n share that scope.  A ``Deriv`` compiles its base in a
-derivative scope, whose point is its scope's point seeded along each of
-its directions in turn (``directional``'s point), one per parent scope and
-direction tuple bit for bit, so the bases of equal directions share their
-nodes and leaf calls; its instruction takes the ``eps`` part of the base's
-value there once per direction.  ``FuncField``, which moves the point, is
-an opaque instruction that calls the node at its scope's point.
-``Tape.__call__`` interprets the list, calling leaves through their
-``__call__``: a forward loop that runs on complex numbers and on Duals
+Derivatives.  ``derivative(f, dirs)`` builds D_dirs f as a field, one
+direction d at a time: a ``Const`` gives ``ZERO``, ``Scale`` and ``NSum``
+are linear, ``Prod`` takes Leibniz and ``Quot`` the rule (a' - q b')/b with
+q the quotient node, and fn(<k, x> + c0) gives <k, d> times fn' on the same
+form (``ZERO`` when <k, d> = 0, the constant <k, d> for a linear form).
+fn' is one kernel per kernel (``_dkernel``): ``d_exp`` is its own, any
+other gets the eps of fn on Dual(z, 1.0).  ``BiArg``, ``FuncField`` and
+``XLift`` have no rule and raise ``TypeError``.
+
+Evaluation contract.  A ``Tape`` compiles root fields once into a flat
+post-order list of instructions, in the order in which a left-to-right walk
+of the roots first finishes each node.  Equal nodes share an instruction:
+composites by identity, ``LinArg`` and ``BiArg`` by kernel and affine form,
+so the equal copies that ``o_affine`` makes share one kernel call.  Kernels
+are equal by value: ``kernel_family`` returns one kernel object per family
+and bit-exact parameters.  An ``XLift`` compiles its base in an x-space
+scope, whose point is the first n coordinates of the phase point, one per
+n; a ``FuncField`` is an opaque call at its scope's point.
+``Tape.__call__`` interprets the list on complex numbers and on Duals
 alike, doing the operations of a recursive walk in its order (a sum folds
-from 0j, a scaling is c * v), so values are those of the walk bit for bit
-and the first ``PoleError`` raised is the one the walk would raise; nothing
-is kept from one point to the next.  This is sound because leaf kernels are
-pure functions of their argument and nodes are immutable.
-``Tape.gradient`` runs code generated for its tape (source transformation):
-on the first call at a point length it writes one Python function, with one
-statement per forward instruction and one per adjoint of a reverse sweep
-(``_gradient_source``), compiles it once and keeps it in a slot of the
-tape.  The function does the operations of the forward loop on plain
-numbers and of one adjoint sweep, in their order (an adjoint is 0j plus its
-contributions in sweep order), so the first ``PoleError`` is still the
-leftmost and every value is the one an interpreted loop and sweep would
-give, bit for bit (the tests keep such an interpreter as the oracle).  Each
-``LinArg`` leaf calls its kernel family's pair function (``kernel_family``;
-``d_exp.pair``) on its form ``c0 + k_j*x_j``; the pair returns (f(z),
-f'(z)) at a plain z by the arithmetic the Dual quotients and products would
-do, op for op, so both are the Dual path's bit for bit and no Dual is
-built.  Duals stay for the rest: a kernel without a pair (sigma', v', a
-test's callable) runs once on a Dual of tangent 1, a leaf in a derivative
-scope is called on its Dual point, and a ``Deriv``, a ``FuncField`` and a
-``BiArg`` take one ``directional`` call per coordinate of their scope's
-point, while the block of each ``Deriv``'s base takes no adjoint.  Only
-gradients are generated: a verify tape has thousands of instructions and
-runs at about ten points, where compiling would cost more than it saves.  A
-field called directly (a ``Deriv`` too) compiles its own tape once, kept in
-a slot of the node.
+from 0j, a scaling is c * v), so values are the walk's bit for bit and the
+first ``PoleError`` is the one the walk would raise; nothing is kept from
+one point to the next.  ``Tape.gradient`` runs straight-line code generated
+for its tape (``_gradient_source``), compiled once per point length: the
+forward loop on plain numbers and one adjoint sweep, in their order, so it
+matches an interpreted sweep bit for bit (the tests keep one as the
+oracle).  A ``LinArg`` leaf calls its kernel's pair (f(z), f'(z)), which
+builds no Dual; a kernel without a pair runs once on a Dual of tangent 1,
+and a ``FuncField`` or ``BiArg`` takes one ``directional`` call per
+coordinate.  A verify tape, thousands of instructions at about ten points,
+is interpreted.  A field called directly compiles its own tape once.
 
 Composition with an affine map, ``o_affine``, is structural: every node
-kind that operators transform pushes the map down to its leaves (``Deriv``
-moves its directions with it), so no node stores a map.  The phase-space
-nodes ``XLift`` and ``FuncField`` have no such rule and raise
-``TypeError``.
+kind that operators transform pushes the map down to its leaves.
+``XLift`` and ``FuncField`` have no such rule and raise ``TypeError``.
 
-Sharing contract.  Construction shares structure in the two operations
-that would otherwise copy it.  The identity map (no shift) returns the node
-itself, and equal transforms of one node are one object:
-``o_affine`` (and so ``o_group``) is memoized on the source node under a
-key that tells maps apart bit for bit (a shift of -0.0 is not one of 0.0),
-so a second call with an equal map returns the image built by the first,
-and a subtree shared by two parents stays shared in their images.  There
-is one ``Deriv`` per source node and direction tuple, built by
-``derivative``.  Both memos live in slots of the source node, filled on
-first use, so they die with it; nodes are immutable, so a shared node is
-indistinguishable from a copy except by identity.
+Sharing contract.  The identity map returns the node itself, and
+``o_affine`` (so ``o_group``) is memoized on the source node under a key
+that tells maps apart bit for bit (a shift of -0.0 is not one of 0.0), so
+a subtree shared by two parents stays shared in their images.
+``derivative`` is memoized on the source node per direction, so mixed
+partials share nodes.  Both memos live in slots of the source node; nodes
+are immutable, so a shared node is indistinguishable from a copy except by
+identity.
 """
 
 from __future__ import annotations
 
 import math
 
-from .dual import Dual, d_exp, directional, extract, seed, value
+from .dual import Dual, d_exp, directional, extract, value
 
 
 class PoleError(ArithmeticError):
@@ -168,7 +145,23 @@ class Field:
 
     def deriv(self, direction):
         """Directional derivative field along the vector ``direction``."""
-        return derivative(self, (tuple(direction),))
+        return derivative(self, (direction,))
+
+    def _derived(self, d):
+        """The derivative along the direction tuple ``d``, memoized on self."""
+        key = repr(d)
+        try:
+            derivs = self._derivs
+        except AttributeError:
+            derivs = self._derivs = {}
+        out = derivs.get(key)
+        if out is None:
+            out = derivs[key] = self._derivative(d)
+        return out
+
+    def _derivative(self, d):
+        """The derivative along d by this node's rule; children by ``_derived``."""
+        raise TypeError(f"{type(self).__name__} has no derivative rule")
 
 
 def as_field(x):
@@ -178,38 +171,32 @@ def as_field(x):
 
 
 # instruction kinds of a Tape
-_LEAF, _CALL, _SUM, _SCALE, _PROD, _QUOT, _CONST, _DERIV = range(8)
+_LEAF, _CALL, _SUM, _SCALE, _PROD, _QUOT, _CONST = range(7)
 
 
 class Tape:
     """Root fields compiled to a flat post-order list of instructions.
 
     Instruction i computes slot i of a point's values and is a tuple
-    ``(kind, a, b)``: ``_LEAF`` calls the ``LinArg`` a at the point of scope
-    b; ``_CALL`` calls the ``BiArg`` or ``FuncField`` a, or a ``LinArg`` of a
-    derivative scope, at the point of scope b; ``_SUM`` adds the slots a;
-    ``_SCALE`` is a * slot b; ``_PROD`` and ``_QUOT`` combine slots a and b;
-    ``_CONST`` is the constant a; ``_DERIV`` reads, for a = (``Deriv``
-    node, base slot, start), its base's slot in the node's derivative scope
-    and takes ``.eps`` once per direction, in scope b; its base's block, the
-    instructions from start on, lies just before it.  Scope 0 is the point
-    the tape is called at; ``scopes`` holds the (parent scope, n) of each
-    scope after it: an int n for the x-space scope of the first n
-    coordinates, a tuple of directions for a derivative scope.  Calling the
+    ``(kind, a, b)``: ``_LEAF`` calls the ``LinArg`` a and ``_CALL`` the
+    ``BiArg`` or ``FuncField`` a at the point of scope b; ``_SUM`` adds the
+    slots a; ``_SCALE`` is a * slot b; ``_PROD`` and ``_QUOT`` combine slots
+    a and b; ``_CONST`` is the constant a.  Scope 0 is the point the tape is
+    called at; ``scopes`` holds the (parent scope, n) of each x-space scope
+    after it, whose point is its parent's first n coordinates.  Calling the
     tape interprets the list; ``gradient`` runs the function generated for
     it, kept per point length in ``_grads``.
     """
 
-    __slots__ = ("code", "scopes", "out", "_slots", "_dual", "_grads")
+    __slots__ = ("code", "scopes", "out", "_slots", "_grads")
 
     def __init__(self, roots):
         self.code = []
         self.scopes = []
         self._slots = [{}]
-        self._dual = [False]
         self._grads = {}
         self.out = [self.slot(f, 0) for f in roots]
-        del self._slots, self._dual
+        del self._slots
 
     def slot(self, f, scope):
         """The slot of node f in ``scope``, compiling it on the first visit."""
@@ -224,34 +211,29 @@ class Tape:
         return len(self.code) - 1
 
     def shared(self, key, kind, node, scope):
-        """The slot of the leaf ``node`` in ``scope``, shared under ``key``;
-        a leaf at or under a derivative scope is called on its Dual point,
-        never through its pair."""
+        """The slot of the leaf ``node`` in ``scope``, shared under ``key``."""
         slots = self._slots[scope]
         out = slots.get(key)
         if out is None:
-            out = slots[key] = self.push(_CALL if self._dual[scope] else kind, node, scope)
+            out = slots[key] = self.push(kind, node, scope)
         return out
 
     def scope(self, parent, n):
-        """The scope whose point is ``parent``'s point in x-space (an int n:
-        its first n coordinates) or seeded along each direction of the tuple
-        n in turn, as ``directional`` seeds it: one per parent and n, whose
-        directions are told apart bit for bit."""
+        """The x-space scope whose point is ``parent``'s first n coordinates,
+        one per parent and n."""
         slots = self._slots[parent]
-        key = (Tape, repr(n))
+        key = (Tape, n)
         out = slots.get(key)
         if out is None:
             self.scopes.append((parent, n))
             self._slots.append({})
-            self._dual.append(self._dual[parent] or type(n) is not int)
             out = slots[key] = len(self.scopes)
         return out
 
     def _points(self, x):
         pts = [x]
         for parent, n in self.scopes:
-            pts.append(pts[parent][:n] if type(n) is int else _seeded(pts[parent], n))
+            pts.append(pts[parent][:n])
         return pts
 
     def __call__(self, x):
@@ -259,7 +241,7 @@ class Tape:
         pts = self._points(x)
         vals = []
         push = vals.append
-        PROD, SCALE, SUM, CALL, QUOT, DERIV = _PROD, _SCALE, _SUM, _CALL, _QUOT, _DERIV
+        PROD, SCALE, SUM, CALL, QUOT = _PROD, _SCALE, _SUM, _CALL, _QUOT
         for kind, a, b in self.code:
             if kind == PROD:
                 push(vals[a] * vals[b])
@@ -274,8 +256,6 @@ class Tape:
                 push(a(pts[b]))
             elif kind == QUOT:
                 push(vals[a] / vals[b])
-            elif kind == DERIV:
-                push(_eps(vals[a[1]], a[0].dirs))
             else:
                 push(a)
         return [vals[i] for i in self.out]
@@ -292,25 +272,9 @@ class Tape:
         return fn(x)
 
 
-def _seeded(point, dirs):
-    """``point`` seeded along each direction of ``dirs`` in turn."""
-    for d in dirs:
-        point = seed(point, d)
-    return point
-
-
-def _eps(v, dirs):
-    """The ``eps`` part of a derivative scope's value, once per direction of
-    ``dirs`` (0j for a plain value, as ``extract`` gives it)."""
-    for _d in dirs:
-        v = v.eps if isinstance(v, Dual) else 0j
-    return v
-
-
 def _adjoint_row(node, pt, w):
     """w times the partial of ``node`` at ``pt`` along each coordinate, by one
-    ``directional`` call per coordinate: the adjoint of a ``_CALL`` or
-    ``_DERIV`` instruction."""
+    ``directional`` call per coordinate: the adjoint of a ``_CALL``."""
     n = len(pt)
     return [w * directional(node, pt, (tuple(float(j == m) for m in range(n)),))
             for j in range(n)]
@@ -334,14 +298,13 @@ def _gradient_source(tape, dim):
     0j; the adjoint of a slot is 0j (1+0j at the root) plus its
     contributions in sweep order, the quotient's subtracted, and a gradient
     coordinate is 0j plus its leaves' contributions in sweep order, then
-    each x-space scope's in turn, the last scope first.  A ``_CALL`` or a
-    ``_DERIV`` takes one ``directional`` call per coordinate of its scope's
-    point (``_adjoint_row``), and the block of a ``_DERIV`` base takes no
-    adjoint.  Constants the source cannot spell with their type and bits,
-    kernels and nodes are read from the names.
+    each x-space scope's in turn, the last scope first.  A ``_CALL`` takes
+    one ``directional`` call per coordinate of its scope's point
+    (``_adjoint_row``).  Constants the source cannot spell with their type
+    and bits, kernels and nodes are read from the names.
     """
     code = tape.code
-    names = {"_seeded": _seeded, "_eps": _eps, "_adjoint_row": _adjoint_row}
+    names = {"_adjoint_row": _adjoint_row}
     bound, pairs = {}, {}
 
     def name(obj, prefix):
@@ -363,16 +326,12 @@ def _gradient_source(tape, dim):
             lines.append(f"    {target} = {head}{''.join(terms[i:i + _TERMS_PER_LINE])}")
             head = target
 
-    # scope s has the point p{s}; a plain x-space scope reads the coordinates
-    # of its parent, a derivative scope and every scope under one only its
-    # whole point (coords None)
+    # scope s has the point p{s}, the first n coordinates of its parent's
     coords = [[f"x{j}" for j in range(dim)]]
     lines = ["def grad(p0):", f"    [{', '.join(coords[0])}] = p0"]
     for s, (parent, n) in enumerate(tape.scopes, 1):
-        plain = type(n) is int and coords[parent] is not None
-        coords.append(coords[parent][:n] if plain else None)
-        rhs = f"p{parent}[:{n}]" if type(n) is int else f"_seeded(p{parent}, {name(n, 'd')})"
-        lines.append(f"    p{s} = {rhs}")
+        coords.append(coords[parent][:n])
+        lines.append(f"    p{s} = p{parent}[:{n}]")
 
     val, slope = [None] * len(code), {}
     for i, (kind, a, b) in enumerate(code):
@@ -389,8 +348,6 @@ def _gradient_source(tape, dim):
             lines.append(f"    {v} = {val[a]} / {val[b]}")
         elif kind == _CALL:
             lines.append(f"    {v} = {name(a, 'n')}(p{b})")
-        elif kind == _DERIV:
-            lines.append(f"    {v} = _eps({val[a[1]]}, {name(a[0].dirs, 'd')})")
         else:
             form = lit(a.c0) + "".join(f" + {lit(kj)}*{xj}"
                                        for kj, xj in zip(a.k, coords[b]) if kj != 0)
@@ -406,10 +363,8 @@ def _gradient_source(tape, dim):
                 slope[i] = f"s{i}"
 
     adj = [[] for _ in code]
-    grads = [None if c is None else [[] for _ in c] for c in coords]
-    i = len(code)
-    while i:
-        i -= 1
+    grads = [[[] for _ in c] for c in coords]
+    for i in range(len(code) - 1, -1, -1):
         kind, a, b = code[i]
         if kind == _CONST:
             continue
@@ -436,15 +391,10 @@ def _gradient_source(tape, dim):
             for j, kj in ks:
                 grads[b][j].append(f" + {t} * {lit(kj)}")
         else:
-            lines.append(f"    r{i} = _adjoint_row({name(a[0] if kind == _DERIV else a, 'n')}, "
-                         f"p{b}, {w})")
+            lines.append(f"    r{i} = _adjoint_row({name(a, 'n')}, p{b}, {w})")
             for j, terms in enumerate(grads[b]):
                 terms.append(f" + r{i}[{j}]")
-            if kind == _DERIV:
-                i = a[2]                # its base's block takes no adjoint
     for s in range(len(coords) - 1, -1, -1):
-        if grads[s] is None:            # a derivative scope's point takes no adjoint
-            continue
         for j, terms in enumerate(grads[s]):
             total(f"g{s}_{j}", "0j", terms)
         if s:                           # an x-space scope folds into its parent
@@ -472,6 +422,9 @@ class Const(Field):
 
     def _image(self, w, v, key):
         return self
+
+    def _derived(self, d):
+        return ZERO
 
 
 ZERO = Const(0j)
@@ -517,6 +470,18 @@ class LinArg(Field):
         c0 = self.c0 if v is None else _form(self.k, self.c0, v)
         return LinArg(self.fn, _moved(self.k, w), c0)
 
+    def _derivative(self, d):
+        # <k, d>, summed as the tangent of the form at a seeded point
+        kd = 0
+        for ki, di in zip(self.k, d, strict=True):
+            if ki != 0:
+                kd = kd + ki * di
+        if kd == 0:
+            return ZERO
+        if self.fn is None:
+            return Const(complex(kd))
+        return Scale(kd, LinArg(_dkernel(self.fn), self.k, self.c0))
+
 
 def exp_lin(k):
     """e^{<k,x>}."""
@@ -549,6 +514,20 @@ def _dual_pair(fn):
         r = fn(Dual(z, 1.0))
         return value(r), extract(r)
     return pair
+
+
+def _dkernel(fn):
+    """The one derivative kernel of the kernel ``fn``, kept on it as ``dz``:
+    ``d_exp`` is its own, and any other kernel gets z -> the eps of fn on
+    Dual(z, 1.0), which is Dual-safe, so it nests for higher orders, and
+    raises fn's ``PoleError``."""
+    try:
+        return fn.dz
+    except AttributeError:
+        def dz(z):
+            return extract(fn(Dual(z, 1.0)))
+        fn.dz = dz
+        return dz
 
 
 def _inv_pole(z, guard):
@@ -638,6 +617,10 @@ class Scale(Field):
     def _o_affine(self, w, v, key):
         return Scale(self.c, self.f._image(w, v, key))
 
+    def _derivative(self, d):
+        df = self.f._derived(d)
+        return ZERO if df is ZERO else Scale(self.c, df)
+
 
 class NSum(Field):
     __slots__ = ("parts",)
@@ -650,6 +633,9 @@ class NSum(Field):
 
     def _o_affine(self, w, v, key):
         return NSum([p._image(w, v, key) for p in self.parts])
+
+    def _derivative(self, d):
+        return nsum([p._derived(d) for p in self.parts])
 
 
 def nsum(parts):
@@ -685,6 +671,12 @@ class Prod(Field):
     def _o_affine(self, w, v, key):
         return Prod(self.a._image(w, v, key), self.b._image(w, v, key))
 
+    def _derivative(self, d):
+        # a b' + a' b, in the order of a Dual product
+        da, db = self.a._derived(d), self.b._derived(d)
+        return nsum([Prod(a, b) for a, b in ((self.a, db), (da, self.b))
+                     if a is not ZERO and b is not ZERO])
+
 
 class Quot(Field):
     __slots__ = ("a", "b")
@@ -700,45 +692,21 @@ class Quot(Field):
     def _o_affine(self, w, v, key):
         return Quot(self.a._image(w, v, key), self.b._image(w, v, key))
 
-
-class Deriv(Field):
-    """D_{dirs} base; built by ``derivative``, which shares it."""
-
-    __slots__ = ("base", "dirs")
-
-    def __init__(self, base, dirs):
-        self.base = base
-        self.dirs = tuple(dirs)
-
-    def _emit(self, tape, scope):
-        start = len(tape.code)
-        base = tape.slot(self.base, tape.scope(scope, self.dirs))
-        return tape.push(_DERIV, (self, base, start), scope)
-
-    def _o_affine(self, w, v, key):
-        # (D_d f)(w x + v) = D_{w^-1 d} (f(w x + v))
-        dirs = self.dirs
-        if w is not None:
-            winv = w.inverse()
-            dirs = tuple(winv.apply_vec(d) for d in dirs)
-        return derivative(self.base._image(w, v, key), dirs)
+    def _derivative(self, d):
+        # (a' - q b') / b, q this quotient, as a Dual quotient does it
+        da, db = self.a._derived(d), self.b._derived(d)
+        if db is not ZERO:
+            da = nsum([da, -Prod(self, db)])
+        return ZERO if da is ZERO else Quot(da, self.b)
 
 
 def derivative(f, dirs):
-    """The field D_{dirs} f for a tuple of direction tuples: one ``Deriv``
-    per (source node, directions bit for bit), memoized on the source; the
-    directions of a ``Deriv`` source are prepended to ``dirs``."""
-    if isinstance(f, Deriv):
-        f, dirs = f.base, f.dirs + tuple(dirs)
-    key = repr(dirs)
-    try:
-        derivs = f._derivs
-    except AttributeError:
-        derivs = f._derivs = {}
-    out = derivs.get(key)
-    if out is None:
-        out = derivs[key] = Deriv(f, dirs)
-    return out
+    """D_{dirs} f for a sequence of directions, by rule, one direction at a
+    time; each single-direction derivative is memoized on its source node,
+    so mixed partials share nodes."""
+    for d in dirs:
+        f = f._derived(tuple(d))
+    return f
 
 
 class FuncField(Field):

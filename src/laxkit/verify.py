@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .dual import gradient_vec, value
-from .fields import ZERO, PoleError, Scale, Tape
+from .fields import ZERO, FuncField, PoleError, Scale, Tape
 from .opcore import OperatorMatrix, residual_pair
 
 DEFAULT_POINTS = 8
@@ -321,23 +321,26 @@ def matrix_fn_from_fields(entry_fields):
     return L_fn
 
 
-def _trace_power(mat, k):
-    """Dual-safe tr M^k of a square matrix given as row lists."""
+def _trace_powers(mat, powers):
+    """Dual-safe [tr M^k for k in powers] of a square matrix given as row
+    lists, from one running product M^k = M^(k-1) M."""
     m = len(mat)
-    out = mat
-    for _ in range(k - 1):
-        out = [[sum(out[i][l] * mat[l][j] for l in range(m))
-                for j in range(m)] for i in range(m)]
-    tr = out[0][0]
-    for i in range(1, m):
-        tr = tr + out[i][i]
-    return tr
+    out, traces = mat, {}
+    for k in range(1, max(powers, default=0) + 1):
+        if k > 1:
+            out = [[sum(out[i][l] * mat[l][j] for l in range(m))
+                    for j in range(m)] for i in range(m)]
+        tr = out[0][0]
+        for i in range(1, m):
+            tr = tr + out[i][i]
+        traces[k] = tr
+    return [traces[k] for k in powers]
 
 
 def trace_power_fn(entry_fields, k):
-    """Dual-safe tr L^k as a function of the phase point."""
+    """Dual-safe tr L^k as a field on phase points."""
     at = _matrix_fn(entry_fields)
-    return lambda z: _trace_power(at(z), k)
+    return FuncField(lambda z: _trace_powers(at(z), (k,))[0])
 
 
 def spectral_invariants(entry_fields, powers, points):
@@ -346,7 +349,7 @@ def spectral_invariants(entry_fields, powers, points):
     at = _matrix_fn(entry_fields)
     mats = [at(z) for z in points]
     drifts = charpoly_drifts([[value(v) for v in row] for row in mat] for mat in mats)
-    return [([_trace_power(mat, k) for k in powers], drift)
+    return [(_trace_powers(mat, powers), drift)
             for mat, drift in zip(mats, drifts)]
 
 

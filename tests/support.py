@@ -3,10 +3,9 @@ lengths and words, classical symbol comparisons, the scale-free Poisson
 bracket residual, log-log slopes and the interpreted tape gradient."""
 
 import math
-from itertools import islice
 
 from laxkit import fields
-from laxkit.dual import Dual, directional
+from laxkit.dual import directional
 from laxkit.opcore import WOp, residual_pair
 from laxkit.verify import _bracket
 from laxkit.weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
@@ -118,9 +117,8 @@ def _forward_with_slopes(tape, pts, slopes, leaf_data):
     vals = []
     push = vals.append
     leaves = iter(leaf_data)
-    PROD, SCALE, SUM, LEAF, CALL, QUOT, DERIV = (fields._PROD, fields._SCALE, fields._SUM,
-                                                 fields._LEAF, fields._CALL, fields._QUOT,
-                                                 fields._DERIV)
+    PROD, SCALE, SUM, LEAF, CALL, QUOT = (fields._PROD, fields._SCALE, fields._SUM,
+                                          fields._LEAF, fields._CALL, fields._QUOT)
     for kind, a, b in tape.code:
         if kind == PROD:
             push(vals[a] * vals[b])
@@ -144,11 +142,6 @@ def _forward_with_slopes(tape, pts, slopes, leaf_data):
                 slopes.append(s)
         elif kind == QUOT:
             push(vals[a] / vals[b])
-        elif kind == DERIV:
-            v = vals[a[1]]
-            for _d in a[0].dirs:
-                v = v.eps if isinstance(v, Dual) else 0j
-            push(v)
         else:
             push(a)
     return vals
@@ -157,9 +150,8 @@ def _forward_with_slopes(tape, pts, slopes, leaf_data):
 def interpreted_gradient(tape, x):
     """The partials of the tape's first root at x along every coordinate of
     x, by interpretation: the forward loop on plain numbers, each leaf giving
-    its value and slope from its kernel's pair, then one adjoint sweep,
-    which skips the block of each ``Deriv`` base.  The oracle that the
-    generated ``Tape.gradient`` matches bit for bit."""
+    its value and slope from its kernel's pair, then one adjoint sweep.  The
+    oracle that the generated ``Tape.gradient`` matches bit for bit."""
     pts = tape._points(x)
     slopes = []
     leaf_data = _leaf_data(tape)
@@ -169,13 +161,10 @@ def interpreted_gradient(tape, x):
     adj[tape.out[0]] = 1.0 + 0j
     grads = [[0j] * len(p) for p in pts]
     leaves = reversed(leaf_data)
-    PROD, SCALE, SUM, LEAF, CALL, QUOT, DERIV = (fields._PROD, fields._SCALE, fields._SUM,
-                                                 fields._LEAF, fields._CALL, fields._QUOT,
-                                                 fields._DERIV)
-    i = len(code)
-    sweep = reversed(code)
-    for kind, a, b in sweep:
-        i -= 1
+    PROD, SCALE, SUM, LEAF, QUOT = (fields._PROD, fields._SCALE, fields._SUM,
+                                    fields._LEAF, fields._QUOT)
+    for i in range(len(code) - 1, -1, -1):
+        kind, a, b = code[i]
         w = adj[i]
         if kind == PROD:
             adj[a] += w * vals[b]
@@ -194,21 +183,14 @@ def interpreted_gradient(tape, x):
             q = w / vals[b]
             adj[a] += q
             adj[b] -= q * vals[i]
-        elif kind == CALL or kind == DERIV:
-            if kind == DERIV:
-                # a Deriv: its base's block takes no adjoint
-                a, start = a[0], a[2]
-                next(islice(sweep, i - start, i - start), None)
-                i = start
+        elif kind == fields._CALL:
             # one directional derivative per coordinate of the scope
             g, pt = grads[b], pts[b]
             for j in range(len(pt)):
                 e = tuple(float(j == m) for m in range(len(pt)))
                 g[j] += w * directional(a, pt, (e,))
     for s in range(len(tape.scopes), 0, -1):
-        parent, n = tape.scopes[s - 1]
-        if type(n) is int:              # a derivative scope takes no adjoint
-            g = grads[parent]
-            for j, gj in enumerate(grads[s]):
-                g[j] += gj
+        g = grads[tape.scopes[s - 1][0]]
+        for j, gj in enumerate(grads[s]):
+            g[j] += gj
     return grads[0]

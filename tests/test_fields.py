@@ -1,7 +1,7 @@
 """Field evaluation: one tape per root set over the shared field DAG, with
-each derivative read in a derivative scope of that tape, its gradient by a
-function generated for the tape, and the structure shared at construction
-(affine images, derivative nodes and leaf kernels equal by value)."""
+derivatives built on the DAG by rule, its gradient by a function generated
+for the tape, and the structure shared at construction (affine images,
+derivative nodes and leaf kernels equal by value)."""
 
 import gc
 import random
@@ -11,9 +11,10 @@ from support import interpreted_gradient
 
 from laxkit import fields, special, suites
 from laxkit.dual import Dual, d_exp, directional, gradient_vec, seed, value
-from laxkit.fields import (BiArg, Const, Deriv, Field, FuncField, LinArg,
-                           PoleError, Quot, Scale, Tape, XLift, exp_lin,
-                           inv_form, linear_form, momentum)
+from laxkit.ellcm import v_form, wp_form
+from laxkit.fields import (ZERO, BiArg, Const, Field, FuncField, LinArg,
+                           PoleError, Quot, Scale, Tape, XLift, derivative,
+                           exp_lin, inv_form, linear_form, momentum)
 from laxkit.koorn import CCnParams, koornwinder_lax
 from laxkit.opcore import OperatorMatrix, WOp, field_dmulti
 from laxkit.special import sigma, sigma_form
@@ -39,15 +40,23 @@ def bits(v):
     return (v.real.hex(), v.imag.hex())
 
 
+def components(v):
+    """The complex components of a complex or (nested) Dual value."""
+    if isinstance(v, Dual):
+        return components(v.val) + components(v.eps)
+    return [complex(v)]
+
+
 def build(shared):
     """One expression, either with shared subtrees and shared leaf kernels
     (``shared``) or as a fresh tree in which no node or kernel is reused.
 
     The shared subtree ``s`` sits in the outer tree and also under a Quot,
-    an XLift and a Deriv node, where it is read at another point than the
+    an XLift and a derivative, where it is read at another point than the
     outer one; ``s.o_affine(W, V)`` makes leaf copies whose keys equal those
-    of an explicit leaf elsewhere in the tree, and a moved Deriv reads its
-    base at the moved point.
+    of an explicit leaf elsewhere in the tree, and a derivative of a moved
+    product is taken after the move.  The ``BiArg`` ``b``, which has no
+    derivative rule, sits outside the differentiated parts.
     """
     cache = {}
 
@@ -59,11 +68,12 @@ def build(shared):
             return cache[name]
         if name == "s":
             out = (LinArg(kernel(d_exp), (0.3, -0.7, 1.1, 0.5), 0.1j)
-                   * linear_form((1.0, 2.0, 0.0, 0.0), 0.25)
-                   + BiArg(kernel(lambda a, b: d_exp(a) * b * b), (1.0, 0.0, -1.0),
-                           (0.0, 0.5, 0.0, 1.0), 0.2, -0.1j) + 0.5)
+                   * linear_form((1.0, 2.0, 0.0, 0.0), 0.25) + 0.5)
+        elif name == "b":
+            out = BiArg(kernel(lambda a, b: d_exp(a) * b * b), (1.0, 0.0, -1.0),
+                        (0.0, 0.5, 0.0, 1.0), 0.2, -0.1j)
         elif name == "t":
-            out = 1.7 + LinArg(kernel(d_exp), (0.0, 0.4, -0.3), -0.05)
+            out = 1.7 + LinArg(kernel(d_exp), (0.0, 0.4, -0.3, 0.0), -0.05)
         else:
             raise KeyError(name)
         cache[name] = out
@@ -73,9 +83,9 @@ def build(shared):
     copy = LinArg(d_exp, (0.3, -0.7, 1.1, 0.5), 0.1j).o_affine(W, V)
     shifted = LinArg(kernel(d_exp), copy.k, copy.c0)
     return (s * node("s").o_affine(W, V)
-            + Quot(node("s"), t)
+            + Quot(node("s") + node("b"), t)
             - XLift(node("s"), 2) * node("s").deriv(DIR)
-            + Scale(2.0, node("s").o_affine(W, V)) * shifted
+            + Scale(2.0, (node("s") + node("b")).o_affine(W, V)) * shifted
             + (node("s") * node("t").deriv(DIR)).o_affine(None, V).deriv(DIR))
 
 
@@ -214,23 +224,27 @@ DERIV_ROOTS = {
     "first": (_G, (DIR,), None),
     "second": (_G, (DIR, DIR), None),
     "mixed": (_G, (DIR, DIR2), None),
-    "base-holds-deriv": (_G * _G.deriv(DIR2) + Deriv(_G, (DIR2, DIR)), (DIR,), None),
+    "base-holds-deriv": (_G * _G.deriv(DIR2) + derivative(_G, (DIR2, DIR)), (DIR,), None),
     "under-XLift": (_X, ((1.0, 0.5), (0.0, -2.0)), 2),
 }
 
 
 @pytest.mark.parametrize("point", [Z, seed(Z, DIR2)], ids=["complex", "dual"])
-def test_deriv_roots_equal_directional_bit_for_bit(point):
-    """Deriv roots read from derivative scopes of one tape, which the bases
-    of equal directions share, equal ``directional`` of their base."""
-    roots = [Deriv(base, dirs) if n is None else XLift(Deriv(base, dirs), n)
+def test_derivative_roots_equal_directional(point):
+    """Derivative roots of one tape, built by rule, equal ``directional`` of
+    their base to 1e-12 relative."""
+    roots = [derivative(base, dirs) if n is None else XLift(derivative(base, dirs), n)
              for base, dirs, n in DERIV_ROOTS.values()]
     got = Tape(roots)(point)
     for (base, dirs, n), v in zip(DERIV_ROOTS.values(), got):
-        assert bits(v) == bits(directional(base, point if n is None else point[:n], dirs))
+        want = components(directional(base, point if n is None else point[:n], dirs))
+        scale = max(map(abs, want))
+        assert all(abs(g - w) <= 1e-12 * scale for g, w in zip(components(v), want, strict=True))
 
 
-def test_first_pole_error_in_a_derivative_scope_is_the_leftmost():
+def test_first_pole_error_of_a_derivative_leaf_is_the_leftmost():
+    """A derivative leaf of the guarded 1/z raises the guard's message, and
+    the first one in tape order is the one raised."""
     left = inv_form((1.0,), 0j)
     right = inv_form((1.0,), 2e-5)
     d = (1.0,)
@@ -238,21 +252,74 @@ def test_first_pole_error_in_a_derivative_scope_is_the_leftmost():
         Tape([(left * 2.0).deriv(d), (right + left).deriv(d)])((1e-5 + 0j,))
     with pytest.raises(PoleError, match="= 3.00e-05 "):
         Tape([(right + left).deriv(d), left.deriv(d)])((1e-5 + 0j,))
+    with pytest.raises(PoleError, match="= 3.00e-05 "):
+        Tape([exp_lin((1.0,)), derivative(right + left, (d, d))])((1e-5 + 0j,))
 
 
 def test_derivs_of_one_direction_run_a_shared_kernel_once_per_point():
+    """The leaf and its one derivative leaf each run once per point, however
+    many derivatives of one direction read them: the kernel is called once
+    for the value and once inside the derivative kernel."""
     fn, calls = counting(d_exp)
     leaf = LinArg(fn, (1.0, -0.5, 0.0, 0.2))
     tape = Tape([(2.0 * leaf).deriv(DIR), (leaf * leaf + 1.0).deriv(DIR)])
+    assert [kind for kind, _a, _b in tape.code].count(fields._LEAF) == 2
     for point in (Z, seed(Z, DIR2)):
         calls.clear()
         tape(point)
-        assert len(calls) == 1
+        assert len(calls) == 2
+
+
+def test_a_probes_derivatives_read_the_probes_own_leaf():
+    """d_exp is its own derivative, so a probe and its derivatives of every
+    order share one leaf instruction; any other kernel has one derivative
+    kernel, shared by its leaves on every form."""
+    probe = exp_lin((0.3, -0.7, 1.1, 0.5))
+    tape = Tape([probe, probe.deriv(DIR), derivative(probe * probe, (DIR, DIR2))])
+    assert [kind for kind, _a, _b in tape.code].count(fields._LEAF) == 1
+    f, g = inv_form((1.0, -1.0, 0.0, 0.0)), inv_form((0.0, 1.0, 0.5, 0.0), 0.5)
+    assert f.deriv(DIR).f.fn is g.deriv(DIR2).f.fn is not f.fn
+    assert derivative(f, (DIR, DIR)).f.fn is g.deriv(DIR).f.fn.dz
+
+
+@pytest.mark.parametrize("node", [BiArg(lambda a, b: a * b, (1.0, 0.0, 0.0, 0.0),
+                                        (0.0, 1.0, 0.0, 0.0)),
+                                  FuncField(lambda z: z[0] * z[2]),
+                                  XLift(exp_lin((0.3, -0.2)), 2)],
+                         ids=["BiArg", "FuncField", "XLift"])
+def test_nodes_without_a_derivative_rule_refuse_one(node):
+    for f in (node, exp_lin(DIR) * node):
+        with pytest.raises(TypeError, match=type(node).__name__):
+            f.deriv(DIR)
+
+
+_KERNEL_FORM = (1.0, -1.0, 0.5, 0.0)
+# one leaf per kernel family; the points below keep each argument at least
+# 0.2 from the poles of sigma, wp and v and from 1/z's
+KERNEL_FAMILIES = {
+    "d_exp": exp_lin((0.4 - 0.2j, 1.1, -0.7, 0.3)),
+    "inv": inv_form(_KERNEL_FORM, 0.5),
+    "sigma": sigma_form(MU, _KERNEL_FORM, TAU, 0.5),
+    "wp": wp_form(_KERNEL_FORM, TAU, 0.5),
+    "v": v_form(0.22 + 0.03j, _KERNEL_FORM, (0.8j, -0.4j, 0.6j, 0.3j), TAU),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_kernel_derivatives_by_rule_equal_directional(family, order):
+    f = KERNEL_FAMILIES[family]
+    rng = random.Random(f"{family}:{order}")
+    for _ in range(5):
+        x = tuple(complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)) for _ in range(N))
+        dirs = tuple(tuple(rng.uniform(-1.0, 1.0) for _ in range(N)) for _ in range(order))
+        want = directional(f, x, dirs)
+        assert abs(derivative(f, dirs)(x) - want) <= 1e-12 * abs(want)
 
 
 def test_rational_suite_tapes_compile_no_tape_at_their_points(monkeypatch):
-    """A residual tape holds its Deriv bases: evaluating it compiles no
-    tape of theirs, at the first point or at a later one."""
+    """A residual tape holds its derivatives: evaluating it compiles no
+    other tape, at the first point or at a later one."""
     evalfns = []
 
     def run_check(name, tol, evalfn, *_args):
@@ -276,9 +343,12 @@ def test_rational_suite_tapes_compile_no_tape_at_their_points(monkeypatch):
 def test_seed_refuses_a_direction_of_another_length():
     with pytest.raises(ValueError):
         seed(Z, DIR[:2])
-    # an x-space derivative read at a phase point would drop the momenta
-    with pytest.raises(ValueError):
-        exp_lin((0.3, -0.2)).deriv((1.0, 0.0))(Z)
+    # a derivative refuses a direction of another length than a form's when
+    # it is built: a phase-space direction on an x-space form, and back
+    for f, d in ((exp_lin((0.3, -0.2)), DIR), (linear_form((0.3, -0.2, 0.0, 1.0)), DIR[:2]),
+                 (inv_form((1.0, 0.5)) * exp_lin((0.2, 0.1, 0.0, 0.0)), (1.0, 0.0))):
+        with pytest.raises(ValueError):
+            f.deriv(d)
 
 
 @pytest.mark.parametrize("w, v", [(SignedPerm.sign_flip(N, 1), None),
@@ -286,10 +356,9 @@ def test_seed_refuses_a_direction_of_another_length():
                          ids=["sign-flip", "shift", "signed-cycle-and-shift"])
 def test_moved_derivative_is_the_derivative_read_at_the_moved_point(w, v):
     f = (LinArg(d_exp, (0.3, -0.7, 1.1, 0.5), 0.1j)
-         * BiArg(lambda a, b: d_exp(a) * b * b, (1.0, 0.0, -1.0), (0.0, 0.5, 0.0, 1.0)))
+         * Quot(sigma_form(MU, (1.0, 0.0, -1.0, 0.0), TAU, 0.2), 1.5 + linear_form(DIR2)))
     dirs = (DIR, (0.0, 1.0, -0.5, 0.3))
-    moved = Deriv(f, dirs).o_affine(w, v)
-    assert isinstance(moved, Deriv)
+    moved = derivative(f, dirs).o_affine(w, v)
     y = w.apply_vec(Z) if w is not None else Z
     if v is not None:
         y = tuple(a + b for a, b in zip(y, v))
@@ -337,11 +406,12 @@ INSTRUCTION_KINDS = {
                            + XLift(_XLEAF * _XLEAF, 2) * exp_lin((0.4, 0.0, 0.0, 0.3))),
     "XLift-two-scopes": (XLift(exp_lin((1.0, -0.5)) * linear_form((0.2, 0.9)), 2) * _FORM
                          + XLift(_XLEAF * exp_lin((0.3, 0.7, -0.2)), 3) * _LEAF),
-    "Deriv": Deriv(_LEAF * _FORM, (DIR,)),
-    "Deriv-paired-kernel": Deriv(sigma_form(MU, (0.7, -1.2, 0.0, 0.4), TAU) * _FORM, (DIR,)),
-    "Deriv-nested-under-XLift": (XLift(Deriv(_XLEAF * Deriv(_XLEAF, ((0.3, 1.0),)),
-                                             ((1.0, -0.5),)), 2) * momentum(2, 0)
-                                 + _LEAF * _XLEAF.deriv((0.0, 1.0, 0.0, 0.0))),
+    "Deriv": derivative(_LEAF * _FORM, (DIR,)),
+    "Deriv-paired-kernel": derivative(sigma_form(MU, (0.7, -1.2, 0.0, 0.4), TAU) * _FORM,
+                                      (DIR,)),
+    "Deriv-nested-under-XLift": (XLift(derivative(_XLEAF * _XLEAF.deriv((0.3, 1.0)),
+                                                  ((1.0, -0.5),)), 2) * momentum(2, 0)
+                                 + _LEAF * _XLEAF.deriv((0.0, 1.0))),
     "FuncField": FuncField(lambda z: z[0] * d_exp(z[1] * z[3])),
 }
 
@@ -527,7 +597,7 @@ def field_nodes(roots):
 
 def test_equal_affine_map_returns_the_image_built_before():
     f = (LinArg(d_exp, (0.3, -0.7, 1.1, 0.5), 0.1j) * linear_form((1.0, 2.0, 0.0, 0.0))
-         + Deriv(exp_lin((0.2, 0.0, -0.4, 0.1)), (DIR,)))
+         + exp_lin((0.2, 0.0, -0.4, 0.1)).deriv(DIR))
     image = f.o_affine(SignedPerm((2, 1, 3, 4)), (0.11 + 0.05j, -0.2j, 0.07, 0.0))
     assert f.o_affine(SignedPerm(W.img), V) is image
     assert f.o_group(SignedPerm(W.img)) is f.o_group(W)
@@ -572,14 +642,19 @@ def test_subtree_shared_by_two_parents_stays_shared_in_both_images():
 def test_field_dmulti_gives_one_deriv_per_node_and_directions():
     g = exp_lin((0.3, -0.7, 1.1)) * linear_form((1.0, 2.0, 0.0))
     d = field_dmulti(g, (1, 0, 2))
-    assert isinstance(d, Deriv) and d.base is g
     assert field_dmulti(g, (1, 0, 2)) is d
     assert field_dmulti(g, (2, 0, 1)) is not d
-    # the derivative of a derivative extends the directions of its base
+    # one direction at a time: the derivative of a derivative is the node
+    # that the memo of each step holds
     assert field_dmulti(field_dmulti(g, (1, 0, 0)), (0, 0, 2)) is d
     assert g.deriv((1.0, 0.0, 0.0)) is field_dmulti(g, (1, 0, 0))
-    moved = Deriv(g, ((0.0, 1.0, 0.0),)).o_group(SignedPerm((2, 1, 3)))
-    assert moved is field_dmulti(g.o_group(SignedPerm((2, 1, 3))), (1, 0, 0))
+    h = linear_form((1.0, 2.0, 0.0)) * inv_form((1.0, -1.0, 0.0), 0.5)
+    assert field_dmulti(h, (0, 0, 1)) is ZERO and field_dmulti(Const(2.0), (1, 0, 0)) is ZERO
+    x = (0.31 + 0.05j, -0.52 + 0.02j, 0.14 - 0.03j)
+    w = SignedPerm((2, 1, 3))
+    moved = g.deriv((0.0, 1.0, 0.0)).o_group(w)
+    want = field_dmulti(g.o_group(w), (1, 0, 0))(x)
+    assert abs(moved(x) - want) < 1e-13 * abs(want)
 
 
 def test_koornwinder_lax_equation_sides_share_their_nodes():

@@ -18,7 +18,7 @@ from laxkit.opcore import DiffOp, WOp
 from laxkit.special import DIFFERENCE_REGIMES, DIFFERENTIAL_REGIMES
 from laxkit.suites import (KNOWN_SYSTEMS, SYSTEMS, ConfigError, RunConfig,
                            classical_flow_setup, default_params)
-from laxkit.verify import (PointPolicy, VerificationReport, charpoly,
+from laxkit.verify import (PointPolicy, VerificationReport, _trace_powers, charpoly,
                            decode_number, encode_params, energy_drift,
                            hamiltonian_flow, isospectral_drift,
                            poisson_bracket, run_point_max, rng_for)
@@ -90,6 +90,42 @@ def test_charpoly_matches_numpy_on_seeded_complex_matrices(n):
         mat = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
                for _ in range(n)]
         assert _charpoly_error(mat) <= 1e-12
+
+
+class Counted(complex):
+    """A complex number that counts the products it takes part in."""
+    products = 0
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return Counted(complex(self) * other)
+
+    def __add__(self, other):
+        return Counted(complex(self) + other)
+
+    __radd__ = __add__
+
+
+@pytest.mark.parametrize("powers, products", [((1, 2, 3, 4), 3), ((2, 4), 3), ((3,), 2)])
+def test_trace_powers_run_one_product_per_power_bit_for_bit(powers, products):
+    """tr M^k for the requested k from one running product M^k = M^(k-1) M:
+    each trace equals the one of M^k rebuilt from M, bit for bit, and one
+    matrix product (m^3 scalar products) is made per power up to the last."""
+    rng = random.Random(23)
+    m = 3
+    mat = [[Counted(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m)] for _ in range(m)]
+
+    def rebuilt(k):
+        out = mat
+        for _ in range(k - 1):
+            out = [[sum(out[i][l] * mat[l][j] for l in range(m)) for j in range(m)]
+                   for i in range(m)]
+        return sum((out[i][i] for i in range(1, m)), out[0][0])
+    want = [repr(complex(rebuilt(k))) for k in powers]
+    Counted.products = 0
+    got = _trace_powers(mat, powers)
+    assert Counted.products == products * m ** 3
+    assert [repr(complex(v)) for v in got] == want
 
 
 @pytest.mark.parametrize("mat", [
