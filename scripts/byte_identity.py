@@ -15,6 +15,9 @@ code, so two trees give the same outputs iff all their digests are equal.
 With ``--against OTHER_ROOT`` the same runs are fingerprinted on both trees,
 and each is printed, sorted by label, as ``same`` or ``moved`` with the
 digests of OTHER_ROOT and of ROOT; the exit status is 1 if any run moved.
+Under a moved ``verify`` run, one indented line per check whose residual or
+verdict moved gives its name and, for OTHER_ROOT and then ROOT, the
+residual's repr and the verdict.
 Both trees run this script's matrix, so the comparison does not depend on
 the order in which either tree's own script lists its runs.  Without it,
 one ``digest  label`` line per run is printed in the matrix's order.
@@ -22,6 +25,7 @@ one ``digest  label`` line per run is printed in the matrix's order.
 
 import argparse
 import hashlib
+import json
 import os
 import pathlib
 import re
@@ -59,32 +63,66 @@ def runs():
     return out
 
 
-def fingerprint(root, argv):
+def output(root, argv):
+    """(stdout with ``runtime_ms`` zeroed, stderr, exit code) of one CLI run
+    on the tree at ``root``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "laxkit.cli", *argv],
                           capture_output=True, text=True, env=env, cwd=root)
-    stdout = RUNTIME.sub(r"\g<1>0", proc.stdout)
-    blob = f"{stdout}\0{proc.stderr}\0exit={proc.returncode}"
+    return RUNTIME.sub(r"\g<1>0", proc.stdout), proc.stderr, proc.returncode
+
+
+def fingerprint(out):
+    """The digest of an ``output``."""
+    stdout, stderr, code = out
+    blob = f"{stdout}\0{stderr}\0exit={code}"
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def digests(root, matrix):
-    """The digest of each (label, argv) run of ``matrix`` on the tree at
+def outputs(root, matrix):
+    """The ``output`` of each (label, argv) run of ``matrix`` on the tree at
     ``root``, in the matrix's order."""
     with ThreadPoolExecutor(WORKERS) as pool:
-        yield from pool.map(lambda run: fingerprint(root, run[1]), matrix)
+        yield from pool.map(lambda run: output(root, run[1]), matrix)
+
+
+def checks(stdout):
+    """{name: (residual repr, verdict)} of a verify report; {} if ``stdout``
+    holds none."""
+    try:
+        report = json.loads(stdout)
+        return {c["name"]: (repr(c["residual"]), "pass" if c["pass"] else "FAIL")
+                for c in report["checks"]}
+    except (ValueError, TypeError, KeyError):
+        return {}
+
+
+def moved_checks(theirs, ours):
+    """One line per check of two verify outputs whose residual or verdict
+    moved, in ``ours``'s order, then the checks only ``theirs`` has."""
+    a, b = checks(theirs[0]), checks(ours[0])
+    missing = ("-", "absent")
+    return [f"       {name}: {' '.join(a.get(name, missing))} -> {' '.join(b.get(name, missing))}"
+            for name in list(b) + [name for name in a if name not in b]
+            if a.get(name) != b.get(name)]
 
 
 def compare(root, other, matrix):
     """One ``same`` or ``moved`` line per run of ``matrix``, sorted by label,
-    with the digests of ``other`` and ``root``; returns the exit status."""
-    theirs = dict(zip((label for label, _argv in matrix), digests(other, matrix)))
-    ours = dict(zip((label for label, _argv in matrix), digests(root, matrix)))
+    with the digests of ``other`` and ``root``, and under a moved ``verify``
+    run its ``moved_checks``; returns the exit status."""
+    labels = [label for label, _argv in matrix]
+    theirs = dict(zip(labels, outputs(other, matrix)))
+    ours = dict(zip(labels, outputs(root, matrix)))
     moved = 0
     for label in sorted(ours):
-        status = "same" if ours[label] == theirs[label] else "moved"
+        a, b = fingerprint(theirs[label]), fingerprint(ours[label])
+        status = "same" if a == b else "moved"
         moved += status == "moved"
-        print(f"{status:5}  {theirs[label]}  {ours[label]}  {label}")
+        print(f"{status:5}  {a}  {b}  {label}")
+        if status == "moved" and label.startswith("verify "):
+            for line in moved_checks(theirs[label], ours[label]):
+                print(line)
     print(f"{moved} of {len(ours)} runs moved")
     return 1 if moved else 0
 
@@ -101,8 +139,8 @@ def main(argv=None):
     matrix = runs()
     if args.against is not None:
         return compare(root, args.against.resolve(), matrix)
-    for (label, _argv), dig in zip(matrix, digests(root, matrix)):
-        print(f"{dig}  {label}", flush=True)
+    for (label, _argv), out in zip(matrix, outputs(root, matrix)):
+        print(f"{fingerprint(out)}  {label}", flush=True)
     return 0
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .fields import Const, Field, LinArg, nsum
 from .opcore import DiffOp, LaxPair, OperatorMatrix
-from .special import (dual_couplings, eta1, half_periods, sigma_dz_form,
-                      sigma_form, v_dz_kernel, v_kernel, wp, wp_kernel)
+from .special import (dual_couplings, eta1, half_periods, sigma_form, v_kernel,
+                      wp, wp_kernel)
 from .weyl import (RootSystemData, SignedPerm, build_root_system, dot,
                    ext_coord, ext_form, orbit_stabilizer, same_coord)
 
@@ -43,10 +43,6 @@ def wp_form(form, tau, const=0j) -> Field:
 
 def v_form(mu, form, g, tau) -> Field:
     return LinArg(v_kernel(mu, g, tau), form)
-
-
-def v_dz_form(mu, form, g, tau) -> Field:
-    return LinArg(v_dz_kernel(mu, g, tau), form)
 
 
 def elliptic_dunkl(cfg: EllipticDunklConfig, i) -> DiffOp:
@@ -167,7 +163,7 @@ def split_a_operator(cfg) -> DiffOp:
                                                                     Const(-2 * e1)])})
             else:
                 op = op + DiffOp(n, t, {(SignedPerm.identity(n), (0,) * n): pref * wp_form(a, tau),
-                                        (s, (0,) * n): pref * sigma_dz_form(mu, a, tau)})
+                                        (s, (0,) * n): pref * sigma_form(mu, a, tau).dz()})
         return op
     lam = cfg.lam
     om_shift = half_periods(tau)
@@ -186,7 +182,7 @@ def split_a_operator(cfg) -> DiffOp:
                                                                         Const(-2 * e1)])})
                 else:
                     op = op + DiffOp(n, t, {(SignedPerm.identity(n), (0,) * n): pref * wp_form(form, tau),
-                                            (s, (0,) * n): pref * sigma_dz_form(mu, form, tau)})
+                                            (s, (0,) * n): pref * sigma_form(mu, form, tau).dz()})
     for i in range(n):
         xi = ext_coord(n, i)
         parts = [(t * cfg.g[r]) * wp_form(xi, tau, om_shift[r]) for r in range(4)]
@@ -195,7 +191,7 @@ def split_a_operator(cfg) -> DiffOp:
             ker = nsum([(-t * cfg.g[r]) * wp_form(xi, tau, om_shift[r])
                         for r in range(4)] + [Const(-2 * e1 * t * sum(cfg.g))])
         else:
-            ker = t * v_dz_form(lam[i], xi, cfg.g, tau)
+            ker = t * v_form(lam[i], xi, cfg.g, tau).dz()
         op = op + DiffOp(n, t, {(SignedPerm.sign_flip(n, i), (0,) * n): ker})
     return op
 
@@ -227,7 +223,7 @@ def lax_elliptic_A(n, t, c, mu, tau) -> LaxPair:
     for j in range(1, n):
         form = ext_form(n, 0, j)
         Ahat = Ahat + DiffOp(n, t, {(SignedPerm.identity(n), (0,) * n): (cfg.c * t) * wp_form(form, tau),
-                                    (SignedPerm.transposition(n, 0, j), (0,) * n): (cfg.c * t) * sigma_dz_form(mu, form, tau)})
+                                    (SignedPerm.transposition(n, 0, j), (0,) * n): (cfg.c * t) * sigma_form(mu, form, tau).dz()})
     return LaxPair(tbl, Lmat, Ahat.restrict(tbl), split_hamiltonian(cfg))
 
 
@@ -248,7 +244,7 @@ def ael_tables(n, t, c, mu, tau):
             else:
                 form = ext_form(n, k, l)
                 Lrow.append(DiffOp.from_field(n, t, c * sigma_form(mu, form, tau)))
-                Arow.append(DiffOp.from_field(n, t, (c * t) * sigma_dz_form(mu, form, tau)))
+                Arow.append(DiffOp.from_field(n, t, (c * t) * sigma_form(mu, form, tau).dz()))
         Lrows.append(Lrow)
         Arows.append(Arow)
     return OperatorMatrix(Lrows), OperatorMatrix(Arows)
@@ -272,12 +268,12 @@ def lax_inozemtsev(n, t, c, g, mu, tau):
         Ahat = Ahat + DiffOp(n, t, {
             (SignedPerm.identity(n), (0,) * n):
                 (2 * c * t) * (wp_form(dform, tau) + wp_form(sform, tau)),
-            (SignedPerm.transposition(n, 0, j), (0,) * n): (2 * c * t) * sigma_dz_form(mu, dform, tau),
-            (SignedPerm.neg_transposition(n, 0, j), (0,) * n): (2 * c * t) * sigma_dz_form(mu, sform, tau)})
+            (SignedPerm.transposition(n, 0, j), (0,) * n): (2 * c * t) * sigma_form(mu, dform, tau).dz(),
+            (SignedPerm.neg_transposition(n, 0, j), (0,) * n): (2 * c * t) * sigma_form(mu, sform, tau).dz()})
     parts = [(t * g[r]) * wp_form(x1, tau, om_shift[r]) for r in range(4)]
     Ahat = Ahat + DiffOp.from_field(n, t, nsum(parts))
     Ahat = Ahat + DiffOp(n, t, {(SignedPerm.sign_flip(n, 0), (0,) * n):
-                                t * v_dz_form(mu, x1, g, tau)})
+                                t * v_form(mu, x1, g, tau).dz()})
     return LaxPair(tbl, Lmat, Ahat.restrict(tbl), split_hamiltonian(cfg))
 
 
@@ -301,11 +297,11 @@ def inozemtsev_tables(n, t, c, g, mu, tau):
                 Arow.append(DiffOp.from_field(n, t, acc))
             elif (i - j) % m == n:
                 Lrow.append(DiffOp.from_field(n, t, v_form(mu, fi, g, tau)))
-                Arow.append(DiffOp.from_field(n, t, t * v_dz_form(mu, fi, g, tau)))
+                Arow.append(DiffOp.from_field(n, t, t * v_form(mu, fi, g, tau).dz()))
             else:
                 diff = ext_form(n, i, j)
                 Lrow.append(DiffOp.from_field(n, t, c * sigma_form(mu, diff, tau)))
-                Arow.append(DiffOp.from_field(n, t, (2 * c * t) * sigma_dz_form(mu, diff, tau)))
+                Arow.append(DiffOp.from_field(n, t, (2 * c * t) * sigma_form(mu, diff, tau).dz()))
         Lrows.append(Lrow)
         Arows.append(Arow)
     return OperatorMatrix(Lrows), OperatorMatrix(Arows)

@@ -24,8 +24,8 @@ from functools import partial
 
 from .fields import ONE, BiArg, Const, LinArg, nsum
 from .opcore import DynOp, LaxPair, OperatorMatrix, WOp, lax_pair
-from .special import (dual_params, half_periods, sigma, sigma_dz_form,
-                      sigma_form, sigma_kernel, theta, v_func, v_kernel)
+from .special import (dual_params, half_periods, sigma, sigma_form,
+                      sigma_kernel, theta, v_func, v_kernel)
 from .verify import op_residual
 from .weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
                    affine_reflection, build_root_system, dot, ext_coord,
@@ -342,11 +342,9 @@ def ruijsenaars_params(n, mu, eta, c, tau) -> EllRParams:
     return EllRParams(build_root_system("A", n), mu, mu, c, tau, xi)
 
 
-def _gl_sig(p: EllRParams, mu, i, j, shift=0j, dz=False):
-    """sigma_mu(x_i - x_j + shift), or at no shift its derivative sigma_mu',
-    1-based i, j."""
-    form = ext_form(p.rs.dim, i - 1, j - 1)
-    return sigma_dz_form(mu, form, p.tau) if dz else sigma_form(mu, form, p.tau, shift)
+def _gl_sig(p: EllRParams, mu, i, j, shift=0j):
+    """sigma_mu(x_i - x_j + shift), 1-based i, j."""
+    return sigma_form(mu, ext_form(p.rs.dim, i - 1, j - 1), p.tau, shift)
 
 
 def _gl_sig_product(p: EllRParams, j, skip, start=None):
@@ -423,7 +421,7 @@ def ruijsenaars_lax_tables(p: EllRParams):
                 for k in range(1, n + 1):
                     if k != j:
                         if c == 0:
-                            diff = -_gl_sig(p, mu, k, j, dz=True)
+                            diff = -_gl_sig(p, mu, k, j).dz()
                         else:
                             diff = nsum([_gl_sig(p, mu, k, j, c), -_gl_sig(p, mu, k, j)])
                         kprod = _gl_sig_product(p, k, {j, k})
@@ -434,7 +432,7 @@ def ruijsenaars_lax_tables(p: EllRParams):
                 base = _gl_sig_product(p, j, {i, j}) or ONE
                 Lrow.append(WOp(n, c, {(one, lam): (-1.0) * (_gl_sig(p, eta, i, j) * base)}))
                 if c == 0:
-                    diff = _gl_sig(p, eta, i, j, dz=True)
+                    diff = _gl_sig(p, eta, i, j).dz()
                 else:
                     diff = nsum([_gl_sig(p, eta, i, j, -c), -_gl_sig(p, eta, i, j)])
                 Arow.append(WOp(n, c, {(one, lam): base * diff}))

@@ -12,8 +12,11 @@ are linear, ``Prod`` takes Leibniz and ``Quot`` the rule (a' - q b')/b with
 q the quotient node, and fn(<k, x> + c0) gives <k, d> times fn' on the same
 form (``ZERO`` when <k, d> = 0, the constant <k, d> for a linear form).
 fn' is one kernel per kernel (``_dkernel``): ``d_exp`` is its own, any
-other gets the eps of fn on Dual(z, 1.0).  ``BiArg``, ``FuncField`` and
-``XLift`` have no rule and raise ``TypeError``.
+other gets the eps of fn on Dual(z, 1.0).  ``LinArg.dz`` is that kernel on
+the same form and the one way to write a kernel's derivative, so sigma'
+and v' in a Lax matrix and the derivative leaves of a product are one node
+kind on one kernel, and equal forms share a tape instruction.  ``BiArg``,
+``FuncField`` and ``XLift`` have no rule and raise ``TypeError``.
 
 Evaluation contract.  A ``Tape`` compiles root fields once into a flat
 post-order list of instructions, in the order in which a left-to-right walk
@@ -480,7 +483,12 @@ class LinArg(Field):
             return ZERO
         if self.fn is None:
             return Const(complex(kd))
-        return Scale(kd, LinArg(_dkernel(self.fn), self.k, self.c0))
+        return Scale(kd, self.dz())
+
+    def dz(self):
+        """fn'(<k, x> + c0): the kernel's derivative (``_dkernel``) on the
+        same form."""
+        return LinArg(_dkernel(self.fn), self.k, self.c0)
 
 
 def exp_lin(k):
@@ -495,7 +503,8 @@ def kernel_family(make, pair):
     0.0, as in the key of ``o_affine``).  ``pair`` makes, for the same
     parameters, the kernel's ``pair`` attribute: z -> (f(z), f'(z)) at a
     plain z, equal bit for bit to the value and slope of f on Dual(z, 1.0)
-    and raising the same ``PoleError``, or None for a family without one."""
+    and raising the same ``PoleError``.  A kernel's derivative is no family:
+    it is ``LinArg.dz``'s ``_dkernel``."""
     memo = {}
 
     def family(*params):
@@ -503,7 +512,7 @@ def kernel_family(make, pair):
         out = memo.get(key)
         if out is None:
             out = memo[key] = make(*params)
-            out.pair = None if pair is None else pair(*params)
+            out.pair = pair(*params)
         return out
     return family
 

@@ -16,8 +16,7 @@ which is the d = 0 jet, and the cache stores it, so a point whose value and
 slope are both asked for is summed once.  A Dual z of depth d never enters
 the series: with z0 = value(z) and h = z - z0, theta returns
 sum_{j<=d} theta^(j)(z0) h^j/j!, which is exact because h^(d+1) = 0.
-sigma_dz, v_func_dz and wp read their derivatives from the same jets,
-memoized per plain point in one cache.
+The jets are memoized per plain point in one cache.
 P(z) is normalized by its Laurent expansion
 P = 1/z^2 + O(z^2), which together with eta1 = -theta1'''(0)/(6 theta1'(0))
 gives lim_{mu->0} sigma_mu'(z) = -P(z) - 2*eta1.
@@ -26,12 +25,14 @@ point.  ``_sigma_pairs`` (sigma's pair), ``v_pair``, ``wp_pair``,
 ``hecke_pair`` and ``u_pair`` return (f(z), f'(z)) from the jet that the
 kernel on a Dual z of depth 1 fetches, by the quotients and products Dual
 arithmetic would do, in its order, so both are the kernel's on Dual(z, 1.0)
-bit for bit (up to the sign of a zero) and no Dual is built.  Each kernel
-family but sigma' and v' carries its pair (``fields.kernel_family``); those
-two keep the Dual path.  A sigma or v family's factory reads theta1(-mu)
-and the theta data of tau once per kernel (``_mu_data``); the kernel guards
-theta1(-mu) at each call, before the theta_r(z) guards.  The Newton solve
-of ``dual_params`` reads v and v' from ``v_pair``.
+bit for bit (up to the sign of a zero) and no Dual is built.  Every
+kernel family has its pair (``fields.kernel_family``).  sigma' and v' are
+no family: they are the derivative leaves ``sigma_form(...).dz()`` and
+``ellcm.v_form(...).dz()`` (``fields.LinArg.dz``).  A sigma or v family's
+factory reads theta1(-mu) and the theta data of tau once per kernel
+(``_mu_data``); the kernel guards theta1(-mu) at each call, before the
+theta_r(z) guards.  The Newton solve of ``dual_params`` reads v and v' from
+``v_pair``.
 Kernels.  No family restates another: the Hecke a of ``hecke`` is also the
 c-function of the basic representation, and Noumi's odd-level kernel u~ is
 ``u_fun`` at tau_0, tau_0^vee on the argument moved by c/2.
@@ -327,7 +328,7 @@ def _guard(name, w, scale=1.0):
 
 def sigma(mu, z, tau):
     """sigma_mu(z) = theta1(z-mu) theta1'(0) / (theta1(z) theta1(-mu))."""
-    return _sigmas((1,), mu, z, tau, 0, _mu_data(mu, tau))[0]
+    return _sigmas((1,), mu, z, tau, _mu_data(mu, tau))[0]
 
 
 def half_periods(tau):
@@ -335,13 +336,10 @@ def half_periods(tau):
     return (0j, 0.5 + 0j, (1 + tau) / 2, tau / 2)
 
 
-def _sigma_maker(m):
-    """The factory of sigma_mu's kernel (m = 0) or of its derivative's (m = 1),
-    which reads ``_mu_data`` once."""
-    def make(mu, tau):
-        data = _mu_data(mu, tau)
-        return lambda z: _sigmas((1,), mu, z, tau, m, data)[0]
-    return make
+def _sigma_maker(mu, tau):
+    """sigma_mu's kernel, which reads ``_mu_data`` once."""
+    data = _mu_data(mu, tau)
+    return lambda z: _sigmas((1,), mu, z, tau, data)[0]
 
 
 def _sigma_pair_maker(mu, tau):
@@ -349,13 +347,10 @@ def _sigma_pair_maker(mu, tau):
     return lambda z: _sigma_pairs((1,), mu, z, tau, data)[0]
 
 
-def _v_maker(m):
-    """The factory of v_mu's kernel (m = 0) or of its derivative's (m = 1),
-    which reads ``_mu_data`` of 2 mu once."""
-    def make(mu, g, tau):
-        data = _mu_data(2 * mu, tau)
-        return lambda z: _v(mu, z, g, tau, m, data)
-    return make
+def _v_maker(mu, g, tau):
+    """v_mu's kernel, which reads ``_mu_data`` of 2 mu once."""
+    data = _mu_data(2 * mu, tau)
+    return lambda z: _v(mu, z, g, tau, data)
 
 
 def _v_pair_maker(mu, g, tau):
@@ -365,10 +360,8 @@ def _v_pair_maker(mu, g, tau):
 
 # Kernel families: one kernel object per parameter set, with its pair
 # (``fields.kernel_family``).
-sigma_kernel = kernel_family(_sigma_maker(0), _sigma_pair_maker)
-sigma_dz_kernel = kernel_family(_sigma_maker(1), None)
-v_kernel = kernel_family(_v_maker(0), _v_pair_maker)
-v_dz_kernel = kernel_family(_v_maker(1), None)
+sigma_kernel = kernel_family(_sigma_maker, _sigma_pair_maker)
+v_kernel = kernel_family(_v_maker, _v_pair_maker)
 wp_kernel = kernel_family(lambda tau: lambda z: wp(z, tau),
                           lambda tau: lambda z: wp_pair(z, tau))
 hecke_kernel = kernel_family(lambda tau, k: lambda z: hecke(z, tau, k),
@@ -382,36 +375,28 @@ def sigma_form(mu, form, tau, const=0j):
     return LinArg(sigma_kernel(mu, tau), form, const)
 
 
-def sigma_dz_form(mu, form, tau):
-    """The field sigma_mu'(<form, x>)."""
-    return LinArg(sigma_dz_kernel(mu, tau), form)
-
-
 def _mu_data(mu, tau):
     """(theta data of tau, theta1(-mu)): the constants of the sigma kernels of
     one mu and tau, read once per kernel by its family's factory."""
     return _tdata(tau), theta(1, -mu, tau)
 
 
-def _sigmas(rs, mu, z, tau, m, data):
-    """For each r in rs, theta_r(z - mu) theta1'(0) / (theta_r(z) theta1(-mu))
-    (m = 0) or its z-derivative (m = 1), from the jets at z - mu and z and
-    ``data``, ``_mu_data(mu, tau)``; theta1(-mu) is guarded at each call,
-    before the theta_r(z) guards."""
+def _sigmas(rs, mu, z, tau, data):
+    """For each r in rs, theta_r(z - mu) theta1'(0) / (theta_r(z) theta1(-mu)),
+    from theta at z - mu and z and ``data``, ``_mu_data(mu, tau)``;
+    theta1(-mu) is guarded at each call, before the theta_r(z) guards."""
     td, t1 = data
     t1 = _guard("theta1(-mu)", t1, td.scales[1])
     out = []
-    for r, (a, *da), (b, *db) in zip(rs, _theta_at(rs, z - mu, tau, m),
-                                     _theta_at(rs, z, tau, m)):
+    for r, (a,), (b,) in zip(rs, _theta_at(rs, z - mu, tau, 0), _theta_at(rs, z, tau, 0)):
         den = _guard(f"theta{r}(z)", b, td.scales[r]) * t1
-        out.append(a * td.d1_0 / den if m == 0
-                   else (da[0] * b - a * db[0]) * td.d1_0 / (b * den))
+        out.append(a * td.d1_0 / den)
     return out
 
 
 def _sigma_pairs(rs, mu, z, tau, data):
     """For each r in rs, (value, slope) of ``_sigmas(rs, mu, Dual(z, 1.0),
-    tau, 0, data)``, from the order-1 jets at z - mu and z, with its guards."""
+    tau, data)``, from the order-1 jets at z - mu and z, with its guards."""
     td, t1 = data
     t1 = _guard("theta1(-mu)", t1, td.scales[1])
     out = []
@@ -420,11 +405,6 @@ def _sigma_pairs(rs, mu, z, tau, data):
         q = a * td.d1_0 / den
         out.append((q, (da * td.d1_0 - q * dden) / den))
     return out
-
-
-def sigma_dz(mu, z, tau):
-    """d/dz sigma_mu(z)."""
-    return _sigmas((1,), mu, z, tau, 1, _mu_data(mu, tau))[0]
 
 
 def wp(z, tau):
@@ -447,24 +427,18 @@ def wp_pair(z, tau):
     return q + td.wp_const, (dnum - q * dden) / den
 
 
-def _v(mu, z, g, tau, m, data):
-    """d^m/dz^m v_mu(z; g0..g3) for m = 0 or 1; ``data`` is
-    ``_mu_data(2 mu, tau)``."""
+def _v(mu, z, g, tau, data):
+    """v_mu(z; g0..g3); ``data`` is ``_mu_data(2 mu, tau)``."""
     rs = tuple(r + 1 for r in range(4) if g[r] != 0)
     out = 0j
-    for r, s in zip(rs, _sigmas(rs, 2 * mu, z, tau, m, data)):
+    for r, s in zip(rs, _sigmas(rs, 2 * mu, z, tau, data)):
         out = out + g[r - 1] * s
     return out
 
 
 def v_func(mu, z, g, tau):
     """v_mu(z; g0..g3) = sum_r g_r sigma^r_{2 mu}(z)."""
-    return _v(mu, z, g, tau, 0, _mu_data(2 * mu, tau))
-
-
-def v_func_dz(mu, z, g, tau):
-    """d/dz v_mu(z; g0..g3)."""
-    return _v(mu, z, g, tau, 1, _mu_data(2 * mu, tau))
+    return _v(mu, z, g, tau, _mu_data(2 * mu, tau))
 
 
 def v_pair(mu, z, g, tau):

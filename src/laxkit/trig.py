@@ -169,8 +169,8 @@ def lax_tables(cfg):
             base = _a_product(cfg, j, {i, j})
             Lrow.append(WOp(n, c, {key: base * b_field(cfg, i, j)}))
             if c == 0:
-                db = _db_dxj(cfg, i, j)
-                Arow.append(WOp(n, c, {key: base * db}))
+                # d b(x_i - x_j)/d x_j
+                Arow.append(WOp(n, c, {key: base * -b_field(cfg, i, j).dz()}))
             else:
                 # b_{ij} t(e_j) - t(e_j) b_{ij} = (b_ij - b_ij(x + c e_j)) t(e_j)
                 diff = nsum([b_field(cfg, i, j), -b_field(cfg, i, j, shift=-c)])
@@ -184,12 +184,6 @@ def lax_tables(cfg):
                 acc = Arows[i][j] if acc is None else acc + Arows[i][j]
         Arows[i][i] = acc.scale(-1.0)
     return OperatorMatrix(Lrows), OperatorMatrix(Arows)
-
-
-def _db_dxj(cfg, i, j):
-    """d b(x_i - x_j)/d x_j as a field."""
-    n = cfg.n
-    return b_field(cfg, i, j).deriv(tuple(1.0 if k == j - 1 else 0.0 for k in range(n)))
 
 
 def phi_vector(cfg):

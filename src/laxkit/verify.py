@@ -1,9 +1,10 @@
 """Sampling policies, residuals, Poisson brackets, flows, and reports.
 
 Residuals are scale-free: max over samples of |lhs-rhs|/(1+|lhs|+|rhs|).
-Sample points rejected by a pole guard are redrawn (up to 100 attempts per
-point), so identities are tested off the singular divisor.  Every check is
-reproducible bit-for-bit from its seed.
+Sample points rejected by a pole guard are redrawn (up to MAX_POINT_TRIES
+rejected draws per check, over all its points), so identities are tested
+off the singular divisor.  Every check is reproducible bit-for-bit from its
+seed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from .dual import gradient_vec, value
 from .fields import ZERO, FuncField, PoleError, Scale, Tape
 from .opcore import OperatorMatrix, residual_pair
+from .weyl import ConfigError
 
 DEFAULT_POINTS = 8
 MAX_POINT_TRIES = 100
@@ -97,12 +99,13 @@ class PointPolicy:
                      for _ in range(self.n))
 
 
-def run_point_max(evalfn, rng, policy: PointPolicy, npoints,
-                  max_tries=MAX_POINT_TRIES):
+def run_point_max(evalfn, rng, policy: PointPolicy, npoints):
     """Max of evalfn over sample points, redrawing pole-guarded points.
 
     Points are drawn and evaluated serially, so the accepted points are the
     first ``npoints`` draws off the pole guard, whatever the evaluation cost.
+    The draw after the MAX_POINT_TRIES-th rejected one, counted over all the
+    points, raises ``PoleError`` if it is rejected too.
     """
     worst = 0.0
     got = 0
@@ -112,7 +115,7 @@ def run_point_max(evalfn, rng, policy: PointPolicy, npoints,
             r = evalfn(policy.draw(rng))
         except PoleError:
             tries += 1
-            if tries > max_tries:
+            if tries > MAX_POINT_TRIES:
                 raise PoleError("all sample points rejected by the pole guard")
             continue
         worst = max(worst, r)
@@ -198,10 +201,13 @@ def rk4_step(H, z, dt, n):
 
 def hamiltonian_flow(H, z0, T, dt, n):
     """Fixed-step RK4 trajectory of Hamilton's equations for H(x, p), every
-    step recorded."""
+    step recorded.  T must be a whole number of steps dt (to 1e-9 of a
+    step), so the trajectory ends at T; otherwise ``ConfigError``."""
     if T == 0:
         return [0.0], [tuple(z0)]
-    steps = max(1, round(T / dt))
+    steps = round(T / dt)
+    if steps < 1 or abs(T / dt - steps) > 1e-9:
+        raise ConfigError(f"time {T} is not a whole number of steps dt = {dt}")
     z = tuple(z0)
     times = [0.0]
     traj = [z]

@@ -3,12 +3,16 @@
 import random
 from dataclasses import replace
 
+import pytest
+
+from laxkit import fields, suites, verify
 from laxkit.dual import value
 from laxkit.ellcm import (EllipticDunklConfig, ael_tables, dual_substitution,
                           elliptic_dunkl, inozemtsev_tables, lax_elliptic_A,
                           lax_inozemtsev, split_a_operator, split_hamiltonian)
 from laxkit.fields import Const, Prod, Scale
 from laxkit.opcore import DiffOp, OperatorMatrix, make_probes
+from laxkit.suites import RunConfig, build_suite, default_params
 from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
                            isospectral_drift, matrix_fn_from_fields, op_residual,
                            trace_power_fn)
@@ -258,3 +262,46 @@ def test_isospectral_drift_across_spectral_values():
         polys.append(np.poly(np.array(Lfn(z0), dtype=complex)))
     # the spectral parameter genuinely moves the spectrum
     assert np.max(np.abs(polys[0] - polys[1])) > 1e-6
+
+
+def _suite_tapes(monkeypatch, system, rank):
+    """{check name: its residual tape} of the seed-0 suite, checks not run."""
+    built, out = [], {}
+
+    class Recording(fields.Tape):
+        __slots__ = ()
+
+        def __init__(self, roots):
+            super().__init__(roots)
+            built.append(self)
+
+    def run_check(name, tol, evalfn, *_args, **_kw):
+        (out[name],) = built
+        built.clear()
+        return verify.CheckResult(name, 0.0, tol, True)
+    monkeypatch.setattr(verify, "Tape", Recording)
+    monkeypatch.setattr(suites, "run_check", run_check)
+    build_suite(RunConfig(system=system, rank=rank, params=default_params(system)))
+    return out
+
+
+@pytest.mark.parametrize("system, rank, lax_leaves, suite_leaves",
+                         [("ell-cm-A", 3, 32, 88), ("inozemtsev", 2, 66, 160)])
+def test_sigma_and_v_derivatives_are_one_leaf_per_form(monkeypatch, system, rank,
+                                                       lax_leaves, suite_leaves):
+    """sigma' and v' in A are the derivative leaves of sigma and v, the
+    leaves the Leibniz products of L H build, so no two leaves of the
+    lax-equation tape compute one function on one form."""
+    tapes = _suite_tapes(monkeypatch, system, rank)
+    counts = {name: [kind for kind, _a, _s in tape.code].count(fields._LEAF)
+              for name, tape in tapes.items()}
+    assert counts["lax-equation"] == lax_leaves
+    assert sum(counts.values()) == suite_leaves
+    tape = tapes["lax-equation"]
+    x = (0.13 + 0.05j, -0.31 + 0.02j, 0.07 - 0.04j, 0.22 + 0.01j, -0.17 + 0.03j, 0.29 - 0.02j)[:2 * rank]
+    pts = tape._points(x)
+    leaves = [(a.k, a.c0, value(a(pts[s]))) for kind, a, s in tape.code
+              if kind == fields._LEAF]
+    for i, (k, c0, v) in enumerate(leaves):
+        assert not any((k, c0) == (k2, c02) and abs(v - v2) <= 1e-9 * (1 + abs(v))
+                       for k2, c02, v2 in leaves[:i])

@@ -317,6 +317,26 @@ def test_kernel_derivatives_by_rule_equal_directional(family, order):
         assert abs(derivative(f, dirs)(x) - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_dz_is_the_derivative_along_a_direction_of_unit_slope(family):
+    """``LinArg.dz`` is the leaf that ``deriv`` scales by <k, d>: at
+    <k, d> = 1 their values are equal by repr, and one tape gives both a
+    single leaf instruction."""
+    f = KERNEL_FAMILIES[family]
+    j = max(range(N), key=lambda i: abs(f.k[i]))
+    d = tuple(1.0 / f.k[j] if i == j else 0.0 for i in range(N))
+    assert f.k[j] * d[j] == 1
+    g, h = f.deriv(d), f.dz()
+    assert isinstance(g, Scale) and (g.f.fn, g.f.k, g.f.c0) == (h.fn, h.k, h.c0)
+    tape = Tape([h, g])
+    assert [kind for kind, _a, _b in tape.code].count(fields._LEAF) == 1
+    rng = random.Random(family)
+    for _ in range(5):
+        x = tuple(complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)) for _ in range(N))
+        dz, dd = tape(x)
+        assert repr(dz) == repr(dd) == repr(h(x))
+
+
 def test_rational_suite_tapes_compile_no_tape_at_their_points(monkeypatch):
     """A residual tape holds its derivatives: evaluating it compiles no
     other tape, at the first point or at a later one."""

@@ -307,14 +307,18 @@ def test_faithfulness_spot_check():
 
 
 def test_sampling_error_when_all_points_rejected():
+    """The draw after MAX_POINT_TRIES rejected ones raises, if it is
+    rejected too."""
     from laxkit.fields import PoleError
-    from laxkit.verify import PointPolicy, run_point_max
+    from laxkit.verify import MAX_POINT_TRIES, PointPolicy, run_point_max
+    calls = []
 
     def always_pole(x):
+        calls.append(x)
         raise PoleError("synthetic")
     with pytest.raises(PoleError, match="rejected"):
-        run_point_max(always_pole, random.Random(0), PointPolicy(2), 3,
-                      max_tries=10)
+        run_point_max(always_pole, random.Random(0), PointPolicy(2), 3)
+    assert len(calls) == MAX_POINT_TRIES + 1
 
 
 def test_module_vector_wrapper():

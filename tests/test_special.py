@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxkit import koorn, special
+from laxkit import ellcm, koorn, special
 from laxkit.cli import main as cli_main
 from laxkit.dual import Dual, d_exp, directional, extract, value
 from laxkit.fields import PoleError, inv_form
 from laxkit.special import (ModulusError, dual_couplings, dual_params, eta1,
-                            hecke, sigma, sigma_dz, theta, u_fun, v_func,
-                            v_func_dz, wp)
+                            hecke, sigma, sigma_form, theta, u_fun, v_func, wp)
 
 TAU = 0.3 + 0.8j
 RNG = random.Random(2024)
@@ -211,10 +210,11 @@ def test_wp_even_laurent_and_derivative():
 
 
 def test_sigma_dz_limit_is_minus_wp_minus_2eta1():
+    """The derivative leaf sigma_mu'(z) tends to -P(z) - 2 eta1 as mu -> 0."""
     z = 0.27 + 0.06j
     target = -wp(z, TAU) - 2 * eta1(TAU)
-    r1 = abs(sigma_dz(1e-2, z, TAU) - target)
-    r2 = abs(sigma_dz(1e-3, z, TAU) - target)
+    r1 = abs(sigma_form(1e-2, (1.0,), TAU).dz()((z,)) - target)
+    r2 = abs(sigma_form(1e-3, (1.0,), TAU).dz()((z,)) - target)
     assert r2 < 0.2 * r1          # linear convergence in mu
     assert r2 < 1e-2 * (1 + abs(target))
 
@@ -302,12 +302,15 @@ def test_kernel_pair_is_the_dual_path_bit_for_bit(family):
 
 
 # (kernel, the function reading theta1(-mu) at each call) at a mu whose
-# theta1(-mu) (theta1(-2 mu) for v) is inside the pole guard
+# theta1(-mu) (theta1(-2 mu) for v) is inside the pole guard; the -dz
+# kernels are those of the derivative leaves, which have no pair
 MU_POLE_KERNELS = {
     "sigma": (lambda: special.sigma_kernel(1e-9, TAU), lambda z: sigma(1e-9, z, TAU)),
-    "sigma-dz": (lambda: special.sigma_dz_kernel(1e-9, TAU), lambda z: sigma_dz(1e-9, z, TAU)),
+    "sigma-dz": (lambda: sigma_form(1e-9, (1.0,), TAU).dz().fn,
+                 lambda z: sigma(1e-9, Dual(z, 1.0), TAU)),
     "v": (lambda: special.v_kernel(5e-10, G, TAU), lambda z: v_func(5e-10, z, G, TAU)),
-    "v-dz": (lambda: special.v_dz_kernel(5e-10, G, TAU), lambda z: v_func_dz(5e-10, z, G, TAU)),
+    "v-dz": (lambda: ellcm.v_form(5e-10, (1.0,), G, TAU).dz().fn,
+             lambda z: v_func(5e-10, Dual(z, 1.0), G, TAU)),
 }
 
 
@@ -317,11 +320,12 @@ def test_theta1_minus_mu_guard_raises_at_call_time_first(family):
     guard's message before the theta_r(z) guards, as the function does."""
     make, direct = MU_POLE_KERNELS[family]
     k = make()
+    assert hasattr(k, "pair") != family.endswith("-dz")
     z = 1e-9 + 0j                           # theta_1(z) is inside its guard too
     with pytest.raises(PoleError) as want:
         direct(z)
     assert str(want.value).startswith("|theta1(-mu)| = ")
-    for call in (k, k.pair or k):
+    for call in (k, getattr(k, "pair", k)):
         with pytest.raises(PoleError) as got:
             call(z)
         assert str(got.value) == str(want.value)
@@ -384,10 +388,11 @@ def test_trig_degeneration_cot_form():
 
 
 def test_v_derivative_consistency():
+    """The derivative leaf v_mu'(z) is v's central difference."""
     z, mu = 0.33 + 0.03j, 0.21 + 0.02j
     h = 1e-6
     fd = (v_func(mu, z + h, G, TAU) - v_func(mu, z - h, G, TAU)) / (2 * h)
-    assert abs(v_func_dz(mu, z, G, TAU) - fd) < 1e-5
+    assert abs(ellcm.v_form(mu, (1.0,), G, TAU).dz()((z,)) - fd) < 1e-5
 
 
 def test_coupling_set_validation():

@@ -382,6 +382,31 @@ def test_cli_flow_rejects_a_bad_step_or_time(flag, value, message, capsys):
     assert f"configuration error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("dt", ["0.7", "0.3"])
+def test_cli_flow_rejects_a_time_that_is_no_whole_number_of_steps(dt, capsys):
+    # round(T/dt) steps used to end the run short of T (at 0.7 and at
+    # 0.8999999999999999 for T = 1), with exit 0
+    assert cli_main(["flow", "--system", "trig-gln", "--rank", "2",
+                     "--time", "1", "--dt", dt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"configuration error: time 1.0 is not a whole number of steps dt = {dt}"
+            in captured.err)
+
+
+def test_hamiltonian_flow_ends_at_T_or_refuses():
+    H = FuncField(lambda z: 0.5 * z[1] ** 2)
+    for T, dt in ((1.0, 0.7), (1.0, 0.3), (0.05, 0.1), (1.0, 1e-2 * (1 + 1e-8))):
+        with pytest.raises(ConfigError, match="whole number of steps"):
+            hamiltonian_flow(H, (0.0, 1.0), T, dt, 1)
+    for T, dt in ((1.0, 1e-3), (1.0, 2e-3), (1.0, 1e-2), (0.1, 1e-2), (0.05, 1e-2),
+                  (0.5, 2e-3), (0.9, 0.3)):
+        times, traj = hamiltonian_flow(H, (0.0, 1.0), T, dt, 1)
+        assert len(times) == len(traj) == round(T / dt) + 1
+        assert abs(times[-1] - T) < 1e-12 and abs(traj[-1][0] - T) < 1e-12
+    assert hamiltonian_flow(H, (0.0, 1.0), 0.0, 0.3, 1) == ([0.0], [(0.0, 1.0)])
+
+
 def test_cli_verify_rank_above_the_weyl_guard(capsys):
     # the Weyl-group guard raises the one configuration error the CLI catches
     assert weyl.ConfigError is ConfigError
@@ -496,9 +521,9 @@ def test_byte_identity_against_prints_each_run_sorted_and_fails_if_one_moved(
     this, other = tmp_path / "this", tmp_path / "other"
     moved = ["flow", "--system", "vandiejen", "--rank", "2", "--time", "1", "--dt", "2e-3"]
 
-    def fingerprint(root, argv):
-        return f"{root.name if argv == moved else 'both'}:{'_'.join(argv)}"
-    monkeypatch.setattr(byte_identity, "fingerprint", fingerprint)
+    def output(root, argv):
+        return f"{root.name if argv == moved else 'both'}:{'_'.join(argv)}", "", 0
+    monkeypatch.setattr(byte_identity, "output", output)
     labels = sorted(label for label, _argv in byte_identity.runs())
     assert byte_identity.main([str(this), "--against", str(other)]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -507,13 +532,45 @@ def test_byte_identity_against_prints_each_run_sorted_and_fails_if_one_moved(
     assert [row[3] for row in rows] == labels
     for status, theirs, ours, label in rows:
         if label == "flow vandiejen rank=2 T=1 dt=2e-3":
-            assert (status, theirs, ours) == ("moved", f"other:{'_'.join(moved)}",
-                                              f"this:{'_'.join(moved)}")
+            assert (status, theirs, ours) == (
+                "moved", byte_identity.fingerprint(output(other, moved)),
+                byte_identity.fingerprint(output(this, moved)))
         else:
-            assert status == "same" and theirs == ours and theirs.startswith("both:")
-    monkeypatch.setattr(byte_identity, "fingerprint", lambda root, argv: "_".join(argv))
+            assert status == "same" and theirs == ours
+    monkeypatch.setattr(byte_identity, "output", lambda root, argv: ("_".join(argv), "", 0))
     assert byte_identity.main([str(this), "--against", str(other)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "0 of 58 runs moved"
+
+
+def test_byte_identity_against_lists_the_moved_checks_of_a_moved_verify_run(
+        monkeypatch, capsys, tmp_path):
+    """Under a moved verify run, each check whose residual or verdict moved
+    is printed with both residual reprs and both verdicts."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import byte_identity
+    this, other = tmp_path / "this", tmp_path / "other"
+    label = "verify ell-cm-A rank=3 seed=0 perturb=0"
+    report = {"other": [("split", 1.5e-14, True), ("lax", 2.92e-14, True),
+                        ("table", 0.0, True), ("gone", 0.1, True)],
+              "this": [("split", 1.5e-14, True), ("lax", 4.24e-14, True),
+                       ("table", 0.0, False), ("new", 0.2, False)]}
+
+    def output(root, argv):
+        if argv[:3] != ["verify", "--system", "ell-cm-A"] or argv[6] != "0" or argv[8] != "0":
+            return "{}", "", 0
+        checks = [{"name": n, "residual": r, "tol": 1e-9, "pass": ok}
+                  for n, r, ok in report[root.name]]
+        return json.dumps({"checks": checks, "runtime_ms": 0}), "", 1 - checks[2]["pass"]
+    monkeypatch.setattr(byte_identity, "output", output)
+    assert byte_identity.main([str(this), "--against", str(other)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.endswith(label))
+    assert lines[at].startswith("moved")
+    assert lines[at + 1:at + 5] == ["       lax: 2.92e-14 pass -> 4.24e-14 pass",
+                                    "       table: 0.0 pass -> 0.0 FAIL",
+                                    "       new: - absent -> 0.2 FAIL",
+                                    "       gone: 0.1 pass -> - absent"]
+    assert lines[at + 5].startswith("same") and lines[-1] == "1 of 58 runs moved"
 
 
 def test_flow_agreement_gates_values_drift_and_exit_codes(monkeypatch):
