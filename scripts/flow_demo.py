@@ -8,10 +8,8 @@ characteristic-polynomial drift along the trajectory.
 
 import sys
 
-from laxkit.dual import value
 from laxkit.suites import RunConfig, classical_flow_setup, default_params
-from laxkit.verify import (energy_drift, isospectral_drift,
-                           matrix_fn_from_fields, scaled_flow, trace_power_fn)
+from laxkit.verify import energy_drift, scaled_flow, spectral_invariants
 
 
 def main():
@@ -24,11 +22,11 @@ def main():
     Hs, times, traj = scaled_flow(H, z0, T, dt, n)
     print(f"{system} rank {rank}: {len(traj)} states over T={T}")
     print(f"energy drift      : {energy_drift(Hs, traj):.3e}")
-    Lfn = matrix_fn_from_fields(Lf)
-    print(f"char-poly drift   : {isospectral_drift(Lfn, traj[::max(1, len(traj)//40)]):.3e}")
-    for k in powers:
-        tr = trace_power_fn(Lf, k)
-        vals = [value(tr(z)) for z in traj[::max(1, len(traj) // 40)]]
+    # the tr L^k columns and the drift of laxkit flow, at 40 sampled rows
+    rows = spectral_invariants(Lf, powers, traj[::max(1, len(traj) // 40)])
+    print(f"char-poly drift   : {max(drift for _traces, drift in rows):.3e}")
+    for j, k in enumerate(powers):
+        vals = [traces[j] for traces, _drift in rows]
         spread = max(abs(v - vals[0]) for v in vals)
         print(f"tr L^{k} spread     : {spread:.3e}   (value {vals[0]:.6g})")
 

@@ -22,7 +22,6 @@ from .suites import (ConfigError, RunConfig, build_suite, classical_flow_setup,
                      default_params)
 from .verify import (VerificationReport, decode_number, scaled_flow,
                      spectral_invariants)
-from .dual import value
 
 
 def load_params(path):
@@ -114,9 +113,9 @@ def cmd_flow(args):
     for idx, (traces, drift) in zip(idxs, spectra):
         z = traj[idx]
         row = [float(times[idx])]
-        row += [float(value(v).real) for v in z[:n]]
-        row += [float(value(v).real) for v in z[n:]]
-        row += [float(value(tr).real) for tr in traces]
+        row += [float(v.real) for v in z[:n]]
+        row += [float(v.real) for v in z[n:]]
+        row += [float(tr.real) for tr in traces]
         row += [drift]
         rows.append(row)
     text = ",".join(header) + "\n"

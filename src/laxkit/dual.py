@@ -5,8 +5,9 @@ inside duals yields exact higher-order and mixed directional derivatives.
 Kernels are written against the small generic API here (Dual arithmetic,
 ``d_exp``, ``taylor``), so one kernel differentiates another by a run on a
 Dual: ``fields`` derives fields by rule and keeps Duals inside single
-kernels (a derivative kernel, a kernel without a pair), and in the
-``directional`` adjoints of ``BiArg`` and ``FuncField``.  ``d_exp`` is its
+kernels (a derivative kernel, a kernel without a pair).  No package path
+hands a Dual to a tape; ``directional`` runs one on seeded points, and the
+tests keep it as the oracle of derivatives and gradients.  ``d_exp`` is its
 own derivative (``d_exp.dz``) and gives its value and slope at a plain
 point from one exponential (``d_exp.pair``).
 """

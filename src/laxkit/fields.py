@@ -1,10 +1,10 @@
 """Scalar fields on C^n, their derivatives by rule, and the tapes that
 evaluate them.
 
-A field is a small expression DAG whose leaves are Dual-safe callables.
-The workhorse leaf is ``LinArg``, a kernel of an affine-linear form, which
-is closed under composition with x -> w x + v: exactly the substitutions
-generated by group-algebra arithmetic.
+A field is a small expression DAG over leaf kernels.  The workhorse leaf
+is ``LinArg``, a kernel of an affine-linear form, which is closed under
+composition with x -> w x + v: exactly the substitutions generated by
+group-algebra arithmetic.
 
 Derivatives.  ``derivative(f, dirs)`` builds D_dirs f as a field, one
 direction d at a time: a ``Const`` gives ``ZERO``, ``Scale`` and ``NSum``
@@ -15,8 +15,8 @@ fn' is one kernel per kernel (``_dkernel``): ``d_exp`` is its own, any
 other gets the eps of fn on Dual(z, 1.0).  ``LinArg.dz`` is that kernel on
 the same form and the one way to write a kernel's derivative, so sigma'
 and v' in a Lax matrix and the derivative leaves of a product are one node
-kind on one kernel, and equal forms share a tape instruction.  ``BiArg``,
-``FuncField`` and ``XLift`` have no rule and raise ``TypeError``.
+kind on one kernel, and equal forms share a tape instruction.  ``BiArg``
+and ``XLift`` have no rule and raise ``TypeError``.
 
 Evaluation contract.  A ``Tape`` compiles root fields once into a flat
 post-order list of instructions, in the order in which a left-to-right walk
@@ -26,24 +26,25 @@ so the equal copies that ``o_affine`` makes share one kernel call.  Kernels
 are equal by value: ``kernel_family`` returns one kernel object per family
 and bit-exact parameters.  An ``XLift`` compiles its base in an x-space
 scope, whose point is the first n coordinates of the phase point, one per
-n; a ``FuncField`` is an opaque call at its scope's point.
-``Tape.__call__`` interprets the list on complex numbers and on Duals
-alike, doing the operations of a recursive walk in its order (a sum folds
-from 0j, a scaling is c * v), so values are the walk's bit for bit and the
-first ``PoleError`` is the one the walk would raise; nothing is kept from
-one point to the next.  ``Tape.gradient`` runs straight-line code generated
-for its tape (``_gradient_source``), compiled once per point length: the
-forward loop on plain numbers and one adjoint sweep, in their order, so it
-matches an interpreted sweep bit for bit (the tests keep one as the
-oracle).  A ``LinArg`` leaf calls its kernel's pair (f(z), f'(z)), which
-builds no Dual; a kernel without a pair runs once on a Dual of tangent 1,
-and a ``FuncField`` or ``BiArg`` takes one ``directional`` call per
-coordinate.  A verify tape, thousands of instructions at about ten points,
-is interpreted.  A field called directly compiles its own tape once.
+n.  ``Tape.__call__`` interprets the list, doing the operations of a
+recursive walk in its order (a sum folds from 0j, a scaling is c * v), so
+values are the walk's bit for bit and the first ``PoleError`` is the one
+the walk would raise; nothing is kept from one point to the next.  The
+package calls tapes at complex points only; the same loop on Duals is how
+the tests' ``directional`` oracle differentiates a field.
+``Tape.gradient`` runs straight-line code generated for its tape
+(``_gradient_source``), compiled once per point length: the forward loop
+on plain numbers and one adjoint sweep, in their order, so it matches an
+interpreted sweep bit for bit (the tests keep one as the oracle).  A
+``LinArg`` leaf calls its kernel's pair (f(z), f'(z)), which builds no
+Dual; a kernel without a pair runs once on a Dual of tangent 1.  A
+``BiArg`` has no adjoint: its gradient raises ``TypeError``.  A verify
+tape, thousands of instructions at about ten points, is interpreted.  A
+field called directly compiles its own tape once.
 
 Composition with an affine map, ``o_affine``, is structural: every node
 kind that operators transform pushes the map down to its leaves.
-``XLift`` and ``FuncField`` have no such rule and raise ``TypeError``.
+``XLift`` has no such rule and raises ``TypeError``.
 
 Sharing contract.  The identity map returns the node itself, and
 ``o_affine`` (so ``o_group``) is memoized on the source node under a key
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import math
 
-from .dual import Dual, d_exp, directional, extract, value
+from .dual import Dual, d_exp, extract, value
 
 
 class PoleError(ArithmeticError):
@@ -182,9 +183,9 @@ class Tape:
 
     Instruction i computes slot i of a point's values and is a tuple
     ``(kind, a, b)``: ``_LEAF`` calls the ``LinArg`` a and ``_CALL`` the
-    ``BiArg`` or ``FuncField`` a at the point of scope b; ``_SUM`` adds the
-    slots a; ``_SCALE`` is a * slot b; ``_PROD`` and ``_QUOT`` combine slots
-    a and b; ``_CONST`` is the constant a.  Scope 0 is the point the tape is
+    ``BiArg`` a at the point of scope b; ``_SUM`` adds the slots a;
+    ``_SCALE`` is a * slot b; ``_PROD`` and ``_QUOT`` combine slots a and
+    b; ``_CONST`` is the constant a.  Scope 0 is the point the tape is
     called at; ``scopes`` holds the (parent scope, n) of each x-space scope
     after it, whose point is its parent's first n coordinates.  Calling the
     tape interprets the list; ``gradient`` runs the function generated for
@@ -275,14 +276,6 @@ class Tape:
         return fn(x)
 
 
-def _adjoint_row(node, pt, w):
-    """w times the partial of ``node`` at ``pt`` along each coordinate, by one
-    ``directional`` call per coordinate: the adjoint of a ``_CALL``."""
-    n = len(pt)
-    return [w * directional(node, pt, (tuple(float(j == m) for m in range(n)),))
-            for j in range(n)]
-
-
 # terms per line of a generated sum: one line of thousands would overflow the
 # compiler's recursion
 _TERMS_PER_LINE = 64
@@ -301,13 +294,13 @@ def _gradient_source(tape, dim):
     0j; the adjoint of a slot is 0j (1+0j at the root) plus its
     contributions in sweep order, the quotient's subtracted, and a gradient
     coordinate is 0j plus its leaves' contributions in sweep order, then
-    each x-space scope's in turn, the last scope first.  A ``_CALL`` takes
-    one ``directional`` call per coordinate of its scope's point
-    (``_adjoint_row``).  Constants the source cannot spell with their type
-    and bits, kernels and nodes are read from the names.
+    each x-space scope's in turn, the last scope first.  A ``_CALL`` has no
+    adjoint and raises ``TypeError`` naming its node's class.  Constants the
+    source cannot spell with their type and bits, and kernels, are read from
+    the names.
     """
     code = tape.code
-    names = {"_adjoint_row": _adjoint_row}
+    names = {}
     bound, pairs = {}, {}
 
     def name(obj, prefix):
@@ -350,7 +343,7 @@ def _gradient_source(tape, dim):
         elif kind == _QUOT:
             lines.append(f"    {v} = {val[a]} / {val[b]}")
         elif kind == _CALL:
-            lines.append(f"    {v} = {name(a, 'n')}(p{b})")
+            raise TypeError(f"{type(a).__name__} has no adjoint rule")
         else:
             form = lit(a.c0) + "".join(f" + {lit(kj)}*{xj}"
                                        for kj, xj in zip(a.k, coords[b]) if kj != 0)
@@ -385,7 +378,7 @@ def _gradient_source(tape, dim):
             lines.append(f"    q{i} = {w} / {val[b]}")
             adj[a].append(f" + q{i}")
             adj[b].append(f" - q{i} * v{i}")
-        elif kind == _LEAF:
+        else:
             ks = [(j, kj) for j, kj in enumerate(a.k) if kj != 0]
             t = f"{w} * {slope[i]}"
             if len(ks) > 1:
@@ -393,10 +386,6 @@ def _gradient_source(tape, dim):
                 t = f"t{i}"
             for j, kj in ks:
                 grads[b][j].append(f" + {t} * {lit(kj)}")
-        else:
-            lines.append(f"    r{i} = _adjoint_row({name(a, 'n')}, p{b}, {w})")
-            for j, terms in enumerate(grads[b]):
-                terms.append(f" + r{i}[{j}]")
     for s in range(len(coords) - 1, -1, -1):
         for j, terms in enumerate(grads[s]):
             total(f"g{s}_{j}", "0j", terms)
@@ -581,11 +570,11 @@ def momentum(n, i):
 
 
 class BiArg(Field):
-    """fn(<ka,x> + ca, <kb,x> + cb) for a Dual-safe two-argument kernel.
+    """fn(<ka,x> + ca, <kb,x> + cb) for a two-argument kernel.
 
     Used for dynamical R-matrix coefficients, where both the spectral
     argument and the spatial argument are affine-linear in the combined
-    (xi, x) coordinates.
+    (xi, x) coordinates.  It has neither a derivative nor a gradient.
     """
 
     __slots__ = ("fn", "ka", "ca", "kb", "cb")
@@ -716,21 +705,6 @@ def derivative(f, dirs):
     for d in dirs:
         f = f._derived(tuple(d))
     return f
-
-
-class FuncField(Field):
-    """Arbitrary Dual-safe callable on points."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, x):
-        return self.fn(x)
-
-    def _emit(self, tape, scope):
-        return tape.push(_CALL, self, scope)
 
 
 class XLift(Field):

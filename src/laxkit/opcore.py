@@ -24,7 +24,9 @@ past the group factor, conjugated by a coset representative, read as a
 classical symbol), and collapse, restriction to M' = e'M and the symbol
 readings ``symbol_component``/``phase_field`` are written once over it.
 Matrices over the scalar (reflection-free) parts represent operator
-actions on the induced module M and its parabolic reduction M'.
+actions on the induced module M and its parabolic reduction M'.  The
+symbol and module readings call fields at complex points, so what they sum
+and compare are plain numbers.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .dual import value
 from .fields import (ONE, Const, Field, XLift, as_field, derivative, exp_lin,
                      momentum, nsum)
 from .weyl import SignedPerm
@@ -175,7 +176,7 @@ class _TermOp:
         total = 0j
         for (w2, e), f in self.terms.items():
             if w2 == w:
-                total += value(f(x)) * self._symbol(self._moved(w2, e), p)
+                total += f(x) * self._symbol(self._moved(w2, e), p)
         return total
 
     def phase_field(self):
@@ -481,7 +482,7 @@ def module_residual(m1: dict, m2: dict, points) -> float:
         f1 = m1.get(g, zero)
         f2 = m2.get(g, zero)
         for x in points:
-            worst = max(worst, residual_pair(value(f1(x)), value(f2(x))))
+            worst = max(worst, residual_pair(f1(x), f2(x)))
     return worst
 
 

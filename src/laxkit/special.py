@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .dual import Dual, d_exp, taylor, value
 from .fields import LinArg, PoleError, kernel_family
@@ -65,32 +64,23 @@ DIFFERENCE_REGIMES = ("trig", "trig-CvC", "elliptic-A", "elliptic-CvC")
 DIFFERENTIAL_REGIMES = ("rational", "elliptic-CM")
 
 
-@dataclass(frozen=True)
-class CouplingSet:
-    """Tagged parameter bundle for one regime.
+def check_couplings(regime, params):
+    """Raise ``ValueError`` unless ``params`` suit the coupling regime.
 
     All parameters must be finite.  Difference regimes need a nonzero step
     constant c and differential regimes a nonzero Planck constant t: at zero
     the operators are classical and act on no function.
     """
-
-    regime: str
-    params: dict
-
-    def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}; known: {REGIMES}")
-        for k, v in self.params.items():
-            if isinstance(v, (int, float, complex)):
-                if v != v or abs(v) == float("inf"):
-                    raise ValueError(f"parameter {k} is not finite")
-        if self.regime in DIFFERENCE_REGIMES and not self.params.get("c"):
-            raise ValueError(f"regime {self.regime} needs a nonzero step constant c")
-        if self.regime in DIFFERENTIAL_REGIMES and not self.params.get("t"):
-            raise ValueError(f"regime {self.regime} needs a nonzero Planck constant t")
-
-    def __getitem__(self, key):
-        return self.params[key]
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; known: {REGIMES}")
+    for k, v in params.items():
+        if isinstance(v, (int, float, complex)):
+            if v != v or abs(v) == float("inf"):
+                raise ValueError(f"parameter {k} is not finite")
+    if regime in DIFFERENCE_REGIMES and not params.get("c"):
+        raise ValueError(f"regime {regime} needs a nonzero step constant c")
+    if regime in DIFFERENTIAL_REGIMES and not params.get("t"):
+        raise ValueError(f"regime {regime} needs a nonzero Planck constant t")
 
 
 class _ThetaData:

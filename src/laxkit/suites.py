@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from .fields import symmetrized
 from .opcore import OperatorMatrix, WOp, integrals, make_probes
-from .special import CouplingSet
+from .special import check_couplings
 from .verify import (PointPolicy, residual_evalfn, rng_for, run_check,
                      scalar_check)
 from .weyl import (ConfigError, build_root_system, ext_coord, orbit_stabilizer,
@@ -291,7 +291,7 @@ def suite_vandiejen(config: RunConfig):
 def build_suite(config: RunConfig):
     system = SYSTEMS[config.system]
     try:
-        CouplingSet(system.regime, config.params)
+        check_couplings(system.regime, config.params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return system.suite(config)

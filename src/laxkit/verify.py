@@ -5,6 +5,11 @@ Sample points rejected by a pole guard are redrawn (up to MAX_POINT_TRIES
 rejected draws per check, over all its points), so identities are tested
 off the singular divisor.  Every check is reproducible bit-for-bit from its
 seed.
+
+Every tape here runs at complex points, so its values are plain numbers.
+tr L^k is a field too: ``trace_powers`` on the entry fields of L builds it
+from ``Prod`` and ``NSum`` nodes, and its brackets take the generated
+gradient like any Hamiltonian's.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .dual import gradient_vec, value
-from .fields import ZERO, FuncField, PoleError, Scale, Tape
+from .dual import gradient_vec
+from .fields import ZERO, PoleError, Scale, Tape
 from .opcore import OperatorMatrix, residual_pair
 from .weyl import ConfigError
 
@@ -140,7 +145,7 @@ def residual_evalfn(lhs, rhs, probes):
 
     def evalfn(x):
         vals = tape(x)
-        return max((residual_pair(value(v1), value(v2))
+        return max((residual_pair(v1, v2)
                     for v1, v2 in zip(vals[::2], vals[1::2])), default=0.0)
     return evalfn
 
@@ -236,8 +241,8 @@ def scaled_flow(H, z0, T, dt, n, target_speed=0.08):
 
 
 def energy_drift(H, traj):
-    e0 = value(H(traj[0]))
-    return max(abs(value(H(z)) - e0) / (1.0 + abs(e0)) for z in traj)
+    e0 = H(traj[0])
+    return max(abs(H(z) - e0) / (1.0 + abs(e0)) for z in traj)
 
 
 def charpoly(mat):
@@ -306,7 +311,7 @@ def isospectral_drift(L_fn, traj):
     return max(charpoly_drifts(L_fn(z) for z in traj), default=0.0)
 
 
-def _matrix_fn(entry_fields):
+def matrix_fn_from_fields(entry_fields):
     """Phase-point callable giving the entry values as nested row lists, from
     one tape of all the entries."""
     tape = Tape([e for row in entry_fields for e in row])
@@ -318,18 +323,10 @@ def _matrix_fn(entry_fields):
     return at
 
 
-def matrix_fn_from_fields(entry_fields):
-    """Phase-point callable producing a numeric matrix from entry fields."""
-    at = _matrix_fn(entry_fields)
-
-    def L_fn(z):
-        return [[value(v) for v in row] for row in at(z)]
-    return L_fn
-
-
-def _trace_powers(mat, powers):
-    """Dual-safe [tr M^k for k in powers] of a square matrix given as row
-    lists, from one running product M^k = M^(k-1) M."""
+def trace_powers(mat, powers):
+    """[tr M^k for k in powers] of a square matrix given as row lists, from
+    one running product M^k = M^(k-1) M.  The entries may be numbers or
+    fields; on fields each trace is a field (``Prod`` and ``NSum`` nodes)."""
     m = len(mat)
     out, traces = mat, {}
     for k in range(1, max(powers, default=0) + 1):
@@ -343,20 +340,13 @@ def _trace_powers(mat, powers):
     return [traces[k] for k in powers]
 
 
-def trace_power_fn(entry_fields, k):
-    """Dual-safe tr L^k as a field on phase points."""
-    at = _matrix_fn(entry_fields)
-    return FuncField(lambda z: _trace_powers(at(z), (k,))[0])
-
-
 def spectral_invariants(entry_fields, powers, points):
     """Per point, ([tr L^k for k in powers], characteristic-polynomial drift
     from the first point), from one evaluation of the matrix L per point."""
-    at = _matrix_fn(entry_fields)
+    at = matrix_fn_from_fields(entry_fields)
     mats = [at(z) for z in points]
-    drifts = charpoly_drifts([[value(v) for v in row] for row in mat] for mat in mats)
-    return [(_trace_powers(mat, powers), drift)
-            for mat, drift in zip(mats, drifts)]
+    return [(trace_powers(mat, powers), drift)
+            for mat, drift in zip(mats, charpoly_drifts(mats))]
 
 
 def rng_for(seed, tag):

@@ -5,7 +5,6 @@ bracket residual, log-log slopes and the interpreted tape gradient."""
 import math
 
 from laxkit import fields
-from laxkit.dual import directional
 from laxkit.opcore import WOp, residual_pair
 from laxkit.verify import _bracket
 from laxkit.weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
@@ -117,8 +116,8 @@ def _forward_with_slopes(tape, pts, slopes, leaf_data):
     vals = []
     push = vals.append
     leaves = iter(leaf_data)
-    PROD, SCALE, SUM, LEAF, CALL, QUOT = (fields._PROD, fields._SCALE, fields._SUM,
-                                          fields._LEAF, fields._CALL, fields._QUOT)
+    PROD, SCALE, SUM, LEAF, QUOT = (fields._PROD, fields._SCALE, fields._SUM,
+                                    fields._LEAF, fields._QUOT)
     for kind, a, b in tape.code:
         if kind == PROD:
             push(vals[a] * vals[b])
@@ -129,8 +128,6 @@ def _forward_with_slopes(tape, pts, slopes, leaf_data):
             for i in a:
                 s = s + vals[i]
             push(s)
-        elif kind == CALL:
-            push(a(pts[b]))
         elif kind == LEAF:
             unit = next(leaves)[1]
             if unit is None:
@@ -151,7 +148,8 @@ def interpreted_gradient(tape, x):
     """The partials of the tape's first root at x along every coordinate of
     x, by interpretation: the forward loop on plain numbers, each leaf giving
     its value and slope from its kernel's pair, then one adjoint sweep.  The
-    oracle that the generated ``Tape.gradient`` matches bit for bit."""
+    oracle that the generated ``Tape.gradient`` matches bit for bit, for a
+    tape of no ``_CALL`` (a ``BiArg``, which has no adjoint rule)."""
     pts = tape._points(x)
     slopes = []
     leaf_data = _leaf_data(tape)
@@ -183,12 +181,6 @@ def interpreted_gradient(tape, x):
             q = w / vals[b]
             adj[a] += q
             adj[b] -= q * vals[i]
-        elif kind == fields._CALL:
-            # one directional derivative per coordinate of the scope
-            g, pt = grads[b], pts[b]
-            for j in range(len(pt)):
-                e = tuple(float(j == m) for m in range(len(pt)))
-                g[j] += w * directional(a, pt, (e,))
     for s in range(len(tape.scopes), 0, -1):
         g = grads[tape.scopes[s - 1][0]]
         for j, gj in enumerate(grads[s]):

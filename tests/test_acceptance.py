@@ -16,7 +16,7 @@ from laxkit.dual import value
 from laxkit.opcore import OperatorMatrix, WOp, integrals, make_probes
 from laxkit.verify import (PointPolicy, hamiltonian_flow, isospectral_drift,
                            matrix_fn_from_fields, op_residual, scaled_flow,
-                           trace_power_fn)
+                           trace_powers)
 from laxkit.weyl import build_root_system, orbit_stabilizer
 from support import fit_slope, poisson_residual, symbol_parts
 
@@ -482,8 +482,7 @@ def test_criterion_11_involution_isospectrality():
     worst_drift = max(worst_drift, isospectral_drift(matrix_fn_from_fields(Lf),
                                                      traj[::50]))
     for a, b in ((2, 3), (2, 4), (3, 4)):
-        worst_inv = max(worst_inv, poisson_residual(trace_power_fn(Lf, a),
-                                                    trace_power_fn(Lf, b), z0, 4))
+        worst_inv = max(worst_inv, poisson_residual(*trace_powers(Lf, (a, b)), z0, 4))
     # trig GL3
     cfgt = TrigGLConfig(n=3, tau=1.4, c=0.0)
     Lf3 = lax_tables(cfgt)[0].phase_field()
@@ -493,8 +492,7 @@ def test_criterion_11_involution_isospectrality():
     worst_drift = max(worst_drift, isospectral_drift(matrix_fn_from_fields(Lf3),
                                                      traj3[::25]))
     for a, b in ((2, 3), (3, 4)):
-        worst_inv = max(worst_inv, poisson_residual(trace_power_fn(Lf3, a),
-                                                    trace_power_fn(Lf3, b), z3, 3))
+        worst_inv = max(worst_inv, poisson_residual(*trace_powers(Lf3, (a, b)), z3, 3))
     # Inozemtsev n=2 (h_k = tr L^{2k})
     taur = 0.9j
     cc = 0.15j
@@ -505,8 +503,7 @@ def test_criterion_11_involution_isospectrality():
     _t, traji = hamiltonian_flow(Hi, zi, T=1.0, dt=1e-3, n=2)
     worst_drift = max(worst_drift, isospectral_drift(matrix_fn_from_fields(Li),
                                                      traji[::20]))
-    worst_inv = max(worst_inv, poisson_residual(trace_power_fn(Li, 2),
-                                                trace_power_fn(Li, 4), zi, 2))
+    worst_inv = max(worst_inv, poisson_residual(*trace_powers(Li, (2, 4)), zi, 2))
     # van Diejen n=2
     pvr = VDParams(2, 0.21, 0.33, 0.27, (0.4, 0.25, 0.3, 0.2),
                    (0.35, 0.2, 0.25, 0.15), 0.0, 0.85j)
@@ -516,8 +513,7 @@ def test_criterion_11_involution_isospectrality():
     Hs, _t, trajv = scaled_flow(Hv, zv, T=1.0, dt=2e-3, n=2, target_speed=0.03)
     worst_drift = max(worst_drift, isospectral_drift(matrix_fn_from_fields(Lv),
                                                      trajv[::25]))
-    worst_inv = max(worst_inv, poisson_residual(trace_power_fn(Lv, 2),
-                                                trace_power_fn(Lv, 4), zv, 2))
+    worst_inv = max(worst_inv, poisson_residual(*trace_powers(Lv, (2, 4)), zv, 2))
     print(f"    involution {worst_inv:.3e} (tol 1e-8), drift {worst_drift:.3e}"
           f" (tol 1e-6)")
     assert worst_inv < 1e-8

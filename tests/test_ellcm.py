@@ -15,7 +15,7 @@ from laxkit.opcore import DiffOp, OperatorMatrix, make_probes
 from laxkit.suites import RunConfig, build_suite, default_params
 from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
                            isospectral_drift, matrix_fn_from_fields, op_residual,
-                           trace_power_fn)
+                           trace_powers)
 from laxkit.weyl import build_root_system
 from test_fields import field_nodes
 from support import fit_slope, poisson_residual, symbol_parts
@@ -157,8 +157,7 @@ def test_corinoz_classical_involution_and_isospectrality():
     assert energy_drift(H, traj) < 1e-7
     assert isospectral_drift(matrix_fn_from_fields(Lf), traj[::20]) < 1e-6
     # h_k = tr L^{2k} in involution
-    tr2 = trace_power_fn(Lf, 2)
-    tr4 = trace_power_fn(Lf, 4)
+    tr2, tr4 = trace_powers(Lf, (2, 4))
     rng = random.Random(7)
     zp = [tuple(complex(rng.uniform(0.15, 0.4), 0.01) for _ in range(2)) +
           tuple(complex(rng.uniform(-0.1, 0.1), 0) for _ in range(2))

@@ -26,7 +26,7 @@ from laxkit.opcore import DynOp, OperatorMatrix, WOp, make_probes
 from laxkit.special import sigma, v_func, wp
 from laxkit.verify import (PointPolicy, energy_drift, isospectral_drift,
                            matrix_fn_from_fields, op_residual, scaled_flow,
-                           trace_power_fn)
+                           trace_powers)
 from laxkit.weyl import (AffineElement, AffineRoot, affine_reflection,
                          build_root_system, orbit_stabilizer, reduced_word)
 from support import classical_op_residual, fit_slope, poisson_residual, symbol_parts
@@ -421,8 +421,7 @@ def test_vandiejen_classical_flow_and_involution():
     assert energy_drift(Hs, traj) < 1e-7
     assert isospectral_drift(matrix_fn_from_fields(Lf), traj[::25]) < 1e-6
     rng = random.Random(24)
-    tr2 = trace_power_fn(Lf, 2)
-    tr4 = trace_power_fn(Lf, 4)
+    tr2, tr4 = trace_powers(Lf, (2, 4))
     zp = [tuple(complex(rng.uniform(0.15, 0.38), 0.01) for _ in range(2)) +
           tuple(complex(rng.uniform(-0.15, 0.15), 0) for _ in range(2))
           for _ in range(4)]

@@ -12,9 +12,9 @@ from support import interpreted_gradient
 from laxkit import fields, special, suites
 from laxkit.dual import Dual, d_exp, directional, gradient_vec, seed, value
 from laxkit.ellcm import v_form, wp_form
-from laxkit.fields import (ZERO, BiArg, Const, Field, FuncField, LinArg,
-                           PoleError, Quot, Scale, Tape, XLift, derivative,
-                           exp_lin, inv_form, linear_form, momentum)
+from laxkit.fields import (ZERO, BiArg, Const, Field, LinArg, PoleError, Quot,
+                           Scale, Tape, XLift, derivative, exp_lin, inv_form,
+                           linear_form, momentum)
 from laxkit.koorn import CCnParams, koornwinder_lax
 from laxkit.opcore import OperatorMatrix, WOp, field_dmulti
 from laxkit.special import sigma, sigma_form
@@ -22,7 +22,8 @@ from laxkit.suites import (RunConfig, build_suite, classical_flow_setup,
                            default_params)
 from laxkit.trig import TrigGLConfig, a_field
 from laxkit.verify import (CheckResult, flow_time_scale, hamiltonian_flow,
-                           residual_evalfn, spectral_invariants)
+                           matrix_fn_from_fields, residual_evalfn,
+                           spectral_invariants, trace_powers)
 from laxkit.weyl import SignedPerm
 
 N = 4                                   # phase points (x1, x2, p1, p2)
@@ -282,15 +283,24 @@ def test_a_probes_derivatives_read_the_probes_own_leaf():
     assert derivative(f, (DIR, DIR)).f.fn is g.deriv(DIR).f.fn.dz
 
 
-@pytest.mark.parametrize("node", [BiArg(lambda a, b: a * b, (1.0, 0.0, 0.0, 0.0),
-                                        (0.0, 1.0, 0.0, 0.0)),
-                                  FuncField(lambda z: z[0] * z[2]),
-                                  XLift(exp_lin((0.3, -0.2)), 2)],
-                         ids=["BiArg", "FuncField", "XLift"])
+_BIARG = BiArg(lambda a, b: a * b, (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("node", [_BIARG, XLift(exp_lin((0.3, -0.2)), 2)],
+                         ids=["BiArg", "XLift"])
 def test_nodes_without_a_derivative_rule_refuse_one(node):
     for f in (node, exp_lin(DIR) * node):
         with pytest.raises(TypeError, match=type(node).__name__):
             f.deriv(DIR)
+
+
+def test_a_gradient_through_a_biarg_refuses():
+    """A ``BiArg`` has no adjoint rule: the generated gradient of a field
+    holding one raises ``TypeError`` naming it, while its value stays."""
+    for f in (_BIARG, exp_lin(DIR) * _BIARG):
+        with pytest.raises(TypeError, match="BiArg"):
+            gradient_vec(f, Z)
+    assert _BIARG(Z) == Z[0] * Z[1]
 
 
 _KERNEL_FORM = (1.0, -1.0, 0.5, 0.0)
@@ -386,9 +396,7 @@ def test_moved_derivative_is_the_derivative_read_at_the_moved_point(w, v):
     assert abs(moved(Z) - want) < 1e-13 * (1 + abs(want))
 
 
-@pytest.mark.parametrize("node", [XLift(exp_lin((0.3, -0.2)), 2),
-                                  FuncField(lambda z: z[0] * z[2])],
-                         ids=["XLift", "FuncField"])
+@pytest.mark.parametrize("node", [XLift(exp_lin((0.3, -0.2)), 2)], ids=["XLift"])
 def test_point_moving_nodes_without_a_rule_refuse_affine_maps(node):
     with pytest.raises(TypeError, match=type(node).__name__):
         node.o_affine(W, V)
@@ -416,8 +424,6 @@ INSTRUCTION_KINDS = {
     "Const": Const(0.7 - 0.2j) * _LEAF,
     "LinArg-kernel": _LEAF,
     "LinArg-form": _FORM,
-    "BiArg": BiArg(lambda a, b: _kernel(a) * d_exp(b), (0.7, -1.2, 0.0, 0.4),
-                   (0.0, 0.3, 0.0, -0.5)),
     "Scale": Scale(2.5 - 1.0j, _LEAF),
     "NSum": _LEAF + _FORM + exp_lin((0.0, 0.2, 0.1, 0.0)),
     "Prod": _LEAF * _FORM,
@@ -432,7 +438,6 @@ INSTRUCTION_KINDS = {
     "Deriv-nested-under-XLift": (XLift(derivative(_XLEAF * _XLEAF.deriv((0.3, 1.0)),
                                                   ((1.0, -0.5),)), 2) * momentum(2, 0)
                                  + _LEAF * _XLEAF.deriv((0.0, 1.0))),
-    "FuncField": FuncField(lambda z: z[0] * d_exp(z[1] * z[3])),
 }
 
 
@@ -500,6 +505,19 @@ def test_flow_gradients_are_the_interpreted_ones_bit_for_bit(system):
         tape = f.tape()
         for x in points:
             assert reprs(tape.gradient(x)) == reprs(interpreted_gradient(tape, x))
+
+
+@pytest.mark.parametrize("system", FLOW_RANKS)
+def test_trace_powers_of_the_entry_fields_are_those_of_the_matrix(system):
+    """tr L^k built as a field on the entry fields of L, called at z0, is
+    tr L^k of the matrix of values at z0, to 1e-13 relative."""
+    _H, Lf, _n, powers, z0 = _flow_setup(system)
+    z0 = tuple(z0)
+    want = trace_powers(matrix_fn_from_fields(Lf)(z0), powers)
+    traces = trace_powers(Lf, powers)
+    assert all(isinstance(tr, Field) for tr in traces)
+    got = [tr(z0) for tr in traces]
+    assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("system", FLOW_RANKS)

@@ -12,7 +12,7 @@ from laxkit.koorn import (CCnParams, a_ext, abcd_coeffs, abcd_operator,
 from laxkit.opcore import OperatorMatrix, WOp, integrals, make_probes
 from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
                            isospectral_drift, matrix_fn_from_fields, op_residual,
-                           trace_power_fn)
+                           trace_powers)
 from laxkit.weyl import (AffineElement, AffineRoot, SignedPerm, ext_coord,
                          ext_form, reduced_word, same_coord)
 from support import fit_slope, poisson_residual
@@ -197,8 +197,7 @@ def test_classical_koornwinder():
     assert energy_drift(Hc, traj) < 1e-7
     assert isospectral_drift(matrix_fn_from_fields(Lf), traj[::25]) < 1e-6
     rng = random.Random(8)
-    tr2 = trace_power_fn(Lf, 2)
-    tr4 = trace_power_fn(Lf, 4)
+    tr2, tr4 = trace_powers(Lf, (2, 4))
     zp = [tuple(complex(rng.uniform(-0.8, 0.8), 0.02) for _ in range(2)) +
           tuple(complex(rng.uniform(-0.3, 0.3), 0) for _ in range(2))
           for _ in range(4)]

@@ -15,7 +15,7 @@ from laxkit.rational import (RationalDunklConfig, classical_a_matrix,
                              lax_pair_rational, position_matrix)
 from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
                            isospectral_drift, matrix_fn_from_fields, op_residual,
-                           poisson_bracket, trace_power_fn)
+                           poisson_bracket, trace_powers)
 from laxkit.weyl import build_root_system, orbit_stabilizer, weyl_enumerate
 from support import fit_slope, poisson_residual
 
@@ -204,8 +204,7 @@ def test_classical_moser_flow_and_involution():
         for j in range(3):
             pb = poisson_bracket(Lf[i][j], Hcl, zmid, 3)
             assert abs(pb - com[i][j]) / (1 + abs(pb)) < 1e-10
-    tr2 = trace_power_fn(Lf, 2)
-    tr3 = trace_power_fn(Lf, 3)
+    tr2, tr3 = trace_powers(Lf, (2, 3))
     assert poisson_residual(tr2, tr3, z, 3) < 1e-10
     # time reversal returns to the start
     from laxkit.fields import Scale

@@ -13,7 +13,7 @@ from laxkit.trig import (TrigGLConfig, a_field, basic_rep,
                          r_ij, r_ij_inv)
 from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
                            isospectral_drift, matrix_fn_from_fields, op_residual,
-                           poisson_bracket, trace_power_fn)
+                           poisson_bracket, trace_powers)
 from laxkit.weyl import SignedPerm, build_root_system
 from support import fit_slope, poisson_residual
 
@@ -165,8 +165,7 @@ def test_classical_lax_and_flow():
         for j in range(3):
             pb = poisson_bracket(Lf[i][j], Hcl, zmid, 3)
             assert abs(pb - com[i][j]) / (1 + abs(pb)) < 1e-9
-    tr2 = trace_power_fn(Lf, 2)
-    tr3 = trace_power_fn(Lf, 3)
+    tr2, tr3 = trace_powers(Lf, (2, 3))
     assert poisson_residual(tr2, tr3, z0, 3) < 1e-10
 
 

@@ -13,49 +13,49 @@ import pytest
 
 from laxkit import weyl
 from laxkit.cli import main as cli_main
-from laxkit.fields import BiArg, FuncField, LinArg, PoleError, Scale, Tape
+from laxkit.dual import Dual
+from laxkit.fields import (BiArg, Const, LinArg, PoleError, Scale, Tape, exp_lin,
+                           linear_form, momentum)
 from laxkit.opcore import DiffOp, WOp
 from laxkit.special import DIFFERENCE_REGIMES, DIFFERENTIAL_REGIMES
 from laxkit.suites import (KNOWN_SYSTEMS, SYSTEMS, ConfigError, RunConfig,
                            classical_flow_setup, default_params)
-from laxkit.verify import (PointPolicy, VerificationReport, _trace_powers, charpoly,
-                           decode_number, encode_params, energy_drift,
-                           hamiltonian_flow, isospectral_drift,
-                           poisson_bracket, run_point_max, rng_for)
+from laxkit.verify import (PointPolicy, VerificationReport, charpoly, decode_number,
+                           encode_params, energy_drift, hamiltonian_flow,
+                           isospectral_drift, matrix_fn_from_fields,
+                           poisson_bracket, rng_for, run_point_max, trace_powers)
+
+
+def coordinate(n, i):
+    """x_i as a field on phase points (x_1..x_n, p_1..p_n)."""
+    return linear_form(tuple(float(j == i) for j in range(2 * n)))
 
 
 def test_poisson_bracket_basics():
     n = 3
+    z = tuple(complex(0.1 * k, 0) for k in range(2 * n))
     for i in range(n):
         for j in range(n):
-            xi = FuncField(lambda z, i=i: z[i])
-            pj = FuncField(lambda z, j=j: z[n + j])
-            z = tuple(complex(0.1 * k, 0) for k in range(2 * n))
-            got = poisson_bracket(xi, pj, z, n)
+            got = poisson_bracket(coordinate(n, i), momentum(n, j), z, n)
             assert abs(got - (1.0 if i == j else 0.0)) < 1e-14
     # {e^{beta p_k}, f} = -beta (d_k f) e^{beta p_k}
     import cmath
     beta = 0.7
     k = 1
-    ep = FuncField(lambda z: cmath_exp_dual(beta, z, n + k))
-    f = FuncField(lambda z: z[0] * z[1] ** 2)
+    ep = exp_lin(tuple(beta if j == n + k else 0.0 for j in range(2 * n)))
+    f = coordinate(n, 0) * coordinate(n, 1) * coordinate(n, 1)
     z = (0.3, -0.4, 0.2, 0.1, 0.5, -0.2)
     got = poisson_bracket(ep, f, z, n)
     dkf = z[0] * 2 * z[1]
     want = -beta * dkf * cmath.exp(beta * z[n + k])
     assert abs(got - want) < 1e-12
-    H = FuncField(lambda z: sum(v * v for v in z[n:]))
+    H = sum(momentum(n, i) * momentum(n, i) for i in range(n))
     assert abs(poisson_bracket(H, H, z, n)) < 1e-14
-
-
-def cmath_exp_dual(beta, z, idx):
-    from laxkit.dual import d_exp
-    return d_exp(beta * z[idx])
 
 
 def test_free_flow_straight_lines_and_reversal():
     n = 2
-    H = FuncField(lambda z: 0.5 * (z[2] ** 2 + z[3] ** 2))
+    H = 0.5 * (momentum(n, 0) * momentum(n, 0) + momentum(n, 1) * momentum(n, 1))
     z0 = (0.0, 1.0, 0.3, -0.2)
     times, traj = hamiltonian_flow(H, z0, T=1.0, dt=1e-2, n=n)
     zT = traj[-1]
@@ -67,9 +67,7 @@ def test_free_flow_straight_lines_and_reversal():
 
 
 def test_isospectral_drift_constant_matrix():
-    L = [[FuncField(lambda z: 2.0 + 0j), FuncField(lambda z: 0.5 + 0j)],
-         [FuncField(lambda z: -0.25 + 0j), FuncField(lambda z: 1.0 + 0j)]]
-    from laxkit.verify import matrix_fn_from_fields
+    L = [[Const(2.0 + 0j), Const(0.5 + 0j)], [Const(-0.25 + 0j), Const(1.0 + 0j)]]
     Lfn = matrix_fn_from_fields(L)
     traj = [(0.1, 0.2, 0.3, 0.4)] * 5
     assert isospectral_drift(Lfn, traj) == 0.0
@@ -123,7 +121,7 @@ def test_trace_powers_run_one_product_per_power_bit_for_bit(powers, products):
         return sum((out[i][i] for i in range(1, m)), out[0][0])
     want = [repr(complex(rebuilt(k))) for k in powers]
     Counted.products = 0
-    got = _trace_powers(mat, powers)
+    got = trace_powers(mat, powers)
     assert Counted.products == products * m ** 3
     assert [repr(complex(v)) for v in got] == want
 
@@ -266,6 +264,25 @@ def test_cli_flow_evaluates_lax_matrix_once_per_row(tmp_path, monkeypatch):
     assert calls == [4] * len(rows)
 
 
+def test_cli_calls_no_tape_at_a_dual_point(monkeypatch):
+    """No package path hands a Dual to a tape, so the values that verify and
+    flow read are plain numbers: with ``Tape.__call__`` refusing a Dual
+    coordinate, each run gives the exit code of an unwrapped one."""
+    argvs = [["verify", "--system", "rational-A", "--rank", "2", "--seed", "0"],
+             ["verify", "--system", "trig-gln", "--rank", "2", "--seed", "0"],
+             ["flow", "--system", "koornwinder", "--rank", "2", "--time", "0.1",
+              "--dt", "1e-2"]]
+    want = [cli_main(argv) for argv in argvs]
+    real = Tape.__call__
+
+    def plain_only(tape, x):
+        if any(isinstance(v, Dual) for v in x):
+            raise AssertionError("a tape was called at a Dual point")
+        return real(tape, x)
+    monkeypatch.setattr(Tape, "__call__", plain_only)
+    assert [cli_main(argv) for argv in argvs] == want == [0, 0, 0]
+
+
 def test_cli_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys):
     # a flag the subcommand would ignore is a usage error, not a silent no-op
     assert cli_main(["flow", "--system", "trig-gln", "--perturb", "1e-3"]) == 2
@@ -395,7 +412,7 @@ def test_cli_flow_rejects_a_time_that_is_no_whole_number_of_steps(dt, capsys):
 
 
 def test_hamiltonian_flow_ends_at_T_or_refuses():
-    H = FuncField(lambda z: 0.5 * z[1] ** 2)
+    H = 0.5 * momentum(1, 0) * momentum(1, 0)
     for T, dt in ((1.0, 0.7), (1.0, 0.3), (0.05, 0.1), (1.0, 1e-2 * (1 + 1e-8))):
         with pytest.raises(ConfigError, match="whole number of steps"):
             hamiltonian_flow(H, (0.0, 1.0), T, dt, 1)
