@@ -6,10 +6,10 @@ Kernels are written against the small generic API here (Dual arithmetic,
 ``d_exp``, ``taylor``), so one kernel differentiates another by a run on a
 Dual: ``fields`` derives fields by rule and keeps Duals inside single
 kernels (a derivative kernel, a kernel without a pair).  No package path
-hands a Dual to a tape; ``directional`` runs one on seeded points, and the
-tests keep it as the oracle of derivatives and gradients.  ``d_exp`` is its
-own derivative (``d_exp.dz``) and gives its value and slope at a plain
-point from one exponential (``d_exp.pair``).
+hands a Dual to a tape; the tests' oracle of derivatives and gradients runs
+one on seeded points.  ``d_exp`` is its own derivative (``d_exp.dz``) and
+gives its value and slope at a plain point from one exponential
+(``d_exp.pair``).
 """
 
 from __future__ import annotations
@@ -124,28 +124,9 @@ d_exp.pair = _d_exp_pair
 d_exp.dz = d_exp
 
 
-def seed(point, direction):
-    """Seed one infinitesimal along ``direction`` at ``point`` (tuples of
-    one length; ``ValueError`` otherwise)."""
-    return tuple(Dual(p, d) for p, d in zip(point, direction, strict=True))
-
-
 def extract(x):
     """First-order infinitesimal part of a (possibly plain) scalar."""
     return x.eps if isinstance(x, Dual) else 0j
-
-
-def directional(f, point, directions):
-    """Mixed directional derivative of ``f`` at ``point``.
-
-    ``directions`` is a sequence of direction vectors; each adds one level
-    of dual nesting, so the result is the coefficient of eps_1*...*eps_k.
-    """
-    if not directions:
-        return f(point)
-    d, rest = directions[0], directions[1:]
-    pt = seed(point, d)
-    return extract(directional(f, pt, rest))
 
 
 def gradient_vec(f, point):

@@ -16,7 +16,12 @@ other gets the eps of fn on Dual(z, 1.0).  ``LinArg.dz`` is that kernel on
 the same form and the one way to write a kernel's derivative, so sigma'
 and v' in a Lax matrix and the derivative leaves of a product are one node
 kind on one kernel, and equal forms share a tape instruction.  ``BiArg``
-and ``XLift`` have no rule and raise ``TypeError``.
+has no rule and raises ``TypeError``.
+
+Points.  A form of length n reads the first n coordinates of the point, so
+an x-space field is read on phase points (x_1..x_n, p_1..p_n) as it stands:
+fn(<k, x> + c0) there is its pullback along (x, p) -> x, and an x-space
+coefficient times a momentum or e^{<lam, p>} leaf is a phase-space field.
 
 Evaluation contract.  A ``Tape`` compiles root fields once into a flat
 post-order list of instructions, in the order in which a left-to-right walk
@@ -24,14 +29,13 @@ of the roots first finishes each node.  Equal nodes share an instruction:
 composites by identity, ``LinArg`` and ``BiArg`` by kernel and affine form,
 so the equal copies that ``o_affine`` makes share one kernel call.  Kernels
 are equal by value: ``kernel_family`` returns one kernel object per family
-and bit-exact parameters.  An ``XLift`` compiles its base in an x-space
-scope, whose point is the first n coordinates of the phase point, one per
-n.  ``Tape.__call__`` interprets the list, doing the operations of a
-recursive walk in its order (a sum folds from 0j, a scaling is c * v), so
-values are the walk's bit for bit and the first ``PoleError`` is the one
-the walk would raise; nothing is kept from one point to the next.  The
-package calls tapes at complex points only; the same loop on Duals is how
-the tests' ``directional`` oracle differentiates a field.
+and bit-exact parameters.  ``Tape.__call__`` interprets the list, doing the
+operations of a recursive walk in its order (a sum folds from 0j, a scaling
+is c * v), so values are the walk's bit for bit and the first ``PoleError``
+is the one the walk would raise; nothing is kept from one point to the
+next.  The package calls tapes at complex points only; the same loop on
+Duals is how the tests' directional-derivative oracle differentiates a
+field.
 ``Tape.gradient`` runs straight-line code generated for its tape
 (``_gradient_source``), compiled once per point length: the forward loop
 on plain numbers and one adjoint sweep, in their order, so it matches an
@@ -43,8 +47,7 @@ tape, thousands of instructions at about ten points, is interpreted.  A
 field called directly compiles its own tape once.
 
 Composition with an affine map, ``o_affine``, is structural: every node
-kind that operators transform pushes the map down to its leaves.
-``XLift`` has no such rule and raises ``TypeError``.
+kind pushes the map down to its leaves.
 
 Sharing contract.  The identity map returns the node itself, and
 ``o_affine`` (so ``o_group``) is memoized on the source node under a key
@@ -84,7 +87,7 @@ class Field:
             out = self._tape = Tape([self])
             return out
 
-    def _emit(self, tape, scope):
+    def _emit(self, tape):
         """Append this node's instruction to ``tape``; returns its slot."""
         raise NotImplementedError
 
@@ -130,7 +133,9 @@ class Field:
         return self._image(w, v, repr((None if w is None else w.img, v)))
 
     def _image(self, w, v, key):
-        """``o_affine`` under the map's bit-exact ``key``, memoized on self."""
+        """``o_affine`` under the map's bit-exact ``key``, memoized on self;
+        each node kind's ``_o_affine`` builds the image, moving its children
+        by ``_image``."""
         try:
             images = self._images
         except AttributeError:
@@ -139,10 +144,6 @@ class Field:
         if out is None:
             out = images[key] = self._o_affine(w, v, key)
         return out
-
-    def _o_affine(self, w, v, key):
-        """The image under the map; children are moved by ``_image``."""
-        raise TypeError(f"{type(self).__name__} has no composition with an affine map")
 
     def o_group(self, w):
         return self.o_affine(w, None)
@@ -183,66 +184,43 @@ class Tape:
 
     Instruction i computes slot i of a point's values and is a tuple
     ``(kind, a, b)``: ``_LEAF`` calls the ``LinArg`` a and ``_CALL`` the
-    ``BiArg`` a at the point of scope b; ``_SUM`` adds the slots a;
+    ``BiArg`` a at the point (b is None); ``_SUM`` adds the slots a;
     ``_SCALE`` is a * slot b; ``_PROD`` and ``_QUOT`` combine slots a and
-    b; ``_CONST`` is the constant a.  Scope 0 is the point the tape is
-    called at; ``scopes`` holds the (parent scope, n) of each x-space scope
-    after it, whose point is its parent's first n coordinates.  Calling the
-    tape interprets the list; ``gradient`` runs the function generated for
-    it, kept per point length in ``_grads``.
+    b; ``_CONST`` is the constant a.  Every instruction reads the one point
+    the tape is called at, a form of length n its first n coordinates.
+    Calling the tape interprets the list; ``gradient`` runs the function
+    generated for it, kept per point length in ``_grads``.
     """
 
-    __slots__ = ("code", "scopes", "out", "_slots", "_grads")
+    __slots__ = ("code", "out", "_slots", "_grads")
 
     def __init__(self, roots):
         self.code = []
-        self.scopes = []
-        self._slots = [{}]
+        self._slots = {}
         self._grads = {}
-        self.out = [self.slot(f, 0) for f in roots]
+        self.out = [self.slot(f) for f in roots]
         del self._slots
 
-    def slot(self, f, scope):
-        """The slot of node f in ``scope``, compiling it on the first visit."""
-        slots = self._slots[scope]
-        out = slots.get(f)
+    def slot(self, f):
+        """The slot of node f, compiling it on the first visit."""
+        out = self._slots.get(f)
         if out is None:
-            out = slots[f] = f._emit(self, scope)
+            out = self._slots[f] = f._emit(self)
         return out
 
     def push(self, kind, a, b=None):
         self.code.append((kind, a, b))
         return len(self.code) - 1
 
-    def shared(self, key, kind, node, scope):
-        """The slot of the leaf ``node`` in ``scope``, shared under ``key``."""
-        slots = self._slots[scope]
-        out = slots.get(key)
+    def shared(self, key, kind, node):
+        """The slot of the leaf ``node``, shared under ``key``."""
+        out = self._slots.get(key)
         if out is None:
-            out = slots[key] = self.push(kind, node, scope)
+            out = self._slots[key] = self.push(kind, node)
         return out
-
-    def scope(self, parent, n):
-        """The x-space scope whose point is ``parent``'s first n coordinates,
-        one per parent and n."""
-        slots = self._slots[parent]
-        key = (Tape, n)
-        out = slots.get(key)
-        if out is None:
-            self.scopes.append((parent, n))
-            self._slots.append({})
-            out = slots[key] = len(self.scopes)
-        return out
-
-    def _points(self, x):
-        pts = [x]
-        for parent, n in self.scopes:
-            pts.append(pts[parent][:n])
-        return pts
 
     def __call__(self, x):
         """Values of the roots at the point x."""
-        pts = self._points(x)
         vals = []
         push = vals.append
         PROD, SCALE, SUM, CALL, QUOT = _PROD, _SCALE, _SUM, _CALL, _QUOT
@@ -257,7 +235,7 @@ class Tape:
                     s = s + vals[i]
                 push(s)
             elif kind <= CALL:
-                push(a(pts[b]))
+                push(a(x))
             elif kind == QUOT:
                 push(vals[a] / vals[b])
             else:
@@ -293,11 +271,10 @@ def _gradient_source(tape, dim):
     of tangent 1), or is the form itself with slope 1.0.  A sum folds from
     0j; the adjoint of a slot is 0j (1+0j at the root) plus its
     contributions in sweep order, the quotient's subtracted, and a gradient
-    coordinate is 0j plus its leaves' contributions in sweep order, then
-    each x-space scope's in turn, the last scope first.  A ``_CALL`` has no
-    adjoint and raises ``TypeError`` naming its node's class.  Constants the
-    source cannot spell with their type and bits, and kernels, are read from
-    the names.
+    coordinate is 0j plus its leaves' contributions in sweep order.  A
+    ``_CALL`` has no adjoint and raises ``TypeError`` naming its node's
+    class.  Constants the source cannot spell with their type and bits, and
+    kernels, are read from the names.
     """
     code = tape.code
     names = {}
@@ -322,12 +299,8 @@ def _gradient_source(tape, dim):
             lines.append(f"    {target} = {head}{''.join(terms[i:i + _TERMS_PER_LINE])}")
             head = target
 
-    # scope s has the point p{s}, the first n coordinates of its parent's
-    coords = [[f"x{j}" for j in range(dim)]]
-    lines = ["def grad(p0):", f"    [{', '.join(coords[0])}] = p0"]
-    for s, (parent, n) in enumerate(tape.scopes, 1):
-        coords.append(coords[parent][:n])
-        lines.append(f"    p{s} = p{parent}[:{n}]")
+    coords = [f"x{j}" for j in range(dim)]
+    lines = ["def grad(p0):", f"    [{', '.join(coords)}] = p0"]
 
     val, slope = [None] * len(code), {}
     for i, (kind, a, b) in enumerate(code):
@@ -346,7 +319,7 @@ def _gradient_source(tape, dim):
             raise TypeError(f"{type(a).__name__} has no adjoint rule")
         else:
             form = lit(a.c0) + "".join(f" + {lit(kj)}*{xj}"
-                                       for kj, xj in zip(a.k, coords[b]) if kj != 0)
+                                       for kj, xj in zip(a.k, coords) if kj != 0)
             if a.fn is None:
                 lines.append(f"    {v} = {form}")
                 slope[i] = "1.0"
@@ -359,7 +332,7 @@ def _gradient_source(tape, dim):
                 slope[i] = f"s{i}"
 
     adj = [[] for _ in code]
-    grads = [[[] for _ in c] for c in coords]
+    grads = [[] for _ in coords]
     for i in range(len(code) - 1, -1, -1):
         kind, a, b = code[i]
         if kind == _CONST:
@@ -385,15 +358,10 @@ def _gradient_source(tape, dim):
                 lines.append(f"    t{i} = {t}")
                 t = f"t{i}"
             for j, kj in ks:
-                grads[b][j].append(f" + {t} * {lit(kj)}")
-    for s in range(len(coords) - 1, -1, -1):
-        for j, terms in enumerate(grads[s]):
-            total(f"g{s}_{j}", "0j", terms)
-        if s:                           # an x-space scope folds into its parent
-            parent = grads[tape.scopes[s - 1][0]]
-            for j in range(len(grads[s])):
-                parent[j].append(f" + g{s}_{j}")
-    lines.append(f"    return [{', '.join(f'g0_{j}' for j in range(dim))}]")
+                grads[j].append(f" + {t} * {lit(kj)}")
+    for j, terms in enumerate(grads):
+        total(f"g{j}", "0j", terms)
+    lines.append(f"    return [{', '.join(f'g{j}' for j in range(dim))}]")
     return "\n".join(lines) + "\n", names
 
 
@@ -406,7 +374,7 @@ class Const(Field):
     def __call__(self, x):
         return self.c
 
-    def _emit(self, tape, scope):
+    def _emit(self, tape):
         return tape.push(_CONST, self.c)
 
     def o_affine(self, w, v):
@@ -455,8 +423,8 @@ class LinArg(Field):
                 z = z + ki * xi
         return z if self.fn is None else self.fn(z)
 
-    def _emit(self, tape, scope):
-        return tape.shared((LinArg, self.fn, self.k, self.c0), _LEAF, self, scope)
+    def _emit(self, tape):
+        return tape.shared((LinArg, self.fn, self.k, self.c0), _LEAF, self)
 
     def _o_affine(self, w, v, key):
         c0 = self.c0 if v is None else _form(self.k, self.c0, v)
@@ -589,9 +557,9 @@ class BiArg(Field):
     def __call__(self, x):
         return self.fn(_form(self.ka, self.ca, x), _form(self.kb, self.cb, x))
 
-    def _emit(self, tape, scope):
+    def _emit(self, tape):
         return tape.shared((BiArg, self.fn, self.ka, self.kb, self.ca, self.cb),
-                           _CALL, self, scope)
+                           _CALL, self)
 
     def _o_affine(self, w, v, key):
         ca, cb = self.ca, self.cb
@@ -609,8 +577,8 @@ class Scale(Field):
         self.c = c
         self.f = f
 
-    def _emit(self, tape, scope):
-        return tape.push(_SCALE, self.c, tape.slot(self.f, scope))
+    def _emit(self, tape):
+        return tape.push(_SCALE, self.c, tape.slot(self.f))
 
     def _o_affine(self, w, v, key):
         return Scale(self.c, self.f._image(w, v, key))
@@ -626,8 +594,8 @@ class NSum(Field):
     def __init__(self, parts):
         self.parts = parts
 
-    def _emit(self, tape, scope):
-        return tape.push(_SUM, tuple([tape.slot(p, scope) for p in self.parts]))
+    def _emit(self, tape):
+        return tape.push(_SUM, tuple([tape.slot(p) for p in self.parts]))
 
     def _o_affine(self, w, v, key):
         return NSum([p._image(w, v, key) for p in self.parts])
@@ -662,9 +630,9 @@ class Prod(Field):
         self.a = a
         self.b = b
 
-    def _emit(self, tape, scope):
-        a = tape.slot(self.a, scope)
-        return tape.push(_PROD, a, tape.slot(self.b, scope))
+    def _emit(self, tape):
+        a = tape.slot(self.a)
+        return tape.push(_PROD, a, tape.slot(self.b))
 
     def _o_affine(self, w, v, key):
         return Prod(self.a._image(w, v, key), self.b._image(w, v, key))
@@ -683,9 +651,9 @@ class Quot(Field):
         self.a = a
         self.b = b
 
-    def _emit(self, tape, scope):
-        a = tape.slot(self.a, scope)
-        return tape.push(_QUOT, a, tape.slot(self.b, scope))
+    def _emit(self, tape):
+        a = tape.slot(self.a)
+        return tape.push(_QUOT, a, tape.slot(self.b))
 
     def _o_affine(self, w, v, key):
         return Quot(self.a._image(w, v, key), self.b._image(w, v, key))
@@ -705,19 +673,6 @@ def derivative(f, dirs):
     for d in dirs:
         f = f._derived(tuple(d))
     return f
-
-
-class XLift(Field):
-    """An x-space field read on phase points (x_1..x_n, p_1..p_n)."""
-
-    __slots__ = ("base", "n")
-
-    def __init__(self, base, n):
-        self.base = base
-        self.n = n
-
-    def _emit(self, tape, scope):
-        return tape.slot(self.base, tape.scope(scope, self.n))
 
 
 def symmetrized(field, group_elements):

@@ -36,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .fields import (ONE, Const, Field, XLift, as_field, derivative, exp_lin,
+from .fields import (ONE, Const, Field, NSum, as_field, derivative, exp_lin,
                      momentum, nsum)
 from .weyl import SignedPerm
 
@@ -181,12 +181,17 @@ class _TermOp:
 
     def phase_field(self):
         """The classical symbol, summed over components, as a field on phase
-        points (x_1..x_n, p_1..p_n), read as in ``symbol_component``."""
+        points (x_1..x_n, p_1..p_n), read as in ``symbol_component``: an
+        x-space coefficient reads the first n coordinates as it stands, a unit
+        coefficient leaves its symbol alone, and each component, a sum
+        included, is one part of the sum."""
         parts = []
         for (w, e), f in self.terms.items():
             sym = self._symbol_field(self._moved(w, e))
-            parts.append(XLift(f, self.n) if sym is ONE else XLift(f, self.n) * sym)
-        return nsum(parts)
+            if sym is not ONE:
+                f = sym if isinstance(f, Const) and f.c == 1 else f * sym
+            parts.append(f)
+        return NSum(parts) if len(parts) > 1 else nsum(parts)
 
 
 class WOp(_TermOp):
@@ -621,8 +626,14 @@ def restrict_to_matrix(op, tbl, probes, points):
 
 # -- residual evaluation ------------------------------------------------
 
+def nan_as_inf(r):
+    """r, or inf for a NaN: ``max`` keeps its first argument against a NaN,
+    so a NaN residual or drift would be dropped and its check would pass."""
+    return math.inf if r != r else r
+
+
 def residual_pair(lhs_val, rhs_val):
-    return abs(lhs_val - rhs_val) / (1.0 + abs(lhs_val) + abs(rhs_val))
+    return nan_as_inf(abs(lhs_val - rhs_val) / (1.0 + abs(lhs_val) + abs(rhs_val)))
 
 
 def make_probes(n, count, rng):

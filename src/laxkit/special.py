@@ -64,19 +64,25 @@ DIFFERENCE_REGIMES = ("trig", "trig-CvC", "elliptic-A", "elliptic-CvC")
 DIFFERENTIAL_REGIMES = ("rational", "elliptic-CM")
 
 
+def check_finite(params):
+    """Raise ``ValueError`` naming the first parameter that is, or whose list
+    holds, a number that is not finite."""
+    for k, v in params.items():
+        for x in v if isinstance(v, list) else (v,):
+            if isinstance(x, (int, float, complex)) and (x != x or abs(x) == math.inf):
+                raise ValueError(f"parameter {k} is not finite")
+
+
 def check_couplings(regime, params):
     """Raise ``ValueError`` unless ``params`` suit the coupling regime.
 
-    All parameters must be finite.  Difference regimes need a nonzero step
-    constant c and differential regimes a nonzero Planck constant t: at zero
-    the operators are classical and act on no function.
+    All parameters must be finite (``check_finite``).  Difference regimes
+    need a nonzero step constant c and differential regimes a nonzero Planck
+    constant t: at zero the operators are classical and act on no function.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; known: {REGIMES}")
-    for k, v in params.items():
-        if isinstance(v, (int, float, complex)):
-            if v != v or abs(v) == float("inf"):
-                raise ValueError(f"parameter {k} is not finite")
+    check_finite(params)
     if regime in DIFFERENCE_REGIMES and not params.get("c"):
         raise ValueError(f"regime {regime} needs a nonzero step constant c")
     if regime in DIFFERENTIAL_REGIMES and not params.get("t"):

@@ -12,8 +12,8 @@ import copy
 from dataclasses import dataclass, field, replace
 
 from .fields import symmetrized
-from .opcore import OperatorMatrix, WOp, integrals, make_probes
-from .special import check_couplings
+from .opcore import OperatorMatrix, WOp, integrals, make_probes, nan_as_inf
+from .special import check_couplings, check_finite
 from .verify import (PointPolicy, residual_evalfn, rng_for, run_check,
                      scalar_check)
 from .weyl import (ConfigError, build_root_system, ext_coord, orbit_stabilizer,
@@ -283,17 +283,23 @@ def suite_vandiejen(config: RunConfig):
                           1e-7, points=4))
     rng = rng_for(config.seed, "residues")
     rep = ellrel.residue_conditions(pv, rng=rng)
-    worst = max((-e for (_l, e, _ok) in rep), default=0.0)
+    worst = max((nan_as_inf(-e) for (_l, e, _ok) in rep), default=0.0)
     out.append(scalar_check("residue-exponents", ellrel.RESIDUE_MAX_EXPONENT, worst))
     return out
 
 
-def build_suite(config: RunConfig):
-    system = SYSTEMS[config.system]
+def _checked(rule, *args):
+    """Apply a parameter rule of ``special``; its ``ValueError`` is a
+    ``ConfigError``."""
     try:
-        check_couplings(system.regime, config.params)
+        rule(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def build_suite(config: RunConfig):
+    system = SYSTEMS[config.system]
+    _checked(check_couplings, system.regime, config.params)
     return system.suite(config)
 
 
@@ -357,10 +363,13 @@ def _flow_vandiejen(p, n):
 def classical_flow_setup(config: RunConfig):
     """(H phase field, L entry phase fields, n, trace powers, z0) for flow
     runs: each flow builds the quantum H and L at the classical point (c = 0
-    or t = 0), and this is where they are read on phase space."""
+    or t = 0), and this is where they are read on phase space.  The
+    parameters must be finite; the regime's c/t rule is the suites', since
+    a flow sets its own classical point."""
     flow = SYSTEMS[config.system].flow
     if flow is None:
         raise ConfigError(f"no classical flow for system {config.system!r}")
+    _checked(check_finite, config.params)
     H, L, powers, z0 = flow(config.params, config.rank)
     return H.phase_field(), L.phase_field(), config.rank, powers, z0
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .dual import gradient_vec
 from .fields import ZERO, PoleError, Scale, Tape
-from .opcore import OperatorMatrix, residual_pair
+from .opcore import OperatorMatrix, nan_as_inf, residual_pair
 from .weyl import ConfigError
 
 DEFAULT_POINTS = 8
@@ -110,7 +110,8 @@ def run_point_max(evalfn, rng, policy: PointPolicy, npoints):
     Points are drawn and evaluated serially, so the accepted points are the
     first ``npoints`` draws off the pole guard, whatever the evaluation cost.
     The draw after the MAX_POINT_TRIES-th rejected one, counted over all the
-    points, raises ``PoleError`` if it is rejected too.
+    points, raises ``PoleError`` if it is rejected too.  A NaN value reads
+    as inf, so its check fails.
     """
     worst = 0.0
     got = 0
@@ -123,7 +124,7 @@ def run_point_max(evalfn, rng, policy: PointPolicy, npoints):
             if tries > MAX_POINT_TRIES:
                 raise PoleError("all sample points rejected by the pole guard")
             continue
-        worst = max(worst, r)
+        worst = max(worst, nan_as_inf(r))
         got += 1
     return worst
 
@@ -242,7 +243,7 @@ def scaled_flow(H, z0, T, dt, n, target_speed=0.08):
 
 def energy_drift(H, traj):
     e0 = H(traj[0])
-    return max(abs(H(z) - e0) / (1.0 + abs(e0)) for z in traj)
+    return max(nan_as_inf(abs(H(z) - e0) / (1.0 + abs(e0))) for z in traj)
 
 
 def charpoly(mat):
@@ -295,14 +296,15 @@ def charpoly(mat):
 
 def charpoly_drifts(matrices):
     """Per-matrix drift of the characteristic-polynomial coefficients from
-    those of the first matrix, over 1 + their max size."""
+    those of the first matrix, over 1 + their max size; a NaN reads as inf."""
     out = []
     for mat in matrices:
         coeffs = charpoly(mat)
         if not out:
             ref = coeffs
             scale = 1.0 + max(abs(c) for c in ref)
-        out.append(max(abs(c - r) for c, r in zip(coeffs, ref)) / scale)
+        drift = max(nan_as_inf(abs(c - r)) for c, r in zip(coeffs, ref))
+        out.append(nan_as_inf(drift / scale))
     return out
 
 

@@ -1,10 +1,12 @@
 """Test oracles and helpers that the package itself does not run: Weyl-group
 lengths and words, classical symbol comparisons, the scale-free Poisson
-bracket residual, log-log slopes and the interpreted tape gradient."""
+bracket residual, log-log slopes, the Dual directional derivative and the
+interpreted tape gradient."""
 
 import math
 
 from laxkit import fields
+from laxkit.dual import Dual, extract
 from laxkit.opcore import WOp, residual_pair
 from laxkit.verify import _bracket
 from laxkit.weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
@@ -97,6 +99,25 @@ def fit_slope(hs, vals):
     return num / den
 
 
+def seed(point, direction):
+    """Seed one infinitesimal along ``direction`` at ``point`` (tuples of
+    one length; ``ValueError`` otherwise)."""
+    return tuple(Dual(p, d) for p, d in zip(point, direction, strict=True))
+
+
+def directional(f, point, directions):
+    """Mixed directional derivative of ``f`` at ``point``.
+
+    ``directions`` is a sequence of direction vectors; each adds one level
+    of dual nesting, so the result is the coefficient of eps_1*...*eps_k.
+    """
+    if not directions:
+        return f(point)
+    d, rest = directions[0], directions[1:]
+    pt = seed(point, d)
+    return extract(directional(f, pt, rest))
+
+
 def _leaf_data(tape):
     """Per ``_LEAF`` instruction, in tape order: its nonzero (coordinate,
     coefficient) pairs, and a leaf of one coordinate whose kernel is the
@@ -109,10 +130,10 @@ def _leaf_data(tape):
             for kind, a, _b in tape.code if kind == fields._LEAF]
 
 
-def _forward_with_slopes(tape, pts, slopes, leaf_data):
-    """The value of every slot at the scope points ``pts``; each ``LinArg``
-    leaf reads its value and derivative from its kernel's pair and appends
-    the derivative to ``slopes``."""
+def _forward_with_slopes(tape, x, slopes, leaf_data):
+    """The value of every slot at the point x; each ``LinArg`` leaf reads
+    its value and derivative from its kernel's pair and appends the
+    derivative to ``slopes``."""
     vals = []
     push = vals.append
     leaves = iter(leaf_data)
@@ -131,10 +152,10 @@ def _forward_with_slopes(tape, pts, slopes, leaf_data):
         elif kind == LEAF:
             unit = next(leaves)[1]
             if unit is None:
-                push(a(pts[b]))
+                push(a(x))
                 slopes.append(1.0)
             else:
-                v, s = unit((fields._form(a.k, a.c0, pts[b]),))
+                v, s = unit((fields._form(a.k, a.c0, x),))
                 push(v)
                 slopes.append(s)
         elif kind == QUOT:
@@ -150,14 +171,13 @@ def interpreted_gradient(tape, x):
     its value and slope from its kernel's pair, then one adjoint sweep.  The
     oracle that the generated ``Tape.gradient`` matches bit for bit, for a
     tape of no ``_CALL`` (a ``BiArg``, which has no adjoint rule)."""
-    pts = tape._points(x)
     slopes = []
     leaf_data = _leaf_data(tape)
-    vals = _forward_with_slopes(tape, pts, slopes, leaf_data)
+    vals = _forward_with_slopes(tape, x, slopes, leaf_data)
     code = tape.code
     adj = [0j] * len(code)
     adj[tape.out[0]] = 1.0 + 0j
-    grads = [[0j] * len(p) for p in pts]
+    grads = [0j] * len(x)
     leaves = reversed(leaf_data)
     PROD, SCALE, SUM, LEAF, QUOT = (fields._PROD, fields._SCALE, fields._SUM,
                                     fields._LEAF, fields._QUOT)
@@ -174,15 +194,10 @@ def interpreted_gradient(tape, x):
                 adj[j] += w
         elif kind == LEAF:
             w = w * slopes.pop()
-            g = grads[b]
             for j, kj in next(leaves)[0]:
-                g[j] += w * kj
+                grads[j] += w * kj
         elif kind == QUOT:
             q = w / vals[b]
             adj[a] += q
             adj[b] -= q * vals[i]
-    for s in range(len(tape.scopes), 0, -1):
-        g = grads[tape.scopes[s - 1][0]]
-        for j, gj in enumerate(grads[s]):
-            g[j] += gj
-    return grads[0]
+    return grads

@@ -7,14 +7,14 @@ import gc
 import random
 
 import pytest
-from support import interpreted_gradient
+from support import directional, interpreted_gradient, seed
 
 from laxkit import fields, special, suites
-from laxkit.dual import Dual, d_exp, directional, gradient_vec, seed, value
+from laxkit.dual import Dual, d_exp, gradient_vec, value
 from laxkit.ellcm import v_form, wp_form
 from laxkit.fields import (ZERO, BiArg, Const, Field, LinArg, PoleError, Quot,
-                           Scale, Tape, XLift, derivative, exp_lin, inv_form,
-                           linear_form, momentum)
+                           Scale, Tape, derivative, exp_lin, inv_form, linear_form,
+                           momentum)
 from laxkit.koorn import CCnParams, koornwinder_lax
 from laxkit.opcore import OperatorMatrix, WOp, field_dmulti
 from laxkit.special import sigma, sigma_form
@@ -52,12 +52,13 @@ def build(shared):
     """One expression, either with shared subtrees and shared leaf kernels
     (``shared``) or as a fresh tree in which no node or kernel is reused.
 
-    The shared subtree ``s`` sits in the outer tree and also under a Quot,
-    an XLift and a derivative, where it is read at another point than the
-    outer one; ``s.o_affine(W, V)`` makes leaf copies whose keys equal those
-    of an explicit leaf elsewhere in the tree, and a derivative of a moved
-    product is taken after the move.  The ``BiArg`` ``b``, which has no
-    derivative rule, sits outside the differentiated parts.
+    The shared subtree ``s`` sits in the outer tree and also under a Quot
+    and a derivative; its x-space copy ``sx``, whose forms have two
+    coordinates, reads only the first two of the point; ``s.o_affine(W, V)``
+    makes leaf copies whose keys equal those of an explicit leaf elsewhere
+    in the tree, and a derivative of a moved product is taken after the
+    move.  The ``BiArg`` ``b``, which has no derivative rule, sits outside
+    the differentiated parts.
     """
     cache = {}
 
@@ -70,6 +71,8 @@ def build(shared):
         if name == "s":
             out = (LinArg(kernel(d_exp), (0.3, -0.7, 1.1, 0.5), 0.1j)
                    * linear_form((1.0, 2.0, 0.0, 0.0), 0.25) + 0.5)
+        elif name == "sx":
+            out = LinArg(kernel(d_exp), (0.3, -0.7), 0.1j) * linear_form((1.0, 2.0), 0.25) + 0.5
         elif name == "b":
             out = BiArg(kernel(lambda a, b: d_exp(a) * b * b), (1.0, 0.0, -1.0),
                         (0.0, 0.5, 0.0, 1.0), 0.2, -0.1j)
@@ -85,7 +88,7 @@ def build(shared):
     shifted = LinArg(kernel(d_exp), copy.k, copy.c0)
     return (s * node("s").o_affine(W, V)
             + Quot(node("s") + node("b"), t)
-            - XLift(node("s"), 2) * node("s").deriv(DIR)
+            - node("sx") * node("s").deriv(DIR)
             + Scale(2.0, (node("s") + node("b")).o_affine(W, V)) * shifted
             + (node("s") * node("t").deriv(DIR)).o_affine(None, V).deriv(DIR))
 
@@ -96,7 +99,7 @@ def test_memoized_value_equals_fresh_tree_bit_for_bit(point):
     want = build(shared=False)(point)
     assert isinstance(got, Dual) == isinstance(point[0], Dual)
     assert bits(got) == bits(want)
-    # several roots in one scope give the values each root gives alone
+    # several roots in one tape give the values each root gives alone
     roots = [build(shared=True), build(shared=False)]
     assert [bits(v) for v in Tape(roots)(point)] == [bits(want)] * 2
 
@@ -219,14 +222,14 @@ DIR2 = (0.0, 1.0, -0.5, 0.3)
 _G = (sigma_form(MU, (0.7, -1.2, 0.0, 0.4), TAU, 0.05j) * linear_form((0.3, 0.0, -0.6, 1.1), 0.2)
       + exp_lin((0.0, 0.2, 0.1, -0.3)))
 _X = LinArg(d_exp, (1.0, -0.5), 0.1j) * linear_form((0.2, 0.7))
-# (base, directions, n): the root D_dirs base, read in x-space through an
-# XLift of n coordinates when n is not None
+# (base, directions, n): the root D_dirs base; an x-space base of n
+# coordinates (n not None) reads the first n coordinates of the point
 DERIV_ROOTS = {
     "first": (_G, (DIR,), None),
     "second": (_G, (DIR, DIR), None),
     "mixed": (_G, (DIR, DIR2), None),
     "base-holds-deriv": (_G * _G.deriv(DIR2) + derivative(_G, (DIR2, DIR)), (DIR,), None),
-    "under-XLift": (_X, ((1.0, 0.5), (0.0, -2.0)), 2),
+    "x-space": (_X, ((1.0, 0.5), (0.0, -2.0)), 2),
 }
 
 
@@ -234,8 +237,7 @@ DERIV_ROOTS = {
 def test_derivative_roots_equal_directional(point):
     """Derivative roots of one tape, built by rule, equal ``directional`` of
     their base to 1e-12 relative."""
-    roots = [derivative(base, dirs) if n is None else XLift(derivative(base, dirs), n)
-             for base, dirs, n in DERIV_ROOTS.values()]
+    roots = [derivative(base, dirs) for base, dirs, _n in DERIV_ROOTS.values()]
     got = Tape(roots)(point)
     for (base, dirs, n), v in zip(DERIV_ROOTS.values(), got):
         want = components(directional(base, point if n is None else point[:n], dirs))
@@ -286,8 +288,7 @@ def test_a_probes_derivatives_read_the_probes_own_leaf():
 _BIARG = BiArg(lambda a, b: a * b, (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("node", [_BIARG, XLift(exp_lin((0.3, -0.2)), 2)],
-                         ids=["BiArg", "XLift"])
+@pytest.mark.parametrize("node", [_BIARG], ids=["BiArg"])
 def test_nodes_without_a_derivative_rule_refuse_one(node):
     for f in (node, exp_lin(DIR) * node):
         with pytest.raises(TypeError, match=type(node).__name__):
@@ -396,12 +397,6 @@ def test_moved_derivative_is_the_derivative_read_at_the_moved_point(w, v):
     assert abs(moved(Z) - want) < 1e-13 * (1 + abs(want))
 
 
-@pytest.mark.parametrize("node", [XLift(exp_lin((0.3, -0.2)), 2)], ids=["XLift"])
-def test_point_moving_nodes_without_a_rule_refuse_affine_maps(node):
-    with pytest.raises(TypeError, match=type(node).__name__):
-        node.o_affine(W, V)
-
-
 def gradient_matches_directional(f, z):
     """gradient_vec of f at z equals directional along each basis vector to
     1e-13 relative (an exactly zero partial to 1e-13 of the largest)."""
@@ -420,6 +415,8 @@ def _kernel(z):
 _LEAF = LinArg(_kernel, (0.7, -1.2, 0.0, 0.4), 0.05j)
 _FORM = linear_form((0.3, 0.0, -0.6, 1.1), 0.2)
 _XLEAF = LinArg(d_exp, (1.0, -0.5))
+# the three inputs named after XLift read x-space parts (forms of two or
+# three coordinates) on the phase point, one of them under a derivative
 INSTRUCTION_KINDS = {
     "Const": Const(0.7 - 0.2j) * _LEAF,
     "LinArg-kernel": _LEAF,
@@ -428,16 +425,15 @@ INSTRUCTION_KINDS = {
     "NSum": _LEAF + _FORM + exp_lin((0.0, 0.2, 0.1, 0.0)),
     "Prod": _LEAF * _FORM,
     "Quot": Quot(_LEAF, 1.5 + _FORM),
-    "XLift-shared-scope": (XLift(2.0 * _XLEAF, 2) * momentum(2, 0)
-                           + XLift(_XLEAF * _XLEAF, 2) * exp_lin((0.4, 0.0, 0.0, 0.3))),
-    "XLift-two-scopes": (XLift(exp_lin((1.0, -0.5)) * linear_form((0.2, 0.9)), 2) * _FORM
-                         + XLift(_XLEAF * exp_lin((0.3, 0.7, -0.2)), 3) * _LEAF),
+    "XLift-shared-scope": ((2.0 * _XLEAF) * momentum(2, 0)
+                           + (_XLEAF * _XLEAF) * exp_lin((0.4, 0.0, 0.0, 0.3))),
+    "XLift-two-scopes": ((exp_lin((1.0, -0.5)) * linear_form((0.2, 0.9))) * _FORM
+                         + (_XLEAF * exp_lin((0.3, 0.7, -0.2))) * _LEAF),
     "Deriv": derivative(_LEAF * _FORM, (DIR,)),
     "Deriv-paired-kernel": derivative(sigma_form(MU, (0.7, -1.2, 0.0, 0.4), TAU) * _FORM,
                                       (DIR,)),
-    "Deriv-nested-under-XLift": (XLift(derivative(_XLEAF * _XLEAF.deriv((0.3, 1.0)),
-                                                  ((1.0, -0.5),)), 2) * momentum(2, 0)
-                                 + _LEAF * _XLEAF.deriv((0.0, 1.0))),
+    "Deriv-nested-under-XLift": (derivative(_XLEAF * _XLEAF.deriv((0.3, 1.0)), ((1.0, -0.5),))
+                                 * momentum(2, 0) + _LEAF * _XLEAF.deriv((0.0, 1.0))),
 }
 
 
@@ -588,16 +584,15 @@ def outcome(fn, z):
 
 @pytest.mark.parametrize("system", FLOW_RANKS)
 def test_no_two_flow_leaves_are_equal_by_value(system):
-    """Leaves of one form, constant and scope differ in their kernel's value
-    or pole message at some sample argument, so no kernel runs twice per
-    point."""
+    """Leaves of one form and constant differ in their kernel's value or pole
+    message at some sample argument, so no kernel runs twice per point."""
     H, Lf, _n, _powers, _z0 = _flow_setup(system)
     counts = []
     for tape in (Tape([H]), Tape([e for row in Lf for e in row])):
         groups = {}
-        for kind, a, scope in tape.code:
+        for kind, a, _b in tape.code:
             if kind == fields._LEAF:
-                groups.setdefault((scope, a.k, a.c0), []).append(a.fn)
+                groups.setdefault((a.k, a.c0), []).append(a.fn)
         for fns in groups.values():
             outcomes = {tuple(outcome(fn, z) for z in KERNEL_ARGS) for fn in fns}
             assert len(outcomes) == len(fns)
@@ -606,10 +601,12 @@ def test_no_two_flow_leaves_are_equal_by_value(system):
 
 
 def test_xlifts_at_one_phase_point_share_one_x_space_scope():
+    """An x-space leaf read by several parts of a phase-space field, or of
+    several roots, runs its kernel once per phase point."""
     fn, calls = counting(d_exp)
     leaf = LinArg(fn, (1.0, -0.5))
-    H = XLift(2.0 * leaf, 2) * momentum(2, 0) + XLift(leaf + 1.0, 2)
-    L = [XLift(leaf, 2), momentum(2, 1) - XLift(leaf * leaf, 2)]
+    H = (2.0 * leaf) * momentum(2, 0) + (leaf + 1.0)
+    L = [leaf, momentum(2, 1) - leaf * leaf]
     for run in (H, lambda z: gradient_vec(H, z), lambda z: Tape(L)(z)):
         calls.clear()
         run(Z)

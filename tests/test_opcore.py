@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import directional
 
-from laxkit.dual import Dual, directional, extract, gradient_vec, value
+from laxkit.dual import Dual, extract, gradient_vec, value
 from laxkit.fields import ZERO, Const, LinArg, exp_lin, inv_form, linear_form
 from laxkit.opcore import (DiffOp, DynOp, FlavorError, OperatorMatrix, RestrictionError,
                            WOp, make_probes,
@@ -320,6 +321,14 @@ def test_sampling_error_when_all_points_rejected():
     with pytest.raises(PoleError, match="rejected"):
         run_point_max(always_pole, random.Random(0), PointPolicy(2), 3)
     assert len(calls) == MAX_POINT_TRIES + 1
+
+
+def test_a_nan_residual_reads_as_inf():
+    from laxkit.opcore import residual_pair
+    nan, inf = float("nan"), float("inf")
+    assert residual_pair(nan, 1.0) == residual_pair(1.0, complex(0.0, nan)) == inf
+    assert residual_pair(inf, 1.0) == inf
+    assert residual_pair(2.0, 1.0) == 0.25
 
 
 def test_module_vector_wrapper():

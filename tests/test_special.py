@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import directional
 
 from laxkit import ellcm, koorn, special
 from laxkit.cli import main as cli_main
-from laxkit.dual import Dual, d_exp, directional, extract, value
+from laxkit.dual import Dual, d_exp, extract, value
 from laxkit.fields import PoleError, inv_form
 from laxkit.special import (ModulusError, dual_couplings, dual_params, eta1,
                             hecke, sigma, sigma_form, theta, u_fun, v_func, wp)

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from laxkit import weyl
+from laxkit import ellrel, suites, weyl
 from laxkit.cli import main as cli_main
 from laxkit.dual import Dual
 from laxkit.fields import (BiArg, Const, LinArg, PoleError, Scale, Tape, exp_lin,
@@ -20,10 +20,11 @@ from laxkit.opcore import DiffOp, WOp
 from laxkit.special import DIFFERENCE_REGIMES, DIFFERENTIAL_REGIMES
 from laxkit.suites import (KNOWN_SYSTEMS, SYSTEMS, ConfigError, RunConfig,
                            classical_flow_setup, default_params)
-from laxkit.verify import (PointPolicy, VerificationReport, charpoly, decode_number,
-                           encode_params, energy_drift, hamiltonian_flow,
-                           isospectral_drift, matrix_fn_from_fields,
-                           poisson_bracket, rng_for, run_point_max, trace_powers)
+from laxkit.verify import (CheckResult, PointPolicy, VerificationReport, charpoly,
+                           charpoly_drifts, decode_number, encode_params,
+                           energy_drift, hamiltonian_flow, isospectral_drift,
+                           matrix_fn_from_fields, poisson_bracket, rng_for,
+                           run_check, run_point_max, trace_powers)
 
 
 def coordinate(n, i):
@@ -382,6 +383,58 @@ def test_cli_verify_rejects_non_finite_parameter(tmp_path, capsys):
     pfile.write_text(json.dumps({"tau": {"re": "inf", "im": "0"}}))
     assert cli_main(["verify", "--system", "trig-gln", "--params", str(pfile)]) == 2
     assert "configuration error: parameter tau is not finite" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_a_non_finite_list_element(tmp_path, capsys):
+    # a NaN coupling in a list used to pass every check at residual 0
+    pfile = tmp_path / "p.json"
+    nan = {"re": "nan", "im": "0.0"}
+    pfile.write_text(json.dumps({"g": [nan] + [{"re": "0.1", "im": "0.0"}] * 3}))
+    assert cli_main(["verify", "--system", "inozemtsev", "--rank", "2",
+                     "--params", str(pfile)]) == 2
+    assert "configuration error: parameter g is not finite" in capsys.readouterr().err
+
+
+def test_cli_flow_rejects_a_non_finite_parameter_but_not_a_classical_one(tmp_path, capsys):
+    # a NaN c used to print a NaN trajectory with charpoly_drift 0.0; the
+    # regime's c != 0 rule is the suites', and a flow runs at c = 0 itself
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"c": {"re": "nan", "im": "0.0"}}))
+    assert cli_main(["flow", "--system", "rational-A", "--rank", "3",
+                     "--params", str(pfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: parameter c is not finite" in captured.err
+    pfile.write_text(json.dumps({"t": 0}))
+    assert cli_main(["flow", "--system", "rational-A", "--rank", "3", "--time", "0.01",
+                     "--dt", "1e-2", "--params", str(pfile)]) == 0
+
+
+def test_a_nan_value_at_one_point_fails_its_check():
+    values = iter([1e-12, float("nan"), 2e-12])
+    r = run_check("nan", 1e-9, lambda x: next(values), random.Random(0), PointPolicy(2), 3)
+    assert r.residual == float("inf") and not r.passed
+
+
+def test_a_nan_drift_reads_as_inf():
+    nan = float("nan")
+    drifts = charpoly_drifts([[[1.0, 0.0], [0.0, 2.0]], [[nan, 0.0], [0.0, 2.0]],
+                              [[2.0, 0.0], [0.0, 1.0]]])
+    assert drifts == [0.0, float("inf"), 0.0]
+    x = linear_form((1.0,))
+    assert energy_drift(x, [(1.0,), (complex(1.0, nan),), (1.0,)]) == float("inf")
+
+
+def test_a_nan_residue_exponent_fails_its_check(monkeypatch):
+    def run_check(name, tol, *_args, **_kw):
+        return CheckResult(name, 0.0, tol, True)
+    monkeypatch.setattr(suites, "run_check", run_check)
+    monkeypatch.setattr(ellrel, "residue_conditions",
+                        lambda *_a, **_kw: [("a", 3.0, True), ("b", float("nan"), True)])
+    config = RunConfig(system="vandiejen", rank=2, params=default_params("vandiejen"))
+    check = suites.build_suite(config)[-1]
+    assert check.name == "residue-exponents"
+    assert check.residual == float("inf") and not check.passed
 
 
 @pytest.mark.parametrize("flag,value,message", [
