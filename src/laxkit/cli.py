@@ -108,7 +108,8 @@ def cmd_flow(args):
         print(f"flow aborted near a pole: {exc}", file=sys.stderr)
         times, traj = [0.0], [tuple(complex(v) for v in z0)]
         aborted = True
-    idxs = range(0, len(traj), max(1, len(traj) // 200))
+    # every stride-th point and the last, so the rows end at t = T
+    idxs = list(range(0, len(traj) - 1, max(1, len(traj) // 200))) + [len(traj) - 1]
     spectra = spectral_invariants(Lf, powers, [traj[idx] for idx in idxs])
     for idx, (traces, drift) in zip(idxs, spectra):
         z = traj[idx]

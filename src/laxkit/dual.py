@@ -131,7 +131,7 @@ def extract(x):
 
 def gradient_vec(f, point):
     """All first partials of the field ``f`` at ``point``, from the gradient
-    function generated for its tape (``fields.Tape.gradient``: one forward
+    function generated for its tape (``fields.Field.gradient``: one forward
     pass and one adjoint sweep as straight-line code, compiled once per
-    tape)."""
-    return f.tape().gradient(point)
+    tape; a ``Scale`` root runs its operand's function)."""
+    return f.gradient(point)

@@ -39,12 +39,18 @@ field.
 ``Tape.gradient`` runs straight-line code generated for its tape
 (``_gradient_source``), compiled once per point length: the forward loop
 on plain numbers and one adjoint sweep, in their order, so it matches an
-interpreted sweep bit for bit (the tests keep one as the oracle).  A
-``LinArg`` leaf calls its kernel's pair (f(z), f'(z)), which builds no
-Dual; a kernel without a pair runs once on a Dual of tangent 1.  A
-``BiArg`` has no adjoint: its gradient raises ``TypeError``.  A verify
-tape, thousands of instructions at about ten points, is interpreted.  A
-field called directly compiles its own tape once.
+interpreted sweep bit for bit (the tests keep one as the oracle).  The
+sweep writes one statement per live adjoint, that of a slot with a leaf
+below it that reads a coordinate, and the root's adjoint is the function's
+argument ``seed``.  A ``LinArg`` leaf calls its kernel's pair (f(z),
+f'(z)), which builds no Dual; a kernel without a pair runs once on a Dual
+of tangent 1.  A ``BiArg`` has no adjoint: its gradient raises
+``TypeError``.  ``Field.gradient`` runs the field's own tape, except at a
+``Scale`` root: its operand's function seeded with 0j + c * (1+0j), the
+adjoint that the scaled tape's sweep hands the operand's root, gives that
+tape's partials bit for bit, so a time-scaled Hamiltonian compiles nothing
+more.  A verify tape, thousands of instructions at about ten points, is
+interpreted.  A field called directly compiles its own tape once.
 
 Composition with an affine map, ``o_affine``, is structural: every node
 kind pushes the map down to its leaves.
@@ -86,6 +92,11 @@ class Field:
         except AttributeError:
             out = self._tape = Tape([self])
             return out
+
+    def gradient(self, x):
+        """The partials of this field at x along every coordinate of x, from
+        its tape's generated gradient (``Tape.gradient``)."""
+        return self.tape().gradient(x)
 
     def _emit(self, tape):
         """Append this node's instruction to ``tape``; returns its slot."""
@@ -242,16 +253,17 @@ class Tape:
                 push(a)
         return [vals[i] for i in self.out]
 
-    def gradient(self, x):
+    def gradient(self, x, seed=1 + 0j):
         """The partials of the first root at x along every coordinate of x,
-        from a function generated for this tape and the length of x
-        (``_gradient_source``), compiled on first use and kept."""
+        times ``seed``, the adjoint of the root, from a function generated
+        for this tape and the length of x (``_gradient_source``), compiled
+        on first use and kept."""
         fn = self._grads.get(len(x))
         if fn is None:
             src, names = _gradient_source(self, len(x))
             exec(compile(src, "<laxkit tape gradient>", "exec"), names)
             fn = self._grads[len(x)] = names["grad"]
-        return fn(x)
+        return fn(x, seed)
 
 
 # terms per line of a generated sum: one line of thousands would overflow the
@@ -260,19 +272,26 @@ _TERMS_PER_LINE = 64
 
 
 def _gradient_source(tape, dim):
-    """The source of ``def grad(p0)``, the gradient of the tape's first root
-    at points p0 of ``dim`` coordinates, and the names it reads.
+    """The source of ``def grad(p0, seed)``, the gradient of the tape's first
+    root times ``seed`` at points p0 of ``dim`` coordinates, and the names it
+    reads.
 
     The function does the operations of an interpreted forward loop and
     adjoint sweep in their order, one statement per forward instruction and
-    one per adjoint, so every value is theirs bit for bit.  A leaf reads its
-    form ``c0 + k_j*x_j`` over its nonzero ``k_j`` and calls its kernel's
-    pair on it (``kernel_family``; a kernel without one runs once on a Dual
-    of tangent 1), or is the form itself with slope 1.0.  A sum folds from
-    0j; the adjoint of a slot is 0j (1+0j at the root) plus its
-    contributions in sweep order, the quotient's subtracted, and a gradient
-    coordinate is 0j plus its leaves' contributions in sweep order.  A
-    ``_CALL`` has no adjoint and raises ``TypeError`` naming its node's
+    one per live adjoint, so every partial is theirs bit for bit.  A leaf
+    reads its form ``c0 + k_j*x_j`` over its nonzero ``k_j`` and calls its
+    kernel's pair on it (``kernel_family``; a kernel without one runs once
+    on a Dual of tangent 1), or is the form itself with slope 1.0.  A sum
+    folds from 0j; the adjoint of a slot is 0j (``seed`` at the root) plus
+    its contributions in sweep order, the quotient's subtracted, and a
+    gradient coordinate is 0j plus its leaves' contributions in sweep order.
+    Only a slot with a leaf below it that reads a coordinate gets an adjoint
+    or is sent a contribution (Griewank & Walther's active variables): no
+    other adjoint reaches a partial.  A slot whose one contribution is a
+    sum's adjoint takes that adjoint's name, and the root with none takes
+    ``seed``'s: 0j + a is a bit for bit, because an adjoint folded from 0j,
+    or a seed folded so, holds no -0.0.  A quotient's q is never taken so.
+    A ``_CALL`` has no adjoint and raises ``TypeError`` naming its node's
     class.  Constants the source cannot spell with their type and bits, and
     kernels, are read from the names.
     """
@@ -300,7 +319,7 @@ def _gradient_source(tape, dim):
             head = target
 
     coords = [f"x{j}" for j in range(dim)]
-    lines = ["def grad(p0):", f"    [{', '.join(coords)}] = p0"]
+    lines = ["def grad(p0, seed):", f"    [{', '.join(coords)}] = p0"]
 
     val, slope = [None] * len(code), {}
     for i, (kind, a, b) in enumerate(code):
@@ -331,26 +350,57 @@ def _gradient_source(tape, dim):
                 lines.append(f"    {v}, s{i} = {pair}({form})")
                 slope[i] = f"s{i}"
 
+    # live[i]: slot i has a leaf below it that reads a coordinate; no other
+    # slot's adjoint can reach a partial, so none is written
+    live = []
+    for kind, a, b in code:
+        if kind == _LEAF:
+            live.append(any(kj != 0 for kj in a.k))
+        elif kind == _SUM:
+            live.append(any(live[j] for j in a))
+        elif kind == _SCALE:
+            live.append(live[b])
+        elif kind == _CONST:
+            live.append(False)
+        else:
+            live.append(live[a] or live[b])
+
+    # adj[i]: the contributions to slot i's adjoint in sweep order, each a
+    # term and, for a _SUM parent's, that parent's adjoint name
     adj = [[] for _ in code]
     grads = [[] for _ in coords]
     for i in range(len(code) - 1, -1, -1):
-        kind, a, b = code[i]
-        if kind == _CONST:
+        if not live[i]:
             continue
-        w = f"a{i}"
-        total(w, "(1+0j)" if i == tape.out[0] else "0j", adj[i])
+        kind, a, b = code[i]
+        terms = adj[i]
+        if i == tape.out[0]:
+            w = "seed"
+            if terms:
+                w = f"a{i}"
+                total(w, "seed", [t for t, _ in terms])
+        elif len(terms) == 1 and terms[0][1] is not None:
+            w = terms[0][1]
+        else:
+            w = f"a{i}"
+            total(w, "0j", [t for t, _ in terms])
         if kind == _PROD:
-            adj[a].append(f" + {w} * {val[b]}")
-            adj[b].append(f" + {w} * {val[a]}")
+            if live[a]:
+                adj[a].append((f" + {w} * {val[b]}", None))
+            if live[b]:
+                adj[b].append((f" + {w} * {val[a]}", None))
         elif kind == _SCALE:
-            adj[b].append(f" + {lit(a)} * {w}")
+            adj[b].append((f" + {lit(a)} * {w}", None))
         elif kind == _SUM:
             for j in a:
-                adj[j].append(f" + {w}")
+                if live[j]:
+                    adj[j].append((f" + {w}", w))
         elif kind == _QUOT:
             lines.append(f"    q{i} = {w} / {val[b]}")
-            adj[a].append(f" + q{i}")
-            adj[b].append(f" - q{i} * v{i}")
+            if live[a]:
+                adj[a].append((f" + q{i}", None))
+            if live[b]:
+                adj[b].append((f" - q{i} * v{i}", None))
         else:
             ks = [(j, kj) for j, kj in enumerate(a.k) if kj != 0]
             t = f"{w} * {slope[i]}"
@@ -579,6 +629,12 @@ class Scale(Field):
 
     def _emit(self, tape):
         return tape.push(_SCALE, self.c, tape.slot(self.f))
+
+    def gradient(self, x):
+        # f's own generated gradient, seeded with the adjoint that a sweep of
+        # this node's tape hands to f's root, so the partials are that
+        # tape's bit for bit and no second function is compiled
+        return self.f.tape().gradient(x, 0j + self.c * (1 + 0j))
 
     def _o_affine(self, w, v, key):
         return Scale(self.c, self.f._image(w, v, key))

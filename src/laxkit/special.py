@@ -10,13 +10,18 @@ partial sum at every order j <= d, so truncation bounds the derivatives,
 not only the value.  The orders the kernels ask for most, d = 0, 1 and 3,
 run straight-line loops that do the generic loop's products and sums in
 its order and stop at its term, so every jet is the generic loop's bit for
-bit; the others run the generic loop.  The d = 1 and d = 3 loops also keep
+bit; the others run the generic loop.  The terms c_k (i pi m)^j for
+j <= 3 are tables of tau (``_ThetaData``), built by the products that the
+generic loop takes per term, in its order, and ending at the first term
+whose bound is 0, where every loop stops.  The d = 1 and d = 3 loops also keep
 the order-0 partial sum at the term where the value alone would stop,
 which is the d = 0 jet, and the cache stores it, so a point whose value and
 slope are both asked for is summed once.  A Dual z of depth d never enters
 the series: with z0 = value(z) and h = z - z0, theta returns
 sum_{j<=d} theta^(j)(z0) h^j/j!, which is exact because h^(d+1) = 0.
-The jets are memoized per plain point in one cache.
+The jets are memoized per plain point in one cache, and a point whose
+negative is cached reads its jets from there by parity (``_mirrored``:
+theta_1 odd, the others even), which is the sum at the point bit for bit.
 P(z) is normalized by its Laurent expansion
 P = 1/z^2 + O(z^2), which together with eta1 = -theta1'''(0)/(6 theta1'(0))
 gives lim_{mu->0} sigma_mu'(z) = -P(z) - 2*eta1.
@@ -90,26 +95,49 @@ def check_couplings(regime, params):
 
 
 class _ThetaData:
-    """Series tables for one tau: per theta_r the coefficients c_k of its
-    harmonic pairs, per parity of m (True: odd) the bounds 2|c_k|, and the
-    constants read from the jet of theta_1 at 0."""
+    """Series tables for one tau: per theta_r the terms c_k (i pi m)^j of its
+    harmonic pairs for j <= 3, per parity of m (True: odd) the bounds 2|c_k|,
+    and the constants read from the jet of theta_1 at 0.  A table ends at the
+    first term whose bound is 0 (or at THETA_CAP terms): every loop of
+    ``_series`` stops there."""
 
-    __slots__ = ("coeffs", "bounds", "scales", "d1_0", "eta1", "wp_const")
+    __slots__ = ("terms", "bounds", "scales", "d1_0", "eta1", "wp_const")
 
     def __init__(self, tau):
         if tau.imag < MIN_IM_TAU:
             raise ModulusError(f"Im tau = {tau.imag} < {MIN_IM_TAU}")
         q = cmath.exp(1j * cmath.pi * tau)
-        odd = [q ** ((k + 0.5) ** 2) for k in range(THETA_CAP)]       # m = 2k + 1
-        even = [q ** ((k + 1) ** 2) for k in range(THETA_CAP)]        # m = 2k + 2
-        self.coeffs = {1: [-1j * (-1) ** k * c for k, c in enumerate(odd)], 2: odd,
-                       3: even, 4: [(-1) ** (k + 1) * c for k, c in enumerate(even)]}
+        odd = _until_zero_bound(q ** ((k + 0.5) ** 2) for k in range(THETA_CAP))   # m = 2k + 1
+        even = _until_zero_bound(q ** ((k + 1) ** 2) for k in range(THETA_CAP))   # m = 2k + 2
+        self.terms = {r: _powers(cs, _PI_M[r < 3]) for r, cs in (
+            (1, [-1j * (-1) ** k * c for k, c in enumerate(odd)]), (2, odd),
+            (3, even), (4, [(-1) ** (k + 1) * c for k, c in enumerate(even)]))}
         self.bounds = {True: [2 * abs(c) for c in odd], False: [2 * abs(c) for c in even]}
         # natural magnitude of theta_r: its leading series coefficient
         self.scales = {1: 2 * abs(odd[0]), 2: 2 * abs(odd[0]), 3: 1.0, 4: 1.0}
         _f, self.d1_0, _f2, d3 = _series((1,), 0j, 3, self)[0][0]
         self.eta1 = -d3 / (6 * self.d1_0)
         self.wp_const = d3 / (3 * self.d1_0)
+
+
+def _until_zero_bound(cs):
+    """The coefficients of ``cs`` up to and including the first whose bound
+    2|c| is 0."""
+    out = []
+    for c in cs:
+        out.append(c)
+        if 2 * abs(c) == 0:
+            break
+    return out
+
+
+def _powers(cs, pms):
+    """[[c_k (i pi m_k)^j for k] for j <= 3], each power one product with
+    i pi m_k more, as ``_series_loop`` takes them per term."""
+    out = [cs]
+    for _ in range(3):
+        out.append([t * (1j * pm) for t, pm in zip(out[-1], pms)])
+    return out
 
 
 _theta_cache: dict = {}
@@ -139,8 +167,9 @@ def _series(rs, z, d, td):
     magnitude of the partial sum at every order j.
 
     Orders 0, 1 and 3 run straight-line loops (``_series_0``, ``_series_1``,
-    ``_series_3``) and every other order the generic loop (``_series_loop``);
-    all of them give the generic loop's jets bit for bit.  ``values`` is
+    ``_series_3``), which read the terms c_k (i pi m)^j from the tables of
+    ``td``, and every other order the generic loop (``_series_loop``); all
+    of them give the generic loop's jets bit for bit.  ``values`` is
     [[theta_r(z)] for r in rs] as the d = 0 loop gives it, kept by the d = 1
     and d = 3 loops, and None for the other orders.
     """
@@ -163,15 +192,13 @@ def _series_loop(rs, z, d, td):
     for r in rs:
         odd = r < 3
         P, M, e = (w, wi, ey) if odd else (w2, wi2, ey2)
-        coeffs, bounds, pms = td.coeffs[r], td.bounds[odd], _PI_M[odd]
         tot = [0j if odd else 1 + 0j] + [0j] * d
-        for k in range(THETA_CAP):
+        for t, bound, pm in zip(td.terms[r][0], td.bounds[odd], _PI_M[odd]):
             harm = (P - M, P + M) if r == 1 else (P + M, P - M)
-            t, pm = coeffs[k], pms[k]
             for j in range(d + 1):
                 tot[j] += t * harm[j & 1]
                 t *= 1j * pm
-            b = bounds[k] * e
+            b = bound * e
             for x in tot:
                 if b > THETA_RTOL * abs(x):
                     break
@@ -194,11 +221,10 @@ def _series_0(rs, z, td):
     for r in rs:
         odd = r < 3
         P, M, e = (w, wi, ey) if odd else (w2, wi2, ey2)
-        coeffs, bounds = td.coeffs[r], td.bounds[odd]
         s0 = 0j if odd else 1 + 0j
-        for k in range(THETA_CAP):
-            s0 += coeffs[k] * (P - M if r == 1 else P + M)
-            if not bounds[k] * e > THETA_RTOL * abs(s0):
+        for t0, bound in zip(td.terms[r][0], td.bounds[odd]):
+            s0 += t0 * (P - M if r == 1 else P + M)
+            if not bound * e > THETA_RTOL * abs(s0):
                 break
             P, M, e = P * w2, M * wi2, e * ey2
         out.append([s0])
@@ -215,15 +241,13 @@ def _series_1(rs, z, td):
     for r in rs:
         odd = r < 3
         P, M, e = (w, wi, ey) if odd else (w2, wi2, ey2)
-        coeffs, bounds, pms = td.coeffs[r], td.bounds[odd], _PI_M[odd]
+        c0, c1 = td.terms[r][:2]
         s0, s1, v = (0j if odd else 1 + 0j), 0j, None
-        for k in range(THETA_CAP):
+        for t0, t1, bound, pm in zip(c0, c1, td.bounds[odd], _PI_M[odd]):
             h0, h1 = (P - M, P + M) if r == 1 else (P + M, P - M)
-            t, pm = coeffs[k], pms[k]
-            s0 += t * h0
-            t *= 1j * pm
-            s1 += t * h1
-            b = bounds[k] * e
+            s0 += t0 * h0
+            s1 += t1 * h1
+            b = bound * e
             if not b > THETA_RTOL * abs(s0):
                 if v is None:
                     v = s0
@@ -245,20 +269,15 @@ def _series_3(rs, z, td):
     for r in rs:
         odd = r < 3
         P, M, e = (w, wi, ey) if odd else (w2, wi2, ey2)
-        coeffs, bounds, pms = td.coeffs[r], td.bounds[odd], _PI_M[odd]
+        c0, c1, c2, c3 = td.terms[r]
         s0, s1, s2, s3, v = (0j if odd else 1 + 0j), 0j, 0j, 0j, None
-        for k in range(THETA_CAP):
+        for t0, t1, t2, t3, bound, pm in zip(c0, c1, c2, c3, td.bounds[odd], _PI_M[odd]):
             h0, h1 = (P - M, P + M) if r == 1 else (P + M, P - M)
-            t, pm = coeffs[k], pms[k]
-            ipm = 1j * pm
-            s0 += t * h0
-            t *= ipm
-            s1 += t * h1
-            t *= ipm
-            s2 += t * h0
-            t *= ipm
-            s3 += t * h1
-            b = bounds[k] * e
+            s0 += t0 * h0
+            s1 += t1 * h1
+            s2 += t2 * h0
+            s3 += t3 * h1
+            b = bound * e
             if not b > THETA_RTOL * abs(s0):
                 if v is None:
                     v = s0
@@ -281,16 +300,39 @@ _JET_CACHE_CAP = 400000
 def _jets(rs, z, d, tau):
     """[theta_r^(j)(z) for j <= d] for each r in rs at the plain point z.
     The order-0 values that a sum of order 1 or 3 kept are stored too, so a
-    later order-0 request at z is a cache hit."""
+    later order-0 request at z is a cache hit.  A point whose negative is
+    cached reads its jets from there by parity (``_mirrored``)."""
     key = (rs, z, d, tau)
     jets = _jet_cache.get(key)
     if jets is None:
-        jets, values = _series(rs, z, d, _tdata(tau))
+        mirror = _jet_cache.get((rs, -z, d, tau))
+        if mirror is not None:
+            jets, values = [_mirrored(r, jet) for r, jet in zip(rs, mirror)], None
+        else:
+            jets, values = _series(rs, z, d, _tdata(tau))
         if len(_jet_cache) < _JET_CACHE_CAP:
             _jet_cache[key] = jets
             if values is not None:
                 _jet_cache.setdefault((rs, z, 0, tau), values)
     return jets
+
+
+def _mirrored(r, jet):
+    """The jet of theta_r at z from its jet at -z: theta_1 is odd and the
+    others even, so order j has the sign (-1)^j, times -1 for theta_1.
+
+    This is the sum at z bit for bit.  The sum at -z runs on e^{i pi (-z)},
+    whose nonzero components are those of e^{-i pi z}, so its terms are the
+    ones at z with the harmonic P - M negated, up to the signs of zero
+    components, and it stops at the same term.  A partial sum folds from 0j
+    or 1+0j, so it holds no -0.0 and no sign of a zero component of a term
+    reaches it; a negated jet is taken as 0j - x, which holds none either."""
+    flip = r == 1
+    out = []
+    for x in jet:
+        out.append(0j - x if flip else x)
+        flip = not flip
+    return out
 
 
 def _theta_at(rs, z, tau, m):

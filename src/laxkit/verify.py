@@ -9,7 +9,10 @@ seed.
 Every tape here runs at complex points, so its values are plain numbers.
 tr L^k is a field too: ``trace_powers`` on the entry fields of L builds it
 from ``Prod`` and ``NSum`` nodes, and its brackets take the generated
-gradient like any Hamiltonian's.
+gradient like any Hamiltonian's.  Of the last power it builds only the
+diagonal, the one part a trace reads.  A flow of the time-scaled H/kappa
+runs H's generated gradient, the one ``flow_time_scale`` compiled
+(``fields.Field.gradient`` of a ``Scale``).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from operator import mul
 
 from .dual import gradient_vec
 from .fields import ZERO, PoleError, Scale, Tape
@@ -327,17 +331,26 @@ def matrix_fn_from_fields(entry_fields):
 
 def trace_powers(mat, powers):
     """[tr M^k for k in powers] of a square matrix given as row lists, from
-    one running product M^k = M^(k-1) M.  The entries may be numbers or
-    fields; on fields each trace is a field (``Prod`` and ``NSum`` nodes)."""
+    one running product M^k = M^(k-1) M, of which the last power builds
+    only its diagonal.  An entry of a product is ``sum(map(mul, row,
+    col))`` over a column of M, which folds from the int 0.  The entries may
+    be numbers or fields; on fields each trace is a field (``Prod`` and
+    ``NSum`` nodes)."""
     m = len(mat)
+    cols = list(zip(*mat))
+    last = max(powers, default=0)
     out, traces = mat, {}
-    for k in range(1, max(powers, default=0) + 1):
-        if k > 1:
-            out = [[sum(out[i][l] * mat[l][j] for l in range(m))
-                    for j in range(m)] for i in range(m)]
-        tr = out[0][0]
+    for k in range(1, last + 1):
+        if k == 1:
+            diag = [mat[i][i] for i in range(m)]
+        elif k < last:
+            out = [[sum(map(mul, row, col)) for col in cols] for row in out]
+            diag = [out[i][i] for i in range(m)]
+        else:
+            diag = [sum(map(mul, out[i], cols[i])) for i in range(m)]
+        tr = diag[0]
         for i in range(1, m):
-            tr = tr + out[i][i]
+            tr = tr + diag[i]
         traces[k] = tr
     return [traces[k] for k in powers]
 

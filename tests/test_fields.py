@@ -5,11 +5,13 @@ derivative nodes and leaf kernels equal by value)."""
 
 import gc
 import random
+import re
 
 import pytest
 from support import directional, interpreted_gradient, seed
 
 from laxkit import fields, special, suites
+from laxkit.cli import main as cli_main
 from laxkit.dual import Dual, d_exp, gradient_vec, value
 from laxkit.ellcm import v_form, wp_form
 from laxkit.fields import (ZERO, BiArg, Const, Field, LinArg, PoleError, Quot,
@@ -434,6 +436,13 @@ INSTRUCTION_KINDS = {
                                       (DIR,)),
     "Deriv-nested-under-XLift": (derivative(_XLEAF * _XLEAF.deriv((0.3, 1.0)), ((1.0, -0.5),))
                                  * momentum(2, 0) + _LEAF * _XLEAF.deriv((0.0, 1.0))),
+    # constant subtrees, which read no coordinate, under a leaf's product,
+    # and a sum whose parts take its adjoint as theirs
+    "Scale-of-Const": _LEAF * Scale(2.5 - 1.0j, Const(0.4 + 0.3j)),
+    "Sum-of-Consts": _LEAF * fields.NSum([Const(0.7 - 0.2j), Const(-1.1 + 0j)]),
+    "Prod-of-Consts": fields.Prod(Const(0.7 - 0.2j), Const(1.3 + 0.5j)) * _LEAF,
+    "Quot-of-Consts": _LEAF * Quot(Const(0.7 - 0.2j), Const(1.3 + 0.5j)),
+    "Sum-under-Prod": (_LEAF + _FORM * _FORM + exp_lin((0.0, 0.0, 0.0, 0.0))) * _FORM,
 }
 
 
@@ -450,6 +459,43 @@ def reprs(values):
 def test_generated_gradient_is_the_interpreted_one_bit_for_bit(kind):
     tape = INSTRUCTION_KINDS[kind].tape()
     assert reprs(tape.gradient(Z)) == reprs(interpreted_gradient(tape, Z))
+
+
+def reads_a_coordinate(tape):
+    """Per slot of ``tape``, whether a leaf below it reads a coordinate."""
+    out = []
+    for kind, a, b in tape.code:
+        if kind == fields._LEAF:
+            out.append(any(kj != 0 for kj in a.k))
+        elif kind == fields._SUM:
+            out.append(any(out[j] for j in a))
+        elif kind == fields._SCALE:
+            out.append(out[b])
+        elif kind == fields._CONST:
+            out.append(False)
+        else:
+            out.append(out[a] or out[b])
+    return out
+
+
+@pytest.mark.parametrize("kind", INSTRUCTION_KINDS)
+def test_generated_gradient_writes_live_adjoints_only(kind):
+    """The generated source writes no adjoint (and no quotient adjoint q) for
+    a slot that reads no coordinate, and no adjoint that only copies a
+    sum's adjoint; a quotient's q, which is not folded from 0j, is never
+    taken as another slot's adjoint."""
+    tape = INSTRUCTION_KINDS[kind].tape()
+    src, _names = fields._gradient_source(tape, len(Z))
+    lines = src.splitlines()
+    live = reads_a_coordinate(tape)
+    written = {int(line.split(" = ")[0].strip()[1:]) for line in lines
+               if line.startswith(("    a", "    q"))}
+    assert all(live[i] for i in written)
+    assert [line for line in lines
+            if re.fullmatch(r"    a\d+ = (0j \+ )?(a\d+|seed)", line)] == []
+    for i, (op, a, _b) in enumerate(tape.code):
+        if op == fields._QUOT and live[a]:
+            assert f"    a{a} = 0j + q{i}" in lines
 
 
 def test_generated_gradient_of_a_sum_of_thousands_of_terms():
@@ -501,6 +547,41 @@ def test_flow_gradients_are_the_interpreted_ones_bit_for_bit(system):
         tape = f.tape()
         for x in points:
             assert reprs(tape.gradient(x)) == reprs(interpreted_gradient(tape, x))
+
+
+@pytest.mark.parametrize("system", FLOW_RANKS)
+def test_a_scale_root_runs_its_operands_gradient_bit_for_bit(system):
+    """``gradient_vec`` of the time-scaled H and of -H runs H's generated
+    gradient with the adjoint that the scaled tape hands to H's root, and
+    gives that tape's own generated gradient bit for bit, at z0 and at 5
+    seeded nearby points."""
+    H, _Lf, n, _powers, z0 = _flow_setup(system)
+    kappa = flow_time_scale(H, tuple(z0), n)
+    rng = random.Random(27)
+    points = [tuple(z0)] + [tuple(z + complex(rng.uniform(-1e-2, 1e-2), rng.uniform(-1e-2, 1e-2))
+                                  for z in z0) for _ in range(5)]
+    for f in (Scale(1.0 / kappa, H), Scale(-1.0, H)):
+        assert f.f is H
+        for x in points:
+            got = reprs(gradient_vec(f, x))
+            assert got == reprs(f.tape().gradient(x))
+            assert got == reprs(interpreted_gradient(f.tape(), x))
+
+
+def test_a_cli_flow_compiles_one_gradient_function(tmp_path, monkeypatch):
+    """The time scale and the whole flow of H / kappa run H's one generated
+    gradient, whose koornwinder source writes at most 400 lines."""
+    generated = []
+    source = fields._gradient_source
+
+    def generating(tape, dim):
+        out = source(tape, dim)
+        generated.append(len(out[0].splitlines()))
+        return out
+    monkeypatch.setattr(fields, "_gradient_source", generating)
+    assert cli_main(["flow", "--system", "koornwinder", "--rank", "2", "--time", "0.1",
+                     "--dt", "1e-2", "--csv", str(tmp_path / "flow.csv")]) == 0
+    assert len(generated) == 1 and generated[0] <= 400
 
 
 @pytest.mark.parametrize("system", FLOW_RANKS)

@@ -132,6 +132,58 @@ def test_series_paths_are_the_generic_loop_bit_for_bit(tau, monkeypatch):
             assert repr(special._jet_cache[(rs, z, 0, tau)]) == value0
 
 
+@pytest.mark.parametrize("tau", [0.82j, 0.1 + 0.5j, TAU])
+def test_jets_read_by_parity_from_the_negative_are_the_sums_bit_for_bit(tau, monkeypatch):
+    """With the jets at -z cached, the jets at z come from them by parity
+    (theta_1 odd, the others even), with no sum, and equal the sum at z
+    with every bit (repr), for each theta_r alone and all four, at orders
+    0-3 and 5: at seeded z with nonzero real and imaginary parts, and on
+    the real axis, where a real flow at a purely imaginary tau reads them."""
+    monkeypatch.setattr(special, "_jet_cache", {})
+    td = special._tdata(tau)
+    rng = random.Random(27)
+    edge = 0.999 * tau.imag / 2
+    zs = [rand_z(rng, 1.5, edge) for _ in range(40)]
+    zs += [complex(rng.uniform(-1.5, 1.5), 0.0) for _ in range(10)]
+    assert all(z.real != 0 for z in zs) and all(z.imag != 0 for z in zs[:40])
+    real, summed = special._series, []
+
+    def counting(rs, z, d, td):
+        summed.append(z)
+        return real(rs, z, d, td)
+    monkeypatch.setattr(special, "_series", counting)
+    for z in zs:
+        for rs in ((1,), (2,), (3,), (4,), (1, 2, 3, 4)):
+            for d in (0, 1, 2, 3, 5):
+                special._jets(rs, -z, d, tau)
+                summed.clear()
+                got = special._jets(rs, z, d, tau)
+                assert summed == []
+                assert repr(got) == repr(real(rs, z, d, td)[0])
+
+
+@pytest.mark.parametrize("tau", [0.82j, 0.31 + 0.84j, 0.1 + 0.5j,
+                                 0.2 + (special.MIN_IM_TAU + 1e-3) * 1j])
+def test_theta_tables_end_at_the_first_zero_bound(tau):
+    """Each parity's bounds 2|c_k| stop at the first one that is 0 (17
+    nonzero bounds at Im tau = 0.82), the terms of every theta_r run as far,
+    and the term of order j is the one of order j - 1 times i pi m."""
+    td = special._ThetaData(tau)
+    q = cmath.exp(1j * cmath.pi * tau)
+    for odd, bounds in td.bounds.items():
+        full = [2 * abs(q ** ((k + 0.5) ** 2 if odd else (k + 1) ** 2))
+                for k in range(special.THETA_CAP)]
+        assert full.index(0.0) == len(bounds) - 1 and bounds == full[:len(bounds)]
+        for r in ((1, 2) if odd else (3, 4)):
+            terms = td.terms[r]
+            assert [len(t) for t in terms] == [len(bounds)] * 4
+            for lower, higher in zip(terms, terms[1:]):
+                assert repr(higher) == repr([t * (1j * pm) for t, pm in
+                                             zip(lower, special._PI_M[odd])])
+    if tau == 0.82j:
+        assert [len(b) - 1 for b in td.bounds.values()] == [17, 17]
+
+
 def test_value_and_slope_at_one_point_are_summed_once(tmp_path, monkeypatch):
     """A vandiejen flow asks for the order-1 (and order-3) jets and for the
     values at the same points; no (rs, z) is summed at order 0 and again at

@@ -13,7 +13,7 @@ import pytest
 
 from laxkit import ellrel, suites, weyl
 from laxkit.cli import main as cli_main
-from laxkit.dual import Dual
+from laxkit.dual import Dual, d_exp
 from laxkit.fields import (BiArg, Const, LinArg, PoleError, Scale, Tape, exp_lin,
                            linear_form, momentum)
 from laxkit.opcore import DiffOp, WOp
@@ -105,11 +105,29 @@ class Counted(complex):
     __radd__ = __add__
 
 
+def full_product_traces(mat, powers):
+    """tr M^k for k in powers from one running product of full matrices,
+    each entry folded from the int 0 (the diagonal of every power built
+    as all its other entries are)."""
+    m = len(mat)
+    out, traces = mat, {}
+    for k in range(1, max(powers) + 1):
+        if k > 1:
+            out = [[sum(out[i][l] * mat[l][j] for l in range(m)) for j in range(m)]
+                   for i in range(m)]
+        tr = out[0][0]
+        for i in range(1, m):
+            tr = tr + out[i][i]
+        traces[k] = tr
+    return [traces[k] for k in powers]
+
+
 @pytest.mark.parametrize("powers, products", [((1, 2, 3, 4), 3), ((2, 4), 3), ((3,), 2)])
 def test_trace_powers_run_one_product_per_power_bit_for_bit(powers, products):
     """tr M^k for the requested k from one running product M^k = M^(k-1) M:
-    each trace equals the one of M^k rebuilt from M, bit for bit, and one
-    matrix product (m^3 scalar products) is made per power up to the last."""
+    each trace equals the one of M^k rebuilt from M, bit for bit; one
+    matrix product (m^3 scalar products) is made per power below the last,
+    and of the last power only the diagonal (m^2 scalar products)."""
     rng = random.Random(23)
     m = 3
     mat = [[Counted(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m)] for _ in range(m)]
@@ -123,8 +141,21 @@ def test_trace_powers_run_one_product_per_power_bit_for_bit(powers, products):
     want = [repr(complex(rebuilt(k))) for k in powers]
     Counted.products = 0
     got = trace_powers(mat, powers)
-    assert Counted.products == products * m ** 3
+    assert Counted.products == (products - 1) * m ** 3 + m ** 2
     assert [repr(complex(v)) for v in got] == want
+
+
+@pytest.mark.parametrize("powers", [(1, 2, 3, 4), (2, 4), (3,), (1,)])
+def test_trace_powers_of_field_entries_list_the_full_product_instructions(powers):
+    """On field entries the traces are fields whose tape lists the
+    instructions of traces from full products: the off-diagonal entries of
+    the last power reach no trace."""
+    xs = [linear_form(tuple(float(j == i) for j in range(3))) for i in range(3)]
+    mat = [[xs[0], exp_lin((0.5, -0.25, 0.0)), Const(0.3 - 0.1j)],
+           [xs[1] * xs[2], xs[2], LinArg(d_exp, (1.0, 0.0, 1.0), 0.2j)],
+           [Const(2.0 + 0j), xs[0] + xs[1], xs[2] * xs[2]]]
+    got, want = Tape(trace_powers(mat, powers)), Tape(full_product_traces(mat, powers))
+    assert got.code == want.code and got.out == want.out
 
 
 @pytest.mark.parametrize("mat", [
@@ -263,6 +294,19 @@ def test_cli_flow_evaluates_lax_matrix_once_per_row(tmp_path, monkeypatch):
     assert len(rows) == 6 and [k for k in rows[0] if k.startswith("trL")] == \
         ["trL1", "trL2", "trL3", "trL4"]
     assert calls == [4] * len(rows)
+
+
+@pytest.mark.parametrize("time, count", [("0.403", 203), ("0.4", 201)])
+def test_cli_flow_csv_ends_at_t_equal_T(tmp_path, time, count):
+    """Rows take every (len(traj) // 200)-th trajectory point and the last
+    one, so the CSV ends at t = T also where the stride (2 here) does not
+    divide the 403 steps."""
+    csvpath = tmp_path / "traj.csv"
+    assert cli_main(["flow", "--system", "trig-gln", "--rank", "2", "--time", time,
+                     "--dt", "1e-3", "--csv", str(csvpath)]) == 0
+    ts = [float(row["t"]) for row in csv.DictReader(csvpath.open())]
+    assert len(ts) == count and ts[-1] == float(time)
+    assert ts[:-1] == [2 * i * 1e-3 for i in range(count - 1)]
 
 
 def test_cli_calls_no_tape_at_a_dual_point(monkeypatch):
