@@ -12,7 +12,8 @@ are linear, ``Prod`` takes Leibniz and ``Quot`` the rule (a' - q b')/b with
 q the quotient node, and fn(<k, x> + c0) gives <k, d> times fn' on the same
 form (``ZERO`` when <k, d> = 0, the constant <k, d> for a linear form).
 fn' is one kernel per kernel (``_dkernel``): ``d_exp`` is its own, any
-other gets the eps of fn on Dual(z, 1.0).  ``LinArg.dz`` is that kernel on
+other gets the eps of fn on Dual(z, 1.0), which a kernel with a pair reads
+from its pair's slope at a plain z.  ``LinArg.dz`` is that kernel on
 the same form and the one way to write a kernel's derivative, so sigma'
 and v' in a Lax matrix and the derivative leaves of a product are one node
 kind on one kernel, and equal forms share a tape instruction.  ``BiArg``
@@ -40,6 +41,12 @@ field.
 (``_gradient_source``), compiled once per point length: the forward loop
 on plain numbers and one adjoint sweep, in their order, so it matches an
 interpreted sweep bit for bit (the tests keep one as the oracle).  The
+forward section computes each value once, by three rules: a slot on
+constants alone is folded when the source is generated, by the same
+operation (a fold that raises keeps its line); a slot equal to an earlier
+one in kind, constant (type and repr) and operand values reads that one's
+value; and a line that no adjoint and no kept line reads is not written,
+except a leaf's, so the first ``PoleError`` is the interpreter's.  The
 sweep writes one statement per live adjoint, that of a slot with a leaf
 below it that reads a coordinate, and the root's adjoint is the function's
 argument ``seed``.  A ``LinArg`` leaf calls its kernel's pair (f(z),
@@ -277,18 +284,28 @@ def _gradient_source(tape, dim):
     reads.
 
     The function does the operations of an interpreted forward loop and
-    adjoint sweep in their order, one statement per forward instruction and
-    one per live adjoint, so every partial is theirs bit for bit.  A leaf
-    reads its form ``c0 + k_j*x_j`` over its nonzero ``k_j`` and calls its
-    kernel's pair on it (``kernel_family``; a kernel without one runs once
-    on a Dual of tangent 1), or is the form itself with slope 1.0.  A sum
-    folds from 0j; the adjoint of a slot is 0j (``seed`` at the root) plus
-    its contributions in sweep order, the quotient's subtracted, and a
+    adjoint sweep in their order, so every partial is theirs bit for bit.  A
+    leaf reads its form ``c0 + k_j*x_j`` over its nonzero ``k_j`` and calls
+    its kernel's pair on it (``kernel_family``; a kernel without one runs
+    once on a Dual of tangent 1), or is the form itself with slope 1.0.  A
+    sum folds from 0j; the adjoint of a slot is 0j (``seed`` at the root)
+    plus its contributions in sweep order, the quotient's subtracted, and a
     gradient coordinate is 0j plus its leaves' contributions in sweep order.
-    Only a slot with a leaf below it that reads a coordinate gets an adjoint
-    or is sent a contribution (Griewank & Walther's active variables): no
-    other adjoint reaches a partial.  A slot whose one contribution is a
-    sum's adjoint takes that adjoint's name, and the root with none takes
+
+    The forward section computes each value once, by three rules:
+    - a slot whose operands are all constants is computed here, by the same
+      Python operation on the same numbers, and read as a constant; a fold
+      that raises keeps its line;
+    - a slot that matches an earlier one in kind, constant (type and repr)
+      and operand values reads that one's value;
+    - a line whose value no adjoint and no kept line reads is not written;
+      leaf lines are always written, in tape order, so the first
+      ``PoleError`` is the interpreter's.
+    The sweep writes one statement per live adjoint: only a slot with a leaf
+    below it that reads a coordinate gets an adjoint or is sent a
+    contribution (Griewank & Walther's active variables), since no other
+    adjoint reaches a partial.  A slot whose one contribution is a sum's
+    adjoint takes that adjoint's name, and the root with none takes
     ``seed``'s: 0j + a is a bit for bit, because an adjoint folded from 0j,
     or a seed folded so, holds no -0.0.  A quotient's q is never taken so.
     A ``_CALL`` has no adjoint and raises ``TypeError`` naming its node's
@@ -311,44 +328,74 @@ def _gradient_source(tape, dim):
             return repr(c)
         return name(c, "c")
 
-    def total(target, head, terms):
+    def total(out, target, head, terms):
         # target = head + terms..., folded left to right over as many lines
         # as keep the compiler's nesting shallow
         for i in range(0, max(len(terms), 1), _TERMS_PER_LINE):
-            lines.append(f"    {target} = {head}{''.join(terms[i:i + _TERMS_PER_LINE])}")
+            out.append(f"    {target} = {head}{''.join(terms[i:i + _TERMS_PER_LINE])}")
             head = target
 
     coords = [f"x{j}" for j in range(dim)]
-    lines = ["def grad(p0, seed):", f"    [{', '.join(coords)}] = p0"]
 
-    val, slope = [None] * len(code), {}
+    # val[i]: slot i's value as the source reads it (a name or a literal);
+    # known[i]: its number, for a slot known here; forward: per line written
+    # in tape order, (its name, its lines, the values it reads), the name
+    # None for a line always kept
+    val, slope, known = [None] * len(code), {}, {}
+    first, forward = {}, []
     for i, (kind, a, b) in enumerate(code):
-        v = val[i] = f"v{i}"
         if kind == _CONST:
-            val[i] = lit(a)
-        elif kind == _PROD:
-            lines.append(f"    {v} = {val[a]} * {val[b]}")
-        elif kind == _SCALE:
-            lines.append(f"    {v} = {lit(a)} * {val[b]}")
-        elif kind == _SUM:
-            total(v, "0j", [f" + {val[j]}" for j in a])
-        elif kind == _QUOT:
-            lines.append(f"    {v} = {val[a]} / {val[b]}")
-        elif kind == _CALL:
+            val[i], known[i] = lit(a), a
+            continue
+        if kind == _CALL:
             raise TypeError(f"{type(a).__name__} has no adjoint rule")
-        else:
+        v = f"v{i}"
+        if kind == _LEAF:
             form = lit(a.c0) + "".join(f" + {lit(kj)}*{xj}"
                                        for kj, xj in zip(a.k, coords) if kj != 0)
             if a.fn is None:
-                lines.append(f"    {v} = {form}")
+                forward.append((None, [f"    {v} = {form}"], ()))
                 slope[i] = "1.0"
             else:
                 pair = pairs.get(id(a.fn))
                 if pair is None:
                     pair = pairs[id(a.fn)] = name(
                         getattr(a.fn, "pair", None) or _dual_pair(a.fn), "f")
-                lines.append(f"    {v}, s{i} = {pair}({form})")
+                forward.append((None, [f"    {v}, s{i} = {pair}({form})"], ()))
                 slope[i] = f"s{i}"
+            val[i] = v
+            continue
+        ops = a if kind == _SUM else (b,) if kind == _SCALE else (a, b)
+        reads = [val[j] for j in ops]
+        key = (kind, type(a), repr(a), *reads) if kind == _SCALE else (kind, *reads)
+        j = first.get(key)
+        if j is not None:
+            val[i] = val[j]
+            if j in known:
+                known[i] = known[j]
+            continue
+        first[key] = i
+        on_constants = all(j in known for j in ops)
+        if on_constants:
+            try:
+                known[i] = _fold(kind, a, [known[j] for j in ops])
+            except ArithmeticError:
+                pass
+            else:
+                val[i] = lit(known[i])
+                continue
+        lines = []
+        if kind == _PROD:
+            lines.append(f"    {v} = {reads[0]} * {reads[1]}")
+        elif kind == _SCALE:
+            lines.append(f"    {v} = {lit(a)} * {reads[0]}")
+        elif kind == _SUM:
+            total(lines, v, "0j", [f" + {r}" for r in reads])
+        else:
+            lines.append(f"    {v} = {reads[0]} / {reads[1]}")
+        # a line on constants is one whose fold raised: always kept
+        forward.append((None if on_constants else v, lines, reads))
+        val[i] = v
 
     # live[i]: slot i has a leaf below it that reads a coordinate; no other
     # slot's adjoint can reach a partial, so none is written
@@ -366,9 +413,11 @@ def _gradient_source(tape, dim):
             live.append(live[a] or live[b])
 
     # adj[i]: the contributions to slot i's adjoint in sweep order, each a
-    # term and, for a _SUM parent's, that parent's adjoint name
+    # term and, for a _SUM parent's, that parent's adjoint name; read: the
+    # forward values that the sweep reads
     adj = [[] for _ in code]
     grads = [[] for _ in coords]
+    sweep, read = [], set()
     for i in range(len(code) - 1, -1, -1):
         if not live[i]:
             continue
@@ -378,17 +427,19 @@ def _gradient_source(tape, dim):
             w = "seed"
             if terms:
                 w = f"a{i}"
-                total(w, "seed", [t for t, _ in terms])
+                total(sweep, w, "seed", [t for t, _ in terms])
         elif len(terms) == 1 and terms[0][1] is not None:
             w = terms[0][1]
         else:
             w = f"a{i}"
-            total(w, "0j", [t for t, _ in terms])
+            total(sweep, w, "0j", [t for t, _ in terms])
         if kind == _PROD:
             if live[a]:
                 adj[a].append((f" + {w} * {val[b]}", None))
+                read.add(val[b])
             if live[b]:
                 adj[b].append((f" + {w} * {val[a]}", None))
+                read.add(val[a])
         elif kind == _SCALE:
             adj[b].append((f" + {lit(a)} * {w}", None))
         elif kind == _SUM:
@@ -396,23 +447,51 @@ def _gradient_source(tape, dim):
                 if live[j]:
                     adj[j].append((f" + {w}", w))
         elif kind == _QUOT:
-            lines.append(f"    q{i} = {w} / {val[b]}")
+            sweep.append(f"    q{i} = {w} / {val[b]}")
+            read.add(val[b])
             if live[a]:
                 adj[a].append((f" + q{i}", None))
             if live[b]:
-                adj[b].append((f" - q{i} * v{i}", None))
+                adj[b].append((f" - q{i} * {val[i]}", None))
+                read.add(val[i])
         else:
             ks = [(j, kj) for j, kj in enumerate(a.k) if kj != 0]
             t = f"{w} * {slope[i]}"
             if len(ks) > 1:
-                lines.append(f"    t{i} = {t}")
+                sweep.append(f"    t{i} = {t}")
                 t = f"t{i}"
             for j, kj in ks:
                 grads[j].append(f" + {t} * {lit(kj)}")
     for j, terms in enumerate(grads):
-        total(f"g{j}", "0j", terms)
-    lines.append(f"    return [{', '.join(f'g{j}' for j in range(dim))}]")
-    return "\n".join(lines) + "\n", names
+        total(sweep, f"g{j}", "0j", terms)
+    sweep.append(f"    return [{', '.join(f'g{j}' for j in range(dim))}]")
+
+    # the forward lines that some kept line or the sweep reads, found from
+    # the last one back
+    kept = []
+    for v, lines, reads in reversed(forward):
+        if v is None or v in read:
+            kept.extend(reversed(lines))
+            read.update(reads)
+    out = ["def grad(p0, seed):", f"    [{', '.join(coords)}] = p0"]
+    out += reversed(kept)
+    out += sweep
+    return "\n".join(out) + "\n", names
+
+
+def _fold(kind, a, xs):
+    """The value of a ``_SCALE``, ``_SUM``, ``_PROD`` or ``_QUOT`` instruction
+    (constant a) on its operand values xs, by the interpreter's operations."""
+    if kind == _SCALE:
+        return a * xs[0]
+    if kind == _PROD:
+        return xs[0] * xs[1]
+    if kind == _QUOT:
+        return xs[0] / xs[1]
+    s = 0j
+    for x in xs:
+        s = s + x
+    return s
 
 
 class Const(Field):
@@ -536,12 +615,17 @@ def _dkernel(fn):
     """The one derivative kernel of the kernel ``fn``, kept on it as ``dz``:
     ``d_exp`` is its own, and any other kernel gets z -> the eps of fn on
     Dual(z, 1.0), which is Dual-safe, so it nests for higher orders, and
-    raises fn's ``PoleError``."""
+    raises fn's ``PoleError``.  At a plain z a kernel with a pair reads the
+    slope of its pair, which is that eps bit for bit (``kernel_family``)."""
     try:
         return fn.dz
     except AttributeError:
+        pair = getattr(fn, "pair", None)
+
         def dz(z):
-            return extract(fn(Dual(z, 1.0)))
+            if pair is None or isinstance(z, Dual):
+                return extract(fn(Dual(z, 1.0)))
+            return pair(z)[1]
         fn.dz = dz
         return dz
 

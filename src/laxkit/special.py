@@ -16,7 +16,9 @@ generic loop takes per term, in its order, and ending at the first term
 whose bound is 0, where every loop stops.  The d = 1 and d = 3 loops also keep
 the order-0 partial sum at the term where the value alone would stop,
 which is the d = 0 jet, and the cache stores it, so a point whose value and
-slope are both asked for is summed once.  A Dual z of depth d never enters
+slope are both asked for is summed once.  The d = 1 loop sums theta_1 with
+theta_2, and theta_3 with theta_4, on one harmonic sequence when both are
+asked for, as the v kernels ask.  A Dual z of depth d never enters
 the series: with z0 = value(z) and h = z - z0, theta returns
 sum_{j<=d} theta^(j)(z0) h^j/j!, which is exact because h^(d+1) = 0.
 The jets are memoized per plain point in one cache, and a point whose
@@ -26,17 +28,21 @@ P(z) is normalized by its Laurent expansion
 P = 1/z^2 + O(z^2), which together with eta1 = -theta1'''(0)/(6 theta1'(0))
 gives lim_{mu->0} sigma_mu'(z) = -P(z) - 2*eta1.
 Pairs.  A flow's gradient needs each kernel's value and slope at a plain
-point.  ``_sigma_pairs`` (sigma's pair), ``v_pair``, ``wp_pair``,
-``hecke_pair`` and ``u_pair`` return (f(z), f'(z)) from the jet that the
-kernel on a Dual z of depth 1 fetches, by the quotients and products Dual
-arithmetic would do, in its order, so both are the kernel's on Dual(z, 1.0)
-bit for bit (up to the sign of a zero) and no Dual is built.  Every
-kernel family has its pair (``fields.kernel_family``).  sigma' and v' are
-no family: they are the derivative leaves ``sigma_form(...).dz()`` and
-``ellcm.v_form(...).dz()`` (``fields.LinArg.dz``).  A sigma or v family's
-factory reads theta1(-mu) and the theta data of tau once per kernel
-(``_mu_data``); the kernel guards theta1(-mu) at each call, before the
-theta_r(z) guards.  The Newton solve of ``dual_params`` reads v and v' from
+point.  The sigma and v pairs (``_sigma_pair_maker``, ``_v_pair_maker``),
+``wp_pair``, ``hecke_pair`` and ``u_pair`` return (f(z), f'(z)) from the
+jet that the kernel on a Dual z of depth 1 fetches, by the quotients and
+products Dual arithmetic would do, in its order, so both are the kernel's
+on Dual(z, 1.0) bit for bit (up to the sign of a zero) and no Dual is
+built.  Every kernel family has its pair (``fields.kernel_family``).
+sigma' and v' are no family: they are the derivative leaves
+``sigma_form(...).dz()`` and ``ellcm.v_form(...).dz()``
+(``fields.LinArg.dz``).  A sigma or v family's factories read theta1(-mu)
+and the theta data of tau once per kernel (``_mu_data``), and a pair also
+fixes there its r, couplings and guard bounds; the kernel guards
+theta1(-mu) at each call, before the theta_r(z) guards.  A pair compares
+|w| with a bound fixed once (POLE_GUARD times theta_r's scale, kept per
+tau in ``_ThetaData``); ``_guard``, which strips a Dual, serves the value
+kernels.  The Newton solve of ``dual_params`` reads v and v' from
 ``v_pair``.
 Kernels.  No family restates another: the Hecke a of ``hecke`` is also the
 c-function of the basic representation, and Noumi's odd-level kernel u~ is
@@ -97,11 +103,13 @@ def check_couplings(regime, params):
 class _ThetaData:
     """Series tables for one tau: per theta_r the terms c_k (i pi m)^j of its
     harmonic pairs for j <= 3, per parity of m (True: odd) the bounds 2|c_k|,
-    and the constants read from the jet of theta_1 at 0.  A table ends at the
-    first term whose bound is 0 (or at THETA_CAP terms): every loop of
-    ``_series`` stops there."""
+    per theta_r the rows (c_k, c_k i pi m, bound, pi m) that the order-1 loop
+    reads and its pole guard POLE_GUARD times its natural scale, and the
+    constants read from the jet of theta_1 at 0.  A table ends at the first
+    term whose bound is 0 (or at THETA_CAP terms): every loop of ``_series``
+    stops there."""
 
-    __slots__ = ("terms", "bounds", "scales", "d1_0", "eta1", "wp_const")
+    __slots__ = ("terms", "bounds", "guards", "rows1", "d1_0", "eta1", "wp_const")
 
     def __init__(self, tau):
         if tau.imag < MIN_IM_TAU:
@@ -113,8 +121,13 @@ class _ThetaData:
             (1, [-1j * (-1) ** k * c for k, c in enumerate(odd)]), (2, odd),
             (3, even), (4, [(-1) ** (k + 1) * c for k, c in enumerate(even)]))}
         self.bounds = {True: [2 * abs(c) for c in odd], False: [2 * abs(c) for c in even]}
-        # natural magnitude of theta_r: its leading series coefficient
-        self.scales = {1: 2 * abs(odd[0]), 2: 2 * abs(odd[0]), 3: 1.0, 4: 1.0}
+        # POLE_GUARD times the natural magnitude of theta_r, its leading
+        # series coefficient
+        lead = 2 * abs(odd[0])
+        self.guards = {r: POLE_GUARD * scale
+                       for r, scale in ((1, lead), (2, lead), (3, 1.0), (4, 1.0))}
+        self.rows1 = {r: list(zip(c[0], c[1], self.bounds[r < 3], _PI_M[r < 3]))
+                      for r, c in self.terms.items()}
         _f, self.d1_0, _f2, d3 = _series((1,), 0j, 3, self)[0][0]
         self.eta1 = -d3 / (6 * self.d1_0)
         self.wp_const = d3 / (3 * self.d1_0)
@@ -233,27 +246,70 @@ def _series_0(rs, z, td):
 
 def _series_1(rs, z, td):
     """The order-1 jets of ``_series`` and the order-0 values: the partial
-    sum s0 at the first term whose order-0 test stops, or the full sum."""
+    sum s0 at the first term whose order-0 test stops, or the full sum.
+
+    theta_1 and theta_2 run over the same m, as do theta_3 and theta_4, so
+    when both members of such a pair are asked for, one loop runs them on
+    one harmonic sequence (P, M, e), each with its own sums and stop test,
+    until one stops; the other goes on alone, from the next term, in the
+    loop of one theta_r."""
     w, wi = cmath.exp(1j * math.pi * z), cmath.exp(-1j * math.pi * z)
     ey = math.exp(math.pi * abs(z.imag))
     w2, wi2, ey2 = w * w, wi * wi, ey * ey
-    out, values = [], []
+    rows = td.rows1
+    out, values, done = [], [], {}
     for r in rs:
-        odd = r < 3
-        P, M, e = (w, wi, ey) if odd else (w2, wi2, ey2)
-        c0, c1 = td.terms[r][:2]
-        s0, s1, v = (0j if odd else 1 + 0j), 0j, None
-        for t0, t1, bound, pm in zip(c0, c1, td.bounds[odd], _PI_M[odd]):
-            h0, h1 = (P - M, P + M) if r == 1 else (P + M, P - M)
-            s0 += t0 * h0
-            s1 += t1 * h1
-            b = bound * e
-            if not b > THETA_RTOL * abs(s0):
-                if v is None:
-                    v = s0
-                if not b * pm > THETA_RTOL * abs(s1):
-                    break
-            P, M, e = P * w2, M * wi2, e * ey2
+        if r not in done:
+            odd = r < 3
+            P, M, e = (w, wi, ey) if odd else (w2, wi2, ey2)
+            s0, s1, v, q, it = (0j if odd else 1 + 0j), 0j, None, r, rows[r]
+            ra = r if r & 1 else r - 1          # theta_1 or theta_3
+            if ra in rs and ra + 1 in rs:
+                # a is theta_ra and b theta_ra+1, whose harmonics are
+                # (P + M, P - M); a's are swapped for theta_1
+                a0, a1, va, b0, b1, vb = s0, s1, v, s0, s1, v
+                ia, ib = iter(rows[ra]), iter(rows[ra + 1])
+                for (ta0, ta1, bound, pm), (tb0, tb1, _b, _pm) in zip(ia, ib):
+                    D, S = P - M, P + M
+                    ha0, ha1 = (D, S) if odd else (S, D)
+                    a0 += ta0 * ha0
+                    a1 += ta1 * ha1
+                    b0 += tb0 * S
+                    b1 += tb1 * D
+                    b = bound * e
+                    a_on = b_on = True
+                    if not b > THETA_RTOL * abs(a0):
+                        if va is None:
+                            va = a0
+                        a_on = b * pm > THETA_RTOL * abs(a1)
+                    if not b > THETA_RTOL * abs(b0):
+                        if vb is None:
+                            vb = b0
+                        b_on = b * pm > THETA_RTOL * abs(b1)
+                    P, M, e = P * w2, M * wi2, e * ey2
+                    if not (a_on and b_on):
+                        break
+                else:
+                    a_on = b_on = False
+                done[ra], done[ra + 1] = (a0, a1, va), (b0, b1, vb)
+                # the one still on goes on alone from the next term
+                q, it = (ra, ia) if a_on else (ra + 1, ib) if b_on else (None, None)
+                if q is not None:
+                    s0, s1, v = done[q]
+            if q is not None:
+                for t0, t1, bound, pm in it:
+                    h0, h1 = (P - M, P + M) if q == 1 else (P + M, P - M)
+                    s0 += t0 * h0
+                    s1 += t1 * h1
+                    b = bound * e
+                    if not b > THETA_RTOL * abs(s0):
+                        if v is None:
+                            v = s0
+                        if not b * pm > THETA_RTOL * abs(s1):
+                            break
+                    P, M, e = P * w2, M * wi2, e * ey2
+                done[q] = (s0, s1, v)
+        s0, s1, v = done[r]
         out.append([s0, s1])
         values.append([s0 if v is None else v])
     return out, values
@@ -357,10 +413,18 @@ def eta1(tau):
     return _tdata(tau).eta1
 
 
-def _guard(name, w, scale=1.0):
-    if abs(value(w)) < POLE_GUARD * scale:
-        raise PoleError(f"|{name}| = {abs(value(w)):.2e} below pole guard "
-                        f"{POLE_GUARD * scale:.2e}")
+def _pole(name, size, bound):
+    """The ``PoleError`` of a factor ``name`` of modulus ``size`` below its
+    guard ``bound``."""
+    return PoleError(f"|{name}| = {size:.2e} below pole guard {bound:.2e}")
+
+
+def _guard(name, w, bound=POLE_GUARD):
+    """w, unless its modulus is below ``bound``: the guard of the value
+    kernels, which take a Dual too.  A pair compares abs(w) with its bound
+    itself, since its w is plain."""
+    if abs(value(w)) < bound:
+        raise _pole(name, abs(value(w)), bound)
     return w
 
 
@@ -381,8 +445,23 @@ def _sigma_maker(mu, tau):
 
 
 def _sigma_pair_maker(mu, tau):
-    data = _mu_data(mu, tau)
-    return lambda z: _sigma_pairs((1,), mu, z, tau, data)[0]
+    """sigma_mu's pair: (value, slope) of ``_sigmas((1,), mu, Dual(z, 1.0),
+    tau, data)`` from the order-1 jets at z - mu and z, with its guards and
+    its constants (``_mu_data``, theta1'(0), the guard bounds) fixed here."""
+    td, t1 = _mu_data(mu, tau)
+    d1_0, bound = td.d1_0, td.guards[1]
+
+    def pair(z):
+        if abs(t1) < bound:
+            raise _pole("theta1(-mu)", abs(t1), bound)
+        [(a, da)] = _jets((1,), z - mu, 1, tau)
+        [(b, db)] = _jets((1,), z, 1, tau)
+        if abs(b) < bound:
+            raise _pole("theta1(z)", abs(b), bound)
+        den, dden = b * t1, db * t1
+        q = a * d1_0 / den
+        return q, (da * d1_0 - q * dden) / den
+    return pair
 
 
 def _v_maker(mu, g, tau):
@@ -392,8 +471,31 @@ def _v_maker(mu, g, tau):
 
 
 def _v_pair_maker(mu, g, tau):
-    data = _mu_data(2 * mu, tau)
-    return lambda z: _v_pair(mu, z, g, tau, data)
+    """v_mu's pair, as ``v_pair`` gives it.  The r of the nonzero couplings,
+    their g_r, 2 mu, theta1'(0), ``_mu_data`` of 2 mu and the guard bounds
+    are fixed here; a call reads the sigma^r_{2 mu} value/slope pairs of
+    ``_sigma_pair_maker``'s arithmetic in one loop and sums them."""
+    mu2 = 2 * mu
+    td, t1 = _mu_data(mu2, tau)
+    d1_0, mu_bound = td.d1_0, td.guards[1]
+    rs = tuple(r + 1 for r in range(4) if g[r] != 0)
+    consts = [(f"theta{r}(z)", td.guards[r], g[r - 1]) for r in rs]
+
+    def pair(z):
+        if abs(t1) < mu_bound:
+            raise _pole("theta1(-mu)", abs(t1), mu_bound)
+        out, slope = 0j, None
+        for (name, bound, g_r), (a, da), (b, db) in zip(
+                consts, _jets(rs, z - mu2, 1, tau), _jets(rs, z, 1, tau)):
+            if abs(b) < bound:
+                raise _pole(name, abs(b), bound)
+            den, dden = b * t1, db * t1
+            q = a * d1_0 / den
+            ds = (da * d1_0 - q * dden) / den
+            out = out + q * g_r
+            slope = ds * g_r if slope is None else slope + ds * g_r
+        return out, 0j if slope is None else slope
+    return pair
 
 
 # Kernel families: one kernel object per parameter set, with its pair
@@ -424,24 +526,11 @@ def _sigmas(rs, mu, z, tau, data):
     from theta at z - mu and z and ``data``, ``_mu_data(mu, tau)``;
     theta1(-mu) is guarded at each call, before the theta_r(z) guards."""
     td, t1 = data
-    t1 = _guard("theta1(-mu)", t1, td.scales[1])
+    t1 = _guard("theta1(-mu)", t1, td.guards[1])
     out = []
     for r, (a,), (b,) in zip(rs, _theta_at(rs, z - mu, tau, 0), _theta_at(rs, z, tau, 0)):
-        den = _guard(f"theta{r}(z)", b, td.scales[r]) * t1
+        den = _guard(f"theta{r}(z)", b, td.guards[r]) * t1
         out.append(a * td.d1_0 / den)
-    return out
-
-
-def _sigma_pairs(rs, mu, z, tau, data):
-    """For each r in rs, (value, slope) of ``_sigmas(rs, mu, Dual(z, 1.0),
-    tau, data)``, from the order-1 jets at z - mu and z, with its guards."""
-    td, t1 = data
-    t1 = _guard("theta1(-mu)", t1, td.scales[1])
-    out = []
-    for r, (a, da), (b, db) in zip(rs, _jets(rs, z - mu, 1, tau), _jets(rs, z, 1, tau)):
-        den, dden = _guard(f"theta{r}(z)", b, td.scales[r]) * t1, db * t1
-        q = a * td.d1_0 / den
-        out.append((q, (da * td.d1_0 - q * dden) / den))
     return out
 
 
@@ -449,7 +538,7 @@ def wp(z, tau):
     """Weierstrass P for the lattice Z + tau Z, Laurent-normalized."""
     f, fp, fpp = _theta_at((1,), z, tau, 2)[0]
     td = _tdata(tau)
-    _guard("theta1(z)", f, td.scales[1])
+    _guard("theta1(z)", f, td.guards[1])
     return -(fpp * f - fp * fp) / (f * f) + td.wp_const
 
 
@@ -457,7 +546,8 @@ def wp_pair(z, tau):
     """(P(z), P'(z)) at a plain z, as ``wp`` gives them on Dual(z, 1.0)."""
     f, fp, fpp, fppp = _jets((1,), z, 3, tau)[0]
     td = _tdata(tau)
-    _guard("theta1(z)", f, td.scales[1])
+    if abs(f) < td.guards[1]:
+        raise _pole("theta1(z)", abs(f), td.guards[1])
     num = -(fpp * f - fp * fp)
     dnum = -((fpp * fp + fppp * f) - (fp * fpp + fpp * fp))
     den, dden = f * f, f * fp + fp * f
@@ -481,17 +571,9 @@ def v_func(mu, z, g, tau):
 
 def v_pair(mu, z, g, tau):
     """(v_mu(z), v_mu'(z)) at a plain z, as ``v_func`` gives them on
-    Dual(z, 1.0): the sum folds from 0j and its slope from the first term."""
-    return _v_pair(mu, z, g, tau, _mu_data(2 * mu, tau))
-
-
-def _v_pair(mu, z, g, tau, data):
-    rs = tuple(r + 1 for r in range(4) if g[r] != 0)
-    out, slope = 0j, None
-    for r, (s, ds) in zip(rs, _sigma_pairs(rs, 2 * mu, z, tau, data)):
-        out = out + s * g[r - 1]
-        slope = ds * g[r - 1] if slope is None else slope + ds * g[r - 1]
-    return out, 0j if slope is None else slope
+    Dual(z, 1.0): the sum folds from 0j and its slope from the first term.
+    It is the pair of ``v_kernel(mu, g, tau)``."""
+    return v_kernel(mu, g, tau).pair(z)
 
 
 def dual_couplings(g):
@@ -563,7 +645,9 @@ def hecke_pair(z, tau_hecke, k):
     """(f(z), f'(z)) for f = ``hecke(., tau_hecke, k)``, as on Dual(z, 1.0)."""
     e = cmath.exp(z)
     de = e * 1.0
-    den, dden = _guard("1 - e^z", 1.0 - e), -de
+    den, dden = 1.0 - e, -de
+    if abs(den) < POLE_GUARD:
+        raise _pole("1 - e^z", abs(den), POLE_GUARD)
     if k == 0:
         num, dnum = 1.0 / tau_hecke - e * tau_hecke, -(de * tau_hecke)
     else:
@@ -584,7 +668,10 @@ def u_pair(z, tau_n, tau_n_vee):
     """(u(z), u'(z)) at a plain z, as ``u_fun`` gives them on Dual(z, 1.0)."""
     e = cmath.exp(z)
     de = e * 1.0
-    den = _guard("1 - e^{2z}", 1.0 - e * e) * tau_n
+    den = 1.0 - e * e
+    if abs(den) < POLE_GUARD:
+        raise _pole("1 - e^{2z}", abs(den), POLE_GUARD)
+    den = den * tau_n
     dden = -(e * de + de * e) * tau_n
     ca, cb = tau_n * tau_n_vee, tau_n / tau_n_vee
     a, da = 1.0 - e * ca, -(de * ca)

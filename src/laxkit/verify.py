@@ -199,14 +199,15 @@ def hamiltonian_rhs(H, z, n):
 
 
 def rk4_step(H, z, dt, n):
-    def f(zz):
-        return hamiltonian_rhs(H, zz, n)
-    k1 = f(z)
-    k2 = f(tuple(a + 0.5 * dt * b for a, b in zip(z, k1)))
-    k3 = f(tuple(a + 0.5 * dt * b for a, b in zip(z, k2)))
-    k4 = f(tuple(a + dt * b for a, b in zip(z, k3)))
-    return tuple(a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4))
+    """One classical RK4 step of Hamilton's equations; 0.5 * dt and dt / 6.0
+    are taken once, which gives the products a + 0.5 * dt * b would."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = hamiltonian_rhs(H, z, n)
+    k2 = hamiltonian_rhs(H, [a + half * b for a, b in zip(z, k1)], n)
+    k3 = hamiltonian_rhs(H, [a + half * b for a, b in zip(z, k2)], n)
+    k4 = hamiltonian_rhs(H, [a + dt * b for a, b in zip(z, k3)], n)
+    return tuple([a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)])
 
 
 def hamiltonian_flow(H, z0, T, dt, n):

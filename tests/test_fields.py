@@ -443,6 +443,10 @@ INSTRUCTION_KINDS = {
     "Prod-of-Consts": fields.Prod(Const(0.7 - 0.2j), Const(1.3 + 0.5j)) * _LEAF,
     "Quot-of-Consts": _LEAF * Quot(Const(0.7 - 0.2j), Const(1.3 + 0.5j)),
     "Sum-under-Prod": (_LEAF + _FORM * _FORM + exp_lin((0.0, 0.0, 0.0, 0.0))) * _FORM,
+    # forward values the generated source folds, shares or does not compute
+    "Fold-of-Fold": Scale(2.0, fields.Prod(Const(0.7 - 0.2j), Const(1.3 + 0.5j))) * _LEAF,
+    "Equal-Prods": (fields.Prod(Const(0.7 - 0.2j), Const(1.3 + 0.5j)) * _LEAF
+                    + fields.Prod(_LEAF, _FORM) * fields.Prod(_LEAF, _FORM)),
 }
 
 
@@ -496,6 +500,40 @@ def test_generated_gradient_writes_live_adjoints_only(kind):
     for i, (op, a, _b) in enumerate(tape.code):
         if op == fields._QUOT and live[a]:
             assert f"    a{a} = 0j + q{i}" in lines
+
+
+def forward_lines(tape, src):
+    """The lines of a generated source that compute a forward value other
+    than a leaf's."""
+    return [line for line in src.splitlines()
+            if (m := re.match(r"    v(\d+) = ", line))
+            and tape.code[int(m.group(1))][0] != fields._LEAF]
+
+
+def test_generated_forward_section_folds_shares_and_drops():
+    """Of the forward values of (c1 c2) leaf + (leaf form)(leaf form), with
+    the two products leaf form built apart, the generated source computes
+    one, the product leaf form: c1 c2 is folded, the second product reads
+    the first one's value, and the value of the root and of its parts, which
+    no adjoint reads, is not computed."""
+    tape = INSTRUCTION_KINDS["Equal-Prods"].tape()
+    src, _names = fields._gradient_source(tape, len(Z))
+    [line] = forward_lines(tape, src)
+    assert re.fullmatch(r"    v\d+ = v\d+ \* v\d+", line)
+
+
+def test_a_constant_fold_that_raises_keeps_its_line():
+    """1/0 on constants is not folded: its line stays, even where no adjoint
+    reads it, and raises ZeroDivisionError after the leaves before it, as
+    the interpreter does."""
+    for f in (_LEAF * Quot(Const(1.0 + 0j), Const(0j)),
+              _LEAF + Quot(Const(1.0 + 0j), Const(0j))):
+        tape = f.tape()
+        assert len(forward_lines(tape, fields._gradient_source(tape, len(Z))[0])) == 1
+        with pytest.raises(ZeroDivisionError):
+            tape.gradient(Z)
+        with pytest.raises(ZeroDivisionError):
+            interpreted_gradient(tape, Z)
 
 
 def test_generated_gradient_of_a_sum_of_thousands_of_terms():
@@ -568,9 +606,37 @@ def test_a_scale_root_runs_its_operands_gradient_bit_for_bit(system):
             assert got == reprs(interpreted_gradient(f.tape(), x))
 
 
+# a name of the generated source: a value, slope, coordinate, adjoint or
+# constant, or the seed; literals match none
+SOURCE_NAME = re.compile(r"\b[a-z]+\d+\b|\bseed\b")
+
+
+@pytest.mark.parametrize("system", FLOW_RANKS)
+def test_flow_gradient_sources_compute_each_forward_value_once(system):
+    """In the generated gradient of a flow's H, no forward line of a sum,
+    scaling, product or quotient reads only constants (those are folded when
+    the source is generated), no two apply one operation to the same
+    operands, and every one's name is read by a later line."""
+    H, _Lf, _n, _powers, z0 = _flow_setup(system)
+    tape = H.tape()
+    lines = fields._gradient_source(tape, len(z0))[0].splitlines()
+    forward = {}                          # name -> index of its last line
+    for k, line in enumerate(lines):
+        m = re.match(r"    v(\d+) = ", line)
+        if m and tape.code[int(m.group(1))][0] != fields._LEAF:
+            forward[f"v{m.group(1)}"] = k
+    rhs = [lines[k].partition(" = ")[2] for k in forward.values()]
+    assert [r for r in rhs if all(re.fullmatch(r"c\d+", n) for n in SOURCE_NAME.findall(r))] == []
+    assert len(set(rhs)) == len(rhs)
+    unread = [v for v, k in forward.items()
+              if not any(v in SOURCE_NAME.findall(line.partition(" = ")[2] or line)
+                         for line in lines[k + 1:])]
+    assert unread == []
+
+
 def test_a_cli_flow_compiles_one_gradient_function(tmp_path, monkeypatch):
     """The time scale and the whole flow of H / kappa run H's one generated
-    gradient, whose koornwinder source writes at most 400 lines."""
+    gradient, whose koornwinder source writes at most 285 lines."""
     generated = []
     source = fields._gradient_source
 
@@ -581,7 +647,7 @@ def test_a_cli_flow_compiles_one_gradient_function(tmp_path, monkeypatch):
     monkeypatch.setattr(fields, "_gradient_source", generating)
     assert cli_main(["flow", "--system", "koornwinder", "--rank", "2", "--time", "0.1",
                      "--dt", "1e-2", "--csv", str(tmp_path / "flow.csv")]) == 0
-    assert len(generated) == 1 and generated[0] <= 400
+    assert len(generated) == 1 and generated[0] <= 285
 
 
 @pytest.mark.parametrize("system", FLOW_RANKS)

@@ -1,6 +1,7 @@
 """Theta/sigma/wp/v-function identities against independent oracles."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import directional
 
-from laxkit import ellcm, koorn, special
+from laxkit import ellcm, fields, koorn, special
 from laxkit.cli import main as cli_main
 from laxkit.dual import Dual, d_exp, extract, value
 from laxkit.fields import PoleError, inv_form
@@ -107,14 +108,19 @@ def near_component_zeros(r, td, rng, edge, count):
     return out
 
 
+# every nonempty set of theta_r, in increasing r, as the kernels ask for them
+THETA_SETS = [rs for size in range(1, 5) for rs in itertools.combinations((1, 2, 3, 4), size)]
+
+
 @pytest.mark.parametrize("tau", [0.82j, 0.1 + 0.5j, 0.2 + (special.MIN_IM_TAU + 1e-3) * 1j])
 def test_series_paths_are_the_generic_loop_bit_for_bit(tau, monkeypatch):
     """The d = 0, 1 and 3 loops of ``_series`` give the generic loop's jets
-    with every bit, signs of zeros included (repr), for each theta_r alone
-    and for all four, up to the strip edge |Im z| < Im tau / 2 and at a tau
-    whose sums run long; the order-0 values the d = 1 and d = 3 loops keep
-    are the d = 0 sum, also next to a zero of one of its components, and
-    ``_jets`` stores them under order 0."""
+    with every bit, signs of zeros included (repr), for every nonempty set
+    of the theta_r (so the d = 1 loop sums theta_1 with theta_2, and theta_3
+    with theta_4, on one harmonic sequence or alone), up to the strip edge
+    |Im z| < Im tau / 2 and at a tau whose sums run long; the order-0 values
+    the d = 1 and d = 3 loops keep are the d = 0 sum, also next to a zero of
+    one of its components, and ``_jets`` stores them under order 0."""
     monkeypatch.setattr(special, "_jet_cache", {})
     td = special._tdata(tau)
     rng = random.Random(21)
@@ -122,7 +128,7 @@ def test_series_paths_are_the_generic_loop_bit_for_bit(tau, monkeypatch):
     zs = [0j, complex(0.5, -0.0)] + [rand_z(rng, 1.5, edge) for _ in range(150)]
     zs += [z for r in (1, 2, 3, 4) for z in near_component_zeros(r, td, rng, edge, 10)]
     for z in zs:
-        for rs in ((1,), (2,), (3,), (4,), (1, 2, 3, 4)):
+        for rs in THETA_SETS:
             value0 = repr(special._series_loop(rs, z, 0, td))
             for d in (0, 1, 3):
                 jets, values = special._series(rs, z, d, td)
@@ -130,6 +136,23 @@ def test_series_paths_are_the_generic_loop_bit_for_bit(tau, monkeypatch):
                 assert repr(values) == (repr(None) if d == 0 else value0)
             special._jets(rs, z, 1, tau)
             assert repr(special._jet_cache[(rs, z, 0, tau)]) == value0
+
+
+def test_the_member_of_a_pair_that_runs_longer_goes_on_bit_for_bit():
+    """theta_1/theta_2 and theta_3/theta_4 summed on one harmonic sequence
+    give the generic loop's order-1 jets and order-0 values, also where one
+    member stops before the other and the other's last terms still move a
+    bit: at a tau whose sums run long, over 2000 seeded points (about one
+    point in 200 is such a point for the pair theta_3/theta_4 there)."""
+    tau = 0.2 + (special.MIN_IM_TAU + 1e-3) * 1j
+    td = special._tdata(tau)
+    rng = random.Random(28)
+    edge = 0.999 * tau.imag / 2
+    for _ in range(2000):
+        z = rand_z(rng, 1.5, edge)
+        for rs in ((1, 2), (3, 4)):
+            want = (special._series_loop(rs, z, 1, td), special._series_loop(rs, z, 0, td))
+            assert repr(special._series_1(rs, z, td)) == repr(want)
 
 
 @pytest.mark.parametrize("tau", [0.82j, 0.1 + 0.5j, TAU])
@@ -315,8 +338,9 @@ def test_dual_params_newton():
 # an argument inside its pole guard (d_exp has none)
 PAIRED_KERNELS = {
     "sigma": (special.sigma_kernel(0.24 + 0.03j, TAU), 1e-7),
-    "v": (special.v_kernel(0.31 - 0.02j, G, TAU), 1e-7),
+    "v": (special.v_kernel(0.31 - 0.02j, G, TAU), TAU / 2 + 1e-7),
     "v-real-couplings": (special.v_kernel(0.27, (0.4, 0.0, 0.3, 0.2), 0.82j), 1e-7),
+    "v-no-theta1": (special.v_kernel(0.31 - 0.02j, (0.0,) + G[1:], TAU), 0.5 + 1e-7),
     "wp": (special.wp_kernel(0.84j), 1e-7),
     "hecke-a": (special.hecke_kernel(1.4 + 0.2j, 0), 1e-7),
     "hecke-b": (special.hecke_kernel(2 ** 0.5, 1), -1e-7j),
@@ -352,6 +376,25 @@ def test_kernel_pair_is_the_dual_path_bit_for_bit(family):
         with pytest.raises(PoleError) as pair_err:
             k.pair(pole)
         assert str(pair_err.value) == str(dual_err.value)
+
+
+@pytest.mark.parametrize("family", PAIRED_KERNELS)
+def test_derivative_kernel_is_the_dual_path_bit_for_bit(family):
+    """The derivative kernel of a leaf (``fields._dkernel``) at a plain z
+    gives the slope of the kernel on Dual(z, 1.0) with every bit, read from
+    its pair where it has one, and inside the guard the same PoleError."""
+    k, pole = PAIRED_KERNELS[family]
+    dk = fields._dkernel(k)
+    rng = random.Random(28)
+    for _ in range(50):
+        z = rand_z(rng, 0.9, 0.3)
+        assert bits(dk(z)) == bits(extract(k(Dual(z, 1.0))))
+    if pole is not None:
+        with pytest.raises(PoleError) as dual_err:
+            k(Dual(pole, 1.0))
+        with pytest.raises(PoleError) as dz_err:
+            dk(pole)
+        assert str(dz_err.value) == str(dual_err.value)
 
 
 # (kernel, the function reading theta1(-mu) at each call) at a mu whose
