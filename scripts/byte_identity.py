@@ -8,7 +8,8 @@ one table of them that the other scripts import), at seeds 0, 7 and 17,
 with and without ``--perturb 1e-3``, and ``laxkit flow`` for every system
 with a classical flow (``suites.SYSTEMS``) at T=1 with dt 2e-3 and 1e-2.
 Each run is a fresh interpreter on ``ROOT/src`` (default: the tree holding
-this script); the system list is read from the installed ``laxkit``.
+this script); the system list is read from the ``src`` of the tree holding
+this script, which goes first on ``sys.path``, so no install is needed.
 The digest covers stdout with ``runtime_ms`` zeroed, stderr and the exit
 code, so two trees give the same outputs iff all their digests are equal.
 
@@ -33,7 +34,9 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from laxkit.suites import SYSTEMS
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from laxkit.suites import SYSTEMS  # noqa: E402
 
 RANKS = {"rational-A": 3, "rational-C": 2, "trig-gln": 3, "koornwinder": 2,
          "ell-cm-A": 3, "inozemtsev": 2, "ell-ruijsenaars": 3, "vandiejen": 2}

@@ -6,10 +6,13 @@ Prints the energy drift, the spread of each tr L^k column, and the
 characteristic-polynomial drift along the trajectory.
 """
 
+import pathlib
 import sys
 
-from laxkit.suites import RunConfig, classical_flow_setup, default_params
-from laxkit.verify import energy_drift, scaled_flow, spectral_invariants
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from laxkit.suites import RunConfig, classical_flow_setup, default_params  # noqa: E402
+from laxkit.verify import energy_drift, scaled_flow, spectral_invariants  # noqa: E402
 
 
 def main():

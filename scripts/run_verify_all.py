@@ -9,9 +9,11 @@ import json
 import pathlib
 import sys
 
-from byte_identity import RANKS
-from laxkit.cli import main as cli_main
-from laxkit.suites import KNOWN_SYSTEMS
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from byte_identity import RANKS  # noqa: E402
+from laxkit.cli import main as cli_main  # noqa: E402
+from laxkit.suites import KNOWN_SYSTEMS  # noqa: E402
 
 
 def main():

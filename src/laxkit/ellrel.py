@@ -704,6 +704,11 @@ def residue_conditions(p: VDParams, rng):
         """Point with <alpha,x> = h, kept generic for the other kernels."""
         best, score = None, -1.0
         aa = dot(alpha, alpha)
+        # the pairs (i, j) and whether x_i - x_j and x_i + x_j are kept:
+        # those that are not <alpha, .>
+        alpha = tuple(alpha)
+        pairs = [(i, j, alpha != ext_form(n, i, j, -1), alpha != ext_form(n, i, j, +1))
+                 for i in range(n) for j in range(i + 1, n)]
         for _try in range(40):
             x = tuple(complex(rng.uniform(0.1, 0.45), rng.uniform(0.0, 0.04))
                       for _ in range(n))
@@ -714,12 +719,11 @@ def residue_conditions(p: VDParams, rng):
             for i in range(n):
                 vals.append(x[i])
                 vals.append(x[i] - 0.5)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if tuple(alpha) != ext_form(n, i, j, -1):
-                        vals.append(x[i] - x[j])
-                    if tuple(alpha) != ext_form(n, i, j, +1):
-                        vals.append(x[i] + x[j])
+            for i, j, minus, plus in pairs:
+                if minus:
+                    vals.append(x[i] - x[j])
+                if plus:
+                    vals.append(x[i] + x[j])
             sc = min((abs(v) for v in vals), default=1.0)
             if sc > score:
                 best, score = x, sc

@@ -434,11 +434,17 @@ def _gradient_source(tape, dim):
             w = f"a{i}"
             total(sweep, w, "0j", [t for t, _ in terms])
         if kind == _PROD:
+            ta, tb = f"{w} * {val[b]}", f"{w} * {val[a]}"
+            if ta == tb and live[a] and live[b]:
+                # a square (or a product of two equal values): its product
+                # term is computed once and read twice, with the same bits
+                sweep.append(f"    t{i} = {ta}")
+                ta = tb = f"t{i}"
             if live[a]:
-                adj[a].append((f" + {w} * {val[b]}", None))
+                adj[a].append((f" + {ta}", None))
                 read.add(val[b])
             if live[b]:
-                adj[b].append((f" + {w} * {val[a]}", None))
+                adj[b].append((f" + {tb}", None))
                 read.add(val[a])
         elif kind == _SCALE:
             adj[b].append((f" + {lit(a)} * {w}", None))

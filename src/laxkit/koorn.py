@@ -21,7 +21,7 @@ from .ellrel import vd_kernel_class
 from .fields import Const, Field, LinArg, kernel_family, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
                      hecke_inverse, lax_pair)
-from .special import hecke, hecke_kernel, hecke_pair, u_fun, u_kernel, u_pair
+from .special import hecke_kernel, hecke_pair, u_kernel, u_pair
 from .weyl import (SignedPerm, build_root_system, ext_coord, ext_form,
                    orbit_stabilizer, same_coord)
 
@@ -75,10 +75,20 @@ def _u_minus_tau_pair(z, t, tv):
     return u - t, du
 
 
-# the kernels k_dyn of r_kernels: -b, and u - t on doubled roots
-_neg_b_kernel = kernel_family(lambda tau: lambda z: -hecke(z, tau, 1),
-                              lambda tau: lambda z: _neg_b_pair(z, tau))
-_u_minus_tau_kernel = kernel_family(lambda t, tv: lambda z: u_fun(z, t, tv) - t,
+def _neg_b_maker(tau):
+    b = hecke_kernel(tau, 1)
+    return lambda z: -b(z)
+
+
+def _u_minus_tau_maker(t, tv):
+    u = u_kernel(t, tv)
+    return lambda z: u(z) - t
+
+
+# the kernels k_dyn of r_kernels: -b, and u - t on doubled roots, each on
+# the kernel of b or u, whose constants are fixed when it is made
+_neg_b_kernel = kernel_family(_neg_b_maker, lambda tau: lambda z: _neg_b_pair(z, tau))
+_u_minus_tau_kernel = kernel_family(_u_minus_tau_maker,
                                     lambda t, tv: lambda z: _u_minus_tau_pair(z, t, tv))
 
 

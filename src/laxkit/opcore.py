@@ -99,10 +99,8 @@ class _TermOp:
     def _add_term(self, key, f):
         if _is_zero_field(f):
             return
-        if key in self.terms:
-            self.terms[key] = nsum([self.terms[key], f])
-        else:
-            self.terms[key] = f
+        old = self.terms.get(key)
+        self.terms[key] = f if old is None else nsum([old, f])
 
     def _like(self, terms=None):
         """Operator of the same algebra, dimension and flavor with ``terms``."""
@@ -480,10 +478,9 @@ def module_group_act(w: SignedPerm, melem: dict) -> dict:
 
 
 def module_residual(m1: dict, m2: dict, points) -> float:
-    keys = set(m1) | set(m2)
     worst = 0.0
     zero = Const(0j)
-    for g in keys:
+    for g in {**m1, **m2}:
         f1 = m1.get(g, zero)
         f2 = m2.get(g, zero)
         for x in points:

@@ -37,12 +37,23 @@ built.  Every kernel family has its pair (``fields.kernel_family``).
 sigma' and v' are no family: they are the derivative leaves
 ``sigma_form(...).dz()`` and ``ellcm.v_form(...).dz()``
 (``fields.LinArg.dz``).  A sigma or v family's factories read theta1(-mu)
-and the theta data of tau once per kernel (``_mu_data``), and a pair also
-fixes there its r, couplings and guard bounds; the kernel guards
-theta1(-mu) at each call, before the theta_r(z) guards.  A pair compares
-|w| with a bound fixed once (POLE_GUARD times theta_r's scale, kept per
-tau in ``_ThetaData``); ``_guard``, which strips a Dual, serves the value
-kernels.  The Newton solve of ``dual_params`` reads v and v' from
+and the theta data of tau once per kernel (``_mu_data``), and fix there
+theta1'(0), 2 mu, the r and g_r of the nonzero couplings and the guard
+bounds; the kernel and its pair guard theta1(-mu) at each call, before the
+theta_r(z) guards.
+Value kernels.  Every family's kernel fixes its constants when it is made,
+as its pair does: besides the sigma and v ones, the theta data of tau for
+P, 1/tau and tau - 1/tau for the Hecke kernels, and tau_n tau_n^vee and
+tau_n / tau_n^vee for u.  At a plain z a kernel reads the order-0 jets
+(order 2 for P) from ``_jets`` directly, compares |w| with its fixed bounds
+(POLE_GUARD times theta_r's scale, kept per tau in ``_ThetaData``) in the
+order and with the message of ``_guard``, and does the arithmetic of the
+function it stands for (``sigma``, ``v_func``, ``wp``, ``hecke``,
+``u_fun``) in its order, so it is that function bit for bit.  A Dual z
+takes the function itself, so a kernel reaches ``_guard``, which strips a
+Dual, only on a Dual argument; at plain points ``_guard`` serves only the
+direct calls of those functions (set-up constants and residue checks).
+The Newton solve of ``dual_params`` reads v and v' from
 ``v_pair``.
 Kernels.  No family restates another: the Hecke a of ``hecke`` is also the
 c-function of the basic representation, and Noumi's odd-level kernel u~ is
@@ -420,9 +431,10 @@ def _pole(name, size, bound):
 
 
 def _guard(name, w, bound=POLE_GUARD):
-    """w, unless its modulus is below ``bound``: the guard of the value
-    kernels, which take a Dual too.  A pair compares abs(w) with its bound
-    itself, since its w is plain."""
+    """w, unless its modulus is below ``bound``: the guard of ``sigma``,
+    ``v_func``, ``wp``, ``hecke`` and ``u_fun``, which take a Dual too.  A
+    kernel or pair at a plain point compares abs(w) with its fixed bound
+    itself."""
     if abs(value(w)) < bound:
         raise _pole(name, abs(value(w)), bound)
     return w
@@ -439,9 +451,24 @@ def half_periods(tau):
 
 
 def _sigma_maker(mu, tau):
-    """sigma_mu's kernel, which reads ``_mu_data`` once."""
-    data = _mu_data(mu, tau)
-    return lambda z: _sigmas((1,), mu, z, tau, data)[0]
+    """sigma_mu's kernel, with its constants (``_mu_data``, theta1'(0), the
+    guard bound) fixed here.  At a plain z it does ``_sigmas``'s arithmetic
+    and guards in its order on the order-0 jets; a Dual z takes
+    ``_sigmas``."""
+    data = td, t1 = _mu_data(mu, tau)
+    d1_0, bound = td.d1_0, td.guards[1]
+
+    def kernel(z):
+        if isinstance(z, Dual):
+            return _sigmas((1,), mu, z, tau, data)[0]
+        if abs(t1) < bound:
+            raise _pole("theta1(-mu)", abs(t1), bound)
+        [(a,)] = _jets((1,), z - mu, 0, tau)
+        [(b,)] = _jets((1,), z, 0, tau)
+        if abs(b) < bound:
+            raise _pole("theta1(z)", abs(b), bound)
+        return a * d1_0 / (b * t1)
+    return kernel
 
 
 def _sigma_pair_maker(mu, tau):
@@ -465,9 +492,29 @@ def _sigma_pair_maker(mu, tau):
 
 
 def _v_maker(mu, g, tau):
-    """v_mu's kernel, which reads ``_mu_data`` of 2 mu once."""
-    data = _mu_data(2 * mu, tau)
-    return lambda z: _v(mu, z, g, tau, data)
+    """v_mu's kernel, with the constants of ``_v_pair_maker`` fixed here.
+    At a plain z it does ``_v``'s arithmetic and guards in its order on the
+    order-0 jets: the sum folds g_r * sigma^r_{2 mu}(z) from 0j.  A Dual z
+    takes ``_v``."""
+    mu2 = 2 * mu
+    data = td, t1 = _mu_data(mu2, tau)
+    d1_0, mu_bound = td.d1_0, td.guards[1]
+    rs = tuple(r + 1 for r in range(4) if g[r] != 0)
+    consts = [(f"theta{r}(z)", td.guards[r], g[r - 1]) for r in rs]
+
+    def kernel(z):
+        if isinstance(z, Dual):
+            return _v(mu, z, g, tau, data)
+        if abs(t1) < mu_bound:
+            raise _pole("theta1(-mu)", abs(t1), mu_bound)
+        out = 0j
+        for (name, bound, g_r), (a,), (b,) in zip(
+                consts, _jets(rs, z - mu2, 0, tau), _jets(rs, z, 0, tau)):
+            if abs(b) < bound:
+                raise _pole(name, abs(b), bound)
+            out = out + g_r * (a * d1_0 / (b * t1))
+        return out
+    return kernel
 
 
 def _v_pair_maker(mu, g, tau):
@@ -496,18 +543,6 @@ def _v_pair_maker(mu, g, tau):
             slope = ds * g_r if slope is None else slope + ds * g_r
         return out, 0j if slope is None else slope
     return pair
-
-
-# Kernel families: one kernel object per parameter set, with its pair
-# (``fields.kernel_family``).
-sigma_kernel = kernel_family(_sigma_maker, _sigma_pair_maker)
-v_kernel = kernel_family(_v_maker, _v_pair_maker)
-wp_kernel = kernel_family(lambda tau: lambda z: wp(z, tau),
-                          lambda tau: lambda z: wp_pair(z, tau))
-hecke_kernel = kernel_family(lambda tau, k: lambda z: hecke(z, tau, k),
-                             lambda tau, k: lambda z: hecke_pair(z, tau, k))
-u_kernel = kernel_family(lambda t, tv: lambda z: u_fun(z, t, tv),
-                         lambda t, tv: lambda z: u_pair(z, t, tv))
 
 
 def sigma_form(mu, form, tau, const=0j):
@@ -540,6 +575,22 @@ def wp(z, tau):
     td = _tdata(tau)
     _guard("theta1(z)", f, td.guards[1])
     return -(fpp * f - fp * fp) / (f * f) + td.wp_const
+
+
+def _wp_maker(tau):
+    """P's kernel: at a plain z ``wp``'s arithmetic and guard on the order-2
+    jet, with the theta data of tau fixed here; a Dual z takes ``wp``."""
+    td = _tdata(tau)
+    bound, wp_const = td.guards[1], td.wp_const
+
+    def kernel(z):
+        if isinstance(z, Dual):
+            return wp(z, tau)
+        f, fp, fpp = _jets((1,), z, 2, tau)[0]
+        if abs(f) < bound:
+            raise _pole("theta1(z)", abs(f), bound)
+        return -(fpp * f - fp * fp) / (f * f) + wp_const
+    return kernel
 
 
 def wp_pair(z, tau):
@@ -641,6 +692,23 @@ def hecke(z, tau_hecke, k):
     return num / den
 
 
+def _hecke_maker(tau_hecke, k):
+    """The Hecke kernel: at a plain z ``hecke``'s arithmetic and guard, with
+    1/tau and tau - 1/tau fixed here; a Dual z takes ``hecke``."""
+    inv = 1.0 / tau_hecke
+    b_num = tau_hecke - inv
+
+    def kernel(z):
+        if isinstance(z, Dual):
+            return hecke(z, tau_hecke, k)
+        ez = cmath.exp(z)
+        den = 1.0 - ez
+        if abs(den) < POLE_GUARD:
+            raise _pole("1 - e^z", abs(den), POLE_GUARD)
+        return (inv - tau_hecke * ez if k == 0 else b_num) / den
+    return kernel
+
+
 def hecke_pair(z, tau_hecke, k):
     """(f(z), f'(z)) for f = ``hecke(., tau_hecke, k)``, as on Dual(z, 1.0)."""
     e = cmath.exp(z)
@@ -664,6 +732,23 @@ def u_fun(z, tau_n, tau_n_vee):
     return (1.0 - tau_n * tau_n_vee * ez) * (1.0 + tau_n / tau_n_vee * ez) / (tau_n * den)
 
 
+def _u_maker(tau_n, tau_n_vee):
+    """u's kernel: at a plain z ``u_fun``'s arithmetic and guard, with
+    tau_n tau_n^vee and tau_n / tau_n^vee fixed here; a Dual z takes
+    ``u_fun``."""
+    ca, cb = tau_n * tau_n_vee, tau_n / tau_n_vee
+
+    def kernel(z):
+        if isinstance(z, Dual):
+            return u_fun(z, tau_n, tau_n_vee)
+        ez = cmath.exp(z)
+        den = 1.0 - ez * ez
+        if abs(den) < POLE_GUARD:
+            raise _pole("1 - e^{2z}", abs(den), POLE_GUARD)
+        return (1.0 - ca * ez) * (1.0 + cb * ez) / (tau_n * den)
+    return kernel
+
+
 def u_pair(z, tau_n, tau_n_vee):
     """(u(z), u'(z)) at a plain z, as ``u_fun`` gives them on Dual(z, 1.0)."""
     e = cmath.exp(z)
@@ -678,3 +763,12 @@ def u_pair(z, tau_n, tau_n_vee):
     b, db = e * cb + 1.0, de * cb
     q = a * b / den
     return q, ((a * db + da * b) - q * dden) / den
+
+
+# Kernel families: one kernel object per parameter set, with its pair
+# (``fields.kernel_family``).
+sigma_kernel = kernel_family(_sigma_maker, _sigma_pair_maker)
+v_kernel = kernel_family(_v_maker, _v_pair_maker)
+wp_kernel = kernel_family(_wp_maker, lambda tau: lambda z: wp_pair(z, tau))
+hecke_kernel = kernel_family(_hecke_maker, lambda tau, k: lambda z: hecke_pair(z, tau, k))
+u_kernel = kernel_family(_u_maker, lambda t, tv: lambda z: u_pair(z, t, tv))

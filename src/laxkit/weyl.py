@@ -24,16 +24,33 @@ class UnsupportedElementError(ValueError):
     """Element lies outside the group covered by reduced-word search."""
 
 
+# the one SignedPerm of each image
+_PERMS: dict = {}
+
+
 class SignedPerm:
     """Signed permutation of basis vectors: w(e_i) = sign * e_j.
 
-    ``img[i]`` is the 1-based signed index j of the image of e_i.
+    ``img[i]`` is the 1-based signed index j of the image of e_i.  There is
+    one object per image (hash-consing): ``SignedPerm(img)`` returns the
+    object first made for ``tuple(img)``, and so do ``copy``, ``deepcopy``
+    and ``pickle`` (``__reduce__``).  Equality is identity, so a dict keyed
+    by perms hashes and compares them at C speed.  The inverse is computed
+    once and kept.
     """
 
-    __slots__ = ("img",)
+    __slots__ = ("img", "_inv")
 
-    def __init__(self, img):
-        self.img = tuple(img)
+    def __new__(cls, img):
+        img = tuple(img)
+        out = _PERMS.get(img)
+        if out is None:
+            out = _PERMS[img] = object.__new__(cls)
+            out.img, out._inv = img, None
+        return out
+
+    def __reduce__(self):
+        return SignedPerm, (self.img,)
 
     @staticmethod
     def identity(n):
@@ -87,11 +104,15 @@ class SignedPerm:
         return SignedPerm(out)
 
     def inverse(self):
-        out = [0] * self.n
-        for i, t in enumerate(self.img):
-            j = abs(t) - 1
-            out[j] = (i + 1) if t > 0 else -(i + 1)
-        return SignedPerm(out)
+        inv = self._inv
+        if inv is None:
+            out = [0] * self.n
+            for i, t in enumerate(self.img):
+                j = abs(t) - 1
+                out[j] = (i + 1) if t > 0 else -(i + 1)
+            inv = self._inv = SignedPerm(out)
+            inv._inv = self
+        return inv
 
     def apply_vec(self, v):
         """Image of a coordinate vector (works for ints, complex, Dual)."""
@@ -105,12 +126,6 @@ class SignedPerm:
         """(j, sign) with w(e_i) = sign * e_j, all 0-based."""
         t = self.img[i]
         return abs(t) - 1, (1 if t > 0 else -1)
-
-    def __eq__(self, other):
-        return isinstance(other, SignedPerm) and self.img == other.img
-
-    def __hash__(self):
-        return hash(self.img)
 
     def __repr__(self):
         return f"SignedPerm{self.img}"

@@ -3,9 +3,11 @@ derivatives built on the DAG by rule, its gradient by a function generated
 for the tape, and the structure shared at construction (affine images,
 derivative nodes and leaf kernels equal by value)."""
 
+import cmath
 import gc
 import random
 import re
+import types
 
 import pytest
 from support import directional, interpreted_gradient, seed
@@ -143,15 +145,25 @@ TRIG = TrigGLConfig(n=2, tau=0.8 + 0.1j, c=0.3)
 MU, TAU = 0.31 - 0.02j, 0.3 + 0.8j
 
 
+def logged_exp(monkeypatch):
+    """Record every e^z that ``special`` takes: its module reads a copy of
+    ``cmath`` whose ``exp`` is logged."""
+    stand_in = types.SimpleNamespace(**vars(cmath))
+    monkeypatch.setattr(special, "cmath", stand_in)
+    return logged(monkeypatch, stand_in, "exp")
+
+
 def test_shared_kernel_runs_once_per_point_in_residual_evalfn(monkeypatch):
     fn, calls = counting(d_exp)
     h = LinArg(fn, (1.0, -1.0), 0.2j)
     # one object, then kernels built by separate calls with equal parameters,
-    # each with the log of the function its kernel calls
-    cases = [(lambda: h, calls),
-             (lambda: a_field(TRIG, 1, 2), logged(monkeypatch, special, "hecke")),
-             (lambda: sigma_form(MU, (1.0, -1.0), TAU), logged(monkeypatch, special, "_sigmas"))]
-    for make, kernel_calls in cases:
+    # each with the log of a function its kernel calls at a plain point and
+    # the number of calls per run: the Hecke kernel takes one e^z, and the
+    # sigma kernel reads the jets at z - mu and at z
+    cases = [(lambda: h, calls, 1),
+             (lambda: a_field(TRIG, 1, 2), logged_exp(monkeypatch), 1),
+             (lambda: sigma_form(MU, (1.0, -1.0), TAU), logged(monkeypatch, special, "_jets"), 2)]
+    for make, kernel_calls, per_run in cases:
         assert [kind for kind, _a, _b in Tape([make(), make()]).code] == [fields._LEAF]
         probe_fn, probe_calls = counting(d_exp)
         probe = LinArg(probe_fn, (0.5, 0.25))
@@ -162,7 +174,7 @@ def test_shared_kernel_runs_once_per_point_in_residual_evalfn(monkeypatch):
             probe_calls.clear()
             assert evalfn(x) == 0.0
             # 8 roots share one h and two shifted probe copies (t(1,0), t(0,1))
-            assert len(kernel_calls) == 1
+            assert len(kernel_calls) == per_run
             assert len(probe_calls) == 2
 
 
@@ -632,6 +644,20 @@ def test_flow_gradient_sources_compute_each_forward_value_once(system):
               if not any(v in SOURCE_NAME.findall(line.partition(" = ")[2] or line)
                          for line in lines[k + 1:])]
     assert unread == []
+
+
+@pytest.mark.parametrize("system", FLOW_RANKS)
+def test_flow_gradient_adjoint_lines_repeat_no_product(system):
+    """No line of the adjoint sweep in the generated gradient of a flow's H
+    writes one product term twice: a square's adjoint times its operand is
+    one line, read twice."""
+    H, _Lf, _n, _powers, z0 = _flow_setup(system)
+    lines = fields._gradient_source(H.tape(), len(z0))[0].splitlines()
+    for line in lines:
+        if re.match(r"    [aqtg]\d+ = ", line):
+            products = [term for term in re.split(r" [+-] ", line.partition(" = ")[2])
+                        if " * " in term]
+            assert len(set(products)) == len(products), line
 
 
 def test_a_cli_flow_compiles_one_gradient_function(tmp_path, monkeypatch):

@@ -361,21 +361,25 @@ def bits(v):
 def test_kernel_pair_is_the_dual_path_bit_for_bit(family):
     """``kernel.pair(z)`` gives the value and slope of the kernel on
     Dual(z, 1) with every bit, for the tangents 1.0 of ``Tape.gradient`` and
-    1 + 0j of ``dual_params`` too, and inside the guard the same PoleError."""
+    1 + 0j of ``dual_params`` too, and inside the guard the same PoleError.
+    So does the kernel at the plain z, which fixes its constants when it is
+    made and reads the order-0 jets, for the value."""
     k, pole = PAIRED_KERNELS[family]
     rng = random.Random(11)
     for _ in range(50):
         z = rand_z(rng, 0.9, 0.3)
         got = tuple(map(bits, k.pair(z)))
+        assert bits(k(z)) == got[0]
         for tangent in (1, 1.0, 1.0 + 0j):
             r = k(Dual(z, tangent))
             assert got == (bits(value(r)), bits(extract(r)))
     if pole is not None:
         with pytest.raises(PoleError) as dual_err:
             k(Dual(pole, 1))
-        with pytest.raises(PoleError) as pair_err:
-            k.pair(pole)
-        assert str(pair_err.value) == str(dual_err.value)
+        for call in (k.pair, k):
+            with pytest.raises(PoleError) as err:
+                call(pole)
+            assert str(err.value) == str(dual_err.value)
 
 
 @pytest.mark.parametrize("family", PAIRED_KERNELS)

@@ -1,6 +1,8 @@
 """Root systems, Weyl groups, coset tables, reduced words (all exact)."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -278,6 +280,30 @@ def test_signed_perm_builders_table():
     assert SignedPerm.transposition(4, 1, 3).basis_image(1) == (3, 1)
     assert SignedPerm.neg_transposition(4, 1, 3).basis_image(1) == (3, -1)
     assert SignedPerm.sign_flip(4, 3).basis_image(3) == (3, -1)
+
+
+def test_one_signed_perm_per_image():
+    """SignedPerm(img) is the one object of its image, whatever sequence
+    holds the image; the builders, products and inverse return it, and so
+    do copy, deepcopy and a pickle round trip, so equality is identity."""
+    img = (2, -3, 1)
+    w = SignedPerm(img)
+    assert SignedPerm(list(img)) is w and SignedPerm(iter(img)) is w
+    assert SignedPerm.identity(3) is SignedPerm((1, 2, 3))
+    assert SignedPerm.transposition(3, 0, 2) is SignedPerm((3, 2, 1))
+    assert SignedPerm.neg_transposition(3, 0, 2) is SignedPerm((-3, 2, -1))
+    assert SignedPerm.sign_flip(3, 2) is SignedPerm((1, 2, -3))
+    assert SignedPerm.block(w, SignedPerm((-2, 1))) is SignedPerm((2, -3, 1, -5, 4))
+    assert w.inverse() is SignedPerm((3, 1, -2))
+    assert w.inverse().inverse() is w
+    assert w * w.inverse() is SignedPerm.identity(3)
+    twins = [copy.copy(w), copy.deepcopy(w)]
+    twins += [pickle.loads(pickle.dumps(w, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(twin is w for twin in twins)
+    [(key, _lam)] = copy.deepcopy({(w, (0, 1)): 1.0})
+    assert key is w
+    assert w != SignedPerm((2, 3, 1)) and w != img
 
 
 def test_ext_coordinate_forms_table():
