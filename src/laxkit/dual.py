@@ -3,11 +3,12 @@
 A ``Dual`` carries a value and one infinitesimal component; nesting duals
 inside duals yields exact higher-order and mixed directional derivatives.
 Kernels are written against the small generic API here (Dual arithmetic,
-``d_exp``, ``taylor``), so one kernel differentiates another by a run on a
-Dual: ``fields`` derives fields by rule and keeps Duals inside single
-kernels (a derivative kernel, a kernel without a pair).  No package path
-hands a Dual to a tape; the tests' oracle of derivatives and gradients runs
-one on seeded points.  ``d_exp`` is its own derivative (``d_exp.dz``) and
+``abs`` of the value for pole guards, ``d_exp``, ``taylor``), so one body
+serves plain and Dual arguments and one kernel differentiates another by a
+run on a Dual: ``fields`` derives fields by rule and keeps Duals inside
+single kernels (a derivative kernel, a kernel without a pair).  No package
+path hands a Dual to a tape; the tests' oracle of derivatives and gradients
+runs one on seeded points.  ``d_exp`` is its own derivative (``d_exp.dz``) and
 gives its value and slope at a plain point from one exponential
 (``d_exp.pair``).
 """
@@ -78,6 +79,10 @@ class Dual:
             base = base * base
             k >>= 1
         return out
+
+    def __abs__(self):
+        # the modulus of the value, which a kernel's pole guard compares
+        return abs(value(self))
 
     def __eq__(self, other):
         return isinstance(other, Dual) and self.val == other.val and self.eps == other.eps

@@ -588,15 +588,15 @@ def exp_lin(k):
     return LinArg(d_exp, k)
 
 
-def kernel_family(make, pair):
-    """The kernel factory ``make`` memoized on the repr of its parameters:
+def kernel_family(make):
+    """The kernel maker ``make`` memoized on the repr of its parameters:
     separate calls with parameters equal bit for bit return one kernel
     object, so a tape shares their leaves (a parameter of -0.0 is not one of
-    0.0, as in the key of ``o_affine``).  ``pair`` makes, for the same
-    parameters, the kernel's ``pair`` attribute: z -> (f(z), f'(z)) at a
-    plain z, equal bit for bit to the value and slope of f on Dual(z, 1.0)
-    and raising the same ``PoleError``.  A kernel's derivative is no family:
-    it is ``LinArg.dz``'s ``_dkernel``."""
+    0.0, as in the key of ``o_affine``).  ``make`` attaches the kernel's
+    ``pair``: z -> (f(z), f'(z)) at a plain z, equal bit for bit to the value
+    and slope of the kernel on Dual(z, 1.0) and raising the same
+    ``PoleError``.  A kernel's derivative is no family: it is
+    ``LinArg.dz``'s ``_dkernel``."""
     memo = {}
 
     def family(*params):
@@ -604,7 +604,6 @@ def kernel_family(make, pair):
         out = memo.get(key)
         if out is None:
             out = memo[key] = make(*params)
-            out.pair = pair(*params)
         return out
     return family
 
@@ -637,27 +636,26 @@ def _dkernel(fn):
 
 
 def _inv_pole(z, guard):
-    return PoleError(f"|linear form| = {abs(value(z)):.2e} below pole guard {guard}")
+    return PoleError(f"|linear form| = {abs(z):.2e} below pole guard {guard}")
 
 
-def _inv_fn(guard):
-    def fn(z):
-        if abs(value(z)) < guard:
+def _inv_maker(guard):
+    """z -> 1/z with a pole guard on |z|, and its pair."""
+    def kernel(z):
+        if abs(z) < guard:
             raise _inv_pole(z, guard)
         return 1.0 / z
-    return fn
 
-
-def _inv_pair(guard):
     def pair(z):
         if abs(z) < guard:
             raise _inv_pole(z, guard)
         q = 1.0 / z
         return q, (0j - q * 1.0) / z
-    return pair
+    kernel.pair = pair
+    return kernel
 
 
-_inv_kernel = kernel_family(_inv_fn, _inv_pair)
+_inv_kernel = kernel_family(_inv_maker)
 
 
 def inv_form(k, c0=0j, guard=1e-3):

@@ -21,7 +21,7 @@ from .ellrel import vd_kernel_class
 from .fields import Const, Field, LinArg, kernel_family, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
                      hecke_inverse, lax_pair)
-from .special import hecke_kernel, hecke_pair, u_kernel, u_pair
+from .special import hecke_kernel, u_kernel
 from .weyl import (SignedPerm, build_root_system, ext_coord, ext_form,
                    orbit_stabilizer, same_coord)
 
@@ -65,31 +65,36 @@ class CCnParams:
         return u_kernel(t, tv), lambda mu: _u_minus_tau_kernel(t, tv), None, 0.5
 
 
-def _neg_b_pair(z, tau):
-    b, db = hecke_pair(z, tau, 1)
-    return -b, -db
-
-
-def _u_minus_tau_pair(z, t, tv):
-    u, du = u_pair(z, t, tv)
-    return u - t, du
-
-
+# the kernels k_dyn of r_kernels: -b, and u - t on doubled roots, each on
+# the kernel of b or u, whose constants are fixed when it is made
 def _neg_b_maker(tau):
     b = hecke_kernel(tau, 1)
-    return lambda z: -b(z)
+
+    def kernel(z):
+        return -b(z)
+
+    def pair(z):
+        f, df = b.pair(z)
+        return -f, -df
+    kernel.pair = pair
+    return kernel
 
 
 def _u_minus_tau_maker(t, tv):
     u = u_kernel(t, tv)
-    return lambda z: u(z) - t
+
+    def kernel(z):
+        return u(z) - t
+
+    def pair(z):
+        f, df = u.pair(z)
+        return f - t, df
+    kernel.pair = pair
+    return kernel
 
 
-# the kernels k_dyn of r_kernels: -b, and u - t on doubled roots, each on
-# the kernel of b or u, whose constants are fixed when it is made
-_neg_b_kernel = kernel_family(_neg_b_maker, lambda tau: lambda z: _neg_b_pair(z, tau))
-_u_minus_tau_kernel = kernel_family(_u_minus_tau_maker,
-                                    lambda t, tv: lambda z: _u_minus_tau_pair(z, t, tv))
+_neg_b_kernel = kernel_family(_neg_b_maker)
+_u_minus_tau_kernel = kernel_family(_u_minus_tau_maker)
 
 
 def a_ext(p: CCnParams, i, j, sign=-1) -> Field:

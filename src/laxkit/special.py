@@ -19,7 +19,7 @@ which is the d = 0 jet, and the cache stores it, so a point whose value and
 slope are both asked for is summed once.  The d = 1 loop sums theta_1 with
 theta_2, and theta_3 with theta_4, on one harmonic sequence when both are
 asked for, as the v kernels ask.  A Dual z of depth d never enters
-the series: with z0 = value(z) and h = z - z0, theta returns
+the series: with z0 = value(z) and h = z - z0, ``_jets`` returns
 sum_{j<=d} theta^(j)(z0) h^j/j!, which is exact because h^(d+1) = 0.
 The jets are memoized per plain point in one cache, and a point whose
 negative is cached reads its jets from there by parity (``_mirrored``:
@@ -27,37 +27,23 @@ theta_1 odd, the others even), which is the sum at the point bit for bit.
 P(z) is normalized by its Laurent expansion
 P = 1/z^2 + O(z^2), which together with eta1 = -theta1'''(0)/(6 theta1'(0))
 gives lim_{mu->0} sigma_mu'(z) = -P(z) - 2*eta1.
-Pairs.  A flow's gradient needs each kernel's value and slope at a plain
-point.  The sigma and v pairs (``_sigma_pair_maker``, ``_v_pair_maker``),
-``wp_pair``, ``hecke_pair`` and ``u_pair`` return (f(z), f'(z)) from the
-jet that the kernel on a Dual z of depth 1 fetches, by the quotients and
-products Dual arithmetic would do, in its order, so both are the kernel's
-on Dual(z, 1.0) bit for bit (up to the sign of a zero) and no Dual is
-built.  Every kernel family has its pair (``fields.kernel_family``).
-sigma' and v' are no family: they are the derivative leaves
-``sigma_form(...).dz()`` and ``ellcm.v_form(...).dz()``
-(``fields.LinArg.dz``).  A sigma or v family's factories read theta1(-mu)
-and the theta data of tau once per kernel (``_mu_data``), and fix there
-theta1'(0), 2 mu, the r and g_r of the nonzero couplings and the guard
-bounds; the kernel and its pair guard theta1(-mu) at each call, before the
-theta_r(z) guards.
-Value kernels.  Every family's kernel fixes its constants when it is made,
-as its pair does: besides the sigma and v ones, the theta data of tau for
-P, 1/tau and tau - 1/tau for the Hecke kernels, and tau_n tau_n^vee and
-tau_n / tau_n^vee for u.  At a plain z a kernel reads the order-0 jets
-(order 2 for P) from ``_jets`` directly, compares |w| with its fixed bounds
-(POLE_GUARD times theta_r's scale, kept per tau in ``_ThetaData``) in the
-order and with the message of ``_guard``, and does the arithmetic of the
-function it stands for (``sigma``, ``v_func``, ``wp``, ``hecke``,
-``u_fun``) in its order, so it is that function bit for bit.  A Dual z
-takes the function itself, so a kernel reaches ``_guard``, which strips a
-Dual, only on a Dual argument; at plain points ``_guard`` serves only the
-direct calls of those functions (set-up constants and residue checks).
-The Newton solve of ``dual_params`` reads v and v' from
-``v_pair``.
-Kernels.  No family restates another: the Hecke a of ``hecke`` is also the
-c-function of the basic representation, and Noumi's odd-level kernel u~ is
-``u_fun`` at tau_0, tau_0^vee on the argument moved by c/2.
+Kernels.  Each family (sigma, v, P, Hecke, u) has one maker, which fixes
+its constants once (theta1(-mu), theta1'(0), the theta data of tau and the
+guard bounds, 1/tau, ...) and returns one kernel body for plain and Dual
+arguments: the jets come from ``_jets`` and each guard compares abs(w)
+(the value's modulus for a Dual) with its fixed bound.  theta1(-mu) is
+guarded at each call, before the theta_r(z) guards.  ``sigma``, ``v_func``,
+``wp``, ``hecke`` and ``u_fun`` read their family's kernel.  The maker
+attaches the kernel's pair (``fields.kernel_family``), which returns
+(f(z), f'(z)) at a plain z (from the order-1 jets for sigma and v, the
+order-3 jet for P) by the quotients and products that Dual arithmetic
+would do, in its order, so both are the kernel's on Dual(z, 1.0) bit for
+bit (up to the sign of a zero) and no Dual is built.  sigma' and v' are no
+family: they are the derivative leaves ``sigma_form(...).dz()`` and
+``ellcm.v_form(...).dz()`` (``fields.LinArg.dz``).  No family restates
+another: the Hecke a of ``hecke`` is also the c-function of the basic
+representation, and Noumi's odd-level kernel u~ is ``u_fun`` at tau_0,
+tau_0^vee on the argument moved by c/2.
 """
 
 from __future__ import annotations
@@ -65,7 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .dual import Dual, d_exp, taylor, value
+from .dual import Dual, d_exp, taylor
 from .fields import LinArg, PoleError, kernel_family
 
 MIN_IM_TAU = 0.05
@@ -86,29 +72,46 @@ DIFFERENCE_REGIMES = ("trig", "trig-CvC", "elliptic-A", "elliptic-CvC")
 DIFFERENTIAL_REGIMES = ("rational", "elliptic-CM")
 
 
-def check_finite(params):
-    """Raise ``ValueError`` naming the first parameter that is, or whose list
-    holds, a number that is not finite."""
+# the parameters that a regime's kernels divide by: the Hecke tau of a and b,
+# and tau_n, tau_n^vee of u at both levels
+DIVISORS = {"trig": ("tau",), "trig-CvC": ("tau", "tau0", "tau0v", "taun", "taunv")}
+
+
+def check_params(regime, params):
+    """Raise ``ValueError`` unless the kernels of the coupling regime can be
+    made from ``params``: no parameter is, or has in its list, a number that
+    is not finite; none that a kernel divides by (``DIVISORS``) is 0; and an
+    elliptic regime's tau has Im tau >= MIN_IM_TAU (``ModulusError``)."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; known: {REGIMES}")
     for k, v in params.items():
         for x in v if isinstance(v, list) else (v,):
             if isinstance(x, (int, float, complex)) and (x != x or abs(x) == math.inf):
                 raise ValueError(f"parameter {k} is not finite")
+    for k in DIVISORS.get(regime, ()):
+        if params[k] == 0:
+            raise ValueError(f"parameter {k} must be nonzero: a kernel divides by it")
+    if regime.startswith("elliptic"):
+        _check_modulus(complex(params["tau"]))
 
 
 def check_couplings(regime, params):
     """Raise ``ValueError`` unless ``params`` suit the coupling regime.
 
-    All parameters must be finite (``check_finite``).  Difference regimes
-    need a nonzero step constant c and differential regimes a nonzero Planck
+    The kernels must be made (``check_params``).  Difference regimes need a
+    nonzero step constant c and differential regimes a nonzero Planck
     constant t: at zero the operators are classical and act on no function.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}; known: {REGIMES}")
-    check_finite(params)
+    check_params(regime, params)
     if regime in DIFFERENCE_REGIMES and not params.get("c"):
         raise ValueError(f"regime {regime} needs a nonzero step constant c")
     if regime in DIFFERENTIAL_REGIMES and not params.get("t"):
         raise ValueError(f"regime {regime} needs a nonzero Planck constant t")
+
+
+def _check_modulus(tau):
+    if tau.imag < MIN_IM_TAU:
+        raise ModulusError(f"Im tau = {tau.imag} < {MIN_IM_TAU}")
 
 
 class _ThetaData:
@@ -123,8 +126,7 @@ class _ThetaData:
     __slots__ = ("terms", "bounds", "guards", "rows1", "d1_0", "eta1", "wp_const")
 
     def __init__(self, tau):
-        if tau.imag < MIN_IM_TAU:
-            raise ModulusError(f"Im tau = {tau.imag} < {MIN_IM_TAU}")
+        _check_modulus(tau)
         q = cmath.exp(1j * cmath.pi * tau)
         odd = _until_zero_bound(q ** ((k + 0.5) ** 2) for k in range(THETA_CAP))   # m = 2k + 1
         even = _until_zero_bound(q ** ((k + 1) ** 2) for k in range(THETA_CAP))   # m = 2k + 2
@@ -365,10 +367,20 @@ _JET_CACHE_CAP = 400000
 
 
 def _jets(rs, z, d, tau):
-    """[theta_r^(j)(z) for j <= d] for each r in rs at the plain point z.
-    The order-0 values that a sum of order 1 or 3 kept are stored too, so a
-    later order-0 request at z is a cache hit.  A point whose negative is
-    cached reads its jets from there by parity (``_mirrored``)."""
+    """[theta_r^(j)(z) for j <= d] for each r in rs.  At a plain z the jets
+    are memoized: the order-0 values that a sum of order 1 or 3 kept are
+    stored too, so a later order-0 request at z is a cache hit, and a point
+    whose negative is cached reads its jets from there by parity
+    (``_mirrored``).  A Dual z of depth k is the Taylor expansion of the
+    order d + k jet at its plain value; it is tested before the cache key is
+    formed, since its parts need not hash."""
+    if isinstance(z, Dual):
+        k, z0 = 0, z
+        while isinstance(z0, Dual):
+            k, z0 = k + 1, z0.val
+        h = z - z0
+        return [[taylor(jet[i:i + k + 1], h) for i in range(d + 1)]
+                for jet in _jets(rs, z0, d + k, tau)]
     key = (rs, z, d, tau)
     jets = _jet_cache.get(key)
     if jets is None:
@@ -402,22 +414,9 @@ def _mirrored(r, jet):
     return out
 
 
-def _theta_at(rs, z, tau, m):
-    """[[theta_r^(i)(z) for i <= m] for r in rs]; a Dual z of depth d is
-    the Taylor expansion of the order d + m jet at its plain value."""
-    d, z0 = 0, z
-    while isinstance(z0, Dual):
-        d, z0 = d + 1, z0.val
-    if d == 0:
-        return _jets(rs, z, m, tau)
-    h = z - z0
-    return [[taylor(jet[i:i + d + 1], h) for i in range(m + 1)]
-            for jet in _jets(rs, z0, d + m, tau)]
-
-
 def theta(r, z, tau):
     """theta_r(z | tau), r in 1..4 (r = 4 also reachable as r = 0)."""
-    return _theta_at((r or 4,), z, tau, 0)[0][0]
+    return _jets((r or 4,), z, 0, tau)[0][0]
 
 
 def eta1(tau):
@@ -430,37 +429,52 @@ def _pole(name, size, bound):
     return PoleError(f"|{name}| = {size:.2e} below pole guard {bound:.2e}")
 
 
-def _guard(name, w, bound=POLE_GUARD):
-    """w, unless its modulus is below ``bound``: the guard of ``sigma``,
-    ``v_func``, ``wp``, ``hecke`` and ``u_fun``, which take a Dual too.  A
-    kernel or pair at a plain point compares abs(w) with its fixed bound
-    itself."""
-    if abs(value(w)) < bound:
-        raise _pole(name, abs(value(w)), bound)
-    return w
-
-
-def sigma(mu, z, tau):
-    """sigma_mu(z) = theta1(z-mu) theta1'(0) / (theta1(z) theta1(-mu))."""
-    return _sigmas((1,), mu, z, tau, _mu_data(mu, tau))[0]
-
-
 def half_periods(tau):
     """The half periods 0, 1/2, (1 + tau)/2, tau/2 of the lattice Z + tau Z."""
     return (0j, 0.5 + 0j, (1 + tau) / 2, tau / 2)
 
 
+# The functions below each read their family's kernel; the makers after them
+# are the one place where each kernel's arithmetic is written.
+def sigma(mu, z, tau):
+    """sigma_mu(z) = theta1(z-mu) theta1'(0) / (theta1(z) theta1(-mu))."""
+    return sigma_kernel(mu, tau)(z)
+
+
+def v_func(mu, z, g, tau):
+    """v_mu(z; g0..g3) = sum_r g_r sigma^r_{2 mu}(z)."""
+    return v_kernel(mu, g, tau)(z)
+
+
+def wp(z, tau):
+    """Weierstrass P for the lattice Z + tau Z, Laurent-normalized."""
+    return wp_kernel(tau)(z)
+
+
+def hecke(z, tau_hecke, k):
+    """Hecke kernel a(z) = (tau^-1 - tau e^z)/(1 - e^z) (k = 0), the c-function
+    of the basic representation, or b(z) = (tau - tau^-1)/(1 - e^z) (k = 1)."""
+    return hecke_kernel(tau_hecke, k)(z)
+
+
+def u_fun(z, tau_n, tau_n_vee):
+    """u(z) of the Noumi kernels (affine roots k delta +- 2 e_i; at odd k,
+    u~(z) = u(z + c/2) at tau_0, tau_0^vee)."""
+    return u_kernel(tau_n, tau_n_vee)(z)
+
+
+def sigma_form(mu, form, tau, const=0j):
+    """The field sigma_mu(<form, x> + const)."""
+    return LinArg(sigma_kernel(mu, tau), form, const)
+
+
 def _sigma_maker(mu, tau):
-    """sigma_mu's kernel, with its constants (``_mu_data``, theta1'(0), the
-    guard bound) fixed here.  At a plain z it does ``_sigmas``'s arithmetic
-    and guards in its order on the order-0 jets; a Dual z takes
-    ``_sigmas``."""
-    data = td, t1 = _mu_data(mu, tau)
+    """sigma_mu's kernel, with theta1(-mu), theta1'(0) and the guard bound
+    fixed here; theta1(-mu) is guarded at each call, before theta1(z)."""
+    td, t1 = _tdata(tau), theta(1, -mu, tau)
     d1_0, bound = td.d1_0, td.guards[1]
 
     def kernel(z):
-        if isinstance(z, Dual):
-            return _sigmas((1,), mu, z, tau, data)[0]
         if abs(t1) < bound:
             raise _pole("theta1(-mu)", abs(t1), bound)
         [(a,)] = _jets((1,), z - mu, 0, tau)
@@ -468,15 +482,6 @@ def _sigma_maker(mu, tau):
         if abs(b) < bound:
             raise _pole("theta1(z)", abs(b), bound)
         return a * d1_0 / (b * t1)
-    return kernel
-
-
-def _sigma_pair_maker(mu, tau):
-    """sigma_mu's pair: (value, slope) of ``_sigmas((1,), mu, Dual(z, 1.0),
-    tau, data)`` from the order-1 jets at z - mu and z, with its guards and
-    its constants (``_mu_data``, theta1'(0), the guard bounds) fixed here."""
-    td, t1 = _mu_data(mu, tau)
-    d1_0, bound = td.d1_0, td.guards[1]
 
     def pair(z):
         if abs(t1) < bound:
@@ -488,23 +493,21 @@ def _sigma_pair_maker(mu, tau):
         den, dden = b * t1, db * t1
         q = a * d1_0 / den
         return q, (da * d1_0 - q * dden) / den
-    return pair
+    kernel.pair = pair
+    return kernel
 
 
 def _v_maker(mu, g, tau):
-    """v_mu's kernel, with the constants of ``_v_pair_maker`` fixed here.
-    At a plain z it does ``_v``'s arithmetic and guards in its order on the
-    order-0 jets: the sum folds g_r * sigma^r_{2 mu}(z) from 0j.  A Dual z
-    takes ``_v``."""
+    """v_mu's kernel, with 2 mu, the r and g_r of the nonzero couplings and
+    the constants of sigma_{2 mu} fixed here: the sum folds g_r *
+    sigma^r_{2 mu}(z) from 0j, and its pair's slope from the first term."""
     mu2 = 2 * mu
-    data = td, t1 = _mu_data(mu2, tau)
+    td, t1 = _tdata(tau), theta(1, -mu2, tau)
     d1_0, mu_bound = td.d1_0, td.guards[1]
     rs = tuple(r + 1 for r in range(4) if g[r] != 0)
     consts = [(f"theta{r}(z)", td.guards[r], g[r - 1]) for r in rs]
 
     def kernel(z):
-        if isinstance(z, Dual):
-            return _v(mu, z, g, tau, data)
         if abs(t1) < mu_bound:
             raise _pole("theta1(-mu)", abs(t1), mu_bound)
         out = 0j
@@ -514,19 +517,6 @@ def _v_maker(mu, g, tau):
                 raise _pole(name, abs(b), bound)
             out = out + g_r * (a * d1_0 / (b * t1))
         return out
-    return kernel
-
-
-def _v_pair_maker(mu, g, tau):
-    """v_mu's pair, as ``v_pair`` gives it.  The r of the nonzero couplings,
-    their g_r, 2 mu, theta1'(0), ``_mu_data`` of 2 mu and the guard bounds
-    are fixed here; a call reads the sigma^r_{2 mu} value/slope pairs of
-    ``_sigma_pair_maker``'s arithmetic in one loop and sums them."""
-    mu2 = 2 * mu
-    td, t1 = _mu_data(mu2, tau)
-    d1_0, mu_bound = td.d1_0, td.guards[1]
-    rs = tuple(r + 1 for r in range(4) if g[r] != 0)
-    consts = [(f"theta{r}(z)", td.guards[r], g[r - 1]) for r in rs]
 
     def pair(z):
         if abs(t1) < mu_bound:
@@ -542,89 +532,97 @@ def _v_pair_maker(mu, g, tau):
             out = out + q * g_r
             slope = ds * g_r if slope is None else slope + ds * g_r
         return out, 0j if slope is None else slope
-    return pair
-
-
-def sigma_form(mu, form, tau, const=0j):
-    """The field sigma_mu(<form, x> + const)."""
-    return LinArg(sigma_kernel(mu, tau), form, const)
-
-
-def _mu_data(mu, tau):
-    """(theta data of tau, theta1(-mu)): the constants of the sigma kernels of
-    one mu and tau, read once per kernel by its family's factory."""
-    return _tdata(tau), theta(1, -mu, tau)
-
-
-def _sigmas(rs, mu, z, tau, data):
-    """For each r in rs, theta_r(z - mu) theta1'(0) / (theta_r(z) theta1(-mu)),
-    from theta at z - mu and z and ``data``, ``_mu_data(mu, tau)``;
-    theta1(-mu) is guarded at each call, before the theta_r(z) guards."""
-    td, t1 = data
-    t1 = _guard("theta1(-mu)", t1, td.guards[1])
-    out = []
-    for r, (a,), (b,) in zip(rs, _theta_at(rs, z - mu, tau, 0), _theta_at(rs, z, tau, 0)):
-        den = _guard(f"theta{r}(z)", b, td.guards[r]) * t1
-        out.append(a * td.d1_0 / den)
-    return out
-
-
-def wp(z, tau):
-    """Weierstrass P for the lattice Z + tau Z, Laurent-normalized."""
-    f, fp, fpp = _theta_at((1,), z, tau, 2)[0]
-    td = _tdata(tau)
-    _guard("theta1(z)", f, td.guards[1])
-    return -(fpp * f - fp * fp) / (f * f) + td.wp_const
+    kernel.pair = pair
+    return kernel
 
 
 def _wp_maker(tau):
-    """P's kernel: at a plain z ``wp``'s arithmetic and guard on the order-2
-    jet, with the theta data of tau fixed here; a Dual z takes ``wp``."""
+    """P's kernel, with the theta data of tau fixed here."""
     td = _tdata(tau)
     bound, wp_const = td.guards[1], td.wp_const
 
     def kernel(z):
-        if isinstance(z, Dual):
-            return wp(z, tau)
         f, fp, fpp = _jets((1,), z, 2, tau)[0]
         if abs(f) < bound:
             raise _pole("theta1(z)", abs(f), bound)
         return -(fpp * f - fp * fp) / (f * f) + wp_const
+
+    def pair(z):
+        f, fp, fpp, fppp = _jets((1,), z, 3, tau)[0]
+        if abs(f) < bound:
+            raise _pole("theta1(z)", abs(f), bound)
+        num = -(fpp * f - fp * fp)
+        dnum = -((fpp * fp + fppp * f) - (fp * fpp + fpp * fp))
+        den, dden = f * f, f * fp + fp * f
+        q = num / den
+        return q + wp_const, (dnum - q * dden) / den
+    kernel.pair = pair
     return kernel
 
 
-def wp_pair(z, tau):
-    """(P(z), P'(z)) at a plain z, as ``wp`` gives them on Dual(z, 1.0)."""
-    f, fp, fpp, fppp = _jets((1,), z, 3, tau)[0]
-    td = _tdata(tau)
-    if abs(f) < td.guards[1]:
-        raise _pole("theta1(z)", abs(f), td.guards[1])
-    num = -(fpp * f - fp * fp)
-    dnum = -((fpp * fp + fppp * f) - (fp * fpp + fpp * fp))
-    den, dden = f * f, f * fp + fp * f
-    q = num / den
-    return q + td.wp_const, (dnum - q * dden) / den
+def _hecke_maker(tau_hecke, k):
+    """The Hecke kernel a (k = 0) or b (k = 1), with 1/tau and tau - 1/tau
+    fixed here."""
+    inv = 1.0 / tau_hecke
+    b_num = tau_hecke - inv
+
+    def kernel(z):
+        ez = d_exp(z)
+        den = 1.0 - ez
+        if abs(den) < POLE_GUARD:
+            raise _pole("1 - e^z", abs(den), POLE_GUARD)
+        return (inv - tau_hecke * ez if k == 0 else b_num) / den
+
+    def pair(z):
+        e = cmath.exp(z)
+        de = e * 1.0
+        den, dden = 1.0 - e, -de
+        if abs(den) < POLE_GUARD:
+            raise _pole("1 - e^z", abs(den), POLE_GUARD)
+        if k == 0:
+            num, dnum = inv - e * tau_hecke, -(de * tau_hecke)
+        else:
+            num, dnum = b_num, 0j
+        q = num / den
+        return q, (dnum - q * dden) / den
+    kernel.pair = pair
+    return kernel
 
 
-def _v(mu, z, g, tau, data):
-    """v_mu(z; g0..g3); ``data`` is ``_mu_data(2 mu, tau)``."""
-    rs = tuple(r + 1 for r in range(4) if g[r] != 0)
-    out = 0j
-    for r, s in zip(rs, _sigmas(rs, 2 * mu, z, tau, data)):
-        out = out + g[r - 1] * s
-    return out
+def _u_maker(tau_n, tau_n_vee):
+    """u's kernel, with tau_n tau_n^vee and tau_n / tau_n^vee fixed here."""
+    ca, cb = tau_n * tau_n_vee, tau_n / tau_n_vee
+
+    def kernel(z):
+        ez = d_exp(z)
+        den = 1.0 - ez * ez
+        if abs(den) < POLE_GUARD:
+            raise _pole("1 - e^{2z}", abs(den), POLE_GUARD)
+        return (1.0 - ca * ez) * (1.0 + cb * ez) / (tau_n * den)
+
+    def pair(z):
+        e = cmath.exp(z)
+        de = e * 1.0
+        den = 1.0 - e * e
+        if abs(den) < POLE_GUARD:
+            raise _pole("1 - e^{2z}", abs(den), POLE_GUARD)
+        den = den * tau_n
+        dden = -(e * de + de * e) * tau_n
+        a, da = 1.0 - e * ca, -(de * ca)
+        b, db = e * cb + 1.0, de * cb
+        q = a * b / den
+        return q, ((a * db + da * b) - q * dden) / den
+    kernel.pair = pair
+    return kernel
 
 
-def v_func(mu, z, g, tau):
-    """v_mu(z; g0..g3) = sum_r g_r sigma^r_{2 mu}(z)."""
-    return _v(mu, z, g, tau, _mu_data(2 * mu, tau))
-
-
-def v_pair(mu, z, g, tau):
-    """(v_mu(z), v_mu'(z)) at a plain z, as ``v_func`` gives them on
-    Dual(z, 1.0): the sum folds from 0j and its slope from the first term.
-    It is the pair of ``v_kernel(mu, g, tau)``."""
-    return v_kernel(mu, g, tau).pair(z)
+# Kernel families: one kernel object per parameter set, with its pair
+# (``fields.kernel_family``).
+sigma_kernel = kernel_family(_sigma_maker)
+v_kernel = kernel_family(_v_maker)
+wp_kernel = kernel_family(_wp_maker)
+hecke_kernel = kernel_family(_hecke_maker)
+u_kernel = kernel_family(_u_maker)
 
 
 def dual_couplings(g):
@@ -641,10 +639,12 @@ def dual_params(nu, g, tau):
     """Dual parameters (nu^vee, g^vee): g^vee = H g / 2 and v_{nu,g}(nu^vee) = 0.
 
     nu^vee is found by complex Newton iteration from 16 lattice-fraction
-    seeds, at most 100 steps each, to |v| < 1e-12; among converged roots
-    the one closest to 0 is returned.
+    seeds, at most 100 steps each, to |v| < 1e-12, reading v and v' from the
+    pair of ``v_kernel``; among converged roots the one closest to 0 is
+    returned.
     """
     gv = dual_couplings(g)
+    pair = v_kernel(nu, g, tau).pair
     roots = []
     for a in range(4):
         for b in range(4):
@@ -653,7 +653,7 @@ def dual_params(nu, g, tau):
             ok = False
             for _ in range(100):
                 try:
-                    f, fp = v_pair(nu, z, g, tau)
+                    f, fp = pair(z)
                 except PoleError:
                     break
                 if abs(f) < 1e-12:
@@ -681,94 +681,3 @@ def dual_params(nu, g, tau):
     reduced = [reduce_mod(z) for z in roots]
     best = min(reduced, key=abs)
     return best, gv
-
-
-def hecke(z, tau_hecke, k):
-    """Hecke kernel a(z) = (tau^-1 - tau e^z)/(1 - e^z) (k = 0), the c-function
-    of the basic representation, or b(z) = (tau - tau^-1)/(1 - e^z) (k = 1)."""
-    ez = d_exp(z)
-    den = _guard("1 - e^z", 1.0 - ez)
-    num = 1.0 / tau_hecke - tau_hecke * ez if k == 0 else tau_hecke - 1.0 / tau_hecke
-    return num / den
-
-
-def _hecke_maker(tau_hecke, k):
-    """The Hecke kernel: at a plain z ``hecke``'s arithmetic and guard, with
-    1/tau and tau - 1/tau fixed here; a Dual z takes ``hecke``."""
-    inv = 1.0 / tau_hecke
-    b_num = tau_hecke - inv
-
-    def kernel(z):
-        if isinstance(z, Dual):
-            return hecke(z, tau_hecke, k)
-        ez = cmath.exp(z)
-        den = 1.0 - ez
-        if abs(den) < POLE_GUARD:
-            raise _pole("1 - e^z", abs(den), POLE_GUARD)
-        return (inv - tau_hecke * ez if k == 0 else b_num) / den
-    return kernel
-
-
-def hecke_pair(z, tau_hecke, k):
-    """(f(z), f'(z)) for f = ``hecke(., tau_hecke, k)``, as on Dual(z, 1.0)."""
-    e = cmath.exp(z)
-    de = e * 1.0
-    den, dden = 1.0 - e, -de
-    if abs(den) < POLE_GUARD:
-        raise _pole("1 - e^z", abs(den), POLE_GUARD)
-    if k == 0:
-        num, dnum = 1.0 / tau_hecke - e * tau_hecke, -(de * tau_hecke)
-    else:
-        num, dnum = tau_hecke - 1.0 / tau_hecke, 0j
-    q = num / den
-    return q, (dnum - q * dden) / den
-
-
-def u_fun(z, tau_n, tau_n_vee):
-    """u(z) of the Noumi kernels (affine roots k delta +- 2 e_i; at odd k,
-    u~(z) = u(z + c/2) at tau_0, tau_0^vee)."""
-    ez = d_exp(z)
-    den = _guard("1 - e^{2z}", 1.0 - ez * ez)
-    return (1.0 - tau_n * tau_n_vee * ez) * (1.0 + tau_n / tau_n_vee * ez) / (tau_n * den)
-
-
-def _u_maker(tau_n, tau_n_vee):
-    """u's kernel: at a plain z ``u_fun``'s arithmetic and guard, with
-    tau_n tau_n^vee and tau_n / tau_n^vee fixed here; a Dual z takes
-    ``u_fun``."""
-    ca, cb = tau_n * tau_n_vee, tau_n / tau_n_vee
-
-    def kernel(z):
-        if isinstance(z, Dual):
-            return u_fun(z, tau_n, tau_n_vee)
-        ez = cmath.exp(z)
-        den = 1.0 - ez * ez
-        if abs(den) < POLE_GUARD:
-            raise _pole("1 - e^{2z}", abs(den), POLE_GUARD)
-        return (1.0 - ca * ez) * (1.0 + cb * ez) / (tau_n * den)
-    return kernel
-
-
-def u_pair(z, tau_n, tau_n_vee):
-    """(u(z), u'(z)) at a plain z, as ``u_fun`` gives them on Dual(z, 1.0)."""
-    e = cmath.exp(z)
-    de = e * 1.0
-    den = 1.0 - e * e
-    if abs(den) < POLE_GUARD:
-        raise _pole("1 - e^{2z}", abs(den), POLE_GUARD)
-    den = den * tau_n
-    dden = -(e * de + de * e) * tau_n
-    ca, cb = tau_n * tau_n_vee, tau_n / tau_n_vee
-    a, da = 1.0 - e * ca, -(de * ca)
-    b, db = e * cb + 1.0, de * cb
-    q = a * b / den
-    return q, ((a * db + da * b) - q * dden) / den
-
-
-# Kernel families: one kernel object per parameter set, with its pair
-# (``fields.kernel_family``).
-sigma_kernel = kernel_family(_sigma_maker, _sigma_pair_maker)
-v_kernel = kernel_family(_v_maker, _v_pair_maker)
-wp_kernel = kernel_family(_wp_maker, lambda tau: lambda z: wp_pair(z, tau))
-hecke_kernel = kernel_family(_hecke_maker, lambda tau, k: lambda z: hecke_pair(z, tau, k))
-u_kernel = kernel_family(_u_maker, lambda t, tv: lambda z: u_pair(z, t, tv))

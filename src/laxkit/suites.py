@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from .fields import symmetrized
 from .opcore import OperatorMatrix, WOp, integrals, make_probes, nan_as_inf
-from .special import check_couplings, check_finite
+from .special import check_couplings, check_params
 from .verify import (PointPolicy, residual_evalfn, rng_for, run_check,
                      scalar_check)
 from .weyl import (ConfigError, build_root_system, ext_coord, orbit_stabilizer,
@@ -364,13 +364,14 @@ def classical_flow_setup(config: RunConfig):
     """(H phase field, L entry phase fields, n, trace powers, z0) for flow
     runs: each flow builds the quantum H and L at the classical point (c = 0
     or t = 0), and this is where they are read on phase space.  The
-    parameters must be finite; the regime's c/t rule is the suites', since
-    a flow sets its own classical point."""
-    flow = SYSTEMS[config.system].flow
-    if flow is None:
+    parameters must make the regime's kernels (``special.check_params``);
+    the regime's c/t rule is the suites', since a flow sets its own
+    classical point."""
+    system = SYSTEMS[config.system]
+    if system.flow is None:
         raise ConfigError(f"no classical flow for system {config.system!r}")
-    _checked(check_finite, config.params)
-    H, L, powers, z0 = flow(config.params, config.rank)
+    _checked(check_params, system.regime, config.params)
+    H, L, powers, z0 = system.flow(config.params, config.rank)
     return H.phase_field(), L.phase_field(), config.rank, powers, z0
 
 

@@ -3,11 +3,9 @@ derivatives built on the DAG by rule, its gradient by a function generated
 for the tape, and the structure shared at construction (affine images,
 derivative nodes and leaf kernels equal by value)."""
 
-import cmath
 import gc
 import random
 import re
-import types
 
 import pytest
 from support import directional, interpreted_gradient, seed
@@ -145,23 +143,16 @@ TRIG = TrigGLConfig(n=2, tau=0.8 + 0.1j, c=0.3)
 MU, TAU = 0.31 - 0.02j, 0.3 + 0.8j
 
 
-def logged_exp(monkeypatch):
-    """Record every e^z that ``special`` takes: its module reads a copy of
-    ``cmath`` whose ``exp`` is logged."""
-    stand_in = types.SimpleNamespace(**vars(cmath))
-    monkeypatch.setattr(special, "cmath", stand_in)
-    return logged(monkeypatch, stand_in, "exp")
-
-
 def test_shared_kernel_runs_once_per_point_in_residual_evalfn(monkeypatch):
     fn, calls = counting(d_exp)
     h = LinArg(fn, (1.0, -1.0), 0.2j)
     # one object, then kernels built by separate calls with equal parameters,
     # each with the log of a function its kernel calls at a plain point and
-    # the number of calls per run: the Hecke kernel takes one e^z, and the
-    # sigma kernel reads the jets at z - mu and at z
+    # the number of calls per run: the Hecke kernel takes one e^z (``d_exp``,
+    # which serves its plain and Dual arguments), and the sigma kernel reads
+    # the jets at z - mu and at z
     cases = [(lambda: h, calls, 1),
-             (lambda: a_field(TRIG, 1, 2), logged_exp(monkeypatch), 1),
+             (lambda: a_field(TRIG, 1, 2), logged(monkeypatch, special, "d_exp"), 1),
              (lambda: sigma_form(MU, (1.0, -1.0), TAU), logged(monkeypatch, special, "_jets"), 2)]
     for make, kernel_calls, per_run in cases:
         assert [kind for kind, _a, _b in Tape([make(), make()]).code] == [fields._LEAF]

@@ -401,6 +401,25 @@ def test_derivative_kernel_is_the_dual_path_bit_for_bit(family):
         assert str(dz_err.value) == str(dual_err.value)
 
 
+@pytest.mark.parametrize("family", PAIRED_KERNELS)
+def test_kernel_on_a_depth_two_dual_extends_its_pair(family):
+    """On Dual(Dual(z, 1.0), 1.0), the argument on which a derivative kernel
+    takes second derivatives in the differential suites, both first-order
+    parts of a kernel are its pair's slope with every bit, and the
+    second-order part is the central difference of that slope."""
+    k, _pole = PAIRED_KERNELS[family]
+    rng = random.Random(30)
+    h = 1e-5
+    for _ in range(20):
+        z = rand_z(rng, 0.9, 0.3)
+        f, df = k.pair(z)
+        r = k(Dual(Dual(z, 1.0), 1.0))
+        assert bits(r.val.val) == bits(f)
+        assert bits(r.val.eps) == bits(r.eps.val) == bits(df)
+        fd = (k.pair(z + h)[1] - k.pair(z - h)[1]) / (2 * h)
+        assert abs(r.eps.eps - fd) < 1e-6 * (1 + abs(fd))
+
+
 # (kernel, the function reading theta1(-mu) at each call) at a mu whose
 # theta1(-mu) (theta1(-2 mu) for v) is inside the pole guard; the -dz
 # kernels are those of the derivative leaves, which have no pair

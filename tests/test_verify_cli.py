@@ -545,6 +545,32 @@ def test_cli_rejects_non_numeric_params(command, params, message, tmp_path, caps
     assert f"configuration error: {message}" in capsys.readouterr().err
 
 
+# parameters from which a system's kernels cannot be made: one that a kernel
+# divides by is 0, or Im tau is below the theta series' guard; each used to
+# end verify and flow in a ZeroDivisionError or ModulusError traceback
+DEGENERATE_PARAMS = (
+    [("trig-gln", "tau", 0, "parameter tau must be nonzero")]
+    + [("koornwinder", k, 0, f"parameter {k} must be nonzero")
+       for k in ("tau", "tau0", "tau0v", "taun", "taunv")]
+    + [(system, "tau", {"re": "0.3", "im": "0.01"}, "Im tau = 0.01 < 0.05")
+       for system in ("ell-cm-A", "inozemtsev", "ell-ruijsenaars", "vandiejen")])
+
+
+@pytest.mark.parametrize("command", ["verify", "flow"])
+@pytest.mark.parametrize("system,key,value,message", DEGENERATE_PARAMS,
+                         ids=[f"{s}-{k}" for s, k, _v, _m in DEGENERATE_PARAMS])
+def test_cli_rejects_parameters_that_make_no_kernel(command, system, key, value,
+                                                    message, tmp_path, capsys):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({key: value}))
+    if command == "flow" and SYSTEMS[system].flow is None:
+        message = f"no classical flow for system {system!r}"
+    assert cli_main([command, "--system", system, "--params", str(pfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"configuration error: {message}" in captured.err
+
+
 @pytest.mark.parametrize("system,rank", [("rational-A", 3), ("rational-C", 2)])
 def test_rational_commutator_checks_at_seed_17(system, rank, capsys):
     # both sides of each commutator are compared, so the residual scales with
