@@ -12,24 +12,18 @@ built at t = 0, where (t d)_k reads as p_k in their ``phase_field``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import Const, Field, LinArg, nsum
 from .opcore import DiffOp, LaxPair, OperatorMatrix
 from .special import (dual_couplings, eta1, half_periods, sigma_form, v_kernel,
                       wp, wp_kernel)
-from .weyl import (RootSystemData, SignedPerm, build_root_system, dot,
-                   ext_coord, ext_form, orbit_stabilizer, same_coord)
+from .weyl import (SignedPerm, build_root_system, dot, ext_coord, ext_form,
+                   orbit_stabilizer, same_coord)
 
 
-@dataclass
 class EllipticDunklConfig:
-    rs: RootSystemData
-    t: complex
-    c: complex
-    tau: complex
-    lam: tuple
-    g: tuple = None          # (g0..g3) for the BC/Inozemtsev flavor
+    def __init__(self, rs, t, c, tau, lam, g=None):
+        self.rs, self.t, self.c, self.tau, self.lam = rs, t, c, tau, lam
+        self.g = g          # (g0..g3) for the BC/Inozemtsev flavor
 
     @property
     def bc(self):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field as dfield, replace
 from functools import partial
 
 from .fields import ONE, BiArg, Const, LinArg, nsum
@@ -29,8 +28,8 @@ from .special import (dual_params, half_periods, sigma, sigma_form,
 from .verify import op_residual
 from .weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
                    affine_reflection, build_root_system, dot, ext_coord,
-                   ext_form, orbit_stabilizer, reduced_word, same_coord,
-                   weyl_enumerate)
+                   ext_form, orbit_stabilizer, reduced_word, replace,
+                   same_coord, weyl_enumerate)
 
 
 # -- parameter bundles -----------------------------------------------------
@@ -41,16 +40,12 @@ def _sigma_kernels(m, tau):
             lambda mu: sigma(m, mu, tau), 1)
 
 
-@dataclass
 class EllRParams:
     """Reduced elliptic regime: couplings m_alpha per root length."""
 
-    rs: RootSystemData
-    m_short: complex
-    m_long: complex
-    c: complex
-    tau: complex
-    xi: tuple
+    def __init__(self, rs, m_short, m_long, c, tau, xi):
+        self.rs, self.m_short, self.m_long, self.c = rs, m_short, m_long, c
+        self.tau, self.xi = tau, xi
 
     def m_alpha(self, alpha):
         if self.rs.kind == "C" and dot(alpha, alpha) == 4:
@@ -68,30 +63,21 @@ class EllRParams:
                 for pi in weyl_orbit(rs, rs.coroot(rs.highest))]
 
 
-@dataclass
 class VDParams:
     """Elliptic C-vee-C_n (van Diejen): 9 effective couplings; ``rs`` (C_n)
-    is built once, and ``replace`` passes it (like the solved dual
-    parameters) on to the copy unless the copy has another n."""
+    is built with them.  A ``replace`` copy shares the solved dual
+    parameters, and ``rs`` unless the copy has another n."""
 
-    n: int
-    mu: complex
-    nu: complex
-    nub: complex
-    g: tuple
-    gb: tuple
-    c: complex
-    tau: complex
-    xi: tuple = None
-    _dual: tuple = dfield(default=None, repr=False)
-    _rs: RootSystemData = dfield(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._rs is None or self._rs.rank != self.n:
-            self._rs = build_root_system("C", self.n)
+    def __init__(self, n, mu, nu, nub, g, gb, c, tau, xi=None):
+        self.n, self.mu, self.nu, self.nub, self.g, self.gb = n, mu, nu, nub, g, gb
+        self.c, self.tau, self.xi = c, tau, xi
+        self._dual = None
+        self._rs = build_root_system("C", n)
 
     @property
     def rs(self):
+        if self._rs.rank != self.n:
+            self._rs = build_root_system("C", self.n)
         return self._rs
 
     def dual(self):
@@ -99,7 +85,7 @@ class VDParams:
         if self._dual is None:
             nuv, gv = dual_params(self.nu, self.g, self.tau)
             nubv, gbv = dual_params(self.nub, self.gb, self.tau)
-            object.__setattr__(self, "_dual", (nuv, gv, nubv, gbv))
+            self._dual = (nuv, gv, nubv, gbv)
         return self._dual
 
     def xi0(self):

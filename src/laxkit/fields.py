@@ -49,10 +49,11 @@ value; and a line that no adjoint and no kept line reads is not written,
 except a leaf's, so the first ``PoleError`` is the interpreter's.  The
 sweep writes one statement per live adjoint, that of a slot with a leaf
 below it that reads a coordinate, and the root's adjoint is the function's
-argument ``seed``.  A ``LinArg`` leaf calls its kernel's pair (f(z),
-f'(z)), which builds no Dual; a kernel without a pair runs once on a Dual
-of tangent 1.  A ``BiArg`` has no adjoint: its gradient raises
-``TypeError``.  ``Field.gradient`` runs the field's own tape, except at a
+argument ``seed``; equal adjoints and repeated products are computed
+once.  A ``LinArg`` leaf calls its kernel's pair (f(z), f'(z)), which
+builds no Dual; a kernel without a pair runs once on a Dual of tangent 1.
+A ``BiArg`` has no adjoint: its gradient raises ``TypeError``.
+``Field.gradient`` runs the field's own tape, except at a
 ``Scale`` root: its operand's function seeded with 0j + c * (1+0j), the
 adjoint that the scaled tape's sweep hands the operand's root, gives that
 tape's partials bit for bit, so a time-scaled Hamiltonian compiles nothing
@@ -308,6 +309,10 @@ def _gradient_source(tape, dim):
     adjoint takes that adjoint's name, and the root with none takes
     ``seed``'s: 0j + a is a bit for bit, because an adjoint folded from 0j,
     or a seed folded so, holds no -0.0.  A quotient's q is never taken so.
+    A slot whose contributions are an earlier adjoint's, term for term,
+    takes that adjoint's name, and a product that two terms of the sweep
+    make is computed by the first, bound to a name u (``(u0 := w * v)``),
+    and read by the others.
     A ``_CALL`` has no adjoint and raises ``TypeError`` naming its node's
     class.  Constants the source cannot spell with their type and bits, and
     kernels, are read from the names.
@@ -413,11 +418,13 @@ def _gradient_source(tape, dim):
             live.append(live[a] or live[b])
 
     # adj[i]: the contributions to slot i's adjoint in sweep order, each a
-    # term and, for a _SUM parent's, that parent's adjoint name; read: the
-    # forward values that the sweep reads
+    # sign, an expression and, for a _SUM parent's, that parent's adjoint
+    # name; sweep: (target, head, terms) per line; same: the name of the
+    # first adjoint of each list of terms; read: the forward values that the
+    # sweep reads
     adj = [[] for _ in code]
     grads = [[] for _ in coords]
-    sweep, read = [], set()
+    sweep, same, read = [], {}, set()
     for i in range(len(code) - 1, -1, -1):
         if not live[i]:
             continue
@@ -427,50 +434,66 @@ def _gradient_source(tape, dim):
             w = "seed"
             if terms:
                 w = f"a{i}"
-                total(sweep, w, "seed", [t for t, _ in terms])
-        elif len(terms) == 1 and terms[0][1] is not None:
-            w = terms[0][1]
+                sweep.append((w, "seed", terms))
+        elif len(terms) == 1 and terms[0][2] is not None:
+            w = terms[0][2]
         else:
-            w = f"a{i}"
-            total(sweep, w, "0j", [t for t, _ in terms])
+            key = tuple(terms)
+            w = same.get(key)
+            if w is None:
+                w = same[key] = f"a{i}"
+                sweep.append((w, "0j", terms))
         if kind == _PROD:
-            ta, tb = f"{w} * {val[b]}", f"{w} * {val[a]}"
-            if ta == tb and live[a] and live[b]:
-                # a square (or a product of two equal values): its product
-                # term is computed once and read twice, with the same bits
-                sweep.append(f"    t{i} = {ta}")
-                ta = tb = f"t{i}"
             if live[a]:
-                adj[a].append((f" + {ta}", None))
+                adj[a].append((" + ", f"{w} * {val[b]}", None))
                 read.add(val[b])
             if live[b]:
-                adj[b].append((f" + {tb}", None))
+                adj[b].append((" + ", f"{w} * {val[a]}", None))
                 read.add(val[a])
         elif kind == _SCALE:
-            adj[b].append((f" + {lit(a)} * {w}", None))
+            adj[b].append((" + ", f"{lit(a)} * {w}", None))
         elif kind == _SUM:
             for j in a:
                 if live[j]:
-                    adj[j].append((f" + {w}", w))
+                    adj[j].append((" + ", w, w))
         elif kind == _QUOT:
-            sweep.append(f"    q{i} = {w} / {val[b]}")
+            sweep.append((f"q{i}", f"{w} / {val[b]}", ()))
             read.add(val[b])
             if live[a]:
-                adj[a].append((f" + q{i}", None))
+                adj[a].append((" + ", f"q{i}", None))
             if live[b]:
-                adj[b].append((f" - q{i} * {val[i]}", None))
+                adj[b].append((" - ", f"q{i} * {val[i]}", None))
                 read.add(val[i])
         else:
             ks = [(j, kj) for j, kj in enumerate(a.k) if kj != 0]
             t = f"{w} * {slope[i]}"
             if len(ks) > 1:
-                sweep.append(f"    t{i} = {t}")
+                sweep.append((f"t{i}", t, ()))
                 t = f"t{i}"
             for j, kj in ks:
-                grads[j].append(f" + {t} * {lit(kj)}")
+                grads[j].append((" + ", f"{t} * {lit(kj)}", None))
     for j, terms in enumerate(grads):
-        total(sweep, f"g{j}", "0j", terms)
-    sweep.append(f"    return [{', '.join(f'g{j}' for j in range(dim))}]")
+        sweep.append((f"g{j}", "0j", terms))
+    # a product that two terms make is computed once: the first binds it to
+    # a name u (u := ...), which the later ones read
+    uses, uname = {}, {}
+    for _target, _head, terms in sweep:
+        for _s, e, _w in terms:
+            uses[e] = uses.get(e, 0) + 1
+    body = []
+    for target, head, terms in sweep:
+        parts = []
+        for s, e, _w in terms:
+            if uses[e] > 1 and " * " in e:
+                u = uname.get(e)
+                if u is None:
+                    u = uname[e] = f"u{len(uname)}"
+                    e = f"({u} := {e})"
+                else:
+                    e = u
+            parts.append(s + e)
+        total(body, target, head, parts)
+    body.append(f"    return [{', '.join(f'g{j}' for j in range(dim))}]")
 
     # the forward lines that some kept line or the sweep reads, found from
     # the last one back
@@ -481,7 +504,7 @@ def _gradient_source(tape, dim):
             read.update(reads)
     out = ["def grad(p0, seed):", f"    [{', '.join(coords)}] = p0"]
     out += reversed(kept)
-    out += sweep
+    out += body
     return "\n".join(out) + "\n", names
 
 

@@ -15,9 +15,7 @@ sum_i (Y_i + Y_i^{-1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ellrel import vd_kernel_class
+from .ellrel import VDParams, vd_kernel_class
 from .fields import Const, Field, LinArg, kernel_family, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
                      hecke_inverse, lax_pair)
@@ -26,20 +24,16 @@ from .weyl import (SignedPerm, build_root_system, ext_coord, ext_form,
                    orbit_stabilizer, same_coord)
 
 
-@dataclass
 class CCnParams:
-    """Koornwinder parameters; ``rs`` (C_n) is built once per instance."""
+    """Koornwinder parameters; ``rs`` (C_n) is built with them and, as for
+    ``VDParams``, shared by a ``replace`` copy unless the copy has another n."""
 
-    n: int
-    tau0: complex
-    tau0v: complex
-    taun: complex
-    taunv: complex
-    tau: complex
-    c: complex
+    def __init__(self, n, tau0, tau0v, taun, taunv, tau, c):
+        self.n, self.tau0, self.tau0v, self.taun = n, tau0, tau0v, taun
+        self.taunv, self.tau, self.c = taunv, tau, c
+        self._rs = build_root_system("C", n)
 
-    def __post_init__(self):
-        self.rs = build_root_system("C", self.n)
+    rs = VDParams.rs
 
     @property
     def xi(self):

@@ -34,7 +34,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 
 from .fields import (ONE, Const, Field, NSum, as_field, derivative, exp_lin,
                      momentum, nsum)
@@ -243,13 +242,16 @@ class WOp(_TermOp):
             return self.scale(other)
         self._check(other)
         out = self._like()
+        rights = [(w2, w2.inverse(), l2, h2) for (w2, l2), h2 in other.terms.items()]
         for (w1, l1), h1 in self.terms.items():
             w1inv = w1.inverse()
             shift = tuple(self.c * v for v in l1) if self.c != 0 else None
-            for (w2, l2), h2 in other.terms.items():
+            # o_affine's memo key of the map, made once for all of other's terms
+            key = (None if shift is None and w1inv.is_identity()
+                   else repr((w1inv.img, shift)))
+            for w2, w2inv, l2, h2 in rights:
                 # h1 w1 t(l1) h2 w2 t(l2) = h1 * (h2 o map) * (w1 w2) t(w2^-1 l1 + l2)
-                h2c = h2.o_affine(w1inv, shift)
-                w2inv = w2.inverse()
+                h2c = h2 if key is None else h2._image(w1inv, shift, key)
                 lam = tuple(a + b for a, b in zip(w2inv.apply_vec(l1), l2))
                 out._add_term((w1 * w2, lam), h1 * h2c)
         return out
@@ -545,15 +547,12 @@ class OperatorMatrix:
 
 # -- Lax pairs -----------------------------------------------------------
 
-@dataclass
 class LaxPair:
     """Quantum Lax pair on M' = e'M: L and A are |W/W'|-square matrices over
     the coset table ``tbl``, and [L, H 1] = [A, L]."""
 
-    tbl: object
-    L: OperatorMatrix
-    A: OperatorMatrix
-    H: object
+    def __init__(self, tbl, L, A, H):
+        self.tbl, self.L, self.A, self.H = tbl, L, A, H
 
 
 def lax_pair(tbl, L, fY, H) -> LaxPair:

@@ -11,22 +11,17 @@ the t-linear part of the quantum A (``classical_a_matrix``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .fields import Const, inv_form, linear_form, nsum
 from .opcore import DiffOp, LaxPair, OperatorMatrix, lax_pair
-from .weyl import (RootSystemData, SignedPerm, dot, ext_coord, ext_form,
-                   orbit_stabilizer)
+from .weyl import (SignedPerm, dot, ext_coord, ext_form, orbit_stabilizer,
+                   replace)
 
 
-@dataclass
 class RationalDunklConfig:
     """W-invariant couplings: one value per root-length orbit."""
 
-    rs: RootSystemData
-    t: complex
-    c_short: complex
-    c_long: complex = None
+    def __init__(self, rs, t, c_short, c_long=None):
+        self.rs, self.t, self.c_short, self.c_long = rs, t, c_short, c_long
 
     def coupling(self, alpha):
         if dot(alpha, alpha) == 4 and self.rs.kind == "C":

@@ -9,7 +9,6 @@ before the Lax-equation check, which must then fail.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
 
 from .fields import symmetrized
 from .opcore import OperatorMatrix, WOp, integrals, make_probes, nan_as_inf
@@ -17,21 +16,17 @@ from .special import check_couplings, check_params
 from .verify import (PointPolicy, residual_evalfn, rng_for, run_check,
                      scalar_check)
 from .weyl import (ConfigError, build_root_system, ext_coord, orbit_stabilizer,
-                   weyl_enumerate)
+                   replace, weyl_enumerate)
 
 
-@dataclass
 class RunConfig:
-    system: str
-    rank: int = 2
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    perturb: float = 0.0
-
-    def __post_init__(self):
-        min_rank = _system(self.system).min_rank
-        if self.rank < min_rank:
-            raise ConfigError(f"rank must be >= {min_rank} for system {self.system!r}")
+    def __init__(self, system, rank=2, params=None, seed=0, perturb=0.0):
+        min_rank = _system(system).min_rank
+        if rank < min_rank:
+            raise ConfigError(f"rank must be >= {min_rank} for system {system!r}")
+        self.system, self.rank = system, rank
+        self.params = {} if params is None else params
+        self.seed, self.perturb = seed, perturb
 
 
 def _system(name):
@@ -377,7 +372,6 @@ def classical_flow_setup(config: RunConfig):
 
 # -- the system registry ------------------------------------------------------
 
-@dataclass(frozen=True)
 class System:
     """Registry entry: default parameters, the verification suite (a callable
     on RunConfig), for systems with a classical flow its set-up, the
@@ -385,11 +379,9 @@ class System:
     (``special.REGIMES``; the suites of difference regimes need c != 0, those
     of differential regimes t != 0)."""
 
-    defaults: dict
-    suite: object
-    flow: object = None
-    min_rank: int = 1
-    regime: str = field(kw_only=True)
+    def __init__(self, defaults, suite, flow=None, min_rank=1, *, regime):
+        self.defaults, self.suite, self.flow = defaults, suite, flow
+        self.min_rank, self.regime = min_rank, regime
 
 
 SYSTEMS = {

@@ -11,7 +11,6 @@ the size-n quantum Lax pair, and the u L^k v integrals.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .fields import Const, Field, LinArg, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
@@ -22,11 +21,9 @@ from .weyl import (AffineElement, RootSystemData, SignedPerm, affine_reflection,
                    reduced_word, weyl_enumerate)
 
 
-@dataclass
 class TrigGLConfig:
-    n: int
-    tau: complex
-    c: complex          # step constant, q = e^c
+    def __init__(self, n, tau, c):
+        self.n, self.tau, self.c = n, tau, c      # c: step constant, q = e^c
 
     @property
     def q(self):

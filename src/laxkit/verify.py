@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from operator import mul
 
 from .dual import gradient_vec
@@ -32,26 +31,21 @@ DEFAULT_POINTS = 8
 MAX_POINT_TRIES = 100
 
 
-@dataclass
 class CheckResult:
-    name: str
-    residual: float
-    tol: float
-    passed: bool
-    seconds: float = 0.0
+    def __init__(self, name, residual, tol, passed, seconds=0.0):
+        self.name, self.residual, self.tol, self.passed = name, residual, tol, passed
+        self.seconds = seconds
 
     def as_dict(self):
         return {"name": self.name, "residual": self.residual,
                 "tol": self.tol, "pass": self.passed}
 
 
-@dataclass
 class VerificationReport:
-    system: str
-    params: dict
-    seed: int
-    checks: list = field(default_factory=list, init=False)
-    runtime_ms: float = field(default=0.0, init=False)
+    def __init__(self, system, params, seed):
+        self.system, self.params, self.seed = system, params, seed
+        self.checks = []
+        self.runtime_ms = 0.0
 
     def add(self, result: CheckResult):
         self.checks.append(result)
@@ -93,14 +87,11 @@ def decode_number(v):
     return v
 
 
-@dataclass
 class PointPolicy:
     """Box for random complex sample points."""
 
-    n: int
-    re_lo: float = -0.9
-    re_hi: float = 0.9
-    im: float = 0.15
+    def __init__(self, n, re_lo=-0.9, re_hi=0.9, im=0.15):
+        self.n, self.re_lo, self.re_hi, self.im = n, re_lo, re_hi, im
 
     def draw(self, rng):
         return tuple(complex(rng.uniform(self.re_lo, self.re_hi),

@@ -9,8 +9,6 @@ type C_n has roots {±2e_i} ∪ {±e_i±e_j}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 WEYL_SIZE_GUARD = 10**6
 
 
@@ -22,6 +20,19 @@ class ConfigError(ValueError):
 
 class UnsupportedElementError(ValueError):
     """Element lies outside the group covered by reduced-word search."""
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with the attributes ``changes`` set.  Its
+    ``__init__`` does not run: every other attribute, a cache included, is
+    the source's, and a record re-derives what depends on a changed
+    attribute when it is read (``VDParams.rs``)."""
+    unknown = changes.keys() - vars(record).keys()
+    if unknown:
+        raise TypeError(f"{type(record).__name__} has no field {sorted(unknown)}")
+    out = object.__new__(type(record))
+    out.__dict__.update(vars(record), **changes)
+    return out
 
 
 # the one SignedPerm of each image
@@ -162,12 +173,24 @@ def _norm_key(pt):
     return tuple(0.0 if v == 0 else v for v in pt)
 
 
-@dataclass(frozen=True)
 class AffineRoot:
-    """alpha + k*delta as an affine-linear function <alpha,x> + k c."""
+    """alpha + k*delta as an affine-linear function <alpha,x> + k c; equal
+    and hashed by value."""
 
-    alpha: tuple
-    k: int
+    __slots__ = ("alpha", "k")
+
+    def __init__(self, alpha, k):
+        self.alpha, self.k = alpha, k
+
+    def __eq__(self, other):
+        return (isinstance(other, AffineRoot) and self.alpha == other.alpha
+                and self.k == other.k)
+
+    def __hash__(self):
+        return hash((self.alpha, self.k))
+
+    def __repr__(self):
+        return f"AffineRoot(alpha={self.alpha!r}, k={self.k!r})"
 
     def is_negative(self):
         if self.k != 0:
@@ -267,16 +290,11 @@ def affine_reflection(ar: AffineRoot) -> AffineElement:
     return AffineElement(s, tuple(-ar.k * v for v in coroot))
 
 
-@dataclass
 class RootSystemData:
-    kind: str
-    rank: int
-    dim: int
-    roots: list
-    pos_roots: list
-    simple: list
-    highest: tuple
-    _weyl: list = field(default=None, repr=False)
+    def __init__(self, kind, rank, dim, roots, pos_roots, simple, highest):
+        self.kind, self.rank, self.dim, self.roots = kind, rank, dim, roots
+        self.pos_roots, self.simple, self.highest = pos_roots, simple, highest
+        self._weyl = None           # weyl_enumerate's list, kept on first use
 
     def coroot(self, alpha):
         aa = dot(alpha, alpha)
@@ -425,7 +443,6 @@ def reduced_word(rs: RootSystemData, w: AffineElement):
             return word
 
 
-@dataclass
 class CosetTable:
     """Representatives r_1..r_m of W' \\ W for the stabilizer W' of xi.
 
@@ -433,14 +450,9 @@ class CosetTable:
     group element to its coset index, so e' r_i r_j = e' r_{k(i,j)}.
     """
 
-    xi: tuple
-    reps: list
-    orbit: list
-    stabilizer: list
-    _lookup: dict = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self._lookup = {_norm_key(p): i for i, p in enumerate(self.orbit)}
+    def __init__(self, xi, reps, orbit, stabilizer):
+        self.xi, self.reps, self.orbit, self.stabilizer = xi, reps, orbit, stabilizer
+        self._lookup = {_norm_key(p): i for i, p in enumerate(orbit)}
 
     @property
     def m(self):

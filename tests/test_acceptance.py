@@ -5,7 +5,6 @@ summary lines and timings.
 """
 
 import cmath
-import dataclasses
 import json
 import random
 import subprocess
@@ -17,7 +16,7 @@ from laxkit.opcore import OperatorMatrix, WOp, integrals, make_probes
 from laxkit.verify import (PointPolicy, hamiltonian_flow, isospectral_drift,
                            matrix_fn_from_fields, op_residual, scaled_flow,
                            trace_powers)
-from laxkit.weyl import build_root_system, orbit_stabilizer
+from laxkit.weyl import build_root_system, orbit_stabilizer, replace
 from support import fit_slope, poisson_residual, symbol_parts
 
 TAU_ELL = 0.27 + 0.82j
@@ -132,7 +131,7 @@ def test_criterion_03_rational_lax_and_qlp():
                 worst = max(worst, op_residual(lax.L, Lref, probes, xs))
                 worst = max(worst, op_residual(lax.A, Aref, probes, xs))
                 # classical Moser matrix (lp): ig/(x_k-x_l) off, p_k diagonal
-                Lf = lax_pair_rational(dataclasses.replace(cfg, t=0.0)).L.phase_field()
+                Lf = lax_pair_rational(replace(cfg, t=0.0)).L.phase_field()
                 z = tuple([0.4 * i - 0.5 for i in range(n)]
                           + [0.1 * ((-1) ** i) for i in range(n)])
                 Lv = np.array(matrix_fn_from_fields(Lf)(z))
@@ -268,7 +267,7 @@ def test_criterion_06_closed_forms_vs_construction():
                   C_STEP, TAU_ELL)
     eta = 0.37 - 0.04j
     PQ = vd_p_matrix(pv, eta) * vd_q_matrix(pv, eta)
-    Y1s = y_elliptic(dataclasses.replace(pv, xi=pv.xi_spec(eta)), (1, 0))
+    Y1s = y_elliptic(replace(pv, xi=pv.xi_spec(eta)), (1, 0))
     tbl = orbit_stabilizer(pv.rs, (1, 0))
     xs2e = pts(2, 4, 606)
     vd_resid = op_residual(PQ, Y1s.restrict(tbl), probes2, xs2e)
@@ -606,7 +605,7 @@ def test_criterion_13_residue_conditions():
                   C_STEP, TAU_ELL)
     worst = 0.0
     nchecks = 0
-    for params in (pv, dataclasses.replace(pv, c=0.0)):
+    for params in (pv, replace(pv, c=0.0)):
         rep = residue_conditions(params, rng=random.Random(13))
         nchecks += len(rep)
         assert any(lbl.startswith("5res") for (lbl, _e, _ok) in rep)

@@ -12,8 +12,9 @@ imports must be loaded as a name somewhere in that file.  So are their
 local assignments: a function that assigns a single name must load it.
 
 Every parameter with a default of a module-level function or method in
-src/laxkit, and every public dataclass field with one, is passed by some
-call: a default that no call overrides is a constant.  Every parameter of a
+src/laxkit is passed by some call: a default that no call overrides is a
+constant.  A keyword of ``replace(record, name=...)`` passes the
+``__init__`` parameter ``name`` of every class.  Every parameter of a
 module-level function in src/laxkit is read in its body; methods are exempt,
 since they keep their class's signature.
 
@@ -136,43 +137,15 @@ def _params_with_defaults(fn, skip):
     return out
 
 
-def _dataclass_fields(cls):
-    """(name, positional index or None) for each public field of a dataclass
-    that has a default and is set by the constructor."""
-    if not any((isinstance(d, ast.Name) and d.id == "dataclass")
-               or (isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass")
-               for d in cls.decorator_list):
-        return []
-    out, index = [], 0
-    for node in cls.body:
-        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
-            continue
-        value = node.value
-        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
-            kws = {k.arg: getattr(k.value, "value", None) for k in value.keywords}
-            if kws.get("init") is False:
-                continue
-            has_default = "default" in kws or "default_factory" in kws
-            kw_only = kws.get("kw_only") is True
-        else:
-            has_default, kw_only = value is not None, False
-        name = node.target.id
-        if has_default and not name.startswith("_"):
-            out.append((name, None if kw_only else index))
-        if not kw_only:
-            index += 1
-    return out
-
-
 def unpassed_defaults():
     """Parameters with a default in src/laxkit that no call passes.
 
     Calls are matched by name: ``f(...)`` and ``obj.f(...)`` both call every
-    definition named ``f``, a class name calls its ``__init__`` or its
-    dataclass constructor, and ``replace(obj, name=...)`` sets the dataclass
-    field ``name``.  A parameter is passed when some call names it as a
-    keyword, gives enough positional arguments to reach it, or spreads a
-    starred argument over it."""
+    definition named ``f``, a class name calls its ``__init__``, and
+    ``replace(obj, name=...)`` (``weyl.replace``, a copy with the attribute
+    ``name`` set) passes the ``__init__`` parameter ``name`` of every class.
+    A parameter is passed when some call names it as a keyword, gives enough
+    positional arguments to reach it, or spreads a starred argument over it."""
     calls = {}                                  # name -> [(npos, keywords, starred)]
     params = []                                 # (path, line, call names, name, index)
     for top in SCANNED:
@@ -190,9 +163,6 @@ def unpassed_defaults():
                 continue
             for cls in ast.walk(tree):
                 if isinstance(cls, ast.ClassDef):
-                    for pname, index in _dataclass_fields(cls):
-                        params.append((path, cls.lineno, (cls.name, "replace"),
-                                       pname, index))
                     for fn in cls.body:
                         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                             static = any(getattr(d, "id", None) == "staticmethod"
@@ -205,8 +175,11 @@ def unpassed_defaults():
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     for pname, index in _params_with_defaults(fn, 0):
                         params.append((path, fn.lineno, (fn.name,), pname, index))
+    replaced = {kw for _npos, kws, _starred in calls.get("replace", ()) for kw in kws}
     out = []
     for path, line, names, pname, index in params:
+        if names[-1] == "__init__" and pname in replaced:
+            continue
         if not any(pname in kws or starred or (index is not None and npos > index)
                    for name in names for npos, kws, starred in calls.get(name, ())):
             out.append(f"{path.relative_to(ROOT)}:{line} {names[0]}({pname})")

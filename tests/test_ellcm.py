@@ -1,7 +1,6 @@
 """Elliptic Dunkl operators, Krichever/Inozemtsev Lax pairs, regularity."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -16,7 +15,7 @@ from laxkit.suites import RunConfig, build_suite, default_params
 from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
                            isospectral_drift, matrix_fn_from_fields, op_residual,
                            trace_powers)
-from laxkit.weyl import build_root_system
+from laxkit.weyl import build_root_system, replace
 from test_fields import field_nodes
 from support import fit_slope, poisson_residual, symbol_parts
 

@@ -2,7 +2,6 @@
 van Diejen Lax pairs, dual substitution, residue conditions."""
 
 import cmath
-import dataclasses
 import itertools
 import random
 
@@ -28,7 +27,8 @@ from laxkit.verify import (PointPolicy, energy_drift, isospectral_drift,
                            matrix_fn_from_fields, op_residual, scaled_flow,
                            trace_powers)
 from laxkit.weyl import (AffineElement, AffineRoot, affine_reflection,
-                         build_root_system, orbit_stabilizer, reduced_word)
+                         build_root_system, orbit_stabilizer, reduced_word,
+                         replace)
 from support import classical_op_residual, fit_slope, poisson_residual, symbol_parts
 
 TAU = 0.27 + 0.82j
@@ -74,7 +74,7 @@ def test_r_matrix_uni_relations():
     assert op_residual(r_matrix(p, ar1, unitary=True) * r_matrix(p, neg1, unitary=True),
                        WOp.one(3, C), probes, xs) < 1e-12
     # C-vee-C doubled-root unitarity through the dual-parameter normalization
-    pv = dataclasses.replace(pV(), xi=(0.33 + 0.02j, -0.21 + 0.05j))
+    pv = replace(pV(), xi=(0.33 + 0.02j, -0.21 + 0.05j))
     probes2 = make_probes(2, 2, random.Random(2))
     xs2 = sample(2)
     ar2 = AffineRoot((2, 0), 0)
@@ -88,8 +88,8 @@ def test_non_unitary_vandiejen_operators_solve_no_dual_parameters(monkeypatch):
     def refuse(*args):
         raise RuntimeError("dual parameters solved")
     monkeypatch.setattr("laxkit.ellrel.dual_params", refuse)
-    pv = dataclasses.replace(pV(), xi=(0.33 + 0.02j, -0.21 + 0.05j))
-    y_elliptic(dataclasses.replace(pv, xi=pv.xi0()), (1, 0))
+    pv = replace(pV(), xi=(0.33 + 0.02j, -0.21 + 0.05j))
+    y_elliptic(replace(pv, xi=pv.xi0()), (1, 0))
     ar = AffineRoot((2, 0), 1)
     r_matrix(pv, ar)
     with pytest.raises(RuntimeError, match="dual parameters solved"):
@@ -110,7 +110,7 @@ def test_equivariance_pair_action():
     ar = AffineRoot(p.rs.pos_roots[1], 1)
     w = p.rs.reflection(p.rs.pos_roots[0])
     lhs = WOp.from_group(3, C, w) * r_matrix(p, ar) * WOp.from_group(3, C, w.inverse())
-    rhs = r_matrix(dataclasses.replace(p, xi=w.apply_vec(p.xi)),
+    rhs = r_matrix(replace(p, xi=w.apply_vec(p.xi)),
                    AffineRoot(w.apply_vec(ar.alpha), ar.k))
     assert op_residual(lhs, rhs, make_probes(3, 2, random.Random(5)), sample(3)) < 1e-12
 
@@ -131,7 +131,7 @@ def test_yang_baxter_braid_and_homomorphism():
     lhs = t_hat_word(p, [1, 2]) * t_hat_word(p, [0, 1])
     assert op_residual(lhs, t_hat_word(p, word), probes, xs) < 1e-11
     # C-vee-C braid (b1): m = 4 pairs
-    pv = dataclasses.replace(pV(), xi=(0.33 + 0.02j, -0.21 + 0.05j))
+    pv = replace(pV(), xi=(0.33 + 0.02j, -0.21 + 0.05j))
     probes2 = make_probes(4, 2, random.Random(8))
     pol2 = PointPolicy(4, -0.3, 0.3, 0.04)
     xs2 = [pol2.draw(random.Random(9)) for _ in range(3)]
@@ -179,7 +179,7 @@ def test_lemmay_limit():
     resid = []
     for d in (1e-2, 1e-3):
         xi = (0.21 + 0.01j + d, 0.21 + 0.01j, -0.13 + 0.03j)
-        Y = y_elliptic(dataclasses.replace(p, xi=xi), av, unitary=True)
+        Y = y_elliptic(replace(p, xi=xi), av, unitary=True)
         resid.append(op_residual(Y, WOp.one(3, C), probes, xs))
     assert resid[1] < 0.2 * resid[0]
     assert resid[1] < 1e-2
@@ -202,7 +202,7 @@ def test_rhat_value_at_dynamical_half_periods():
     for r in range(4):
         resid = []
         for d in (1e-2, 1e-3):
-            pxi = dataclasses.replace(pv, xi=(oms[r] + d, 0.17 - 0.04j))
+            pxi = replace(pv, xi=(oms[r] + d, 0.17 - 0.04j))
             Rh = r_matrix(pxi, ar, unitary=True)
             ph = LinArg(lambda z, br=betas[r]: cmath.exp(1j * cmath.pi * br * (z - 2 * nuv)),
                         ar.alpha, 0j)
@@ -212,19 +212,19 @@ def test_rhat_value_at_dynamical_half_periods():
 
 
 def test_macdonald_elliptic_collapse():
-    p = dataclasses.replace(pA(), xi=tuple(-v for v in rho_m(pA())))
+    p = replace(pA(), xi=tuple(-v for v in rho_m(pA())))
     probes = make_probes(3, 2, random.Random(13))
     xs = sample(3)
     phiv = (1, 0, -1)
     Lb = macdonald_elliptic(p, phiv, quasi=True)
     assert op_residual(y_elliptic(p, phiv).collapse(), Lb, probes, xs) < 1e-12
-    pc = dataclasses.replace(pC(), xi=tuple(-v for v in rho_m(pC())))
+    pc = replace(pC(), xi=tuple(-v for v in rho_m(pC())))
     probes2 = make_probes(2, 2, random.Random(14))
     xs2 = sample(2)
     LbC = macdonald_elliptic(pc, (1, 0), quasi=True)
     assert op_residual(y_elliptic(pc, (1, 0)).collapse(), LbC, probes2, xs2) < 1e-12
     # dual version (kernels on coroots): collapse at zeta = -rho_m_vee
-    pcd = dataclasses.replace(pC(), xi=tuple(-v for v in rho_m(pC(), dual=True)))
+    pcd = replace(pC(), xi=tuple(-v for v in rho_m(pC(), dual=True)))
     LbD = macdonald_elliptic(pcd, (1, 0), quasi=True, dual=True)
     assert op_residual(y_elliptic_dual(pcd, (1, 0)).collapse(), LbD,
                        probes2, xs2) < 1e-12
@@ -268,7 +268,7 @@ def test_vandiejen_hamiltonian_and_alpha():
     pv = pV()
     probes = make_probes(2, 2, random.Random(17))
     xs = sample(2)
-    Y1 = y_elliptic(dataclasses.replace(pv, xi=pv.xi0()), (1, 0))
+    Y1 = y_elliptic(replace(pv, xi=pv.xi0()), (1, 0))
     H = vd_hamiltonian(pv)
     assert op_residual(Y1.collapse(), H, probes, xs) < 1e-12
     # xi0 solves the (csystem) equations
@@ -310,13 +310,13 @@ def test_vandiejen_lax_block():
     probes = make_probes(2, 2, random.Random(19))
     xs = sample(2)
     laxv = lax_vandiejen(pv, eta)
-    Y1s = y_elliptic(dataclasses.replace(pv, xi=pv.xi_spec(eta)), (1, 0))
+    Y1s = y_elliptic(replace(pv, xi=pv.xi_spec(eta)), (1, 0))
     assert op_residual(laxv.L, Y1s.restrict(laxv.tbl), probes, xs) < 1e-8
     Hm = OperatorMatrix.diagonal(laxv.H, 4)
     assert op_residual(laxv.L * Hm - Hm * laxv.L,
                            laxv.A * laxv.L - laxv.L * laxv.A, probes, xs) < 1e-7
     # commutativity of the elliptic C-vee-C Cherednik operators
-    pgen = dataclasses.replace(pv, xi=(0.33 + 0.02j, -0.21 + 0.05j))
+    pgen = replace(pv, xi=(0.33 + 0.02j, -0.21 + 0.05j))
     Ya = y_elliptic(pgen, (1, 0))
     Yb = y_elliptic(pgen, (0, 1))
     assert op_residual(Ya * Yb, Yb * Ya, probes, xs) < 1e-8
@@ -372,7 +372,7 @@ def test_dual_substitution_lax_equation_c2():
     eta = 0.29 - 0.03j
     xi_il = (-rho[0] + eta, -rho[1])
     tbl = orbit_stabilizer(pc.rs, (1, 0))
-    Y1 = y_elliptic(dataclasses.replace(pc, xi=xi_il), (1, 0))
+    Y1 = y_elliptic(replace(pc, xi=xi_il), (1, 0))
     L = Y1.restrict(tbl)
     H = macdonald_elliptic(pc, (1, 0), quasi=True)
     A = dual_substituted(pc, xi_il).restrict(tbl) - OperatorMatrix.diagonal(H, 4)
@@ -381,12 +381,12 @@ def test_dual_substitution_lax_equation_c2():
 
 
 def test_translation_covariance_classical():
-    pc = dataclasses.replace(pC(), c=0.0)
+    pc = replace(pC(), c=0.0)
     xi_a = (0.24 + 0.01j, 0.17 - 0.02j)
     b = (1, 0)
     v = (1, 0)
-    Yc1 = y_elliptic(dataclasses.replace(pc, xi=xi_a), b, unitary=False)
-    Yc2 = y_elliptic(dataclasses.replace(pc, xi=(xi_a[0] + TAU, xi_a[1])), b, unitary=False)
+    Yc1 = y_elliptic(replace(pc, xi=xi_a), b, unitary=False)
+    Yc2 = y_elliptic(replace(pc, xi=(xi_a[0] + TAU, xi_a[1])), b, unitary=False)
     ph = exp_lin(tuple(2j * cmath.pi * vv for vv in v))
     phm = exp_lin(tuple(-2j * cmath.pi * vv for vv in v))
     conj = WOp.from_field(2, 0.0, ph) * Yc1 * WOp.from_field(2, 0.0, phm)
@@ -401,7 +401,7 @@ def test_residue_conditions_and_control():
     pv = pV()
     rep = residue_conditions(pv, rng=random.Random(5))
     assert rep and all(ok for (_l, _e, ok) in rep)
-    repc = residue_conditions(dataclasses.replace(pv, c=0.0), rng=random.Random(5))
+    repc = residue_conditions(replace(pv, c=0.0), rng=random.Random(5))
     assert repc and all(ok for (_l, _e, ok) in repc)
     # the lambda_r-weighted sums are present
     assert any(l.startswith("5res") for (l, _e, _ok) in rep)
@@ -566,7 +566,7 @@ def test_root_system_is_built_once_per_parameter_object(monkeypatch):
     def counted(*args):
         calls.append(args)
         return build_root_system(*args)
-    pv = dataclasses.replace(pV(), xi=(0.33 + 0.02j, -0.21 + 0.05j))
+    pv = replace(pV(), xi=(0.33 + 0.02j, -0.21 + 0.05j))
     pk = koorn.CCnParams(n=2, tau0=1.2 + 0.1j, tau0v=0.8 - 0.05j, taun=1.5 + 0.2j,
                          taunv=0.7 + 0.1j, tau=1.3 - 0.15j, c=0.23 + 0.07j)
     monkeypatch.setattr(ellrel, "build_root_system", counted)
@@ -576,9 +576,9 @@ def test_root_system_is_built_once_per_parameter_object(monkeypatch):
         assert calls == []
     # a copy made by replace keeps its source's C_n; a copy of another n
     # builds its own
-    copy = dataclasses.replace(pv, xi=pv.xi0(), c=0.0)
+    copy = replace(pv, xi=pv.xi0(), c=0.0)
     assert copy.rs is pv.rs and calls == []
     y_elliptic(copy, (1, 0))
     assert calls == []
-    assert dataclasses.replace(pv, n=1, xi=(0.33 + 0.02j,)).rs.rank == 1
+    assert replace(pv, n=1, xi=(0.33 + 0.02j,)).rs.rank == 1
     assert calls == [("C", 1)]

@@ -651,6 +651,21 @@ def test_flow_gradient_adjoint_lines_repeat_no_product(system):
             assert len(set(products)) == len(products), line
 
 
+@pytest.mark.parametrize("system", FLOW_RANKS)
+def test_flow_gradient_sweep_computes_each_product_once(system):
+    """Over all the adjoint sweep of the generated gradient of a flow's H, no
+    product is computed twice: a repeated one is bound once, (u := w * v),
+    and read by name, and a slot whose adjoint is an earlier one's takes
+    that one's name."""
+    H, _Lf, _n, _powers, z0 = _flow_setup(system)
+    lines = fields._gradient_source(H.tape(), len(z0))[0].splitlines()
+    products = [re.sub(r"^\(u\d+ := (.*)\)$", r"\1", term)
+                for line in lines if re.match(r"    [aqtg]\d+ = ", line)
+                for term in re.split(r" [+-] ", line.partition(" = ")[2])
+                if " * " in term]
+    assert products and len(set(products)) == len(products)
+
+
 def test_a_cli_flow_compiles_one_gradient_function(tmp_path, monkeypatch):
     """The time scale and the whole flow of H / kappa run H's one generated
     gradient, whose koornwinder source writes at most 285 lines."""

@@ -1,6 +1,5 @@
 """Noumi representation and the Koornwinder--van Diejen Lax matrix."""
 
-import dataclasses
 import random
 
 from laxkit.dual import value
@@ -14,7 +13,7 @@ from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
                            isospectral_drift, matrix_fn_from_fields, op_residual,
                            trace_powers)
 from laxkit.weyl import (AffineElement, AffineRoot, SignedPerm, ext_coord,
-                         ext_form, reduced_word, same_coord)
+                         ext_form, reduced_word, replace, same_coord)
 from support import fit_slope, poisson_residual
 
 P = CCnParams(n=2, tau0=1.2 + 0.1j, tau0v=0.8 - 0.05j, taun=1.5 + 0.2j,
@@ -74,7 +73,7 @@ def test_noumi_quadratic_and_braids():
 def test_y1_product_forms_and_inverse():
     # R_{t(e_1)} t(e_1) from the one elliptic builder is Noumi's Y_1
     for n, nterms in ((1, 4), (2, 12), (3, 40)):
-        p = dataclasses.replace(P, n=n)
+        p = replace(P, n=n)
         probes = make_probes(n, 2, random.Random(3))
         xs = sample(n, 4)
         Y1t = y_operator(p, 1)

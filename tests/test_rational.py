@@ -1,7 +1,6 @@
 """Rational Dunkl operators, CM Lax pairs, integrals, classical limits."""
 
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from laxkit.rational import (RationalDunklConfig, classical_a_matrix,
 from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
                            isospectral_drift, matrix_fn_from_fields, op_residual,
                            poisson_bracket, trace_powers)
-from laxkit.weyl import build_root_system, orbit_stabilizer, weyl_enumerate
+from laxkit.weyl import build_root_system, orbit_stabilizer, replace, weyl_enumerate
 from support import fit_slope, poisson_residual
 
 HBAR, G = 0.7, 1.3

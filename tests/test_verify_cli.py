@@ -615,6 +615,20 @@ def test_cli_flow_and_verify_run_without_numpy():
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_the_cli_and_system_modules_import_no_dataclasses_or_inspect():
+    # plain record classes: their import execs no generated methods, and
+    # -S keeps a host's site imports out of the count
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "import laxkit.cli, laxkit.rational, laxkit.trig, laxkit.koorn, "
+            "laxkit.ellcm, laxkit.ellrel\n"
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    r = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == []
 # span groups perfbench/run.py turns into per-layer metrics
 BENCH_GROUPS = {
     "verify": ("verify.run_point_max", "fields.eval", "opcore.mul",

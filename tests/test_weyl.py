@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxkit.weyl import (AffineElement, ConfigError, affine_reflection,
-                         build_root_system, ext_coord, ext_form,
-                         orbit_stabilizer, reduced_word, same_coord,
-                         weyl_enumerate, SignedPerm)
+from laxkit.weyl import (AffineElement, AffineRoot, ConfigError,
+                         affine_reflection, build_root_system, ext_coord,
+                         ext_form, orbit_stabilizer, reduced_word, replace,
+                         same_coord, weyl_enumerate, SignedPerm)
 from support import affine_length, evaluate_word, finite_length, translation_word
 
 
@@ -333,3 +333,19 @@ def test_ext_coordinate_forms_table():
             assert ext_coord(n, (i + n) % (2 * n)) == neg
             for j in range(2 * n):
                 assert same_coord(n, i, j) == (ext_coord(n, j) in (ext_coord(n, i), neg))
+
+
+def test_replace_copies_a_record_and_refuses_an_unknown_field():
+    tbl = orbit_stabilizer(build_root_system("C", 2), (1, 0))
+    copy_ = replace(tbl, xi=(0, 1))
+    assert copy_.xi == (0, 1) and tbl.xi == (1, 0)
+    assert copy_.reps is tbl.reps and type(copy_) is type(tbl)
+    with pytest.raises(TypeError, match="no field"):
+        replace(tbl, x=(0, 1))
+
+
+def test_affine_roots_are_equal_and_hashed_by_value():
+    a, b = AffineRoot((2, 0), 1), AffineRoot((2, 0), 1)
+    assert a == b and hash(a) == hash(b) and len({a, b, -a}) == 2
+    assert a != AffineRoot((2, 0), 0) and a != ((2, 0), 1)
+    assert repr(-a) == "AffineRoot(alpha=(-2, 0), k=-1)"
