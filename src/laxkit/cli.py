@@ -6,16 +6,16 @@
 Reports are JSON with complex parameters as {"re": ..., "im": ...} decimal
 strings; identical configuration and seed give byte-identical reports up to
 the runtime field.  Exit status: 0 all checks pass, 1 check failure,
-2 configuration error.
+2 configuration error or usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 import time
+from types import SimpleNamespace
 
 from .fields import PoleError
 from .suites import (ConfigError, RunConfig, build_suite, classical_flow_setup,
@@ -98,7 +98,6 @@ def cmd_flow(args):
         raise ConfigError(f"--time must be finite and >= 0, got {args.time}")
     config = make_config(args)
     H, Lf, n, powers, z0 = classical_flow_setup(config)
-    rows = []
     header = (["t"] + [f"x{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
               + [f"trL{k}" for k in powers] + ["charpoly_drift"])
     aborted = False
@@ -111,14 +110,9 @@ def cmd_flow(args):
     # every stride-th point and the last, so the rows end at t = T
     idxs = list(range(0, len(traj) - 1, max(1, len(traj) // 200))) + [len(traj) - 1]
     spectra = spectral_invariants(Lf, powers, [traj[idx] for idx in idxs])
-    for idx, (traces, drift) in zip(idxs, spectra):
-        z = traj[idx]
-        row = [float(times[idx])]
-        row += [float(v.real) for v in z[:n]]
-        row += [float(v.real) for v in z[n:]]
-        row += [float(tr.real) for tr in traces]
-        row += [drift]
-        rows.append(row)
+    rows = [[float(times[idx])] + [float(v.real) for v in traj[idx]]
+            + [float(tr.real) for tr in traces] + [drift]
+            for idx, (traces, drift) in zip(idxs, spectra)]
     text = ",".join(header) + "\n"
     for row in rows:
         text += ",".join(repr(v) for v in row) + "\n"
@@ -133,34 +127,61 @@ def cmd_flow(args):
     return 0
 
 
+USAGE = """\
+usage: laxkit verify --system SYSTEM [--rank N] [--params FILE] [--seed N]
+                     [--out FILE] [--perturb EPS]
+       laxkit flow --system SYSTEM [--rank N] [--params FILE] [--seed N]
+                   [--time T] [--dt DT] [--csv FILE]"""
+
+# flag: (type, default); the flow is deterministic and reads no seed, it
+# accepts one so that one argv shape drives both subcommands
+COMMON = {"--system": (str, None), "--rank": (int, 2), "--params": (str, None),
+          "--seed": (int, 0)}
+FLAGS = {"verify": {**COMMON, "--out": (str, None), "--perturb": (float, 0.0)},
+         "flow": {**COMMON, "--time": (float, 1.0), "--dt": (float, 2e-3),
+                  "--csv": (str, None)}}
+
+
+def parse_args(argv):
+    """Namespace of ``command`` and its flags (``--flag value`` or
+    ``--flag=value``, named without dashes); ValueError on a usage error."""
+    table = FLAGS.get(argv[0] if argv else None)
+    if table is None:
+        raise ValueError("the first argument must be verify or flow")
+    values = {flag[2:]: default for flag, (_, default) in table.items()}
+    items = iter(argv[1:])
+    for item in items:
+        flag, eq, value = item.partition("=")
+        if flag not in table:
+            raise ValueError(f"unrecognized argument {item}")
+        if not eq:
+            value = next(items, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{flag} expects a value")
+        kind = table[flag][0]
+        try:
+            values[flag[2:]] = kind(value)
+        except ValueError:
+            raise ValueError(f"{flag}: invalid {kind.__name__} value {value!r}") from None
+    if values["system"] is None:
+        raise ValueError("--system is required")
+    return SimpleNamespace(command=argv[0], **values)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="laxkit",
-                                     description="Lax pair construction and "
-                                                 "numerical certification")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--system", required=True)
-    common.add_argument("--rank", type=int, default=2)
-    common.add_argument("--params", default=None, help="JSON parameter file")
-    # the flow is deterministic and reads no seed; it accepts one so that
-    # one argv shape drives both subcommands
-    common.add_argument("--seed", type=int, default=0)
-    sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", parents=[common])
-    verify.add_argument("--out", default=None, help="JSON report path")
-    verify.add_argument("--perturb", type=float, default=0.0)
-    verify.set_defaults(fn=cmd_verify)
-    flow = sub.add_parser("flow", parents=[common])
-    flow.add_argument("--time", type=float, default=1.0)
-    flow.add_argument("--dt", type=float, default=2e-3)
-    flow.add_argument("--csv", default=None, help="CSV trajectory path")
-    flow.set_defaults(fn=cmd_flow)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = parse_args(argv)
+    except ValueError as exc:
+        print(f"{USAGE}\nlaxkit: error: {exc}", file=sys.stderr)
+        return 2
     try:
-        return args.fn(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+        # read at call time, so that a rebound cmd_verify or cmd_flow runs
+        return (cmd_verify if args.command == "verify" else cmd_flow)(args)
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

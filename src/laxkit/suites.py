@@ -8,8 +8,6 @@ before the Lax-equation check, which must then fail.
 
 from __future__ import annotations
 
-import copy
-
 from .fields import symmetrized
 from .opcore import OperatorMatrix, WOp, integrals, make_probes, nan_as_inf
 from .special import check_couplings, check_params
@@ -36,7 +34,8 @@ def _system(name):
 
 
 def default_params(system):
-    return copy.deepcopy(_system(system).defaults)
+    return {k: list(v) if isinstance(v, list) else v
+            for k, v in _system(system).defaults.items()}
 
 
 def _perturb_matrix(mat, eps):

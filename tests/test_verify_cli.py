@@ -5,6 +5,7 @@ import json
 import os
 import random
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -341,6 +342,66 @@ def test_cli_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys):
     assert len(csvpath.read_text().splitlines()) == 7
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["check", "--system", "trig-gln"],
+    ["verify", "--system", "trig-gln", "--bogus", "1"],
+    ["flow", "--system", "trig-gln", "--perturb", "1e-3"],
+    ["verify", "--system", "trig-gln", "--out"],
+    ["verify", "--system", "--rank", "2"],
+    ["verify", "--system", "trig-gln", "--rank", "2.5"],
+    ["flow", "--system", "trig-gln", "--dt", "x"],
+    ["verify", "--sys", "trig-gln"],
+    ["flow", "--rank", "2"],
+], ids=["no-subcommand", "unknown-subcommand", "unknown-flag", "other-subcommand-flag",
+        "no-value-at-end", "flag-as-value", "bad-int", "bad-float", "abbreviation",
+        "no-system"])
+def test_cli_usage_errors_exit_2_with_the_usage_on_stderr(argv, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: laxkit verify --system SYSTEM")
+    assert "laxkit: error: " in captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"],
+                                  ["flow", "--system", "trig-gln", "--help"]])
+def test_cli_help_prints_the_usage_and_exits_0(argv, capsys):
+    assert cli_main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: laxkit verify --system SYSTEM")
+    assert "laxkit flow --system SYSTEM" in captured.out and captured.err == ""
+
+
+def test_cli_flag_equals_value_gives_the_report_of_flag_value(tmp_path):
+    reports = []
+    for seed in (["--seed=7"], ["--seed", "7"]):
+        out = tmp_path / "r.json"
+        assert cli_main(["verify", "--system", "trig-gln", "--rank=2", *seed,
+                         "--out", str(out)]) == 0
+        reports.append(re.sub(r'("runtime_ms": )[^,\n}]+', r"\g<1>0", out.read_text()))
+    assert reports[0] == reports[1] and '"seed": 7' in reports[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--system", "trig-gln", "--params", "{dir}"],
+    ["verify", "--system", "trig-gln", "--params", "{binary}"],
+    ["verify", "--system", "trig-gln", "--rank", "2", "--out", "{dir}"],
+    ["flow", "--system", "trig-gln", "--rank", "2", "--time", "0.05", "--dt", "1e-2",
+     "--csv", "{dir}"],
+], ids=["params-directory", "params-binary", "out-directory", "csv-directory"])
+def test_cli_unreadable_or_unwritable_files_are_configuration_errors(argv, tmp_path,
+                                                                     capsys):
+    # each used to end in an IsADirectoryError or UnicodeDecodeError traceback
+    binary = tmp_path / "p.json"
+    binary.write_bytes(b"\xff\xfe\x00{")
+    argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+
+
 def test_rng_for_deterministic():
     a = rng_for(7, "x").random()
     b = rng_for(7, "x").random()
@@ -629,6 +690,27 @@ def test_the_cli_and_system_modules_import_no_dataclasses_or_inspect():
                        text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == []
+
+
+def test_a_verify_and_a_flow_call_load_no_argparse_gettext_locale_or_copy():
+    # one flag table reads argv and default_params copies its lists itself;
+    # -S keeps a host's site imports out of the count
+    code = ("import io, sys, contextlib\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "from laxkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    rcs = [main(['verify', '--system', 'trig-gln', '--rank', '2']),\n"
+            "           main(['flow', '--system', 'trig-gln', '--rank', '2', "
+            "'--time', '0.05', '--dt', '1e-2'])]\n"
+            "print(*rcs, *sorted({'argparse', 'gettext', 'locale', 'copy', "
+            "'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    r = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", "0"]
+
+
 # span groups perfbench/run.py turns into per-layer metrics
 BENCH_GROUPS = {
     "verify": ("verify.run_point_max", "fields.eval", "opcore.mul",
