@@ -5,28 +5,34 @@
 
 Reports are JSON with complex parameters as {"re": ..., "im": ...} decimal
 strings; identical configuration and seed give byte-identical reports up to
-the runtime field.  Exit status: 0 all checks pass, 1 check failure,
-2 configuration error or usage error.
+the runtime field.  Exit status: 0 all checks pass, 1 check failure or
+closed standard output, 2 configuration error or usage error.  The
+configuration is checked, and an ``--out`` or ``--csv`` file opened, before
+the first check or flow step runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from types import SimpleNamespace
 
 from .fields import PoleError
-from .suites import (ConfigError, RunConfig, build_suite, classical_flow_setup,
-                     default_params)
-from .verify import (VerificationReport, decode_number, scaled_flow,
+from .suites import (ConfigError, RunConfig, build_suite, check_suite,
+                     classical_flow_setup, default_params)
+from .verify import (VerificationReport, decode_number, flow_steps, scaled_flow,
                      spectral_invariants)
 
 
 def load_params(path):
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(str(exc)) from None
     if not isinstance(raw, dict):
         raise ConfigError("params file must hold a JSON object")
     out = {}
@@ -41,6 +47,16 @@ def load_params(path):
 
 def _is_number(v):
     return isinstance(v, (int, float, complex)) and not isinstance(v, bool)
+
+
+def write_file(path, text):
+    """Write ``text`` to ``path``; an ``OSError`` (a directory, a missing
+    folder) is a ``ConfigError``."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def make_config(args, perturb=0.0) -> RunConfig:
@@ -68,6 +84,9 @@ def make_config(args, perturb=0.0) -> RunConfig:
 
 def cmd_verify(args):
     config = make_config(args, args.perturb)
+    check_suite(config)
+    if args.out:
+        write_file(args.out, "")
     t0 = time.perf_counter()
     # one suite exists; the report names it so that reports keep their shape
     report = VerificationReport(system=config.system,
@@ -80,8 +99,7 @@ def cmd_verify(args):
     report.runtime_ms = 1000.0 * (time.perf_counter() - t0)
     text = report.to_json()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        write_file(args.out, text + "\n")
     else:
         print(text)
     for r in report.checks:
@@ -96,8 +114,11 @@ def cmd_flow(args):
         raise ConfigError(f"--dt must be finite and > 0, got {args.dt}")
     if not (math.isfinite(args.time) and args.time >= 0):
         raise ConfigError(f"--time must be finite and >= 0, got {args.time}")
+    flow_steps(args.time, args.dt)
     config = make_config(args)
     H, Lf, n, powers, z0 = classical_flow_setup(config)
+    if args.csv:
+        write_file(args.csv, "")
     header = (["t"] + [f"x{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
               + [f"trL{k}" for k in powers] + ["charpoly_drift"])
     aborted = False
@@ -117,8 +138,7 @@ def cmd_flow(args):
     for row in rows:
         text += ",".join(repr(v) for v in row) + "\n"
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(text)
+        write_file(args.csv, text)
     else:
         print(text, end="")
     if aborted:
@@ -180,10 +200,21 @@ def main(argv=None):
         return 2
     try:
         # read at call time, so that a rebound cmd_verify or cmd_flow runs
-        return (cmd_verify if args.command == "verify" else cmd_flow)(args)
-    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        rc = (cmd_verify if args.command == "verify" else cmd_flow)(args)
+        sys.stdout.flush()
+        return rc
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: the output is lost, the configuration is
+        # fine; what is left in the buffer goes to devnull at exit
+        print("laxkit: error: standard output closed", file=sys.stderr)
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ parameter class (``r_kernels``): sigma_m, or for C-vee-C_n the four-coupling
 v-functions at a/2 on doubled roots, whose unitary norm alone reads the dual
 parameters.  Unitary R-matrices satisfy Rhat(a) Rhat(-a) = 1, making
 That_i = Rhat(a_i)(s_i^vee x s_i) an affine Weyl group action; products
-along reduced words give Rhat_w independently of the word.
+along reduced words give Rhat_w independently of the word.  That_i, the dual
+R-matrices and the explicit elliptic Macdonald operators, which only the
+tests read, are built from this module's pieces in ``tests/identities.py``.
 
 ``y_elliptic`` is the one Cherednik builder, Y^b = R_{t(b)} t(b), for every
 parameter class with ``rs``, ``c``, ``xi`` and ``r_kernels``: the reduced
@@ -21,11 +23,10 @@ import cmath
 import math
 from functools import partial
 
-from .fields import ONE, BiArg, Const, LinArg, nsum
-from .opcore import DynOp, LaxPair, OperatorMatrix, WOp, lax_pair
+from .fields import ONE, Const, LinArg, nsum
+from .opcore import LaxPair, OperatorMatrix, WOp, lax_pair
 from .special import (dual_params, half_periods, sigma, sigma_form,
                       sigma_kernel, theta, v_func, v_kernel)
-from .verify import op_residual
 from .weyl import (AffineElement, AffineRoot, RootSystemData, SignedPerm,
                    affine_reflection, build_root_system, dot, ext_coord,
                    ext_form, orbit_stabilizer, reduced_word, replace,
@@ -194,70 +195,6 @@ def y_elliptic(params, b, unitary=False) -> WOp:
     return Rw * WOp.translation(params.rs.dim, params.c, tuple(b))
 
 
-def g_factor(params: EllRParams, b) -> complex:
-    """G_b(xi) = prod_{alpha: <alpha,b> > 0} sigma_{m}(<alpha^vee,xi>)^{<alpha,b>}."""
-    out = 1.0 + 0j
-    for a in params.rs.roots:
-        ab = dot(a, b)
-        if ab > 0:
-            out *= sigma(params.m_alpha(a), dyn_pairing(params, a), params.tau) ** ab
-    return out
-
-
-def r_matrix_red_dual(params: EllRParams, ar: AffineRoot) -> WOp:
-    """Dual R-matrix: kernels on the coroot ᾱ∨, dynamical pairing <α, ζ>."""
-    rs = params.rs
-    n = rs.dim
-    m = params.m_alpha(ar.alpha)
-    zeta_pair = sum(a * b for a, b in zip(ar.alpha, params.xi))
-    aa = dot(ar.alpha, ar.alpha)
-    covec = rs.coroot(ar.alpha)
-    const = 2 * ar.k * params.c / aa
-    f1 = sigma_form(m, covec, params.tau, const)
-    f2 = sigma_form(zeta_pair, covec, params.tau, const)
-    s_aff = affine_reflection(ar)
-    return WOp(n, params.c, {(SignedPerm.identity(n), (0,) * n): f1,
-                             (s_aff.w, s_aff.lam): -f2})
-
-
-def y_elliptic_dual(params: EllRParams, b) -> WOp:
-    """Y^{b, vee} = R^vee_{t(b)} t(b) (dual affine root system kernels)."""
-    Rw = r_word(params, AffineElement.translation(tuple(b)), r_matrix_red_dual)
-    return Rw * WOp.translation(params.rs.dim, params.c, tuple(b))
-
-
-# -- dynamical operators for the Weyl-action checks -------------------------
-
-def t_hat(params, i) -> DynOp:
-    """That_i = Rhat(a_i) (s_i^vee x s_i) as a dynamical operator on (xi, x):
-    the kernels of ``params.r_kernels`` divided by norm, with mu = <a^vee, xi>."""
-    rs = params.rs
-    n = rs.dim
-    ar = rs.affine_simple_roots()[i]
-    k, k_dyn, norm, h = params.r_kernels(ar)
-    ka = tuple(rs.coroot(ar.alpha)) + (0,) * n
-    kb = tuple(h * v for v in (0,) * n + tuple(ar.alpha))
-    cb = h * ar.k * params.c
-    A = BiArg(lambda mu, z: k(z) / norm(mu), ka, kb, 0j, cb)
-    B = BiArg(lambda mu, z: k_dyn(mu)(z) / norm(mu), ka, kb, 0j, cb)
-    s_aff = affine_reflection(ar)
-    sv = s_aff.w  # linear part acts on xi
-    # That = A (sv x s_aff) - B (sv x (s_a s_aff)); s_a s_aff = identity
-    return DynOp(n, params.c, {(sv, s_aff.w, s_aff.lam): A,
-                               (sv, SignedPerm.identity(n), (0,) * n): -B})
-
-
-def t_hat_word(params, word) -> DynOp:
-    out = None
-    for i in word:
-        Ti = t_hat(params, i)
-        out = Ti if out is None else out * Ti
-    if out is None:
-        n = params.rs.dim
-        out = DynOp.one(n, params.c)
-    return out
-
-
 # -- elliptic Macdonald operators -------------------------------------------
 
 def rho_m(params: EllRParams, dual=False):
@@ -280,43 +217,6 @@ def weyl_orbit(rs, b):
         pt = w.apply_vec(tuple(b))
         seen[pt] = True
     return list(seen)
-
-
-def macdonald_elliptic(params: EllRParams, b, quasi=False, dual=False) -> WOp:
-    """Explicit L^b (or L^{b, vee}) for minuscule / quasi-minuscule b."""
-    rs = params.rs
-    n = rs.dim
-    tau = params.tau
-    out = WOp.zero(n, params.c)
-    for pi in weyl_orbit(rs, b):
-        prod = None
-        for a in rs.roots:
-            if dot(pi, a) > 0:
-                arg = rs.coroot(a) if dual else a
-                f = sigma_form(params.m_alpha(a), arg, tau)
-                prod = f if prod is None else prod * f
-        if prod is None:
-            prod = Const(1.0 + 0j)
-        lam = tuple(int(v) for v in pi)
-        if not quasi:
-            out += WOp(n, params.c, {(SignedPerm.identity(n), lam): prod})
-            continue
-        m_phi = params.m_alpha(rs.highest)
-        if dual:
-            # the crossed hyperplane is (delta + pi_vee)_vee = pi + 2 delta/<phi,phi>
-            arg_form, shift = tuple(pi), 2 * params.c / dot(rs.highest, rs.highest)
-        else:
-            arg_form, shift = rs.coroot(pi), params.c
-        Af = sigma_form(m_phi, arg_form, tau, shift) * prod
-        phiv = rs.coroot(rs.highest)
-        if dual:
-            mB = -sum(hp * r for hp, r in zip(rs.highest, rho_m(params, dual=True)))
-        else:
-            mB = -sum(pv * r for pv, r in zip(phiv, rho_m(params)))
-        Bf = sigma_form(mB, arg_form, tau, shift) * prod
-        out += WOp(n, params.c, {(SignedPerm.identity(n), lam): Af})
-        out += WOp.from_field(n, params.c, -Bf)
-    return out
 
 
 # -- GL_n elliptic Ruijsenaars ----------------------------------------------
@@ -373,20 +273,6 @@ def nsel_closed_y1(p: EllRParams) -> WOp:
         B = _gl_sig_product(p, i, {1, i}, start=-1.0 * _gl_sig(p, eta, 1, i))
         op += WOp(n, p.c, {(SignedPerm.transposition(n, 0, i - 1), (0,) * n): B})
     return op * WOp.translation(n, p.c, ext_coord(n, 0))
-
-
-def nsel_closed_y2(p: EllRParams) -> WOp:
-    """Y_2|_{M'} = E + sum_i F_i s_{1i}."""
-    n = p.rs.dim
-    eta = p.xi[0] - p.xi[1]
-    out = WOp.zero(n, p.c)
-    for i in range(2, n + 1):
-        E = _gl_sig_product(p, i, {1, i}, start=_gl_sig(p, p.m_short, i, 1, p.c))
-        F = _gl_sig_product(p, i, {1, i}, start=_gl_sig(p, eta, 1, i, -p.c))
-        out += WOp(n, p.c, {(SignedPerm.identity(n), ext_coord(n, i - 1)): E})
-        # F_i contains t(e_i) to the LEFT of s_{1i}: h t(e_i) s_{1i} = h s_{1i} t(e_1)
-        out += WOp(n, p.c, {(SignedPerm.transposition(n, 0, i - 1), ext_coord(n, 0)): F})
-    return out
 
 
 def ruijsenaars_lax_tables(p: EllRParams):
@@ -609,21 +495,6 @@ def dual_substituted(params, xi) -> WOp:
     return out
 
 
-def dual_factor_identity_residual(params: EllRParams, xi, probes, points):
-    """Check A^vee_pi(xi) Yhat^pi = Y^pi at a generic xi (both routes)."""
-    rs = params.rs
-    b = rs.coroot(rs.highest)
-    pxi = replace(params, xi=xi)
-    worst = 0.0
-    for pi in weyl_orbit(rs, b):
-        A, _B = dual_coeffs_quasi(params, pi, xi)
-        ipi = tuple(int(v) for v in pi)
-        lhs = y_elliptic(pxi, ipi, unitary=True).scale(A)
-        rhs = y_elliptic(pxi, ipi, unitary=False)
-        worst = max(worst, op_residual(lhs, rhs, probes, points))
-    return worst
-
-
 # -- residue conditions ------------------------------------------------------
 
 # distances to a hyperplane at which a growth exponent is read
@@ -807,25 +678,3 @@ def residue_conditions(p: VDParams, rng):
     return report
 
 
-def residue_control_failure(p: VDParams):
-    """Unweighted length-three sum at a shifted half-period: the poles do
-    not cancel without the e^{+-lambda_r} weights, so the exponent must
-    dip below -0.5 (a vacuousness control for the residue checker)."""
-    coeffs = vd_coefficient_fields(replace(p, c=0.0))
-    n = p.n
-    alpha = ext_form(n, 0, 0, 1)  # 2 e_1
-    av = p.rs.coroot(alpha)
-    plus = tuple(av)
-    minus = tuple(-v for v in av)
-    ap, a0, am = coeffs[plus], coeffs[(0,) * n], coeffs[minus]
-    oms = half_periods(p.tau)
-
-    def q(x):
-        return ap(x) + a0(x) + am(x)
-
-    aa = dot(alpha, alpha)
-    direction = tuple(ai / aa for ai in alpha)
-    base = tuple(complex(0.23 + 0.07 * i, 0.01) for i in range(n))
-    off = (2 * oms[2] - sum(ai * xi for ai, xi in zip(alpha, base))) / aa
-    base = tuple(xi + off * ai for ai, xi in zip(alpha, base))
-    return residue_growth(q, base, direction)

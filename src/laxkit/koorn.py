@@ -157,40 +157,6 @@ def y_inverse(p: CCnParams, i) -> WOp:
 
 # -- closed forms ----------------------------------------------------------
 
-def abcd_coeffs(p: CCnParams):
-    """A, B, C_i, D_i of the restriction of the three-factor product."""
-    n = p.n
-    A = u_ext(p, 1, 0)
-    for l in range(2, n + 1):
-        A = A * a_ext(p, 1, l) * a_ext(p, 1, l, 1)
-    Cs, Ds = {}, {}
-    for i in range(2, n + 1):
-        C = u_ext(p, i, 0) * b_ext(p, 1, i) * a_ext(p, 1, i, 1)
-        D = u_ext(p, n + i, 0) * b_ext(p, 1, i, 1) * a_ext(p, 1, i)
-        for l in range(2, n + 1):
-            if l != i:
-                C = C * a_ext(p, i, l) * a_ext(p, i, l, 1)
-                D = D * a_ext(p, n + l, i) * a_ext(p, l, i)
-        Cs[i] = C
-        Ds[i] = D
-    const = (p.tau ** (2 * n - 2)) * p.taun
-    B = nsum([Const(const + 0j), -A] + [-Cs[i] for i in Cs] + [-Ds[i] for i in Ds])
-    return A, B, Cs, Ds
-
-
-def abcd_operator(p: CCnParams) -> WOp:
-    """Z = A + B s_1 + sum_i (C_i s_{1i} + D_i s^+_{1i})."""
-    n = p.n
-    A, B, Cs, Ds = abcd_coeffs(p)
-    terms = {(SignedPerm.identity(n), (0,) * n): A,
-             (SignedPerm.sign_flip(n, 0), (0,) * n): B}
-    op = WOp(n, p.c, terms)
-    for i in range(2, n + 1):
-        op += WOp(n, p.c, {(SignedPerm.transposition(n, 0, i - 1), (0,) * n): Cs[i]})
-        op += WOp(n, p.c, {(SignedPerm.neg_transposition(n, 0, i - 1), (0,) * n): Ds[i]})
-    return op
-
-
 def p_matrix(p: CCnParams) -> OperatorMatrix:
     """The 2n x 2n matrix P of Prop. (lmct) entry formulas."""
     n = p.n

@@ -413,30 +413,7 @@ class DynOp(WOp):
         return WOp.one(2 * n, c)
 
 
-# -- module elements (oracle layer) ------------------------------------
-
-class ModuleVector:
-    """Element e' sum_j r_j f_j of M' = e'M, as its component fields."""
-
-    __slots__ = ("tbl", "fields")
-
-    def __init__(self, tbl, fields):
-        if len(fields) != tbl.m:
-            raise ValueError(f"expected {tbl.m} component fields, got {len(fields)}")
-        self.tbl = tbl
-        self.fields = list(fields)
-
-    @property
-    def m(self):
-        return self.tbl.m
-
-    def expand(self):
-        """The underlying module element, as a dict w -> field over W."""
-        return module_inject(self.tbl, self.fields)
-
-    def apply_matrix(self, mat: "OperatorMatrix"):
-        return ModuleVector(self.tbl, mat.apply_vector(self.fields))
-
+# -- module elements ---------------------------------------------------
 
 def module_inject(tbl, fields):
     """e' sum_j r_j f_j as a dict w -> field over the whole of W."""

@@ -6,15 +6,15 @@ with A e = 0, and restricting to M' = e'M turns (y_xi, A) into a quantum Lax
 pair of size |W/W'|.  The Planck constant t is the only flavor switch: the
 same operators built at t = 0, where (t d)_k reads as p_k, give the classical
 pair, whose Lax matrix is the Moser matrix; the classical A-partner is minus
-the t-linear part of the quantum A (``classical_a_matrix``).
+the t-linear part of the quantum A (the tests build it from ``cm_split`` at
+t = 1).
 """
 
 from __future__ import annotations
 
 from .fields import Const, inv_form, linear_form, nsum
 from .opcore import DiffOp, LaxPair, OperatorMatrix, lax_pair
-from .weyl import (SignedPerm, dot, ext_coord, ext_form, orbit_stabilizer,
-                   replace)
+from .weyl import SignedPerm, dot, ext_coord, ext_form, orbit_stabilizer
 
 
 class RationalDunklConfig:
@@ -160,10 +160,3 @@ def kks_matrices(cfg, tbl):
     return lhs, ones
 
 
-def classical_a_matrix(cfg):
-    """Classical A-partner of the Moser matrix: minus the t-coefficient of the
-    quantum A, which is -A_hat restricted to M' at t = 1 because the split of
-    <y,y>/2 is linear in t off the identity.  It does not depend on cfg.t."""
-    tbl = orbit_stabilizer(cfg.rs, ext_coord(cfg.rs.dim, 0))
-    _qy, _L, A_hat = cm_split(replace(cfg, t=1.0), ((0.5, 2),))
-    return A_hat.restrict(tbl).scale(-1.0)

@@ -33,7 +33,7 @@ guard bounds, 1/tau, ...) and returns one kernel body for plain and Dual
 arguments: the jets come from ``_jets`` and each guard compares abs(w)
 (the value's modulus for a Dual) with its fixed bound.  theta1(-mu) is
 guarded at each call, before the theta_r(z) guards.  ``sigma``, ``v_func``,
-``wp``, ``hecke`` and ``u_fun`` read their family's kernel.  The maker
+``wp`` and ``hecke`` read their family's kernel.  The maker
 attaches the kernel's pair (``fields.kernel_family``), which returns
 (f(z), f'(z)) at a plain z (from the order-1 jets for sigma and v, the
 order-3 jet for P) by the quotients and products that Dual arithmetic
@@ -42,7 +42,7 @@ bit (up to the sign of a zero) and no Dual is built.  sigma' and v' are no
 family: they are the derivative leaves ``sigma_form(...).dz()`` and
 ``ellcm.v_form(...).dz()`` (``fields.LinArg.dz``).  No family restates
 another: the Hecke a of ``hecke`` is also the c-function of the basic
-representation, and Noumi's odd-level kernel u~ is ``u_fun`` at tau_0,
+representation, and Noumi's odd-level kernel u~ is ``u_kernel`` at tau_0,
 tau_0^vee on the argument moved by c/2.
 """
 
@@ -455,12 +455,6 @@ def hecke(z, tau_hecke, k):
     """Hecke kernel a(z) = (tau^-1 - tau e^z)/(1 - e^z) (k = 0), the c-function
     of the basic representation, or b(z) = (tau - tau^-1)/(1 - e^z) (k = 1)."""
     return hecke_kernel(tau_hecke, k)(z)
-
-
-def u_fun(z, tau_n, tau_n_vee):
-    """u(z) of the Noumi kernels (affine roots k delta +- 2 e_i; at odd k,
-    u~(z) = u(z + c/2) at tau_0, tau_0^vee)."""
-    return u_kernel(tau_n, tau_n_vee)(z)
 
 
 def sigma_form(mu, form, tau, const=0j):

@@ -291,10 +291,16 @@ def _checked(rule, *args):
         raise ConfigError(str(exc)) from None
 
 
+def check_suite(config: RunConfig):
+    """``ConfigError`` unless the parameters suit the system's coupling
+    regime (``special.check_couplings``); checked before ``build_suite``."""
+    _checked(check_couplings, SYSTEMS[config.system].regime, config.params)
+
+
 def build_suite(config: RunConfig):
-    system = SYSTEMS[config.system]
-    _checked(check_couplings, system.regime, config.params)
-    return system.suite(config)
+    """The check results of the system's suite, at parameters that passed
+    ``check_suite``."""
+    return SYSTEMS[config.system].suite(config)
 
 
 # -- classical flows for the CSV front end ----------------------------------

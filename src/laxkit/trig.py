@@ -16,9 +16,8 @@ from .fields import Const, Field, LinArg, nsum
 from .opcore import (LaxPair, OperatorMatrix, WOp, hecke_generator,
                      hecke_inverse, lax_pair)
 from .special import hecke_kernel
-from .weyl import (AffineElement, RootSystemData, SignedPerm, affine_reflection,
-                   build_root_system, dot, ext_coord, ext_form, orbit_stabilizer,
-                   reduced_word, weyl_enumerate)
+from .weyl import (RootSystemData, SignedPerm, affine_reflection,
+                   build_root_system, dot, ext_coord, ext_form, orbit_stabilizer)
 
 
 class TrigGLConfig:
@@ -90,18 +89,6 @@ def basic_rep(rs: RootSystemData, c, tau_short, tau_long=None):
     return gens
 
 
-def braid_order(rs, i, j):
-    """Order of s_i s_j in the affine Weyl group (None if infinite <= 6)."""
-    refl = [affine_reflection(a) for a in rs.affine_simple_roots()]
-    prod = refl[i] * refl[j]
-    cur = prod
-    for m in range(1, 7):
-        if cur.is_identity():
-            return m
-        cur = cur * prod
-    return None
-
-
 # -- GL_n Cherednik operators -------------------------------------------
 
 def cherednik_gln(cfg, i) -> WOp:
@@ -126,16 +113,6 @@ def mr_operator(cfg) -> WOp:
         out += WOp(n, cfg.c, {(SignedPerm.identity(n), ext_coord(n, i - 1)):
                               _a_product(cfg, i, {i})})
     return out
-
-
-def lemma_ns_closed(cfg) -> WOp:
-    """Closed form of Y_1 on M': (A + sum_i B_i s_{1i}) t(e_1)."""
-    n = cfg.n
-    op = WOp(n, cfg.c, {(SignedPerm.identity(n), (0,) * n): _a_product(cfg, 1, {1})})
-    for i in range(2, n + 1):
-        B = _a_product(cfg, i, {1, i}, start=b_field(cfg, 1, i))
-        op += WOp(n, cfg.c, {(SignedPerm.transposition(n, 0, i - 1), (0,) * n): B})
-    return op * translation_op(cfg, 1)
 
 
 def lax_trig_gln(cfg) -> LaxPair:
@@ -189,23 +166,3 @@ def phi_vector(cfg):
     return [_a_product(cfg, i, {i}, flip=True) for i in range(1, cfg.n + 1)]
 
 
-def e_tau_symmetrizer(cfg):
-    """e_tau = (sum tau_w T_w) / (sum tau_w^2) over the finite Hecke algebra."""
-    n = cfg.n
-    rs = build_root_system("A", n)
-    W = weyl_enumerate(rs)
-    Ts = []
-    for i in range(1, n):
-        s_i = WOp.from_group(n, cfg.c, SignedPerm.transposition(n, i - 1, i))
-        Ts.append(r_ij(cfg, i, i + 1) * s_i)
-    total = None
-    norm = 0j
-    for w in W:
-        word = reduced_word(rs, AffineElement.from_linear(w))
-        tw = cfg.tau ** len(word)
-        Tw = WOp.one(n, cfg.c)
-        for idx in word:
-            Tw = Tw * Ts[idx - 1]
-        total = Tw.scale(tw) if total is None else total + Tw.scale(tw)
-        norm += tw * tw
-    return total.scale(1.0 / norm)

@@ -201,15 +201,22 @@ def rk4_step(H, z, dt, n):
                   for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)])
 
 
-def hamiltonian_flow(H, z0, T, dt, n):
-    """Fixed-step RK4 trajectory of Hamilton's equations for H(x, p), every
-    step recorded.  T must be a whole number of steps dt (to 1e-9 of a
-    step), so the trajectory ends at T; otherwise ``ConfigError``."""
+def flow_steps(T, dt):
+    """The number of steps dt in T, which must be 0 or a whole number of steps
+    (to 1e-9 of a step), so that a trajectory ends at T; otherwise
+    ``ConfigError``."""
     if T == 0:
-        return [0.0], [tuple(z0)]
+        return 0
     steps = round(T / dt)
     if steps < 1 or abs(T / dt - steps) > 1e-9:
         raise ConfigError(f"time {T} is not a whole number of steps dt = {dt}")
+    return steps
+
+
+def hamiltonian_flow(H, z0, T, dt, n):
+    """Fixed-step RK4 trajectory of Hamilton's equations for H(x, p), every
+    step recorded, over the ``flow_steps(T, dt)`` steps."""
+    steps = flow_steps(T, dt)
     z = tuple(z0)
     times = [0.0]
     traj = [z]

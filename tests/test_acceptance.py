@@ -146,7 +146,8 @@ def test_criterion_03_rational_lax_and_qlp():
 
 def test_criterion_04_hecke_braid_relations():
     t0 = time.time()
-    from laxkit.trig import TrigGLConfig, basic_rep, braid_order
+    from identities import braid_order
+    from laxkit.trig import TrigGLConfig, basic_rep
     from laxkit.koorn import CCnParams, noumi_rep
     worst = 0.0
     for n in (2, 3, 4):
@@ -226,13 +227,12 @@ def test_criterion_05_cherednik_commutativity():
 
 def test_criterion_06_closed_forms_vs_construction():
     t0 = time.time()
-    from laxkit.trig import TrigGLConfig, lax_trig_gln, lemma_ns_closed
+    from identities import abcd_operator, lemma_ns_closed, nsel_closed_y2
+    from laxkit.trig import TrigGLConfig, lax_trig_gln
     from laxkit.ellrel import (VDParams, lax_elliptic_ruijsenaars,
-                               nsel_closed_y1, nsel_closed_y2,
-                               r_matrix, ruijsenaars_params, vd_p_matrix,
-                               vd_q_matrix, y_elliptic)
-    from laxkit.koorn import (CCnParams, abcd_operator, koornwinder_lax,
-                              p_matrix, q_matrix)
+                               nsel_closed_y1, r_matrix, ruijsenaars_params,
+                               vd_p_matrix, vd_q_matrix, y_elliptic)
+    from laxkit.koorn import CCnParams, koornwinder_lax, p_matrix, q_matrix
     from laxkit.weyl import AffineRoot
     worst = 0.0
     cfg = TrigGLConfig(n=3, tau=1.4 + 0.2j, c=0.31 + 0.11j)
@@ -523,8 +523,9 @@ def test_criterion_11_involution_isospectrality():
 def test_criterion_12_regularity_probes():
     t0 = time.time()
     from laxkit.ellcm import EllipticDunklConfig, dual_substitution
-    from laxkit.ellrel import (EllRParams, dual_substituted,
-                               macdonald_elliptic, VDParams, vd_hamiltonian)
+    from identities import macdonald_elliptic
+    from laxkit.ellrel import (EllRParams, dual_substituted, VDParams,
+                               vd_hamiltonian)
     rng = random.Random(1200)
     worst = 0.0
     # Prop (elcl)(iii)-type: elliptic CM, A2 and C2/BC

@@ -14,6 +14,7 @@ from laxkit.dual import value
 from laxkit.special import DIFFERENCE_REGIMES
 from laxkit.suites import SYSTEMS, RunConfig, classical_flow_setup, default_params
 from laxkit.weyl import build_root_system
+import identities
 
 
 def _functions(module):
@@ -109,7 +110,7 @@ def _rational_lax(params, n):
     cfg = rational.RationalDunklConfig(build_root_system("A", n), t=params["t"],
                                        c_short=params["c"])
     return [_flow("rational-A", 1)(params, n),
-            rational.classical_a_matrix(cfg).phase_field()]
+            identities.classical_a_matrix(cfg).phase_field()]
 
 
 DIFFERENTIAL_ENTRY_POINTS = [

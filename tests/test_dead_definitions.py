@@ -7,9 +7,15 @@ scripts or the benchmark, outside the definition's own body.  Imports do
 not count, so an unused import does not keep a definition alive.  Dunder
 names are exempt: the interpreter calls them.
 
-Imports in the tests and scripts are checked too: every name a file there
-imports must be loaded as a name somewhere in that file.  So are their
-local assignments: a function that assigns a single name must load it.
+The package holds what the program runs: every top-level function and class
+in src/laxkit is named by the package, the scripts or the benchmark, not by
+tests alone.  A construction that only tests read (a paper identity, an
+oracle) lives under tests/.
+
+Imports in the package, tests and scripts are checked too: every name a file
+there imports must be loaded as a name somewhere in that file or listed in
+its ``__all__``.  The local assignments of the tests and scripts are
+checked: a function that assigns a single name must load it.
 
 Every parameter with a default of a module-level function or method in
 src/laxkit is passed by some call: a default that no call overrides is a
@@ -30,6 +36,7 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "scripts", "perfbench")
+PROGRAM = ("src", "scripts", "perfbench")
 IMPORT_CHECKED = ("tests", "scripts")
 IDENTIFIERS = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -48,17 +55,19 @@ def _uses(tree):
                 yield part, node.lineno
 
 
-def unused_definitions():
+def _unnamed(tops, nodes):
+    """Each definition among ``nodes(tree)`` of a module in src/laxkit whose
+    name no file under ``tops`` uses outside the definition's own body."""
     uses = {}                                   # name -> [(path, line)]
     defs = []                                   # (path, name, first, last)
-    for top in SCANNED:
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
             for name, line in _uses(tree):
                 uses.setdefault(name, []).append((path, line))
             if top == "src":
                 defs.extend((path, node.name, node.lineno, node.end_lineno)
-                            for node in ast.walk(tree) if isinstance(node, DEFS))
+                            for node in nodes(tree) if isinstance(node, DEFS))
     out = []
     for path, name, first, last in defs:
         if name.startswith("__") and name.endswith("__"):
@@ -70,16 +79,29 @@ def unused_definitions():
 
 
 def test_no_definition_in_the_package_is_unused():
-    assert unused_definitions() == []
+    assert _unnamed(SCANNED, ast.walk) == []
 
 
-def unused_imports():
+def test_every_top_level_definition_in_the_package_is_named_by_the_program():
+    assert _unnamed(PROGRAM, lambda tree: tree.body) == []
+
+
+def _exported(tree):
+    """The names listed in the module's ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            yield from (e.value for e in node.value.elts)
+
+
+def unused_imports(tops):
     out = []
-    for top in IMPORT_CHECKED:
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
             loaded = {node.id for node in ast.walk(tree)
                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            loaded.update(_exported(tree))
             for node in ast.walk(tree):
                 if (isinstance(node, (ast.Import, ast.ImportFrom))
                         and getattr(node, "module", None) != "__future__"):
@@ -91,7 +113,11 @@ def unused_imports():
 
 
 def test_no_import_in_the_tests_or_scripts_is_unused():
-    assert unused_imports() == []
+    assert unused_imports(IMPORT_CHECKED) == []
+
+
+def test_no_import_in_the_package_is_unused():
+    assert unused_imports(("src",)) == []
 
 
 def dead_assignments():

@@ -10,16 +10,13 @@ import pytest
 from laxkit.dual import value
 from laxkit import ellrel, koorn
 from laxkit.ellrel import (EllRParams, VDParams, alpha_sequence,
-                           dual_factor_identity_residual,
-                           dual_substituted, g_factor, lax_elliptic_ruijsenaars,
-                           lax_vandiejen, macdonald_elliptic, nsel_closed_y1,
-                           nsel_closed_y2, r_matrix,
-                           residue_conditions, residue_control_failure, rho_m,
+                           dual_substituted, lax_elliptic_ruijsenaars,
+                           lax_vandiejen, nsel_closed_y1, r_matrix,
+                           residue_conditions, rho_m,
                            ruijsenaars_hamiltonian, ruijsenaars_lax_tables,
-                           ruijsenaars_params,
-                           t_hat, t_hat_word, vd_alpha_const, vd_beta_field,
+                           ruijsenaars_params, vd_alpha_const, vd_beta_field,
                            vd_hamiltonian, vd_p_matrix, vd_q_matrix,
-                           y_elliptic, y_elliptic_dual)
+                           y_elliptic)
 from laxkit.fields import exp_lin
 from laxkit.opcore import DynOp, OperatorMatrix, WOp, make_probes
 from laxkit.special import sigma, v_func, wp
@@ -29,6 +26,10 @@ from laxkit.verify import (PointPolicy, energy_drift, isospectral_drift,
 from laxkit.weyl import (AffineElement, AffineRoot, affine_reflection,
                          build_root_system, orbit_stabilizer, reduced_word,
                          replace)
+from identities import (dual_factor_identity_residual, g_factor,
+                        macdonald_elliptic, nsel_closed_y2,
+                        residue_control_failure, t_hat, t_hat_word,
+                        y_elliptic_dual)
 from support import classical_op_residual, fit_slope, poisson_residual, symbol_parts
 
 TAU = 0.27 + 0.82j

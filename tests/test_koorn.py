@@ -4,9 +4,8 @@ import random
 
 from laxkit.dual import value
 from laxkit.ellrel import alpha_sequence, r_matrix, y_elliptic
-from laxkit.koorn import (CCnParams, a_ext, abcd_coeffs, abcd_operator,
-                          koornwinder_hamiltonian, koornwinder_lax,
-                          koornwinder_table, noumi_rep, p_matrix,
+from laxkit.koorn import (CCnParams, a_ext, koornwinder_hamiltonian,
+                          koornwinder_lax, koornwinder_table, noumi_rep, p_matrix,
                           phi_vector_ccn, q_matrix, y_inverse, y_operator)
 from laxkit.opcore import OperatorMatrix, WOp, integrals, make_probes
 from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
@@ -14,6 +13,7 @@ from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
                            trace_powers)
 from laxkit.weyl import (AffineElement, AffineRoot, SignedPerm, ext_coord,
                          ext_form, reduced_word, replace, same_coord)
+from identities import abcd_coeffs, abcd_operator
 from support import fit_slope, poisson_residual
 
 P = CCnParams(n=2, tau0=1.2 + 0.1j, tau0v=0.8 - 0.05j, taun=1.5 + 0.2j,

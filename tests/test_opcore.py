@@ -332,7 +332,7 @@ def test_a_nan_residual_reads_as_inf():
 
 
 def test_module_vector_wrapper():
-    from laxkit.opcore import ModuleVector
+    from identities import ModuleVector
     rs = build_root_system("A", 3)
     cfg = RationalDunklConfig(rs, t=-0.7j, c_short=1.3j)
     y1 = dunkl(cfg, (1, 0, 0))

@@ -8,14 +8,14 @@ import pytest
 from laxkit.dual import value
 from laxkit.fields import symmetrized
 from laxkit.opcore import DiffOp, OperatorMatrix, integrals, make_probes
-from laxkit.rational import (RationalDunklConfig, classical_a_matrix,
-                             cm_hamiltonian_explicit, cm_split,
-                             dunkl, dunkl_basis, kks_matrices,
+from laxkit.rational import (RationalDunklConfig, cm_hamiltonian_explicit,
+                             cm_split, dunkl, dunkl_basis, kks_matrices,
                              lax_pair_rational, position_matrix)
 from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
                            isospectral_drift, matrix_fn_from_fields, op_residual,
                            poisson_bracket, trace_powers)
 from laxkit.weyl import build_root_system, orbit_stabilizer, replace, weyl_enumerate
+from identities import classical_a_matrix
 from support import fit_slope, poisson_residual
 
 HBAR, G = 0.7, 1.3

@@ -17,7 +17,8 @@ from laxkit.cli import main as cli_main
 from laxkit.dual import Dual, d_exp, extract, value
 from laxkit.fields import PoleError, inv_form
 from laxkit.special import (ModulusError, dual_couplings, dual_params, eta1,
-                            hecke, sigma, sigma_form, theta, u_fun, v_func, wp)
+                            hecke, sigma, sigma_form, theta, u_kernel, v_func,
+                            wp)
 
 TAU = 0.3 + 0.8j
 RNG = random.Random(2024)
@@ -459,14 +460,14 @@ def test_hecke_sum_and_limit():
 
 def test_uv_complements():
     taun, taunv = 1.5 + 0.2j, 0.7 + 0.1j
+    u = u_kernel(taun, taunv)
     rng = random.Random(10)
     for _ in range(10):
         z = rand_z(rng)
         if abs(z) < 0.05:
             continue
         # the Hecke-closure identity behind the quadratic relations
-        assert abs(u_fun(z, taun, taunv) + u_fun(-z, taun, taunv)
-                   - taun - 1 / taun) < 1e-12
+        assert abs(u(z) + u(-z) - taun - 1 / taun) < 1e-12
 
 
 def test_odd_level_kernel_is_u_at_half_step():
@@ -480,13 +481,14 @@ def test_odd_level_kernel_is_u_at_half_step():
         return ((1 - tau0 * tau0v * qh * e) * (1 + tau0 / tau0v * qh * e)
                 / (tau0 * (1 - q * e * e)))
 
+    u = u_kernel(tau0, tau0v)
     c = 0.23 + 0.07j
     rng = random.Random(12)
     for _ in range(20):
         z = rand_z(rng)
         want = ut(z, c)
-        assert abs(u_fun(z + c / 2, tau0, tau0v) - want) < 1e-13 * (1 + abs(want))
-        assert bits(u_fun(z, tau0, tau0v)) == bits(ut(z, 0))
+        assert abs(u(z + c / 2) - want) < 1e-13 * (1 + abs(want))
+        assert bits(u(z)) == bits(ut(z, 0))
 
 
 def test_reduced_kernel_complement():
@@ -498,12 +500,21 @@ def test_reduced_kernel_complement():
 
 
 def test_trig_degeneration_cot_form():
-    # Im tau -> infinity: sigma_{mu/pi}(z/pi)/pi -> cot z - cot mu
-    tau_big = 40j
-    for (z, mu) in ((0.61, 0.23), (0.9 + 0.1j, 0.4 - 0.05j)):
-        lhs = sigma(mu / math.pi, z / math.pi, tau_big) / math.pi
-        rhs = (cmath.cos(z) / cmath.sin(z)) - (cmath.cos(mu) / cmath.sin(mu))
-        assert abs(lhs - rhs) < 1e-8
+    # Im tau -> infinity: sigma_mu(z) -> pi (cot pi z - cot pi mu) and
+    # P(z) -> pi^2 / sin^2 pi z - pi^2 / 3; the terms left out are of order
+    # |q|^2 = e^(-2 pi Im tau), below rounding from Im tau = 10 on
+    pi = math.pi
+
+    def cot(w):
+        return cmath.cos(pi * w) / cmath.sin(pi * w)
+
+    for tau in (0.3 + 10j, 0.3 + 40j):
+        for z, mu in ((0.23 + 0.05j, 0.31 - 0.02j), (0.61 / pi, 0.23 / pi),
+                      ((0.9 + 0.1j) / pi, (0.4 - 0.05j) / pi)):
+            want = pi * (cot(z) - cot(mu))
+            assert abs(sigma(mu, z, tau) - want) <= 1e-13 * abs(want)
+            want = pi ** 2 / cmath.sin(pi * z) ** 2 - pi ** 2 / 3
+            assert abs(wp(z, tau) - want) <= 1e-13 * abs(want)
 
 
 def test_v_derivative_consistency():

@@ -7,14 +7,14 @@ import numpy as np
 from laxkit.dual import value
 from laxkit.opcore import (OperatorMatrix, WOp, hecke_inverse, integrals,
                            make_probes)
-from laxkit.trig import (TrigGLConfig, a_field, basic_rep,
-                         braid_order, cherednik_gln, e_tau_symmetrizer, lax_tables,
-                         lax_trig_gln, lemma_ns_closed, mr_operator, phi_vector,
+from laxkit.trig import (TrigGLConfig, a_field, basic_rep, cherednik_gln,
+                         lax_tables, lax_trig_gln, mr_operator, phi_vector,
                          r_ij, r_ij_inv)
 from laxkit.verify import (PointPolicy, energy_drift, hamiltonian_flow,
                            isospectral_drift, matrix_fn_from_fields, op_residual,
                            poisson_bracket, trace_powers)
 from laxkit.weyl import SignedPerm, build_root_system
+from identities import braid_order, e_tau_symmetrizer, lemma_ns_closed
 from support import fit_slope, poisson_residual
 
 TAU, C = 1.4 + 0.2j, 0.31 + 0.11j

@@ -391,8 +391,13 @@ def test_cli_flag_equals_value_gives_the_report_of_flag_value(tmp_path):
      "--csv", "{dir}"],
 ], ids=["params-directory", "params-binary", "out-directory", "csv-directory"])
 def test_cli_unreadable_or_unwritable_files_are_configuration_errors(argv, tmp_path,
-                                                                     capsys):
-    # each used to end in an IsADirectoryError or UnicodeDecodeError traceback
+                                                                     monkeypatch, capsys):
+    # each used to end in an IsADirectoryError or UnicodeDecodeError traceback;
+    # an output path used to be refused only after the whole run
+    ran = []
+    monkeypatch.setattr(suites, "run_check", lambda *a, **kw: ran.append("check"))
+    monkeypatch.setattr(suites, "scalar_check", lambda *a, **kw: ran.append("check"))
+    monkeypatch.setattr("laxkit.verify.rk4_step", lambda *a: ran.append("step"))
     binary = tmp_path / "p.json"
     binary.write_bytes(b"\xff\xfe\x00{")
     argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
@@ -400,6 +405,55 @@ def test_cli_unreadable_or_unwritable_files_are_configuration_errors(argv, tmp_p
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error: ")
+    assert ran == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--system", "trig-gln", "--params", "{params}", "--out", "{out}"],
+    ["flow", "--system", "trig-gln", "--time", "1", "--dt", "0.3", "--csv", "{out}"],
+    ["flow", "--system", "ell-cm-A", "--csv", "{out}"],
+], ids=["verify-zero-c", "flow-partial-step", "flow-flowless-system"])
+def test_cli_configuration_error_leaves_no_output_file(argv, tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"c": 0}))
+    out = tmp_path / "out"
+    assert cli_main([a.format(params=params, out=out) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--system", "trig-gln", "--rank", "2"],
+    ["flow", "--system", "trig-gln", "--rank", "2", "--time", "0.05", "--dt", "1e-2"],
+], ids=["verify", "flow"])
+def test_cli_closed_stdout_exits_1_with_one_line(argv, monkeypatch, capsys):
+    # it used to read as "configuration error: [Errno 32] Broken pipe", exit 2
+    class ClosedStdout:
+        def write(self, _text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "laxkit: error: standard output closed\n"
+
+
+def test_cli_closed_stdout_pipe_leaves_nothing_to_flush_at_exit():
+    # with a buffered stdout the output sits in the buffer until the exit
+    # flush, which used to fail once more ("Exception ignored", exit 120)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run([sys.executable, "-m", "laxkit.cli", "flow", "--system",
+                            "trig-gln", "--rank", "2", "--time", "0.05", "--dt", "1e-2"],
+                           stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (r.returncode, r.stderr) == (1, "laxkit: error: standard output closed\n")
 
 
 def test_rng_for_deterministic():
