@@ -65,12 +65,18 @@ kind pushes the map down to its leaves.
 
 Sharing contract.  The identity map returns the node itself, and
 ``o_affine`` (so ``o_group``) is memoized on the source node under a key
-that tells maps apart bit for bit (a shift of -0.0 is not one of 0.0), so
-a subtree shared by two parents stays shared in their images.
+that tells maps apart bit for bit, so a subtree shared by two parents stays
+shared in their images.  A map with no shift is keyed by its ``SignedPerm``,
+which is hash-consed (equal perms are one object), so the key hashes and
+compares at C speed; a shifted map is keyed by the repr of (perm image,
+shift), since a shift of -0.0 is not one of 0.0 though the two are ==.
 ``derivative`` is memoized on the source node per direction, so mixed
-partials share nodes.  Both memos live in slots of the source node; nodes
-are immutable, so a shared node is indistinguishable from a copy except by
-identity.
+partials share nodes.  A direction of plain floats with no -0.0 is its own
+key (== on it is bit-exact); any other is keyed by its repr
+(``_direction_key``).  The key is made once per direction and handed down
+the rules, as a map's key is.  Both memos live in slots of the source node;
+nodes are immutable, so a shared node is indistinguishable from a copy
+except by identity.
 """
 
 from __future__ import annotations
@@ -147,8 +153,8 @@ class Field:
         """The field x -> f(w x + v); w is a SignedPerm or None.  The identity
         map (no shift, w None or the identity) returns the field itself; a map
         equal bit for bit to an earlier one returns the image built then."""
-        if v is None and (w is None or w.is_identity()):
-            return self
+        if v is None:
+            return self if w is None or w.is_identity() else self._image(w, None, w)
         return self._image(w, v, repr((None if w is None else w.img, v)))
 
     def _image(self, w, v, key):
@@ -171,19 +177,19 @@ class Field:
         """Directional derivative field along the vector ``direction``."""
         return derivative(self, (direction,))
 
-    def _derived(self, d):
-        """The derivative along the direction tuple ``d``, memoized on self."""
-        key = repr(d)
+    def _derived(self, d, key):
+        """The derivative along the direction tuple ``d``, memoized on self
+        under ``_direction_key(d)``, which the caller gives as ``key``."""
         try:
             derivs = self._derivs
         except AttributeError:
             derivs = self._derivs = {}
         out = derivs.get(key)
         if out is None:
-            out = derivs[key] = self._derivative(d)
+            out = derivs[key] = self._derivative(d, key)
         return out
 
-    def _derivative(self, d):
+    def _derivative(self, d, key):
         """The derivative along d by this node's rule; children by ``_derived``."""
         raise TypeError(f"{type(self).__name__} has no derivative rule")
 
@@ -270,7 +276,8 @@ class Tape:
         if fn is None:
             src, names = _gradient_source(self, len(x))
             exec(compile(src, "<laxkit tape gradient>", "exec"), names)
-            fn = self._grads[len(x)] = names["grad"]
+            # popped, so that the function and its globals make no cycle
+            fn = self._grads[len(x)] = names.pop("grad")
         return fn(x, seed)
 
 
@@ -541,7 +548,7 @@ class Const(Field):
     def _image(self, w, v, key):
         return self
 
-    def _derived(self, d):
+    def _derived(self, d, key):
         return ZERO
 
 
@@ -588,7 +595,7 @@ class LinArg(Field):
         c0 = self.c0 if v is None else _form(self.k, self.c0, v)
         return LinArg(self.fn, _moved(self.k, w), c0)
 
-    def _derivative(self, d):
+    def _derivative(self, d, key):
         # <k, d>, summed as the tangent of the form at a seeded point
         kd = 0
         for ki, di in zip(self.k, d, strict=True):
@@ -750,8 +757,8 @@ class Scale(Field):
     def _o_affine(self, w, v, key):
         return Scale(self.c, self.f._image(w, v, key))
 
-    def _derivative(self, d):
-        df = self.f._derived(d)
+    def _derivative(self, d, key):
+        df = self.f._derived(d, key)
         return ZERO if df is ZERO else Scale(self.c, df)
 
 
@@ -767,8 +774,8 @@ class NSum(Field):
     def _o_affine(self, w, v, key):
         return NSum([p._image(w, v, key) for p in self.parts])
 
-    def _derivative(self, d):
-        return nsum([p._derived(d) for p in self.parts])
+    def _derivative(self, d, key):
+        return nsum([p._derived(d, key) for p in self.parts])
 
 
 def nsum(parts):
@@ -804,9 +811,9 @@ class Prod(Field):
     def _o_affine(self, w, v, key):
         return Prod(self.a._image(w, v, key), self.b._image(w, v, key))
 
-    def _derivative(self, d):
+    def _derivative(self, d, key):
         # a b' + a' b, in the order of a Dual product
-        da, db = self.a._derived(d), self.b._derived(d)
+        da, db = self.a._derived(d, key), self.b._derived(d, key)
         return nsum([Prod(a, b) for a, b in ((self.a, db), (da, self.b))
                      if a is not ZERO and b is not ZERO])
 
@@ -825,9 +832,9 @@ class Quot(Field):
     def _o_affine(self, w, v, key):
         return Quot(self.a._image(w, v, key), self.b._image(w, v, key))
 
-    def _derivative(self, d):
+    def _derivative(self, d, key):
         # (a' - q b') / b, q this quotient, as a Dual quotient does it
-        da, db = self.a._derived(d), self.b._derived(d)
+        da, db = self.a._derived(d, key), self.b._derived(d, key)
         if db is not ZERO:
             da = nsum([da, -Prod(self, db)])
         return ZERO if da is ZERO else Quot(da, self.b)
@@ -838,8 +845,19 @@ def derivative(f, dirs):
     time; each single-direction derivative is memoized on its source node,
     so mixed partials share nodes."""
     for d in dirs:
-        f = f._derived(tuple(d))
+        d = tuple(d)
+        f = f._derived(d, _direction_key(d))
     return f
+
+
+def _direction_key(d):
+    """The derivative memo's key of the direction tuple d: d itself when ==
+    on it tells directions apart bit for bit (every component a float and
+    none of them -0.0), else its repr."""
+    for x in d:
+        if type(x) is not float or (not x and math.copysign(1.0, x) < 0):
+            return repr(d)
+    return d
 
 
 def symmetrized(field, group_elements):

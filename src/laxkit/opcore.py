@@ -35,8 +35,7 @@ import cmath
 import itertools
 import math
 
-from .fields import (ONE, Const, Field, NSum, as_field, derivative, exp_lin,
-                     momentum, nsum)
+from .fields import ONE, Const, Field, NSum, as_field, exp_lin, momentum, nsum
 from .weyl import SignedPerm
 
 
@@ -66,16 +65,22 @@ def _multi_transform(m, g: SignedPerm):
     return tuple(out), sign
 
 
+# (n, i) -> the unit direction e_i of C^n, made once; plain floats with no
+# -0.0, so each is its own derivative memo key (``fields._direction_key``)
+_UNITS = {}
+
+
 def field_dmulti(f: Field, m):
     """Iterated coordinate derivatives d^m f as a field."""
-    dirs = []
     n = len(m)
     for i, mi in enumerate(m):
-        e = tuple(1.0 if j == i else 0.0 for j in range(n))
-        dirs.extend([e] * mi)
-    if not dirs:
-        return f
-    return derivative(f, tuple(dirs))
+        if mi:
+            e = _UNITS.get((n, i))
+            if e is None:
+                e = _UNITS[n, i] = tuple(1.0 if j == i else 0.0 for j in range(n))
+            for _ in range(mi):
+                f = f._derived(e, e)
+    return f
 
 
 class _TermOp:
@@ -164,7 +169,7 @@ class _TermOp:
                     if k is None:
                         continue
                     ek, fk = self._conj(tbl.reps[k], moved, f)
-                    entries[k][j] += self._like({(one, ek): fk})
+                    entries[k][j]._add_term((one, ek), fk)
         return OperatorMatrix(entries)
 
     def symbol_component(self, w, x, p):
@@ -247,8 +252,10 @@ class WOp(_TermOp):
             w1inv = w1.inverse()
             shift = tuple(self.c * v for v in l1) if self.c != 0 else None
             # o_affine's memo key of the map, made once for all of other's terms
-            key = (None if shift is None and w1inv.is_identity()
-                   else repr((w1inv.img, shift)))
+            if shift is not None:
+                key = repr((w1inv.img, shift))
+            else:
+                key = None if w1inv.is_identity() else w1inv
             for w2, w2inv, l2, h2 in rights:
                 # h1 w1 t(l1) h2 w2 t(l2) = h1 * (h2 o map) * (w1 w2) t(w2^-1 l1 + l2)
                 h2c = h2 if key is None else h2._image(w1inv, shift, key)

@@ -55,6 +55,9 @@ from .dual import Dual, d_exp, taylor
 from .fields import LinArg, PoleError, kernel_family
 
 MIN_IM_TAU = 0.05
+# above it the nome q = e^{i pi tau}, |q| = e^{-pi Im tau}, is below the
+# smallest normal float 2^-1022, and the theta constants soon underflow to 0
+MAX_IM_TAU = 1022 * math.log(2) / math.pi
 THETA_RTOL = 1e-16
 THETA_CAP = 200
 POLE_GUARD = 1e-3
@@ -63,7 +66,7 @@ HALF_PERIOD_SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1
 
 
 class ModulusError(ValueError):
-    """Im tau below the numeric guard."""
+    """Im tau outside the numeric guards MIN_IM_TAU and MAX_IM_TAU."""
 
 
 REGIMES = ("rational", "trig", "trig-CvC", "elliptic-A", "elliptic-CM",
@@ -81,7 +84,8 @@ def check_params(regime, params):
     """Raise ``ValueError`` unless the kernels of the coupling regime can be
     made from ``params``: no parameter is, or has in its list, a number that
     is not finite; none that a kernel divides by (``DIVISORS``) is 0; and an
-    elliptic regime's tau has Im tau >= MIN_IM_TAU (``ModulusError``)."""
+    elliptic regime's tau has MIN_IM_TAU <= Im tau <= MAX_IM_TAU
+    (``ModulusError``)."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; known: {REGIMES}")
     for k, v in params.items():
@@ -112,6 +116,9 @@ def check_couplings(regime, params):
 def _check_modulus(tau):
     if tau.imag < MIN_IM_TAU:
         raise ModulusError(f"Im tau = {tau.imag} < {MIN_IM_TAU}")
+    if tau.imag > MAX_IM_TAU:
+        raise ModulusError(f"Im tau = {tau.imag} > {MAX_IM_TAU}: the nome "
+                           f"e^(i pi tau) is no normal float")
 
 
 class _ThetaData:

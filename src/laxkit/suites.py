@@ -13,8 +13,8 @@ from .opcore import OperatorMatrix, WOp, integrals, make_probes, nan_as_inf
 from .special import check_couplings, check_params
 from .verify import (PointPolicy, residual_evalfn, rng_for, run_check,
                      scalar_check)
-from .weyl import (ConfigError, build_root_system, ext_coord, orbit_stabilizer,
-                   replace, weyl_enumerate)
+from .weyl import (ConfigError, build_root_system, check_weyl_size, ext_coord,
+                   orbit_stabilizer, replace, weyl_enumerate)
 
 
 class RunConfig:
@@ -292,9 +292,12 @@ def _checked(rule, *args):
 
 
 def check_suite(config: RunConfig):
-    """``ConfigError`` unless the parameters suit the system's coupling
-    regime (``special.check_couplings``); checked before ``build_suite``."""
-    _checked(check_couplings, SYSTEMS[config.system].regime, config.params)
+    """``ConfigError`` unless the rank's Weyl group is within the size guard
+    and the parameters suit the system's coupling regime
+    (``special.check_couplings``); checked before ``build_suite``."""
+    system = SYSTEMS[config.system]
+    check_weyl_size(system.kind, config.rank)
+    _checked(check_couplings, system.regime, config.params)
 
 
 def build_suite(config: RunConfig):
@@ -363,13 +366,14 @@ def _flow_vandiejen(p, n):
 def classical_flow_setup(config: RunConfig):
     """(H phase field, L entry phase fields, n, trace powers, z0) for flow
     runs: each flow builds the quantum H and L at the classical point (c = 0
-    or t = 0), and this is where they are read on phase space.  The
-    parameters must make the regime's kernels (``special.check_params``);
-    the regime's c/t rule is the suites', since a flow sets its own
-    classical point."""
+    or t = 0), and this is where they are read on phase space.  The rank's
+    Weyl group must be within the size guard and the parameters must make
+    the regime's kernels (``special.check_params``); the regime's c/t rule
+    is the suites', since a flow sets its own classical point."""
     system = SYSTEMS[config.system]
     if system.flow is None:
         raise ConfigError(f"no classical flow for system {config.system!r}")
+    check_weyl_size(system.kind, config.rank)
     _checked(check_params, system.regime, config.params)
     H, L, powers, z0 = system.flow(config.params, config.rank)
     return H.phase_field(), L.phase_field(), config.rank, powers, z0
@@ -380,45 +384,50 @@ def classical_flow_setup(config: RunConfig):
 class System:
     """Registry entry: default parameters, the verification suite (a callable
     on RunConfig), for systems with a classical flow its set-up, the
-    smallest rank the suite and flow can run at, and the coupling regime
+    smallest rank the suite and flow can run at, the coupling regime
     (``special.REGIMES``; the suites of difference regimes need c != 0, those
-    of differential regimes t != 0)."""
+    of differential regimes t != 0) and the type ("A" or "C") of the root
+    system whose Weyl group the suite and flow act by."""
 
-    def __init__(self, defaults, suite, flow=None, min_rank=1, *, regime):
+    def __init__(self, defaults, suite, flow=None, min_rank=1, *, regime, kind):
         self.defaults, self.suite, self.flow = defaults, suite, flow
-        self.min_rank, self.regime = min_rank, regime
+        self.min_rank, self.regime, self.kind = min_rank, regime, kind
 
 
 SYSTEMS = {
     "rational-A": System({"t": -0.7j, "c": 1.3j},
                          lambda config: suite_rational(config, "A"),
-                         _flow_rational, min_rank=2, regime="rational"),
+                         _flow_rational, min_rank=2, regime="rational",
+                         kind="A"),
     "rational-C": System({"t": -0.7j, "c": 1.3j, "c_long": 0.9j},
                          lambda config: suite_rational(config, "C"), min_rank=2,
-                         regime="rational"),
+                         regime="rational", kind="C"),
     "trig-gln": System({"tau": 1.4 + 0.2j, "c": 0.31 + 0.11j}, suite_trig,
-                       _flow_trig, min_rank=2, regime="trig"),
+                       _flow_trig, min_rank=2, regime="trig", kind="A"),
     "koornwinder": System({"tau0": 1.2 + 0.1j, "tau0v": 0.8 - 0.05j,
                            "taun": 1.5 + 0.2j, "taunv": 0.7 + 0.1j,
                            "tau": 1.3 - 0.15j, "c": 0.23 + 0.07j},
-                          suite_koorn, _flow_koorn, regime="trig-CvC"),
+                          suite_koorn, _flow_koorn, regime="trig-CvC",
+                          kind="C"),
     "ell-cm-A": System({"t": -0.7j, "c": 1.3j, "tau": 0.31 + 0.84j,
                         "mu": 0.27 + 0.04j},
                        lambda config: suite_ellcm(config, bc=False),
-                       regime="elliptic-CM"),
+                       regime="elliptic-CM", kind="A"),
     "inozemtsev": System({"t": -0.7j, "c": 1.3j, "tau": 0.31 + 0.84j,
                           "mu": 0.22 + 0.03j, "g": [0.8j, -0.4j, 0.6j, 0.3j]},
                          lambda config: suite_ellcm(config, bc=True),
-                         _flow_inozemtsev, regime="elliptic-CM"),
+                         _flow_inozemtsev, regime="elliptic-CM", kind="C"),
     "ell-ruijsenaars": System({"mu": 0.29 + 0.07j, "eta": 0.41 - 0.06j,
                                "c": 0.19 + 0.05j, "tau": 0.27 + 0.82j},
-                              suite_ruijsenaars, min_rank=2, regime="elliptic-A"),
+                              suite_ruijsenaars, min_rank=2,
+                              regime="elliptic-A", kind="A"),
     "vandiejen": System({"mu": 0.23 + 0.06j, "nu": 0.31 - 0.02j,
                          "nub": 0.27 + 0.05j,
                          "g": [0.8 + 0.1j, -0.4 + 0.2j, 0.6 - 0.1j, 0.3 + 0.15j],
                          "gb": [0.5 - 0.2j, 0.7 + 0.1j, -0.3 + 0.3j, 0.4 + 0j],
                          "c": 0.19 + 0.05j, "tau": 0.27 + 0.82j,
                          "eta": 0.37 - 0.04j},
-                        suite_vandiejen, _flow_vandiejen, regime="elliptic-CvC"),
+                        suite_vandiejen, _flow_vandiejen,
+                        regime="elliptic-CvC", kind="C"),
 }
 KNOWN_SYSTEMS = tuple(SYSTEMS)

@@ -311,17 +311,6 @@ class RootSystemData:
         a0 = AffineRoot(tuple(-v for v in self.highest), 1)
         return [a0] + [AffineRoot(a, 0) for a in self.simple]
 
-    def weyl_order(self):
-        if self.kind == "A":
-            out = 1
-            for k in range(2, self.dim + 1):
-                out *= k
-            return out
-        out = 2 ** self.dim
-        for k in range(2, self.dim + 1):
-            out *= k
-        return out
-
     def fundamental_coweights(self):
         """b_j with <a_i, b_j> = delta_ij (may be half-integral for C)."""
         n = self.dim
@@ -336,6 +325,21 @@ class RootSystemData:
                     b = tuple(0.5 for _ in range(n))
             out.append(b)
         return out
+
+
+def weyl_order(kind, n):
+    """|W| of type A in the GL(n) convention (n!) or of type C_n (2^n n!)."""
+    out = 1 if kind == "A" else 2 ** n
+    for k in range(2, n + 1):
+        out *= k
+    return out
+
+
+def check_weyl_size(kind, n):
+    """``ConfigError`` if |W| of type ``kind`` at rank n exceeds the guard."""
+    order = weyl_order(kind, n)
+    if order > WEYL_SIZE_GUARD:
+        raise ConfigError(f"|W| = {order} exceeds guard {WEYL_SIZE_GUARD}")
 
 
 def build_root_system(kind: str, rank: int) -> RootSystemData:
@@ -395,8 +399,7 @@ def build_root_system(kind: str, rank: int) -> RootSystemData:
 
 def weyl_enumerate(rs: RootSystemData):
     """All elements of W by breadth-first closure over simple reflections."""
-    if rs.weyl_order() > WEYL_SIZE_GUARD:
-        raise ConfigError(f"|W| = {rs.weyl_order()} exceeds guard {WEYL_SIZE_GUARD}")
+    check_weyl_size(rs.kind, rs.dim)
     if rs._weyl is not None:
         return rs._weyl
     gens = rs.simple_reflections()

@@ -871,6 +871,33 @@ def test_field_dmulti_gives_one_deriv_per_node_and_directions():
     assert abs(moved(x) - want) < 1e-13 * abs(want)
 
 
+def test_a_direction_with_a_negative_zero_keeps_its_own_derivative_node():
+    f = exp_lin((0.3, -0.7, 1.1)) * linear_form((1.0, 2.0, 0.5))
+    plus = derivative(f, [(1.0, 0.0, 0.0)])
+    # equal bits share the entry, a list or a tuple, and field_dmulti's unit
+    # directions share derivative's
+    assert derivative(f, [[1.0, 0.0, 0.0]]) is plus is field_dmulti(f, (1, 0, 0))
+    # == but not bit-identical: a -0.0 component, or an int, is another direction
+    minus = derivative(f, [(1.0, -0.0, 0.0)])
+    assert minus is not plus and derivative(f, [(1.0, -0.0, 0.0)]) is minus
+    ints = derivative(f, [(1, 0, 0)])
+    assert ints is not plus and ints is not minus
+    x = (0.31 + 0.05j, -0.52 + 0.02j, 0.14 - 0.03j)
+    assert plus(x) == minus(x) == ints(x)
+
+
+def test_a_map_with_no_shift_is_one_image_for_o_group_and_a_product():
+    g = exp_lin((0.3, -0.7, 1.1)) * linear_form((1.0, 2.0, 0.5))
+    w = SignedPerm((2, 3, 1))
+    # the left factor w^-1 moves the right factor's coefficient by w; at
+    # c = 0 its shift is None, at c != 0 a shift of zeros
+    (coeff,) = (WOp.from_group(3, 0, w.inverse()) * WOp.from_field(3, 0, g)).terms.values()
+    assert coeff.b is g.o_group(w) is g.o_affine(SignedPerm(w.img), None)
+    # a shift keeps its own key, and -0.0 apart from 0.0
+    shifted = g.o_affine(w, (0.0, 0.0, 0.0))
+    assert shifted is not g.o_group(w) and g.o_affine(w, (0.0, -0.0, 0.0)) is not shifted
+
+
 def test_koornwinder_lax_equation_sides_share_their_nodes():
     p = default_params("koornwinder")
     lax = koornwinder_lax(CCnParams(n=2, tau0=p["tau0"], tau0v=p["tau0v"],

@@ -256,6 +256,41 @@ def test_matrix_action_matches_module_action():
     assert module_residual(directt, viamatt, pts(3, 6)) < 1e-10
 
 
+def _restrict_by_sums(op, tbl):
+    """The entries of ``op.restrict(tbl)`` with each cell's term added by one
+    operator sum, as ``restrict`` once did."""
+    one = SignedPerm.identity(op.n)
+    rep_index = {r: k for k, r in enumerate(tbl.reps)}
+    entries = [[op._like() for _ in range(tbl.m)] for _ in range(tbl.m)]
+    for (w, e), f in op.terms.items():
+        moved = op._moved(w, e)
+        for j, rj in enumerate(tbl.reps):
+            for wp in tbl.stabilizer:
+                k = rep_index.get(w * (wp * rj))
+                if k is not None:
+                    ek, fk = op._conj(tbl.reps[k], moved, f)
+                    entries[k][j] += op._like({(one, ek): fk})
+    return entries
+
+
+def test_restrict_adds_each_term_to_its_cell_in_place(monkeypatch):
+    rs = build_root_system("A", 3)
+    tbl = orbit_stabilizer(rs, (1, 0, 0))
+    y1 = dunkl(RationalDunklConfig(rs, t=-0.7j, c_short=1.3j), (1, 0, 0))
+    x = (0.31 + 0.05j, -0.52 + 0.02j, 0.14 - 0.03j)
+    for op in (y1 * y1, cherednik_gln(TrigGLConfig(n=3, tau=1.4 + 0.2j, c=C), 1)):
+        want = _restrict_by_sums(op, tbl)
+        with monkeypatch.context() as m:
+            m.setattr(type(op), "__add__", lambda *_: pytest.fail("restrict added a sum"))
+            got = op.restrict(tbl).entries
+        for row, want_row in zip(got, want):
+            for cell, want_cell in zip(row, want_row):
+                # the same terms, in the same order, the same values bit for bit
+                assert list(cell.terms) == list(want_cell.terms)
+                assert [f(x) for f in cell.terms.values()] == \
+                    [f(x) for f in want_cell.terms.values()]
+
+
 def test_restriction_gate_rejects_noninvariant():
     rs = build_root_system("A", 3)
     tbl = orbit_stabilizer(rs, (1, 0, 0))
@@ -375,7 +410,7 @@ def test_dunkl_product_differentiates_no_constant(monkeypatch):
     guarded 1/z, and none comes from a ``Const``: the Leibniz sum of a
     constant coefficient keeps its leading term only."""
     differentiated = []
-    monkeypatch.setattr(Const, "_derived", lambda f, d: differentiated.append(f) or ZERO)
+    monkeypatch.setattr(Const, "_derived", lambda f, d, key: differentiated.append(f) or ZERO)
     cfg = RationalDunklConfig(build_root_system("A", 3), t=0.7 - 0.2j, c_short=0.6 + 0.1j)
     y0, y1 = (dunkl(cfg, tuple(float(i == j) for j in range(3))) for i in (0, 1))
     nodes = field_nodes(list((y0 * y1).terms.values()))

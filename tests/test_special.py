@@ -245,6 +245,25 @@ def test_modulus_guard():
         theta(1, 0.3, 0.3 + 0.01j)
 
 
+def test_the_modulus_guard_ends_where_the_nome_stops_being_a_normal_float():
+    top = special.MAX_IM_TAU
+    assert abs(cmath.exp(1j * cmath.pi * complex(0.3, top))) >= 2.0 ** -1022
+    assert abs(cmath.exp(1j * cmath.pi * complex(0.3, top + 1e-6))) < 2.0 ** -1022
+    # below the bound the kernels are made and read finite; above it, at
+    # Im tau = 240, they used to raise ZeroDivisionError
+    for im in (40.0, 225.0):
+        tau = complex(0.3, im)
+        special.check_params("elliptic-A", {"tau": tau})
+        values = (sigma(0.31 - 0.02j, 0.23 + 0.05j, tau), wp(0.23 + 0.05j, tau))
+        assert all(map(cmath.isfinite, values))
+    for im in (226.0, 240.0, 1e9):
+        tau = complex(0.3, im)
+        with pytest.raises(ModulusError, match=f"^Im tau = {im} > {top}"):
+            special.check_params("elliptic-A", {"tau": tau})
+        with pytest.raises(ModulusError):
+            sigma(0.31 - 0.02j, 0.23 + 0.05j, tau)
+
+
 def test_sigma_pole_guard_names_factor():
     with pytest.raises(PoleError, match="theta1"):
         sigma(0.3, 1e-9, TAU)

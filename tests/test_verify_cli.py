@@ -1,6 +1,7 @@
 """Harness primitives, report reproducibility, and the CLI front end."""
 
 import csv
+import gc
 import json
 import os
 import random
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from laxkit import ellrel, suites, weyl
+from laxkit import cli, ellrel, suites, weyl
 from laxkit.cli import main as cli_main
 from laxkit.dual import Dual, d_exp
 from laxkit.fields import (BiArg, Const, LinArg, PoleError, Scale, Tape, exp_lin,
@@ -422,19 +423,22 @@ def test_cli_configuration_error_leaves_no_output_file(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+class ClosedStdout:
+    """A standard output whose reader has gone."""
+
+    def write(self, _text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--system", "trig-gln", "--rank", "2"],
     ["flow", "--system", "trig-gln", "--rank", "2", "--time", "0.05", "--dt", "1e-2"],
 ], ids=["verify", "flow"])
 def test_cli_closed_stdout_exits_1_with_one_line(argv, monkeypatch, capsys):
     # it used to read as "configuration error: [Errno 32] Broken pipe", exit 2
-    class ClosedStdout:
-        def write(self, _text):
-            raise BrokenPipeError(32, "Broken pipe")
-
-        def flush(self):
-            pass
-
     monkeypatch.setattr(sys, "stdout", ClosedStdout())
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == "laxkit: error: standard output closed\n"
@@ -642,6 +646,130 @@ def test_cli_verify_rank_above_the_weyl_guard(capsys):
     assert cli_main(["verify", "--system", "rational-A", "--rank", "12"]) == 2
     assert ("configuration error: |W| = 479001600 exceeds guard 1000000"
             in capsys.readouterr().err)
+
+
+# the smallest rank whose Weyl group exceeds the guard: 10! and 2^8 8!
+RANK_ABOVE_GUARD = {"A": 10, "C": 8}
+
+
+@pytest.mark.parametrize("system", KNOWN_SYSTEMS)
+def test_cli_rank_above_the_weyl_guard_leaves_no_output_file(system, tmp_path, capsys):
+    # the guard used to fire inside the suite, after --out was written empty
+    kind = SYSTEMS[system].kind
+    rank = RANK_ABOVE_GUARD[kind]
+    message = f"configuration error: |W| = {weyl.weyl_order(kind, rank)} exceeds guard"
+    out = tmp_path / "out"
+    argvs = [["verify", "--system", system, "--rank", str(rank), "--out", str(out)]]
+    if SYSTEMS[system].flow is not None:
+        argvs.append(["flow", "--system", system, "--rank", str(rank), "--csv", str(out)])
+    for argv in argvs:
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message)
+        assert not out.exists()
+    # one rank lower the group is within the guard
+    assert weyl.weyl_order(kind, rank - 1) <= weyl.WEYL_SIZE_GUARD
+
+
+@pytest.mark.parametrize("system", KNOWN_SYSTEMS)
+def test_each_system_records_the_type_of_the_root_systems_it_builds(system, monkeypatch):
+    kinds = set()
+    init = weyl.RootSystemData.__init__
+
+    def record(self, kind, *args, **kw):
+        kinds.add(kind)
+        init(self, kind, *args, **kw)
+    monkeypatch.setattr(weyl.RootSystemData, "__init__", record)
+    config = RunConfig(system=system, rank=2, params=default_params(system))
+    suites.build_suite(config)
+    if SYSTEMS[system].flow is not None:
+        classical_flow_setup(config)
+    assert kinds == {SYSTEMS[system].kind}
+
+
+@pytest.mark.parametrize("command", ["verify", "flow"])
+@pytest.mark.parametrize("im", ["240", "1e9"])
+def test_cli_refuses_an_im_tau_whose_nome_is_no_normal_float(command, im, tmp_path,
+                                                               capsys):
+    # each used to end in a ZeroDivisionError traceback from the theta tables
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"tau": {"re": "0.3", "im": im}}))
+    for system in ("ell-cm-A", "inozemtsev", "ell-ruijsenaars", "vandiejen"):
+        if command == "flow" and SYSTEMS[system].flow is None:
+            continue
+        assert cli_main([command, "--system", system, "--params", str(pfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: Im tau = {float(im)} > ")
+
+
+def _unreachable_after(argv):
+    """Exit status of a CLI call and the objects that it left unreachable."""
+    gc.collect()
+    rc = cli_main(argv)
+    return rc, gc.collect()
+
+
+def test_a_flow_call_leaves_no_garbage_cycle(capsys):
+    # the generated gradient's globals dict used to hold the function itself
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        assert _unreachable_after(["flow", "--system", "koornwinder", "--rank", "2",
+                                   "--time", "0.05", "--dt", "1e-2"]) == (0, 0)
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_a_verify_call_leaves_as_much_garbage_at_rank_2_as_at_rank_3(capsys):
+    # what is left (the JSON encoder's closures) does not grow with the suite
+    counts = [_unreachable_after(["verify", "--system", "rational-A", "--rank", rank])
+              for rank in ("2", "3")]
+    assert counts[0] == counts[1] and counts[0][0] == 0
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_cli_main_holds_the_collector_off_and_gives_its_state_back(enabled, tmp_path,
+                                                                   monkeypatch, capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"c": 0}))
+    trig = ["verify", "--system", "trig-gln", "--rank", "2"]
+    held = []
+    verify = cli.cmd_verify
+
+    def spy(args):
+        held.append(gc.isenabled())
+        return verify(args)
+
+    def boom(_args):
+        raise _Boom
+
+    monkeypatch.setattr(cli, "cmd_verify", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        # help, usage error, configuration error, pass, check failure
+        for argv, rc in ((["--help"], 0), (["verify"], 2),
+                         (trig + ["--params", str(params)], 2), (trig, 0),
+                         (trig + ["--perturb", "1e-3"], 1)):
+            assert cli_main(argv) == rc
+            assert gc.isenabled() is enabled
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", ClosedStdout())
+            assert cli_main(trig) == 1
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "cmd_verify", boom)
+        with pytest.raises(_Boom):
+            cli_main(trig)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert held == [False] * 4
 
 
 @pytest.mark.parametrize("command", ["verify", "flow"])
